@@ -11,7 +11,7 @@ import (
 	"tagprefetch/internal/telemetry"
 )
 
-var updateLayout = flag.Bool("update", false, "rewrite testdata/snapshot_layout.golden from the current encoders")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
 // layoutConfigs spans every Snapshotter family the simulator can put into a
 // checkpoint: the baseline, each prefetcher organisation (their sections
@@ -83,7 +83,7 @@ func layoutFingerprint(t *testing.T) string {
 func TestSnapshotLayoutGolden(t *testing.T) {
 	const golden = "testdata/snapshot_layout.golden"
 	got := layoutFingerprint(t)
-	if *updateLayout {
+	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
