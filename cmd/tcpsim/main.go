@@ -77,7 +77,6 @@ func run() int {
 		n        = flag.Uint64("n", 1_000_000, "measured instructions")
 		warm     = flag.Uint64("warmup", 0, "warmup instructions (default n/2)")
 		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		mSkip    = flag.Bool("measure-skip", false, "run the measured window on the event-driven skip engine (bit-identical results, docs/FASTFORWARD.md)")
 		ideal    = flag.Bool("ideal", false, "ideal L2 (every L2 access hits)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		list     = flag.Bool("list", false, "list benchmark models and exit")
@@ -139,7 +138,6 @@ func run() int {
 		Instructions:   *n,
 		Warmup:         *warm,
 		WarmupFidelity: fid,
-		MeasureSkip:    *mSkip,
 		Seed:           *seed,
 		Mem:            memsys.Config{IdealL2: *ideal},
 	}

@@ -47,7 +47,6 @@ func run() int {
 		n        = flag.Uint64("n", 1_000_000, "measured instructions per run")
 		warm     = flag.Uint64("warmup", 2_000_000, "warmup instructions per run")
 		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		mSkip    = flag.Bool("measure-skip", false, "run measured windows on the event-driven skip engine (bit-identical results, docs/FASTFORWARD.md)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		bench    = flag.String("benches", "", "comma-separated benchmark subset (default all 26)")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)")
@@ -111,7 +110,7 @@ func run() int {
 	}
 
 	o := experiment.Options{Instructions: *n, Warmup: *warm, Seed: *seed,
-		WarmupFidelity: fid, MeasureSkip: *mSkip, BaselineWarmup: *warmFork,
+		WarmupFidelity: fid, BaselineWarmup: *warmFork,
 		Runner: experiment.NewRunner(*jobs)}
 	if *bench != "" {
 		o.Benches = strings.Split(*bench, ",")

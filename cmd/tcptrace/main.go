@@ -67,7 +67,6 @@ func run() int {
 		n        = flag.Uint64("n", 1_000_000, "measured instructions")
 		warm     = flag.Uint64("warmup", 2_000_000, "warmup instructions")
 		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		mSkip    = flag.Bool("measure-skip", false, "run the measured window on the event-driven skip engine (bit-identical trace, docs/FASTFORWARD.md)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		out      = flag.String("o", "", "dump the raw miss trace to this file")
 		in       = flag.String("i", "", "analyse an existing trace file instead of simulating")
@@ -159,19 +158,8 @@ func run() int {
 		}
 		core := cpu.New(cpu.Config{}, mem)
 		gen := workload.New(spec, *seed)
-		// Arm the capture tap — and, on request, the measured-phase skip
-		// engine — at the warmup/measure boundary (like the tap, skip mode
-		// needs a warmup window to arm behind). Skip mode is engine
-		// selection only: the miss stream it produces is bit-identical
-		// (docs/FASTFORWARD.md), and the capture prefetcher keeps memsys off
-		// its no-prefetcher elision path, so every OnMiss still fires.
-		arm := func(int64) {
-			cap.armed = true
-			if *mSkip {
-				core.SetMeasureSkip(true)
-				mem.EnableFastIndex()
-			}
-		}
+		// Arm the capture tap at the warmup/measure boundary.
+		arm := func(int64) { cap.armed = true }
 		if fid == sim.FidelityFast {
 			// The warmup misses only train the profiler's armed==false tap,
 			// so the functional engine reproduces the measured trace exactly

@@ -58,13 +58,6 @@ func (b *Bus) Transfer(now int64, n int) int64 {
 // FreeAt returns the first cycle at which the bus will be idle.
 func (b *Bus) FreeAt() int64 { return b.freeAt }
 
-// NextEvent implements the event-horizon query (docs/FASTFORWARD.md): the
-// absolute cycle of the bus's next scheduled state change — the instant the
-// current backlog drains and the bus goes idle — or 0 when nothing is
-// scheduled. A transfer requested at or after the horizon starts
-// immediately; one requested before it queues.
-func (b *Bus) NextEvent() int64 { return b.freeAt }
-
 // Quiesce discards any queue backlog by clamping the next-idle time to at
 // most now. The functional fast-forward warmup advances one cycle per
 // instruction, so queueing computed against that compressed clock

@@ -108,26 +108,3 @@ func TestUtilizationZeroHorizon(t *testing.T) {
 		t.Errorf("utilization = %v, want 0", u)
 	}
 }
-
-// TestNextEvent pins the bus's event-horizon query (docs/FASTFORWARD.md):
-// the cycle the current backlog drains, 0 when nothing was ever scheduled.
-func TestNextEvent(t *testing.T) {
-	b := New("l1l2", 32)
-	if e := b.NextEvent(); e != 0 {
-		t.Errorf("fresh bus NextEvent = %d, want 0", e)
-	}
-	done := b.Transfer(100, 64) // 2 cycles at 32 B/cycle
-	if done != 102 || b.NextEvent() != 102 {
-		t.Errorf("after transfer: done=%d NextEvent=%d, want 102/102", done, b.NextEvent())
-	}
-	// A queued transfer extends the horizon; the horizon is exactly where
-	// the backlog ends.
-	done = b.Transfer(101, 32)
-	if done != 103 || b.NextEvent() != 103 {
-		t.Errorf("queued: done=%d NextEvent=%d, want 103/103", done, b.NextEvent())
-	}
-	// A transfer issued at the horizon starts immediately (no queueing).
-	if done = b.Transfer(b.NextEvent(), 32); done != 104 {
-		t.Errorf("at-horizon transfer done = %d, want 104", done)
-	}
-}

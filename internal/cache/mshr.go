@@ -8,44 +8,26 @@ import "tagprefetch/internal/addr"
 // issuing a second request. When the file is full, further misses must stall
 // until an entry retires.
 //
-// Alongside the lookup map the file keeps a min-heap of (block, ReadyAt)
-// pairs, so the full-file stall path (EarliestReady + ReleaseBefore) costs
-// O(log n) instead of two map scans. The heap is lazily pruned: Remove
-// leaves its pair behind as a tombstone, dropped when it surfaces at the
-// top or during a periodic compaction. A pair is live iff the map still
-// holds its block with the same ReadyAt — ReadyAt never changes between
-// Allocate and retirement except under Quiesce, which rebuilds the heap,
-// so the pair identifies one allocation generation.
-//
-// While the skip engine's fast index is on (fastOn), the same slice is
-// kept as an unsorted bag instead: Allocate appends in O(1) with no
-// sift-up, and the stall path recovers order with one linear sweep.
-// Retirement is lazy, so sweeps are rare — the file fills with mostly
-// completed entries before a stall flushes them in bulk — and the sweep
-// retires exactly the set the heap would ({live pairs with readyAt <=
-// now}, which a min-heap surfaces in full before any later pair), so the
-// engines agree on every observable. Only pool-frame recycling order
-// differs, and frames are never serialised (Save sorts by block ID).
+// Entries live in a fixed pool, found by a chained block→frame table: a
+// lookup hashes the block ID and walks a (sub-1 average length) chain
+// through the pool. Alongside it the file keeps a min-heap of (block,
+// ReadyAt) pairs, so the full-file stall path (EarliestReady +
+// ReleaseBefore) costs O(log n). The heap is lazily pruned: Remove leaves
+// its pair behind as a tombstone, dropped when it surfaces at the top or
+// during a periodic compaction. A pair is live iff the index still holds
+// its block with the same ReadyAt — ReadyAt never changes between Allocate
+// and retirement except under Quiesce, which rebuilds the heap, so the pair
+// identifies one allocation generation.
 type MSHRFile struct {
-	capacity int              //tcp:nosnap geometry fixed at construction; Restore validates the decoded entry count against it
-	pending  map[uint64]*MSHR // keyed by block ID, pointing into pool
-	pool     []MSHR           // backing store rebuilt by Restore from the decoded entry list
-	free     []int32          // rebuilt by Restore from the decoded entry list
-	ready    []mshrReady      //tcp:nosnap ready index rebuilt by Restore from the decoded entry list
-	count    int              // in-flight tally mirroring the entry set, rebuilt with it
+	capacity int         //tcp:nosnap geometry fixed at construction; Restore validates the decoded entry count against it
+	pool     []MSHR      // backing store rebuilt by Restore from the decoded entry list
+	free     []int32     //tcp:nosnap free-frame list rebuilt by Restore from the decoded entry list
+	ready    []mshrReady // ready heap rebuilt by Restore from the decoded entry list
+	count    int         // in-flight tally mirroring the entry set, rebuilt with it
 
-	// Fast index (measured-phase skip engine, docs/FASTFORWARD.md): a
-	// chained block→pool-frame table that replaces the pending map while
-	// fastOn. Lookups hash the block ID and walk a (sub-1 average length)
-	// chain through the fixed pool instead of the runtime map — the same
-	// entries, the same alloc/free order, just a cheaper index. The map is
-	// parked (nil) while the index is on so any unported access fails loud;
-	// Reset and Restore drop back to the map and the index is rebuilt on
-	// the next enable.
-	fastOn    bool    // derived lookup-structure mode; Restore drops back to the map
-	fastHeads []int32 // derived chain heads, rebuilt by EnableFastIndex
-	fastNext  []int32 // derived chain links indexed by pool frame
-	fastShift uint    // derived table geometry
+	heads []int32 // chained lookup index rebuilt by Restore from the decoded entry list
+	next  []int32 // chain links indexed by pool frame, rebuilt with heads
+	shift uint    // table geometry fixed at construction
 
 	merges    uint64
 	allocs    uint64
@@ -75,23 +57,36 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	if capacity <= 0 {
 		capacity = 1
 	}
+	buckets, shift := 8, uint(61)
+	for buckets < 4*capacity {
+		buckets *= 2
+		shift--
+	}
 	f := &MSHRFile{
 		capacity: capacity,
-		pending:  make(map[uint64]*MSHR, capacity),
 		pool:     make([]MSHR, capacity),
 		free:     make([]int32, 0, capacity),
 		ready:    make([]mshrReady, 0, 2*capacity),
+		heads:    make([]int32, buckets),
+		next:     make([]int32, capacity),
+		shift:    shift,
 	}
-	f.refillFree()
+	f.clear()
 	return f
 }
 
-// refillFree marks every pool frame unoccupied.
-func (f *MSHRFile) refillFree() {
+// clear empties the file: every pool frame free, the index and the ready
+// heap empty.
+func (f *MSHRFile) clear() {
 	f.free = f.free[:0]
 	for i := f.capacity - 1; i >= 0; i-- {
 		f.free = append(f.free, int32(i))
 	}
+	for i := range f.heads {
+		f.heads[i] = -1
+	}
+	f.count = 0
+	f.ready = f.ready[:0]
 }
 
 // Capacity returns the number of entries.
@@ -100,13 +95,9 @@ func (f *MSHRFile) Capacity() int { return f.capacity }
 // InFlight returns the number of occupied entries.
 func (f *MSHRFile) InFlight() int { return f.count }
 
-// get returns the in-flight entry for block id, dispatching on the active
-// lookup structure, or nil.
+// get returns the in-flight entry for block id, or nil.
 func (f *MSHRFile) get(id uint64) *MSHR {
-	if !f.fastOn {
-		return f.pending[id]
-	}
-	for s := f.fastHeads[f.fastBucket(id)]; s >= 0; s = f.fastNext[s] {
+	for s := f.heads[f.bucket(id)]; s >= 0; s = f.next[s] {
 		if f.pool[s].Block == id {
 			return &f.pool[s]
 		}
@@ -114,108 +105,37 @@ func (f *MSHRFile) get(id uint64) *MSHR {
 	return nil
 }
 
-// insert records m (already written into its pool frame) in the active
-// lookup structure. The block must not be present.
+// insert records m (already written into its pool frame) in the index.
+// The block must not be present.
 func (f *MSHRFile) insert(m *MSHR) {
-	if f.fastOn {
-		b := f.fastBucket(m.Block)
-		f.fastNext[m.slot] = f.fastHeads[b]
-		f.fastHeads[b] = m.slot
-	} else {
-		f.pending[m.Block] = m
-	}
+	b := f.bucket(m.Block)
+	f.next[m.slot] = f.heads[b]
+	f.heads[b] = m.slot
 	f.count++
 }
 
-// unlink drops m from the active lookup structure and recycles its pool
-// frame. The entry must be present.
+// unlink drops m from the index and recycles its pool frame. The entry
+// must be present.
 func (f *MSHRFile) unlink(m *MSHR) {
-	if f.fastOn {
-		b := f.fastBucket(m.Block)
-		if f.fastHeads[b] == m.slot {
-			f.fastHeads[b] = f.fastNext[m.slot]
-		} else {
-			for s := f.fastHeads[b]; ; s = f.fastNext[s] {
-				if f.fastNext[s] == m.slot {
-					f.fastNext[s] = f.fastNext[m.slot]
-					break
-				}
+	b := f.bucket(m.Block)
+	if f.heads[b] == m.slot {
+		f.heads[b] = f.next[m.slot]
+	} else {
+		for s := f.heads[b]; ; s = f.next[s] {
+			if f.next[s] == m.slot {
+				f.next[s] = f.next[m.slot]
+				break
 			}
 		}
-	} else {
-		delete(f.pending, m.Block)
 	}
 	f.free = append(f.free, m.slot)
 	f.count--
 }
 
-// fastBucket hashes a block ID into the chain table (Fibonacci hashing on
-// a power-of-two table).
-func (f *MSHRFile) fastBucket(id uint64) uint64 {
-	return (id * 0x9E3779B97F4A7C15) >> f.fastShift
-}
-
-// EnableFastIndex switches lookups from the pending map to the chained
-// pool index. Idempotent; building walks the fixed pool in frame order so
-// chain layout is deterministic regardless of map iteration order. The
-// skip engine enables this at measured-window entry; Reset and Restore
-// fall back to the map.
-func (f *MSHRFile) EnableFastIndex() {
-	if f.fastOn {
-		return
-	}
-	buckets := 8
-	for buckets < 4*f.capacity {
-		buckets *= 2
-	}
-	shift := uint(64)
-	for n := 1; n < buckets; n *= 2 {
-		shift--
-	}
-	f.fastShift = shift
-	if len(f.fastHeads) != buckets {
-		f.fastHeads = make([]int32, buckets)
-	}
-	for i := range f.fastHeads {
-		f.fastHeads[i] = -1
-	}
-	if len(f.fastNext) != f.capacity {
-		f.fastNext = make([]int32, f.capacity)
-	}
-	occupied := f.pending
-	f.pending = nil // park the map: any unported access fails loud
-	f.fastOn = true
-	f.count = 0
-	for i := range f.pool {
-		m := &f.pool[i]
-		if occupied[m.Block] != m {
-			continue // unoccupied frame
-		}
-		f.insert(m)
-	}
-}
-
-// disableFastIndex rebuilds the pending map from the pool and drops back
-// to reference (map) mode. No-op when the index is off.
-func (f *MSHRFile) disableFastIndex() {
-	if !f.fastOn {
-		return
-	}
-	pending := make(map[uint64]*MSHR, f.capacity)
-	for i := range f.pool {
-		m := &f.pool[i]
-		if f.isLive(m) {
-			pending[m.Block] = m
-		}
-	}
-	f.fastOn = false
-	f.pending = pending
-	f.count = len(pending)
-	// Fast mode leaves the ready slice unsorted; heap mode's pop paths
-	// assume the heap property, so restore it over the surviving pairs.
-	for i := len(f.ready)/2 - 1; i >= 0; i-- {
-		f.siftDown(i)
-	}
+// bucket hashes a block ID into the chain table (Fibonacci hashing on a
+// power-of-two table).
+func (f *MSHRFile) bucket(id uint64) uint64 {
+	return (id * 0x9E3779B97F4A7C15) >> f.shift
 }
 
 // isLive reports whether pool entry m is currently in flight.
@@ -243,32 +163,8 @@ func (f *MSHRFile) live(e mshrReady) bool {
 
 // ReleaseBefore retires every entry whose fill completed at or before now,
 // returning the number retired. The simulator calls this as time advances.
-//
-// Both ready structures retire the identical set — the min-heap surfaces
-// every pair with readyAt <= now before any later one, and the unsorted
-// sweep visits all of them — so the engines agree on every observable:
-// retired count, in-flight set, and stall horizon. Only the free-list
-// order (hence future pool-frame assignment) differs, and frames are
-// never serialised or counted.
 func (f *MSHRFile) ReleaseBefore(now int64) int {
 	n := 0
-	if f.fastOn {
-		keep := f.ready[:0]
-		for _, e := range f.ready {
-			m := f.get(e.block)
-			if m == nil || m.ReadyAt != e.readyAt {
-				continue // tombstone
-			}
-			if e.readyAt <= now {
-				f.unlink(m)
-				n++
-				continue
-			}
-			keep = append(keep, e)
-		}
-		f.ready = keep
-		return n
-	}
 	for len(f.ready) > 0 && f.ready[0].readyAt <= now {
 		e := f.popReady()
 		if m := f.get(e.block); m != nil && m.ReadyAt == e.readyAt {
@@ -282,21 +178,6 @@ func (f *MSHRFile) ReleaseBefore(now int64) int {
 // EarliestReady returns the soonest completion cycle among in-flight
 // entries, or 0 when the file is empty.
 func (f *MSHRFile) EarliestReady() int64 {
-	if f.fastOn {
-		keep := f.ready[:0]
-		min := int64(0)
-		for _, e := range f.ready {
-			if !f.live(e) {
-				continue // tombstone
-			}
-			keep = append(keep, e)
-			if min == 0 || e.readyAt < min {
-				min = e.readyAt
-			}
-		}
-		f.ready = keep
-		return min
-	}
 	for len(f.ready) > 0 {
 		if f.live(f.ready[0]) {
 			return f.ready[0].readyAt
@@ -305,12 +186,6 @@ func (f *MSHRFile) EarliestReady() int64 {
 	}
 	return 0
 }
-
-// NextEvent implements the event-horizon query (docs/FASTFORWARD.md): the
-// soonest in-flight fill completion, or 0 when nothing is scheduled. This
-// is EarliestReady under its event-horizon name; between now and that
-// cycle no MSHR entry changes state on its own.
-func (f *MSHRFile) NextEvent() int64 { return f.EarliestReady() }
 
 // Allocate records a new in-flight miss for block a completing at readyAt.
 // It returns the entry and true on success, or nil and false when the file
@@ -352,9 +227,6 @@ func (f *MSHRFile) pushReady(e mshrReady) {
 		f.compactReady()
 	}
 	f.ready = append(f.ready, e)
-	if f.fastOn {
-		return // unsorted mode: order is recovered by the sweep on demand
-	}
 	i := len(f.ready) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -397,9 +269,7 @@ func (f *MSHRFile) siftDown(i int) {
 	}
 }
 
-// compactReady drops every tombstone and, in heap mode, re-heapifies the
-// survivors. It walks the ready slice (not the map), so iteration is
-// deterministic.
+// compactReady drops every tombstone and re-heapifies the survivors.
 func (f *MSHRFile) compactReady() {
 	keep := f.ready[:0]
 	for _, e := range f.ready {
@@ -408,9 +278,6 @@ func (f *MSHRFile) compactReady() {
 		}
 	}
 	f.ready = keep
-	if f.fastOn {
-		return
-	}
 	for i := len(f.ready)/2 - 1; i >= 0; i-- {
 		f.siftDown(i)
 	}
@@ -455,13 +322,8 @@ func (f *MSHRFile) Stats() MSHRStats {
 	return MSHRStats{Allocations: f.allocs, Merges: f.merges, FullStalls: f.fullStall}
 }
 
-// Reset clears all entries and statistics, dropping back to the reference
-// (map) lookup structure.
+// Reset clears all entries and statistics.
 func (f *MSHRFile) Reset() {
-	f.fastOn = false
-	f.pending = make(map[uint64]*MSHR, f.capacity)
-	f.count = 0
-	f.refillFree()
-	f.ready = f.ready[:0]
+	f.clear()
 	f.merges, f.allocs, f.fullStall = 0, 0, 0
 }

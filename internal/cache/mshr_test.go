@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tagprefetch/internal/addr"
+	"tagprefetch/internal/checkpoint"
 )
 
 func TestMSHRAllocateAndMerge(t *testing.T) {
@@ -99,110 +100,195 @@ func TestMSHRBadCapacityClamped(t *testing.T) {
 	}
 }
 
-// TestMSHRNextEvent pins the file's event-horizon query: the soonest
-// in-flight completion, tracked lazily through tombstones.
-func TestMSHRNextEvent(t *testing.T) {
-	g := l1geom()
-	f := NewMSHRFile(8)
-	if e := f.NextEvent(); e != 0 {
-		t.Errorf("empty file NextEvent = %d, want 0", e)
+// mshrOracle is the naive model of an MSHR file the differential test
+// checks against: a slice of in-flight entries searched linearly.
+type mshrOracle struct {
+	capacity int
+	entries  []MSHR // slot unused
+	stats    MSHRStats
+}
+
+func (o *mshrOracle) find(id uint64) int {
+	for i := range o.entries {
+		if o.entries[i].Block == id {
+			return i
+		}
 	}
-	f.Allocate(g, 0x1000, 300, false)
-	f.Allocate(g, 0x2000, 100, false)
-	f.Allocate(g, 0x3000, 200, false)
-	if e := f.NextEvent(); e != 100 {
-		t.Errorf("NextEvent = %d, want 100", e)
+	return -1
+}
+
+func (o *mshrOracle) allocate(id uint64, readyAt int64, prefetch bool) (MSHR, bool) {
+	if i := o.find(id); i >= 0 {
+		o.stats.Merges++
+		if !prefetch {
+			o.entries[i].Demands++
+			o.entries[i].Prefetch = false
+		}
+		return o.entries[i], true
 	}
-	// Retiring the earliest entry leaves a tombstone; the horizon must
-	// skip it and surface the next live completion.
-	f.Remove(g, 0x2000)
-	if e := f.NextEvent(); e != 200 {
-		t.Errorf("after remove: NextEvent = %d, want 200", e)
+	if len(o.entries) >= o.capacity {
+		o.stats.FullStalls++
+		return MSHR{}, false
 	}
-	if n := f.ReleaseBefore(250); n != 1 {
-		t.Errorf("released %d, want 1", n)
+	m := MSHR{Block: id, ReadyAt: readyAt, Prefetch: prefetch}
+	if !prefetch {
+		m.Demands = 1
 	}
-	if e := f.NextEvent(); e != 300 {
-		t.Errorf("after release: NextEvent = %d, want 300", e)
-	}
-	f.Remove(g, 0x1000)
-	if e := f.NextEvent(); e != 0 {
-		t.Errorf("drained file NextEvent = %d, want 0", e)
+	o.entries = append(o.entries, m)
+	o.stats.Allocations++
+	return m, true
+}
+
+func (o *mshrOracle) remove(id uint64) {
+	if i := o.find(id); i >= 0 {
+		o.entries = append(o.entries[:i], o.entries[i+1:]...)
 	}
 }
 
-// TestMSHRFastIndexEquivalence drives a reference (map + heap) file and a
-// fast-index (chained pool + unsorted ready bag) file through the same
-// pseudo-random operation sequence and demands identical observables after
-// every step: lookup results, in-flight count, release counts, stall
-// horizon, and activity counters. The fast file flips modes mid-sequence,
-// so the EnableFastIndex/disableFastIndex transitions (including the
-// re-heapify on the way back to reference mode) are exercised under load,
-// not just at boundaries.
+func (o *mshrOracle) releaseBefore(now int64) int {
+	keep := o.entries[:0]
+	for _, m := range o.entries {
+		if m.ReadyAt > now {
+			keep = append(keep, m)
+		}
+	}
+	n := len(o.entries) - len(keep)
+	o.entries = keep
+	return n
+}
+
+func (o *mshrOracle) earliestReady() int64 {
+	min := int64(0)
+	for _, m := range o.entries {
+		if min == 0 || m.ReadyAt < min {
+			min = m.ReadyAt
+		}
+	}
+	return min
+}
+
+func (o *mshrOracle) quiesce(max int64) {
+	for i := range o.entries {
+		if o.entries[i].ReadyAt > max {
+			o.entries[i].ReadyAt = max
+		}
+	}
+}
+
+// TestMSHRFastIndexEquivalence checks the MSHR file's chained index and
+// ready heap against the naive oracle: both are driven through the same
+// pseudo-random operation sequence — Allocate, Lookup, Remove,
+// ReleaseBefore, EarliestReady, Quiesce, Reset and a Save/Restore round
+// trip into a fresh file — and must agree after every step on returned
+// entries, release counts, stall horizon, in-flight count, the full entry
+// set, and the activity counters. 64 blocks in a 16-entry
+// file keep the file full and the chains and heap tombstones busy.
 func TestMSHRFastIndexEquivalence(t *testing.T) {
 	g := l1geom()
-	const cap = 16
-	ref := NewMSHRFile(cap)
-	fast := NewMSHRFile(cap)
-	fast.EnableFastIndex()
+	const blocks, cap = 64, 16
+	f := NewMSHRFile(cap)
+	o := &mshrOracle{capacity: cap}
 
 	rng := uint64(0x9E3779B97F4A7C15) // deterministic LCG state
 	next := func(n uint64) uint64 {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return (rng >> 33) % n
 	}
+	same := func(m *MSHR, want MSHR) bool {
+		return m.Block == want.Block && m.ReadyAt == want.ReadyAt &&
+			m.Demands == want.Demands && m.Prefetch == want.Prefetch
+	}
 
 	now := int64(0)
 	for step := 0; step < 20000; step++ {
 		now++
-		a := addr.Addr(next(64) * 0x40) // 64 blocks: collisions guaranteed
-		switch next(10) {
-		case 0, 1, 2, 3: // allocate/merge
-			ready := now + int64(next(200))
+		a := addr.Addr(next(blocks) * 0x40)
+		id := g.BlockID(a)
+		switch op := next(100); {
+		case op < 40: // allocate/merge
+			ready := now + 1 + int64(next(200))
 			pf := next(4) == 0
-			mr, okR := ref.Allocate(g, a, ready, pf)
-			mf, okF := fast.Allocate(g, a, ready, pf)
-			if okR != okF {
-				t.Fatalf("step %d: alloc ok %v vs %v", step, okR, okF)
+			m, ok := f.Allocate(g, a, ready, pf)
+			want, wantOK := o.allocate(id, ready, pf)
+			if ok != wantOK || ok && !same(m, want) {
+				t.Fatalf("step %d: Allocate = %+v/%v, want %+v/%v", step, m, ok, want, wantOK)
 			}
-			if okR && (mr.ReadyAt != mf.ReadyAt || mr.Demands != mf.Demands ||
-				mr.Prefetch != mf.Prefetch || mr.Block != mf.Block) {
-				t.Fatalf("step %d: alloc entry %+v vs %+v", step, mr, mf)
+		case op < 55: // lookup
+			m, ok := f.Lookup(g, a)
+			i := o.find(id)
+			if ok != (i >= 0) || ok && !same(m, o.entries[i]) {
+				t.Fatalf("step %d: Lookup = %+v/%v, want index %d", step, m, ok, i)
 			}
-		case 4, 5: // lookup
-			mr, okR := ref.Lookup(g, a)
-			mf, okF := fast.Lookup(g, a)
-			if okR != okF {
-				t.Fatalf("step %d: lookup ok %v vs %v", step, okR, okF)
-			}
-			if okR && (mr.ReadyAt != mf.ReadyAt || mr.Demands != mf.Demands) {
-				t.Fatalf("step %d: lookup entry %+v vs %+v", step, mr, mf)
-			}
-		case 6: // retire
-			ref.Remove(g, a)
-			fast.Remove(g, a)
-		case 7: // bulk release, as the full-file stall path would
+		case op < 65: // retire one
+			f.Remove(g, a)
+			o.remove(id)
+		case op < 78: // bulk release, as the full-file stall path does
 			h := now - int64(next(100))
-			if nr, nf := ref.ReleaseBefore(h), fast.ReleaseBefore(h); nr != nf {
-				t.Fatalf("step %d: released %d vs %d", step, nr, nf)
+			if n, want := f.ReleaseBefore(h), o.releaseBefore(h); n != want {
+				t.Fatalf("step %d: ReleaseBefore(%d) = %d, want %d", step, h, n, want)
 			}
-		case 8: // stall horizon
-			if er, ef := ref.EarliestReady(), fast.EarliestReady(); er != ef {
-				t.Fatalf("step %d: earliest %d vs %d", step, er, ef)
+		case op < 90: // stall horizon
+			if e, want := f.EarliestReady(), o.earliestReady(); e != want {
+				t.Fatalf("step %d: EarliestReady = %d, want %d", step, e, want)
 			}
-		case 9: // flip the fast file's mode under load
-			if next(2) == 0 {
-				fast.disableFastIndex()
-			} else {
-				fast.EnableFastIndex()
+		case op < 94: // clamp, as the fast-warmup boundary does
+			max := now + int64(next(50))
+			f.Quiesce(max)
+			o.quiesce(max)
+		case op < 95:
+			f.Reset()
+			o.entries, o.stats = o.entries[:0], MSHRStats{}
+		default: // checkpoint round trip into a fresh file
+			w := checkpoint.NewWriter()
+			if err := f.Save(w); err != nil {
+				t.Fatal(err)
+			}
+			r, err := checkpoint.NewReader(w.Finish())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f = NewMSHRFile(cap)
+			if err := f.Restore(r); err != nil {
+				t.Fatalf("step %d: Restore: %v", step, err)
 			}
 		}
-		if ref.InFlight() != fast.InFlight() {
-			t.Fatalf("step %d: in flight %d vs %d", step, ref.InFlight(), fast.InFlight())
+		if f.InFlight() != len(o.entries) {
+			t.Fatalf("step %d: InFlight = %d, want %d", step, f.InFlight(), len(o.entries))
+		}
+		for b := uint64(0); b < blocks; b++ {
+			m, ok := f.Lookup(g, addr.Addr(b*0x40))
+			i := o.find(g.BlockID(addr.Addr(b * 0x40)))
+			if ok != (i >= 0) || ok && !same(m, o.entries[i]) {
+				t.Fatalf("step %d: block %d = %+v/%v, oracle index %d", step, b, m, ok, i)
+			}
+		}
+		if s := f.Stats(); s != o.stats {
+			t.Fatalf("step %d: Stats = %+v, want %+v", step, s, o.stats)
 		}
 	}
-	sr, sf := ref.Stats(), fast.Stats()
-	if sr != sf {
-		t.Fatalf("stats diverged: %+v vs %+v", sr, sf)
+}
+
+// TestMSHRRestoreRejectsRepeatedBlock: an image that lists one block twice
+// cannot come from Save, and restoring it would put two entries for one
+// block in the index.
+func TestMSHRRestoreRejectsRepeatedBlock(t *testing.T) {
+	w := checkpoint.NewWriter()
+	w.Section("mshr")
+	w.U64(0)
+	w.U64(0)
+	w.U64(0)
+	w.U32(2)
+	for i := 0; i < 2; i++ {
+		w.U64(0x40)
+		w.I64(100)
+		w.Int(1)
+		w.Bool(false)
+	}
+	r, err := checkpoint.NewReader(w.Finish())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewMSHRFile(4).Restore(r); err == nil {
+		t.Error("Restore accepted a block listed twice")
 	}
 }

@@ -67,8 +67,7 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 
 // Save implements checkpoint.Snapshotter. In-flight entries are gathered
 // from the fixed pool and written in ascending block-ID order, so the image
-// is deterministic and identical whichever lookup structure (reference map
-// or skip-engine fast index) is active.
+// is deterministic and independent of pool-frame assignment.
 func (f *MSHRFile) Save(w *checkpoint.Writer) error {
 	w.Section("mshr")
 	w.U64(f.merges)
@@ -106,11 +105,7 @@ func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
 	if n > f.capacity {
 		return fmt.Errorf("mshr: checkpoint holds %d entries, capacity %d", n, f.capacity)
 	}
-	f.fastOn = false // restore always lands in reference (map) mode
-	f.pending = make(map[uint64]*MSHR, f.capacity)
-	f.count = 0
-	f.refillFree()
-	f.ready = f.ready[:0]
+	f.clear()
 	for i := 0; i < n; i++ {
 		e := MSHR{
 			Block:    r.U64(),
@@ -121,12 +116,14 @@ func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
 		if r.Err() != nil {
 			break
 		}
+		if f.get(e.Block) != nil {
+			return fmt.Errorf("mshr: checkpoint holds block %#x twice", e.Block)
+		}
 		slot := f.free[len(f.free)-1]
 		f.free = f.free[:len(f.free)-1]
 		e.slot = slot
 		f.pool[slot] = e
-		f.pending[e.Block] = &f.pool[slot]
-		f.count++
+		f.insert(&f.pool[slot])
 		f.pushReady(mshrReady{block: e.Block, readyAt: e.ReadyAt})
 	}
 	return r.Err()

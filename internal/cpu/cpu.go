@@ -192,10 +192,6 @@ type Core struct {
 	fastActive bool
 	fclock     int64 // functional cycle: one per fast-forwarded instruction
 
-	// measured-phase skip engine selection (skip.go): host-side, results
-	// are bit-identical either way by contract.
-	measureSkip bool //tcp:nosnap engine selection, not simulated state; reset clears it
-
 	// telemetry (optional; nil fields are skipped on the hot path)
 	instrCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
 	cycleCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
@@ -223,7 +219,6 @@ func (c *Core) reset() {
 	c.warmRes = Result{}
 	c.fastActive = false
 	c.fclock = 0
-	c.measureSkip = false
 }
 
 // SetOnLoadRetire installs (or clears) the load-retirement hook on a core
@@ -290,10 +285,31 @@ type pipeline struct {
 	lastCommit    int64
 	fetchResume   int64
 
-	// skip-engine ring masks (skip.go), valid only for power-of-two
-	// RUU/LSQ geometry and set by primeSkip before each skip advance.
-	ruuMask uint64 //tcp:nosnap derived geometry mask, rebuilt by primeSkip
-	lsqMask int    //tcp:nosnap derived geometry mask, rebuilt by primeSkip
+	ruu, lsq ring //tcp:nosnap index geometry derived from the fixed RUU/LSQ sizes by newPipeline
+}
+
+// ring is the index geometry of one of the pipeline's rings, fixed at
+// construction.
+type ring struct {
+	n    uint64
+	mask uint64 // n-1 when n is a power of two, else 0
+}
+
+func newRing(n int) ring {
+	r := ring{n: uint64(n)}
+	if n&(n-1) == 0 {
+		r.mask = r.n - 1
+	}
+	return r
+}
+
+// slot maps sequence number i onto the ring: an AND for power-of-two
+// sizes (Table 1's 128-entry RUU and LSQ), a modulo otherwise.
+func (r ring) slot(i uint64) uint64 {
+	if r.mask != 0 {
+		return i & r.mask
+	}
+	return i % r.n
 }
 
 // newPipeline allocates every ring and scoreboard up front so that step
@@ -303,6 +319,8 @@ func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
 		cfg:       cfg,
 		mem:       mem,
 		pred:      pred,
+		ruu:       newRing(cfg.RUUSize),
+		lsq:       newRing(cfg.LSQSize),
 		doneAt:    make([]int64, cfg.RUUSize),
 		commitAt:  make([]int64, cfg.RUUSize),
 		memCommit: make([]int64, cfg.LSQSize),
@@ -316,11 +334,11 @@ func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
 
 // step advances the model by one dynamic instruction — dispatch, operand
 // readiness, issue/execute, in-order commit — accumulating stall and event
-// counters into res. i is the dynamic instruction index.
-//
+// counters into res. i is the dynamic instruction index. It is the
+// cycle-accurate model's only per-instruction path; tcplint's hotalloc
 // keeps it free of allocation, fmt, and interface boxing.
 //
-//tcp:hotpath — runs once per simulated instruction; tcplint's hotalloc
+//tcp:hotpath — runs once per simulated instruction.
 func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	cfg := &p.cfg
 
@@ -331,14 +349,14 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 		res.FetchRedirectStall++
 	}
 	if i >= uint64(cfg.RUUSize) {
-		if w := p.commitAt[i%uint64(cfg.RUUSize)]; w > d {
+		if w := p.commitAt[p.ruu.slot(i)]; w > d {
 			d = w
 			res.DispatchStallRUU++
 		}
 	}
 	isMem := inst.Class.IsMem()
 	if isMem && p.memCount >= cfg.LSQSize {
-		if w := p.memCommit[p.memCount%cfg.LSQSize]; w > d {
+		if w := p.memCommit[p.lsq.slot(uint64(p.memCount))]; w > d {
 			d = w
 			res.DispatchStallLSQ++
 		}
@@ -355,18 +373,18 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	p.dispatchSlots++
 
 	// --- operand readiness ---
+	// A producer more than RUUSize back committed before our dispatch,
+	// so it is necessarily complete.
 	ready := d + 1
-	for _, dep := range [2]int32{inst.Dep1, inst.Dep2} {
-		if dep <= 0 || uint64(dep) > i {
-			continue
+	if dep := inst.Dep1; dep > 0 && uint64(dep) <= i && dep <= int32(cfg.RUUSize) {
+		if w := p.doneAt[p.ruu.slot(i-uint64(dep))]; w > ready {
+			ready = w
 		}
-		if dep <= int32(cfg.RUUSize) {
-			if w := p.doneAt[(i-uint64(dep))%uint64(cfg.RUUSize)]; w > ready {
-				ready = w
-			}
+	}
+	if dep := inst.Dep2; dep > 0 && uint64(dep) <= i && dep <= int32(cfg.RUUSize) {
+		if w := p.doneAt[p.ruu.slot(i-uint64(dep))]; w > ready {
+			ready = w
 		}
-		// A producer more than RUUSize back committed before our
-		// dispatch, so it is necessarily complete.
 	}
 
 	// --- issue and execute ---
@@ -406,7 +424,7 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	default:
 		done = p.intALU.issue(ready) + latIntALU
 	}
-	p.doneAt[i%uint64(cfg.RUUSize)] = done
+	p.doneAt[p.ruu.slot(i)] = done
 
 	// --- in-order commit, IssueWidth per cycle ---
 	cm := done
@@ -431,9 +449,9 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	cm = p.commitCycle
 	p.commitSlots++
 	p.lastCommit = cm
-	p.commitAt[i%uint64(cfg.RUUSize)] = cm
+	p.commitAt[p.ruu.slot(i)] = cm
 	if isMem {
-		p.memCommit[p.memCount%cfg.LSQSize] = cm
+		p.memCommit[p.lsq.slot(uint64(p.memCount))] = cm
 		p.memCount++
 	}
 }
@@ -461,10 +479,6 @@ func (c *Core) Warmed() bool { return c.warmed }
 func (c *Core) AdvanceTo(gen workload.Generator, target uint64) {
 	if c.fastActive && c.done < target {
 		panic("cpu: AdvanceTo during fast-forward; call SealFastForward (or MarkWarmBoundary) first")
-	}
-	if c.measureSkip && c.p.primeSkip() {
-		c.advanceToSkip(gen, target)
-		return
 	}
 	var inst workload.Inst
 	for c.done < target {

@@ -313,43 +313,15 @@ func TestGoldenIndependentPair(t *testing.T) {
 	}
 }
 
-// TestNextEvent pins the core's event-horizon query: the earliest
-// forward-booked state change beyond the last commit — a pending fetch
-// redirect or a functional-unit booking — or 0 when nothing is scheduled
-// past it. The expected value is recomputed here from the raw pipeline
-// state, independently of the production query.
-func TestNextEvent(t *testing.T) {
-	core := New(Config{}, &fixedMem{latency: 200})
-	if e := core.NextEvent(); e != 0 {
-		t.Errorf("fresh core NextEvent = %d, want 0", e)
-	}
-
-	// Mispredicted branches and long loads leave redirect and booking
-	// state beyond the commit point.
-	insts := []workload.Inst{
-		{Class: workload.Load, Addr: 0x1000},
-		{Class: workload.Branch, Taken: true, PC: 0x40},
-		{Class: workload.IntALU, Dep1: 1},
-	}
-	core.Run(&scriptGen{insts: insts}, 999)
-
-	p := core.p
-	want := int64(0)
-	if p.fetchResume > p.lastCommit {
-		want = p.fetchResume
-	}
-	for _, pool := range []*fuPool{p.intALU, p.intMul, p.fpALU, p.fpMul, p.memPort} {
-		for _, at := range pool.freeAt {
-			if at > p.lastCommit && (want == 0 || at < want) {
-				want = at
+// TestRingSlot pins the ring index against plain modulo for every ring
+// size up to past Table 1's 128, masked (power-of-two) and not.
+func TestRingSlot(t *testing.T) {
+	for n := 1; n <= 130; n++ {
+		r := newRing(n)
+		for i := uint64(0); i < 1_000; i++ {
+			if got, want := r.slot(i), i%uint64(n); got != want {
+				t.Fatalf("ring %d: slot(%d) = %d, want %d", n, i, got, want)
 			}
 		}
-	}
-	got := core.NextEvent()
-	if got != want {
-		t.Errorf("NextEvent = %d, want %d (lastCommit %d)", got, want, p.lastCommit)
-	}
-	if got != 0 && got <= p.lastCommit {
-		t.Errorf("NextEvent = %d not beyond lastCommit %d", got, p.lastCommit)
 	}
 }

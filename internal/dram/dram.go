@@ -48,17 +48,6 @@ func (m *Memory) Write(now int64, n int) int64 {
 	return now
 }
 
-// NextEvent implements the event-horizon query (docs/FASTFORWARD.md). The
-// array itself is a fixed-latency pipeline with no queued state of its own,
-// so the memory's only scheduled event is its bus backlog draining; without
-// a bus there is never a pending event (0).
-func (m *Memory) NextEvent() int64 {
-	if m.bus == nil {
-		return 0
-	}
-	return m.bus.NextEvent()
-}
-
 // Stats reports access counts.
 type Stats struct {
 	Reads  uint64

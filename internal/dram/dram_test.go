@@ -63,27 +63,3 @@ func TestStatsAndReset(t *testing.T) {
 		t.Errorf("reset incomplete: %+v", s)
 	}
 }
-
-// TestNextEvent pins the memory's event-horizon query: the array is a
-// fixed-latency pipeline with no self-scheduled state, so the horizon is
-// its bus backlog, or always 0 without a bus.
-func TestNextEvent(t *testing.T) {
-	m := New(70, nil)
-	if e := m.NextEvent(); e != 0 {
-		t.Errorf("busless fresh NextEvent = %d, want 0", e)
-	}
-	m.Read(100, 64)
-	if e := m.NextEvent(); e != 0 {
-		t.Errorf("busless NextEvent after read = %d, want 0 (no queued state)", e)
-	}
-
-	b := bus.New("mem", 16)
-	m = New(70, b)
-	done := m.Write(100, 64) // occupies the bus for 4 cycles
-	if done != 104 || m.NextEvent() != 104 {
-		t.Errorf("with bus: done=%d NextEvent=%d, want 104/104", done, m.NextEvent())
-	}
-	if m.NextEvent() != b.NextEvent() {
-		t.Errorf("memory horizon %d != bus horizon %d", m.NextEvent(), b.NextEvent())
-	}
-}

@@ -41,12 +41,6 @@ type Options struct {
 	// the zero value means) runs it cycle-accurately; sim.FidelityFast
 	// fast-forwards it functionally (docs/FASTFORWARD.md).
 	WarmupFidelity sim.Fidelity
-	// MeasureSkip runs every measured window on the event-driven skip
-	// engine (sim.Config.MeasureSkip). Results are bit-identical to the
-	// reference loop by contract, so the flag is deliberately absent from
-	// result fingerprints and manifests: cached results produced by either
-	// engine interchange freely.
-	MeasureSkip bool
 	// BaselineWarmup runs every grid point's warmup under the no-prefetch
 	// baseline (sim.Config.BaselineWarmup), which lets the runner warm each
 	// benchmark once, checkpoint at the warmup/measure boundary, and fork
@@ -81,8 +75,7 @@ func (o Options) withDefaults() Options {
 
 func (o Options) simConfig() sim.Config {
 	return sim.Config{Instructions: o.Instructions, Warmup: o.Warmup, Seed: o.Seed,
-		WarmupFidelity: o.WarmupFidelity, MeasureSkip: o.MeasureSkip,
-		BaselineWarmup: o.BaselineWarmup}
+		WarmupFidelity: o.WarmupFidelity, BaselineWarmup: o.BaselineWarmup}
 }
 
 // Table1 renders the simulated machine configuration (paper Table 1).

@@ -194,16 +194,15 @@ type MemSys struct {
 
 	pf   prefetch.Prefetcher
 	l2pf prefetch.Prefetcher  // nil unless a prefetcher observes the L2 miss stream
-
-	// pfNoop licenses the skip engine to elide prefetcher plumbing: it is
-	// set by EnableFastIndex only when pf is the stateless prefetch.None
-	// baseline and no L2 prefetcher is attached, in which case every
-	// OnMiss/OnAccess call provably returns nil and mutates nothing, so
-	// the trace.Miss construction and request-batch handling around them
-	// are dead work. Off in reference mode, so the reference path is the
-	// unconditional, readable model.
-	pfNoop bool //tcp:nosnap host-side engine selection, like MSHRFile.fastOn
 	dbp  *deadblock.Predictor // nil unless hybrid promotion is enabled
+
+	// pfNoop elides the prefetcher plumbing when pf is the stateless
+	// prefetch.None baseline and no L2 prefetcher is attached: every
+	// OnMiss/OnAccess/OnEvict call then provably returns nil and mutates
+	// nothing, so the trace.Miss construction and request-batch handling
+	// around them are dead work. setPrefetchers derives it whenever pf or
+	// l2pf changes.
+	pfNoop bool //tcp:nosnap derived from pf and l2pf, which Restore requires to match
 
 	ctr counters
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
@@ -224,14 +223,22 @@ func New(cfg Config, pf prefetch.Prefetcher) *MemSys {
 		memBus: memBus,
 		mem:    dram.New(cfg.MemLatency, memBus),
 		mshr:   cache.NewMSHRFile(cfg.MSHRs),
-		pf:     pf,
 		ctr:    newCounters(),
 		tr:     telemetry.Nop(),
 	}
 	if cfg.PrefetchBus {
 		m.pfBus = bus.New("l1-l2-prefetch", cfg.L1L2BusBytes)
 	}
+	m.setPrefetchers(pf, nil)
 	return m
+}
+
+// setPrefetchers attaches the L1-side and L2-side prefetchers and derives
+// pfNoop from them.
+func (m *MemSys) setPrefetchers(pf, l2pf prefetch.Prefetcher) {
+	m.pf, m.l2pf = pf, l2pf
+	_, none := pf.(prefetch.None)
+	m.pfNoop = none && l2pf == nil
 }
 
 // UseL2Prefetcher attaches a second prefetcher at the L2/memory boundary:
@@ -240,7 +247,7 @@ func New(cfg Config, pf prefetch.Prefetcher) *MemSys {
 // ablation (A8) — the paper positions its prefetcher between L1 and L2
 // (Figure 10) precisely because the L1 miss stream is richer; this hook
 // lets that choice be measured.
-func (m *MemSys) UseL2Prefetcher(p prefetch.Prefetcher) { m.l2pf, m.pfNoop = p, false }
+func (m *MemSys) UseL2Prefetcher(p prefetch.Prefetcher) { m.setPrefetchers(m.pf, p) }
 
 // UseDeadBlockPredictor enables hybrid L1 promotion gated by p.
 func (m *MemSys) UseDeadBlockPredictor(p *deadblock.Predictor) { m.dbp = p }
@@ -279,10 +286,10 @@ func (m *MemSys) L2() *cache.Cache { return m.l2 }
 func (m *MemSys) Prefetcher() prefetch.Prefetcher { return m.pf }
 
 // Access performs a demand load or store issued at cycle `now` and returns
-// the cycle at which the data is available to the core.
+// the cycle at which the data is available to the core. The hit path must
+// stay allocation-free; misses take the separate miss slow path.
 //
-//tcp:hotpath — every load and store walks through here; the hit path must
-// stay allocation-free (misses take the separate miss slow path).
+//tcp:hotpath — every load and store walks through here.
 func (m *MemSys) Access(a, pc addr.Addr, write bool, now int64) int64 {
 	res := m.l1d.Access(a, write, now)
 	if res.Hit {
@@ -593,40 +600,6 @@ func (m *MemSys) BusStats(horizon int64) (bus.Stats, bus.Stats) {
 	return m.l1Bus.Stats(horizon), m.memBus.Stats(horizon)
 }
 
-// NextEvent implements the event-horizon query (docs/FASTFORWARD.md) for
-// the whole hierarchy: the earliest cycle at which any component's state
-// changes on its own — a bus backlog draining or an in-flight MSHR fill
-// completing — or 0 when nothing is scheduled. Between now and that cycle
-// the hierarchy is inert: an access issued before the horizon observes
-// exactly the state an access at the horizon would, apart from queueing
-// terms the components compute themselves.
-func (m *MemSys) NextEvent() int64 {
-	next := m.l1Bus.NextEvent()
-	if t := m.memBus.NextEvent(); t != 0 && (next == 0 || t < next) {
-		next = t
-	}
-	if m.pfBus != nil {
-		if t := m.pfBus.NextEvent(); t != 0 && (next == 0 || t < next) {
-			next = t
-		}
-	}
-	if t := m.mshr.NextEvent(); t != 0 && (next == 0 || t < next) {
-		next = t
-	}
-	return next
-}
-
-// EnableFastIndex switches the MSHR file onto its chained pool index — the
-// hierarchy's contribution to measured-phase skip mode. Purely a lookup-
-// structure change: the entry set, alloc/free order, and all counters are
-// exactly those of the reference map. Reset and checkpoint Restore fall
-// back to the map; the skip engine re-enables on the next run.
-func (m *MemSys) EnableFastIndex() {
-	m.mshr.EnableFastIndex()
-	_, noop := m.pf.(prefetch.None)
-	m.pfNoop = noop && m.l2pf == nil
-}
-
 // Quiesce settles timing state left behind by a functional fast-forward
 // warmup, at boundary cycle now. The functional clock advances one cycle
 // per instruction — far faster than the cycle-accurate pipeline — so bus
@@ -669,7 +642,6 @@ func (m *MemSys) Reset() {
 	m.memBus.Reset()
 	m.mem.Reset()
 	m.mshr.Reset()
-	m.pfNoop = false // like the MSHR fast index, skip mode re-arms on the next run
 	m.pf.Reset()
 	if m.l2pf != nil {
 		m.l2pf.Reset()

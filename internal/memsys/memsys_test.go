@@ -402,34 +402,45 @@ func TestPromotionAllowedOnceVictimLifetimeLearned(t *testing.T) {
 	}
 }
 
-// TestNextEvent pins the hierarchy's composed event-horizon query: the
-// min-positive over the bus backlogs and the soonest in-flight MSHR fill,
-// 0 on an idle hierarchy.
-func TestNextEvent(t *testing.T) {
-	m := newSys(nil)
-	if e := m.NextEvent(); e != 0 {
-		t.Errorf("idle hierarchy NextEvent = %d, want 0", e)
-	}
+// recordingStub counts the training calls the hierarchy makes.
+type recordingStub struct{ misses, accesses, evicts int }
 
-	// A cold miss books both buses and leaves one fill in flight.
-	done := m.Access(0x1000, 0, false, 0)
-	want := int64(0)
-	for _, h := range []int64{m.l1Bus.NextEvent(), m.memBus.NextEvent(), m.mshr.NextEvent()} {
-		if h != 0 && (want == 0 || h < want) {
-			want = h
+func (s *recordingStub) Name() string { return "recording" }
+func (s *recordingStub) OnMiss(trace.Miss) []prefetch.Request {
+	s.misses++
+	return nil
+}
+func (s *recordingStub) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request {
+	s.accesses++
+	return nil
+}
+func (s *recordingStub) OnEvict(addr.Addr, int64, int64, int64) { s.evicts++ }
+func (s *recordingStub) StorageBits() uint64                    { return 0 }
+func (s *recordingStub) Reset()                                 {}
+
+// TestUsePrefetcherAfterNone pins the None elision to the prefetcher
+// actually attached: a hierarchy built with the no-prefetch baseline and
+// then given a real prefetcher (as the warm-fork boundary does) must train
+// it on every miss and eviction, before and after Reset.
+func TestUsePrefetcherAfterNone(t *testing.T) {
+	m := New(Config{}, prefetch.None{})
+	stub := &recordingStub{}
+	m.UsePrefetcher(stub)
+	g := m.Config().L1D
+	conflict := func() {
+		// One more tag than the set has ways: every access misses once
+		// and the last evicts.
+		for tag := uint64(1); tag <= uint64(g.Ways())+1; tag++ {
+			m.Access(g.Compose(tag, 3), 0x400000, false, int64(tag)*1000)
 		}
 	}
-	if e := m.NextEvent(); e != want || e == 0 {
-		t.Errorf("after miss: NextEvent = %d, want min-positive component horizon %d", e, want)
-	}
-	if e := m.NextEvent(); e > done {
-		t.Errorf("horizon %d beyond the miss completion %d", e, done)
-	}
-
-	// Once the fill retires and backlogs drain, the horizon must clear:
-	// the MSHR entry is retired lazily by the release sweep.
-	m.mshr.ReleaseBefore(done + 1)
-	if e := m.mshr.NextEvent(); e != 0 {
-		t.Errorf("drained MSHR NextEvent = %d, want 0", e)
+	for _, phase := range []string{"attached", "after Reset"} {
+		*stub = recordingStub{}
+		conflict()
+		if want := g.Ways() + 1; stub.misses != want || stub.accesses != want || stub.evicts == 0 {
+			t.Errorf("%s: stub saw %d misses, %d accesses, %d evictions; want %d, %d, >0",
+				phase, stub.misses, stub.accesses, stub.evicts, want, want)
+		}
+		m.Reset()
 	}
 }

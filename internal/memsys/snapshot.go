@@ -15,7 +15,7 @@ func (m *MemSys) UsePrefetcher(p prefetch.Prefetcher) {
 	if p == nil {
 		p = prefetch.None{}
 	}
-	m.pf = p
+	m.setPrefetchers(p, m.l2pf)
 }
 
 // snapshotter asserts that a prefetcher can be checkpointed.

@@ -142,33 +142,7 @@ func (m *Machine) RunTo(target uint64) {
 	if target > w && w > 0 && !m.core.Warmed() {
 		m.boundary()
 	}
-	if m.cfg.MeasureSkip && (w == 0 || m.core.Warmed()) && !m.core.MeasureSkip() {
-		// Arm the measured-phase skip engine (docs/FASTFORWARD.md): the
-		// core switches to the specialised step loop and the MSHR file to
-		// its chained index. Bit-identical by contract — enforced by
-		// TestMeasuredSkipEquivalence — so this is engine selection, not
-		// identity: it is neither serialised nor part of the experiment
-		// cache key. Re-armed here after a checkpoint restore (Restore
-		// always lands in reference mode).
-		m.core.SetMeasureSkip(true)
-		m.mem.EnableFastIndex()
-	}
 	m.core.AdvanceTo(m.gen, target)
-}
-
-// NextEvent composes the event-horizon query across the whole machine: the
-// earliest cycle at which any component — pipeline front end, functional
-// units, buses, or in-flight MSHR fills — changes state on its own, or 0
-// when nothing is scheduled. The horizon may trail the core's commit clock:
-// retirement is lazy (a completed MSHR fill stays in flight until the next
-// access sweeps it), so a horizon at or before "now" means pending state
-// changes are immediately applicable, not that time must advance.
-func (m *Machine) NextEvent() int64 {
-	next := m.core.NextEvent()
-	if t := m.mem.NextEvent(); t != 0 && (next == 0 || t < next) {
-		next = t
-	}
-	return next
 }
 
 // Run advances to the end of the configured run and returns its Result.

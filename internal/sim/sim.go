@@ -50,18 +50,6 @@ type Config struct {
 	// and which are fidelity-dependent.
 	WarmupFidelity Fidelity
 
-	// MeasureSkip runs the measured window on the event-driven skip engine
-	// (docs/FASTFORWARD.md): the same constructive timing model with
-	// event-horizon fast paths — FIFO functional-unit booking, chained MSHR
-	// index, masked ring arithmetic — in place of the reference scans. The
-	// contract is strict, not tiered: every Result counter, every sampled
-	// telemetry point and every checkpoint image is bit-identical to the
-	// reference loop (TestMeasuredSkipEquivalence enforces this), so the
-	// flag is pure engine selection — it is not checkpoint identity and not
-	// part of the experiment cache key. Default off; the zero value keeps
-	// the reference loop and all seed outputs byte-identical.
-	MeasureSkip bool
-
 	// BaselineWarmup runs the warmup window under the no-prefetch baseline
 	// — the prefetcher, dead-block predictor and criticality trainer are
 	// parked and attach at the warmup/measure boundary. Every config then

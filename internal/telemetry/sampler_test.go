@@ -120,13 +120,12 @@ func TestSamplerOnSampleCallback(t *testing.T) {
 }
 
 // TestSamplerClockJump pins the due/rebase semantics under discontinuous
-// commit clocks, which the measured-phase skip engine and long-latency
-// stalls both produce: when the clock lands past one or more due
-// boundaries, exactly ONE sample is taken at the landing cycle and the
-// grid rebases there (next due = landing + every). Sample timing is thus a
-// function of the observed commit-cycle sequence alone — two engines that
-// agree on commit cycles agree on every sample, no matter how either
-// advances its clock in between.
+// commit clocks, which long-latency stalls produce: when the clock lands
+// past one or more due boundaries, exactly ONE sample is taken at the
+// landing cycle and the grid rebases there (next due = landing + every).
+// Sample timing is thus a function of the observed commit-cycle sequence
+// alone — two engines that agree on commit cycles agree on every sample,
+// no matter how either advances its clock in between.
 func TestSamplerClockJump(t *testing.T) {
 	cases := []struct {
 		name    string
