@@ -289,8 +289,8 @@ func missPath(b *testing.B, tel *telemetry.Run) {
 
 // BenchmarkMissPathTelemetryOff and ...On bound the cost of the telemetry
 // layer on the hottest simulator path. Off must match the pre-telemetry
-// baseline (counters are plain atomics, events a single branch); On pays
-// for JSONL encoding into a discarded sink.
+// baseline (counters are plain single-writer fields, events a single
+// branch); On pays for JSONL encoding into a discarded sink.
 func BenchmarkMissPathTelemetryOff(b *testing.B) { missPath(b, nil) }
 
 func BenchmarkMissPathTelemetryOn(b *testing.B) {

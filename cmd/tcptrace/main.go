@@ -56,6 +56,10 @@ func (c *capture) OnEvict(addr.Addr, int64, int64, int64)                       
 func (c *capture) StorageBits() uint64                                           { return 0 }
 func (c *capture) Reset()                                                        {}
 
+// statusEvery is how many simulated cycles apart -status-addr republishes
+// the registry a scrape reads.
+const statusEvery = 100_000
+
 // main delegates to run so that error exits unwind normally: os.Exit would
 // skip the deferred profile flush and trace-writer flush, truncating
 // -cpuprofile/-memprofile/-o output.
@@ -136,11 +140,15 @@ func run() int {
 			defer cap.w.Flush() //nolint:errcheck
 		}
 		mem := memsys.New(memCfg, cap)
-		// A scrape snapshots the hierarchy's registry live; between scrapes
-		// the simulation pays nothing.
+		core := cpu.New(cpu.Config{}, mem)
+		// A scrape snapshots the hierarchy's registry, which the core
+		// republishes every statusEvery cycles through a probe-less
+		// sampler; between scrapes the simulation pays nothing.
 		if *statusAddr != "" {
 			reg := telemetry.NewRegistry()
 			mem.AttachTelemetry(reg.Sub("memsys"), telemetry.Nop())
+			core.OnPublish(mem.PublishCounters)
+			core.UseSampler(telemetry.NewSampler(statusEvery, 1))
 			ln, err := net.Listen("tcp", *statusAddr)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tcptrace:", err)
@@ -156,7 +164,6 @@ func run() int {
 			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the metrics view
 			defer srv.Close()
 		}
-		core := cpu.New(cpu.Config{}, mem)
 		gen := workload.New(spec, *seed)
 		// Arm the capture tap at the warmup/measure boundary.
 		arm := func(int64) { cap.armed = true }

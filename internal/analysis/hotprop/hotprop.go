@@ -21,6 +21,14 @@
 // graph and remain the benchmarks' job; calls into packages the driver
 // has not analyzed (the standard library) are assumed clean except for
 // the fmt/log bans hotalloc already applies.
+//
+// The same propagation carries a second contract: no (*telemetry.Counter)
+// Inc or Add reachable from a //tcp:hotpath function outside
+// internal/telemetry. Each bump is an atomic read-modify-write, paid even
+// with telemetry off; the simulated machine counts into single-writer
+// fields and publishes them through a telemetry.Mirror instead. Unlike
+// allocation, a //tcp:coldpath callee is no exemption here: a per-miss
+// slow path is still far too frequent for a locked instruction.
 package hotprop
 
 import (
@@ -28,6 +36,7 @@ import (
 	"go/ast"
 	"go/types"
 	"path/filepath"
+	"strings"
 
 	"tagprefetch/internal/analysis"
 	"tagprefetch/internal/analysis/hotalloc"
@@ -46,6 +55,9 @@ type AllocSummary struct {
 	Detail    string // first allocation site or call chain, for diagnostics
 	Hot       bool   // carries //tcp:hotpath (body enforced by hotalloc)
 	Cold      bool   // carries //tcp:coldpath (justified slow path)
+
+	Bumps      bool   // may reach (*telemetry.Counter).Inc/Add outside internal/telemetry
+	BumpDetail string // first bump site or call chain, for diagnostics
 }
 
 // AFact marks AllocSummary as an analysis fact.
@@ -108,24 +120,29 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Propagate may-allocate through the package's call graph to a fixed
-	// point; cross-package callees contribute through their exported
-	// facts, already computed because the driver walks dependencies first.
+	// Propagate may-allocate and may-bump through the package's call graph
+	// to a fixed point; cross-package callees contribute through their
+	// exported facts, already computed because the driver walks
+	// dependencies first. The telemetry package's own bumps are its
+	// business: its counters are the concurrent registry side.
+	countsBumps := !isTelemetry(pass.Pkg.Path())
 	for changed := true; changed; {
 		changed = false
 		for _, fi := range fns {
-			if fi.summary.Allocates {
-				continue
-			}
 			for _, c := range fi.calls {
 				cs, ok := summaryOf(pass, byObj, c.callee)
-				if !ok || cs.Hot || cs.Cold || !cs.Allocates {
-					continue
+				if !fi.summary.Allocates && ok && !cs.Hot && !cs.Cold && cs.Allocates {
+					fi.summary.Allocates = true
+					fi.summary.Detail = fmt.Sprintf("calls %s: %s", calleeName(c.callee), cs.Detail)
+					changed = true
 				}
-				fi.summary.Allocates = true
-				fi.summary.Detail = fmt.Sprintf("calls %s: %s", calleeName(c.callee), cs.Detail)
-				changed = true
-				break
+				if countsBumps && !fi.summary.Bumps {
+					if detail, bumps := bumpVia(pass, c, cs, ok); bumps {
+						fi.summary.Bumps = true
+						fi.summary.BumpDetail = detail
+						changed = true
+					}
+				}
 			}
 		}
 	}
@@ -137,6 +154,13 @@ func run(pass *analysis.Pass) error {
 		}
 		for _, c := range fi.calls {
 			cs, ok := summaryOf(pass, byObj, c.callee)
+			if countsBumps {
+				if detail, bumps := bumpVia(pass, c, cs, ok); bumps {
+					pass.Reportf(c.pos.Pos(), "//tcp:hotpath function reaches an atomic telemetry counter "+
+						"bump (%s), paid even with telemetry off; count into a plain single-writer field "+
+						"and publish it through a telemetry.Mirror", detail)
+				}
+			}
 			if !ok || cs.Hot || cs.Cold || !cs.Allocates {
 				continue
 			}
@@ -215,6 +239,42 @@ func staticCalls(pass *analysis.Pass, body ast.Node) []callRef {
 		return true
 	})
 	return out
+}
+
+// bumpVia reports whether call c reaches a counter bump, directly or
+// through a callee that is not hot (a hot callee's own body is checked),
+// with a diagnostic detail. cs and known are summaryOf's result for c.
+func bumpVia(pass *analysis.Pass, c callRef, cs AllocSummary, known bool) (string, bool) {
+	switch {
+	case isCounterBump(c.callee):
+		pos := pass.Fset.Position(c.pos.Pos())
+		return fmt.Sprintf("%s at %s:%d", calleeName(c.callee), filepath.Base(pos.Filename), pos.Line), true
+	case known && !cs.Hot && cs.Bumps:
+		return fmt.Sprintf("calls %s: %s", calleeName(c.callee), cs.BumpDetail), true
+	}
+	return "", false
+}
+
+// isTelemetry reports whether path is the telemetry package.
+func isTelemetry(path string) bool {
+	return path == "telemetry" || strings.HasSuffix(path, "internal/telemetry")
+}
+
+// isCounterBump reports whether f is (*telemetry.Counter).Inc or Add.
+func isCounterBump(f *types.Func) bool {
+	if f.Pkg() == nil || !isTelemetry(f.Pkg().Path()) || (f.Name() != "Inc" && f.Name() != "Add") {
+		return false
+	}
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "Counter"
 }
 
 // calleeName renders a callee for diagnostics: pkg.Func or pkg.Recv.Method.

@@ -3,6 +3,8 @@
 // fixture (analyzed afterwards with the same fact store) consumes them.
 package hotdep
 
+import "tagprefetch/internal/telemetry"
+
 // AllocDo allocates and carries no marker.
 func AllocDo() []byte {
 	return make([]byte, 16)
@@ -45,4 +47,9 @@ func (r *Ring) Push(b byte) {
 // Len is clean.
 func (r *Ring) Len() int {
 	return len(r.buf)
+}
+
+// Tally bumps an atomic registry counter; the fact carries that to hotuse.
+func Tally(c *telemetry.Counter) {
+	c.Inc()
 }

@@ -16,5 +16,6 @@ func step() int {
 	_ = hotdep.Clean()   // clean callee: allowed
 	_ = hotdep.Fast()    // hot callee: its own body is enforced
 	_ = hotdep.Spill()   // coldpath callee: justified slow path
+	hotdep.Tally(nil)    // want `bump \(calls hotdep\.Tally: telemetry\.Counter\.Inc at hotdep\.go`
 	return ring.Len()
 }

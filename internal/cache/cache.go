@@ -36,7 +36,8 @@ type Cache struct {
 	ways  int   //tcp:nosnap derived from geom at construction; Restore validates geometry instead
 	tick  int64 // recency clock
 
-	ctr counters
+	st  Stats            // activity counters, single-writer
+	pub telemetry.Mirror //tcp:nosnap host-side registry mirror of st, republished after Restore
 }
 
 // set returns the line frames of set idx.
@@ -47,45 +48,8 @@ func (c *Cache) set(idx uint32) []Line {
 	return c.lines[base : base+c.ways : base+c.ways]
 }
 
-
-// counters are the registry-backed activity metrics; Stats() renders them
-// as the legacy struct view.
-type counters struct {
-	accesses              *telemetry.Counter
-	hits                  *telemetry.Counter
-	misses                *telemetry.Counter
-	hitsOnPrefetch        *telemetry.Counter
-	lateHits              *telemetry.Counter
-	fills                 *telemetry.Counter
-	prefetchFills         *telemetry.Counter
-	evictions             *telemetry.Counter
-	writebacks            *telemetry.Counter
-	unusedPrefetchEvicted *telemetry.Counter
-}
-
-func newCounters() counters {
-	return counters{
-		accesses:              telemetry.NewCounter("accesses", "demand accesses (excludes prefetch fills)"),
-		hits:                  telemetry.NewCounter("hits", "demand hits"),
-		misses:                telemetry.NewCounter("misses", "demand misses"),
-		hitsOnPrefetch:        telemetry.NewCounter("hits_on_prefetch", "demand hits on lines brought in by a prefetch"),
-		lateHits:              telemetry.NewCounter("late_hits", "demand hits on lines whose data was still in flight"),
-		fills:                 telemetry.NewCounter("fills", "demand fills"),
-		prefetchFills:         telemetry.NewCounter("prefetch_fills", "prefetch-initiated fills"),
-		evictions:             telemetry.NewCounter("evictions", "valid lines displaced"),
-		writebacks:            telemetry.NewCounter("writebacks", "dirty victims written back"),
-		unusedPrefetchEvicted: telemetry.NewCounter("unused_prefetch_evicted", "prefetched lines evicted without a demand touch"),
-	}
-}
-
-func (c *counters) metrics() []telemetry.Metric {
-	return []telemetry.Metric{c.accesses, c.hits, c.misses, c.hitsOnPrefetch,
-		c.lateHits, c.fills, c.prefetchFills, c.evictions, c.writebacks,
-		c.unusedPrefetchEvicted}
-}
-
-// Stats is the legacy struct view of the cache counters. "Demand" excludes
-// prefetch fills.
+// Stats holds the cache's activity counters. "Demand" excludes prefetch
+// fills.
 type Stats struct {
 	Accesses              uint64 // demand accesses
 	Hits                  uint64
@@ -116,6 +80,13 @@ func (s Stats) Sub(w Stats) Stats {
 	}
 }
 
+// fields lists the counters in checkpoint order.
+func (s *Stats) fields() [10]*uint64 {
+	return [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.HitsOnPrefetch,
+		&s.LateHits, &s.Fills, &s.PrefetchFills, &s.Evictions, &s.Writebacks,
+		&s.UnusedPrefetchEvicted}
+}
+
 // MissRate returns misses / accesses (0 when no accesses).
 func (s Stats) MissRate() float64 {
 	if s.Accesses == 0 {
@@ -127,8 +98,7 @@ func (s Stats) MissRate() float64 {
 // New creates a cache with the given geometry.
 func New(name string, g addr.Geometry) *Cache {
 	return &Cache{name: name, geom: g,
-		lines: make([]Line, g.Sets()*g.Ways()), ways: g.Ways(),
-		ctr: newCounters()}
+		lines: make([]Line, g.Sets()*g.Ways()), ways: g.Ways()}
 }
 
 // Name returns the cache name.
@@ -138,27 +108,29 @@ func (c *Cache) Name() string { return c.name }
 func (c *Cache) Geometry() addr.Geometry { return c.geom }
 
 // AttachTelemetry registers the cache's counters into reg (e.g. a view
-// scoped to "memsys.l1"). The tracer is unused: cache-level events are
-// emitted by the memory system, which knows the hierarchy context.
+// scoped to "memsys.l1") as mirrors refreshed by PublishCounters. The
+// tracer is unused: cache-level events are emitted by the memory system,
+// which knows the hierarchy context.
 func (c *Cache) AttachTelemetry(reg *telemetry.Registry, _ *telemetry.Tracer) {
-	reg.Attach(c.ctr.metrics()...)
+	s, p := &c.st, &c.pub
+	p.Bind(reg, &s.Accesses, telemetry.NewCounter("accesses", "demand accesses (excludes prefetch fills)"))
+	p.Bind(reg, &s.Hits, telemetry.NewCounter("hits", "demand hits"))
+	p.Bind(reg, &s.Misses, telemetry.NewCounter("misses", "demand misses"))
+	p.Bind(reg, &s.HitsOnPrefetch, telemetry.NewCounter("hits_on_prefetch", "demand hits on lines brought in by a prefetch"))
+	p.Bind(reg, &s.LateHits, telemetry.NewCounter("late_hits", "demand hits on lines whose data was still in flight"))
+	p.Bind(reg, &s.Fills, telemetry.NewCounter("fills", "demand fills"))
+	p.Bind(reg, &s.PrefetchFills, telemetry.NewCounter("prefetch_fills", "prefetch-initiated fills"))
+	p.Bind(reg, &s.Evictions, telemetry.NewCounter("evictions", "valid lines displaced"))
+	p.Bind(reg, &s.Writebacks, telemetry.NewCounter("writebacks", "dirty victims written back"))
+	p.Bind(reg, &s.UnusedPrefetchEvicted, telemetry.NewCounter("unused_prefetch_evicted", "prefetched lines evicted without a demand touch"))
 }
 
-// Stats returns the activity counters as the legacy struct view.
-func (c *Cache) Stats() Stats {
-	return Stats{
-		Accesses:              c.ctr.accesses.Value(),
-		Hits:                  c.ctr.hits.Value(),
-		Misses:                c.ctr.misses.Value(),
-		HitsOnPrefetch:        c.ctr.hitsOnPrefetch.Value(),
-		LateHits:              c.ctr.lateHits.Value(),
-		Fills:                 c.ctr.fills.Value(),
-		PrefetchFills:         c.ctr.prefetchFills.Value(),
-		Evictions:             c.ctr.evictions.Value(),
-		Writebacks:            c.ctr.writebacks.Value(),
-		UnusedPrefetchEvicted: c.ctr.unusedPrefetchEvicted.Value(),
-	}
-}
+// PublishCounters stores the counters into the registry mirrors bound by
+// AttachTelemetry.
+func (c *Cache) PublishCounters() { c.pub.Publish() }
+
+// Stats returns the activity counters.
+func (c *Cache) Stats() Stats { return c.st }
 
 // AccessResult describes the outcome of a demand access.
 type AccessResult struct {
@@ -193,22 +165,22 @@ func (c *Cache) Access(a addr.Addr, write bool, now int64) AccessResult {
 	idx := c.geom.Index(a)
 	tag := c.geom.Tag(a)
 	res := AccessResult{Index: idx, Tag: tag}
-	c.ctr.accesses.Inc()
+	c.st.Accesses++
 	set := c.set(idx)
 	for i := range set {
 		ln := &set[i]
 		if !ln.Valid || ln.Tag != tag {
 			continue
 		}
-		c.ctr.hits.Inc()
+		c.st.Hits++
 		res.Hit = true
 		res.ReadyAt = now
 		if ln.ReadyAt > now { // in-flight fill: pay remaining latency
 			res.ReadyAt = ln.ReadyAt
-			c.ctr.lateHits.Inc()
+			c.st.LateHits++
 		}
 		if ln.Prefetched {
-			c.ctr.hitsOnPrefetch.Inc()
+			c.st.HitsOnPrefetch++
 			res.Prefetched = true
 			ln.Prefetched = false
 		}
@@ -220,7 +192,7 @@ func (c *Cache) Access(a addr.Addr, write bool, now int64) AccessResult {
 		ln.lru = c.tick
 		return res
 	}
-	c.ctr.misses.Inc()
+	c.st.Misses++
 	return res
 }
 
@@ -246,9 +218,9 @@ func (c *Cache) Fill(a addr.Addr, now, readyAt int64, prefetch bool) Eviction {
 	tag := c.geom.Tag(a)
 	set := c.set(idx)
 	if prefetch {
-		c.ctr.prefetchFills.Inc()
+		c.st.PrefetchFills++
 	} else {
-		c.ctr.fills.Inc()
+		c.st.Fills++
 	}
 	// Merge with an existing copy.
 	for i := range set {
@@ -278,9 +250,9 @@ func (c *Cache) FillFresh(a addr.Addr, now, readyAt int64, prefetch bool) Evicti
 	tag := c.geom.Tag(a)
 	set := c.set(idx)
 	if prefetch {
-		c.ctr.prefetchFills.Inc()
+		c.st.PrefetchFills++
 	} else {
-		c.ctr.fills.Inc()
+		c.st.Fills++
 	}
 	return c.place(set, idx, tag, now, readyAt, prefetch)
 }
@@ -304,7 +276,7 @@ func (c *Cache) place(set []Line, idx uint32, tag uint64, now, readyAt int64, pr
 	ev := Eviction{}
 	v := &set[victim]
 	if v.Valid {
-		c.ctr.evictions.Inc()
+		c.st.Evictions++
 		ev.Valid = true
 		ev.Addr = c.geom.Compose(v.Tag, idx)
 		ev.Dirty = v.Dirty
@@ -312,10 +284,10 @@ func (c *Cache) place(set []Line, idx uint32, tag uint64, now, readyAt int64, pr
 		ev.LastTouch = v.LastTouch
 		ev.FilledAt = v.FilledAt
 		if v.Dirty {
-			c.ctr.writebacks.Inc()
+			c.st.Writebacks++
 		}
 		if v.Prefetched {
-			c.ctr.unusedPrefetchEvicted.Inc()
+			c.st.UnusedPrefetchEvicted++
 		}
 	}
 	c.tick++
@@ -445,9 +417,7 @@ func (c *Cache) Reset() {
 	}
 
 	c.tick = 0
-	for _, m := range c.ctr.metrics() {
-		m.(*telemetry.Counter).Store(0)
-	}
+	c.st = Stats{}
 }
 
 // String describes the cache configuration.

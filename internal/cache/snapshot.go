@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"tagprefetch/internal/checkpoint"
-	"tagprefetch/internal/telemetry"
 )
 
 // Save implements checkpoint.Snapshotter, writing every line frame (tags,
@@ -27,8 +26,8 @@ func (c *Cache) Save(w *checkpoint.Writer) error {
 		w.I64(ln.LastTouch)
 		w.I64(ln.lru)
 	}
-	for _, m := range c.ctr.metrics() {
-		w.U64(m.(*telemetry.Counter).Value())
+	for _, f := range c.st.fields() {
+		w.U64(*f)
 	}
 	return nil
 }
@@ -59,8 +58,8 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 		ln.LastTouch = r.I64()
 		ln.lru = r.I64()
 	}
-	for _, m := range c.ctr.metrics() {
-		m.(*telemetry.Counter).Store(r.U64())
+	for _, f := range c.st.fields() {
+		*f = r.U64()
 	}
 	return r.Err()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tagprefetch/internal/checkpoint"
-	"tagprefetch/internal/telemetry"
 )
 
 // Save implements checkpoint.Snapshotter, writing the THT rows, the PHT
@@ -29,8 +28,8 @@ func (t *TCP) Save(w *checkpoint.Writer) error {
 		w.Bool(e.valid)
 		w.U64s(e.targets)
 	}
-	for _, m := range t.ctr.metrics() {
-		w.U64(m.(*telemetry.Counter).Value())
+	for _, f := range t.st.fields() {
+		w.U64(*f)
 	}
 	return nil
 }
@@ -73,8 +72,8 @@ func (t *TCP) Restore(r *checkpoint.Reader) error {
 				i, len(e.targets), t.cfg.Targets)
 		}
 	}
-	for _, m := range t.ctr.metrics() {
-		m.(*telemetry.Counter).Store(r.U64())
+	for _, f := range t.st.fields() {
+		*f = r.U64()
 	}
 	return r.Err()
 }

@@ -141,7 +141,8 @@ type TCP struct {
 	//tcp:nosnap scratch buffer, dead between OnMiss calls by the Prefetcher contract
 	reqs []prefetch.Request
 
-	ctr counters
+	st  Stats             // predictor counters, single-writer
+	pub telemetry.Mirror  //tcp:nosnap host-side registry mirror of st, republished after Restore
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 
@@ -152,38 +153,7 @@ type phtEntry struct {
 	valid   bool
 }
 
-// counters are the registry-backed predictor metrics; Stats() renders
-// them as the legacy struct view.
-type counters struct {
-	misses      *telemetry.Counter
-	lookups     *telemetry.Counter
-	hits        *telemetry.Counter
-	predictions *telemetry.Counter
-	updates     *telemetry.Counter
-	allocs      *telemetry.Counter
-	evictions   *telemetry.Counter
-	stridePreds *telemetry.Counter
-}
-
-func newCounters() counters {
-	return counters{
-		misses:      telemetry.NewCounter("misses", "L1 misses observed"),
-		lookups:     telemetry.NewCounter("pht.lookups", "PHT lookups with a full history"),
-		hits:        telemetry.NewCounter("pht.hits", "PHT lookups that matched an entry"),
-		predictions: telemetry.NewCounter("predictions", "prefetch requests produced by the PHT"),
-		updates:     telemetry.NewCounter("pht.updates", "PHT entries trained"),
-		allocs:      telemetry.NewCounter("pht.allocs", "PHT entries newly allocated"),
-		evictions:   telemetry.NewCounter("pht.evictions", "valid PHT entries displaced by allocation"),
-		stridePreds: telemetry.NewCounter("stride_predictions", "requests produced by the stride assist"),
-	}
-}
-
-func (c *counters) metrics() []telemetry.Metric {
-	return []telemetry.Metric{c.misses, c.lookups, c.hits, c.predictions,
-		c.updates, c.allocs, c.evictions, c.stridePreds}
-}
-
-// Stats is the legacy struct view of the predictor counters.
+// Stats holds the predictor counters.
 type Stats struct {
 	Misses      uint64 // L1 misses observed
 	Lookups     uint64 // PHT lookups with a full history
@@ -194,6 +164,12 @@ type Stats struct {
 	Evictions   uint64 // valid PHT entries displaced by allocation
 
 	StridePredictions uint64 // requests produced by the stride assist (§6)
+}
+
+// fields lists the counters in checkpoint order.
+func (s *Stats) fields() [8]*uint64 {
+	return [...]*uint64{&s.Misses, &s.Lookups, &s.Hits, &s.Predictions,
+		&s.Updates, &s.Allocs, &s.Evictions, &s.StridePredictions}
 }
 
 // New creates a TCP from cfg (zero fields take the paper's defaults).
@@ -216,19 +192,31 @@ func New(cfg Config) *TCP {
 	}
 	t.thtFill = make([]int, cfg.L1.Sets())
 	t.pht = make([]phtEntry, cfg.PHTSets*cfg.PHTWays)
-	t.ctr = newCounters()
 	t.tr = telemetry.Nop()
 	return t
 }
 
 // AttachTelemetry implements telemetry.Component: predictor counters are
-// registered into reg and PHT evictions are traced through tr.
+// registered into reg as mirrors refreshed by PublishCounters, and PHT
+// evictions are traced through tr.
 func (t *TCP) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	reg.Attach(t.ctr.metrics()...)
+	s, p := &t.st, &t.pub
+	p.Bind(reg, &s.Misses, telemetry.NewCounter("misses", "L1 misses observed"))
+	p.Bind(reg, &s.Lookups, telemetry.NewCounter("pht.lookups", "PHT lookups with a full history"))
+	p.Bind(reg, &s.Hits, telemetry.NewCounter("pht.hits", "PHT lookups that matched an entry"))
+	p.Bind(reg, &s.Predictions, telemetry.NewCounter("predictions", "prefetch requests produced by the PHT"))
+	p.Bind(reg, &s.Updates, telemetry.NewCounter("pht.updates", "PHT entries trained"))
+	p.Bind(reg, &s.Allocs, telemetry.NewCounter("pht.allocs", "PHT entries newly allocated"))
+	p.Bind(reg, &s.Evictions, telemetry.NewCounter("pht.evictions", "valid PHT entries displaced by allocation"))
+	p.Bind(reg, &s.StridePredictions, telemetry.NewCounter("stride_predictions", "requests produced by the stride assist"))
 	if tr != nil {
 		t.tr = tr
 	}
 }
+
+// PublishCounters stores the counters into the registry mirrors bound by
+// AttachTelemetry.
+func (t *TCP) PublishCounters() { t.pub.Publish() }
 
 func log2u(v int) uint {
 	var n uint
@@ -306,11 +294,11 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
 			victim = i
 		}
 	}
-	t.ctr.allocs.Inc()
+	t.st.Allocs++
 	if set[victim].valid {
 		// A live correlation is displaced: the central cost of sharing a
 		// small PHT across sets (Figures 11-13).
-		t.ctr.evictions.Inc()
+		t.st.Evictions++
 		t.tr.Emit(telemetry.Event{Cycle: t.clock, Type: "pht.evict",
 			Level: telemetry.LevelDebug, Addr: set[victim].tag, Value: int64(setIdx)})
 	}
@@ -327,7 +315,7 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
 // OnMiss implements prefetch.Prefetcher: the update and lookup operations
 // of Section 4, in that order, for one L1 demand miss.
 func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
-	t.ctr.misses.Inc()
+	t.st.Misses++
 	t.clock++
 	row := t.tht[m.Index]
 	k := t.cfg.HistoryDepth
@@ -338,7 +326,7 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 		e := t.phtAllocate(setIdx, row[k-1])
 		e.used = t.clock
 		t.train(e, m.Tag)
-		t.ctr.updates.Inc()
+		t.st.Updates++
 	}
 
 	// Shift the miss tag into the THT row.
@@ -354,19 +342,19 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	}
 
 	// Lookup: predict the successor of the new sequence.
-	t.ctr.lookups.Inc()
+	t.st.Lookups++
 	reqs := t.reqs[:0]
 	setIdx := t.phtIndex(row, m.Index)
 	if e := t.phtProbe(setIdx, m.Tag); e != nil && len(e.targets) > 0 {
 		e.used = t.clock
-		t.ctr.hits.Inc()
+		t.st.Hits++
 		for _, tg := range e.targets {
 			a := t.cfg.L1.Compose(tg, m.Index)
 			if t.cfg.L1.Block(m.Addr) == a {
 				continue // predicting the line that just missed is useless
 			}
 			reqs = append(reqs, prefetch.Request{Addr: a, ToL1: t.cfg.PrefetchToL1})
-			t.ctr.predictions.Inc()
+			t.st.Predictions++
 		}
 	}
 
@@ -377,7 +365,7 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 			a := t.cfg.L1.Compose(next, m.Index)
 			if a != t.cfg.L1.Block(m.Addr) && !hasTarget(reqs, a) {
 				reqs = append(reqs, prefetch.Request{Addr: a, ToL1: t.cfg.PrefetchToL1})
-				t.ctr.stridePreds.Inc()
+				t.st.StridePredictions++
 			}
 		}
 	}
@@ -461,19 +449,8 @@ func (t *TCP) THTBits() uint64 {
 	return uint64(t.cfg.L1.Sets()) * uint64(t.cfg.HistoryDepth) * uint64(t.cfg.TagBits)
 }
 
-// Stats returns the predictor counters as the legacy struct view.
-func (t *TCP) Stats() Stats {
-	return Stats{
-		Misses:            t.ctr.misses.Value(),
-		Lookups:           t.ctr.lookups.Value(),
-		Hits:              t.ctr.hits.Value(),
-		Predictions:       t.ctr.predictions.Value(),
-		Updates:           t.ctr.updates.Value(),
-		Allocs:            t.ctr.allocs.Value(),
-		Evictions:         t.ctr.evictions.Value(),
-		StridePredictions: t.ctr.stridePreds.Value(),
-	}
-}
+// Stats returns the predictor counters.
+func (t *TCP) Stats() Stats { return t.st }
 
 // Reset implements prefetch.Prefetcher.
 func (t *TCP) Reset() {
@@ -489,7 +466,5 @@ func (t *TCP) Reset() {
 		t.pht[i] = phtEntry{}
 	}
 	t.clock = 0
-	for _, m := range t.ctr.metrics() {
-		m.(*telemetry.Counter).Store(0)
-	}
+	t.st = Stats{}
 }

@@ -136,21 +136,22 @@ type fuPool struct {
 func newPool(n int) *fuPool { return &fuPool{freeAt: make([]int64, n)} }
 
 // issue returns the earliest cycle >= ready at which a unit accepts the op,
-// and books the unit.
+// and books the unit. It books the lowest-index unit among those free
+// earliest: freeAt order is part of the checkpoint image. The running
+// minimum lives in locals so the scan compiles to conditional moves, not
+// data-dependent branches.
 //
 //tcp:hotpath — every instruction books a functional unit.
 func (p *fuPool) issue(ready int64) int64 {
-	best := 0
-	for i := 1; i < len(p.freeAt); i++ {
-		if p.freeAt[i] < p.freeAt[best] {
-			best = i
+	f := p.freeAt
+	best, lo := 0, f[0]
+	for i := 1; i < len(f); i++ {
+		if v := f[i]; v < lo {
+			best, lo = i, v
 		}
 	}
-	at := ready
-	if p.freeAt[best] > at {
-		at = p.freeAt[best]
-	}
-	p.freeAt[best] = at + 1
+	at := max(ready, lo)
+	f[best] = at + 1
 	return at
 }
 
@@ -196,6 +197,7 @@ type Core struct {
 	instrCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
 	cycleCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
 	sampler  *telemetry.Sampler //tcp:nosnap host-side observability wiring; the sampler snapshots itself when registered
+	publish  func()             //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 
 // New creates a core bound to a data-memory system.
@@ -246,8 +248,18 @@ func (c *Core) AttachTelemetry(reg *telemetry.Registry, _ *telemetry.Tracer) {
 // not thread-safe; it must not be shared across cores.
 func (c *Core) UseSampler(s *telemetry.Sampler) { c.sampler = s }
 
-// syncCounters publishes the current progress into the attached counters.
+// OnPublish installs fn to run at the core's publish points: each sampler
+// tick just before the sample, the warm boundary and Finish. Components
+// that count into plain fields mirror them into the registry there
+// (memsys.MemSys.PublishCounters).
+func (c *Core) OnPublish(fn func()) { c.publish = fn }
+
+// syncCounters publishes the current progress into the attached counters,
+// and runs the OnPublish hook.
 func (c *Core) syncCounters(instructions uint64, cycles int64) {
+	if c.publish != nil {
+		c.publish()
+	}
 	if c.instrCtr == nil {
 		return
 	}

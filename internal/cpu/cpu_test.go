@@ -5,6 +5,7 @@ import (
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/workload"
+	"tagprefetch/internal/xrand"
 )
 
 // fixedMem completes every access after a fixed latency.
@@ -321,6 +322,55 @@ func TestRingSlot(t *testing.T) {
 		for i := uint64(0); i < 1_000; i++ {
 			if got, want := r.slot(i), i%uint64(n); got != want {
 				t.Fatalf("ring %d: slot(%d) = %d, want %d", n, i, got, want)
+			}
+		}
+	}
+}
+
+// refIssue is the scoreboard scan fuPool.issue replaced: the first unit
+// with the smallest freeAt, booked at max(ready, freeAt).
+func refIssue(freeAt []int64, ready int64) int64 {
+	best := 0
+	for i := 1; i < len(freeAt); i++ {
+		if freeAt[i] < freeAt[best] {
+			best = i
+		}
+	}
+	at := ready
+	if freeAt[best] > at {
+		at = freeAt[best]
+	}
+	freeAt[best] = at + 1
+	return at
+}
+
+// TestFUPoolIssueMatchesReference drives fuPool.issue and the reference
+// scan with the same random ready sequences on pools of 1 to 8 units. The
+// small value range makes ties among freeAt entries (and between ready and
+// the minimum) common, so the lowest-index tie-break is exercised; the
+// full freeAt array must match after every issue, since its order is part
+// of the checkpoint image.
+func TestFUPoolIssueMatchesReference(t *testing.T) {
+	rng := xrand.New(11)
+	for n := 1; n <= 8; n++ {
+		p := newPool(n)
+		ref := make([]int64, n)
+		for i := range ref {
+			v := int64(rng.Intn(6))
+			p.freeAt[i], ref[i] = v, v
+		}
+		var clock int64
+		for step := 0; step < 5000; step++ {
+			clock += int64(rng.Intn(3))
+			ready := clock + int64(rng.Intn(4)) - 1
+			got, want := p.issue(ready), refIssue(ref, ready)
+			if got != want {
+				t.Fatalf("n=%d step %d: issue(%d) = %d, reference %d", n, step, ready, got, want)
+			}
+			for i := range ref {
+				if p.freeAt[i] != ref[i] {
+					t.Fatalf("n=%d step %d: freeAt %v, reference %v", n, step, p.freeAt, ref)
+				}
 			}
 		}
 	}

@@ -87,53 +87,7 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// counters are the registry-backed hierarchy metrics; Stats() renders
-// them (plus the L1 cache counters) as the legacy struct view.
-type counters struct {
-	mshrMerges *telemetry.Counter
-	mshrStalls *telemetry.Counter
-
-	l2Demand              *telemetry.Counter
-	prefetchedOriginal    *telemetry.Counter
-	nonPrefetchedOriginal *telemetry.Counter
-	prefetchedExtra       *telemetry.Counter
-	l2Hits                *telemetry.Counter
-	l2Misses              *telemetry.Counter
-
-	pfIssued     *telemetry.Counter
-	pfDropped    *telemetry.Counter
-	pfFills      *telemetry.Counter
-	pfToL1Fills  *telemetry.Counter
-	pfL1Rejected *telemetry.Counter
-}
-
-func newCounters() counters {
-	return counters{
-		mshrMerges:            telemetry.NewCounter("mshr.merges", "misses merged with an in-flight fill"),
-		mshrStalls:            telemetry.NewCounter("mshr.stalls", "misses stalled on a full MSHR file"),
-		l2Demand:              telemetry.NewCounter("l2.demand", "demand (original) L2 accesses"),
-		prefetchedOriginal:    telemetry.NewCounter("l2.prefetched_original", "demand hits on prefetched L2 lines (Figure 12)"),
-		nonPrefetchedOriginal: telemetry.NewCounter("l2.non_prefetched_original", "demand L2 accesses not served by a prefetch (Figure 12)"),
-		prefetchedExtra:       telemetry.NewCounter("l2.prefetched_extra", "prefetch fills never demanded (Figure 12)"),
-		l2Hits:                telemetry.NewCounter("l2.demand_hits", "demand L2 hits"),
-		l2Misses:              telemetry.NewCounter("l2.demand_misses", "demand L2 misses (to memory)"),
-		pfIssued:              telemetry.NewCounter("prefetch.issued", "prefetch requests accepted from the prefetcher"),
-		pfDropped:             telemetry.NewCounter("prefetch.dropped", "prefetch requests already resident or in flight"),
-		pfFills:               telemetry.NewCounter("prefetch.fills", "prefetch-initiated L2 fills from memory"),
-		pfToL1Fills:           telemetry.NewCounter("prefetch.to_l1_fills", "hybrid promotions into L1"),
-		pfL1Rejected:          telemetry.NewCounter("prefetch.l1_rejected", "promotions blocked by a live victim"),
-	}
-}
-
-func (c *counters) metrics() []telemetry.Metric {
-	return []telemetry.Metric{c.mshrMerges, c.mshrStalls, c.l2Demand,
-		c.prefetchedOriginal, c.nonPrefetchedOriginal, c.prefetchedExtra,
-		c.l2Hits, c.l2Misses, c.pfIssued, c.pfDropped, c.pfFills,
-		c.pfToL1Fills, c.pfL1Rejected}
-}
-
-// Stats is the legacy struct view of the hierarchy counters, including
-// Figure 12's categories.
+// Stats holds the hierarchy counters, including Figure 12's categories.
 type Stats struct {
 	Accesses   uint64
 	L1Hits     uint64
@@ -155,6 +109,15 @@ type Stats struct {
 	PrefetchFills      uint64 // prefetch-initiated L2 fills from memory
 	PrefetchToL1Fills  uint64 // hybrid promotions into L1
 	PrefetchL1Rejected uint64 // promotions blocked by a live victim
+}
+
+// fields lists the counters the hierarchy itself keeps, in checkpoint
+// order; Accesses, L1Hits and L1Misses are the L1 cache's own counters.
+func (s *Stats) fields() [13]*uint64 {
+	return [...]*uint64{&s.MSHRMerges, &s.MSHRStalls, &s.L2Demand,
+		&s.PrefetchedOriginal, &s.NonPrefetchedOriginal, &s.PrefetchedExtra,
+		&s.L2Hits, &s.L2Misses, &s.PrefetchIssued, &s.PrefetchDropped,
+		&s.PrefetchFills, &s.PrefetchToL1Fills, &s.PrefetchL1Rejected}
 }
 
 // Sub returns the per-counter difference s - w, used to report
@@ -204,8 +167,15 @@ type MemSys struct {
 	// l2pf changes.
 	pfNoop bool //tcp:nosnap derived from pf and l2pf, which Restore requires to match
 
-	ctr counters
+	st  Stats             // hierarchy counters, single-writer; the L1 fields stay zero (see fields)
+	pub telemetry.Mirror  //tcp:nosnap host-side registry mirror of st, republished after Restore
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
+}
+
+// counterPublisher is a prefetcher that mirrors its own counters into the
+// registry (core.TCP).
+type counterPublisher interface {
+	PublishCounters()
 }
 
 // New builds the hierarchy with the given prefetcher (nil means none).
@@ -223,7 +193,6 @@ func New(cfg Config, pf prefetch.Prefetcher) *MemSys {
 		memBus: memBus,
 		mem:    dram.New(cfg.MemLatency, memBus),
 		mshr:   cache.NewMSHRFile(cfg.MSHRs),
-		ctr:    newCounters(),
 		tr:     telemetry.Nop(),
 	}
 	if cfg.PrefetchBus {
@@ -258,8 +227,22 @@ func (m *MemSys) UseDeadBlockPredictor(p *deadblock.Predictor) { m.dbp = p }
 // MSHR stalls, dead-block promotion decisions — to tr. Attached
 // prefetchers that implement telemetry.Component are wired under
 // "prefetch" relative to reg. tr may be nil for metrics-only attachment.
+// The registry counters are mirrors: PublishCounters refreshes them.
 func (m *MemSys) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	reg.Attach(m.ctr.metrics()...)
+	s, p := &m.st, &m.pub
+	p.Bind(reg, &s.MSHRMerges, telemetry.NewCounter("mshr.merges", "misses merged with an in-flight fill"))
+	p.Bind(reg, &s.MSHRStalls, telemetry.NewCounter("mshr.stalls", "misses stalled on a full MSHR file"))
+	p.Bind(reg, &s.L2Demand, telemetry.NewCounter("l2.demand", "demand (original) L2 accesses"))
+	p.Bind(reg, &s.PrefetchedOriginal, telemetry.NewCounter("l2.prefetched_original", "demand hits on prefetched L2 lines (Figure 12)"))
+	p.Bind(reg, &s.NonPrefetchedOriginal, telemetry.NewCounter("l2.non_prefetched_original", "demand L2 accesses not served by a prefetch (Figure 12)"))
+	p.Bind(reg, &s.PrefetchedExtra, telemetry.NewCounter("l2.prefetched_extra", "prefetch fills never demanded (Figure 12)"))
+	p.Bind(reg, &s.L2Hits, telemetry.NewCounter("l2.demand_hits", "demand L2 hits"))
+	p.Bind(reg, &s.L2Misses, telemetry.NewCounter("l2.demand_misses", "demand L2 misses (to memory)"))
+	p.Bind(reg, &s.PrefetchIssued, telemetry.NewCounter("prefetch.issued", "prefetch requests accepted from the prefetcher"))
+	p.Bind(reg, &s.PrefetchDropped, telemetry.NewCounter("prefetch.dropped", "prefetch requests already resident or in flight"))
+	p.Bind(reg, &s.PrefetchFills, telemetry.NewCounter("prefetch.fills", "prefetch-initiated L2 fills from memory"))
+	p.Bind(reg, &s.PrefetchToL1Fills, telemetry.NewCounter("prefetch.to_l1_fills", "hybrid promotions into L1"))
+	p.Bind(reg, &s.PrefetchL1Rejected, telemetry.NewCounter("prefetch.l1_rejected", "promotions blocked by a live victim"))
 	m.l1d.AttachTelemetry(reg.Sub("l1"), tr)
 	m.l2.AttachTelemetry(reg.Sub("l2"), tr)
 	if tr != nil {
@@ -270,6 +253,21 @@ func (m *MemSys) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) 
 	}
 	if c, ok := m.l2pf.(telemetry.Component); ok {
 		c.AttachTelemetry(reg.Sub("l2prefetch"), tr)
+	}
+}
+
+// PublishCounters stores the hierarchy's, both caches' and the attached
+// prefetchers' counters into the registry mirrors bound by AttachTelemetry.
+// It runs at the machine's publish points (cpu.Core.OnPublish), at Finish
+// and after Restore, on the simulation goroutine.
+func (m *MemSys) PublishCounters() {
+	m.pub.Publish()
+	m.l1d.PublishCounters()
+	m.l2.PublishCounters()
+	for _, pf := range [...]prefetch.Prefetcher{m.pf, m.l2pf} {
+		if p, ok := pf.(counterPublisher); ok {
+			p.PublishCounters()
+		}
 	}
 }
 
@@ -333,7 +331,7 @@ func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 	// lazily: a completed entry found here is dropped instead of merged.
 	if e, ok := m.mshr.Lookup(m.cfg.L1D, a); ok {
 		if e.ReadyAt > now {
-			m.ctr.mshrMerges.Inc()
+			m.st.MSHRMerges++
 			if e.Prefetch {
 				e.Prefetch = false
 			}
@@ -346,7 +344,7 @@ func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 	start := now
 	if m.mshr.InFlight() >= m.mshr.Capacity() {
 		// Stall until the earliest in-flight fill retires.
-		m.ctr.mshrStalls.Inc()
+		m.st.MSHRStalls++
 		if t := m.mshr.EarliestReady(); t > start {
 			start = t
 		}
@@ -389,12 +387,12 @@ func (m *MemSys) fillFromL2(a, pc addr.Addr, now int64, isPrefetch bool) int64 {
 	switch {
 	case res.Hit:
 		if !isPrefetch {
-			m.ctr.l2Demand.Inc()
-			m.ctr.l2Hits.Inc()
+			m.st.L2Demand++
+			m.st.L2Hits++
 			if res.Prefetched {
-				m.ctr.prefetchedOriginal.Inc()
+				m.st.PrefetchedOriginal++
 			} else {
-				m.ctr.nonPrefetchedOriginal.Inc()
+				m.st.NonPrefetchedOriginal++
 			}
 		}
 		dataAt = reqAt + m.cfg.L2Latency
@@ -403,17 +401,17 @@ func (m *MemSys) fillFromL2(a, pc addr.Addr, now int64, isPrefetch bool) int64 {
 		}
 	case m.cfg.IdealL2:
 		if !isPrefetch {
-			m.ctr.l2Demand.Inc()
-			m.ctr.l2Hits.Inc()
-			m.ctr.nonPrefetchedOriginal.Inc()
+			m.st.L2Demand++
+			m.st.L2Hits++
+			m.st.NonPrefetchedOriginal++
 		}
 		dataAt = reqAt + m.cfg.L2Latency
 		m.fillL2(a, reqAt, dataAt, isPrefetch)
 	default:
 		if !isPrefetch {
-			m.ctr.l2Demand.Inc()
-			m.ctr.l2Misses.Inc()
-			m.ctr.nonPrefetchedOriginal.Inc()
+			m.st.L2Demand++
+			m.st.L2Misses++
+			m.st.NonPrefetchedOriginal++
 		}
 		dataAt = m.mem.Read(reqAt+m.cfg.L2Latency, m.cfg.L2.BlockBytes())
 		m.fillL2(a, reqAt, dataAt, isPrefetch)
@@ -431,7 +429,7 @@ func (m *MemSys) fillFromL2(a, pc addr.Addr, now int64, isPrefetch bool) int64 {
 // fillL2 installs block a into the L2, accounting evictions.
 func (m *MemSys) fillL2(a addr.Addr, now, readyAt int64, isPrefetch bool) {
 	if isPrefetch {
-		m.ctr.pfFills.Inc()
+		m.st.PrefetchFills++
 	}
 	// Every caller sits directly behind a same-cycle L2 miss (demand walk,
 	// ideal-L2 install, write-back install, prefetch fill), so the block is
@@ -441,7 +439,7 @@ func (m *MemSys) fillL2(a addr.Addr, now, readyAt int64, isPrefetch bool) {
 		return
 	}
 	if ev.WasPrefetched {
-		m.ctr.prefetchedExtra.Inc()
+		m.st.PrefetchedExtra++
 	}
 	if ev.Dirty {
 		m.mem.Write(now, m.cfg.L2.BlockBytes())
@@ -486,25 +484,25 @@ func (m *MemSys) issue(reqs []prefetch.Request, now int64) {
 func (m *MemSys) issueOne(r prefetch.Request, now int64) {
 	// Already in L1: nothing to do.
 	if m.l1d.Probe(r.Addr) {
-		m.ctr.pfDropped.Inc()
+		m.st.PrefetchDropped++
 		return
 	}
 	// In flight already?
 	if e, ok := m.mshr.Lookup(m.cfg.L1D, r.Addr); ok && e.ReadyAt > now {
-		m.ctr.pfDropped.Inc()
+		m.st.PrefetchDropped++
 		return
 	}
 	l2a := m.cfg.L2.Block(r.Addr)
 	if m.l2.Probe(l2a) {
 		// "The L2 first checks whether the target data is already in
 		// itself. If found, the prefetch is completed." (Section 4)
-		m.ctr.pfDropped.Inc()
+		m.st.PrefetchDropped++
 		if r.ToL1 {
 			m.promoteToL1(r.Addr, now, now+m.cfg.L2Latency)
 		}
 		return
 	}
-	m.ctr.pfIssued.Inc()
+	m.st.PrefetchIssued++
 	m.tr.Emit(telemetry.Event{Cycle: now, Type: "prefetch.issued",
 		Level: telemetry.LevelInfo, Addr: uint64(r.Addr)})
 	dataAt := m.fillFromL2(r.Addr, 0, now, true)
@@ -521,7 +519,7 @@ func (m *MemSys) issueOne(r prefetch.Request, now int64) {
 // exactly what the paper warns against.
 func (m *MemSys) promoteToL1(a addr.Addr, now, dataAt int64) {
 	if m.dbp == nil {
-		m.ctr.pfL1Rejected.Inc()
+		m.st.PrefetchL1Rejected++
 		return
 	}
 	// Promote only when the victim dies around the time the prefetched
@@ -538,7 +536,7 @@ func (m *MemSys) promoteToL1(a addr.Addr, now, dataAt int64) {
 		m.tr.Emit(telemetry.Event{Cycle: now, Type: "deadblock.predict",
 			Level: telemetry.LevelDebug, Addr: uint64(victimAddr), Value: deadAt})
 		if deadAt > dataAt+promoteSlack {
-			m.ctr.pfL1Rejected.Inc()
+			m.st.PrefetchL1Rejected++
 			return
 		}
 		if deadAt > promoteAt {
@@ -554,39 +552,25 @@ func (m *MemSys) promoteToL1(a addr.Addr, now, dataAt int64) {
 	readyAt := b.Transfer(promoteAt, m.cfg.L1D.BlockBytes())
 	ev := m.l1d.Fill(a, promoteAt, readyAt, true)
 	m.handleL1Eviction(ev, promoteAt)
-	m.ctr.pfToL1Fills.Inc()
+	m.st.PrefetchToL1Fills++
 }
 
 // Finish closes the books at the end of a run: prefetched L2 lines never
-// demanded count as "prefetched extra" (Figure 12).
+// demanded count as "prefetched extra" (Figure 12). It publishes the
+// final counters.
 func (m *MemSys) Finish() {
-	m.ctr.prefetchedExtra.Add(uint64(m.l2.UnusedPrefetched()))
-	m.ctr.prefetchedExtra.Add(uint64(m.l1d.UnusedPrefetched()))
+	m.st.PrefetchedExtra += uint64(m.l2.UnusedPrefetched())
+	m.st.PrefetchedExtra += uint64(m.l1d.UnusedPrefetched())
+	m.PublishCounters()
 }
 
-// Stats returns the hierarchy counters as the legacy struct view. The
-// per-access fields (Accesses, L1Hits, L1Misses) are read from the L1
-// cache counters — the hierarchy sees exactly the L1 demand stream.
+// Stats returns the hierarchy counters. The per-access fields (Accesses,
+// L1Hits, L1Misses) are read from the L1 cache counters — the hierarchy
+// sees exactly the L1 demand stream.
 func (m *MemSys) Stats() Stats {
-	l1 := m.l1d.Stats()
-	return Stats{
-		Accesses:              l1.Accesses,
-		L1Hits:                l1.Hits,
-		L1Misses:              l1.Misses,
-		MSHRMerges:            m.ctr.mshrMerges.Value(),
-		MSHRStalls:            m.ctr.mshrStalls.Value(),
-		L2Demand:              m.ctr.l2Demand.Value(),
-		PrefetchedOriginal:    m.ctr.prefetchedOriginal.Value(),
-		NonPrefetchedOriginal: m.ctr.nonPrefetchedOriginal.Value(),
-		PrefetchedExtra:       m.ctr.prefetchedExtra.Value(),
-		L2Hits:                m.ctr.l2Hits.Value(),
-		L2Misses:              m.ctr.l2Misses.Value(),
-		PrefetchIssued:        m.ctr.pfIssued.Value(),
-		PrefetchDropped:       m.ctr.pfDropped.Value(),
-		PrefetchFills:         m.ctr.pfFills.Value(),
-		PrefetchToL1Fills:     m.ctr.pfToL1Fills.Value(),
-		PrefetchL1Rejected:    m.ctr.pfL1Rejected.Value(),
-	}
+	s, l1 := m.st, m.l1d.Stats()
+	s.Accesses, s.L1Hits, s.L1Misses = l1.Accesses, l1.Hits, l1.Misses
+	return s
 }
 
 // L1Stats and L2Stats expose the underlying cache counters.
@@ -649,7 +633,5 @@ func (m *MemSys) Reset() {
 	if m.dbp != nil {
 		m.dbp.Reset()
 	}
-	for _, c := range m.ctr.metrics() {
-		c.(*telemetry.Counter).Store(0)
-	}
+	m.st = Stats{}
 }

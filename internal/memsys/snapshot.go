@@ -5,7 +5,6 @@ import (
 
 	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/prefetch"
-	"tagprefetch/internal/telemetry"
 )
 
 // UsePrefetcher replaces the L1-side prefetcher. The warm-fork machinery
@@ -37,8 +36,8 @@ func (m *MemSys) Save(w *checkpoint.Writer) error {
 	w.Bool(m.pfBus != nil)
 	w.Bool(m.l2pf != nil)
 	w.Bool(m.dbp != nil)
-	for _, c := range m.ctr.metrics() {
-		w.U64(c.(*telemetry.Counter).Value())
+	for _, f := range m.st.fields() {
+		w.U64(*f)
 	}
 	if err := m.l1d.Save(w); err != nil {
 		return err
@@ -87,11 +86,12 @@ func (m *MemSys) Save(w *checkpoint.Writer) error {
 	return nil
 }
 
-// Restore implements checkpoint.Snapshotter. The machine must have been
-// built with the same cache geometries and at least the optional components
-// present in the checkpoint; an optional component present on the machine
-// but absent from the checkpoint keeps its fresh zero state (this is how a
-// baseline-warmed checkpoint forks into a machine with extra structures).
+// Restore implements checkpoint.Snapshotter and publishes the restored
+// counters. The machine must have been built with the same cache
+// geometries and at least the optional components present in the
+// checkpoint; an optional component present on the machine but absent from
+// the checkpoint keeps its fresh zero state (this is how a baseline-warmed
+// checkpoint forks into a machine with extra structures).
 func (m *MemSys) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("memsys"); err != nil {
 		return err
@@ -109,8 +109,8 @@ func (m *MemSys) Restore(r *checkpoint.Reader) error {
 	if hasDbp && m.dbp == nil {
 		return fmt.Errorf("memsys: checkpoint has a dead-block predictor, machine does not")
 	}
-	for _, c := range m.ctr.metrics() {
-		c.(*telemetry.Counter).Store(r.U64())
+	for _, f := range m.st.fields() {
+		*f = r.U64()
 	}
 	if err := r.Err(); err != nil {
 		return err
@@ -159,5 +159,6 @@ func (m *MemSys) Restore(r *checkpoint.Reader) error {
 			return err
 		}
 	}
+	m.PublishCounters()
 	return nil
 }

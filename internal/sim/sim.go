@@ -320,6 +320,7 @@ func RunSpec(spec workload.Spec, f Factory, cfg Config) Result {
 func attachTelemetry(tel *telemetry.Run, mem *memsys.MemSys, coreM *cpu.Core, cfg Config) {
 	mem.AttachTelemetry(tel.Registry.Sub("memsys"), tel.Tracer)
 	coreM.AttachTelemetry(tel.Registry.Sub("cpu"), tel.Tracer)
+	coreM.OnPublish(mem.PublishCounters)
 	if tel.Sampler == nil {
 		return
 	}

@@ -54,7 +54,7 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Store sets the counter to n (used by components that mirror an internal
-// total into the registry, and by Reset).
+// total into the registry).
 //
 //tcp:hotpath — the core mirrors progress counters at sampler ticks.
 func (c *Counter) Store(n uint64) { c.v.Store(n) }
@@ -71,6 +71,34 @@ func (c *Counter) MetricDesc() string { return c.desc }
 func (c *Counter) value(full string) MetricValue {
 	v := c.v.Load()
 	return MetricValue{Name: full, Desc: c.desc, Kind: "counter", Value: float64(v), Count: v}
+}
+
+// Mirror publishes a component's single-writer uint64 counters into
+// registry Counters. The simulated machine counts into plain fields, so its
+// hot paths pay no atomic read-modify-write, and stores the totals into
+// the registry at its publish points: each sampler tick just before the
+// sample, the warm boundary, Finish and Restore. A registry reader sees
+// values as fresh as the last publish. Publish must run on the goroutine
+// that writes the fields. The zero Mirror mirrors nothing.
+type Mirror struct {
+	src []*uint64
+	dst []*Counter
+}
+
+// Bind attaches c to reg and mirrors *src into it from now on, starting
+// with the field's current value.
+func (m *Mirror) Bind(reg *Registry, src *uint64, c *Counter) {
+	c.Store(*src)
+	reg.Attach(c)
+	m.src = append(m.src, src)
+	m.dst = append(m.dst, c)
+}
+
+// Publish stores every bound field into its counter.
+func (m *Mirror) Publish() {
+	for i, s := range m.src {
+		m.dst[i].Store(*s)
+	}
 }
 
 // Gauge is an instantaneous float64 metric. Safe for concurrent use.
@@ -211,9 +239,9 @@ type Bucket struct {
 
 // MetricValue is one metric in a registry snapshot (and in run reports).
 type MetricValue struct {
-	Name  string `json:"name"`
-	Desc  string `json:"desc,omitempty"`
-	Kind  string `json:"kind"`
+	Name  string  `json:"name"`
+	Desc  string  `json:"desc,omitempty"`
+	Kind  string  `json:"kind"`
 	Value float64 `json:"value"`
 	// Count carries the exact integer value for counters and the sample
 	// count for histograms.

@@ -145,7 +145,11 @@ func New(spec Spec, seed uint64) Generator {
 	return s
 }
 
+// withDefaults fills in defaulted fields on a copy: the streams are copied
+// before defaulting, since callers share one Spec (and its Streams backing
+// array) across concurrent New calls.
 func withDefaults(spec Spec) Spec {
+	spec.Streams = append([]StreamSpec(nil), spec.Streams...)
 	if spec.BodyLen <= 0 {
 		spec.BodyLen = 48
 	}
@@ -204,6 +208,9 @@ type synth struct {
 	icount   uint64 // dynamic instructions emitted
 	lastLoad uint64 // icount of the most recent load (0 = none yet)
 	lastOf   []uint64
+
+	// The spec's per-instruction probabilities, prepared once by Reset.
+	depP, loadUseP, predictableP, coinP xrand.Prob //tcp:nosnap derived from the spec by Reset
 }
 
 // Name implements Generator.
@@ -218,6 +225,10 @@ func (s *synth) Reset(seed uint64) {
 	s.icount = 0
 	s.lastLoad = 0
 	s.lastOf = make([]uint64, len(s.streams))
+	s.depP = xrand.NewProb(s.spec.DepProb)
+	s.loadUseP = xrand.NewProb(s.spec.LoadUseProb)
+	s.predictableP = xrand.NewProb(s.spec.BranchPredictability)
+	s.coinP = xrand.NewProb(0.5)
 }
 
 func hashName(name string) uint64 {
@@ -418,23 +429,23 @@ func (s *synth) Next(inst *Inst) {
 		} else {
 			bp.count++
 			patterned := bp.count%bp.period != 0
-			if s.rng.Bool(s.spec.BranchPredictability) {
+			if s.rng.Hit(s.predictableP) {
 				inst.Taken = patterned
 			} else {
-				inst.Taken = s.rng.Bool(0.5)
+				inst.Taken = s.rng.Hit(s.coinP)
 			}
 		}
-		if s.lastLoad != 0 && s.rng.Bool(s.spec.LoadUseProb) {
+		if s.lastLoad != 0 && s.rng.Hit(s.loadUseP) {
 			inst.Dep1 = dist(s.icount, s.lastLoad)
 		}
 	default: // compute
-		if s.rng.Bool(s.spec.DepProb) {
+		if s.rng.Hit(s.depP) {
 			back := 1 + s.rng.Intn(4)
 			if uint64(back) < s.icount {
 				inst.Dep1 = int32(back)
 			}
 		}
-		if s.lastLoad != 0 && s.rng.Bool(s.spec.LoadUseProb) {
+		if s.lastLoad != 0 && s.rng.Hit(s.loadUseP) {
 			inst.Dep2 = dist(s.icount, s.lastLoad)
 		}
 	}

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"tagprefetch/internal/xrand"
@@ -450,5 +452,34 @@ func TestLeakStreamsKeepMissRatesLow(t *testing.T) {
 		if mem == 0 {
 			t.Fatalf("%s: no memory ops", name)
 		}
+	}
+}
+
+// TestNewSharedSpecConcurrently builds generators from one Spec on several
+// goroutines, as a parallel grid does with a benchmark's catalog Spec.
+// Under -race it fails if New writes defaults into the caller's Streams
+// backing array; without -race the unchanged-streams check catches it.
+func TestNewSharedSpecConcurrently(t *testing.T) {
+	spec := Spec{Name: "shared", MemFrac: 0.3, Streams: []StreamSpec{
+		{Kind: SweepKind},
+		{Kind: ChaseKind, Footprint: 1 << 16},
+		{Kind: ColumnKind, Weight: 2},
+	}}
+	want := append([]StreamSpec(nil), spec.Streams...)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(seed uint64) {
+			defer wg.Done()
+			var inst Inst
+			g := New(spec, seed)
+			for j := 0; j < 100; j++ {
+				g.Next(&inst)
+			}
+		}(uint64(i))
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(spec.Streams, want) {
+		t.Errorf("New modified the caller's streams:\n got %+v\nwant %+v", spec.Streams, want)
 	}
 }

@@ -4,6 +4,8 @@
 // do not use math/rand's global state anywhere in the simulator.
 package xrand
 
+import "math"
+
 // Rand is a xorshift64* generator. The zero value is valid (it is reseeded
 // to a fixed non-zero constant).
 type Rand struct {
@@ -64,15 +66,45 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
 }
 
-// Bool returns true with probability p.
-func (r *Rand) Bool(p float64) bool {
-	if p <= 0 {
-		return false
+// Bool returns true with probability p: Hit(NewProb(p)). Callers that draw
+// against a fixed p on a hot path prepare the Prob once and call Hit.
+func (r *Rand) Bool(p float64) bool { return r.Hit(NewProb(p)) }
+
+// Prob is a probability prepared for Hit: the integer threshold a 53-bit
+// draw is compared against, or one of two sentinels above every threshold
+// for the certain outcomes, which consume no draw.
+type Prob uint64
+
+const (
+	probNever  Prob = 1 << 63          // p <= 0
+	probAlways Prob = 1<<63 | 1        // p >= 1
+	probScale       = float64(1 << 53) // draws are 53-bit, as in Float64
+)
+
+// NewProb prepares p for Hit. For p in (0, 1) the threshold is
+// ceil(p·2^53): a 53-bit draw k satisfies k/2^53 < p exactly when
+// k < ceil(p·2^53), since the scaling by a power of two is exact. A NaN p
+// gets threshold 0, so Hit still draws and never succeeds, as Float64() < NaN.
+func NewProb(p float64) Prob {
+	switch {
+	case p <= 0:
+		return probNever
+	case p >= 1:
+		return probAlways
+	case math.IsNaN(p):
+		return 0
 	}
-	if p >= 1 {
-		return true
+	return Prob(math.Ceil(p * probScale))
+}
+
+// Hit returns true with probability q. It consumes one draw unless q is
+// certain (p <= 0 or p >= 1), and returns exactly what Float64() < p
+// would for the same draw.
+func (r *Rand) Hit(q Prob) bool {
+	if q >= probNever {
+		return q == probAlways
 	}
-	return r.Float64() < p
+	return r.Uint64()>>11 < uint64(q)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

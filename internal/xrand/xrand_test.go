@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -137,4 +138,77 @@ func TestUint64Uniformity(t *testing.T) {
 			t.Errorf("bucket %d count %d far from expected %d", i, c, n/16)
 		}
 	}
+}
+
+// refBool is the float comparison Hit replaced: no draw for the certain
+// outcomes, else Float64() < p.
+func refBool(r *Rand, p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	if p >= 1 {
+		return true
+	}
+	return r.Float64() < p
+}
+
+// checkProb draws n times against p with Hit(NewProb(p)), Bool(p) and the
+// reference from three generators seeded alike: every result and every
+// state after the call must agree.
+func checkProb(t *testing.T, seed uint64, p float64, n int) {
+	t.Helper()
+	hit, b, ref := New(seed), New(seed), New(seed)
+	q := NewProb(p)
+	for i := 0; i < n; i++ {
+		want := refBool(ref, p)
+		if got := hit.Hit(q); got != want {
+			t.Fatalf("p=%v (bits %#x) draw %d: Hit = %v, reference %v", p, math.Float64bits(p), i, got, want)
+		}
+		if got := b.Bool(p); got != want {
+			t.Fatalf("p=%v (bits %#x) draw %d: Bool = %v, reference %v", p, math.Float64bits(p), i, got, want)
+		}
+		if hit.State() != ref.State() || b.State() != ref.State() {
+			t.Fatalf("p=%v (bits %#x) draw %d: generator state diverged", p, math.Float64bits(p), i)
+		}
+	}
+}
+
+func TestHitMatchesFloatComparison(t *testing.T) {
+	edges := []float64{
+		0, math.Copysign(0, -1), 1, -0.5, 1.5, -1, 2,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, 1e-310, 0x1p-1022, 0x1p-53, 0x1p-54,
+		math.Nextafter(1, 0), math.Nextafter(0.5, 0), math.Nextafter(0.5, 1),
+		0.5, 0.3, 0.1, 0.9, 0.97, 0.999,
+	}
+	for _, p := range edges {
+		checkProb(t, 5, p, 2000)
+	}
+	rng := New(99)
+	for i := 0; i < 200; i++ {
+		checkProb(t, rng.Uint64(), rng.Float64(), 200)
+	}
+}
+
+// TestHitDrawsAtTheThreshold pins the threshold itself: NewProb(k/2^53) is
+// k, so a draw of exactly k fails and k-1 succeeds, as Float64() < p does.
+func TestHitDrawsAtTheThreshold(t *testing.T) {
+	for _, k := range []uint64{1, 2, 3, 1 << 20, 1<<52 + 1, 1<<53 - 1} {
+		q := NewProb(float64(k) / (1 << 53))
+		if uint64(q) != k {
+			t.Fatalf("NewProb(%d/2^53) threshold %d, want %d", k, uint64(q), k)
+		}
+	}
+	if q := NewProb(math.NaN()); uint64(q) != 0 {
+		t.Fatalf("NewProb(NaN) threshold %d, want 0 (draw, never hit)", uint64(q))
+	}
+}
+
+func FuzzProb(f *testing.F) {
+	for _, p := range []float64{0, 1, 0.5, math.NaN(), math.Inf(1), math.SmallestNonzeroFloat64, math.Nextafter(1, 0), -3} {
+		f.Add(math.Float64bits(p), uint64(1))
+	}
+	f.Fuzz(func(t *testing.T, bits, seed uint64) {
+		checkProb(t, seed, math.Float64frombits(bits), 64)
+	})
 }
