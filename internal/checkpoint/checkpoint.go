@@ -494,6 +494,24 @@ func (r *Reader) ReadU64s(dst []uint64) {
 	}
 }
 
+// ReadU64sUpTo reads a length-prefixed []uint64 of at most len(dst)
+// elements into the front of dst, without allocating, and returns its
+// length. A longer slice is corrupt.
+func (r *Reader) ReadU64sUpTo(dst []uint64) int {
+	n := r.sliceLen(8)
+	if r.err != nil {
+		return 0
+	}
+	if n > len(dst) {
+		r.failf("%w: uint64 slice length %d, max %d", ErrCorrupt, n, len(dst))
+		return 0
+	}
+	for i := range dst[:n] {
+		dst[i] = r.U64()
+	}
+	return n
+}
+
 // I64s reads a length-prefixed []int64 into a fresh slice.
 func (r *Reader) I64s() []int64 {
 	n := r.sliceLen(8)

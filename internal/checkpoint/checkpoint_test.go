@@ -236,6 +236,36 @@ func TestInvalidBoolAndSliceGuards(t *testing.T) {
 	if r.Err() == nil {
 		t.Error("ReadU64s accepted a length mismatch")
 	}
+
+	// The bounded reader rejects a slice longer than its buffer.
+	w = NewWriter()
+	w.Section("s")
+	w.U64s([]uint64{1, 2})
+	r, _ = NewReader(w.Finish())
+	r.Section("s") //nolint:errcheck
+	var one [1]uint64
+	if n := r.ReadU64sUpTo(one[:]); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("ReadU64sUpTo over capacity = %d, %v, want 0 and ErrCorrupt", n, r.Err())
+	}
+}
+
+func TestReadU64sUpTo(t *testing.T) {
+	w := NewWriter()
+	w.Section("s")
+	w.U64s([]uint64{7, 8})
+	w.U64s(nil)
+	r, _ := NewReader(w.Finish())
+	r.Section("s") //nolint:errcheck
+	buf := []uint64{0, 0, 9}
+	if n := r.ReadU64sUpTo(buf); n != 2 || buf[0] != 7 || buf[1] != 8 || buf[2] != 9 {
+		t.Errorf("ReadU64sUpTo = %d %v, want 2 [7 8 9]", n, buf)
+	}
+	if n := r.ReadU64sUpTo(buf); n != 0 {
+		t.Errorf("empty ReadU64sUpTo = %d", n)
+	}
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestWriteFileReadFile(t *testing.T) {

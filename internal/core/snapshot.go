@@ -12,21 +12,18 @@ import (
 func (t *TCP) Save(w *checkpoint.Writer) error {
 	w.Section("tcp")
 	w.I64(t.clock)
-	w.U32(uint32(len(t.tht)))
+	w.U32(uint32(len(t.thtFill)))
 	w.U32(uint32(t.cfg.HistoryDepth))
-	for _, row := range t.tht {
-		for _, tag := range row {
-			w.U64(tag)
-		}
+	for _, tag := range t.tht {
+		w.U64(tag)
 	}
 	w.Ints(t.thtFill)
 	w.U32(uint32(len(t.pht)))
-	for i := range t.pht {
-		e := &t.pht[i]
-		w.U64(e.tag)
+	for i, e := range t.pht {
+		w.U64(uint64(e.tag))
 		w.I64(e.used)
 		w.Bool(e.valid)
-		w.U64s(e.targets)
+		w.U64s(t.entryTargets(i))
 	}
 	for _, f := range t.st.fields() {
 		w.U64(*f)
@@ -35,7 +32,8 @@ func (t *TCP) Save(w *checkpoint.Writer) error {
 }
 
 // Restore implements checkpoint.Snapshotter. The TCP must be configured
-// identically to the one that was saved.
+// identically to the one that was saved. A THT fill outside [0, k], a tag
+// wider than TagBits or more than Targets targets is corrupt.
 func (t *TCP) Restore(r *checkpoint.Reader) error {
 	if err := r.Section("tcp"); err != nil {
 		return err
@@ -45,16 +43,19 @@ func (t *TCP) Restore(r *checkpoint.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if rows != len(t.tht) || depth != t.cfg.HistoryDepth {
+	if rows != len(t.thtFill) || depth != t.cfg.HistoryDepth {
 		return fmt.Errorf("tcp: checkpoint THT %dx%d, want %dx%d",
-			rows, depth, len(t.tht), t.cfg.HistoryDepth)
+			rows, depth, len(t.thtFill), t.cfg.HistoryDepth)
 	}
-	for _, row := range t.tht {
-		for j := range row {
-			row[j] = r.U64()
-		}
+	for i := range t.tht {
+		t.tht[i] = r.U64()
 	}
 	r.ReadInts(t.thtFill)
+	for i, f := range t.thtFill {
+		if f < 0 || f > depth {
+			return fmt.Errorf("%w: tcp: THT row %d fill %d outside [0, %d]", checkpoint.ErrCorrupt, i, f, depth)
+		}
+	}
 	if n := int(r.U32()); r.Err() == nil && n != len(t.pht) {
 		return fmt.Errorf("tcp: checkpoint PHT %d entries, want %d", n, len(t.pht))
 	}
@@ -62,15 +63,15 @@ func (t *TCP) Restore(r *checkpoint.Reader) error {
 		return err
 	}
 	for i := range t.pht {
-		e := &t.pht[i]
-		e.tag = r.U64()
-		e.used = r.I64()
-		e.valid = r.Bool()
-		e.targets = r.U64s()
-		if len(e.targets) > t.cfg.Targets {
-			return fmt.Errorf("tcp: PHT entry %d holds %d targets, max %d",
-				i, len(e.targets), t.cfg.Targets)
+		tag, used, valid := r.U64(), r.I64(), r.Bool()
+		n := r.ReadU64sUpTo(t.targets[i*t.cfg.Targets:][:t.cfg.Targets])
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("tcp: PHT entry %d: %w", i, err)
 		}
+		if tag > t.tagMask {
+			return fmt.Errorf("%w: tcp: PHT entry %d tag %#x wider than %d bits", checkpoint.ErrCorrupt, i, tag, t.cfg.TagBits)
+		}
+		t.pht[i] = phtEntry{used: used, tag: uint32(tag), n: uint8(n), valid: valid}
 	}
 	for _, f := range t.st.fields() {
 		*f = r.U64()

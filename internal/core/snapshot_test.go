@@ -1,0 +1,219 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
+	"slices"
+	"testing"
+
+	"tagprefetch/internal/addr"
+	"tagprefetch/internal/checkpoint"
+	"tagprefetch/internal/trace"
+)
+
+// missStream returns n deterministic misses over 64 sets. Tags come from a
+// small alphabet, so sequences repeat (PHT hits, multi-target training) and
+// collide under the truncated-addition hash (evictions); sets 0-3 see a
+// constant tag stride for the stride assist.
+func missStream(g addr.Geometry, n int) []trace.Miss {
+	out := make([]trace.Miss, n)
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		set := uint32(x % 64)
+		tag := (x >> 32) % 12
+		if set < 4 {
+			tag = uint64(i) * 3
+		}
+		out[i] = missAt(g, tag, set)
+	}
+	return out
+}
+
+func snapshot(tb testing.TB, tcp *TCP) []byte {
+	tb.Helper()
+	w := checkpoint.NewWriter()
+	if err := tcp.Save(w); err != nil {
+		tb.Fatal(err)
+	}
+	return w.Finish()
+}
+
+func restore(tcp *TCP, img []byte) error {
+	r, err := checkpoint.NewReader(img)
+	if err != nil {
+		return err
+	}
+	if err := tcp.Restore(r); err != nil {
+		return err
+	}
+	return r.Finish()
+}
+
+// reCRC rewrites the trailer of img so a mutated body passes the checksum
+// gate and reaches the TCP decoder.
+func reCRC(img []byte) []byte {
+	body := img[:len(img)-4]
+	binary.LittleEndian.PutUint32(img[len(img)-4:], crc32.ChecksumIEEE(body))
+	return img
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	g := l1()
+	misses := missStream(g, 6000)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"tcp-8K", TCP8K(g)},
+		{"targets-3", Config{L1: g, Targets: 3}},
+		{"stride-k3", Config{L1: g, HistoryDepth: 3, StrideAssist: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := New(tc.cfg)
+			for _, m := range misses[:5000] {
+				orig.OnMiss(m)
+			}
+			if s := orig.Stats(); s.Hits == 0 || s.Evictions == 0 {
+				t.Fatalf("stream left the PHT barely exercised: %+v", s)
+			}
+			img := snapshot(t, orig)
+			got := New(tc.cfg)
+			if err := restore(got, img); err != nil {
+				t.Fatal(err)
+			}
+			if again := snapshot(t, got); !bytes.Equal(img, again) {
+				t.Fatal("Save after Restore is not byte-identical")
+			}
+			for i, m := range misses[5000:] {
+				want := slices.Clone(orig.OnMiss(m))
+				if have := got.OnMiss(m); !slices.Equal(have, want) {
+					t.Fatalf("miss %d after restore: %+v, want %+v", i, have, want)
+				}
+			}
+			if orig.Stats() != got.Stats() {
+				t.Errorf("stats diverged: %+v vs %+v", got.Stats(), orig.Stats())
+			}
+		})
+	}
+}
+
+func TestRestoreRejectsCorruptTables(t *testing.T) {
+	g := l1()
+	trained := func(cfg Config) *TCP {
+		tcp := New(cfg)
+		for _, m := range missStream(g, 2000) {
+			tcp.OnMiss(m)
+		}
+		return tcp
+	}
+	for _, tc := range []struct {
+		name string
+		img  func() []byte
+		into Config
+	}{
+		{"negative fill", func() []byte {
+			tcp := trained(TCP8K(g))
+			tcp.thtFill[7] = -1
+			return snapshot(t, tcp)
+		}, TCP8K(g)},
+		{"fill above depth", func() []byte {
+			tcp := trained(TCP8K(g))
+			tcp.thtFill[7] = 3
+			return snapshot(t, tcp)
+		}, TCP8K(g)},
+		{"tag wider than TagBits", func() []byte {
+			tcp := trained(TCP8K(g))
+			tcp.pht[5].tag = 1 << 16
+			return snapshot(t, tcp)
+		}, TCP8K(g)},
+		{"more targets than Targets", func() []byte {
+			return snapshot(t, trained(Config{L1: g, Targets: 2}))
+		}, Config{L1: g, Targets: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tcp := New(tc.into)
+			err := restore(tcp, tc.img())
+			if !errors.Is(err, checkpoint.ErrCorrupt) {
+				t.Fatalf("Restore = %v, want an error wrapping ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestOnMissAllocationFree feeds a tag that never repeats, so once the THT
+// rows are full every update allocates (and trains) a fresh PHT entry.
+func TestOnMissAllocationFree(t *testing.T) {
+	g := l1()
+	tcp := New(Config{L1: g, Targets: 4})
+	var tag uint64
+	for tag < 14 {
+		tag++
+		tcp.OnMiss(missAt(g, tag, uint32(tag%7)))
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tag++
+		tcp.OnMiss(missAt(g, tag, uint32(tag%7)))
+	})
+	if allocs != 0 {
+		t.Errorf("OnMiss allocates %.2f times per call, want 0", allocs)
+	}
+	if s := tcp.Stats(); s.Allocs < 1001 {
+		t.Errorf("only %d PHT allocations over 1001 fresh-tag misses", s.Allocs)
+	}
+}
+
+// TestTCP8MHostFootprint pins the host cost of the paper's 8 MB PHT: a
+// 16-byte entry record plus one 8-byte target, about 50 MB.
+func TestTCP8MHostFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tcp := New(TCP8M(l1()))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tcp)
+	if b := after.TotalAlloc - before.TotalAlloc; b > 52_000_000 {
+		t.Errorf("New(TCP8M) allocates %d bytes, want at most 52 MB", b)
+	}
+}
+
+// FuzzTCPRestore feeds arbitrary images to the TCP decoder. It must never
+// panic; an image it accepts must Save back byte-identical and leave a TCP
+// that keeps running. The fuzzer's bytes get a fresh CRC, so mutations
+// reach the decoder instead of dying at the checksum gate. Images are about
+// 50 KB, so minimizing a new input at the default 60 s stalls a short run:
+// pass -fuzzminimizetime=1s as CI does.
+func FuzzTCPRestore(f *testing.F) {
+	g := l1()
+	misses := missStream(g, 2100)
+	tcp := New(TCP8K(g))
+	for _, m := range misses[:2000] {
+		tcp.OnMiss(m)
+	}
+	img := snapshot(f, tcp)
+	f.Add(img)
+	mut := slices.Clone(img)
+	mut[len(mut)/2] ^= 0x40
+	f.Add(reCRC(mut))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		data = reCRC(slices.Clone(data))
+		tcp := New(TCP8K(g))
+		if restore(tcp, data) != nil {
+			return
+		}
+		if again := snapshot(t, tcp); !bytes.Equal(again, data) {
+			t.Fatal("accepted image does not Save back byte-identical")
+		}
+		for _, m := range misses[2000:] {
+			tcp.OnMiss(m)
+		}
+	})
+}

@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/prefetch"
@@ -60,7 +61,8 @@ type Config struct {
 	// TagBits is the width of stored tags for matching and storage
 	// accounting (default 16, giving the paper's 4-byte {tag, tag'} entry).
 	TagBits int
-	// Targets is the number of successor tags per entry, MRU first.
+	// Targets is the number of successor tags per entry (at most 255),
+	// MRU first.
 	// 1 reproduces the paper; >1 implements the Section 6 multi-target
 	// extension in the style of Markov prefetchers.
 	Targets int
@@ -93,6 +95,7 @@ func (c Config) withDefaults() Config {
 	if c.Targets <= 0 {
 		c.Targets = 1
 	}
+	c.Targets = min(c.Targets, math.MaxUint8) // phtEntry.n is a uint8
 	if c.IndexBits < 0 {
 		c.IndexBits = 0
 	}
@@ -129,9 +132,10 @@ type TCP struct {
 	idxMask uint32 //tcp:nosnap geometry derived from cfg at construction
 	hiBits  uint   //tcp:nosnap geometry derived from cfg at construction
 
-	tht     [][]uint64 // [L1 sets][k] tag history, oldest first
+	tht     []uint64   // L1 sets x k tag history, row-major, oldest first
 	thtFill []int      // valid tags per row
 	pht     []phtEntry // PHTSets * PHTWays
+	targets []uint64   // PHTSets * PHTWays * Targets; entry i's MRU list is targets[i*Targets:][:n]
 	clock   int64
 
 	// reqs is the scratch buffer OnMiss returns; per the Prefetcher
@@ -146,11 +150,13 @@ type TCP struct {
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 
+// phtEntry is pointer-free (16 bytes): its targets live in TCP.targets,
+// so the PHT is neither scanned by the GC nor allocated per entry.
 type phtEntry struct {
-	tag     uint64 // partial tag of the last tag in the indexing sequence
-	targets []uint64
-	used    int64
-	valid   bool
+	used  int64
+	tag   uint32 // partial tag of the last tag in the indexing sequence
+	n     uint8  // live targets
+	valid bool
 }
 
 // Stats holds the predictor counters.
@@ -185,13 +191,10 @@ func New(cfg Config) *TCP {
 		idxMask: uint32(1<<uint(cfg.IndexBits)) - 1,
 	}
 	t.hiBits = log2u(cfg.PHTSets) - uint(cfg.IndexBits)
-	t.tht = make([][]uint64, cfg.L1.Sets())
-	backing := make([]uint64, cfg.L1.Sets()*cfg.HistoryDepth)
-	for i := range t.tht {
-		t.tht[i], backing = backing[:cfg.HistoryDepth:cfg.HistoryDepth], backing[cfg.HistoryDepth:]
-	}
+	t.tht = make([]uint64, cfg.L1.Sets()*cfg.HistoryDepth)
 	t.thtFill = make([]int, cfg.L1.Sets())
 	t.pht = make([]phtEntry, cfg.PHTSets*cfg.PHTWays)
+	t.targets = make([]uint64, len(t.pht)*cfg.Targets)
 	t.tr = telemetry.Nop()
 	return t
 }
@@ -264,23 +267,29 @@ func (t *TCP) phtIndex(seq []uint64, missIndex uint32) uint64 {
 	return ((hi << uint(t.cfg.IndexBits)) | lo) & t.setMask
 }
 
-// phtProbe returns the matching entry in the set, or nil.
-func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) *phtEntry {
+// phtProbe returns the index of the matching entry in the set, or -1.
+func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) int {
 	base := int(setIdx) * t.cfg.PHTWays
 	set := t.pht[base : base+t.cfg.PHTWays]
-	key := lastTag & t.tagMask
+	key := uint32(lastTag & t.tagMask)
 	for i := range set {
 		if set[i].valid && set[i].tag == key {
-			return &set[i]
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-// phtAllocate returns the matching entry, allocating (LRU victim) if absent.
-func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
-	if e := t.phtProbe(setIdx, lastTag); e != nil {
-		return e
+// entryTargets returns entry i's MRU target list.
+func (t *TCP) entryTargets(i int) []uint64 {
+	return t.targets[i*t.cfg.Targets:][:t.pht[i].n]
+}
+
+// phtAllocate returns the index of the matching entry, allocating (LRU
+// victim) if absent.
+func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
+	if i := t.phtProbe(setIdx, lastTag); i >= 0 {
+		return i
 	}
 	base := int(setIdx) * t.cfg.PHTWays
 	set := t.pht[base : base+t.cfg.PHTWays]
@@ -300,16 +309,10 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
 		// small PHT across sets (Figures 11-13).
 		t.st.Evictions++
 		t.tr.Emit(telemetry.Event{Cycle: t.clock, Type: "pht.evict",
-			Level: telemetry.LevelDebug, Addr: set[victim].tag, Value: int64(setIdx)})
+			Level: telemetry.LevelDebug, Addr: uint64(set[victim].tag), Value: int64(setIdx)})
 	}
-	// Reinitialise in place, keeping the targets backing array so retraining
-	// the recycled entry does not reallocate.
-	v := &set[victim]
-	v.tag = lastTag & t.tagMask
-	v.valid = true
-	v.used = 0
-	v.targets = v.targets[:0]
-	return v
+	set[victim] = phtEntry{tag: uint32(lastTag & t.tagMask), valid: true}
+	return base + victim
 }
 
 // OnMiss implements prefetch.Prefetcher: the update and lookup operations
@@ -317,15 +320,14 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) *phtEntry {
 func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	t.st.Misses++
 	t.clock++
-	row := t.tht[m.Index]
 	k := t.cfg.HistoryDepth
+	row := t.tht[int(m.Index)*k:][:k]
 
 	// Update: train PHT[old sequence] with the observed successor.
 	if t.thtFill[m.Index] == k {
-		setIdx := t.phtIndex(row, m.Index)
-		e := t.phtAllocate(setIdx, row[k-1])
-		e.used = t.clock
-		t.train(e, m.Tag)
+		i := t.phtAllocate(t.phtIndex(row, m.Index), row[k-1])
+		t.pht[i].used = t.clock
+		t.train(i, m.Tag)
 		t.st.Updates++
 	}
 
@@ -345,10 +347,10 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	t.st.Lookups++
 	reqs := t.reqs[:0]
 	setIdx := t.phtIndex(row, m.Index)
-	if e := t.phtProbe(setIdx, m.Tag); e != nil && len(e.targets) > 0 {
-		e.used = t.clock
+	if i := t.phtProbe(setIdx, m.Tag); i >= 0 && t.pht[i].n > 0 {
+		t.pht[i].used = t.clock
 		t.st.Hits++
-		for _, tg := range e.targets {
+		for _, tg := range t.entryTargets(i) {
 			a := t.cfg.L1.Compose(tg, m.Index)
 			if t.cfg.L1.Block(m.Addr) == a {
 				continue // predicting the line that just missed is useless
@@ -407,27 +409,25 @@ func hasTarget(reqs []prefetch.Request, a addr.Addr) bool {
 	return false
 }
 
-// train records successor as the MRU target of entry e.
+// train records successor as the MRU target of entry i.
 //
 // Stored targets keep full tag width so the prefetch address can be
 // reconstructed exactly; the TagBits truncation applies to matching and to
 // the storage accounting, mirroring how a real implementation would store
 // only the bits needed to rebuild an address within the reachable region.
-func (t *TCP) train(e *phtEntry, successor uint64) {
+func (t *TCP) train(i int, successor uint64) {
 	// MRU-move in place: [successor] followed by the remaining targets in
-	// their previous order, capped at Targets, without reallocating.
-	for i, s := range e.targets {
-		if s == successor {
-			copy(e.targets[1:i+1], e.targets[:i])
-			e.targets[0] = successor
-			return
-		}
+	// their previous order, capped at Targets.
+	list := t.targets[i*t.cfg.Targets:][:t.cfg.Targets]
+	n := int(t.pht[i].n)
+	j := 0
+	for j < n && list[j] != successor {
+		j++
 	}
-	if len(e.targets) < t.cfg.Targets {
-		e.targets = append(e.targets, 0)
-	}
-	copy(e.targets[1:], e.targets)
-	e.targets[0] = successor
+	j = min(j, len(list)-1) // a new target drops the LRU one from a full list
+	copy(list[1:j+1], list[:j])
+	list[0] = successor
+	t.pht[i].n = uint8(max(n, j+1))
 }
 
 // OnAccess implements prefetch.Prefetcher (TCP only observes misses).
@@ -454,17 +454,10 @@ func (t *TCP) Stats() Stats { return t.st }
 
 // Reset implements prefetch.Prefetcher.
 func (t *TCP) Reset() {
-	for i := range t.tht {
-		for j := range t.tht[i] {
-			t.tht[i][j] = 0
-		}
-	}
-	for i := range t.thtFill {
-		t.thtFill[i] = 0
-	}
-	for i := range t.pht {
-		t.pht[i] = phtEntry{}
-	}
+	clear(t.tht)
+	clear(t.thtFill)
+	clear(t.pht)
+	clear(t.targets)
 	t.clock = 0
 	t.st = Stats{}
 }
