@@ -1,0 +1,388 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"tagprefetch/internal/addr"
+	"tagprefetch/internal/checkpoint"
+	"tagprefetch/internal/prefetch"
+	"tagprefetch/internal/trace"
+)
+
+// denseTCP is the reference TCP for the sparse PHT: the layout in which
+// every PHT set's ways are preallocated at pht[set*PHTWays:] and their
+// targets at targets[set*PHTWays*Targets:]. It mirrors TCP's update,
+// lookup and Save, so the differential tests below hold the demand-
+// materialised tables to the same requests, counters and checkpoint bytes.
+type denseTCP struct {
+	geo     *TCP // index hash and geometry only; its own tables stay empty
+	cfg     Config
+	tht     []uint64
+	thtFill []int
+	pht     []phtEntry
+	targets []uint64
+	clock   int64
+	st      Stats
+}
+
+func newDense(cfg Config) *denseTCP {
+	geo := New(cfg)
+	cfg = geo.cfg
+	return &denseTCP{
+		geo:     geo,
+		cfg:     cfg,
+		tht:     make([]uint64, cfg.L1.Sets()*cfg.HistoryDepth),
+		thtFill: make([]int, cfg.L1.Sets()),
+		pht:     make([]phtEntry, cfg.PHTSets*cfg.PHTWays),
+		targets: make([]uint64, cfg.PHTSets*cfg.PHTWays*cfg.Targets),
+	}
+}
+
+func (d *denseTCP) probe(setIdx, lastTag uint64) int {
+	base := int(setIdx) * d.cfg.PHTWays
+	key := uint32(lastTag & d.geo.tagMask)
+	for i := base; i < base+d.cfg.PHTWays; i++ {
+		if d.pht[i].valid && d.pht[i].tag == key {
+			return i
+		}
+	}
+	return -1
+}
+
+func (d *denseTCP) allocate(setIdx, lastTag uint64) int {
+	if i := d.probe(setIdx, lastTag); i >= 0 {
+		return i
+	}
+	base := int(setIdx) * d.cfg.PHTWays
+	set := d.pht[base : base+d.cfg.PHTWays]
+	victim := 0
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+			break
+		}
+		if set[i].used < set[victim].used {
+			victim = i
+		}
+	}
+	d.st.Allocs++
+	if set[victim].valid {
+		d.st.Evictions++
+	}
+	set[victim] = phtEntry{tag: uint32(lastTag & d.geo.tagMask), valid: true}
+	return base + victim
+}
+
+func (d *denseTCP) entryTargets(i int) []uint64 {
+	return d.targets[i*d.cfg.Targets:][:d.pht[i].n]
+}
+
+func (d *denseTCP) train(i int, successor uint64) {
+	list := d.targets[i*d.cfg.Targets:][:d.cfg.Targets]
+	n := int(d.pht[i].n)
+	j := 0
+	for j < n && list[j] != successor {
+		j++
+	}
+	j = min(j, len(list)-1)
+	copy(list[1:j+1], list[:j])
+	list[0] = successor
+	d.pht[i].n = uint8(max(n, j+1))
+}
+
+func (d *denseTCP) OnMiss(m trace.Miss) []prefetch.Request {
+	d.st.Misses++
+	d.clock++
+	k := d.cfg.HistoryDepth
+	row := d.tht[int(m.Index)*k:][:k]
+	if d.thtFill[m.Index] == k {
+		i := d.allocate(d.geo.phtIndex(row, m.Index), row[k-1])
+		d.pht[i].used = d.clock
+		d.train(i, m.Tag)
+		d.st.Updates++
+	}
+	if d.thtFill[m.Index] < k {
+		row[d.thtFill[m.Index]] = m.Tag
+		d.thtFill[m.Index]++
+	} else {
+		copy(row, row[1:])
+		row[k-1] = m.Tag
+	}
+	if d.thtFill[m.Index] < k {
+		return nil
+	}
+	d.st.Lookups++
+	var reqs []prefetch.Request
+	if i := d.probe(d.geo.phtIndex(row, m.Index), m.Tag); i >= 0 && d.pht[i].n > 0 {
+		d.pht[i].used = d.clock
+		d.st.Hits++
+		for _, tg := range d.entryTargets(i) {
+			a := d.cfg.L1.Compose(tg, m.Index)
+			if d.cfg.L1.Block(m.Addr) == a {
+				continue
+			}
+			reqs = append(reqs, prefetch.Request{Addr: a, ToL1: d.cfg.PrefetchToL1})
+			d.st.Predictions++
+		}
+	}
+	if d.cfg.StrideAssist {
+		if next, ok := stridedNext(row); ok {
+			a := d.cfg.L1.Compose(next, m.Index)
+			if a != d.cfg.L1.Block(m.Addr) && !hasTarget(reqs, a) {
+				reqs = append(reqs, prefetch.Request{Addr: a, ToL1: d.cfg.PrefetchToL1})
+				d.st.StridePredictions++
+			}
+		}
+	}
+	return reqs
+}
+
+// image returns the dense table's checkpoint in TCP's format.
+func (d *denseTCP) image() []byte {
+	w := checkpoint.NewWriter()
+	w.Section("tcp")
+	w.I64(d.clock)
+	w.U32(uint32(len(d.thtFill)))
+	w.U32(uint32(d.cfg.HistoryDepth))
+	for _, tag := range d.tht {
+		w.U64(tag)
+	}
+	w.Ints(d.thtFill)
+	w.U32(uint32(len(d.pht)))
+	// The PHT records are encoded by hand, one Write for the whole table,
+	// so the reference does not share the encoder under test and a 2 M
+	// entry image stays cheap under the race detector.
+	le := binary.LittleEndian
+	buf := make([]byte, 0, len(d.pht)*21+len(d.targets)*8)
+	for i, e := range d.pht {
+		buf = le.AppendUint64(buf, uint64(e.tag))
+		buf = le.AppendUint64(buf, uint64(e.used))
+		valid := byte(0)
+		if e.valid {
+			valid = 1
+		}
+		buf = append(buf, valid)
+		buf = le.AppendUint32(buf, uint32(e.n))
+		for _, tg := range d.entryTargets(i) {
+			buf = le.AppendUint64(buf, tg)
+		}
+	}
+	w.Write(buf)
+	for _, f := range d.st.fields() {
+		w.U64(*f)
+	}
+	return w.Finish()
+}
+
+// mixedMisses returns n seeded misses. Half come from 64 sets and a
+// 12-tag alphabet, so sequences repeat (hits, multi-target training) and
+// collide (evictions); sets 0-3 of those stride for the stride assist. The
+// other half spread over every L1 set with 16-bit tags, materialising a
+// fresh PHT set on most updates once the miss index picks the set.
+func mixedMisses(g addr.Geometry, seed uint64, n int) []trace.Miss {
+	out := make([]trace.Miss, n)
+	x := seed*0x9E3779B97F4A7C15 | 1
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if x&1 == 0 {
+			set := uint32(x>>1) % 64
+			tag := (x >> 32) % 12
+			if set < 4 {
+				tag = uint64(i) * 3
+			}
+			out[i] = missAt(g, tag, set)
+			continue
+		}
+		out[i] = missAt(g, (x>>32)&0xFFFF, uint32(x>>8)%uint32(g.Sets()))
+	}
+	return out
+}
+
+// lockstep feeds misses to both TCPs, failing at the first miss whose
+// requests or counters differ. Every saveEvery misses (0: never) it also
+// compares Save bytes.
+func lockstep(t *testing.T, sparse *TCP, dense *denseTCP, misses []trace.Miss, saveEvery int) {
+	t.Helper()
+	for i, m := range misses {
+		have := sparse.OnMiss(m)
+		if want := dense.OnMiss(m); !slices.Equal(have, want) {
+			t.Fatalf("miss %d: %+v, want %+v", i, have, want)
+		}
+		if sparse.Stats() != dense.st {
+			t.Fatalf("miss %d: stats %+v, want %+v", i, sparse.Stats(), dense.st)
+		}
+		if saveEvery > 0 && (i+1)%saveEvery == 0 && !bytes.Equal(snapshot(t, sparse), dense.image()) {
+			t.Fatalf("Save after %d misses differs from the dense table's", i+1)
+		}
+	}
+}
+
+// TestSparsePHTMatchesDense drives the sparse TCP and the dense reference
+// with the same seeded miss streams: every OnMiss returns the same
+// requests, the counters agree, and Save bytes are equal every 1000
+// misses. A second stream after Reset reuses the pools' stale frames.
+func TestSparsePHTMatchesDense(t *testing.T) {
+	g := l1()
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		misses int
+	}{
+		{"tcp-8K", TCP8K(g), 6000},
+		// About 5000 materialised sets: the pools grow past New's
+		// reservation.
+		{"tcp-8M", TCP8M(g), 10000},
+		{"targets-3", Config{L1: g, Targets: 3}, 6000},
+		{"stride-k3", Config{L1: g, HistoryDepth: 3, StrideAssist: true}, 6000},
+		{"hash-xor", Config{L1: g, Hash: HashXOR, PHTSets: 1024, IndexBits: 4}, 6000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sparse := New(tc.cfg)
+			lockstep(t, sparse, newDense(tc.cfg), mixedMisses(g, 7, tc.misses), 1000)
+			s := sparse.Stats()
+			if s.Hits == 0 || s.Evictions == 0 {
+				t.Errorf("stream left the PHT barely exercised: %+v", s)
+			}
+			if tc.cfg.StrideAssist && s.StridePredictions == 0 {
+				t.Error("stride assist never predicted")
+			}
+			if sets := len(sparse.pht) / sparse.cfg.PHTWays; tc.name == "tcp-8M" && sets <= initialFrames {
+				t.Errorf("%d sets materialised, want more than %d to cover pool growth", sets, initialFrames)
+			}
+			sparse.Reset()
+			lockstep(t, sparse, newDense(tc.cfg), mixedMisses(g, 8, 2000), 1000)
+		})
+	}
+}
+
+// zeroWayImage is a TCP-8K checkpoint in which set 5 has an all-zero way 0
+// ahead of a trained way 3, and every other set is all zero.
+func zeroWayImage(g addr.Geometry) []byte {
+	d := newDense(TCP8K(g))
+	i := 5*d.cfg.PHTWays + 3
+	d.pht[i] = phtEntry{used: 9, tag: 42, n: 1, valid: true}
+	d.targets[i*d.cfg.Targets] = 77
+	d.clock = 9
+	return d.image()
+}
+
+func TestRestoreMaterialisesOnlyTrainedSets(t *testing.T) {
+	g := l1()
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		sets int
+	}{
+		{"zero way before trained way", zeroWayImage(g), 1},
+		{"only zero sets", newDense(TCP8K(g)).image(), 0},
+		{"invalid way with non-zero fields", func() []byte {
+			d := newDense(TCP8K(g))
+			d.pht[9*d.cfg.PHTWays+2] = phtEntry{used: 3, tag: 7}
+			return d.image()
+		}(), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tcp := New(TCP8K(g))
+			for _, m := range missStream(g, 2000) { // stale sets Restore must drop
+				tcp.OnMiss(m)
+			}
+			if err := restore(tcp, tc.img); err != nil {
+				t.Fatal(err)
+			}
+			if sets := len(tcp.pht) / tcp.cfg.PHTWays; sets != tc.sets {
+				t.Errorf("Restore materialised %d sets, want %d", sets, tc.sets)
+			}
+			if again := snapshot(t, tcp); !bytes.Equal(again, tc.img) {
+				t.Error("Save after Restore is not byte-identical")
+			}
+		})
+	}
+}
+
+// TestOnMissGrowthBounded checks the pool growth rule on a TCP-8M stream
+// that materialises tens of thousands of sets: doubling keeps the
+// allocation count logarithmic and the cumulative bytes within twice the
+// final pools plus the directory.
+func TestOnMissGrowthBounded(t *testing.T) {
+	g := l1()
+	misses := make([]trace.Miss, 60000)
+	x := uint64(0x2545F4914F6CDD1D)
+	for i := range misses {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		misses[i] = missAt(g, (x>>32)&0xFFFF, uint32(x)%uint32(g.Sets()))
+	}
+	tcp := New(TCP8M(g))
+	// With the collector off, no GC-triggered runtime work (such as the
+	// unique-handle cleanup) allocates inside the measured window.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, m := range misses {
+		tcp.OnMiss(m)
+	}
+	runtime.ReadMemStats(&after)
+
+	sets := len(tcp.pht) / tcp.cfg.PHTWays
+	if sets < 40_000 {
+		t.Fatalf("stream materialised %d sets, want at least 40000", sets)
+	}
+	doublings := bits.Len(uint((sets - 1) / initialFrames)) // ceil(log2(sets/4096))
+	if n, limit := after.Mallocs-before.Mallocs, uint64(2*doublings+2); n > limit {
+		t.Errorf("%d sets: OnMiss allocated %d times, want at most %d", sets, n, limit)
+	}
+	pools := uint64(cap(tcp.pht))*16 + uint64(cap(tcp.targets))*8
+	dir := uint64(len(tcp.dir)) * 4
+	if b := after.TotalAlloc - before.TotalAlloc; b > 2*pools+dir {
+		t.Errorf("%d sets: OnMiss allocated %d bytes, want at most %d (2 x pools %d + directory %d)",
+			sets, b, 2*pools+dir, pools, dir)
+	}
+}
+
+// fuzzMisses decodes 4 bytes per miss: a little-endian 10-bit set index
+// and a 16-bit tag.
+func fuzzMisses(g addr.Geometry, data []byte) []trace.Miss {
+	out := make([]trace.Miss, 0, len(data)/4)
+	for ; len(data) >= 4; data = data[4:] {
+		set := uint32(binary.LittleEndian.Uint16(data)) % uint32(g.Sets())
+		out = append(out, missAt(g, uint64(binary.LittleEndian.Uint16(data[2:])), set))
+	}
+	return out
+}
+
+// FuzzSparsePHT is the differential oracle under fuzzing: any miss stream
+// must give the sparse and the dense TCP equal requests and counters at
+// every miss and equal Save bytes at the end. Each input saves two 1.4 MB
+// images, so minimizing at the default 60 s would take over a short run:
+// pass -fuzzminimizetime=10x as CI does.
+func FuzzSparsePHT(f *testing.F) {
+	g := l1()
+	for _, seed := range []uint64{1, 2, 3} {
+		var data []byte
+		for _, m := range mixedMisses(g, seed, 400) {
+			data = binary.LittleEndian.AppendUint16(data, uint16(m.Index))
+			data = binary.LittleEndian.AppendUint16(data, uint16(m.Tag))
+		}
+		f.Add(data)
+	}
+	// TCP-8M-shaped (8 ways, every miss-index bit private) but with 8192
+	// PHT sets, so a Save per input stays small while a long input can
+	// still grow the pools past New's 4096-set reservation.
+	cfg := Config{L1: g, HistoryDepth: 2, PHTSets: 8192, PHTWays: 8, IndexBits: int(g.IndexBits())}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sparse, dense := New(cfg), newDense(cfg)
+		lockstep(t, sparse, dense, fuzzMisses(g, data), 0)
+		if !bytes.Equal(snapshot(t, sparse), dense.image()) {
+			t.Fatalf("Save differs from the dense table's after %d misses", len(data)/4)
+		}
+	})
+}

@@ -132,10 +132,18 @@ type TCP struct {
 	idxMask uint32 //tcp:nosnap geometry derived from cfg at construction
 	hiBits  uint   //tcp:nosnap geometry derived from cfg at construction
 
-	tht     []uint64   // L1 sets x k tag history, row-major, oldest first
-	thtFill []int      // valid tags per row
-	pht     []phtEntry // PHTSets * PHTWays
-	targets []uint64   // PHTSets * PHTWays * Targets; entry i's MRU list is targets[i*Targets:][:n]
+	tht     []uint64 // L1 sets x k tag history, row-major, oldest first
+	thtFill []int    // valid tags per row
+
+	// The PHT is stored in proportion to the sets a run trains: dir has
+	// one slot per PHT set, 0 for a set never allocated (all ways invalid)
+	// and otherwise 1 + the set's frame. Frame f holds the set's ways at
+	// pht[f*PHTWays:] and their targets at targets[f*PHTWays*Targets:],
+	// frames numbered in first-allocation order. Entry indices (phtProbe,
+	// phtAllocate, train) are indices into pht.
+	dir     []uint32
+	pht     []phtEntry // frames x PHTWays
+	targets []uint64   // frames x PHTWays x Targets; entry i's MRU list is targets[i*Targets:][:n]
 	clock   int64
 
 	// reqs is the scratch buffer OnMiss returns; per the Prefetcher
@@ -178,6 +186,11 @@ func (s *Stats) fields() [8]*uint64 {
 		&s.Updates, &s.Allocs, &s.Evictions, &s.StridePredictions}
 }
 
+// initialFrames is the PHT pool capacity New reserves, in sets: every PHT
+// up to 128 KB (4096 8-way sets) fits without ever growing, so its OnMiss
+// never allocates.
+const initialFrames = 4096
+
 // New creates a TCP from cfg (zero fields take the paper's defaults).
 func New(cfg Config) *TCP {
 	cfg = cfg.withDefaults()
@@ -193,8 +206,9 @@ func New(cfg Config) *TCP {
 	t.hiBits = log2u(cfg.PHTSets) - uint(cfg.IndexBits)
 	t.tht = make([]uint64, cfg.L1.Sets()*cfg.HistoryDepth)
 	t.thtFill = make([]int, cfg.L1.Sets())
-	t.pht = make([]phtEntry, cfg.PHTSets*cfg.PHTWays)
-	t.targets = make([]uint64, len(t.pht)*cfg.Targets)
+	t.dir = make([]uint32, cfg.PHTSets)
+	t.pht = make([]phtEntry, 0, min(cfg.PHTSets, initialFrames)*cfg.PHTWays)
+	t.targets = make([]uint64, 0, cap(t.pht)*cfg.Targets)
 	t.tr = telemetry.Nop()
 	return t
 }
@@ -267,9 +281,14 @@ func (t *TCP) phtIndex(seq []uint64, missIndex uint32) uint64 {
 	return ((hi << uint(t.cfg.IndexBits)) | lo) & t.setMask
 }
 
-// phtProbe returns the index of the matching entry in the set, or -1.
+// phtProbe returns the index of the matching entry in the set, or -1. A
+// set never allocated has no valid way.
 func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) int {
-	base := int(setIdx) * t.cfg.PHTWays
+	f := t.dir[setIdx]
+	if f == 0 {
+		return -1
+	}
+	base := int(f-1) * t.cfg.PHTWays
 	set := t.pht[base : base+t.cfg.PHTWays]
 	key := uint32(lastTag & t.tagMask)
 	for i := range set {
@@ -291,7 +310,7 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
 	if i := t.phtProbe(setIdx, lastTag); i >= 0 {
 		return i
 	}
-	base := int(setIdx) * t.cfg.PHTWays
+	base := t.frame(setIdx) * t.cfg.PHTWays
 	set := t.pht[base : base+t.cfg.PHTWays]
 	victim := 0
 	for i := range set {
@@ -313,6 +332,40 @@ func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
 	}
 	set[victim] = phtEntry{tag: uint32(lastTag & t.tagMask), valid: true}
 	return base + victim
+}
+
+// frame returns setIdx's frame, materialising the set (all ways invalid,
+// no targets) if it was never allocated.
+func (t *TCP) frame(setIdx uint64) int {
+	if f := t.dir[setIdx]; f != 0 {
+		return int(f - 1)
+	}
+	w, nt := t.cfg.PHTWays, t.cfg.PHTWays*t.cfg.Targets
+	f := len(t.pht) / w
+	if len(t.pht) == cap(t.pht) {
+		t.growPools(min(2*f, t.cfg.PHTSets))
+	}
+	// A frame reused after clearPHT holds stale entries. Its stale targets
+	// need no clearing: only the first n of an entry's slots are read.
+	t.pht = t.pht[:len(t.pht)+w]
+	clear(t.pht[f*w:])
+	t.targets = t.targets[:len(t.targets)+nt]
+	t.dir[setIdx] = uint32(f + 1)
+	return f
+}
+
+// growPools reallocates the PHT pools with room for frames sets. Doubling
+// (capped at PHTSets) bounds a run to O(log(sets/initialFrames)) growths
+// and its cumulative pool bytes to twice the final pools.
+//
+//tcp:coldpath capacity doubling; at most log2(PHTSets/4096) growths per TCP lifetime, none for PHTs up to 128 KB
+func (t *TCP) growPools(frames int) {
+	pht := make([]phtEntry, len(t.pht), frames*t.cfg.PHTWays)
+	copy(pht, t.pht)
+	t.pht = pht
+	targets := make([]uint64, len(t.targets), cap(pht)*t.cfg.Targets)
+	copy(targets, t.targets)
+	t.targets = targets
 }
 
 // OnMiss implements prefetch.Prefetcher: the update and lookup operations
@@ -456,8 +509,14 @@ func (t *TCP) Stats() Stats { return t.st }
 func (t *TCP) Reset() {
 	clear(t.tht)
 	clear(t.thtFill)
-	clear(t.pht)
-	clear(t.targets)
+	t.clearPHT()
 	t.clock = 0
 	t.st = Stats{}
+}
+
+// clearPHT empties the PHT, keeping the pools' capacity for reuse.
+func (t *TCP) clearPHT() {
+	clear(t.dir)
+	t.pht = t.pht[:0]
+	t.targets = t.targets[:0]
 }

@@ -191,7 +191,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	id := sweepID(req.Tenant, req)
 	s.mu.Lock()
 	if sw, ok := s.sweeps[id]; ok && sw.state != StateCancelled && sw.state != StateFailed {
-		status := s.statusLocked(sw, nil)
+		status := s.statusLocked(sw)
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, status)
 		return
@@ -236,7 +236,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Re-check identity: a concurrent identical POST may have won.
 	if sw, ok := s.sweeps[id]; ok && sw.state != StateCancelled && sw.state != StateFailed {
-		status := s.statusLocked(sw, nil)
+		status := s.statusLocked(sw)
 		s.mu.Unlock()
 		writeJSON(w, http.StatusOK, status)
 		return
@@ -274,7 +274,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.sched.push(req.Tenant, refs...)
 		s.cond.Broadcast()
 	}
-	status := s.statusLocked(sw, nil)
+	status := s.statusLocked(sw)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, status)
 }
@@ -305,9 +305,10 @@ func (s *Server) retryAfterLocked() int {
 	return retry
 }
 
-// statusLocked builds a sweep's status body. Callers hold s.mu; rollup is
-// nil for POST responses (no fleet scan on the admission path).
-func (s *Server) statusLocked(sw *sweepRec, rollup *fleetobs.StateCounts) Status {
+// statusLocked builds a sweep's status body without the fleet rollup,
+// which only GET attaches (no fleet scan on the admission path). Callers
+// hold s.mu.
+func (s *Server) statusLocked(sw *sweepRec) Status {
 	return Status{
 		ID: sw.id, Tenant: sw.tenant, Sweep: sw.req.Sweep,
 		State: sw.state, CreatedNS: sw.createdNS,
@@ -317,7 +318,6 @@ func (s *Server) statusLocked(sw *sweepRec, rollup *fleetobs.StateCounts) Status
 			Executed:       sw.executed,
 			Pending:        len(sw.pending),
 		},
-		States:  rollup,
 		Failure: sw.failure,
 		Workers: s.workerStats(),
 	}
@@ -326,12 +326,19 @@ func (s *Server) statusLocked(sw *sweepRec, rollup *fleetobs.StateCounts) Status
 // handleStatus reports one sweep, rolling its job set up through a fresh
 // fleetobs scan so the response shows claim/lease-level detail even for
 // jobs external fleet workers are running.
+//
+// The status is taken before the scan, which runs outside s.mu. A job's
+// manifest is written before finish can mark its sweep done, so a done
+// state read first implies a rollup with every job done; scanning first
+// could pair a later done with a rollup from before the last manifest.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	sw, ok := s.sweeps[id]
+	var status Status
 	var jobNames []string
 	if ok {
+		status = s.statusLocked(sw)
 		jobNames = append(jobNames, sw.jobNames...)
 	}
 	s.mu.Unlock()
@@ -339,14 +346,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("sweepd: unknown sweep %q", id))
 		return
 	}
-	var rollup *fleetobs.StateCounts
 	if snap, err := fleetobs.Scan(s.cacheDir, s.cfg.Clock); err == nil {
 		counts, _ := snap.Rollup(jobNames)
-		rollup = &counts
+		status.States = &counts
 	}
-	s.mu.Lock()
-	status := s.statusLocked(sw, rollup)
-	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, status)
 }
 
@@ -420,7 +423,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.sched.removeSweep(sw)
 		s.mSweepsCanceled.Inc()
 	}
-	status := s.statusLocked(sw, nil)
+	status := s.statusLocked(sw)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, status)
 }

@@ -174,6 +174,72 @@ func TestSweepLifecycle(t *testing.T) {
 	}
 }
 
+// TestSweepLifecycleStatusRollup polls a sweep's status from a second
+// goroutine for the whole run: every response that says done must carry a
+// rollup with every job done, never one scanned before the last manifest.
+func TestSweepLifecycleStatusRollup(t *testing.T) {
+	var s *Server
+	exec := func(j experiment.Job) error {
+		time.Sleep(2 * time.Millisecond) // spread the sweep over many polls
+		return manifestStub(s)(j)
+	}
+	var ts *httptest.Server
+	s, ts = newTestServer(t, Config{Workers: 2}, exec)
+	code, st, _ := postSweep(t, ts, Request{Sweep: "nbits", Benches: []string{"swim"}, Tenant: "alice"})
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d, want 202", code)
+	}
+
+	stop := make(chan struct{})
+	bad := make(chan string, 1)
+	var polls, dones int
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(ts.URL + "/v1/sweeps/" + st.ID)
+			if err != nil {
+				bad <- err.Error()
+				return
+			}
+			var cur Status
+			err = json.NewDecoder(resp.Body).Decode(&cur)
+			resp.Body.Close()
+			if err != nil {
+				bad <- err.Error()
+				return
+			}
+			polls++
+			if cur.State != StateDone {
+				continue
+			}
+			dones++
+			if cur.States == nil || cur.States.Done != cur.Jobs.Total {
+				bad <- fmt.Sprintf("done status with rollup %+v, want %d done", cur.States, cur.Jobs.Total)
+				return
+			}
+		}
+	}()
+	waitState(t, ts, st.ID, StateDone)
+	time.Sleep(20 * time.Millisecond) // let the poller see done too
+	close(stop)
+	wg.Wait()
+	select {
+	case msg := <-bad:
+		t.Fatal(msg)
+	default:
+	}
+	if polls < 2 || dones == 0 {
+		t.Errorf("poller saw %d statuses, %d of them done; want the sweep polled throughout", polls, dones)
+	}
+}
+
 // TestTwoTenantFairness is the acceptance criterion at the HTTP layer:
 // one serial worker, tenant alice floods first, tenant bob arrives while
 // alice's first job is in flight — and from then on every scheduling
