@@ -34,33 +34,16 @@ import (
 	"tagprefetch/internal/workload"
 )
 
-func factory(name string, phtBytes, nbits int) (sim.Factory, error) {
-	switch strings.ToLower(name) {
-	case "none":
-		return sim.NoPrefetch(), nil
-	case "tcp8k":
-		return sim.TCP8K(), nil
-	case "tcp8m":
-		return sim.TCP8M(), nil
-	case "hybrid8k":
-		return sim.Hybrid8K(), nil
-	case "dbcp", "dbcp2m":
-		return sim.DBCP2M(), nil
-	case "stride":
-		return sim.Stride(), nil
-	case "stream":
-		return sim.StreamBuffers(), nil
-	case "markov":
-		return sim.Markov(), nil
-	case "nextline":
-		return sim.NextLine(), nil
-	case "ghb":
-		return sim.GHB(), nil
-	case "tcp":
-		return sim.TCPWithPHT(phtBytes, nbits, false), nil
-	default:
-		return sim.Factory{}, fmt.Errorf("unknown prefetcher %q", name)
+// pfUsage is the -pf help text: every row of the scheme table, plus the
+// parameterised tcp this command builds from -pht and -nbits.
+func pfUsage() string {
+	var b strings.Builder
+	b.WriteString("prefetcher:")
+	for _, sc := range sim.Schemes {
+		fmt.Fprintf(&b, "\n%-9s %s", sc.Name, sc.Doc)
 	}
+	b.WriteString("\ntcp       TCP with a -pht byte PHT and -nbits miss-index bits")
+	return b.String()
 }
 
 // main delegates to run so that error exits unwind normally: os.Exit would
@@ -71,7 +54,7 @@ func main() { os.Exit(run()) }
 func run() int {
 	var (
 		bench    = flag.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
-		pfName   = flag.String("pf", "none", "prefetcher: none|tcp8k|tcp8m|hybrid8k|dbcp2m|stride|stream|markov|ghb|nextline|tcp")
+		pfName   = flag.String("pf", "none", pfUsage())
 		pht      = flag.Int("pht", 8192, "PHT bytes for -pf tcp")
 		nbits    = flag.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
 		n        = flag.Uint64("n", 1_000_000, "measured instructions")
@@ -124,8 +107,10 @@ func run() int {
 		return 0
 	}
 
-	f, err := factory(*pfName, *pht, *nbits)
-	if err != nil {
+	var f sim.Factory
+	if strings.EqualFold(*pfName, "tcp") {
+		f = sim.TCPWithPHT(*pht, *nbits, false)
+	} else if f, err = sim.LookupScheme(*pfName); err != nil {
 		fmt.Fprintln(os.Stderr, "tcpsim:", err)
 		return 2
 	}

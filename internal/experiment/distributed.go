@@ -61,6 +61,22 @@ func (e *IncompleteGridError) Error() string {
 		e.Job, kind, e.Bench, e.Factory)
 }
 
+// CatchIncomplete runs fn and returns the *IncompleteGridError a strict
+// gather raised inside it as an ordinary error. Any other panic propagates.
+func CatchIncomplete(fn func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			ige, ok := p.(*IncompleteGridError)
+			if !ok {
+				panic(p)
+			}
+			err = ige
+		}
+	}()
+	fn()
+	return nil
+}
+
 // requireComplete enforces strict-gather mode for a storable job whose
 // manifest lookup just missed.
 func (r *Runner) requireComplete(bench, factory string, baseline bool, c sim.Config) {

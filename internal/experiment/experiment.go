@@ -12,6 +12,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/memsys"
@@ -71,6 +72,26 @@ func (o Options) withDefaults() Options {
 		o.Runner = NewRunner(o.Jobs)
 	}
 	return o
+}
+
+// BenchError reports a benchmark name that workload.Names() lacks.
+type BenchError struct{ Name string }
+
+func (e *BenchError) Error() string { return fmt.Sprintf("unknown benchmark %q", e.Name) }
+
+// Validate checks o before a grid is planned or its checkpoint directory
+// touched: the window as sim.Config.Validate judges every job's config (a
+// *sim.ConfigError), then every bench name (a *BenchError).
+func (o Options) Validate() error {
+	if err := o.withDefaults().simConfig().Validate(); err != nil {
+		return err
+	}
+	for _, b := range o.Benches {
+		if !slices.Contains(workload.Names(), b) {
+			return &BenchError{Name: b}
+		}
+	}
+	return nil
 }
 
 func (o Options) simConfig() sim.Config {

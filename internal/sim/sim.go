@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/cache"
@@ -251,6 +252,50 @@ func NextLine() Factory {
 	return Factory{Name: "nextline", Build: func(l1 addr.Geometry) (prefetch.Prefetcher, bool) {
 		return prefetch.NewNextLine(l1, 1), false
 	}}
+}
+
+// Scheme is one named prefetcher configuration: the name a command line or
+// the library's Prefetcher type selects it by, and its one-line doc.
+type Scheme struct {
+	Name    string
+	Doc     string
+	Factory func() Factory
+}
+
+// Schemes lists the named configurations in the order help texts show
+// them. It is the one place a scheme is named; LookupScheme resolves it.
+var Schemes = []Scheme{
+	{"none", "no prefetching (baseline)", NoPrefetch},
+	{"tcp8k", "TCP, 8 KB shared PHT (the paper's design point)", TCP8K},
+	{"tcp8m", "TCP, 8 MB private-per-set PHT (idealised)", TCP8M},
+	{"hybrid8k", "TCP-8K + dead-block-gated L1 promotion", Hybrid8K},
+	{"dbcp2m", "dead-block correlating prefetcher, 2 MB table", DBCP2M},
+	{"stride", "Baer-Chen reference prediction table", Stride},
+	{"stream", "Jouppi stream buffers", StreamBuffers},
+	{"markov", "Joseph-Grunwald Markov prefetcher", Markov},
+	{"ghb", "Nesbit-Smith global history buffer (PC/DC)", GHB},
+	{"nextline", "degree-1 next-line", NextLine},
+}
+
+// LookupScheme resolves a scheme name, ignoring letter case. The empty
+// name means "none" and "dbcp" means "dbcp2m". An unknown name returns an
+// error listing the table.
+func LookupScheme(name string) (Factory, error) {
+	key := strings.ToLower(name)
+	switch key {
+	case "":
+		key = "none"
+	case "dbcp":
+		key = "dbcp2m"
+	}
+	names := make([]string, len(Schemes))
+	for i, s := range Schemes {
+		if s.Name == key {
+			return s.Factory(), nil
+		}
+		names[i] = s.Name
+	}
+	return Factory{}, fmt.Errorf("unknown prefetcher %q (want %s)", name, strings.Join(names, " | "))
 }
 
 // Custom wraps an explicit TCP configuration.

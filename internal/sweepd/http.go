@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -11,14 +12,16 @@ import (
 	"tagprefetch/internal/fleetobs"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/telemetry"
+	"tagprefetch/internal/workload"
 )
 
 // Request is the POST /v1/sweeps body. Every omitted numeric field selects
 // the tcpsweep default, so the JSON `{"sweep":"size"}` and the CLI
 // `tcpsweep -sweep size` describe the same grid.
 type Request struct {
-	// Sweep names the grid (catalog: the tcpsweep -sweep values, minus
-	// branchpred — see catalog.go).
+	// Sweep names the grid: a row of experiment.Sweeps, the table behind
+	// tcpsweep's -sweep. branchpred is refused when the grid is planned,
+	// because its points are not content-addressable.
 	Sweep string `json:"sweep"`
 	// Benches restricts the benchmark set (default: all 26, paper order).
 	// Order matters: it shapes the rendered result body.
@@ -121,12 +124,21 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, body)
 }
 
+// configFields maps each sim.Config field that Validate checks and a
+// Request sets to its JSON name, so a *sim.ConfigError is reported on the
+// field the client sent.
+var configFields = map[string]string{
+	"Instructions":   "instructions",
+	"Warmup":         "warmup",
+	"WarmupFidelity": "warmup_fidelity",
+}
+
 // normalize validates a request and fills defaults in place. The returned
-// error is always a *RequestError.
+// error is always a *RequestError. The window and benches are checked by
+// experiment.Options.Validate, the same check tcpsweep's flags pass.
 func normalize(req *Request, headerTenant string) error {
-	if _, ok := catalog[req.Sweep]; !ok {
-		return &RequestError{Field: "sweep",
-			Reason: fmt.Sprintf("unknown sweep %q (want %s)", req.Sweep, catalogNames())}
+	if _, err := experiment.LookupSweep(req.Sweep); err != nil {
+		return &RequestError{Field: "sweep", Reason: err.Error()}
 	}
 	if req.Instructions == 0 {
 		req.Instructions = 1_000_000
@@ -142,17 +154,15 @@ func normalize(req *Request, headerTenant string) error {
 		return &RequestError{Field: "warmup_fidelity", Reason: err.Error()}
 	}
 	req.WarmupFidelity = string(fid)
-	known := make(map[string]bool)
-	for _, b := range allBenches() {
-		known[b] = true
-	}
 	if len(req.Benches) == 0 {
-		req.Benches = allBenches()
+		req.Benches = workload.Names()
 	}
-	for _, b := range req.Benches {
-		if !known[b] {
-			return &RequestError{Field: "benches", Reason: fmt.Sprintf("unknown benchmark %q", b)}
+	if err := options(*req, nil).Validate(); err != nil {
+		var ce *sim.ConfigError
+		if errors.As(err, &ce) {
+			return &RequestError{Field: configFields[ce.Field], Reason: ce.Reason}
 		}
+		return &RequestError{Field: "benches", Reason: err.Error()}
 	}
 	if req.Tenant == "" {
 		req.Tenant = headerTenant
@@ -166,17 +176,27 @@ func normalize(req *Request, headerTenant string) error {
 	return nil
 }
 
+// decodeRequest parses a POST /v1/sweeps body, rejecting unknown fields
+// (typo protection). The error is a *RequestError on field "body".
+func decodeRequest(body io.Reader) (Request, error) {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	var req Request
+	if err := dec.Decode(&req); err != nil {
+		return req, &RequestError{Field: "body", Reason: err.Error()}
+	}
+	return req, nil
+}
+
 // handleCreate admits a sweep: decode, validate, dedup against an existing
 // identical sweep, plan the job set, answer what the cache can, and queue
 // the misses — or push back.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.mRequests.Inc()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		s.mInvalid.Inc()
-		writeError(w, http.StatusBadRequest, &RequestError{Field: "body", Reason: err.Error()})
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := normalize(&req, r.Header.Get("X-Tenant")); err != nil {

@@ -40,7 +40,6 @@ import (
 	"tagprefetch/internal/fleetobs"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/telemetry"
-	"tagprefetch/internal/workload"
 )
 
 // Config parameterizes a daemon. The zero value of every field selects a
@@ -365,16 +364,21 @@ func options(req Request, r *experiment.Runner) experiment.Options {
 }
 
 // planJobs expands a normalized request to its deduplicated job set by
-// running the sweep definition in plan mode: the experiment's own
-// job-construction code enumerates the grid, so the plan can never drift
-// from what execution or gather would do. Returns the jobs and their
-// parallel content addresses.
+// running the sweep in plan mode: the experiment's own job-construction
+// code enumerates the grid, so the plan can never drift from what
+// execution or gather would do. A sweep whose points are not
+// content-addressable (branchpred builds jobs around live predictors) is
+// refused: the daemon could neither cache nor distribute it honestly.
+// Returns the jobs and their parallel content addresses.
 func planJobs(req Request) ([]experiment.Job, []string, error) {
-	def := catalog[req.Sweep]
+	sw, err := experiment.LookupSweep(req.Sweep)
+	if err != nil {
+		return nil, nil, &RequestError{Field: "sweep", Reason: err.Error()}
+	}
 	r := experiment.NewRunner(1)
 	var all []experiment.Job
 	r.SetPlan(func(j experiment.Job) { all = append(all, j) })
-	def.run(options(req, r), discardWriter{})
+	sw.Run(options(req, r))
 	seen := make(map[string]bool, len(all))
 	var jobs []experiment.Job
 	var names []string
@@ -394,33 +398,23 @@ func planJobs(req Request) ([]experiment.Job, []string, error) {
 	return jobs, names, nil
 }
 
-// discardWriter is io.Discard without importing io here.
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 // render gathers a completed sweep's result from the manifest store into
 // the exact bytes `tcpsweep -sweep <name> -gather` would print: the sweep
-// definition runs under a strict-gather serial runner, so every value is
-// read from a manifest and rendered through the same series/table code as
-// the CLI. An IncompleteGridError (a manifest deleted out from under a
-// done sweep) surfaces as an error, not a panic.
-func (s *Server) render(sw *sweepRec) (out []byte, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if ige, ok := p.(*experiment.IncompleteGridError); ok {
-				err = ige
-				return
-			}
-			panic(p)
-		}
-	}()
+// runs under a strict-gather serial runner, so every value is read from a
+// manifest and printed by the same SweepResult.Print as the CLI. An
+// IncompleteGridError (a manifest deleted out from under a done sweep)
+// surfaces as an error, not a panic.
+func (s *Server) render(sw *sweepRec) ([]byte, error) {
+	def, err := experiment.LookupSweep(sw.req.Sweep)
+	if err != nil {
+		return nil, err
+	}
 	r := experiment.NewRunner(1)
 	r.SetResultStore(s.store)
 	r.SetStrictGather(true)
 	var buf bytes.Buffer
-	catalog[sw.req.Sweep].run(options(sw.req, r), &buf)
-	return buf.Bytes(), nil
+	err = experiment.CatchIncomplete(func() { def.Run(options(sw.req, r)).Print(&buf) })
+	return buf.Bytes(), err
 }
 
 // sweepID derives the daemon-level identity of a normalized request:
@@ -489,6 +483,3 @@ func (s *Server) workerStats() []telemetry.WorkerStats {
 	}
 	return out
 }
-
-// allBenches is the full benchmark set in paper order.
-func allBenches() []string { return workload.Names() }

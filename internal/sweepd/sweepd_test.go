@@ -3,8 +3,10 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -340,9 +342,11 @@ func TestJobBudget(t *testing.T) {
 	}
 }
 
-// TestInvalidRequests: every malformed request is a 400 naming the field;
-// branchpred is absent from the catalog because its grid points carry live
-// predictor state and cannot be content-addressed.
+// TestInvalidRequests: every malformed request is a 400 naming the field.
+// branchpred is a row of the sweep table, but planning refuses it because
+// its grid points carry live predictor state and cannot be
+// content-addressed. A window sim.Config.Validate rejects is refused at
+// admission, on the request field the config field came from.
 func TestInvalidRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1}, nil)
 	cases := []struct {
@@ -355,6 +359,8 @@ func TestInvalidRequests(t *testing.T) {
 		{"unknown bench", Request{Sweep: "nbits", Benches: []string{"doom"}}, "benches"},
 		{"bad fidelity", Request{Sweep: "nbits", WarmupFidelity: "psychic"}, "warmup_fidelity"},
 		{"negative budget", Request{Sweep: "nbits", MaxJobs: -1}, "max_jobs"},
+		{"window overflows", Request{Sweep: "nbits", Benches: []string{"swim"},
+			Instructions: 1, Warmup: math.MaxUint64}, "warmup"},
 	}
 	for _, tc := range cases {
 		code, _, data := postSweep(t, ts, tc.req)
@@ -374,6 +380,30 @@ func TestInvalidRequests(t *testing.T) {
 		map[string]any{"sweep": "nbits", "benchs": []string{"swim"}})
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown field POST = %d, want 400: %s", code, data)
+	}
+}
+
+// TestEverySweepPlans runs every row of the sweep table through the
+// daemon's planner: each plans a non-empty grid of unique content
+// addresses, except branchpred, which is refused on field "sweep".
+func TestEverySweepPlans(t *testing.T) {
+	for _, sw := range experiment.Sweeps {
+		req := Request{Sweep: sw.Name, Benches: []string{"swim", "mcf"}}
+		if err := normalize(&req, ""); err != nil {
+			t.Errorf("%s: normalize: %v", sw.Name, err)
+			continue
+		}
+		jobs, names, err := planJobs(req)
+		if sw.Name == "branchpred" {
+			var re *RequestError
+			if !errors.As(err, &re) || re.Field != "sweep" {
+				t.Errorf("branchpred: planJobs error = %v, want a RequestError on field sweep", err)
+			}
+			continue
+		}
+		if err != nil || len(jobs) == 0 || len(jobs) != len(names) {
+			t.Errorf("%s: planJobs = %d jobs, %d names, %v", sw.Name, len(jobs), len(names), err)
+		}
 	}
 }
 

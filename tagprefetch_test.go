@@ -3,6 +3,8 @@ package tagprefetch
 import (
 	"strings"
 	"testing"
+
+	"tagprefetch/internal/sim"
 )
 
 func quick() RunConfig { return RunConfig{Instructions: 100_000, Warmup: 200_000} }
@@ -42,6 +44,35 @@ func TestEmptyPrefetcherMeansNone(t *testing.T) {
 	f, err := Prefetcher("").Factory()
 	if err != nil || f.Name != "none" {
 		t.Errorf("empty prefetcher = %q, %v", f.Name, err)
+	}
+}
+
+// TestSchemeSpellings pins every prefetcher spelling the library or tcpsim
+// accepted before the scheme table existed to the Factory.Name it built
+// then: the ten constants, the library's "" and tcpsim's "dbcp", in any
+// letter case.
+func TestSchemeSpellings(t *testing.T) {
+	want := map[Prefetcher]string{
+		None: "none", TCP8K: "tcp-8K", TCP8M: "tcp-8M", Hybrid8K: "hybrid-8K",
+		DBCP2M: "dbcp-2M", Stride: "stride", Stream: "stream", Markov: "markov",
+		NextLine: "nextline", GHB: "ghb-pc/dc", "": "none", "dbcp": "dbcp-2M",
+	}
+	for p, name := range want {
+		for _, spelling := range []Prefetcher{p, Prefetcher(strings.ToUpper(string(p)))} {
+			f, err := spelling.Factory()
+			if err != nil || f.Name != name {
+				t.Errorf("Prefetcher(%q).Factory() = %q, %v; want %q", spelling, f.Name, err, name)
+			}
+		}
+	}
+	_, err := Prefetcher("tcp9k").Factory()
+	if err == nil {
+		t.Fatal("unknown prefetcher accepted")
+	}
+	for _, sc := range sim.Schemes {
+		if !strings.Contains(err.Error(), sc.Name) {
+			t.Errorf("unknown-name error %q does not list %q", err, sc.Name)
+		}
 	}
 }
 
