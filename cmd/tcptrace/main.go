@@ -14,10 +14,7 @@ import (
 	"net/http"
 	"os"
 
-	"tagprefetch/internal/addr"
-	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/memsys"
-	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/profiler"
 	"tagprefetch/internal/profiling"
 	"tagprefetch/internal/sim"
@@ -26,35 +23,6 @@ import (
 	"tagprefetch/internal/trace"
 	"tagprefetch/internal/workload"
 )
-
-// capture is a prefetcher-shaped tap on the miss stream.
-type capture struct {
-	prof  *profiler.Profiler
-	w     *trace.Writer
-	armed bool
-	err   error // first write error; stops further dumping, reported after the run
-}
-
-func (c *capture) Name() string { return "capture" }
-
-func (c *capture) OnMiss(m trace.Miss) []prefetch.Request {
-	if !c.armed {
-		return nil
-	}
-	c.prof.Observe(m)
-	if c.w != nil && c.err == nil {
-		// A failing sink must not abort mid-simulation (an os.Exit here
-		// would also skip the deferred profile flush): remember the first
-		// error, stop writing, and report it when the run completes.
-		c.err = c.w.Write(m)
-	}
-	return nil
-}
-
-func (c *capture) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
-func (c *capture) OnEvict(addr.Addr, int64, int64, int64)                        {}
-func (c *capture) StorageBits() uint64                                           { return 0 }
-func (c *capture) Reset()                                                        {}
 
 // statusEvery is how many simulated cycles apart -status-addr republishes
 // the registry a scrape reads.
@@ -77,7 +45,7 @@ func run() int {
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
-		statusAddr = flag.String("status-addr", "", "serve the live memory-hierarchy metric registry as Prometheus text on this address (/metrics) while tracing")
+		statusAddr = flag.String("status-addr", "", "serve the run's live metric registry as Prometheus text on this address (/metrics) while tracing")
 		seqLen     = flag.Int("k", 3, "tag-sequence length (paper: 3)")
 	)
 	flag.Parse()
@@ -123,32 +91,23 @@ func run() int {
 			prof.Observe(m)
 		}
 	case *bench != "":
-		spec, err := workload.Spec2000(*bench)
-		if err != nil {
+		// Reject a bad window or name before -o or -status-addr touch
+		// anything.
+		if *n == 0 {
+			fmt.Fprintln(os.Stderr, "tcptrace: -n must be positive")
+			return 2
+		}
+		if _, err := workload.Spec2000(*bench); err != nil {
 			fmt.Fprintln(os.Stderr, "tcptrace:", err)
 			return 1
 		}
-		cap := &capture{prof: prof, armed: *warm == 0}
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tcptrace:", err)
-				return 1
-			}
-			defer f.Close()
-			cap.w = trace.NewWriter(f)
-			defer cap.w.Flush() //nolint:errcheck
-		}
-		mem := memsys.New(memCfg, cap)
-		core := cpu.New(cpu.Config{}, mem)
-		// A scrape snapshots the hierarchy's registry, which the core
-		// republishes every statusEvery cycles through a probe-less
-		// sampler; between scrapes the simulation pays nothing.
+		cfg := sim.Config{Instructions: *n, Warmup: *warm, NoWarmup: *warm == 0,
+			Seed: *seed, WarmupFidelity: fid}
+		// A scrape snapshots the run's registry, which the core republishes
+		// every statusEvery cycles; between scrapes the simulation pays
+		// nothing.
 		if *statusAddr != "" {
-			reg := telemetry.NewRegistry()
-			mem.AttachTelemetry(reg.Sub("memsys"), telemetry.Nop())
-			core.OnPublish(mem.PublishCounters)
-			core.UseSampler(telemetry.NewSampler(statusEvery, 1))
+			cfg.Telemetry = telemetry.NewRun(statusEvery)
 			ln, err := net.Listen("tcp", *statusAddr)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tcptrace:", err)
@@ -156,7 +115,7 @@ func run() int {
 			}
 			mux := http.NewServeMux()
 			mux.Handle("/metrics", telemetry.PromHandler(func() []telemetry.PromSet {
-				return []telemetry.PromSet{telemetry.PromFromRegistry(reg,
+				return []telemetry.PromSet{telemetry.PromFromRegistry(cfg.Telemetry.Registry,
 					telemetry.PromLabel{Name: "bench", Value: *bench})}
 			}))
 			fmt.Fprintf(os.Stderr, "tcptrace: metrics on http://%s/metrics\n", ln.Addr())
@@ -164,23 +123,38 @@ func run() int {
 			go srv.Serve(ln) //nolint:errcheck // listener failure only loses the metrics view
 			defer srv.Close()
 		}
-		gen := workload.New(spec, *seed)
-		// Arm the capture tap at the warmup/measure boundary.
-		arm := func(int64) { cap.armed = true }
-		if fid == sim.FidelityFast {
-			// The warmup misses only train the profiler's armed==false tap,
-			// so the functional engine reproduces the measured trace exactly
-			// (docs/FASTFORWARD.md).
-			core.RunMeasuredFast(gen, *warm, *n, arm)
-		} else {
-			core.RunMeasured(gen, *warm, *n, arm)
+		var w *trace.Writer
+		var werr error // first write error; stops further dumping, reported after the run
+		if *out != "" {
+			f, err := os.Create(*out)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "tcptrace:", err)
+				return 1
+			}
+			defer f.Close()
+			w = trace.NewWriter(f)
+			defer w.Flush() //nolint:errcheck
 		}
-		if cap.err != nil {
-			fmt.Fprintln(os.Stderr, "tcptrace: write:", cap.err)
+		// The warmup engine follows the contract of docs/FASTFORWARD.md.
+		_, err := sim.ObserveMisses(*bench, cfg, func(m trace.Miss) {
+			prof.Observe(m)
+			if w != nil && werr == nil {
+				// A failing sink must not abort mid-simulation (an os.Exit
+				// here would also skip the deferred profile flush): remember
+				// the first error, stop writing, and report it after the run.
+				werr = w.Write(m)
+			}
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcptrace:", err)
 			return 1
 		}
-		if cap.w != nil {
-			fmt.Fprintf(os.Stderr, "tcptrace: wrote %d miss records to %s\n", cap.w.Count(), *out)
+		if werr != nil {
+			fmt.Fprintln(os.Stderr, "tcptrace: write:", werr)
+			return 1
+		}
+		if w != nil {
+			fmt.Fprintf(os.Stderr, "tcptrace: wrote %d miss records to %s\n", w.Count(), *out)
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "tcptrace: need -bench or -i; -h for help")

@@ -121,22 +121,3 @@ func (c *Core) SealFastForward() {
 	p.lastCommit = f
 	p.fetchResume = f
 }
-
-// FastForwarding reports whether the core is between FastForwardTo and
-// SealFastForward (functional state only, no pipeline timing yet).
-func (c *Core) FastForwarding() bool { return c.fastActive }
-
-// RunMeasuredFast is RunMeasured with the warmup window executed on the
-// functional fast-forward engine; the measured window runs cycle-accurate
-// from the sealed boundary. See the package comment above for which
-// counters this preserves and how tightly.
-func (c *Core) RunMeasuredFast(gen workload.Generator, warmup, measure uint64, onBoundary func(cycle int64)) Result {
-	c.reset()
-	n := warmup + measure
-	if warmup > 0 {
-		c.FastForwardTo(gen, warmup)
-		c.MarkWarmBoundary(onBoundary)
-	}
-	c.AdvanceTo(gen, n)
-	return c.Finish()
-}

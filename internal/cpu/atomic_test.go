@@ -13,21 +13,14 @@ import (
 func TestRunMeasuredZeroMeasureWindow(t *testing.T) {
 	for _, engine := range []struct {
 		name string
-		run  func(c *Core, g workload.Generator, onB func(int64)) Result
-	}{
-		{"full", func(c *Core, g workload.Generator, onB func(int64)) Result {
-			return c.RunMeasured(g, 10_000, 0, onB)
-		}},
-		{"fast", func(c *Core, g workload.Generator, onB func(int64)) Result {
-			return c.RunMeasuredFast(g, 10_000, 0, onB)
-		}},
-	} {
+		fast bool
+	}{{"full", false}, {"fast", true}} {
 		t.Run(engine.name, func(t *testing.T) {
 			calls := 0
 			var boundaryCycle int64
 			g := workload.New(workload.MustSpec2000("gzip"), 3)
 			core := New(Config{}, &fixedMem{latency: 5})
-			r := engine.run(core, g, func(cy int64) { calls++; boundaryCycle = cy })
+			r := runMeasured(core, g, 10_000, 0, engine.fast, func(cy int64) { calls++; boundaryCycle = cy })
 			if calls != 1 {
 				t.Fatalf("boundary callbacks = %d, want 1", calls)
 			}
@@ -50,7 +43,7 @@ func TestFastForwardClockIsInstructionCount(t *testing.T) {
 	g := workload.New(workload.MustSpec2000("swim"), 1)
 	core := New(Config{}, &fixedMem{latency: 5})
 	var boundary int64
-	core.RunMeasuredFast(g, 25_000, 1_000, func(cy int64) { boundary = cy })
+	runMeasured(core, g, 25_000, 1_000, true, func(cy int64) { boundary = cy })
 	if boundary != 25_000 {
 		t.Errorf("boundary cycle = %d, want 25000 (1 cycle/instruction)", boundary)
 	}
@@ -65,11 +58,7 @@ func TestFastWarmupEventCountersMatchFull(t *testing.T) {
 	run := func(fast bool) (Result, uint64) {
 		g := workload.New(workload.MustSpec2000("gzip"), 9)
 		mem := &fixedMem{latency: 8}
-		core := New(Config{}, mem)
-		if fast {
-			return core.RunMeasuredFast(g, warmup, measure, nil), mem.accesses
-		}
-		return core.RunMeasured(g, warmup, measure, nil), mem.accesses
+		return runMeasured(New(Config{}, mem), g, warmup, measure, fast, nil), mem.accesses
 	}
 	rFull, accFull := run(false)
 	rFast, accFast := run(true)
@@ -93,8 +82,7 @@ func TestFastWarmupEventCountersMatchFull(t *testing.T) {
 func TestFastForwardDeterministic(t *testing.T) {
 	run := func() Result {
 		g := workload.New(workload.MustSpec2000("mcf"), 11)
-		core := New(Config{}, &fixedMem{latency: 12})
-		return core.RunMeasuredFast(g, 30_000, 10_000, nil)
+		return runMeasured(New(Config{}, &fixedMem{latency: 12}), g, 30_000, 10_000, true, nil)
 	}
 	if r1, r2 := run(), run(); r1 != r2 {
 		t.Errorf("non-deterministic fast runs:\n%+v\n%+v", r1, r2)
@@ -105,7 +93,7 @@ func TestFastForwardDeterministic(t *testing.T) {
 // has produced timing state.
 func TestFastForwardPanicsOnUsedCore(t *testing.T) {
 	core := New(Config{}, &fixedMem{latency: 1})
-	core.Run(&scriptGen{insts: []workload.Inst{{Class: workload.IntALU}}}, 100)
+	runScript(core, []workload.Inst{{Class: workload.IntALU}}, 100)
 	defer func() {
 		if recover() == nil {
 			t.Error("FastForwardTo on a used core did not panic")
@@ -120,8 +108,8 @@ func TestAdvanceToRequiresSeal(t *testing.T) {
 	gen := &scriptGen{insts: []workload.Inst{{Class: workload.IntALU}}}
 	core := New(Config{}, &fixedMem{latency: 1})
 	core.FastForwardTo(gen, 100)
-	if !core.FastForwarding() {
-		t.Fatal("core not fast-forwarding after FastForwardTo")
+	if c := core.Cycle(); c != 100 {
+		t.Fatalf("cycle = %d after FastForwardTo(100), want the functional clock 100", c)
 	}
 	func() {
 		defer func() {
@@ -132,9 +120,6 @@ func TestAdvanceToRequiresSeal(t *testing.T) {
 		core.AdvanceTo(gen, 200)
 	}()
 	core.SealFastForward()
-	if core.FastForwarding() {
-		t.Error("still fast-forwarding after seal")
-	}
 	core.AdvanceTo(gen, 200)
 	if r := core.Finish(); r.Instructions != 200 {
 		t.Errorf("instructions = %d, want 200", r.Instructions)

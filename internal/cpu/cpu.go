@@ -174,17 +174,18 @@ func (r Result) sub(w Result) Result {
 // Core is the out-of-order processor model. Construct with New.
 //
 // Run state (the pipeline, cumulative counters, warm-boundary snapshot) is
-// held on the Core so a run can be advanced incrementally with AdvanceTo,
-// checkpointed mid-flight, and finished with Finish. RunMeasured remains the
-// one-shot entry point and resets this state on entry.
+// held on the Core so a run can be advanced incrementally with AdvanceTo
+// (or FastForwardTo during warmup), split at MarkWarmBoundary,
+// checkpointed mid-flight, and finished with Finish. sim.Machine is the
+// driver that sequences these calls.
 type Core struct {
 	cfg  Config //tcp:nosnap configuration supplied at construction; Restore only revalidates against it
 	mem  Memory //tcp:nosnap wiring; the memory system serialises its own state through the machine walk
 	pred branch.Predictor
 
 	p       *pipeline
-	res     Result // cumulative counters since reset
-	done    uint64 // dynamic instructions processed since reset
+	res     Result // cumulative counters since construction
+	done    uint64 // dynamic instructions processed since construction
 	warmed  bool   // MarkWarmBoundary has been called
 	warmRes Result // counters at the warm boundary (valid when warmed)
 
@@ -207,20 +208,7 @@ func New(cfg Config, mem Memory) *Core {
 	if pred == nil {
 		pred = branch.NewGShare(12, 8)
 	}
-	c := &Core{cfg: cfg, mem: mem, pred: pred}
-	c.reset()
-	return c
-}
-
-// reset rebuilds the pipeline and clears all run state.
-func (c *Core) reset() {
-	c.p = newPipeline(c.cfg, c.mem, c.pred)
-	c.res = Result{}
-	c.done = 0
-	c.warmed = false
-	c.warmRes = Result{}
-	c.fastActive = false
-	c.fclock = 0
+	return &Core{cfg: cfg, mem: mem, pred: pred, p: newPipeline(cfg, mem, pred)}
 }
 
 // SetOnLoadRetire installs (or clears) the load-retirement hook on a core
@@ -267,11 +255,6 @@ func (c *Core) syncCounters(instructions uint64, cycles int64) {
 	if cycles >= 0 {
 		c.cycleCtr.Store(uint64(cycles))
 	}
-}
-
-// Run executes n dynamic instructions from gen and returns timing results.
-func (c *Core) Run(gen workload.Generator, n uint64) Result {
-	return c.RunMeasured(gen, 0, n, nil)
 }
 
 // pipeline is the rolling state of the constructive timing model: the
@@ -468,7 +451,7 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	}
 }
 
-// Done returns the number of dynamic instructions processed since reset.
+// Done returns the number of dynamic instructions processed so far.
 func (c *Core) Done() uint64 { return c.done }
 
 // Cycle returns the commit cycle of the most recently committed
@@ -484,10 +467,10 @@ func (c *Core) Cycle() int64 {
 func (c *Core) Warmed() bool { return c.warmed }
 
 // AdvanceTo processes dynamic instructions from gen until `target` have been
-// processed since reset. Each iteration checks the sampler, draws the next
-// instruction, and steps the pipeline — exactly the per-instruction order of
-// the one-shot run loop, so an advance split at any point is bit-identical to
-// an unsplit one. A target at or below the current position is a no-op.
+// processed in total. Each iteration checks the sampler, draws the next
+// instruction, and steps the pipeline, so an advance split at any point is
+// bit-identical to an unsplit one. A target at or below the current
+// position is a no-op.
 func (c *Core) AdvanceTo(gen workload.Generator, target uint64) {
 	if c.fastActive && c.done < target {
 		panic("cpu: AdvanceTo during fast-forward; call SealFastForward (or MarkWarmBoundary) first")
@@ -537,24 +520,4 @@ func (c *Core) Finish() Result {
 		res.IPC = float64(res.Instructions) / float64(res.Cycles)
 	}
 	return res
-}
-
-// RunMeasured executes warmup+measure dynamic instructions and reports
-// counters for the measured portion only — the analogue of the paper's
-// "skip the first 1 billion instructions ... then simulate 2 billion"
-// methodology. onBoundary, if non-nil, is invoked when the warmup portion
-// has been processed, with the commit cycle at the boundary (callers
-// snapshot memory-system statistics and mark sampling phases there). The
-// boundary is marked whenever warmup > 0 — a zero-length measure window
-// still fires onBoundary and reports an empty measured Result, rather
-// than mislabelling the warmup window as measured.
-func (c *Core) RunMeasured(gen workload.Generator, warmup, measure uint64, onBoundary func(cycle int64)) Result {
-	c.reset()
-	n := warmup + measure
-	if warmup > 0 {
-		c.AdvanceTo(gen, warmup)
-		c.MarkWarmBoundary(onBoundary)
-	}
-	c.AdvanceTo(gen, n)
-	return c.Finish()
 }

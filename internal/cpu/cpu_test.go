@@ -32,10 +32,31 @@ func (g *scriptGen) Next(in *workload.Inst) {
 	g.pos = (g.pos + 1) % len(g.insts)
 }
 
+// runMeasured drives a fresh core the way sim.Machine does: warmup on the
+// cycle-accurate engine (or, with fast, the functional one), the warm
+// boundary with its callback, then the measured window. warmup == 0 runs
+// the whole window unsplit.
+func runMeasured(c *Core, gen workload.Generator, warmup, measure uint64, fast bool, onBoundary func(int64)) Result {
+	if warmup > 0 {
+		if fast {
+			c.FastForwardTo(gen, warmup)
+		} else {
+			c.AdvanceTo(gen, warmup)
+		}
+		c.MarkWarmBoundary(onBoundary)
+	}
+	c.AdvanceTo(gen, warmup+measure)
+	return c.Finish()
+}
+
+// runScript runs n instructions of a looped script with no warmup.
+func runScript(c *Core, insts []workload.Inst, n uint64) Result {
+	return runMeasured(c, &scriptGen{insts: insts}, 0, n, false, nil)
+}
+
 func run(t *testing.T, cfg Config, insts []workload.Inst, n uint64, lat int64) Result {
 	t.Helper()
-	core := New(cfg, &fixedMem{latency: lat})
-	return core.Run(&scriptGen{insts: insts}, n)
+	return runScript(New(cfg, &fixedMem{latency: lat}), insts, n)
 }
 
 func TestDefaultsMatchTable1(t *testing.T) {
@@ -210,8 +231,8 @@ func TestDeterministicRuns(t *testing.T) {
 	g2 := workload.New(workload.MustSpec2000("gzip"), 7)
 	c1 := New(Config{}, &fixedMem{latency: 10})
 	c2 := New(Config{}, &fixedMem{latency: 10})
-	r1 := c1.Run(g1, 50000)
-	r2 := c2.Run(g2, 50000)
+	r1 := runMeasured(c1, g1, 0, 50000, false, nil)
+	r2 := runMeasured(c2, g2, 0, 50000, false, nil)
 	if r1 != r2 {
 		t.Errorf("non-deterministic: %+v vs %+v", r1, r2)
 	}
@@ -231,8 +252,7 @@ func TestOnLoadRetireCriticality(t *testing.T) {
 				s.criticals++
 			}
 		}}
-		core := New(cfg, &fixedMem{latency: lat})
-		core.Run(&scriptGen{insts: insts}, 20000)
+		runScript(New(cfg, &fixedMem{latency: lat}), insts, 20000)
 		return s
 	}
 
@@ -255,7 +275,7 @@ func TestOnLoadRetireCriticality(t *testing.T) {
 func TestRunMeasuredSubtractsWarmup(t *testing.T) {
 	g1 := workload.New(workload.MustSpec2000("gzip"), 5)
 	core := New(Config{}, &fixedMem{latency: 5})
-	r := core.RunMeasured(g1, 30_000, 60_000, nil)
+	r := runMeasured(core, g1, 30_000, 60_000, false, nil)
 	if r.Instructions != 60_000 {
 		t.Errorf("instructions = %d, want measured-only", r.Instructions)
 	}
@@ -266,7 +286,7 @@ func TestRunMeasuredSubtractsWarmup(t *testing.T) {
 	calls := 0
 	g2 := workload.New(workload.MustSpec2000("gzip"), 5)
 	core2 := New(Config{}, &fixedMem{latency: 5})
-	core2.RunMeasured(g2, 10_000, 10_000, func(int64) { calls++ })
+	runMeasured(core2, g2, 10_000, 10_000, false, func(int64) { calls++ })
 	if calls != 1 {
 		t.Errorf("boundary callbacks = %d", calls)
 	}
@@ -292,8 +312,7 @@ func TestGoldenSchedule(t *testing.T) {
 		{Class: workload.IntALU},
 		{Class: workload.IntALU, Dep1: 2},
 	}
-	core := New(cfg, &fixedMem{latency: 10})
-	r := core.Run(&scriptGen{insts: insts}, 4)
+	r := runScript(New(cfg, &fixedMem{latency: 10}), insts, 4)
 	if r.Cycles != 14 {
 		t.Errorf("cycles = %d, want 14", r.Cycles)
 	}
@@ -307,8 +326,7 @@ func TestGoldenIndependentPair(t *testing.T) {
 	// issue at 1, complete at 2, both commit at 2.
 	cfg := Config{IssueWidth: 2, RUUSize: 4, LSQSize: 4,
 		IntALU: 2, IntMult: 1, FPALU: 1, FPMult: 1, MemPorts: 1}
-	core := New(cfg, &fixedMem{})
-	r := core.Run(&scriptGen{insts: []workload.Inst{{Class: workload.IntALU}}}, 2)
+	r := runScript(New(cfg, &fixedMem{}), []workload.Inst{{Class: workload.IntALU}}, 2)
 	if r.Cycles != 2 {
 		t.Errorf("cycles = %d, want 2", r.Cycles)
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -186,7 +187,10 @@ func TestCaptureMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(capped) != 10 {
-		t.Errorf("capped capture = %d records", len(capped))
+		t.Fatalf("capped capture = %d records", len(capped))
+	}
+	if !slices.Equal(capped, misses[:10]) {
+		t.Error("capped capture is not a prefix of the full stream")
 	}
 }
 

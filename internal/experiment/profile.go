@@ -3,53 +3,21 @@ package experiment
 import (
 	"fmt"
 
-	"tagprefetch/internal/addr"
-	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/memsys"
-	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/profiler"
+	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
-	"tagprefetch/internal/trace"
-	"tagprefetch/internal/workload"
 )
-
-// recorder is a pass-through "prefetcher" that feeds the L1 miss stream to
-// a profiler without issuing any prefetches — the measurement hook for the
-// Section 3 characterisation (Figures 2-7 and 15).
-type recorder struct {
-	p     *profiler.Profiler
-	armed bool
-}
-
-func (r *recorder) Name() string { return "recorder" }
-
-func (r *recorder) OnMiss(m trace.Miss) []prefetch.Request {
-	if r.armed {
-		r.p.Observe(m)
-	}
-	return nil
-}
-
-func (r *recorder) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
-func (r *recorder) OnEvict(addr.Addr, int64, int64, int64)                        {}
-func (r *recorder) StorageBits() uint64                                           { return 0 }
-func (r *recorder) Reset()                                                        {}
 
 // ProfileBench runs one benchmark without prefetching and returns the
 // Section 3 locality summary of its measured-window L1 miss stream.
 func ProfileBench(bench string, o Options) (profiler.Summary, error) {
 	o = o.withDefaults()
-	spec, err := workload.Spec2000(bench)
-	if err != nil {
+	p := profiler.New(memsys.DefaultConfig().L1D, 3)
+	if _, err := sim.ObserveMisses(bench, o.simConfig(), p.Observe); err != nil {
 		return profiler.Summary{}, err
 	}
-	memCfg := memsys.DefaultConfig()
-	rec := &recorder{p: profiler.New(memCfg.L1D, 3), armed: o.Warmup == 0}
-	mem := memsys.New(memCfg, rec)
-	core := cpu.New(cpu.Config{}, mem)
-	gen := workload.New(spec, o.Seed)
-	core.RunMeasured(gen, o.Warmup, o.Instructions, func(int64) { rec.armed = true })
-	return rec.p.Summarize(), nil
+	return p.Summarize(), nil
 }
 
 // ProfileAll profiles every benchmark in o.Benches. The result feeds all of

@@ -7,7 +7,6 @@ import (
 
 	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/experiment/distrib"
-	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/sim"
 )
 
@@ -64,7 +63,7 @@ type Runner struct {
 	workers int
 
 	mu       sync.Mutex
-	baseline map[baselineKey]*baselineEntry
+	baseline map[string]*baselineEntry // keyed by pointPreimage
 
 	// warm-fork state: shared baseline-warmed checkpoints (see warmfork.go)
 	// and the optional on-disk persistence / completed-result manifests.
@@ -98,7 +97,7 @@ func NewRunner(jobs int) *Runner {
 	}
 	return &Runner{
 		workers:  jobs,
-		baseline: make(map[baselineKey]*baselineEntry),
+		baseline: make(map[string]*baselineEntry),
 		warm:     make(map[warmKey]*warmEntry),
 	}
 }
@@ -154,18 +153,6 @@ type cpuKey struct {
 	redirectPenalty                          int64
 }
 
-type baselineKey struct {
-	bench          string
-	instructions   uint64
-	warmup         uint64
-	noWarmup       bool
-	baselineWarmup bool
-	fidelity       sim.Fidelity
-	seed           uint64
-	cpu            cpuKey
-	mem            memsys.Config
-}
-
 // cpuKeyFor extracts the comparable fingerprint of a cpu.Config.
 func cpuKeyFor(c cpu.Config) cpuKey {
 	return cpuKey{
@@ -174,29 +161,6 @@ func cpuKeyFor(c cpu.Config) cpuKey {
 		fpMult: c.FPMult, memPorts: c.MemPorts,
 		redirectPenalty: c.RedirectPenalty,
 	}
-}
-
-// baselineKeyFor fingerprints a baseline job's configuration. Configs that
-// carry behaviour the key cannot capture — a custom branch predictor
-// instance, a retirement callback, or per-run telemetry — are not
-// memoisable and report ok == false.
-func baselineKeyFor(j Job) (key baselineKey, ok bool) {
-	c := j.Config
-	if c.CPU.Predictor != nil || c.CPU.OnLoadRetire != nil || c.Telemetry != nil {
-		return baselineKey{}, false
-	}
-	c = c.Normalized()
-	return baselineKey{
-		bench:          j.Bench,
-		instructions:   c.Instructions,
-		warmup:         c.Warmup,
-		noWarmup:       c.NoWarmup,
-		baselineWarmup: c.BaselineWarmup,
-		fidelity:       c.WarmupFidelity,
-		seed:           c.Seed,
-		cpu:            cpuKeyFor(c.CPU),
-		mem:            c.Mem.WithDefaults(),
-	}, true
 }
 
 // Map executes all jobs across the pool and returns their results in
@@ -230,7 +194,9 @@ func (r *Runner) run(j Job) sim.Result {
 		return res
 	}
 	base := sim.NoPrefetch()
-	key, ok := baselineKeyFor(j)
+	// The memo keys on the fingerprint preimage itself, not its hash, so a
+	// hash collision cannot alias two configs.
+	key, ok := pointPreimage(j.Bench, base.Name, true, j.Config)
 	if !ok {
 		return r.simulate(j.Bench, base, j.Config)
 	}

@@ -92,7 +92,7 @@ func TestRunnerSkipsCacheForCallbackConfigs(t *testing.T) {
 		cfg := sim.Config{Instructions: 30_000}
 		cfg.CPU.Predictor = branch.NewBimodal(10)
 		jobs[i] = Job{Bench: "art", Config: cfg, Baseline: true}
-		if _, ok := baselineKeyFor(jobs[i]); ok {
+		if _, ok := JobName(jobs[i]); ok {
 			t.Error("config with a predictor instance must not be fingerprintable")
 		}
 	}

@@ -25,8 +25,8 @@ func mustMachine(t *testing.T, bench string, f Factory, cfg Config) *Machine {
 	return m
 }
 
-// TestMachineRunMatchesMustRun: the Machine path is the same simulation as
-// the original RunSpec loop.
+// TestMachineRunMatchesMustRun: a Machine built and run by hand is the
+// same simulation as MustRun.
 func TestMachineRunMatchesMustRun(t *testing.T) {
 	cfg := testConfig()
 	want := MustRun("mcf", TCP8K(), cfg)

@@ -17,6 +17,7 @@ import (
 	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/telemetry"
+	"tagprefetch/internal/trace"
 	"tagprefetch/internal/workload"
 )
 
@@ -70,7 +71,7 @@ type Config struct {
 }
 
 // Normalized resolves every defaulted field to its effective value (the
-// config RunSpec actually simulates), so that two configs describing the
+// config a Machine actually simulates), so that two configs describing the
 // same machine compare equal — the experiment runner keys its baseline
 // cache on this.
 func (c Config) Normalized() Config { return c.withDefaults() }
@@ -348,16 +349,44 @@ func MustRun(bench string, f Factory, cfg Config) Result {
 	return r
 }
 
-// RunSpec simulates an explicit workload spec with the given prefetcher.
-// It panics on an invalid config (use NewMachine or Run for the error);
-// previously the same configs panicked deeper, in geometry or PHT
-// construction, with a less helpful message.
-func RunSpec(spec workload.Spec, f Factory, cfg Config) Result {
+// missObserver is the prefetcher-shaped observer ObserveMisses attaches: it
+// issues nothing and hands each armed miss to fn. It is not prefetch.None
+// itself, so the memory system does not elide its OnMiss calls.
+type missObserver struct {
+	prefetch.None
+	fn    func(trace.Miss) //tcp:nosnap host-side observer callback, outside the simulated state
+	armed bool             //tcp:nosnap observer state, outside the simulated state; ObserveMisses never checkpoints
+}
+
+func (t *missObserver) OnMiss(m trace.Miss) []prefetch.Request {
+	if t.armed {
+		t.fn(m)
+	}
+	return nil
+}
+
+// ObserveMisses runs the named SPEC2000 model without prefetching and
+// hands fn every L1 data-cache miss of the measured window, in order, as a
+// prefetcher at the L1/L2 boundary sees it (MSHR merges never reach it) —
+// the miss stream Section 3 of the paper profiles. With a warmup the tap
+// arms at the warmup/measure boundary; with NoWarmup it delivers from
+// instruction 0. The machine, its warmup engine and the boundary are those
+// of every other run, so cfg's fidelity and telemetry apply unchanged.
+func ObserveMisses(bench string, cfg Config, fn func(trace.Miss)) (Result, error) {
+	spec, err := workload.Spec2000(bench)
+	if err != nil {
+		return Result{}, err
+	}
+	tap := &missObserver{fn: fn}
+	f := NoPrefetch()
+	f.Build = func(addr.Geometry) (prefetch.Prefetcher, bool) { return tap, false }
 	m, err := NewMachine(spec, f, cfg)
 	if err != nil {
-		panic(err)
+		return Result{}, err
 	}
-	return m.Run()
+	m.RunTo(m.cfg.Warmup)
+	tap.armed = true
+	return m.Run(), nil
 }
 
 // attachTelemetry registers the system's components into the run's

@@ -12,40 +12,37 @@ type jobRef struct {
 	name string // content address (experiment.JobName)
 }
 
-// tenantQ is one tenant's FIFO of queued refs plus its scheduling weight.
+// tenantQ is one tenant's FIFO of queued refs.
 type tenantQ struct {
-	name   string
-	weight int
-	refs   []jobRef
+	name string
+	refs []jobRef
 }
 
-// wrr is a weighted round-robin scheduler over per-tenant FIFOs: each
-// tenant in turn drains up to weight refs before the cursor advances to
-// the next tenant with work. At the default weight 1 this is strict
-// alternation — with two saturated tenants every consecutive pair of pops
-// serves both, so neither starves no matter how many sweeps the other
-// piles up. Tenants are visited in first-seen order; an empty tenant is
-// skipped but keeps its slot, so a tenant that refills resumes at its old
-// position rather than jumping the queue.
+// roundRobin schedules over per-tenant FIFOs: each pop serves the next
+// tenant with work, one ref per tenant per round. With two saturated
+// tenants every consecutive pair of pops serves both, so neither starves
+// no matter how many sweeps the other piles up. Tenants are visited in
+// first-seen order; an empty tenant is skipped but keeps its slot, so a
+// tenant that refills resumes at its old position rather than jumping the
+// queue.
 //
-// wrr is not self-locking: the Server's mutex guards every method.
-type wrr struct {
+// roundRobin is not self-locking: the Server's mutex guards every method.
+type roundRobin struct {
 	order  []*tenantQ
 	byName map[string]*tenantQ
 	cursor int // index of the tenant served last (-1 before the first pop)
-	credit int // pops the cursor tenant may still take this round
 	queued int // total refs across all tenants
 }
 
-func newWRR() *wrr {
-	return &wrr{byName: make(map[string]*tenantQ), cursor: -1}
+func newRoundRobin() *roundRobin {
+	return &roundRobin{byName: make(map[string]*tenantQ), cursor: -1}
 }
 
 // tenant returns (creating if needed) the named tenant's queue.
-func (q *wrr) tenant(name string) *tenantQ {
+func (q *roundRobin) tenant(name string) *tenantQ {
 	t := q.byName[name]
 	if t == nil {
-		t = &tenantQ{name: name, weight: 1}
+		t = &tenantQ{name: name}
 		q.byName[name] = t
 		q.order = append(q.order, t)
 	}
@@ -53,25 +50,17 @@ func (q *wrr) tenant(name string) *tenantQ {
 }
 
 // push appends refs to the tenant's FIFO.
-func (q *wrr) push(tenant string, refs ...jobRef) {
+func (q *roundRobin) push(tenant string, refs ...jobRef) {
 	t := q.tenant(tenant)
 	t.refs = append(t.refs, refs...)
 	q.queued += len(refs)
 }
 
-// pop removes and returns the next ref under the weighted round-robin
-// policy; ok is false when nothing is queued.
-func (q *wrr) pop() (jobRef, bool) {
+// pop removes and returns the next ref under the round-robin policy; ok is
+// false when nothing is queued.
+func (q *roundRobin) pop() (jobRef, bool) {
 	if q.queued == 0 {
 		return jobRef{}, false
-	}
-	// Spend the current tenant's remaining credit first.
-	if q.credit > 0 && q.cursor >= 0 {
-		if t := q.order[q.cursor]; len(t.refs) > 0 {
-			q.credit--
-			return q.take(t), true
-		}
-		q.credit = 0
 	}
 	// Advance to the next tenant with work, starting after the cursor
 	// (from the front when nothing has been popped yet).
@@ -84,13 +73,12 @@ func (q *wrr) pop() (jobRef, bool) {
 			continue
 		}
 		q.cursor = idx
-		q.credit = t.weight - 1
 		return q.take(t), true
 	}
 	return jobRef{}, false
 }
 
-func (q *wrr) take(t *tenantQ) jobRef {
+func (q *roundRobin) take(t *tenantQ) jobRef {
 	ref := t.refs[0]
 	t.refs = t.refs[1:]
 	q.queued--
@@ -101,7 +89,7 @@ func (q *wrr) take(t *tenantQ) jobRef {
 // failed sweep), returning the number released. Eager removal — rather
 // than lazy skipping at pop — frees queue capacity immediately, so a
 // cancel actually relieves 429 backpressure.
-func (q *wrr) removeSweep(sw *sweepRec) int {
+func (q *roundRobin) removeSweep(sw *sweepRec) int {
 	removed := 0
 	for _, t := range q.order {
 		kept := t.refs[:0]

@@ -19,7 +19,7 @@ func mkRefs(sw *sweepRec, n int, prefix string) []jobRef {
 // tenants appear. No burst of submissions from one tenant can starve the
 // other.
 func TestWRRFairness(t *testing.T) {
-	q := newWRR()
+	q := newRoundRobin()
 	swA := &sweepRec{tenant: "alice"}
 	swB := &sweepRec{tenant: "bob"}
 	// Alice floods the queue first — three sweeps' worth — then Bob
@@ -59,32 +59,10 @@ func TestWRRFairness(t *testing.T) {
 	}
 }
 
-// TestWRRWeights: a weight-2 tenant takes two pops per round to a
-// weight-1 tenant's one.
-func TestWRRWeights(t *testing.T) {
-	q := newWRR()
-	swA, swB := &sweepRec{tenant: "heavy"}, &sweepRec{tenant: "light"}
-	q.tenant("heavy").weight = 2
-	q.push("heavy", mkRefs(swA, 6, "h")...)
-	q.push("light", mkRefs(swB, 3, "l")...)
-	var order []string
-	for {
-		ref, ok := q.pop()
-		if !ok {
-			break
-		}
-		order = append(order, ref.sw.tenant)
-	}
-	want := []string{"heavy", "heavy", "light", "heavy", "heavy", "light", "heavy", "heavy", "light"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
-		t.Errorf("weighted order = %v, want %v", order, want)
-	}
-}
-
 // TestWRRRemoveSweep: cancelling releases exactly the dead sweep's refs
 // and frees queue capacity.
 func TestWRRRemoveSweep(t *testing.T) {
-	q := newWRR()
+	q := newRoundRobin()
 	swA, swB := &sweepRec{tenant: "t"}, &sweepRec{tenant: "t"}
 	q.push("t", mkRefs(swA, 5, "a")...)
 	q.push("t", mkRefs(swB, 4, "b")...)
@@ -108,7 +86,7 @@ func TestWRRRemoveSweep(t *testing.T) {
 // TestWRREmptyTenantSkipped: a tenant that drains is skipped without
 // stalling rotation, and resumes in place when it refills.
 func TestWRREmptyTenantSkipped(t *testing.T) {
-	q := newWRR()
+	q := newRoundRobin()
 	swA, swB := &sweepRec{tenant: "a"}, &sweepRec{tenant: "b"}
 	q.push("a", mkRefs(swA, 1, "a")...)
 	q.push("b", mkRefs(swB, 2, "b")...)

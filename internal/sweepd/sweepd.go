@@ -13,8 +13,8 @@
 // checkpoint-format bump can never resurrect stale bytes. Repeated
 // requests — same tenant or not — therefore cost one simulation, not N.
 //
-// Scheduling is fair per tenant: a weighted round-robin over per-tenant
-// FIFOs (see wrr) guarantees every tenant with queued work is served every
+// Scheduling is fair per tenant: a round-robin over per-tenant FIFOs (see
+// roundRobin) guarantees every tenant with queued work is served every
 // round. A bounded global queue pushes back with 429 + Retry-After, and
 // per-request job budgets reject oversized grids up front with a typed 400.
 //
@@ -128,7 +128,7 @@ type Server struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	sweeps  map[string]*sweepRec
-	sched   *wrr
+	sched   *roundRobin
 	tenants map[string]*tenantStats
 	workers []*workerState
 	started bool
@@ -187,7 +187,7 @@ func New(cfg Config) (*Server, error) {
 		obs:      fleetobs.NewServer(cacheDir, cfg.Clock, cfg.EventInterval),
 		reg:      reg,
 		sweeps:   make(map[string]*sweepRec),
-		sched:    newWRR(),
+		sched:    newRoundRobin(),
 		tenants:  make(map[string]*tenantStats),
 	}
 	s.cond = sync.NewCond(&s.mu)

@@ -290,7 +290,7 @@ func TestTwoTenantFairness(t *testing.T) {
 	}
 	// Walk the execution order tracking each tenant's remaining backlog:
 	// whenever both tenants still have work, consecutive pops must serve
-	// different tenants (weight-1 WRR = strict alternation).
+	// different tenants (round-robin = strict alternation).
 	rem := map[string]int{"alice": a.Jobs.Total, "bob": b.Jobs.Total}
 	for i, tn := range got {
 		if i > 0 && rem["alice"] > 0 && rem["bob"] > 0 && got[i-1] == tn {

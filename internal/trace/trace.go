@@ -137,36 +137,3 @@ func (tr *Reader) Read() (Miss, error) {
 	write := binary.LittleEndian.Uint64(buf[24:])&1 != 0
 	return MakeMiss(tr.g, a, pc, cyc, write), nil
 }
-
-// Buffer is an in-memory miss trace with bounded capacity; once full it
-// stops recording (the profiler works on a prefix of the stream).
-type Buffer struct {
-	Misses  []Miss
-	cap     int
-	dropped uint64
-}
-
-// NewBuffer creates a buffer holding at most capacity records
-// (capacity <= 0 means unbounded).
-func NewBuffer(capacity int) *Buffer {
-	b := &Buffer{cap: capacity}
-	if capacity > 0 {
-		b.Misses = make([]Miss, 0, capacity)
-	}
-	return b
-}
-
-// Record appends m if capacity remains.
-func (b *Buffer) Record(m Miss) {
-	if b.cap > 0 && len(b.Misses) >= b.cap {
-		b.dropped++
-		return
-	}
-	b.Misses = append(b.Misses, m)
-}
-
-// Dropped returns the number of records rejected because the buffer filled.
-func (b *Buffer) Dropped() uint64 { return b.dropped }
-
-// Len returns the number of recorded misses.
-func (b *Buffer) Len() int { return len(b.Misses) }

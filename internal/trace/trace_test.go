@@ -93,23 +93,6 @@ func TestReaderTruncated(t *testing.T) {
 	}
 }
 
-func TestBufferCapacity(t *testing.T) {
-	b := NewBuffer(2)
-	for i := 0; i < 5; i++ {
-		b.Record(Miss{Cycle: int64(i)})
-	}
-	if b.Len() != 2 || b.Dropped() != 3 {
-		t.Errorf("len=%d dropped=%d", b.Len(), b.Dropped())
-	}
-	unbounded := NewBuffer(0)
-	for i := 0; i < 100; i++ {
-		unbounded.Record(Miss{})
-	}
-	if unbounded.Len() != 100 || unbounded.Dropped() != 0 {
-		t.Errorf("unbounded len=%d dropped=%d", unbounded.Len(), unbounded.Dropped())
-	}
-}
-
 func TestRoundTripProperty(t *testing.T) {
 	geo := g()
 	f := func(addrs []uint32, pcs []uint16, writes []bool) bool {
