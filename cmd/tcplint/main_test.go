@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"tagprefetch/internal/analysis/hotalloc"
+	"tagprefetch/internal/analysis/load"
 )
 
 // runLint invokes the driver with args and returns its exit code and
@@ -94,6 +96,64 @@ func TestSuiteCleanRepoWide(t *testing.T) {
 	code, out := runLint(t, "tagprefetch/...")
 	if code != 0 {
 		t.Errorf("tcplint on tagprefetch/... exited %d:\n%s", code, out)
+	}
+}
+
+// Every method of an interface declared under internal/ must be called
+// through an interface somewhere in the non-test code: a contract method
+// no production path reaches is surface every implementation pays for and
+// nothing uses. Go list reports only non-test files, so test calls do not
+// count. Methods are keyed by name ("(pkg.Iface).Method") because each
+// package's view of an imported interface comes from export data, not
+// from the declaring package's own typecheck.
+func TestNoUncalledInterfaceMethods(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repo-wide load is slow")
+	}
+	pkgs, err := load.Load(".", "tagprefetch/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Marker methods exist to be implemented, never called.
+	exempt := map[string]bool{"(tagprefetch/internal/analysis.Fact).AFact": true}
+	called := map[string]bool{}
+	for _, p := range pkgs {
+		for _, obj := range p.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				called[fn.FullName()] = true
+			}
+		}
+	}
+	declared := 0
+	for _, p := range pkgs {
+		if !strings.Contains(p.Path, "/internal/") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			iface, ok := tn.Type().Underlying().(*types.Interface)
+			if !ok {
+				continue
+			}
+			for i := 0; i < iface.NumExplicitMethods(); i++ {
+				m := iface.ExplicitMethod(i).FullName()
+				declared++
+				if !called[m] && !exempt[m] {
+					t.Errorf("%s has no non-test call through its interface", m)
+				}
+			}
+		}
+	}
+	if declared == 0 {
+		t.Fatal("found no interface methods under internal/; the scan is broken")
 	}
 }
 

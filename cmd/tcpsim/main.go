@@ -119,6 +119,12 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tcpsim: -warmup-fidelity:", err)
 		return 2
 	}
+	// sim.Config reads a zero window as "default", so -n 0 would silently
+	// simulate 1M instructions under a report that says 0.
+	if *n == 0 {
+		fmt.Fprintln(os.Stderr, "tcpsim: -n must be positive")
+		return 2
+	}
 	cfg := sim.Config{
 		Instructions:   *n,
 		Warmup:         *warm,
@@ -146,14 +152,15 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tcpsim:", err)
 		return 2
 	}
+	norm := cfg.Normalized()
 	// Validate -save-at against the run's end while the flag is still in
 	// hand: sim.Machine.RunTo clamps to the final instruction, so an
 	// out-of-range value would otherwise silently snapshot the end state.
 	if saveAtSet {
-		total := cfg.Normalized().Warmup + cfg.Normalized().Instructions
+		total := norm.Warmup + norm.Instructions
 		if *saveAt > total {
 			fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)\n",
-				*saveAt, cfg.Normalized().Warmup, cfg.Normalized().Instructions, total)
+				*saveAt, norm.Warmup, norm.Instructions, total)
 			return 2
 		}
 	}
@@ -190,12 +197,6 @@ func run() int {
 		defer telemetry.SetDefault(nil)
 	}
 	report := telemetry.NewReport("tcpsim")
-	warmupOf := func() uint64 {
-		if *warm > 0 {
-			return *warm
-		}
-		return *n / 2 // sim.Config's default
-	}
 
 	// Each benchmark is an independent job with its own telemetry.Run, so
 	// runs isolate their registries/samplers even when executing on
@@ -271,7 +272,7 @@ func run() int {
 		r := results[i]
 		if teleRuns[i] != nil {
 			report.Runs = append(report.Runs,
-				teleRuns[i].Report(b, f.Name, *n, warmupOf(), *seed, r.IPC()))
+				teleRuns[i].Report(b, f.Name, norm.Instructions, norm.Warmup, norm.Seed, r.IPC()))
 		}
 		useful := 0.0
 		if tot := r.Mem.PrefetchedOriginal + r.Mem.PrefetchedExtra; tot > 0 {

@@ -590,7 +590,7 @@ func (fa *funcAnalysis) sinkArgs(call *ast.CallExpr) []ast.Expr {
 		case strings.HasSuffix(path, "internal/telemetry"):
 			key := tname + "." + fn.Name()
 			switch key {
-			case "Counter.Add", "Counter.Store", "Gauge.Set", "Histogram.Observe":
+			case "Counter.Add", "Counter.Store", "Gauge.Set":
 				return call.Args
 			}
 		case path == "encoding/json" && tname == "Encoder" && fn.Name() == "Encode":

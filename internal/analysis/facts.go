@@ -1,10 +1,10 @@
 // Facts let analyzers communicate across package boundaries, mirroring
 // golang.org/x/tools/go/analysis Facts on the standard library. An
 // analyzer working on package P may attach a typed fact to one of P's
-// package-level objects (a function, method, type, var, or const) or to P
-// itself; when the driver later analyzes a package that imports P, the
-// same analyzer can read those facts back and reason about P's objects
-// without seeing P's source.
+// package-level objects (a function, method, type, var, or const); when
+// the driver later analyzes a package that imports P, the same analyzer
+// can read those facts back and reason about P's objects without seeing
+// P's source.
 //
 // The driver makes this sound by visiting packages in dependency order —
 // the order `go list -deps` already emits — with one shared *Facts store
@@ -25,12 +25,11 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
-// A Fact is a typed message exported by an analyzer about an object or
-// package. Implementations must be pointer types so ImportObjectFact can
-// copy into the caller's value; AFact is a marker method.
+// A Fact is a typed message exported by an analyzer about an object.
+// Implementations must be pointer types so ImportObjectFact can copy into
+// the caller's value; AFact is a marker method.
 type Fact interface {
 	AFact()
 }
@@ -43,9 +42,9 @@ type Facts struct {
 }
 
 // factKey identifies one fact: the defining package, the object's stable
-// path within it ("" for a package-level fact), and the fact's concrete
-// type. Keying on the type means one analyzer cannot observe another's
-// facts unless they share the fact type deliberately.
+// path within it, and the fact's concrete type. Keying on the type means
+// one analyzer cannot observe another's facts unless they share the fact
+// type deliberately.
 type factKey struct {
 	pkg string
 	obj string
@@ -139,30 +138,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// ExportPackageFact records fact about the package being analyzed.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	if p.facts == nil {
-		return
-	}
-	p.checkFactType(fact)
-	p.facts.m[factKey{p.Pkg.Path(), "", reflect.TypeOf(fact)}] = fact
-}
-
-// ImportPackageFact copies the fact previously exported about pkg into
-// fact, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if p.facts == nil || pkg == nil {
-		return false
-	}
-	p.checkFactType(fact)
-	stored, ok := p.facts.m[factKey{pkg.Path(), "", reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
 // checkFactType panics unless the analyzer declared fact's type in
 // FactTypes — the same registration x/tools requires, so a typo'd fact
 // type fails loudly instead of silently never matching.
@@ -177,20 +152,4 @@ func (p *Pass) checkFactType(fact Fact) {
 		}
 	}
 	panic(fmt.Sprintf("%s: fact type %T not declared in FactTypes", p.Analyzer.Name, fact))
-}
-
-// AllObjectFacts returns every (package path, object path) pair holding a
-// fact of example's concrete type, sorted for determinism. It exists for
-// driver diagnostics and tests; analyzers should import facts for the
-// specific objects they encounter.
-func (f *Facts) AllObjectFacts(example Fact) []string {
-	t := reflect.TypeOf(example)
-	var out []string
-	for k := range f.m {
-		if k.typ == t && k.obj != "" {
-			out = append(out, k.pkg+"."+k.obj)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -311,10 +311,15 @@ func (idx *packageIndex) indexBody(fn *types.Func, body *ast.BlockStmt) {
 }
 
 // markSelectionPath marks every field along a selection's index path, so
-// promoted accesses credit the embedded hop as well as the leaf.
+// promoted accesses credit the embedded hop as well as the leaf. A method
+// selection's last index names the method, not a field.
 func markSelectionPath(use map[*types.Var]bool, sel *types.Selection) {
 	t := sel.Recv()
-	for _, i := range sel.Index() {
+	path := sel.Index()
+	if sel.Kind() != types.FieldVal {
+		path = path[:len(path)-1]
+	}
+	for _, i := range path {
 		if p, ok := t.Underlying().(*types.Pointer); ok {
 			t = p.Elem()
 		}

@@ -82,6 +82,26 @@ func (h *Holes) Restore(r *checkpoint.Reader) error {
 	return r.Err()
 }
 
+// ByMethod reaches its encoder through a method call. The selection b.put
+// has index 1 (put is ByMethod's second declared method), which must not
+// be read as field 1: lost stays unserialised.
+type ByMethod struct {
+	tick uint64
+	lost uint64 // want `field ByMethod\.lost is not serialised`
+}
+
+func (b *ByMethod) Save(w *checkpoint.Writer) error {
+	b.put(w)
+	return nil
+}
+
+func (b *ByMethod) put(w *checkpoint.Writer) { w.U64(b.tick) }
+
+func (b *ByMethod) Restore(r *checkpoint.Reader) error {
+	b.tick = r.U64()
+	return r.Err()
+}
+
 // Inner is a complete Snapshotter used as an embedded implementer below.
 type Inner struct {
 	base uint64

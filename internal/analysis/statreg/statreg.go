@@ -11,7 +11,7 @@
 //     snapshots and probes; mutating through them bypasses the owning
 //     component's accounting (warmup-subtraction snapshots, Stats()
 //     views) and must go through the component-held handle instead;
-//   - every *telemetry.Counter/Gauge/Histogram struct field must be
+//   - every *telemetry.Counter/Gauge struct field must be
 //     registered — attached, listed in a []telemetry.Metric, or created
 //     through a Registry — or Stats() views will read a metric that never
 //     appears in snapshots and run reports (the forgot-to-extend-metrics()
@@ -61,9 +61,8 @@ var knownRoots = map[string]bool{
 
 // mutators lists the state-changing methods per metric kind.
 var mutators = map[string]map[string]bool{
-	"Counter":   {"Inc": true, "Add": true, "Store": true},
-	"Gauge":     {"Set": true},
-	"Histogram": {"Observe": true, "Reset": true},
+	"Counter": {"Inc": true, "Add": true, "Store": true},
+	"Gauge":   {"Set": true},
 }
 
 func run(pass *analysis.Pass) error {
@@ -110,7 +109,7 @@ func callee(pass *analysis.Pass, call *ast.CallExpr) (types.Object, *ast.Selecto
 	return nil, nil
 }
 
-// registryCall reports whether call is reg.Counter/Gauge/Histogram/Sub/
+// registryCall reports whether call is reg.Counter/Gauge/Sub/
 // Attach/Lookup on a *telemetry.Registry, returning the method name and
 // receiver expression.
 func registryCall(pass *analysis.Pass, call *ast.CallExpr) (method string, recv ast.Expr) {
@@ -129,8 +128,8 @@ func registryCall(pass *analysis.Pass, call *ast.CallExpr) (method string, recv 
 	return fn.Name(), sel.X
 }
 
-// newMetricCall reports whether call is telemetry.NewCounter/NewGauge/
-// NewHistogram, returning the constructor name.
+// newMetricCall reports whether call is telemetry.NewCounter/NewGauge,
+// returning the constructor name.
 func newMetricCall(pass *analysis.Pass, call *ast.CallExpr) string {
 	obj, _ := callee(pass, call)
 	if obj == nil || !isTelemetryPkg(obj.Pkg()) {
@@ -141,7 +140,7 @@ func newMetricCall(pass *analysis.Pass, call *ast.CallExpr) string {
 		return ""
 	}
 	switch fn.Name() {
-	case "NewCounter", "NewGauge", "NewHistogram":
+	case "NewCounter", "NewGauge":
 		return fn.Name()
 	}
 	return ""
@@ -175,7 +174,7 @@ func checkNamesAndDuplicates(pass *analysis.Pass) {
 				}
 				if method, recv := registryCall(pass, call); method != "" {
 					switch method {
-					case "Counter", "Gauge", "Histogram":
+					case "Counter", "Gauge":
 						name, ok := literalString(call.Args[0])
 						if !ok {
 							return true
@@ -368,7 +367,7 @@ func checkUnregisteredFields(pass *analysis.Pass) {
 						continue
 					}
 					switch kind := telemetryNamed(obj.Type()); kind {
-					case "Counter", "Gauge", "Histogram":
+					case "Counter", "Gauge":
 						candidates = append(candidates, fieldDecl{name, kind})
 					}
 				}
@@ -420,7 +419,7 @@ func checkUnregisteredFields(pass *analysis.Pass) {
 				for i, rhs := range n.Rhs {
 					if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
 						switch method, _ := registryCall(pass, call); method {
-						case "Counter", "Gauge", "Histogram":
+						case "Counter", "Gauge":
 							markSel(n.Lhs[i])
 						}
 					}

@@ -11,7 +11,7 @@ type stats struct {
 	attached  *telemetry.Counter
 	listed    *telemetry.Gauge
 	fromReg   *telemetry.Counter
-	forgotten *telemetry.Histogram // want `metric field forgotten \(\*telemetry\.Histogram\) is never registered`
+	forgotten *telemetry.Counter // want `metric field forgotten \(\*telemetry\.Counter\) is never registered`
 }
 
 func wire(reg *telemetry.Registry) *stats {
@@ -22,7 +22,7 @@ func wire(reg *telemetry.Registry) *stats {
 	reg.Attach(s.attached)
 	s.fromReg = reg.Counter("cache.misses", "demand misses")
 	_ = []telemetry.Metric{s.listed}
-	s.forgotten = telemetry.NewHistogram("cache.latency", "fill latency")
+	s.forgotten = telemetry.NewCounter("cache.fills", "demand fills")
 	return s
 }
 
@@ -54,7 +54,7 @@ func duplicates(reg *telemetry.Registry) {
 	b := reg.Counter("dup.same", "second") // want `metric "dup\.same" is registered twice in this function`
 	_, _ = a, b
 	reg.Gauge("dup.kind", "as gauge")
-	reg.Histogram("dup.kind", "as histogram") // want `metric "dup\.kind" already registered as gauge in this function; registering it as histogram panics at runtime`
+	reg.Counter("dup.kind", "as counter") // want `metric "dup\.kind" already registered as gauge in this function; registering it as counter panics at runtime`
 }
 
 // lookupMutation writes through a read-side handle, directly and through a

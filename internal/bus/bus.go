@@ -55,9 +55,6 @@ func (b *Bus) Transfer(now int64, n int) int64 {
 	return done
 }
 
-// FreeAt returns the first cycle at which the bus will be idle.
-func (b *Bus) FreeAt() int64 { return b.freeAt }
-
 // Quiesce discards any queue backlog by clamping the next-idle time to at
 // most now. The functional fast-forward warmup advances one cycle per
 // instruction, so queueing computed against that compressed clock
@@ -96,13 +93,4 @@ func (b *Bus) Stats(horizon int64) Stats {
 		s.Utilization = float64(b.busy) / float64(horizon)
 	}
 	return s
-}
-
-// Reset clears all state and statistics.
-func (b *Bus) Reset() {
-	b.freeAt = 0
-	b.busy = 0
-	b.transfers = 0
-	b.bytes = 0
-	b.waited = 0
 }

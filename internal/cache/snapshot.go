@@ -26,7 +26,7 @@ func (c *Cache) Save(w *checkpoint.Writer) error {
 		w.I64(ln.LastTouch)
 		w.I64(ln.lru)
 	}
-	for _, f := range c.st.fields() {
+	for _, f := range c.st.Fields() {
 		w.U64(*f)
 	}
 	return nil
@@ -58,7 +58,7 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 		ln.LastTouch = r.I64()
 		ln.lru = r.I64()
 	}
-	for _, f := range c.st.fields() {
+	for _, f := range c.st.Fields() {
 		*f = r.U64()
 	}
 	return r.Err()

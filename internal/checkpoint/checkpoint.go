@@ -139,9 +139,6 @@ func (w *Writer) Finish() []byte {
 	return w.buf
 }
 
-// Len returns the number of bytes buffered so far (header included).
-func (w *Writer) Len() int { return len(w.buf) }
-
 // U8 writes one byte.
 func (w *Writer) U8(v uint8) {
 	var b [1]byte

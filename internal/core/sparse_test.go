@@ -228,7 +228,8 @@ func lockstep(t *testing.T, sparse *TCP, dense *denseTCP, misses []trace.Miss, s
 // TestSparsePHTMatchesDense drives the sparse TCP and the dense reference
 // with the same seeded miss streams: every OnMiss returns the same
 // requests, the counters agree, and Save bytes are equal every 1000
-// misses. A second stream after Reset reuses the pools' stale frames.
+// misses. A second stream after restoring an empty image reuses the pools'
+// stale frames.
 func TestSparsePHTMatchesDense(t *testing.T) {
 	g := l1()
 	for _, tc := range []struct {
@@ -257,7 +258,9 @@ func TestSparsePHTMatchesDense(t *testing.T) {
 			if sets := len(sparse.pht) / sparse.cfg.PHTWays; tc.name == "tcp-8M" && sets <= initialFrames {
 				t.Errorf("%d sets materialised, want more than %d to cover pool growth", sets, initialFrames)
 			}
-			sparse.Reset()
+			if err := restore(sparse, newDense(tc.cfg).image()); err != nil {
+				t.Fatal(err)
+			}
 			lockstep(t, sparse, newDense(tc.cfg), mixedMisses(g, 8, 2000), 1000)
 		})
 	}

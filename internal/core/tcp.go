@@ -505,15 +505,6 @@ func (t *TCP) THTBits() uint64 {
 // Stats returns the predictor counters.
 func (t *TCP) Stats() Stats { return t.st }
 
-// Reset implements prefetch.Prefetcher.
-func (t *TCP) Reset() {
-	clear(t.tht)
-	clear(t.thtFill)
-	t.clearPHT()
-	t.clock = 0
-	t.st = Stats{}
-}
-
 // clearPHT empties the PHT, keeping the pools' capacity for reuse.
 func (t *TCP) clearPHT() {
 	clear(t.dir)

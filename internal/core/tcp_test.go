@@ -236,20 +236,6 @@ func TestPHTConflictEviction(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	g := l1()
-	tcp := New(TCP8K(g))
-	feed(tcp, g, 0, 1, 2, 3, 1)
-	tcp.Reset()
-	if s := tcp.Stats(); s.Misses != 0 || s.Hits != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	feed(tcp, g, 0, 1)
-	if reqs := feed(tcp, g, 0, 2); len(reqs) != 0 {
-		t.Errorf("patterns survived reset: %+v", reqs)
-	}
-}
-
 func TestInterfaceNoOps(t *testing.T) {
 	tcp := New(TCP8K(l1()))
 	tcp.OnAccess(0, 0, 0, true)

@@ -26,7 +26,6 @@ type scriptGen struct {
 }
 
 func (g *scriptGen) Name() string { return "script" }
-func (g *scriptGen) Reset(uint64) { g.pos = 0 }
 func (g *scriptGen) Next(in *workload.Inst) {
 	*in = g.insts[g.pos]
 	g.pos = (g.pos + 1) % len(g.insts)

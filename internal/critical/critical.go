@@ -70,11 +70,3 @@ func (p *Predictor) Stats() Stats {
 
 // StorageBits returns the table budget (2 bits per counter).
 func (p *Predictor) StorageBits() uint64 { return uint64(len(p.counters)) * 2 }
-
-// Reset clears all state.
-func (p *Predictor) Reset() {
-	for i := range p.counters {
-		p.counters[i] = 0
-	}
-	p.trainings, p.critical = 0, 0
-}

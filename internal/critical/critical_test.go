@@ -55,10 +55,6 @@ func TestStatsAndReset(t *testing.T) {
 	if p.StorageBits() != 16*2 {
 		t.Errorf("storage = %d", p.StorageBits())
 	}
-	p.Reset()
-	if p.Stats().Trainings != 0 {
-		t.Error("reset incomplete")
-	}
 }
 
 func TestAliasing(t *testing.T) {

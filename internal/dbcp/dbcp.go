@@ -219,15 +219,3 @@ func (d *DBCP) StorageBits() uint64 {
 
 // Stats returns predictor counters.
 func (d *DBCP) Stats() Stats { return d.stats }
-
-// Reset implements prefetch.Prefetcher.
-func (d *DBCP) Reset() {
-	for i := range d.shadow {
-		d.shadow[i] = shadowEntry{}
-	}
-	for i := range d.table {
-		d.table[i] = corrEntry{}
-	}
-	d.clock = 0
-	d.stats = Stats{}
-}

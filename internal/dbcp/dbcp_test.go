@@ -130,20 +130,6 @@ func TestResyncOnUnexpectedBlock(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	g := l1()
-	d := New(Config{L1: g, TableEntries: 4096, Ways: 8})
-	driveBlockLife(d, g, g.Compose(10, 7), g.Compose(20, 7), []addr.Addr{0x400100})
-	d.Reset()
-	if s := d.Stats(); s.Misses != 0 || s.Deaths != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	d.OnMiss(trace.MakeMiss(g, g.Compose(10, 7), 0x400100, 0, false))
-	if r := d.OnAccess(g.Compose(10, 7), 0x400100, 0, true); len(r) != 0 {
-		t.Errorf("correlations survived reset: %+v", r)
-	}
-}
-
 func TestOnEvictNoOp(t *testing.T) {
 	d := New(Config{L1: l1(), TableEntries: 1024, Ways: 8})
 	d.OnEvict(0x1000, 0, 0, 0) // must not panic

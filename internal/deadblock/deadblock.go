@@ -133,11 +133,3 @@ func (p *Predictor) StorageBits() uint64 {
 
 // Stats returns predictor counters.
 func (p *Predictor) Stats() Stats { return p.stats }
-
-// Reset clears all learned lifetimes and statistics.
-func (p *Predictor) Reset() {
-	p.live = make(map[uint64]int64, p.cfg.Entries)
-	p.ring = p.ring[:0]
-	p.ringHead = 0
-	p.stats = Stats{}
-}

@@ -94,16 +94,6 @@ func TestBlockGranularity(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := New(Config{Geom: g()})
-	p.OnEvict(0x6000, 0, 10)
-	p.IsDead(0x6000, 0, 100)
-	p.Reset()
-	if len(p.live) != 0 || p.Stats().Learned != 0 || p.Stats().Queries != 0 {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestDeadAt(t *testing.T) {
 	p := New(Config{Geom: g(), DefaultIdle: 500})
 	a := addr.Addr(0x7000)

@@ -56,6 +56,3 @@ type Stats struct {
 
 // Stats returns access counters.
 func (m *Memory) Stats() Stats { return Stats{Reads: m.reads, Writes: m.writes} }
-
-// Reset clears statistics (bus state is owned by the bus).
-func (m *Memory) Reset() { m.reads, m.writes = 0, 0 }

@@ -58,8 +58,4 @@ func TestStatsAndReset(t *testing.T) {
 	if s.Reads != 2 || s.Writes != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	m.Reset()
-	if s := m.Stats(); s.Reads != 0 || s.Writes != 0 {
-		t.Errorf("reset incomplete: %+v", s)
-	}
 }

@@ -9,13 +9,15 @@ package experiment
 // describe the same machine resolve to the same address and one simulation
 // serves both. Configs carrying behaviour the fingerprint cannot capture
 // (custom predictor instances, retirement callbacks, per-run telemetry)
-// are not content-addressable and report ok == false everywhere.
+// are not content-addressable (see addressable) and report ok == false
+// everywhere.
 //
-// The exported surface exists for the sweep daemon (internal/sweepd),
-// which uses point names as cache keys, and for the golden tests that pin
-// the fingerprint layout: adding, removing or reordering a fingerprinted
-// field changes every address at once, which must be a deliberate,
-// test-visible event — never a silent cache split.
+// JobName is the one exported entry point: the sweep daemon
+// (internal/sweepd) schedules and caches on it. Golden tests pin the
+// preimage layout and the names it hashes to (identity_test.go): adding,
+// removing or reordering a fingerprinted field changes every address at
+// once, which must be a deliberate, test-visible event — never a silent
+// cache split.
 
 import (
 	"fmt"
@@ -25,26 +27,11 @@ import (
 	"tagprefetch/internal/sim"
 )
 
-// PointFingerprint returns the canonical preimage string of one grid
-// point's content address — the exact bytes PointName hashes. It is
-// stable across processes and hosts: only the normalized configuration
-// participates, never live state. ok is false when the config is not
+// JobName returns the content address of a Job: the result-manifest
+// filename ("job-<fnv64a>.json") the runner's ResultStore publishes under
+// and the distributed claim protocol leases, resolving the baseline
+// factory name for baseline jobs. ok is false when the config is not
 // content-addressable.
-func PointFingerprint(bench, factory string, baseline bool, c sim.Config) (string, bool) {
-	return pointPreimage(bench, factory, baseline, c)
-}
-
-// PointName returns the content-addressed result-manifest filename for one
-// grid point ("job-<fnv64a>.json") — the same name the runner's
-// ResultStore publishes under and the distributed claim protocol leases,
-// so any consumer holding a PointName can look a result up, await it, or
-// schedule it. ok is false when the config is not content-addressable.
-func PointName(bench, factory string, baseline bool, c sim.Config) (string, bool) {
-	return jobFile(bench, factory, baseline, c)
-}
-
-// JobName returns the content address of a Job (PointName over its
-// fields), resolving the baseline factory name for baseline jobs.
 func JobName(j Job) (string, bool) {
 	factory := j.Factory.Name
 	if j.Baseline {
@@ -53,13 +40,22 @@ func JobName(j Job) (string, bool) {
 	return jobFile(j.Bench, factory, j.Baseline, j.Config)
 }
 
-// pointPreimage builds the fingerprint string both PointFingerprint and
-// the manifest-name hash consume. The layout is pinned by a golden test
-// (identity_test.go): field order, separators and the trailing
-// non-default-fidelity clause must not change without bumping every
-// existing manifest name deliberately.
+// addressable reports whether c carries only configuration a fingerprint
+// can capture: no custom predictor instance, retirement callback or
+// per-run telemetry. Result manifests and warm images alike key only
+// addressable configs.
+func addressable(c sim.Config) bool {
+	return c.CPU.Predictor == nil && c.CPU.OnLoadRetire == nil && c.Telemetry == nil
+}
+
+// pointPreimage builds the fingerprint string the manifest-name hash and
+// the runner's baseline memo consume. It is stable across processes and
+// hosts: only the normalized configuration participates, never live state.
+// The layout is pinned by a golden test (identity_test.go): field order,
+// separators and the trailing non-default-fidelity clause must not change
+// without bumping every existing manifest name deliberately.
 func pointPreimage(bench, factory string, baseline bool, c sim.Config) (string, bool) {
-	if c.CPU.Predictor != nil || c.CPU.OnLoadRetire != nil || c.Telemetry != nil {
+	if !addressable(c) {
 		return "", false
 	}
 	n := c.Normalized()
@@ -76,9 +72,7 @@ func pointPreimage(bench, factory string, baseline bool, c sim.Config) (string, 
 }
 
 // jobFile names a job's manifest by hashing its canonical normalized
-// configuration. Jobs carrying behaviour the hash cannot capture (custom
-// predictor instances, retirement callbacks, telemetry) are not storable
-// and report ok == false.
+// configuration; ok is false when the config is not addressable.
 func jobFile(bench, factory string, baseline bool, c sim.Config) (string, bool) {
 	pre, ok := pointPreimage(bench, factory, baseline, c)
 	if !ok {

@@ -36,16 +36,16 @@ func TestPointFingerprintGolden(t *testing.T) {
 		"IdealL2:false PrefetchBus:false MaxPerMiss:4}"
 	const wantName = "job-aa2edc4736619644.json"
 
-	fp, ok := PointFingerprint(bench, factory, false, cfg)
+	fp, ok := pointPreimage(bench, factory, false, cfg)
 	if !ok {
 		t.Fatal("canonical Fig. 13 config is not content-addressable")
 	}
 	if fp != wantFP {
 		t.Errorf("fingerprint changed:\n got %q\nwant %q\n(an intentional key-schema change must regenerate this golden — it flushes every existing manifest)", fp, wantFP)
 	}
-	name, ok := PointName(bench, factory, false, cfg)
+	name, ok := jobFile(bench, factory, false, cfg)
 	if !ok || name != wantName {
-		t.Errorf("PointName = %q, %v; want %q, true", name, ok, wantName)
+		t.Errorf("jobFile = %q, %v; want %q, true", name, ok, wantName)
 	}
 
 	// The default fidelity must stay absent from the preimage (addresses
@@ -56,12 +56,40 @@ func TestPointFingerprintGolden(t *testing.T) {
 	}
 	fast := cfg
 	fast.WarmupFidelity = sim.FidelityFast
-	fastFP, _ := PointFingerprint(bench, factory, false, fast)
+	fastFP, _ := pointPreimage(bench, factory, false, fast)
 	if fastFP != wantFP+"|fid=fast" {
 		t.Errorf("fast fingerprint = %q, want golden + |fid=fast", fastFP)
 	}
-	if fastName, _ := PointName(bench, factory, false, fast); fastName == wantName {
+	if fastName, _ := jobFile(bench, factory, false, fast); fastName == wantName {
 		t.Error("fast-fidelity point shares the full-fidelity address")
+	}
+}
+
+// TestWarmFileNameGolden pins the on-disk name of a warm-fork image for
+// the canonical Fig. 13 config. Warm images persist in sweepd's cache and
+// under -checkpoint-dir; a changed name silently orphans every one of them,
+// so a change to warmKey or its hash layout must regenerate this golden.
+func TestWarmFileNameGolden(t *testing.T) {
+	bench, _, cfg := fig13Config()
+	cfg.BaselineWarmup = true
+	for fid, want := range map[sim.Fidelity]string{
+		sim.FidelityFull: "warm-swim-f9e4b7569dedc24d.ckpt",
+		sim.FidelityFast: "warm-swim-434d5934096722a7.ckpt",
+	} {
+		c := cfg
+		c.WarmupFidelity = fid
+		key, ok := warmKeyFor(bench, c)
+		if !ok {
+			t.Fatalf("%s: canonical warm-fork config is not eligible", fid)
+		}
+		if got := warmFileName(key); got != want {
+			t.Errorf("%s: warmFileName = %q, want %q", fid, got, want)
+		}
+	}
+	c := cfg
+	c.Telemetry = telemetry.NewRun(0)
+	if _, ok := warmKeyFor(bench, c); ok {
+		t.Error("config with per-run telemetry got a warm key; must be unkeyable")
 	}
 }
 
@@ -70,7 +98,7 @@ func TestPointFingerprintGolden(t *testing.T) {
 // entry.
 func TestPointNameSeparatesConfigs(t *testing.T) {
 	bench, factory, cfg := fig13Config()
-	base, ok := PointName(bench, factory, false, cfg)
+	base, ok := jobFile(bench, factory, false, cfg)
 	if !ok {
 		t.Fatal("base config not content-addressable")
 	}
@@ -94,7 +122,7 @@ func TestPointNameSeparatesConfigs(t *testing.T) {
 	c.Mem.MSHRs = 32
 	mutate["mem.mshrs"] = c
 	for field, mc := range mutate {
-		name, ok := PointName(bench, factory, false, mc)
+		name, ok := jobFile(bench, factory, false, mc)
 		if !ok {
 			t.Errorf("%s variant not content-addressable", field)
 			continue
@@ -103,13 +131,13 @@ func TestPointNameSeparatesConfigs(t *testing.T) {
 			t.Errorf("changing %s did not change the point name %s", field, base)
 		}
 	}
-	if n, _ := PointName(bench, factory, true, cfg); n == base {
+	if n, _ := jobFile(bench, factory, true, cfg); n == base {
 		t.Error("baseline flag did not change the point name")
 	}
-	if n, _ := PointName("mcf", factory, false, cfg); n == base {
+	if n, _ := jobFile("mcf", factory, false, cfg); n == base {
 		t.Error("benchmark did not change the point name")
 	}
-	if n, _ := PointName(bench, "other", false, cfg); n == base {
+	if n, _ := jobFile(bench, "other", false, cfg); n == base {
 		t.Error("factory name did not change the point name")
 	}
 }
@@ -120,7 +148,7 @@ func TestPointNameSeparatesConfigs(t *testing.T) {
 // address with the plain config they otherwise equal.
 func TestPointNameRejectsLiveState(t *testing.T) {
 	bench, factory, cfg := fig13Config()
-	if _, ok := PointName(bench, factory, false, cfg); !ok {
+	if _, ok := jobFile(bench, factory, false, cfg); !ok {
 		t.Fatal("plain config must be content-addressable")
 	}
 
@@ -133,10 +161,10 @@ func TestPointNameRejectsLiveState(t *testing.T) {
 	for field, lc := range map[string]sim.Config{
 		"CPU.Predictor": pred, "CPU.OnLoadRetire": retire, "Telemetry": telem,
 	} {
-		if name, ok := PointName(bench, factory, false, lc); ok {
+		if name, ok := jobFile(bench, factory, false, lc); ok {
 			t.Errorf("config with live-state field %s got address %s; must be unkeyable", field, name)
 		}
-		if _, ok := PointFingerprint(bench, factory, false, lc); ok {
+		if _, ok := pointPreimage(bench, factory, false, lc); ok {
 			t.Errorf("config with live-state field %s got a fingerprint; must be unkeyable", field)
 		}
 	}
@@ -155,7 +183,7 @@ func TestJobNameMatchesStore(t *testing.T) {
 	if !ok {
 		t.Fatal("grid job not content-addressable")
 	}
-	if want, _ := PointName(bench, f.Name, false, cfg); gname != want {
+	if want, _ := jobFile(bench, f.Name, false, cfg); gname != want {
 		t.Errorf("JobName(grid) = %s, want %s", gname, want)
 	}
 
@@ -164,7 +192,7 @@ func TestJobNameMatchesStore(t *testing.T) {
 	if !ok {
 		t.Fatal("baseline job not content-addressable")
 	}
-	if want, _ := PointName(bench, sim.NoPrefetch().Name, true, cfg); bname != want {
+	if want, _ := jobFile(bench, sim.NoPrefetch().Name, true, cfg); bname != want {
 		t.Errorf("JobName(baseline) = %s, want %s", bname, want)
 	}
 	if bname == gname {

@@ -45,10 +45,9 @@ type warmEntry struct {
 
 // warmKeyFor fingerprints a job's warmup trajectory, reporting ok == false
 // when the config is not warm-fork eligible: BaselineWarmup off, no warmup
-// window, or behaviour the key cannot capture (custom predictor instances,
-// retirement callbacks, per-run telemetry).
+// window, or not addressable.
 func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
-	if !c.BaselineWarmup || c.CPU.Predictor != nil || c.CPU.OnLoadRetire != nil || c.Telemetry != nil {
+	if !c.BaselineWarmup || !addressable(c) {
 		return warmKey{}, false
 	}
 	n := c.Normalized()

@@ -111,36 +111,31 @@ type Stats struct {
 	PrefetchL1Rejected uint64 // promotions blocked by a live victim
 }
 
-// fields lists the counters the hierarchy itself keeps, in checkpoint
-// order; Accesses, L1Hits and L1Misses are the L1 cache's own counters.
-func (s *Stats) fields() [13]*uint64 {
-	return [...]*uint64{&s.MSHRMerges, &s.MSHRStalls, &s.L2Demand,
+// Fields lists every counter, in checkpoint order.
+func (s *Stats) Fields() [16]*uint64 {
+	return [...]*uint64{&s.Accesses, &s.L1Hits, &s.L1Misses,
+		&s.MSHRMerges, &s.MSHRStalls, &s.L2Demand,
 		&s.PrefetchedOriginal, &s.NonPrefetchedOriginal, &s.PrefetchedExtra,
 		&s.L2Hits, &s.L2Misses, &s.PrefetchIssued, &s.PrefetchDropped,
 		&s.PrefetchFills, &s.PrefetchToL1Fills, &s.PrefetchL1Rejected}
 }
 
+// own lists the counters the hierarchy itself keeps, in checkpoint order:
+// Fields minus Accesses, L1Hits and L1Misses, which are the L1 cache's own
+// counters.
+func (s *Stats) own() []*uint64 {
+	f := s.Fields()
+	return f[3:]
+}
+
 // Sub returns the per-counter difference s - w, used to report
 // measured-window statistics after a warmup boundary.
 func (s Stats) Sub(w Stats) Stats {
-	return Stats{
-		Accesses:              s.Accesses - w.Accesses,
-		L1Hits:                s.L1Hits - w.L1Hits,
-		L1Misses:              s.L1Misses - w.L1Misses,
-		MSHRMerges:            s.MSHRMerges - w.MSHRMerges,
-		MSHRStalls:            s.MSHRStalls - w.MSHRStalls,
-		L2Demand:              s.L2Demand - w.L2Demand,
-		PrefetchedOriginal:    s.PrefetchedOriginal - w.PrefetchedOriginal,
-		NonPrefetchedOriginal: s.NonPrefetchedOriginal - w.NonPrefetchedOriginal,
-		PrefetchedExtra:       s.PrefetchedExtra - w.PrefetchedExtra,
-		L2Hits:                s.L2Hits - w.L2Hits,
-		L2Misses:              s.L2Misses - w.L2Misses,
-		PrefetchIssued:        s.PrefetchIssued - w.PrefetchIssued,
-		PrefetchDropped:       s.PrefetchDropped - w.PrefetchDropped,
-		PrefetchFills:         s.PrefetchFills - w.PrefetchFills,
-		PrefetchToL1Fills:     s.PrefetchToL1Fills - w.PrefetchToL1Fills,
-		PrefetchL1Rejected:    s.PrefetchL1Rejected - w.PrefetchL1Rejected,
+	sf, wf := s.Fields(), w.Fields()
+	for i, f := range sf {
+		*f -= *wf[i]
 	}
+	return s
 }
 
 // MemSys is the memory hierarchy. Construct with New.
@@ -274,14 +269,8 @@ func (m *MemSys) PublishCounters() {
 // Config returns the effective configuration.
 func (m *MemSys) Config() Config { return m.cfg }
 
-// L1D exposes the L1 data cache (read-only use by callers).
-func (m *MemSys) L1D() *cache.Cache { return m.l1d }
-
 // L2 exposes the L2 cache.
 func (m *MemSys) L2() *cache.Cache { return m.l2 }
-
-// Prefetcher returns the attached prefetcher.
-func (m *MemSys) Prefetcher() prefetch.Prefetcher { return m.pf }
 
 // Access performs a demand load or store issued at cycle `now` and returns
 // the cycle at which the data is available to the core. The hit path must
@@ -613,25 +602,4 @@ func (m *MemSys) Quiesce(now int64) {
 	m.mshr.Quiesce(now + horizon)
 	m.l1d.Quiesce(now)
 	m.l2.Quiesce(now)
-}
-
-// Reset clears all state and statistics.
-func (m *MemSys) Reset() {
-	m.l1d.Reset()
-	m.l2.Reset()
-	m.l1Bus.Reset()
-	if m.pfBus != nil {
-		m.pfBus.Reset()
-	}
-	m.memBus.Reset()
-	m.mem.Reset()
-	m.mshr.Reset()
-	m.pf.Reset()
-	if m.l2pf != nil {
-		m.l2pf.Reset()
-	}
-	if m.dbp != nil {
-		m.dbp.Reset()
-	}
-	m.st = Stats{}
 }

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"reflect"
 	"testing"
 
 	"tagprefetch/internal/addr"
@@ -281,19 +282,6 @@ func TestMaxPerMissCap(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	m := newSys(prefetch.NewNextLine(DefaultConfig().L1D, 1))
-	m.Access(0x1000, 0, false, 0)
-	m.Reset()
-	s := m.Stats()
-	if s.Accesses != 0 || s.PrefetchIssued != 0 {
-		t.Errorf("stats after reset = %+v", s)
-	}
-	if m.L1D().Occupancy() != 0 || m.L2().Occupancy() != 0 {
-		t.Error("caches not cleared")
-	}
-}
-
 func TestTraceMissGeometry(t *testing.T) {
 	// Sanity: memsys and TCP agree on the miss geometry.
 	g := DefaultConfig().L1D
@@ -354,7 +342,6 @@ func (s toL1Stub) OnMiss(m trace.Miss) []prefetch.Request {
 func (s toL1Stub) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
 func (s toL1Stub) OnEvict(addr.Addr, int64, int64, int64)                        {}
 func (s toL1Stub) StorageBits() uint64                                           { return 0 }
-func (s toL1Stub) Reset()                                                        {}
 
 func TestPromotionGateRejectsUnknownLiveVictims(t *testing.T) {
 	g := DefaultConfig().L1D
@@ -416,31 +403,43 @@ func (s *recordingStub) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.R
 }
 func (s *recordingStub) OnEvict(addr.Addr, int64, int64, int64) { s.evicts++ }
 func (s *recordingStub) StorageBits() uint64                    { return 0 }
-func (s *recordingStub) Reset()                                 {}
 
 // TestUsePrefetcherAfterNone pins the None elision to the prefetcher
 // actually attached: a hierarchy built with the no-prefetch baseline and
 // then given a real prefetcher (as the warm-fork boundary does) must train
-// it on every miss and eviction, before and after Reset.
+// it on every miss and eviction.
 func TestUsePrefetcherAfterNone(t *testing.T) {
 	m := New(Config{}, prefetch.None{})
 	stub := &recordingStub{}
 	m.UsePrefetcher(stub)
 	g := m.Config().L1D
-	conflict := func() {
-		// One more tag than the set has ways: every access misses once
-		// and the last evicts.
-		for tag := uint64(1); tag <= uint64(g.Ways())+1; tag++ {
-			m.Access(g.Compose(tag, 3), 0x400000, false, int64(tag)*1000)
-		}
+	// One more tag than the set has ways: every access misses once and
+	// the last evicts.
+	for tag := uint64(1); tag <= uint64(g.Ways())+1; tag++ {
+		m.Access(g.Compose(tag, 3), 0x400000, false, int64(tag)*1000)
 	}
-	for _, phase := range []string{"attached", "after Reset"} {
-		*stub = recordingStub{}
-		conflict()
-		if want := g.Ways() + 1; stub.misses != want || stub.accesses != want || stub.evicts == 0 {
-			t.Errorf("%s: stub saw %d misses, %d accesses, %d evictions; want %d, %d, >0",
-				phase, stub.misses, stub.accesses, stub.evicts, want, want)
-		}
-		m.Reset()
+	if want := g.Ways() + 1; stub.misses != want || stub.accesses != want || stub.evicts == 0 {
+		t.Errorf("stub saw %d misses, %d accesses, %d evictions; want %d, %d, >0",
+			stub.misses, stub.accesses, stub.evicts, want, want)
+	}
+}
+
+// TestStatsFieldsCoverEveryCounter: Fields is the one counter list that
+// checkpoints and Sub walk, so it must name every Stats field exactly once.
+func TestStatsFieldsCoverEveryCounter(t *testing.T) {
+	var s Stats
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	seen := map[uint64]bool{}
+	for _, f := range s.Fields() {
+		seen[*f] = true
+	}
+	if len(seen) != v.NumField() || len(s.Fields()) != v.NumField() {
+		t.Errorf("Fields walks %d counters (%d distinct), Stats has %d", len(s.Fields()), len(seen), v.NumField())
+	}
+	if d := s.Sub(s); d != (Stats{}) {
+		t.Errorf("s.Sub(s) = %+v, want zero", d)
 	}
 }

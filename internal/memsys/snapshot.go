@@ -36,7 +36,7 @@ func (m *MemSys) Save(w *checkpoint.Writer) error {
 	w.Bool(m.pfBus != nil)
 	w.Bool(m.l2pf != nil)
 	w.Bool(m.dbp != nil)
-	for _, f := range m.st.fields() {
+	for _, f := range m.st.own() {
 		w.U64(*f)
 	}
 	if err := m.l1d.Save(w); err != nil {
@@ -109,7 +109,7 @@ func (m *MemSys) Restore(r *checkpoint.Reader) error {
 	if hasDbp && m.dbp == nil {
 		return fmt.Errorf("memsys: checkpoint has a dead-block predictor, machine does not")
 	}
-	for _, f := range m.st.fields() {
+	for _, f := range m.st.own() {
 		*f = r.U64()
 	}
 	if err := r.Err(); err != nil {

@@ -59,10 +59,3 @@ func (f *CriticalFiltered) Suppressed() uint64 { return f.suppressed }
 func (f *CriticalFiltered) StorageBits() uint64 {
 	return f.inner.StorageBits() + f.pred.StorageBits()
 }
-
-// Reset implements Prefetcher.
-func (f *CriticalFiltered) Reset() {
-	f.inner.Reset()
-	f.pred.Reset()
-	f.suppressed = 0
-}

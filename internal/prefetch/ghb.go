@@ -144,12 +144,3 @@ func (p *GHB) StorageBits() uint64 {
 	link := uint64(16)
 	return uint64(len(p.buffer))*(40+link) + uint64(len(p.buffer))*(32+link)
 }
-
-// Reset implements Prefetcher.
-func (p *GHB) Reset() {
-	for i := range p.buffer {
-		p.buffer[i] = ghbEntry{}
-	}
-	p.head = 0
-	p.index = make(map[uint64]int)
-}

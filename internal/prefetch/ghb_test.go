@@ -111,16 +111,6 @@ func TestGHBStorageAndReset(t *testing.T) {
 	if p.Name() != "ghb-pc/dc" {
 		t.Errorf("name = %q", p.Name())
 	}
-	pc := addr.Addr(0x400100)
-	for i := 0; i < 20; i++ {
-		p.OnMiss(ghbMiss(g, addr.Addr(0x1000+i*64), pc))
-	}
-	p.Reset()
-	for i := 0; i < 3; i++ {
-		if reqs := p.OnMiss(ghbMiss(g, addr.Addr(0x1000+i*64), pc)); len(reqs) != 0 {
-			t.Errorf("history survived reset: %v", reqs)
-		}
-	}
 	p.OnAccess(0, 0, 0, true)
 	p.OnEvict(0, 0, 0, 0)
 	if NewGHB(g, 1, 0).degree != 1 {

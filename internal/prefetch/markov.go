@@ -117,13 +117,3 @@ func (p *Markov) StorageBits() uint64 {
 	}
 	return uint64(len(p.sets)) * uint64(ways) * uint64(1+p.targets) * 40
 }
-
-// Reset implements Prefetcher.
-func (p *Markov) Reset() {
-	for _, set := range p.sets {
-		for i := range set {
-			set[i] = markovEntry{}
-		}
-	}
-	p.last, p.hasLast, p.clock = 0, false, 0
-}

@@ -40,8 +40,6 @@ type Prefetcher interface {
 	OnEvict(a addr.Addr, fillAt, lastTouch, cycle int64)
 	// StorageBits returns the hardware budget of the scheme's tables.
 	StorageBits() uint64
-	// Reset clears all learned state.
-	Reset()
 }
 
 // None is the no-prefetching baseline.
@@ -61,9 +59,6 @@ func (None) OnEvict(addr.Addr, int64, int64, int64) {}
 
 // StorageBits implements Prefetcher.
 func (None) StorageBits() uint64 { return 0 }
-
-// Reset implements Prefetcher.
-func (None) Reset() {}
 
 // NextLine prefetches the next Degree sequential blocks after each miss —
 // the simplest spatial prefetcher, a useful calibration floor.
@@ -101,6 +96,3 @@ func (p *NextLine) OnEvict(addr.Addr, int64, int64, int64) {}
 
 // StorageBits implements Prefetcher.
 func (p *NextLine) StorageBits() uint64 { return 0 }
-
-// Reset implements Prefetcher.
-func (p *NextLine) Reset() {}

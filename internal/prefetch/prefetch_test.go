@@ -23,7 +23,6 @@ func TestNone(t *testing.T) {
 	}
 	p.OnAccess(0, 0, 0, true)
 	p.OnEvict(0, 0, 0, 0)
-	p.Reset()
 }
 
 func TestNextLine(t *testing.T) {
@@ -204,26 +203,5 @@ func TestMarkovStorageAndReset(t *testing.T) {
 	p := NewMarkov(10, 4, 2)
 	if p.StorageBits() != 1024*4*3*40 {
 		t.Errorf("storage = %d", p.StorageBits())
-	}
-	g := l1()
-	p.OnMiss(miss(g, 0x10000, 0))
-	p.OnMiss(miss(g, 0x50000, 0))
-	p.Reset()
-	p.OnMiss(miss(g, 0x10000, 0))
-	if reqs := p.OnMiss(miss(g, 0x50000, 0)); len(reqs) != 0 {
-		t.Error("state survived reset")
-	}
-}
-
-func TestResetClearsStride(t *testing.T) {
-	g := l1()
-	p := NewStride(g, 8, 1)
-	pc := addr.Addr(0x400100)
-	for i := 0; i < 4; i++ {
-		p.OnMiss(miss(g, addr.Addr(0x10000+i*128), pc))
-	}
-	p.Reset()
-	if reqs := p.OnMiss(miss(g, 0x10200, pc)); len(reqs) != 0 {
-		t.Error("stride state survived reset")
 	}
 }

@@ -82,11 +82,3 @@ func (p *StreamBuffers) OnEvict(addr.Addr, int64, int64, int64) {}
 func (p *StreamBuffers) StorageBits() uint64 {
 	return uint64(len(p.buffers)) * uint64(p.depth+1) * 40
 }
-
-// Reset implements Prefetcher.
-func (p *StreamBuffers) Reset() {
-	for i := range p.buffers {
-		p.buffers[i] = streamBuf{}
-	}
-	p.clock = 0
-}

@@ -89,10 +89,3 @@ func (p *Stride) OnEvict(addr.Addr, int64, int64, int64) {}
 func (p *Stride) StorageBits() uint64 {
 	return uint64(len(p.entries)) * (32 + 40 + 16 + 2)
 }
-
-// Reset implements Prefetcher.
-func (p *Stride) Reset() {
-	for i := range p.entries {
-		p.entries[i] = strideEntry{}
-	}
-}

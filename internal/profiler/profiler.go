@@ -202,18 +202,3 @@ func (p *Profiler) Summarize() Summary {
 	}
 	return s
 }
-
-// Reset clears all accumulated state.
-func (p *Profiler) Reset() {
-	p.misses = 0
-	p.tagCount = make(map[uint64]uint64)
-	p.tagSet = make(map[tagSetKey]uint64)
-	p.addrCount = make(map[uint64]uint64)
-	for i := range p.hist {
-		p.hist[i] = nil
-	}
-	p.seqTotal = 0
-	p.seqCount = make(map[seqKey]uint64)
-	p.seqSet = make(map[seqSetKey]uint64)
-	p.strided = 0
-}

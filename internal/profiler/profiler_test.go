@@ -189,24 +189,6 @@ func TestSeqLen2(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	p := New(g(), 3)
-	for i := 0; i < 10; i++ {
-		obs(p, uint64(i), 0)
-	}
-	p.Reset()
-	s := p.Summarize()
-	if s.Misses != 0 || s.UniqueTags != 0 || s.SeqWindows != 0 {
-		t.Errorf("reset incomplete: %+v", s)
-	}
-	// History must also be cleared: 2 misses after reset -> no window.
-	obs(p, 1, 0)
-	obs(p, 2, 0)
-	if s := p.Summarize(); s.SeqWindows != 0 {
-		t.Errorf("stale history after reset: %+v", s)
-	}
-}
-
 func TestSweepProducesSharedSequences(t *testing.T) {
 	// A linear sweep of 4 passes over a 256 KB region (8 tags) must yield
 	// per-set sequences that appear in every set: the across-set sharing

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"tagprefetch/internal/addr"
 	"tagprefetch/internal/cache"
@@ -209,68 +210,11 @@ func (m *Machine) finish() Result {
 	}
 }
 
-func saveMemStats(w *checkpoint.Writer, s *memsys.Stats) {
-	w.U64(s.Accesses)
-	w.U64(s.L1Hits)
-	w.U64(s.L1Misses)
-	w.U64(s.MSHRMerges)
-	w.U64(s.MSHRStalls)
-	w.U64(s.L2Demand)
-	w.U64(s.PrefetchedOriginal)
-	w.U64(s.NonPrefetchedOriginal)
-	w.U64(s.PrefetchedExtra)
-	w.U64(s.L2Hits)
-	w.U64(s.L2Misses)
-	w.U64(s.PrefetchIssued)
-	w.U64(s.PrefetchDropped)
-	w.U64(s.PrefetchFills)
-	w.U64(s.PrefetchToL1Fills)
-	w.U64(s.PrefetchL1Rejected)
-}
-
-func restoreMemStats(r *checkpoint.Reader, s *memsys.Stats) {
-	s.Accesses = r.U64()
-	s.L1Hits = r.U64()
-	s.L1Misses = r.U64()
-	s.MSHRMerges = r.U64()
-	s.MSHRStalls = r.U64()
-	s.L2Demand = r.U64()
-	s.PrefetchedOriginal = r.U64()
-	s.NonPrefetchedOriginal = r.U64()
-	s.PrefetchedExtra = r.U64()
-	s.L2Hits = r.U64()
-	s.L2Misses = r.U64()
-	s.PrefetchIssued = r.U64()
-	s.PrefetchDropped = r.U64()
-	s.PrefetchFills = r.U64()
-	s.PrefetchToL1Fills = r.U64()
-	s.PrefetchL1Rejected = r.U64()
-}
-
-func saveCacheStats(w *checkpoint.Writer, s *cache.Stats) {
-	w.U64(s.Accesses)
-	w.U64(s.Hits)
-	w.U64(s.Misses)
-	w.U64(s.HitsOnPrefetch)
-	w.U64(s.LateHits)
-	w.U64(s.Fills)
-	w.U64(s.PrefetchFills)
-	w.U64(s.Evictions)
-	w.U64(s.Writebacks)
-	w.U64(s.UnusedPrefetchEvicted)
-}
-
-func restoreCacheStats(r *checkpoint.Reader, s *cache.Stats) {
-	s.Accesses = r.U64()
-	s.Hits = r.U64()
-	s.Misses = r.U64()
-	s.HitsOnPrefetch = r.U64()
-	s.LateHits = r.U64()
-	s.Fills = r.U64()
-	s.PrefetchFills = r.U64()
-	s.Evictions = r.U64()
-	s.Writebacks = r.U64()
-	s.UnusedPrefetchEvicted = r.U64()
+// boundaryCounters lists the warm-boundary snapshot's counters in
+// checkpoint order: the hierarchy's, then the L1's, then the L2's.
+func (m *Machine) boundaryCounters() []*uint64 {
+	mem, l1, l2 := m.memAtBoundary.Fields(), m.l1AtBoundary.Fields(), m.l2AtBoundary.Fields()
+	return slices.Concat(mem[:], l1[:], l2[:])
 }
 
 // Save implements checkpoint.Snapshotter: an identity section (benchmark,
@@ -300,9 +244,9 @@ func (m *Machine) Save(w *checkpoint.Writer) error {
 	w.Bool(hasSampler)
 	w.Bool(m.core.Warmed())
 	if m.core.Warmed() {
-		saveMemStats(w, &m.memAtBoundary)
-		saveCacheStats(w, &m.l1AtBoundary)
-		saveCacheStats(w, &m.l2AtBoundary)
+		for _, f := range m.boundaryCounters() {
+			w.U64(*f)
+		}
 	}
 	if err := m.core.Save(w); err != nil {
 		return err
@@ -389,9 +333,9 @@ func (m *Machine) Restore(r *checkpoint.Reader) error {
 	}
 	if warmed {
 		m.attachParked()
-		restoreMemStats(r, &m.memAtBoundary)
-		restoreCacheStats(r, &m.l1AtBoundary)
-		restoreCacheStats(r, &m.l2AtBoundary)
+		for _, f := range m.boundaryCounters() {
+			*f = r.U64()
+		}
 		if err := r.Err(); err != nil {
 			return err
 		}

@@ -73,9 +73,6 @@ func (c Config) Validate() error {
 			Reason: fmt.Sprintf("L2 block size %dB smaller than L1 block size %dB",
 				mc.L2.BlockBytes(), mc.L1D.BlockBytes())}
 	}
-	if n.Instructions == 0 {
-		return &ConfigError{Field: "Instructions", Reason: "measured window is zero"}
-	}
 	if n.Warmup > math.MaxUint64-n.Instructions {
 		return &ConfigError{Field: "Warmup",
 			Reason: fmt.Sprintf("warmup %d + instructions %d overflows", n.Warmup, n.Instructions)}

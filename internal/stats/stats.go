@@ -1,13 +1,12 @@
 // Package stats provides the small statistical toolkit used across the
-// simulator: streaming counters, histograms, geometric means (the paper
-// reports SPEC2000 averages as geometric means), and ASCII table/series
-// rendering for the experiment harness.
+// simulator: geometric means (the paper reports SPEC2000 averages as
+// geometric means) and ASCII table/series rendering for the experiment
+// harness.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"tagprefetch/internal/telemetry"
@@ -63,18 +62,6 @@ func GeomeanClamped(xs []float64) (float64, int) {
 // inputs clamped so far in this process.
 func GeomeanClampCount() uint64 { return geomeanClamps.Load() }
 
-// Mean returns the arithmetic mean of xs, 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 // Percent formats a ratio as a signed percentage string, e.g. 0.14 -> "14.0%".
 func Percent(r float64) string {
 	return fmt.Sprintf("%.1f%%", r*100)
@@ -87,139 +74,3 @@ func Ratio(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name string
-	N    uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.N += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.N++ }
-
-// Histogram is a fixed-bucket histogram over non-negative integer samples.
-// Bucket i counts samples in [bounds[i-1], bounds[i]); the last bucket is
-// open-ended. The zero value is unusable; construct with NewHistogram.
-type Histogram struct {
-	bounds []uint64
-	counts []uint64
-	total  uint64
-	sum    uint64
-	max    uint64
-}
-
-// NewHistogram creates a histogram with the given ascending bucket upper
-// bounds. Panics if bounds is empty or not strictly ascending.
-func NewHistogram(bounds ...uint64) *Histogram {
-	if len(bounds) == 0 {
-		panic("stats: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v < h.bounds[i] })
-	h.counts[i]++
-	h.total++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Total returns the number of samples observed.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Max returns the largest sample observed (0 if none).
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Mean returns the arithmetic mean of all samples (0 if none).
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Bucket returns the count of bucket i (i in [0, len(bounds)]).
-func (h *Histogram) Bucket(i int) uint64 { return h.counts[i] }
-
-// NumBuckets returns the number of buckets (len(bounds)+1).
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
-// Quantile returns an upper bound on the q-quantile (q in [0,1]) using the
-// bucket upper bounds; the open-ended last bucket reports the observed max.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := uint64(math.Ceil(q * float64(h.total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max
-		}
-	}
-	return h.max
-}
-
-// RunningMean tracks a streaming arithmetic mean and extrema.
-type RunningMean struct {
-	n        uint64
-	sum      float64
-	min, max float64
-}
-
-// Observe records one sample.
-func (r *RunningMean) Observe(v float64) {
-	if r.n == 0 || v < r.min {
-		r.min = v
-	}
-	if r.n == 0 || v > r.max {
-		r.max = v
-	}
-	r.n++
-	r.sum += v
-}
-
-// N returns the number of samples.
-func (r *RunningMean) N() uint64 { return r.n }
-
-// Mean returns the mean of all samples (0 if none).
-func (r *RunningMean) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Min returns the smallest sample (0 if none).
-func (r *RunningMean) Min() float64 { return r.min }
-
-// Max returns the largest sample (0 if none).
-func (r *RunningMean) Max() float64 { return r.max }

@@ -65,15 +65,6 @@ func TestGeomeanBetweenMinMax(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if m := Mean(nil); m != 0 {
-		t.Errorf("Mean(nil) = %v", m)
-	}
-	if m := Mean([]float64{1, 2, 3}); !almostEqual(m, 2) {
-		t.Errorf("Mean = %v, want 2", m)
-	}
-}
-
 func TestPercentAndRatio(t *testing.T) {
 	if s := Percent(0.14); s != "14.0%" {
 		t.Errorf("Percent = %q", s)
@@ -83,97 +74,6 @@ func TestPercentAndRatio(t *testing.T) {
 	}
 	if r := Ratio(3, 2); !almostEqual(r, 1.5) {
 		t.Errorf("Ratio = %v", r)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "misses"}
-	c.Inc()
-	c.Add(9)
-	if c.N != 10 {
-		t.Errorf("counter = %d, want 10", c.N)
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	if h.NumBuckets() != 4 {
-		t.Fatalf("buckets = %d, want 4", h.NumBuckets())
-	}
-	for _, v := range []uint64{0, 5, 9, 10, 50, 99, 100, 5000} {
-		h.Observe(v)
-	}
-	if h.Total() != 8 {
-		t.Errorf("total = %d", h.Total())
-	}
-	if h.Bucket(0) != 3 { // 0,5,9
-		t.Errorf("bucket0 = %d, want 3", h.Bucket(0))
-	}
-	if h.Bucket(1) != 3 { // 10,50,99
-		t.Errorf("bucket1 = %d, want 3", h.Bucket(1))
-	}
-	if h.Bucket(2) != 1 { // 100
-		t.Errorf("bucket2 = %d, want 1", h.Bucket(2))
-	}
-	if h.Bucket(3) != 1 { // 5000
-		t.Errorf("bucket3 = %d, want 1", h.Bucket(3))
-	}
-	if h.Max() != 5000 {
-		t.Errorf("max = %d", h.Max())
-	}
-	if !almostEqual(h.Mean(), float64(0+5+9+10+50+99+100+5000)/8) {
-		t.Errorf("mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(1, 2, 4, 8, 16)
-	for i := 0; i < 100; i++ {
-		h.Observe(uint64(i % 10))
-	}
-	if q := h.Quantile(0); q == 0 && h.Total() > 0 {
-		// quantile 0 returns first non-empty bucket bound; must be >= 1
-		t.Errorf("q0 = %d", q)
-	}
-	if q := h.Quantile(1); q < 8 {
-		t.Errorf("q1 = %d, want >= 8", q)
-	}
-	if q := h.Quantile(0.5); q < 2 || q > 8 {
-		t.Errorf("q0.5 = %d out of expected range", q)
-	}
-	empty := NewHistogram(1)
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Errorf("empty quantile = %d", q)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("empty bounds", func() { NewHistogram() })
-	mustPanic("descending bounds", func() { NewHistogram(10, 5) })
-	mustPanic("duplicate bounds", func() { NewHistogram(10, 10) })
-}
-
-func TestRunningMean(t *testing.T) {
-	var r RunningMean
-	if r.Mean() != 0 || r.N() != 0 {
-		t.Fatalf("zero value not empty")
-	}
-	for _, v := range []float64{2, 4, 9} {
-		r.Observe(v)
-	}
-	if !almostEqual(r.Mean(), 5) {
-		t.Errorf("mean = %v", r.Mean())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Errorf("min/max = %v/%v", r.Min(), r.Max())
 	}
 }
 

@@ -8,7 +8,7 @@
 // answers every point it can from a content-addressed result cache before
 // scheduling only the misses onto its in-process worker fleet. The cache is
 // the result-manifest directory itself: manifest names are content hashes
-// of the full normalized configuration (experiment.PointName), shared by
+// of the full normalized configuration (experiment.JobName), shared by
 // every sweep and every tenant, and scoped under ckpt-v<N> so a
 // checkpoint-format bump can never resurrect stale bytes. Repeated
 // requests — same tenant or not — therefore cost one simulation, not N.

@@ -66,16 +66,14 @@ func WritePrometheus(w io.Writer, sets ...PromSet) error {
 
 	bw := bufio.NewWriter(w)
 	for _, name := range names {
-		if err := writeFamily(bw, name, sets); err != nil {
-			return err
-		}
+		writeFamily(bw, name, sets)
 	}
 	return bw.Flush()
 }
 
 // writeFamily renders one metric family: header from the first set that
-// carries the name, then one sample (or histogram sample group) per set.
-func writeFamily(bw *bufio.Writer, name string, sets []PromSet) error {
+// carries the name, then one sample per set.
+func writeFamily(bw *bufio.Writer, name string, sets []PromSet) {
 	pname := promName(name)
 	headerDone := false
 	for _, set := range sets {
@@ -98,60 +96,21 @@ func writeFamily(bw *bufio.Writer, name string, sets []PromSet) error {
 				bw.WriteString(promType(mv.Kind))
 				bw.WriteByte('\n')
 			}
-			if err := writeSample(bw, pname, mv, set.Labels); err != nil {
-				return err
-			}
+			writeSample(bw, pname, mv, set.Labels)
 		}
 	}
-	return nil
 }
 
-func writeSample(bw *bufio.Writer, pname string, mv MetricValue, labels []PromLabel) error {
-	switch mv.Kind {
-	case "histogram":
-		// Registry buckets are non-cumulative with exclusive upper bounds
-		// over integer samples; Prometheus wants cumulative counts with
-		// inclusive "le" bounds, so bucket "< b" becomes le="b-1".
-		var cum uint64
-		for _, b := range mv.Buckets {
-			cum += b.Count
-			le := "+Inf"
-			if !b.Open {
-				le = strconv.FormatUint(b.UpperBound-1, 10)
-			}
-			bw.WriteString(pname)
-			bw.WriteString("_bucket")
-			writeLabels(bw, append(labels, PromLabel{Name: "le", Value: le}))
-			bw.WriteByte(' ')
-			bw.WriteString(strconv.FormatUint(cum, 10))
-			bw.WriteByte('\n')
-		}
-		bw.WriteString(pname)
-		bw.WriteString("_sum")
-		writeLabels(bw, labels)
-		bw.WriteByte(' ')
-		bw.WriteString(strconv.FormatUint(mv.Sum, 10))
-		bw.WriteByte('\n')
-		bw.WriteString(pname)
-		bw.WriteString("_count")
-		writeLabels(bw, labels)
-		bw.WriteByte(' ')
+func writeSample(bw *bufio.Writer, pname string, mv MetricValue, labels []PromLabel) {
+	bw.WriteString(pname)
+	writeLabels(bw, labels)
+	bw.WriteByte(' ')
+	if mv.Kind == "counter" {
 		bw.WriteString(strconv.FormatUint(mv.Count, 10))
-		bw.WriteByte('\n')
-	case "counter":
-		bw.WriteString(pname)
-		writeLabels(bw, labels)
-		bw.WriteByte(' ')
-		bw.WriteString(strconv.FormatUint(mv.Count, 10))
-		bw.WriteByte('\n')
-	default: // gauge and any future kind render their float value
-		bw.WriteString(pname)
-		writeLabels(bw, labels)
-		bw.WriteByte(' ')
+	} else { // gauge and any future kind render their float value
 		bw.WriteString(formatPromFloat(mv.Value))
-		bw.WriteByte('\n')
 	}
-	return nil
+	bw.WriteByte('\n')
 }
 
 func writeLabels(bw *bufio.Writer, labels []PromLabel) {
@@ -199,7 +158,7 @@ func promIdent(name string) string {
 
 func promType(kind string) string {
 	switch kind {
-	case "counter", "gauge", "histogram":
+	case "counter", "gauge":
 		return kind
 	}
 	return "untyped"

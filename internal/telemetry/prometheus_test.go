@@ -11,30 +11,18 @@ func promTestRegistry() *Registry {
 	reg := NewRegistry()
 	reg.Counter("run.instructions", "instructions retired").Add(41)
 	reg.Gauge("run.ipc", "headline IPC").Set(1.25)
-	h := reg.Histogram("memsys.latency", "load-to-use latency", 4, 16)
-	h.Observe(2)
-	h.Observe(7)
-	h.Observe(100)
 	return reg
 }
 
 // TestWritePrometheus pins the full text rendering: family order, HELP/TYPE
-// headers, counter/gauge/histogram sample shapes, label rendering, and the
-// exclusive-bound → inclusive-le conversion.
+// headers, counter/gauge sample shapes and label rendering.
 func TestWritePrometheus(t *testing.T) {
 	var b strings.Builder
 	err := WritePrometheus(&b, PromFromRegistry(promTestRegistry(), PromLabel{Name: "bench", Value: "mcf"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP tcp_memsys_latency load-to-use latency
-# TYPE tcp_memsys_latency histogram
-tcp_memsys_latency_bucket{bench="mcf",le="3"} 1
-tcp_memsys_latency_bucket{bench="mcf",le="15"} 2
-tcp_memsys_latency_bucket{bench="mcf",le="+Inf"} 3
-tcp_memsys_latency_sum{bench="mcf"} 109
-tcp_memsys_latency_count{bench="mcf"} 3
-# HELP tcp_run_instructions instructions retired
+	want := `# HELP tcp_run_instructions instructions retired
 # TYPE tcp_run_instructions counter
 tcp_run_instructions{bench="mcf"} 41
 # HELP tcp_run_ipc headline IPC

@@ -21,13 +21,11 @@ import (
 )
 
 // Metric is implemented by the metric kinds defined in this package
-// (Counter, Gauge, Histogram). The interface is sealed: components create
-// metrics with NewCounter/NewGauge/NewHistogram or through a Registry.
+// (Counter, Gauge). The interface is sealed: components create metrics
+// with NewCounter/NewGauge or through a Registry.
 type Metric interface {
 	// MetricName is the local (unprefixed) metric name.
 	MetricName() string
-	// MetricDesc is the one-line description.
-	MetricDesc() string
 	value(fullName string) MetricValue
 }
 
@@ -64,9 +62,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // MetricName implements Metric.
 func (c *Counter) MetricName() string { return c.name }
-
-// MetricDesc implements Metric.
-func (c *Counter) MetricDesc() string { return c.desc }
 
 func (c *Counter) value(full string) MetricValue {
 	v := c.v.Load()
@@ -123,118 +118,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // MetricName implements Metric.
 func (g *Gauge) MetricName() string { return g.name }
 
-// MetricDesc implements Metric.
-func (g *Gauge) MetricDesc() string { return g.desc }
-
 func (g *Gauge) value(full string) MetricValue {
 	return MetricValue{Name: full, Desc: g.desc, Kind: "gauge", Value: g.Value()}
-}
-
-// Histogram is a fixed-bucket histogram over non-negative integer samples;
-// bucket i counts samples < bounds[i], the last bucket is open-ended.
-// Safe for concurrent use.
-type Histogram struct {
-	name, desc string
-	bounds     []uint64
-
-	mu     sync.Mutex
-	counts []uint64
-	total  uint64
-	sum    uint64
-	max    uint64
-}
-
-// NewHistogram creates a standalone histogram with ascending bucket upper
-// bounds. Panics if bounds is empty or not strictly ascending.
-func NewHistogram(name, desc string, bounds ...uint64) *Histogram {
-	if len(bounds) == 0 {
-		panic("telemetry: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("telemetry: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{
-		name:   name,
-		desc:   desc,
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v < h.bounds[i] })
-	h.mu.Lock()
-	h.counts[i]++
-	h.total++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-	h.mu.Unlock()
-}
-
-// Total returns the number of samples observed.
-func (h *Histogram) Total() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Mean returns the arithmetic mean of all samples (0 if none).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Reset clears all recorded samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.max = 0, 0, 0
-	h.mu.Unlock()
-}
-
-// MetricName implements Metric.
-func (h *Histogram) MetricName() string { return h.name }
-
-// MetricDesc implements Metric.
-func (h *Histogram) MetricDesc() string { return h.desc }
-
-func (h *Histogram) value(full string) MetricValue {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	mv := MetricValue{Name: full, Desc: h.desc, Kind: "histogram", Count: h.total, Sum: h.sum}
-	if h.total > 0 {
-		mv.Value = float64(h.sum) / float64(h.total)
-	}
-	for i, c := range h.counts {
-		b := Bucket{Count: c}
-		if i < len(h.bounds) {
-			b.UpperBound = h.bounds[i]
-		} else {
-			b.UpperBound = math.MaxUint64
-			b.Open = true
-		}
-		mv.Buckets = append(mv.Buckets, b)
-	}
-	return mv
-}
-
-// Bucket is one histogram bucket in a snapshot.
-type Bucket struct {
-	// UpperBound is the exclusive upper bound; the last bucket is open.
-	UpperBound uint64 `json:"le"`
-	Open       bool   `json:"open,omitempty"`
-	Count      uint64 `json:"count"`
 }
 
 // MetricValue is one metric in a registry snapshot (and in run reports).
@@ -243,11 +128,8 @@ type MetricValue struct {
 	Desc  string  `json:"desc,omitempty"`
 	Kind  string  `json:"kind"`
 	Value float64 `json:"value"`
-	// Count carries the exact integer value for counters and the sample
-	// count for histograms.
-	Count   uint64   `json:"count,omitempty"`
-	Sum     uint64   `json:"sum,omitempty"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	// Count carries the exact integer value for counters.
+	Count uint64 `json:"count,omitempty"`
 }
 
 // registryData is the shared store behind a Registry and its Sub views.
@@ -323,24 +205,6 @@ func (r *Registry) Gauge(name, desc string) *Gauge {
 	return g
 }
 
-// Histogram returns the histogram registered under name, creating it with
-// the given bounds if absent.
-func (r *Registry) Histogram(name, desc string, bounds ...uint64) *Histogram {
-	full := r.prefix + name
-	r.data.mu.Lock()
-	defer r.data.mu.Unlock()
-	if m, ok := r.data.metrics[full]; ok {
-		h, ok := m.(*Histogram)
-		if !ok {
-			panic(fmt.Sprintf("telemetry: %s registered as %T, not histogram", full, m))
-		}
-		return h
-	}
-	h := NewHistogram(name, desc, bounds...)
-	r.data.metrics[full] = h
-	return h
-}
-
 // Lookup returns the metric registered under name within this view.
 func (r *Registry) Lookup(name string) (Metric, bool) {
 	r.data.mu.RLock()
@@ -348,9 +212,6 @@ func (r *Registry) Lookup(name string) (Metric, bool) {
 	m, ok := r.data.metrics[r.prefix+name]
 	return m, ok
 }
-
-// Len returns the number of metrics visible from this view.
-func (r *Registry) Len() int { return len(r.Snapshot()) }
 
 // Snapshot returns the current value of every metric under this view's
 // prefix, sorted by full name.

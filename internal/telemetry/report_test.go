@@ -11,8 +11,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenReport builds a fully deterministic report exercising every part
-// of the schema: counters, gauges, histograms, time series, phases, sweep
-// curves and tables.
+// of the schema: counters, gauges, time series, phases, sweep curves and
+// tables.
 func goldenReport() *Report {
 	run := NewRun(100)
 	reg := run.Registry
@@ -20,10 +20,6 @@ func goldenReport() *Report {
 	reg.Sub("memsys.l1").Counter("accesses", "L1 demand accesses").Add(1000)
 	reg.Sub("cpu").Counter("instructions", "retired instructions").Add(4000)
 	reg.Gauge("run.ipc", "measured-window IPC").Set(1.6)
-	h := reg.Histogram("memsys.miss_latency", "cycles from miss to fill", 16, 128)
-	h.Observe(12)
-	h.Observe(80)
-	h.Observe(300)
 
 	misses := reg.Sub("memsys.l1").Counter("misses", "")
 	accesses := reg.Sub("memsys.l1").Counter("accesses", "")
@@ -88,8 +84,8 @@ func TestReportRoundTrip(t *testing.T) {
 	if len(got.Runs) != 1 || got.Runs[0].Benchmark != "mcf" || got.Runs[0].Prefetcher != "tcp-8K" {
 		t.Errorf("round-trip runs = %+v", got.Runs)
 	}
-	if len(got.Runs[0].Metrics) != 5 {
-		t.Errorf("metrics = %d, want 5", len(got.Runs[0].Metrics))
+	if len(got.Runs[0].Metrics) != 4 {
+		t.Errorf("metrics = %d, want 4", len(got.Runs[0].Metrics))
 	}
 	if len(got.Runs[0].Series) != 2 || len(got.Runs[0].Phases) != 2 {
 		t.Errorf("series/phases = %d/%d", len(got.Runs[0].Series), len(got.Runs[0].Phases))

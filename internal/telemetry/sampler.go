@@ -60,9 +60,6 @@ func NewSampler(everyCycles int64, maxSamples int) *Sampler {
 	return &Sampler{every: everyCycles, next: everyCycles, maxSample: maxSamples}
 }
 
-// Every returns the sampling interval in cycles.
-func (s *Sampler) Every() int64 { return s.every }
-
 // Value registers an instantaneous probe sampled at each tick.
 func (s *Sampler) Value(name string, f func() float64) {
 	s.probes = append(s.probes, samplerProbe{name: name, value: f})

@@ -15,13 +15,6 @@ import (
 	"tagprefetch/internal/addr"
 )
 
-// Ref is one memory reference issued by the core.
-type Ref struct {
-	PC    addr.Addr
-	Addr  addr.Addr
-	Write bool
-}
-
 // Miss is one L1 data-cache miss as observed by a prefetcher sitting
 // between L1 and L2 (Figure 10 of the paper). Index and Tag are the miss
 // index and miss tag under the L1 geometry; PC is the address of the

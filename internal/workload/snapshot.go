@@ -8,7 +8,7 @@ import (
 
 // The generator's static structure — loop body, slot-to-stream binding,
 // branch periods, chase permutations — is rebuilt deterministically by
-// Reset(seed), so a checkpoint stores only the dynamic cursors. Restore
+// New(spec, seed), so a checkpoint stores only the dynamic cursors. Restore
 // therefore requires a generator freshly constructed from the same Spec and
 // seed (which the sim machine guarantees); it validates the workload name
 // and every structural length against that expectation.

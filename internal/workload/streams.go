@@ -9,7 +9,7 @@ import (
 // address and whether the access is address-dependent on the stream's
 // previous access (true only for pointer chases). save/restore checkpoint
 // the stream's dynamic cursor only — structure (footprints, permutations)
-// is rebuilt by Reset; see snapshot.go.
+// is rebuilt by New; see snapshot.go.
 type stream interface {
 	next() (addr uint64, chained bool)
 	save(w *checkpoint.Writer)

@@ -8,7 +8,7 @@
 // uniform random scatter, a same-set column walk, or an L1-resident hot
 // loop). The body repeats forever, like the loop nests that dominate
 // SPEC2000 execution. Because the body and the slot-to-stream binding are
-// fixed at Reset, each load PC sees a regular address pattern (what stride
+// fixed at construction, each load PC sees a regular address pattern (what stride
 // prefetchers and DBCP key on) and each L1 set sees repetitive per-set tag
 // sequences (what TCP keys on) — exactly the structure Section 3 of the
 // paper measures in real miss traces.
@@ -78,8 +78,6 @@ type Generator interface {
 	Name() string
 	// Next fills in the next dynamic instruction.
 	Next(*Inst)
-	// Reset rewinds the stream and reseeds all pseudo-random choices.
-	Reset(seed uint64)
 }
 
 // StreamKind selects an address-pattern component.
@@ -141,7 +139,14 @@ func New(spec Spec, seed uint64) Generator {
 		panic("workload: spec needs MemFrac > 0")
 	}
 	s := &synth{spec: withDefaults(spec)}
-	s.Reset(seed)
+	s.rng = xrand.New(seed ^ hashName(s.spec.Name))
+	s.buildStreams()
+	s.buildBody()
+	s.lastOf = make([]uint64, len(s.streams))
+	s.depP = xrand.NewProb(s.spec.DepProb)
+	s.loadUseP = xrand.NewProb(s.spec.LoadUseProb)
+	s.predictableP = xrand.NewProb(s.spec.BranchPredictability)
+	s.coinP = xrand.NewProb(0.5)
 	return s
 }
 
@@ -200,7 +205,7 @@ type branchPattern struct {
 type synth struct {
 	spec    Spec
 	rng     *xrand.Rand
-	body    []slot //tcp:nosnap static structure rebuilt deterministically by Reset(seed); Restore only validates the decoded cursor against its length
+	body    []slot //tcp:nosnap static structure rebuilt deterministically by New from the spec and seed; Restore only validates the decoded cursor against its length
 	streams []stream
 	branch  []branchPattern
 
@@ -209,27 +214,12 @@ type synth struct {
 	lastLoad uint64 // icount of the most recent load (0 = none yet)
 	lastOf   []uint64
 
-	// The spec's per-instruction probabilities, prepared once by Reset.
-	depP, loadUseP, predictableP, coinP xrand.Prob //tcp:nosnap derived from the spec by Reset
+	// The spec's per-instruction probabilities, prepared once by New.
+	depP, loadUseP, predictableP, coinP xrand.Prob //tcp:nosnap derived from the spec by New
 }
 
 // Name implements Generator.
 func (s *synth) Name() string { return s.spec.Name }
-
-// Reset implements Generator.
-func (s *synth) Reset(seed uint64) {
-	s.rng = xrand.New(seed ^ hashName(s.spec.Name))
-	s.buildStreams()
-	s.buildBody()
-	s.slotIdx = 0
-	s.icount = 0
-	s.lastLoad = 0
-	s.lastOf = make([]uint64, len(s.streams))
-	s.depP = xrand.NewProb(s.spec.DepProb)
-	s.loadUseP = xrand.NewProb(s.spec.LoadUseProb)
-	s.predictableP = xrand.NewProb(s.spec.BranchPredictability)
-	s.coinP = xrand.NewProb(0.5)
-}
 
 func hashName(name string) uint64 {
 	h := uint64(14695981039346656037)

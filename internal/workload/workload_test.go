@@ -52,23 +52,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestResetRewinds(t *testing.T) {
-	g := New(MustSpec2000("mcf"), 3)
-	var first []Inst
-	var in Inst
-	for i := 0; i < 200; i++ {
-		g.Next(&in)
-		first = append(first, in)
-	}
-	g.Reset(3)
-	for i := 0; i < 200; i++ {
-		g.Next(&in)
-		if in != first[i] {
-			t.Fatalf("reset did not rewind at %d", i)
-		}
-	}
-}
-
 func TestClassMixApproximatesSpec(t *testing.T) {
 	spec := MustSpec2000("gcc")
 	g := New(spec, 1)
