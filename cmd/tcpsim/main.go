@@ -198,17 +198,14 @@ func run() int {
 	}
 	report := telemetry.NewReport("tcpsim")
 
-	// Each benchmark is an independent job with its own telemetry.Run, so
+	// Each benchmark is an independent run with its own telemetry.Run, so
 	// runs isolate their registries/samplers even when executing on
 	// concurrent workers; the tracer is shared and internally synchronised.
-	simJobs := make([]experiment.Job, len(benches))
 	teleRuns := make([]*telemetry.Run, len(benches))
 	for i, b := range benches {
-		runCfg := cfg
 		if telemetryOn {
 			tRun := telemetry.NewRun(*sample)
 			tRun.Tracer = tracer
-			runCfg.Telemetry = tRun
 			teleRuns[i] = tRun
 			tracer.Emit(telemetry.Event{Type: "run.start",
 				Level: telemetry.LevelInfo, Note: b})
@@ -216,7 +213,6 @@ func run() int {
 				installProgress(tRun.Sampler, b, *progress)
 			}
 		}
-		simJobs[i] = experiment.Job{Bench: b, Factory: f, Config: runCfg}
 	}
 
 	// A scrape snapshots every run's live registry; between scrapes the
@@ -246,23 +242,24 @@ func run() int {
 		defer srv.Close()
 	}
 
-	var results []sim.Result
-	if *savePath != "" || saveAtSet || *restorePath != "" {
-		if *savePath == "" && saveAtSet {
-			fmt.Fprintln(os.Stderr, "tcpsim: -save-at requires -save FILE")
-			return 2
-		}
-		if len(benches) != 1 {
-			fmt.Fprintln(os.Stderr, "tcpsim: -save/-restore need a single benchmark (-bench NAME, not all)")
-			return 2
-		}
-		r, code := runCheckpointed(benches[0], f, simJobs[0].Config, *savePath, *saveAt, saveAtSet, *restorePath)
+	ck := checkpointing{save: *savePath, saveAt: *saveAt, saveAtSet: saveAtSet, restore: *restorePath}
+	if ck.saveAtSet && ck.save == "" {
+		fmt.Fprintln(os.Stderr, "tcpsim: -save-at requires -save FILE")
+		return 2
+	}
+	if (ck.save != "" || ck.restore != "") && len(benches) != 1 {
+		fmt.Fprintln(os.Stderr, "tcpsim: -save/-restore need a single benchmark (-bench NAME, not all)")
+		return 2
+	}
+	results := make([]sim.Result, len(benches))
+	codes := make([]int, len(benches))
+	experiment.NewRunner(*jobs).ForEach(len(benches), func(i int) {
+		results[i], codes[i] = runBench(benches[i], f, cfg, teleRuns[i], ck)
+	})
+	for _, code := range codes {
 		if code != 0 {
 			return code
 		}
-		results = []sim.Result{r}
-	} else {
-		results = experiment.NewRunner(*jobs).Map(simJobs)
 	}
 
 	tab := stats.NewTable(
@@ -323,14 +320,22 @@ func installProgress(s *telemetry.Sampler, bench string, everyMillion uint64) {
 	})
 }
 
-// runCheckpointed drives a single benchmark on an explicit sim.Machine so its
-// state can be snapshotted mid-run (-save/-save-at) or seeded from a prior
-// snapshot (-restore). Restoring and continuing is bit-identical to the
-// uninterrupted run, so the printed table matches either way. saveAtSet
-// distinguishes an explicit -save-at 0 (snapshot the initial state) from the
-// flag being absent (snapshot at the warmup/measure boundary).
-func runCheckpointed(bench string, f sim.Factory, cfg sim.Config,
-	savePath string, saveAt uint64, saveAtSet bool, restorePath string) (sim.Result, int) {
+// checkpointing carries the -save, -save-at and -restore flags. saveAtSet
+// distinguishes an explicit -save-at 0 (snapshot the initial state) from
+// the flag being absent (snapshot at the warmup/measure boundary).
+type checkpointing struct {
+	save      string
+	saveAt    uint64
+	saveAtSet bool
+	restore   string
+}
+
+// runBench runs one benchmark on its own sim.Machine, observed by tel when
+// non-nil. With checkpointing flags set, the machine's state is seeded from
+// a prior snapshot (-restore) or snapshotted mid-run (-save/-save-at);
+// restoring and continuing is bit-identical to the uninterrupted run, so
+// the printed table matches either way.
+func runBench(bench string, f sim.Factory, cfg sim.Config, tel *telemetry.Run, ck checkpointing) (sim.Result, int) {
 	spec, err := workload.Spec2000(bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcpsim:", err)
@@ -341,8 +346,9 @@ func runCheckpointed(bench string, f sim.Factory, cfg sim.Config,
 		fmt.Fprintln(os.Stderr, "tcpsim:", err)
 		return sim.Result{}, 2
 	}
-	if restorePath != "" {
-		data, err := checkpoint.ReadFile(restorePath)
+	m.Observe(tel)
+	if ck.restore != "" {
+		data, err := checkpoint.ReadFile(ck.restore)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcpsim:", err)
 			return sim.Result{}, 1
@@ -352,12 +358,12 @@ func runCheckpointed(bench string, f sim.Factory, cfg sim.Config,
 			return sim.Result{}, 1
 		}
 		fmt.Fprintf(os.Stderr, "tcpsim: restored %s at instruction %d of %d\n",
-			restorePath, m.Position(), m.Total())
+			ck.restore, m.Position(), m.Total())
 	}
-	if savePath != "" {
+	if ck.save != "" {
 		at := cfg.Normalized().Warmup
-		if saveAtSet {
-			at = saveAt
+		if ck.saveAtSet {
+			at = ck.saveAt
 		}
 		if at < m.Position() {
 			fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is before the current position %d\n",
@@ -370,12 +376,12 @@ func runCheckpointed(bench string, f sim.Factory, cfg sim.Config,
 			fmt.Fprintln(os.Stderr, "tcpsim: checkpoint:", err)
 			return sim.Result{}, 1
 		}
-		if err := checkpoint.WriteFile(savePath, img); err != nil {
+		if err := checkpoint.WriteFile(ck.save, img); err != nil {
 			fmt.Fprintln(os.Stderr, "tcpsim:", err)
 			return sim.Result{}, 1
 		}
 		fmt.Fprintf(os.Stderr, "tcpsim: checkpoint (%d bytes) written to %s at instruction %d\n",
-			len(img), savePath, m.Position())
+			len(img), ck.save, m.Position())
 	}
 	return m.Run(), 0
 }

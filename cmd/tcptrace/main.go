@@ -106,8 +106,9 @@ func run() int {
 		// A scrape snapshots the run's registry, which the core republishes
 		// every statusEvery cycles; between scrapes the simulation pays
 		// nothing.
+		var tel *telemetry.Run
 		if *statusAddr != "" {
-			cfg.Telemetry = telemetry.NewRun(statusEvery)
+			tel = telemetry.NewRun(statusEvery)
 			ln, err := net.Listen("tcp", *statusAddr)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tcptrace:", err)
@@ -115,7 +116,7 @@ func run() int {
 			}
 			mux := http.NewServeMux()
 			mux.Handle("/metrics", telemetry.PromHandler(func() []telemetry.PromSet {
-				return []telemetry.PromSet{telemetry.PromFromRegistry(cfg.Telemetry.Registry,
+				return []telemetry.PromSet{telemetry.PromFromRegistry(tel.Registry,
 					telemetry.PromLabel{Name: "bench", Value: *bench})}
 			}))
 			fmt.Fprintf(os.Stderr, "tcptrace: metrics on http://%s/metrics\n", ln.Addr())
@@ -136,7 +137,7 @@ func run() int {
 			defer w.Flush() //nolint:errcheck
 		}
 		// The warmup engine follows the contract of docs/FASTFORWARD.md.
-		_, err := sim.ObserveMisses(*bench, cfg, func(m trace.Miss) {
+		_, err := sim.ObserveMisses(*bench, cfg, tel, func(m trace.Miss) {
 			prof.Observe(m)
 			if w != nil && werr == nil {
 				// A failing sink must not abort mid-simulation (an os.Exit

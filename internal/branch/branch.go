@@ -10,15 +10,58 @@
 // options against their branch-prediction ancestors.
 package branch
 
+import (
+	"fmt"
+	"strings"
+
+	"tagprefetch/internal/checkpoint"
+)
+
 // Predictor predicts conditional branch outcomes and learns from the
-// resolved direction.
+// resolved direction. Predictors are embedded CPU state, so every one is
+// checkpointable (snapshot.go).
 type Predictor interface {
+	checkpoint.Snapshotter
 	// Predict returns the predicted direction for the branch at pc.
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc uint64, taken bool)
 	// Name identifies the scheme.
 	Name() string
+}
+
+// Default names the core's predictor when cpu.Config.Predictor is empty: a
+// 12-bit gshare with 8 bits of global history.
+const Default = "gshare"
+
+// Predictors is the one table of named predictors a configuration selects
+// by name: ablation A9's rows, in its order and with its parameters.
+// Predictors are stateful, so Build returns a fresh instance per call.
+var Predictors = []struct {
+	Name  string
+	Build func() Predictor
+}{
+	{"always-taken", func() Predictor { return Static{Taken: true} }},
+	{"bimodal", func() Predictor { return NewBimodal(12) }},
+	{Default, func() Predictor { return NewGShare(12, 8) }},
+	{"PAg", func() Predictor { return NewPAg(10, 8, 12) }},
+	{"combining", func() Predictor { return NewCombining(NewBimodal(12), NewGShare(12, 8), 10) }},
+}
+
+// New builds the named predictor; "" selects Default. An unknown name
+// returns an error listing the table.
+func New(name string) (Predictor, error) {
+	if name == "" {
+		name = Default
+	}
+	names := make([]string, len(Predictors))
+	for i, p := range Predictors {
+		if p.Name == name {
+			return p.Build(), nil
+		}
+		names[i] = p.Name
+	}
+	return nil, fmt.Errorf("unknown branch predictor %q (want %s)", name, strings.Join(names, " | "))
 }
 
 // counter is a 2-bit saturating counter; taken when >= 2.

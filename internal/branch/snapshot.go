@@ -87,20 +87,14 @@ func (p *PAg) Restore(r *checkpoint.Reader) error {
 	return restoreCounters(r, p.table)
 }
 
-// Save implements checkpoint.Snapshotter. Both component predictors must
-// themselves be Snapshotters.
+// Save implements checkpoint.Snapshotter: the chooser, then both
+// component predictors.
 func (c *Combining) Save(w *checkpoint.Writer) error {
 	saveCounters(w, c.chooser)
-	for _, p := range []Predictor{c.a, c.b} {
-		s, ok := p.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("branch: component predictor %s is not checkpointable", p.Name())
-		}
-		if err := s.Save(w); err != nil {
-			return err
-		}
+	if err := c.a.Save(w); err != nil {
+		return err
 	}
-	return nil
+	return c.b.Save(w)
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -108,16 +102,10 @@ func (c *Combining) Restore(r *checkpoint.Reader) error {
 	if err := restoreCounters(r, c.chooser); err != nil {
 		return err
 	}
-	for _, p := range []Predictor{c.a, c.b} {
-		s, ok := p.(checkpoint.Snapshotter)
-		if !ok {
-			return fmt.Errorf("branch: component predictor %s is not checkpointable", p.Name())
-		}
-		if err := s.Restore(r); err != nil {
-			return err
-		}
+	if err := c.a.Restore(r); err != nil {
+		return err
 	}
-	return nil
+	return c.b.Restore(r)
 }
 
 // Save implements checkpoint.Snapshotter; Static has no dynamic state.

@@ -48,12 +48,9 @@ type Config struct {
 
 	RedirectPenalty int64 // extra front-end cycles after a mispredict resolves
 
-	Predictor branch.Predictor // nil: a 12-bit gshare with 8-bit history
-
-	// OnLoadRetire, if non-nil, is invoked as each load commits with
-	// whether the load's completion was on the commit critical path (the
-	// window drained waiting for it). Feeds critical-miss predictors.
-	OnLoadRetire func(pc uint64, critical bool)
+	// Predictor names the front-end branch predictor, a row of
+	// branch.Predictors; "" selects branch.Default.
+	Predictor string
 }
 
 // DefaultConfig returns the paper's Table 1 core.
@@ -202,21 +199,23 @@ type Core struct {
 }
 
 // New creates a core bound to a data-memory system.
+// An unknown predictor name panics; sim.Config.Validate reports it first.
 func New(cfg Config, mem Memory) *Core {
 	cfg = cfg.withDefaults()
-	pred := cfg.Predictor
-	if pred == nil {
-		pred = branch.NewGShare(12, 8)
+	pred, err := branch.New(cfg.Predictor)
+	if err != nil {
+		panic("cpu: " + err.Error())
 	}
 	return &Core{cfg: cfg, mem: mem, pred: pred, p: newPipeline(cfg, mem, pred)}
 }
 
-// SetOnLoadRetire installs (or clears) the load-retirement hook on a core
-// whose pipeline already exists — the warm-fork path uses it to attach a
-// criticality trainer at the warmup/measure boundary.
+// SetOnLoadRetire installs (or clears) the load-retirement hook: fn is
+// invoked as each load commits with whether the load's completion was on
+// the commit critical path (the window drained waiting for it). It feeds
+// critical-miss predictors; sim.Machine attaches one at construction, or
+// at the warmup/measure boundary of a baseline warmup.
 func (c *Core) SetOnLoadRetire(fn func(pc uint64, critical bool)) {
-	c.cfg.OnLoadRetire = fn
-	c.p.cfg.OnLoadRetire = fn
+	c.p.onLoadRetire = fn
 }
 
 // Config returns the effective configuration.
@@ -262,9 +261,10 @@ func (c *Core) syncCounters(instructions uint64, cycles int64) {
 // cursors that carry from one committed instruction to the next. It is
 // built once per run and advanced by step.
 type pipeline struct {
-	cfg  Config
-	mem  Memory
-	pred branch.Predictor
+	cfg          Config
+	mem          Memory
+	pred         branch.Predictor
+	onLoadRetire func(pc uint64, critical bool) //tcp:nosnap host wiring installed by SetOnLoadRetire, not simulated state
 
 	doneAt    []int64 // completion, ring by instruction index
 	commitAt  []int64 // commit, same ring
@@ -426,12 +426,12 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	if p.lastCommit > cm {
 		cm = p.lastCommit
 	}
-	if inst.Class == workload.Load && cfg.OnLoadRetire != nil {
+	if inst.Class == workload.Load && p.onLoadRetire != nil {
 		// The load is critical when its completion, not older work,
 		// determines the commit time — by more than the few cycles of
 		// natural pipeline skew between completion and commit.
 		const commitSkew = 8
-		cfg.OnLoadRetire(inst.PC, done > p.lastCommit+commitSkew)
+		p.onLoadRetire(inst.PC, done > p.lastCommit+commitSkew)
 	}
 	if cm > p.commitCycle {
 		p.commitCycle = cm

@@ -245,13 +245,14 @@ func TestOnLoadRetireCriticality(t *testing.T) {
 	}
 	run := func(insts []workload.Inst, lat int64) sample {
 		var s sample
-		cfg := Config{OnLoadRetire: func(pc uint64, critical bool) {
+		core := New(Config{}, &fixedMem{latency: lat})
+		core.SetOnLoadRetire(func(pc uint64, critical bool) {
 			s.total++
 			if critical {
 				s.criticals++
 			}
-		}}
-		runScript(New(cfg, &fixedMem{latency: lat}), insts, 20000)
+		})
+		runScript(core, insts, 20000)
 		return s
 	}
 

@@ -66,11 +66,7 @@ func (c *Core) Save(w *checkpoint.Writer) error {
 	w.I64(c.fclock)
 
 	w.String(c.pred.Name())
-	s, ok := c.pred.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("cpu: branch predictor %s is not checkpointable", c.pred.Name())
-	}
-	return s.Save(w)
+	return c.pred.Save(w)
 }
 
 // Restore implements checkpoint.Snapshotter. The core must be configured
@@ -127,9 +123,5 @@ func (c *Core) Restore(r *checkpoint.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	s, ok := c.pred.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("cpu: branch predictor %s is not checkpointable", c.pred.Name())
-	}
-	return s.Restore(r)
+	return c.pred.Restore(r)
 }

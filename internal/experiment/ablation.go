@@ -148,10 +148,10 @@ func AblationStrideAssist(o Options) *stats.Table {
 	o = o.withDefaults()
 	cfg := o.simConfig()
 	return improvementTable("Ablation A7: strided-sequence assist (Section 6)", o, cfg,
-		sim.Custom("tcp-2K", core.Config{HistoryDepth: 3, PHTSets: 64, PHTWays: 8}),
-		sim.Custom("tcp-2K+stride", core.Config{HistoryDepth: 3, PHTSets: 64, PHTWays: 8, StrideAssist: true}),
-		sim.Custom("tcp-8K", core.Config{HistoryDepth: 3, PHTSets: 256, PHTWays: 8}),
-		sim.Custom("tcp-8K+stride", core.Config{HistoryDepth: 3, PHTSets: 256, PHTWays: 8, StrideAssist: true}))
+		sim.Custom("tcp-2K/k3", core.Config{HistoryDepth: 3, PHTSets: 64, PHTWays: 8}),
+		sim.Custom("tcp-2K/k3+stride", core.Config{HistoryDepth: 3, PHTSets: 64, PHTWays: 8, StrideAssist: true}),
+		sim.Custom("tcp-8K/k3", core.Config{HistoryDepth: 3, PHTSets: 256, PHTWays: 8}),
+		sim.Custom("tcp-8K/k3+stride", core.Config{HistoryDepth: 3, PHTSets: 256, PHTWays: 8, StrideAssist: true}))
 }
 
 // AblationPlacement (A8) measures the paper's placement argument
@@ -170,37 +170,23 @@ func AblationPlacement(o Options) *stats.Table {
 func AblationBranchPredictors(o Options) stats.Series {
 	o = o.withDefaults()
 	s := stats.Series{Name: "mean baseline IPC vs branch predictor"}
-	preds := []struct {
-		name string
-		make func() branch.Predictor
-	}{
-		{"always-taken", func() branch.Predictor { return branch.Static{Taken: true} }},
-		{"bimodal", func() branch.Predictor { return branch.NewBimodal(12) }},
-		{"gshare", func() branch.Predictor { return branch.NewGShare(12, 8) }},
-		{"PAg", func() branch.Predictor { return branch.NewPAg(10, 8, 12) }},
-		{"combining", func() branch.Predictor {
-			return branch.NewCombining(branch.NewBimodal(12), branch.NewGShare(12, 8), 10)
-		}},
-	}
 	cfg := o.simConfig()
-	// Predictors are stateful, so every job gets a freshly built instance;
-	// a custom predictor also makes the baseline non-memoisable, which is
-	// what we want here — each point must really simulate.
+	// Each point names its predictor, so every point has an address; the
+	// gshare row is the default machine and shares the memoised baseline
+	// with every other sweep.
 	var jobs []Job
-	for _, p := range preds {
-		for _, b := range o.Benches {
-			c := cfg
-			c.CPU.Predictor = p.make()
-			jobs = append(jobs, Job{Bench: b, Config: c, Baseline: true})
-		}
+	for _, p := range branch.Predictors {
+		c := cfg
+		c.CPU.Predictor = p.Name
+		jobs = append(jobs, BaselineJobs(o.Benches, c)...)
 	}
 	res := o.Runner.Map(jobs)
-	for pi, p := range preds {
+	for pi, p := range branch.Predictors {
 		var ipcs []float64
 		for bi := range o.Benches {
 			ipcs = append(ipcs, res[pi*len(o.Benches)+bi].IPC())
 		}
-		s.Add(p.name, stats.Geomean(ipcs))
+		s.Add(p.Name, stats.Geomean(ipcs))
 	}
 	return s
 }

@@ -15,7 +15,7 @@ import (
 func CaptureMisses(bench string, o Options, capRecords int) ([]trace.Miss, error) {
 	o = o.withDefaults()
 	var misses []trace.Miss
-	_, err := sim.ObserveMisses(bench, o.simConfig(), func(m trace.Miss) {
+	_, err := sim.ObserveMisses(bench, o.simConfig(), nil, func(m trace.Miss) {
 		if capRecords <= 0 || len(misses) < capRecords {
 			misses = append(misses, m)
 		}

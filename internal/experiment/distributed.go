@@ -25,13 +25,11 @@ import (
 // directory. Call before submitting jobs.
 func (r *Runner) SetClaims(c *distrib.Store) { r.claims = c }
 
-// SetStrictGather makes the runner refuse to simulate any storable job:
-// every one must be answered by an existing manifest, and a missing or
-// unreadable manifest raises *IncompleteGridError. This is the -gather
-// pass of a distributed sweep — it assembles output from completed
-// manifests and proves the workers covered the whole grid. Jobs that are
-// not storable (custom predictor instances, callbacks, per-run telemetry)
-// cannot have manifests and are still simulated locally.
+// SetStrictGather makes the runner refuse to simulate any job: every one
+// must be answered by an existing manifest, and a missing or unreadable
+// manifest raises *IncompleteGridError. This is the -gather pass of a
+// distributed sweep — it assembles output from completed manifests and
+// proves the workers covered the whole grid.
 func (r *Runner) SetStrictGather(on bool) { r.strict = on }
 
 // StoreStats reports how many job submissions were answered from result
@@ -77,17 +75,14 @@ func CatchIncomplete(fn func()) (err error) {
 	return nil
 }
 
-// requireComplete enforces strict-gather mode for a storable job whose
-// manifest lookup just missed.
+// requireComplete enforces strict-gather mode for a job whose manifest
+// lookup just missed.
 func (r *Runner) requireComplete(bench, factory string, baseline bool, c sim.Config) {
 	if !r.strict {
 		return
 	}
-	name, ok := jobFile(bench, factory, baseline, c)
-	if !ok {
-		return // unstorable: gather simulates it locally by design
-	}
-	panic(&IncompleteGridError{Bench: bench, Factory: factory, Baseline: baseline, Job: name})
+	panic(&IncompleteGridError{Bench: bench, Factory: factory, Baseline: baseline,
+		Job: jobFile(bench, factory, baseline, c)})
 }
 
 // runDistributed resolves one job against the shared directory: answer it
@@ -95,12 +90,7 @@ func (r *Runner) requireComplete(bench, factory string, baseline bool, c sim.Con
 // stealing) for the worker that holds it. It only returns with the job's
 // result.
 func (r *Runner) runDistributed(bench string, f sim.Factory, baseline bool, cfg sim.Config) sim.Result {
-	name, ok := jobFile(bench, f.Name, baseline, cfg)
-	if !ok {
-		// Unstorable jobs cannot be published; every worker simulates its
-		// own copy, which is deterministic, so outputs still agree.
-		return r.simulate(bench, f, cfg)
-	}
+	name := jobFile(bench, f.Name, baseline, cfg)
 	for attempt := 0; ; attempt++ {
 		if res, ok := r.store.Lookup(bench, f.Name, baseline, cfg); ok {
 			r.storeHits.Add(1)

@@ -4,13 +4,11 @@ package experiment
 // cache entry is keyed by a content fingerprint of the job's normalized
 // configuration. The fingerprint covers exactly the inputs that shape a
 // simulation's output — benchmark, factory name, baseline flag, measured
-// and warmup windows, seed, warmup fidelity, the comparable cpu.Config
-// subset (cpuKey) and the defaulted memsys.Config — so two requests that
-// describe the same machine resolve to the same address and one simulation
-// serves both. Configs carrying behaviour the fingerprint cannot capture
-// (custom predictor instances, retirement callbacks, per-run telemetry)
-// are not content-addressable (see addressable) and report ok == false
-// everywhere.
+// and warmup windows, seed, warmup fidelity, the cpu.Config (cpuKey plus
+// the branch predictor's name) and the defaulted memsys.Config — so two
+// requests that describe the same machine resolve to the same address and
+// one simulation serves both. sim.Config is a plain value, so every config
+// has an address.
 //
 // JobName is the one exported entry point: the sweep daemon
 // (internal/sweepd) schedules and caches on it. Golden tests pin the
@@ -24,15 +22,15 @@ import (
 	"hash/fnv"
 	"io"
 
+	"tagprefetch/internal/branch"
 	"tagprefetch/internal/sim"
 )
 
 // JobName returns the content address of a Job: the result-manifest
 // filename ("job-<fnv64a>.json") the runner's ResultStore publishes under
 // and the distributed claim protocol leases, resolving the baseline
-// factory name for baseline jobs. ok is false when the config is not
-// content-addressable.
-func JobName(j Job) (string, bool) {
+// factory name for baseline jobs.
+func JobName(j Job) string {
 	factory := j.Factory.Name
 	if j.Baseline {
 		factory = sim.NoPrefetch().Name
@@ -40,45 +38,40 @@ func JobName(j Job) (string, bool) {
 	return jobFile(j.Bench, factory, j.Baseline, j.Config)
 }
 
-// addressable reports whether c carries only configuration a fingerprint
-// can capture: no custom predictor instance, retirement callback or
-// per-run telemetry. Result manifests and warm images alike key only
-// addressable configs.
-func addressable(c sim.Config) bool {
-	return c.CPU.Predictor == nil && c.CPU.OnLoadRetire == nil && c.Telemetry == nil
-}
-
 // pointPreimage builds the fingerprint string the manifest-name hash and
 // the runner's baseline memo consume. It is stable across processes and
 // hosts: only the normalized configuration participates, never live state.
 // The layout is pinned by a golden test (identity_test.go): field order,
-// separators and the trailing non-default-fidelity clause must not change
-// without bumping every existing manifest name deliberately.
-func pointPreimage(bench, factory string, baseline bool, c sim.Config) (string, bool) {
-	if !addressable(c) {
-		return "", false
-	}
+// separators and the trailing non-default clauses must not change without
+// bumping every existing manifest name deliberately.
+func pointPreimage(bench, factory string, baseline bool, c sim.Config) string {
 	n := c.Normalized()
 	s := fmt.Sprintf("%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v",
 		bench, factory, baseline, n.Instructions, n.Warmup, n.NoWarmup, n.Seed,
 		n.BaselineWarmup, cpuKeyFor(n.CPU), n.Mem.WithDefaults())
-	// The fidelity joins the fingerprint only when non-default, so
-	// default-mode addresses match pre-fidelity builds and old result
-	// directories keep resolving.
+	return s + nonDefaultClauses(n)
+}
+
+// nonDefaultClauses renders the fingerprint fields that join a preimage
+// only when they differ from their defaults — the warmup fidelity and the
+// branch predictor — so default-mode addresses match the builds that
+// predate those fields and old result directories and warm images keep
+// resolving. n must be normalized.
+func nonDefaultClauses(n sim.Config) string {
+	s := ""
 	if n.WarmupFidelity != sim.FidelityFull {
 		s += fmt.Sprintf("|fid=%s", n.WarmupFidelity)
 	}
-	return s, true
+	if n.CPU.Predictor != branch.Default {
+		s += fmt.Sprintf("|pred=%s", n.CPU.Predictor)
+	}
+	return s
 }
 
 // jobFile names a job's manifest by hashing its canonical normalized
-// configuration; ok is false when the config is not addressable.
-func jobFile(bench, factory string, baseline bool, c sim.Config) (string, bool) {
-	pre, ok := pointPreimage(bench, factory, baseline, c)
-	if !ok {
-		return "", false
-	}
+// configuration.
+func jobFile(bench, factory string, baseline bool, c sim.Config) string {
 	h := fnv.New64a()
-	io.WriteString(h, pre) //nolint:errcheck // fnv never errors
-	return fmt.Sprintf("job-%016x.json", h.Sum64()), true
+	io.WriteString(h, pointPreimage(bench, factory, baseline, c)) //nolint:errcheck // fnv never errors
+	return fmt.Sprintf("job-%016x.json", h.Sum64())
 }

@@ -1,12 +1,14 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"tagprefetch/internal/branch"
+	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/sim"
-	"tagprefetch/internal/telemetry"
+	"tagprefetch/internal/stats"
 )
 
 // fig13Config is the canonical Figure 13 grid point the goldens pin: the
@@ -36,32 +38,48 @@ func TestPointFingerprintGolden(t *testing.T) {
 		"IdealL2:false PrefetchBus:false MaxPerMiss:4}"
 	const wantName = "job-aa2edc4736619644.json"
 
-	fp, ok := pointPreimage(bench, factory, false, cfg)
-	if !ok {
-		t.Fatal("canonical Fig. 13 config is not content-addressable")
-	}
+	fp := pointPreimage(bench, factory, false, cfg)
 	if fp != wantFP {
 		t.Errorf("fingerprint changed:\n got %q\nwant %q\n(an intentional key-schema change must regenerate this golden — it flushes every existing manifest)", fp, wantFP)
 	}
-	name, ok := jobFile(bench, factory, false, cfg)
-	if !ok || name != wantName {
-		t.Errorf("jobFile = %q, %v; want %q, true", name, ok, wantName)
+	if name := jobFile(bench, factory, false, cfg); name != wantName {
+		t.Errorf("jobFile = %q, want %q", name, wantName)
 	}
 
-	// The default fidelity must stay absent from the preimage (addresses
-	// written by pre-fidelity builds keep resolving), and the fast engine
-	// must fork the address.
-	if strings.Contains(fp, "fid=") {
-		t.Errorf("default-fidelity fingerprint mentions fid: %q", fp)
+	// The default fidelity and predictor must stay absent from the
+	// preimage (addresses written by builds that predate them keep
+	// resolving; naming the default predictor is the default machine), and
+	// every non-default value must fork the address with its clause.
+	if strings.Contains(fp, "fid=") || strings.Contains(fp, "pred=") {
+		t.Errorf("default fingerprint mentions a non-default clause: %q", fp)
 	}
-	fast := cfg
-	fast.WarmupFidelity = sim.FidelityFast
-	fastFP, _ := pointPreimage(bench, factory, false, fast)
-	if fastFP != wantFP+"|fid=fast" {
-		t.Errorf("fast fingerprint = %q, want golden + |fid=fast", fastFP)
+	gshare := cfg
+	gshare.CPU.Predictor = branch.Default
+	if got := pointPreimage(bench, factory, false, gshare); got != wantFP {
+		t.Errorf("explicit default predictor fingerprint = %q, want the golden", got)
 	}
-	if fastName, _ := jobFile(bench, factory, false, fast); fastName == wantName {
-		t.Error("fast-fidelity point shares the full-fidelity address")
+	for _, tc := range []struct {
+		fid    sim.Fidelity
+		pred   string
+		clause string
+		name   string
+	}{
+		{sim.FidelityFast, "", "|fid=fast", "job-f5fb426cfd34b444.json"},
+		{"", "always-taken", "|pred=always-taken", "job-ddabbc35f9c937ed.json"},
+		{"", "bimodal", "|pred=bimodal", "job-9cf25ab644efedc8.json"},
+		{"", "PAg", "|pred=PAg", "job-d2a9d2812993a9aa.json"},
+		{"", "combining", "|pred=combining", "job-a76a77ae50a28084.json"},
+		{sim.FidelityFast, "bimodal", "|fid=fast|pred=bimodal", "job-24fbdb0c6997c7c8.json"},
+	} {
+		c := cfg
+		c.WarmupFidelity = tc.fid
+		c.CPU.Predictor = tc.pred
+		if got := pointPreimage(bench, factory, false, c); got != wantFP+tc.clause {
+			t.Errorf("%s: fingerprint = %q, want golden + %s", tc.clause, got, tc.clause)
+		}
+		if got := jobFile(bench, factory, false, c); got != tc.name {
+			t.Errorf("%s: jobFile = %q, want %q", tc.clause, got, tc.name)
+		}
 	}
 }
 
@@ -72,24 +90,27 @@ func TestPointFingerprintGolden(t *testing.T) {
 func TestWarmFileNameGolden(t *testing.T) {
 	bench, _, cfg := fig13Config()
 	cfg.BaselineWarmup = true
-	for fid, want := range map[sim.Fidelity]string{
-		sim.FidelityFull: "warm-swim-f9e4b7569dedc24d.ckpt",
-		sim.FidelityFast: "warm-swim-434d5934096722a7.ckpt",
+	for _, tc := range []struct {
+		fid  sim.Fidelity
+		pred string
+		want string
+	}{
+		{sim.FidelityFull, "", "warm-swim-f9e4b7569dedc24d.ckpt"},
+		{sim.FidelityFast, "", "warm-swim-434d5934096722a7.ckpt"},
+		{sim.FidelityFull, branch.Default, "warm-swim-f9e4b7569dedc24d.ckpt"},
+		{sim.FidelityFull, "bimodal", "warm-swim-d7b3f817dfd0c663.ckpt"},
+		{sim.FidelityFast, "PAg", "warm-swim-4897c5cab4ea700f.ckpt"},
 	} {
 		c := cfg
-		c.WarmupFidelity = fid
+		c.WarmupFidelity = tc.fid
+		c.CPU.Predictor = tc.pred
 		key, ok := warmKeyFor(bench, c)
 		if !ok {
-			t.Fatalf("%s: canonical warm-fork config is not eligible", fid)
+			t.Fatalf("%s/%q: canonical warm-fork config is not eligible", tc.fid, tc.pred)
 		}
-		if got := warmFileName(key); got != want {
-			t.Errorf("%s: warmFileName = %q, want %q", fid, got, want)
+		if got := warmFileName(key); got != tc.want {
+			t.Errorf("%s/%q: warmFileName = %q, want %q", tc.fid, tc.pred, got, tc.want)
 		}
-	}
-	c := cfg
-	c.Telemetry = telemetry.NewRun(0)
-	if _, ok := warmKeyFor(bench, c); ok {
-		t.Error("config with per-run telemetry got a warm key; must be unkeyable")
 	}
 }
 
@@ -98,10 +119,7 @@ func TestWarmFileNameGolden(t *testing.T) {
 // entry.
 func TestPointNameSeparatesConfigs(t *testing.T) {
 	bench, factory, cfg := fig13Config()
-	base, ok := jobFile(bench, factory, false, cfg)
-	if !ok {
-		t.Fatal("base config not content-addressable")
-	}
+	base := jobFile(bench, factory, false, cfg)
 	mutate := map[string]sim.Config{}
 	c := cfg
 	c.Instructions = 2_000_000
@@ -121,52 +139,22 @@ func TestPointNameSeparatesConfigs(t *testing.T) {
 	c = cfg
 	c.Mem.MSHRs = 32
 	mutate["mem.mshrs"] = c
+	c = cfg
+	c.CPU.Predictor = "bimodal"
+	mutate["cpu.predictor"] = c
 	for field, mc := range mutate {
-		name, ok := jobFile(bench, factory, false, mc)
-		if !ok {
-			t.Errorf("%s variant not content-addressable", field)
-			continue
-		}
-		if name == base {
+		if name := jobFile(bench, factory, false, mc); name == base {
 			t.Errorf("changing %s did not change the point name %s", field, base)
 		}
 	}
-	if n, _ := jobFile(bench, factory, true, cfg); n == base {
+	if jobFile(bench, factory, true, cfg) == base {
 		t.Error("baseline flag did not change the point name")
 	}
-	if n, _ := jobFile("mcf", factory, false, cfg); n == base {
+	if jobFile("mcf", factory, false, cfg) == base {
 		t.Error("benchmark did not change the point name")
 	}
-	if n, _ := jobFile(bench, "other", false, cfg); n == base {
+	if jobFile(bench, "other", false, cfg) == base {
 		t.Error("factory name did not change the point name")
-	}
-}
-
-// TestPointNameRejectsLiveState: configs carrying behaviour the
-// fingerprint cannot capture — a custom predictor instance, a retirement
-// callback, per-run telemetry — must be unkeyable, never silently share an
-// address with the plain config they otherwise equal.
-func TestPointNameRejectsLiveState(t *testing.T) {
-	bench, factory, cfg := fig13Config()
-	if _, ok := jobFile(bench, factory, false, cfg); !ok {
-		t.Fatal("plain config must be content-addressable")
-	}
-
-	pred := cfg
-	pred.CPU.Predictor = branch.NewBimodal(10)
-	retire := cfg
-	retire.CPU.OnLoadRetire = func(pc uint64, critical bool) {}
-	telem := cfg
-	telem.Telemetry = telemetry.NewRun(0)
-	for field, lc := range map[string]sim.Config{
-		"CPU.Predictor": pred, "CPU.OnLoadRetire": retire, "Telemetry": telem,
-	} {
-		if name, ok := jobFile(bench, factory, false, lc); ok {
-			t.Errorf("config with live-state field %s got address %s; must be unkeyable", field, name)
-		}
-		if _, ok := pointPreimage(bench, factory, false, lc); ok {
-			t.Errorf("config with live-state field %s got a fingerprint; must be unkeyable", field)
-		}
 	}
 }
 
@@ -179,23 +167,93 @@ func TestJobNameMatchesStore(t *testing.T) {
 	f := sim.TCPWithPHT(8<<10, 2, false)
 
 	grid := Job{Bench: bench, Factory: f, Config: cfg}
-	gname, ok := JobName(grid)
-	if !ok {
-		t.Fatal("grid job not content-addressable")
-	}
-	if want, _ := jobFile(bench, f.Name, false, cfg); gname != want {
+	gname := JobName(grid)
+	if want := jobFile(bench, f.Name, false, cfg); gname != want {
 		t.Errorf("JobName(grid) = %s, want %s", gname, want)
 	}
 
 	baseline := Job{Bench: bench, Config: cfg, Baseline: true}
-	bname, ok := JobName(baseline)
-	if !ok {
-		t.Fatal("baseline job not content-addressable")
-	}
-	if want, _ := jobFile(bench, sim.NoPrefetch().Name, true, cfg); bname != want {
+	bname := JobName(baseline)
+	if want := jobFile(bench, sim.NoPrefetch().Name, true, cfg); bname != want {
 		t.Errorf("JobName(baseline) = %s, want %s", bname, want)
 	}
 	if bname == gname {
 		t.Error("baseline and grid jobs share an address")
+	}
+}
+
+// TestJobNamesNameOneMachine plans every sweep of the table plus Figures
+// 1, 11, 12 and 14 and requires each content address to name exactly one
+// machine: two jobs sharing a JobName must agree on benchmark, baseline
+// flag and factory flags, and build prefetchers that are deeply equal. A
+// factory label reused for a different configuration would otherwise let
+// one grid answer another's points from the shared manifest store.
+//
+// One such label remains and is listed in knownCollisions: the size
+// sweep's 8 MB PHT with no miss-index bits is labelled "tcp-8M", as is
+// Figure 11's TCP-8M, which uses 10. Renaming either moves committed
+// bytes — Figure 11's column header, or the size sweep's counter keys in
+// the benchmark goldens — so the list pins it until that rename lands;
+// a new collision, or a listed one that is gone, fails the test.
+func TestJobNamesNameOneMachine(t *testing.T) {
+	knownCollisions := map[string]bool{"tcp-8M": true}
+	type machine struct {
+		bench            string
+		baseline         bool
+		critFilter, atL2 bool
+		hybrid           bool
+		pf               prefetch.Prefetcher
+		plannedBy        string
+	}
+	seen := map[string]machine{}
+	collided := map[string]bool{}
+	var plannedBy string
+	r := NewRunner(1)
+	r.SetPlan(func(j Job) {
+		f := j.Factory
+		if j.Baseline {
+			f = sim.NoPrefetch()
+		}
+		mem := j.Config.Normalized().Mem.WithDefaults()
+		geom := mem.L1D
+		if f.AtL2 {
+			geom = mem.L2
+		}
+		pf, hybrid := f.Build(geom)
+		got := machine{j.Bench, j.Baseline, f.CriticalFilter, f.AtL2, hybrid, pf, plannedBy}
+		name := JobName(j)
+		prev, ok := seen[name]
+		if !ok {
+			seen[name] = got
+			return
+		}
+		if prev.bench != got.bench || prev.baseline != got.baseline ||
+			prev.critFilter != got.critFilter || prev.atL2 != got.atL2 ||
+			prev.hybrid != got.hybrid || !reflect.DeepEqual(prev.pf, got.pf) {
+			collided[f.Name] = true
+			if !knownCollisions[f.Name] {
+				t.Errorf("%s names two machines: %s %q planned by %s and by %s",
+					name, j.Bench, f.Name, prev.plannedBy, plannedBy)
+			}
+		}
+	})
+	o := Options{Benches: []string{"swim", "mcf"}, Runner: r}
+	for _, sw := range Sweeps {
+		plannedBy = sw.Name
+		sw.Run(o)
+	}
+	for _, fig := range []struct {
+		name string
+		run  func(Options) *stats.Table
+	}{
+		{"fig1", Fig01IdealL2}, {"fig11", Fig11IPC}, {"fig12", Fig12Traffic}, {"fig14", Fig14Hybrid},
+	} {
+		plannedBy = fig.name
+		fig.run(o)
+	}
+	for label := range knownCollisions {
+		if !collided[label] {
+			t.Errorf("known collision %q no longer occurs; drop it from knownCollisions", label)
+		}
 	}
 }

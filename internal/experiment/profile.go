@@ -14,7 +14,7 @@ import (
 func ProfileBench(bench string, o Options) (profiler.Summary, error) {
 	o = o.withDefaults()
 	p := profiler.New(memsys.DefaultConfig().L1D, 3)
-	if _, err := sim.ObserveMisses(bench, o.simConfig(), p.Observe); err != nil {
+	if _, err := sim.ObserveMisses(bench, o.simConfig(), nil, p.Observe); err != nil {
 		return profiler.Summary{}, err
 	}
 	return p.Summarize(), nil

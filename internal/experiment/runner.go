@@ -107,8 +107,8 @@ func NewRunner(jobs int) *Runner {
 // submitting jobs.
 func (r *Runner) SetCheckpointDir(dir string) { r.checkpointDir = dir }
 
-// SetResultStore installs a completed-result manifest: every storable job
-// result is written there, and — when the store was opened in resume mode —
+// SetResultStore installs a completed-result manifest: every job result
+// is written there, and — when the store was opened in resume mode —
 // consulted before simulating, so a killed sweep picks up where it stopped.
 func (r *Runner) SetResultStore(s *ResultStore) { r.store = s }
 
@@ -145,8 +145,10 @@ type baselineEntry struct {
 	res  sim.Result
 }
 
-// cpuKey is the comparable subset of cpu.Config (the Predictor and
-// OnLoadRetire fields make the struct itself unusable as a map key).
+// cpuKey is the numeric part of cpu.Config as the fingerprints render it:
+// its %+v text is pinned by the identity goldens, so it stays a type of
+// its own, and the predictor joins the fingerprints as a non-default
+// clause (nonDefaultClauses) instead.
 type cpuKey struct {
 	issueWidth, ruuSize, lsqSize             int
 	intALU, intMult, fpALU, fpMult, memPorts int
@@ -196,10 +198,7 @@ func (r *Runner) run(j Job) sim.Result {
 	base := sim.NoPrefetch()
 	// The memo keys on the fingerprint preimage itself, not its hash, so a
 	// hash collision cannot alias two configs.
-	key, ok := pointPreimage(j.Bench, base.Name, true, j.Config)
-	if !ok {
-		return r.simulate(j.Bench, base, j.Config)
-	}
+	key := pointPreimage(j.Bench, base.Name, true, j.Config)
 	if res, ok := r.store.Lookup(j.Bench, base.Name, true, j.Config); ok {
 		r.storeHits.Add(1)
 		return res

@@ -6,10 +6,10 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"tagprefetch/internal/branch"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
+	"tagprefetch/internal/workload"
 )
 
 // TestRunnerDeterminism pins the tentpole guarantee: a parallel runner
@@ -76,29 +76,6 @@ func TestRunnerBaselineCacheKeySplitsOnConfig(t *testing.T) {
 	r.Map(BaselineJobs([]string{"art"}, explicit))
 	if simulated, _ := r.BaselineStats(); simulated != 2 {
 		t.Errorf("normalised config missed the cache: %d simulations", simulated)
-	}
-}
-
-// TestRunnerSkipsCacheForCallbackConfigs: configs carrying live state (a
-// predictor instance, a retirement hook, telemetry) are not memoisable and
-// must simulate every time.
-func TestRunnerSkipsCacheForCallbackConfigs(t *testing.T) {
-	r := NewRunner(2)
-	// A fresh predictor instance per job: the instances are stateful, so
-	// concurrent jobs must never share one (AblationBranchPredictors does
-	// the same).
-	jobs := make([]Job, 2)
-	for i := range jobs {
-		cfg := sim.Config{Instructions: 30_000}
-		cfg.CPU.Predictor = branch.NewBimodal(10)
-		jobs[i] = Job{Bench: "art", Config: cfg, Baseline: true}
-		if _, ok := JobName(jobs[i]); ok {
-			t.Error("config with a predictor instance must not be fingerprintable")
-		}
-	}
-	r.Map(jobs)
-	if simulated, reused := r.BaselineStats(); simulated != 0 || reused != 0 {
-		t.Errorf("callback config hit the cache: simulated=%d reused=%d", simulated, reused)
 	}
 }
 
@@ -182,24 +159,29 @@ func TestParallelSweepRace(t *testing.T) {
 	}
 }
 
-// TestPerRunTelemetryIsolationAcrossWorkers: concurrent jobs each carrying
-// their own telemetry.Run must land their samples and registries in their
-// own run, sharing only the (synchronised) tracer — the tcpsim -jobs N
-// -json configuration.
+// TestPerRunTelemetryIsolationAcrossWorkers: concurrent machines each
+// observed by their own telemetry.Run must land their samples and
+// registries in their own run, sharing only the (synchronised) tracer —
+// the tcpsim -jobs N -json configuration, which fans its benches out
+// through ForEach.
 func TestPerRunTelemetryIsolationAcrossWorkers(t *testing.T) {
 	benches := []string{"swim", "mcf", "art", "gzip"}
 	tracer := telemetry.NewTracer(&strings.Builder{}, telemetry.TracerOptions{})
-	jobs := make([]Job, len(benches))
 	runs := make([]*telemetry.Run, len(benches))
-	for i, b := range benches {
+	results := make([]sim.Result, len(benches))
+	// NoWarmup so the cumulative registry counters equal the (otherwise
+	// warmup-subtracted) Result counters and can be compared directly.
+	cfg := sim.Config{Instructions: 30_000, NoWarmup: true}
+	NewRunner(4).ForEach(len(benches), func(i int) {
 		runs[i] = telemetry.NewRun(2_000)
 		runs[i].Tracer = tracer
-		// NoWarmup so the cumulative registry counters equal the (otherwise
-		// warmup-subtracted) Result counters and can be compared directly.
-		cfg := sim.Config{Instructions: 30_000, NoWarmup: true, Telemetry: runs[i]}
-		jobs[i] = Job{Bench: b, Factory: sim.TCP8K(), Config: cfg}
-	}
-	results := NewRunner(4).Map(jobs)
+		m, err := sim.NewMachine(workload.MustSpec2000(benches[i]), sim.TCP8K(), cfg)
+		if err != nil {
+			panic(err)
+		}
+		m.Observe(runs[i])
+		results[i] = m.Run()
+	})
 	for i, b := range benches {
 		rep := runs[i].Report(b, "tcp-8K", 30_000, 0, 1, results[i].IPC())
 		if rep.Benchmark != b {

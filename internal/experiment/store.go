@@ -78,11 +78,7 @@ func (s *ResultStore) Lookup(bench, factory string, baseline bool, c sim.Config)
 	if s == nil || !s.resume {
 		return sim.Result{}, false
 	}
-	name, ok := jobFile(bench, factory, baseline, c)
-	if !ok {
-		return sim.Result{}, false
-	}
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
+	data, err := os.ReadFile(filepath.Join(s.dir, jobFile(bench, factory, baseline, c)))
 	if err != nil {
 		return sim.Result{}, false
 	}
@@ -102,10 +98,7 @@ func (s *ResultStore) Save(bench, factory string, baseline bool, c sim.Config, r
 	if s == nil {
 		return
 	}
-	name, ok := jobFile(bench, factory, baseline, c)
-	if !ok {
-		return
-	}
+	name := jobFile(bench, factory, baseline, c)
 	data, err := json.MarshalIndent(storedResult{
 		Bench: bench, Factory: factory, Baseline: baseline, Result: res,
 	}, "", "  ")

@@ -9,11 +9,11 @@ import (
 	"tagprefetch/internal/sim"
 )
 
-func storeJobs() ([]Job, sim.Config) {
+func storeJobs() []Job {
 	cfg := sim.Config{Instructions: 8_000, Warmup: 16_000, Seed: 1}
 	benches := []string{"mcf", "swim"}
 	fs := []sim.Factory{sim.TCP8K(), sim.Stride()}
-	return append(BaselineJobs(benches, cfg), GridJobs(benches, fs, cfg)...), cfg
+	return append(BaselineJobs(benches, cfg), GridJobs(benches, fs, cfg)...)
 }
 
 // TestResultStoreKillAndResume simulates a sweep killed mid-grid: the first
@@ -22,7 +22,7 @@ func storeJobs() ([]Job, sim.Config) {
 // uninterrupted run.
 func TestResultStoreKillAndResume(t *testing.T) {
 	dir := t.TempDir()
-	jobs, _ := storeJobs()
+	jobs := storeJobs()
 
 	store1, err := NewResultStore(dir, false)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestResultStoreKillAndResume(t *testing.T) {
 // only records; existing manifests are not consulted.
 func TestResultStoreWithoutResumeIgnoresManifests(t *testing.T) {
 	dir := t.TempDir()
-	jobs, _ := storeJobs()
+	jobs := storeJobs()
 	store, err := NewResultStore(dir, false)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestResultStoreWithoutResumeIgnoresManifests(t *testing.T) {
 // match the requested job is rejected instead of trusted.
 func TestResultStoreIdentityMismatch(t *testing.T) {
 	dir := t.TempDir()
-	jobs, _ := storeJobs()
+	jobs := storeJobs()
 	j := jobs[len(jobs)-1] // a grid job
 	store, err := NewResultStore(dir, true)
 	if err != nil {
@@ -124,10 +124,4 @@ func TestResultStoreIdentityMismatch(t *testing.T) {
 		t.Error("Lookup accepted a manifest with a mismatched identity")
 	}
 
-	// Unstorable jobs (per-run telemetry, custom callbacks) never hit.
-	cfgT := j.Config
-	cfgT.CPU.OnLoadRetire = func(pc uint64, critical bool) {}
-	if _, ok := store.Lookup(j.Bench, j.Factory.Name, false, cfgT); ok {
-		t.Error("Lookup hit for an unstorable config")
-	}
 }

@@ -31,10 +31,12 @@ type warmKey struct {
 	bench    string
 	warmup   uint64
 	noWarmup bool
-	fidelity sim.Fidelity
 	seed     uint64
 	cpu      cpuKey
 	mem      memsys.Config
+	// nonDefault is the trailing fidelity and predictor clauses, rendered
+	// as the job preimage renders them (empty for a default machine).
+	nonDefault string
 }
 
 type warmEntry struct {
@@ -44,10 +46,10 @@ type warmEntry struct {
 }
 
 // warmKeyFor fingerprints a job's warmup trajectory, reporting ok == false
-// when the config is not warm-fork eligible: BaselineWarmup off, no warmup
-// window, or not addressable.
+// when the config is not warm-fork eligible: BaselineWarmup off or no
+// warmup window.
 func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
-	if !c.BaselineWarmup || !addressable(c) {
+	if !c.BaselineWarmup {
 		return warmKey{}, false
 	}
 	n := c.Normalized()
@@ -55,13 +57,13 @@ func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
 		return warmKey{}, false
 	}
 	return warmKey{
-		bench:    bench,
-		warmup:   n.Warmup,
-		noWarmup: n.NoWarmup,
-		fidelity: n.WarmupFidelity,
-		seed:     n.Seed,
-		cpu:      cpuKeyFor(n.CPU),
-		mem:      n.Mem.WithDefaults(),
+		bench:      bench,
+		warmup:     n.Warmup,
+		noWarmup:   n.NoWarmup,
+		seed:       n.Seed,
+		cpu:        cpuKeyFor(n.CPU),
+		mem:        n.Mem.WithDefaults(),
+		nonDefault: nonDefaultClauses(n),
 	}, true
 }
 
@@ -69,14 +71,11 @@ func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
 // the warmup-trajectory fingerprint.
 func warmFileName(key warmKey) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%v|%d|%+v|%+v",
-		key.bench, key.warmup, key.noWarmup, key.seed, key.cpu, key.mem)
-	// Non-default fidelity joins the hash so a fast image can never shadow a
-	// full one; the default keeps the pre-fidelity name so existing warm
-	// checkpoints stay addressable.
-	if key.fidelity != sim.FidelityFull {
-		fmt.Fprintf(h, "|fid=%s", key.fidelity)
-	}
+	// The non-default clauses join the hash so a fast image can never
+	// shadow a full one, nor one predictor's image another's; a default
+	// machine keeps the name it had before those fields existed.
+	fmt.Fprintf(h, "%s|%d|%v|%d|%+v|%+v%s",
+		key.bench, key.warmup, key.noWarmup, key.seed, key.cpu, key.mem, key.nonDefault)
 	return fmt.Sprintf("warm-%s-%016x.ckpt", key.bench, h.Sum64())
 }
 

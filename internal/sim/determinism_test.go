@@ -13,8 +13,9 @@ func reportBytes(t *testing.T, bench string, f Factory) []byte {
 	t.Helper()
 	cfg := testConfig()
 	tRun := telemetry.NewRun(1_000)
-	cfg.Telemetry = tRun
-	res := MustRun(bench, f, cfg)
+	m := mustMachine(t, bench, f, cfg)
+	m.Observe(tRun)
+	res := m.Run()
 	rep := telemetry.NewReport("determinism-test")
 	rep.Runs = append(rep.Runs,
 		tRun.Report(bench, f.Name, cfg.Instructions, cfg.Warmup, cfg.Seed, res.IPC()))

@@ -18,8 +18,8 @@ import (
 func goldenRun(t *testing.T, bench string, f Factory, cfg Config) (Result, []telemetry.TimeSeries, []byte) {
 	t.Helper()
 	tRun := telemetry.NewRun(1_000)
-	cfg.Telemetry = tRun
 	m := mustMachine(t, bench, f, cfg)
+	m.Observe(tRun)
 	m.RunTo(m.Total())
 	img, err := m.Checkpoint()
 	if err != nil {

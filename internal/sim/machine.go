@@ -12,6 +12,7 @@ import (
 	"tagprefetch/internal/deadblock"
 	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/prefetch"
+	"tagprefetch/internal/telemetry"
 	"tagprefetch/internal/workload"
 )
 
@@ -24,18 +25,20 @@ import (
 // split and every component serialises its complete dynamic state.
 type Machine struct {
 	spec   workload.Spec
-	f      Factory       //tcp:nosnap construction wiring; Restore rebuilds parked components through it, it is not serialisable state
-	cfg    Config        // normalized
-	memCfg memsys.Config // normalized, including the hybrid prefetch bus
+	f      Factory        //tcp:nosnap construction wiring; Restore rebuilds parked components through it, it is not serialisable state
+	cfg    Config         // normalized
+	memCfg memsys.Config  // normalized, including the hybrid prefetch bus
+	tel    *telemetry.Run // set by Observe; its sampler, when present, is part of the image
 
 	mem  *memsys.MemSys
 	core *cpu.Core
 	gen  workload.Generator
 	pf   prefetch.Prefetcher //tcp:nosnap serialised through the memsys walk when attached; Restore re-parks it from the decoded parked flag
 
-	// Components parked during a baseline warmup (Config.BaselineWarmup)
-	// and attached at the warmup/measure boundary, so every grid config
-	// shares one bit-identical warm state for warm-fork sweeps.
+	// The scheme's components, attached at construction — or, during a
+	// baseline warmup (Config.BaselineWarmup), parked and attached at the
+	// warmup/measure boundary, so every grid config shares one
+	// bit-identical warm state for warm-fork sweeps.
 	parked       bool                           //tcp:nosnap re-derived by Restore from the decoded warmup phase
 	parkedAtL2   bool                           //tcp:nosnap re-derived by Restore from the decoded warmup phase
 	parkedDbp    *deadblock.Predictor           //tcp:nosnap re-parked by Restore via the factory, serialised through the memsys walk when attached
@@ -66,7 +69,7 @@ func NewMachine(spec workload.Spec, f Factory, cfg Config) (*Machine, error) {
 	if hybrid {
 		memCfg.PrefetchBus = true
 	}
-	retire := cfg.CPU.OnLoadRetire
+	var retire func(pc uint64, critical bool)
 	if f.CriticalFilter {
 		pred := critical.New(12)
 		pf = prefetch.NewCriticalFiltered(pf, pred)
@@ -77,38 +80,60 @@ func NewMachine(spec workload.Spec, f Factory, cfg Config) (*Machine, error) {
 		dbp = deadblock.New(deadblock.Config{Geom: memCfg.L1D})
 	}
 
-	m := &Machine{spec: spec, f: f, cfg: cfg, memCfg: memCfg, pf: pf}
-	if cfg.BaselineWarmup && cfg.Warmup > 0 {
-		// Park the scheme under test: warmup runs under the no-prefetch
-		// baseline and the real components attach at the boundary. A cold
-		// run in this mode is bit-identical to restoring a baseline-warmed
-		// checkpoint and attaching the scheme, which is what makes forked
-		// sweeps exact.
-		m.parked = true
-		m.parkedAtL2 = f.AtL2
-		m.parkedDbp = dbp
-		m.parkedRetire = retire
-		m.cfg.CPU.OnLoadRetire = nil
-		m.mem = memsys.New(memCfg, prefetch.None{})
-	} else {
-		m.cfg.CPU.OnLoadRetire = retire
-		if f.AtL2 {
-			m.mem = memsys.New(memCfg, prefetch.None{})
-			m.mem.UseL2Prefetcher(pf)
-		} else {
-			m.mem = memsys.New(memCfg, pf)
-		}
-		if dbp != nil {
-			m.mem.UseDeadBlockPredictor(dbp)
-		}
-	}
-	m.core = cpu.New(m.cfg.CPU, m.mem)
-	m.gen = workload.New(spec, m.cfg.Seed)
-
-	if tel := m.cfg.Telemetry; tel != nil {
-		attachTelemetry(tel, m.mem, m.core, m.cfg)
+	m := &Machine{spec: spec, f: f, cfg: cfg, memCfg: memCfg, pf: pf,
+		parked: true, parkedAtL2: f.AtL2, parkedDbp: dbp, parkedRetire: retire}
+	m.mem = memsys.New(memCfg, prefetch.None{})
+	m.core = cpu.New(cfg.CPU, m.mem)
+	m.gen = workload.New(spec, cfg.Seed)
+	// Outside a baseline warmup the scheme attaches now. Within one, the
+	// warmup runs under the no-prefetch baseline and the scheme attaches at
+	// the boundary: a cold run in this mode is bit-identical to restoring a
+	// baseline-warmed checkpoint and attaching the scheme, which is what
+	// makes forked sweeps exact.
+	if !cfg.BaselineWarmup || cfg.Warmup == 0 {
+		m.attachParked()
 	}
 	return m, nil
+}
+
+// Observe directs the machine's observability to tel: every component
+// registers its counters into tel.Registry (memsys under "memsys", the core
+// under "cpu", the prefetcher under "memsys.prefetch"), discrete events go
+// to tel.Tracer, and — when tel.Sampler is set — the core drives
+// cycle-sampled time series for IPC, L1 miss rate and prefetch
+// coverage/accuracy, with warmup/measure phase boundaries recorded.
+// Call it at most once, before the first RunTo or Restore; a sampler is
+// part of the checkpoint image, so a saver and its restorer must agree on
+// one. A nil tel observes nothing, and an unobserved machine pays nothing.
+func (m *Machine) Observe(tel *telemetry.Run) {
+	if tel == nil {
+		return
+	}
+	if m.tel != nil || m.core.Done() != 0 {
+		panic("sim: Observe after the machine started or was already observed")
+	}
+	m.tel = tel
+	m.mem.AttachTelemetry(tel.Registry.Sub("memsys"), tel.Tracer)
+	m.core.AttachTelemetry(tel.Registry.Sub("cpu"), tel.Tracer)
+	m.core.OnPublish(m.mem.PublishCounters)
+	if tel.Sampler == nil {
+		return
+	}
+	m.core.UseSampler(tel.Sampler)
+	reg := tel.Registry
+	tel.Sampler.Ratio("cpu.ipc",
+		counterProbe(reg, "cpu.instructions_retired"), counterProbe(reg, "cpu.cycles"))
+	tel.Sampler.Ratio("memsys.l1.miss_rate",
+		counterProbe(reg, "memsys.l1.misses"), counterProbe(reg, "memsys.l1.accesses"))
+	tel.Sampler.Ratio("prefetch.coverage",
+		counterProbe(reg, "memsys.l2.prefetched_original"), counterProbe(reg, "memsys.l2.demand"))
+	tel.Sampler.Ratio("prefetch.accuracy",
+		counterProbe(reg, "memsys.l2.prefetched_original"), counterProbe(reg, "memsys.prefetch.fills"))
+	if m.cfg.Warmup > 0 {
+		tel.Sampler.MarkPhase("warmup", 0, 0)
+	} else {
+		tel.Sampler.MarkPhase("measure", 0, 0)
+	}
 }
 
 // Position returns the number of dynamic instructions processed so far
@@ -165,8 +190,8 @@ func (m *Machine) boundary() {
 		m.memAtBoundary = m.mem.Stats()
 		m.l1AtBoundary = m.mem.L1Stats()
 		m.l2AtBoundary = m.mem.L2Stats()
-		if tel := m.cfg.Telemetry; tel != nil && tel.Sampler != nil {
-			tel.Sampler.MarkPhase("measure", cycle, m.cfg.Warmup)
+		if m.tel != nil && m.tel.Sampler != nil {
+			m.tel.Sampler.MarkPhase("measure", cycle, m.cfg.Warmup)
 		}
 	})
 }
@@ -196,8 +221,8 @@ func (m *Machine) finish() Result {
 	cpuRes := m.core.Finish()
 	m.mem.Finish()
 	memStats := m.mem.Stats().Sub(m.memAtBoundary)
-	if tel := m.cfg.Telemetry; tel != nil {
-		exportRunGauges(tel.Registry, cpuRes, memStats)
+	if m.tel != nil {
+		exportRunGauges(m.tel.Registry, cpuRes, memStats)
 	}
 	return Result{
 		Benchmark:             m.spec.Name,
@@ -240,7 +265,7 @@ func (m *Machine) Save(w *checkpoint.Writer) error {
 		w.Int(g.Ways())
 		w.Int(g.BlockBytes())
 	}
-	hasSampler := m.cfg.Telemetry != nil && m.cfg.Telemetry.Sampler != nil
+	hasSampler := m.hasSampler()
 	w.Bool(hasSampler)
 	w.Bool(m.core.Warmed())
 	if m.core.Warmed() {
@@ -262,10 +287,14 @@ func (m *Machine) Save(w *checkpoint.Writer) error {
 		return err
 	}
 	if hasSampler {
-		return m.cfg.Telemetry.Sampler.Save(w)
+		return m.tel.Sampler.Save(w)
 	}
 	return nil
 }
+
+// hasSampler reports whether an observing telemetry run samples, which
+// makes its sampler part of the checkpoint image.
+func (m *Machine) hasSampler() bool { return m.tel != nil && m.tel.Sampler != nil }
 
 // FidelityMismatchError is the typed error Restore returns when a
 // checkpoint image recorded under one warmup fidelity is restored into a
@@ -325,7 +354,7 @@ func (m *Machine) Restore(r *checkpoint.Reader) error {
 	if geo != want {
 		return fmt.Errorf("sim: checkpoint cache geometry %v, machine %v", geo, want)
 	}
-	if machineSampler := m.cfg.Telemetry != nil && m.cfg.Telemetry.Sampler != nil; hasSampler != machineSampler {
+	if machineSampler := m.hasSampler(); hasSampler != machineSampler {
 		return fmt.Errorf("sim: checkpoint sampler presence %v, machine %v", hasSampler, machineSampler)
 	}
 	if done > m.Total() {
@@ -354,7 +383,7 @@ func (m *Machine) Restore(r *checkpoint.Reader) error {
 		return err
 	}
 	if hasSampler {
-		return m.cfg.Telemetry.Sampler.Restore(r)
+		return m.tel.Sampler.Restore(r)
 	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"tagprefetch/internal/branch"
 	"tagprefetch/internal/workload"
 )
 
@@ -87,32 +86,26 @@ func TestCheckpointRoundTripPerScheme(t *testing.T) {
 // TestCheckpointRoundTripPredictors covers each branch predictor Snapshotter
 // through the machine path.
 func TestCheckpointRoundTripPredictors(t *testing.T) {
-	preds := map[string]func() branch.Predictor{
-		"static":  func() branch.Predictor { return branch.Static{} },
-		"bimodal": func() branch.Predictor { return branch.NewBimodal(12) },
-		"gshare":  func() branch.Predictor { return branch.NewGShare(12, 8) },
-		"pag":     func() branch.Predictor { return branch.NewPAg(10, 10, 12) },
-		"combining": func() branch.Predictor {
-			return branch.NewCombining(branch.NewBimodal(12), branch.NewGShare(12, 8), 12)
-		},
+	preds := map[string]string{
+		"static":    "always-taken",
+		"bimodal":   "bimodal",
+		"gshare":    "gshare",
+		"pag":       "PAg",
+		"combining": "combining",
 	}
-	for name, mk := range preds {
+	for name, pred := range preds {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.CPU.Predictor = mk()
+			cfg.CPU.Predictor = pred
 			want := MustRun("swim", TCP8K(), cfg)
 
-			cfg2 := testConfig()
-			cfg2.CPU.Predictor = mk()
-			m := mustMachine(t, "swim", TCP8K(), cfg2)
-			m.RunTo(cfg2.Warmup / 2)
+			m := mustMachine(t, "swim", TCP8K(), cfg)
+			m.RunTo(cfg.Warmup / 2)
 			img, err := m.Checkpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg3 := testConfig()
-			cfg3.CPU.Predictor = mk()
-			m2 := mustMachine(t, "swim", TCP8K(), cfg3)
+			m2 := mustMachine(t, "swim", TCP8K(), cfg)
 			if err := m2.RestoreImage(img); err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ func TestObserveMissesCountsMeasuredWindow(t *testing.T) {
 		for _, bench := range []string{"mcf", "art", "gzip"} {
 			cfg := Config{Instructions: 50_000, Warmup: 100_000, WarmupFidelity: fid}
 			var n uint64
-			res, err := ObserveMisses(bench, cfg, func(trace.Miss) { n++ })
+			res, err := ObserveMisses(bench, cfg, nil, func(trace.Miss) { n++ })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func TestObserveMissesCountsMeasuredWindow(t *testing.T) {
 func TestObserveMissesNoWarmup(t *testing.T) {
 	cfg := Config{Instructions: 50_000, NoWarmup: true}
 	var misses []trace.Miss
-	res, err := ObserveMisses("art", cfg, func(m trace.Miss) { misses = append(misses, m) })
+	res, err := ObserveMisses("art", cfg, nil, func(m trace.Miss) { misses = append(misses, m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestObserveMissesNoWarmup(t *testing.T) {
 // runs.
 func TestObserveMissesUnknownBenchmark(t *testing.T) {
 	called := false
-	if _, err := ObserveMisses("nope", Config{}, func(trace.Miss) { called = true }); err == nil {
+	if _, err := ObserveMisses("nope", Config{}, nil, func(trace.Miss) { called = true }); err == nil {
 		t.Error("expected an error for an unknown benchmark")
 	}
 	if called {

@@ -61,9 +61,8 @@ func memsysCounters(m *Machine) map[string]uint64 {
 //   - after Finish every memsys.* counter equals the cumulative Stats.
 func TestLiveScrapeMatchesMachineStats(t *testing.T) {
 	tel := telemetry.NewRun(2_000)
-	cfg := testConfig()
-	cfg.Telemetry = tel
-	m := mustMachine(t, "mcf", TCP8K(), cfg)
+	m := mustMachine(t, "mcf", TCP8K(), testConfig())
+	m.Observe(tel)
 
 	accesses, ok := tel.Registry.Lookup("memsys.l1.accesses")
 	if !ok {

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"tagprefetch/internal/addr"
+	"tagprefetch/internal/branch"
 	"tagprefetch/internal/cache"
 	"tagprefetch/internal/core"
 	"tagprefetch/internal/cpu"
@@ -59,15 +60,6 @@ type Config struct {
 	// once, checkpoint at the boundary, and fork each grid point from the
 	// snapshot with results identical to running it cold in this mode.
 	BaselineWarmup bool
-
-	// Telemetry, if non-nil, receives the run's observability: every
-	// component registers its counters into Telemetry.Registry (memsys
-	// under "memsys", the core under "cpu", the prefetcher under
-	// "memsys.prefetch"), discrete events go to Telemetry.Tracer, and —
-	// when Telemetry.Sampler is set — the core drives cycle-sampled
-	// time series for IPC, L1 miss rate and prefetch coverage/accuracy,
-	// with warmup/measure phase boundaries recorded. Nil costs nothing.
-	Telemetry *telemetry.Run
 }
 
 // Normalized resolves every defaulted field to its effective value (the
@@ -77,6 +69,9 @@ type Config struct {
 func (c Config) Normalized() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
+	if c.CPU.Predictor == "" {
+		c.CPU.Predictor = branch.Default
+	}
 	if c.Instructions == 0 {
 		c.Instructions = 1_000_000
 	}
@@ -371,8 +366,9 @@ func (t *missObserver) OnMiss(m trace.Miss) []prefetch.Request {
 // the miss stream Section 3 of the paper profiles. With a warmup the tap
 // arms at the warmup/measure boundary; with NoWarmup it delivers from
 // instruction 0. The machine, its warmup engine and the boundary are those
-// of every other run, so cfg's fidelity and telemetry apply unchanged.
-func ObserveMisses(bench string, cfg Config, fn func(trace.Miss)) (Result, error) {
+// of every other run, so cfg's fidelity applies unchanged, and a non-nil
+// tel observes the run as Machine.Observe describes.
+func ObserveMisses(bench string, cfg Config, tel *telemetry.Run, fn func(trace.Miss)) (Result, error) {
 	spec, err := workload.Spec2000(bench)
 	if err != nil {
 		return Result{}, err
@@ -384,35 +380,10 @@ func ObserveMisses(bench string, cfg Config, fn func(trace.Miss)) (Result, error
 	if err != nil {
 		return Result{}, err
 	}
+	m.Observe(tel)
 	m.RunTo(m.cfg.Warmup)
 	tap.armed = true
 	return m.Run(), nil
-}
-
-// attachTelemetry registers the system's components into the run's
-// registry, arms the sampler's probes, and records the starting phase.
-func attachTelemetry(tel *telemetry.Run, mem *memsys.MemSys, coreM *cpu.Core, cfg Config) {
-	mem.AttachTelemetry(tel.Registry.Sub("memsys"), tel.Tracer)
-	coreM.AttachTelemetry(tel.Registry.Sub("cpu"), tel.Tracer)
-	coreM.OnPublish(mem.PublishCounters)
-	if tel.Sampler == nil {
-		return
-	}
-	coreM.UseSampler(tel.Sampler)
-	reg := tel.Registry
-	tel.Sampler.Ratio("cpu.ipc",
-		counterProbe(reg, "cpu.instructions_retired"), counterProbe(reg, "cpu.cycles"))
-	tel.Sampler.Ratio("memsys.l1.miss_rate",
-		counterProbe(reg, "memsys.l1.misses"), counterProbe(reg, "memsys.l1.accesses"))
-	tel.Sampler.Ratio("prefetch.coverage",
-		counterProbe(reg, "memsys.l2.prefetched_original"), counterProbe(reg, "memsys.l2.demand"))
-	tel.Sampler.Ratio("prefetch.accuracy",
-		counterProbe(reg, "memsys.l2.prefetched_original"), counterProbe(reg, "memsys.prefetch.fills"))
-	if cfg.Warmup > 0 {
-		tel.Sampler.MarkPhase("warmup", 0, 0)
-	} else {
-		tel.Sampler.MarkPhase("measure", 0, 0)
-	}
 }
 
 // counterProbe adapts a registered counter into a sampler probe; a name

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"tagprefetch/internal/core"
+	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/memsys"
 )
 
@@ -224,4 +226,31 @@ func TestMeasurementWindowConsistency(t *testing.T) {
 		t.Errorf("measured-window L2 accesses %d not below whole-run %d",
 			warm.L2.Accesses, whole.L2.Accesses)
 	}
+}
+
+// TestConfigIsAPlainValue pins that Config, cpu.Config included, is a
+// value: usable as a map key, and holding no func, interface, pointer,
+// map, slice or channel anywhere in its fields. A config that carried live
+// objects could not be content-addressed — two configs describing
+// different machines would print and hash alike.
+func TestConfigIsAPlainValue(t *testing.T) {
+	// As map keys, a func, map or slice field anywhere fails to compile;
+	// the walk below also rejects the comparable pointer and interface.
+	_ = map[Config]bool{}
+	_ = map[cpu.Config]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Func, reflect.Interface, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Map, reflect.Slice, reflect.Chan:
+			t.Errorf("%s is a %s; configs must be plain values", path, typ.Kind())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		}
+	}
+	walk("Config", reflect.TypeOf(Config{}))
 }

@@ -21,30 +21,30 @@ func layoutConfigs() []struct {
 	label string
 	f     Factory
 	cfg   Config
+	tel   *telemetry.Run
 } {
 	base := Config{Instructions: 1_000, Warmup: 2_000, Seed: 1}
-	withSampler := base
-	withSampler.Telemetry = telemetry.NewRun(500)
 	fastWarm := base
 	fastWarm.WarmupFidelity = FidelityFast
 	return []struct {
 		label string
 		f     Factory
 		cfg   Config
+		tel   *telemetry.Run
 	}{
-		{"none", NoPrefetch(), base},
-		{"tcp-8K", TCP8K(), base},
-		{"tcp-8M", TCP8M(), base},
-		{"hybrid-8K", Hybrid8K(), base},
-		{"dbcp-2M", DBCP2M(), base},
-		{"stride", Stride(), base},
-		{"stream", StreamBuffers(), base},
-		{"markov", Markov(), base},
-		{"ghb-pc/dc", GHB(), base},
-		{"nextline", NextLine(), base},
-		{"tcp-8K+cf", WithCriticalFilter(TCP8K()), base},
-		{"none+sampler", NoPrefetch(), withSampler},
-		{"tcp-8K+fastwarm", TCP8K(), fastWarm},
+		{"none", NoPrefetch(), base, nil},
+		{"tcp-8K", TCP8K(), base, nil},
+		{"tcp-8M", TCP8M(), base, nil},
+		{"hybrid-8K", Hybrid8K(), base, nil},
+		{"dbcp-2M", DBCP2M(), base, nil},
+		{"stride", Stride(), base, nil},
+		{"stream", StreamBuffers(), base, nil},
+		{"markov", Markov(), base, nil},
+		{"ghb-pc/dc", GHB(), base, nil},
+		{"nextline", NextLine(), base, nil},
+		{"tcp-8K+cf", WithCriticalFilter(TCP8K()), base, nil},
+		{"none+sampler", NoPrefetch(), base, telemetry.NewRun(500)},
+		{"tcp-8K+fastwarm", TCP8K(), fastWarm, nil},
 	}
 }
 
@@ -57,6 +57,7 @@ func layoutFingerprint(t *testing.T) string {
 	fmt.Fprintf(&b, "checkpoint format version %d\n", checkpoint.Version)
 	for _, lc := range layoutConfigs() {
 		m := mustMachine(t, "swim", lc.f, lc.cfg)
+		m.Observe(lc.tel)
 		img, err := m.Checkpoint()
 		if err != nil {
 			t.Fatalf("%s: checkpoint: %v", lc.label, err)

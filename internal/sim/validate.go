@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+
+	"tagprefetch/internal/branch"
 )
 
 // ConfigError reports an invalid simulation configuration field. It is the
@@ -76,6 +78,9 @@ func (c Config) Validate() error {
 	if n.Warmup > math.MaxUint64-n.Instructions {
 		return &ConfigError{Field: "Warmup",
 			Reason: fmt.Sprintf("warmup %d + instructions %d overflows", n.Warmup, n.Instructions)}
+	}
+	if _, err := branch.New(n.CPU.Predictor); err != nil {
+		return &ConfigError{Field: "CPU.Predictor", Reason: err.Error()}
 	}
 	if n.WarmupFidelity != FidelityFull && n.WarmupFidelity != FidelityFast {
 		return &ConfigError{Field: "WarmupFidelity",

@@ -35,6 +35,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			}}, "Mem.L2"},
 		{"warmup overflow",
 			Config{Instructions: 2, Warmup: math.MaxUint64 - 1}, "Warmup"},
+		{"unknown branch predictor",
+			Config{CPU: cpu.Config{Predictor: "oracle"}}, "CPU.Predictor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

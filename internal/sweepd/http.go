@@ -20,8 +20,7 @@ import (
 // `tcpsweep -sweep size` describe the same grid.
 type Request struct {
 	// Sweep names the grid: a row of experiment.Sweeps, the table behind
-	// tcpsweep's -sweep. branchpred is refused when the grid is planned,
-	// because its points are not content-addressable.
+	// tcpsweep's -sweep.
 	Sweep string `json:"sweep"`
 	// Benches restricts the benchmark set (default: all 26, paper order).
 	// Order matters: it shapes the rendered result body.

@@ -366,10 +366,8 @@ func options(req Request, r *experiment.Runner) experiment.Options {
 // planJobs expands a normalized request to its deduplicated job set by
 // running the sweep in plan mode: the experiment's own job-construction
 // code enumerates the grid, so the plan can never drift from what
-// execution or gather would do. A sweep whose points are not
-// content-addressable (branchpred builds jobs around live predictors) is
-// refused: the daemon could neither cache nor distribute it honestly.
-// Returns the jobs and their parallel content addresses.
+// execution or gather would do. Returns the jobs and their parallel
+// content addresses.
 func planJobs(req Request) ([]experiment.Job, []string, error) {
 	sw, err := experiment.LookupSweep(req.Sweep)
 	if err != nil {
@@ -383,11 +381,7 @@ func planJobs(req Request) ([]experiment.Job, []string, error) {
 	var jobs []experiment.Job
 	var names []string
 	for _, j := range all {
-		name, ok := experiment.JobName(j)
-		if !ok {
-			return nil, nil, &RequestError{Field: "sweep",
-				Reason: fmt.Sprintf("%s builds grid points that are not content-addressable", req.Sweep)}
-		}
+		name := experiment.JobName(j)
 		if seen[name] {
 			continue
 		}

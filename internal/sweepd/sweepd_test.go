@@ -3,17 +3,18 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"tagprefetch/internal/branch"
 	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/sim"
 )
@@ -343,10 +344,8 @@ func TestJobBudget(t *testing.T) {
 }
 
 // TestInvalidRequests: every malformed request is a 400 naming the field.
-// branchpred is a row of the sweep table, but planning refuses it because
-// its grid points carry live predictor state and cannot be
-// content-addressed. A window sim.Config.Validate rejects is refused at
-// admission, on the request field the config field came from.
+// A window sim.Config.Validate rejects is refused at admission, on the
+// request field the config field came from.
 func TestInvalidRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1}, nil)
 	cases := []struct {
@@ -355,7 +354,6 @@ func TestInvalidRequests(t *testing.T) {
 		field string
 	}{
 		{"unknown sweep", Request{Sweep: "nope"}, "sweep"},
-		{"branchpred not servable", Request{Sweep: "branchpred"}, "sweep"},
 		{"unknown bench", Request{Sweep: "nbits", Benches: []string{"doom"}}, "benches"},
 		{"bad fidelity", Request{Sweep: "nbits", WarmupFidelity: "psychic"}, "warmup_fidelity"},
 		{"negative budget", Request{Sweep: "nbits", MaxJobs: -1}, "max_jobs"},
@@ -385,7 +383,7 @@ func TestInvalidRequests(t *testing.T) {
 
 // TestEverySweepPlans runs every row of the sweep table through the
 // daemon's planner: each plans a non-empty grid of unique content
-// addresses, except branchpred, which is refused on field "sweep".
+// addresses.
 func TestEverySweepPlans(t *testing.T) {
 	for _, sw := range experiment.Sweeps {
 		req := Request{Sweep: sw.Name, Benches: []string{"swim", "mcf"}}
@@ -394,16 +392,60 @@ func TestEverySweepPlans(t *testing.T) {
 			continue
 		}
 		jobs, names, err := planJobs(req)
-		if sw.Name == "branchpred" {
-			var re *RequestError
-			if !errors.As(err, &re) || re.Field != "sweep" {
-				t.Errorf("branchpred: planJobs error = %v, want a RequestError on field sweep", err)
-			}
-			continue
-		}
 		if err != nil || len(jobs) == 0 || len(jobs) != len(names) {
 			t.Errorf("%s: planJobs = %d jobs, %d names, %v", sw.Name, len(jobs), len(names), err)
 		}
+	}
+}
+
+// TestBranchpredServedFromCache: the branch-predictor ablation plans one
+// addressable job per (predictor, bench) — its predictor is a name in the
+// config, so every point has a manifest address — and a second tenant's
+// identical request is answered entirely from the cache.
+func TestBranchpredServedFromCache(t *testing.T) {
+	req := Request{Sweep: "branchpred", Benches: []string{"swim"}, Tenant: "alice"}
+	planned := req
+	if err := normalize(&planned, ""); err != nil {
+		t.Fatal(err)
+	}
+	_, names, err := planJobs(planned)
+	if err != nil {
+		t.Fatalf("planJobs: %v", err)
+	}
+	if len(names) != len(branch.Predictors) {
+		t.Errorf("planned %d jobs, want one per predictor (%d)", len(names), len(branch.Predictors))
+	}
+	for _, n := range names {
+		if !regexp.MustCompile(`^job-[0-9a-f]{16}\.json$`).MatchString(n) {
+			t.Errorf("planned name %q is not a manifest address", n)
+		}
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 2}, nil)
+	code, st, _ := postSweep(t, ts, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d, want 202", code)
+	}
+	done := waitState(t, ts, st.ID, StateDone)
+	if done.Jobs.Executed != done.Jobs.Total || done.Jobs.Total != len(names) {
+		t.Errorf("first sweep jobs = %+v, want all %d executed", done.Jobs, len(names))
+	}
+	rcode, rbody, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/sweeps/"+st.ID+"/result", nil)
+	if rcode != http.StatusOK || len(rbody) == 0 {
+		t.Fatalf("GET result = %d: %s", rcode, rbody)
+	}
+
+	req.Tenant = "bob"
+	code2, st2, _ := postSweep(t, ts, req)
+	if code2 != http.StatusAccepted {
+		t.Fatalf("cross-tenant POST = %d, want 202", code2)
+	}
+	if st2.State != StateDone || st2.Jobs.CachedAtSubmit != st2.Jobs.Total || st2.Jobs.Executed != 0 {
+		t.Errorf("cross-tenant sweep = state %s jobs %+v, want done, all cached", st2.State, st2.Jobs)
+	}
+	rcode2, rbody2, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/sweeps/"+st2.ID+"/result", nil)
+	if rcode2 != http.StatusOK || !bytes.Equal(rbody2, rbody) {
+		t.Errorf("cross-tenant result differs (code %d, %d vs %d bytes)", rcode2, len(rbody2), len(rbody))
 	}
 }
 
