@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -102,5 +103,56 @@ func TestSnapshotLayoutGolden(t *testing.T) {
 			"If the encoding change is intentional, bump checkpoint.Version so old images are rejected\n"+
 			"instead of misread, then regenerate: go test ./internal/sim -run TestSnapshotLayoutGolden -update\n"+
 			"got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// imageFingerprint renders a content hash of two checkpoint images per
+// layoutConfigs row: one mid-warmup and one past the warmup/measure
+// boundary. Where the layout golden pins only section names and fresh-state
+// lengths, these hashes pin every encoded byte of a warm machine, so an
+// encoder refactor that keeps the layout but moves, drops or reorders a
+// value fails here.
+func imageFingerprint(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "checkpoint format version %d\n", checkpoint.Version)
+	for _, lc := range layoutConfigs() {
+		m := mustMachine(t, "swim", lc.f, lc.cfg)
+		m.Observe(lc.tel)
+		fmt.Fprintf(&b, "\n%s:\n", lc.label)
+		for _, at := range []uint64{lc.cfg.Warmup / 2, lc.cfg.Warmup + lc.cfg.Instructions/2} {
+			m.RunTo(at)
+			img, err := m.Checkpoint()
+			if err != nil {
+				t.Fatalf("%s at %d: checkpoint: %v", lc.label, at, err)
+			}
+			fmt.Fprintf(&b, "  @%-6d %x\n", at, sha256.Sum256(img))
+		}
+	}
+	return b.String()
+}
+
+// TestSnapshotImageGolden pins the bytes of warm checkpoint images, not
+// just their layout: every layoutConfigs row is checkpointed mid-warmup and
+// after the measure boundary and the images' SHA-256 compared with a
+// golden. A change here with checkpoint.Version unchanged means old images
+// on shared checkpoint directories would be misread by new builds.
+func TestSnapshotImageGolden(t *testing.T) {
+	const golden = "testdata/snapshot_image.golden"
+	got := imageFingerprint(t)
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading %s: %v (regenerate with go test ./internal/sim -run TestSnapshotImageGolden -update)", golden, err)
+	}
+	if got != string(want) {
+		t.Errorf("checkpoint image bytes drifted from %s.\n"+
+			"If the encoding change is intentional, bump checkpoint.Version, then regenerate:\n"+
+			"go test ./internal/sim -run TestSnapshotImageGolden -update\ngot:\n%s\nwant:\n%s", golden, got, want)
 	}
 }
