@@ -13,6 +13,7 @@ import (
 
 	"tagprefetch/internal/analysis/hotalloc"
 	"tagprefetch/internal/analysis/load"
+	"tagprefetch/internal/analysis/snapfield"
 )
 
 // runLint invokes the driver with args and returns its exit code and
@@ -154,6 +155,119 @@ func TestNoUncalledInterfaceMethods(t *testing.T) {
 	}
 	if declared == 0 {
 		t.Fatal("found no interface methods under internal/; the scan is broken")
+	}
+}
+
+// snapfield must check every type that implements checkpoint.Snapshotter.
+// It recognises them itself; if a change to the interface or to the
+// analyzer made it skip some, their fields would go unchecked with no
+// finding to show for it.
+func TestSnapfieldChecksEverySnapshotter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("repo-wide load is slow")
+	}
+	pkgs, err := load.Load(".", "tagprefetch/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var iface *types.Interface
+	for _, p := range pkgs {
+		for _, imp := range p.Types.Imports() {
+			if imp.Path() == "tagprefetch/internal/checkpoint" {
+				iface = imp.Scope().Lookup("Snapshotter").Type().Underlying().(*types.Interface)
+			}
+		}
+	}
+	if iface == nil {
+		t.Fatal("no package imports checkpoint.Snapshotter; the scan is broken")
+	}
+	implementers := 0
+	for _, p := range pkgs {
+		checked := map[*types.Named]bool{}
+		for _, n := range snapfield.Checked(p.Types) {
+			checked[n] = true
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || !types.Implements(types.NewPointer(named), iface) {
+				continue
+			}
+			implementers++
+			if !checked[named] {
+				t.Errorf("%s.%s implements checkpoint.Snapshotter but snapfield does not check it", p.Path, name)
+			}
+		}
+	}
+	if implementers == 0 {
+		t.Fatal("found no checkpoint.Snapshotter implementations; the scan is broken")
+	}
+}
+
+// snapfield's fix completes a Save that ends without a return statement,
+// the usual shape now that Save cannot fail.
+func TestSnapfieldFixAppendsToSave(t *testing.T) {
+	dir := writeTempModule(t, map[string]string{
+		"internal/checkpoint/checkpoint.go": `package checkpoint
+
+type Writer struct{ buf []uint64 }
+
+func (w *Writer) U64(v uint64) { w.buf = append(w.buf, v) }
+
+type Reader struct{ buf []uint64 }
+
+func (r *Reader) U64() uint64 {
+	v := r.buf[0]
+	r.buf = r.buf[1:]
+	return v
+}
+
+func (r *Reader) Err() error { return nil }
+
+type Snapshotter interface {
+	Save(w *Writer)
+	Restore(r *Reader) error
+}
+`,
+		"p.go": `package p
+
+import "example.com/lintbox/internal/checkpoint"
+
+type Counter struct {
+	tick uint64
+	lost uint64
+}
+
+func (c *Counter) Save(w *checkpoint.Writer) {
+	w.U64(c.tick)
+}
+
+func (c *Counter) Restore(r *checkpoint.Reader) error {
+	c.tick = r.U64()
+	return r.Err()
+}
+`})
+	if code, out := runLint(t, "-fix", "./..."); code != 1 {
+		t.Fatalf("fixing run exit = %d, want 1 (findings existed)\n%s", code, out)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "p.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"\tw.U64(c.tick)\n\tw.U64(c.lost)\n}\n",
+		"\tc.lost = r.U64()\n\treturn r.Err()\n",
+	} {
+		if !strings.Contains(string(got), want) {
+			t.Errorf("fixed p.go lacks %q:\n%s", want, got)
+		}
+	}
+	if code, out := runLint(t, "./..."); code != 0 {
+		t.Fatalf("fixed tree exit = %d, want 0\n%s", code, out)
 	}
 }
 

@@ -48,13 +48,36 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	cp := findCheckpoint(pass.Pkg)
-	if cp == nil {
+	targets := snapshotters(pass.Pkg)
+	if len(targets) == 0 {
+		return nil
+	}
+	idx := newPackageIndex(pass)
+	for _, t := range targets {
+		checkType(pass, idx, t)
+	}
+	return nil
+}
+
+// snapshotter is one type the analyzer checks, with the two methods its
+// field coverage is judged from.
+type snapshotter struct {
+	named         *types.Named
+	st            *types.Struct
+	save, restore coverage
+}
+
+// snapshotters lists pkg's package-level struct types whose pointer
+// implements checkpoint.Snapshotter, in scope order. Recognition goes
+// through the interface itself, so a change to its method shapes cannot
+// make the analyzer skip a type.
+func snapshotters(pkg *types.Package) []snapshotter {
+	iface := findSnapshotter(pkg)
+	if iface == nil {
 		return nil // package cannot implement Snapshotter without importing checkpoint
 	}
-
-	idx := newPackageIndex(pass)
-	scope := pass.Pkg.Scope()
+	var out []snapshotter
+	scope := pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
 		if !ok || tn.IsAlias() {
@@ -65,17 +88,23 @@ func run(pass *analysis.Pass) error {
 			continue
 		}
 		st, ok := named.Underlying().(*types.Struct)
-		if !ok {
+		if !ok || !types.Implements(types.NewPointer(named), iface) {
 			continue
 		}
-		save, saveVia := snapMethod(named, pass.Pkg, "Save", cp.writer)
-		restore, restoreVia := snapMethod(named, pass.Pkg, "Restore", cp.reader)
-		if save == nil || restore == nil {
-			continue // not a Snapshotter
-		}
-		checkType(pass, idx, named, st, coverage{save, saveVia}, coverage{restore, restoreVia})
+		out = append(out, snapshotter{named, st, snapMethod(named, st, pkg, "Save"), snapMethod(named, st, pkg, "Restore")})
 	}
-	return nil
+	return out
+}
+
+// Checked returns the types the analyzer checks in pkg, in scope order:
+// the package-level struct types whose pointer implements
+// checkpoint.Snapshotter.
+func Checked(pkg *types.Package) []*types.Named {
+	var out []*types.Named
+	for _, t := range snapshotters(pkg) {
+		out = append(out, t.named)
+	}
+	return out
 }
 
 // coverage pairs one Snapshotter method with the embedded field providing
@@ -86,7 +115,8 @@ type coverage struct {
 }
 
 // checkType reports uncovered fields of one Snapshotter type.
-func checkType(pass *analysis.Pass, idx *packageIndex, named *types.Named, st *types.Struct, save, restore coverage) {
+func checkType(pass *analysis.Pass, idx *packageIndex, t snapshotter) {
+	named, st, save, restore := t.named, t.st, t.save, t.restore
 	saved := idx.fieldsReachedBy(save)
 	restored := idx.fieldsReachedBy(restore)
 	tname := named.Obj().Name()
@@ -149,59 +179,31 @@ func nosnapOf(decl *ast.Field) (string, bool) {
 	return analysis.Directive(decl.Comment, NoSnapMarker)
 }
 
-// checkpointTypes are the serialisation endpoints of the checkpoint
-// package as seen from the analyzed package's imports.
-type checkpointTypes struct {
-	writer *types.Named
-	reader *types.Named
-}
-
-// findCheckpoint locates the checkpoint package among direct imports.
-func findCheckpoint(pkg *types.Package) *checkpointTypes {
+// findSnapshotter locates checkpoint.Snapshotter among pkg's direct
+// imports.
+func findSnapshotter(pkg *types.Package) *types.Interface {
 	for _, imp := range pkg.Imports() {
 		if !strings.HasSuffix(imp.Path(), "internal/checkpoint") {
 			continue
 		}
-		w, _ := imp.Scope().Lookup("Writer").(*types.TypeName)
-		r, _ := imp.Scope().Lookup("Reader").(*types.TypeName)
-		if w == nil || r == nil {
-			continue
-		}
-		wn, _ := w.Type().(*types.Named)
-		rn, _ := r.Type().(*types.Named)
-		if wn != nil && rn != nil {
-			return &checkpointTypes{writer: wn, reader: rn}
+		if tn, ok := imp.Scope().Lookup("Snapshotter").(*types.TypeName); ok {
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+				return iface
+			}
 		}
 	}
 	return nil
 }
 
-// snapMethod resolves T's method name with signature func(*arg) error,
-// following promotion through embedded fields; promoted returns the
-// embedded field supplying the method.
-func snapMethod(named *types.Named, pkg *types.Package, name string, arg *types.Named) (*types.Func, *types.Var) {
+// snapMethod resolves a Snapshotter method of T, following promotion
+// through embedded fields; promoted is the embedded field supplying it.
+func snapMethod(named *types.Named, st *types.Struct, pkg *types.Package, name string) coverage {
 	obj, index, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, pkg, name)
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil, nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() != 1 || sig.Results().Len() != 1 {
-		return nil, nil
-	}
-	pt, ok := sig.Params().At(0).Type().(*types.Pointer)
-	if !ok || pt.Elem() != arg {
-		return nil, nil
-	}
-	if n, ok := sig.Results().At(0).Type().(*types.Named); !ok || n.Obj().Name() != "error" {
-		return nil, nil
-	}
+	cov := coverage{method: obj.(*types.Func)}
 	if len(index) > 1 {
-		if st, ok := named.Underlying().(*types.Struct); ok && index[0] < st.NumFields() {
-			return fn, st.Field(index[0])
-		}
+		cov.promoted = st.Field(index[0])
 	}
-	return fn, nil
+	return cov
 }
 
 // packageIndex holds the package-wide structures coverage is judged from:
@@ -417,6 +419,19 @@ func insertBeforeFinalReturn(pass *analysis.Pass, decl *ast.FuncDecl, line strin
 	return pass.InsertAt(last.Pos(), line+"\n\t"), true
 }
 
+// appendToSave builds an edit adding line as Save's last statement. Save
+// returns nothing, so its body usually ends without a return: the line goes
+// after the last statement, or before a trailing bare return.
+func appendToSave(pass *analysis.Pass, decl *ast.FuncDecl, line string) analysis.Edit {
+	if edit, ok := insertBeforeFinalReturn(pass, decl, line); ok {
+		return edit
+	}
+	if stmts := decl.Body.List; len(stmts) > 0 {
+		return pass.InsertAt(stmts[len(stmts)-1].End(), "\n\t"+line)
+	}
+	return pass.InsertAt(decl.Body.Lbrace+1, "\n\t"+line)
+}
+
 // saveFix builds the Save-side encoder line for a scalar field.
 func (idx *packageIndex) saveFix(pass *analysis.Pass, save coverage, field *types.Var) *analysis.SuggestedFix {
 	m, ok := scalarMethod(field.Type())
@@ -427,13 +442,9 @@ func (idx *packageIndex) saveFix(pass *analysis.Pass, save coverage, field *type
 	if !ok {
 		return nil
 	}
-	edit, ok := insertBeforeFinalReturn(pass, decl, fmt.Sprintf("%s.%s(%s.%s)", w, m, recv, field.Name()))
-	if !ok {
-		return nil
-	}
 	return &analysis.SuggestedFix{
 		Message: fmt.Sprintf("write %s in Save", field.Name()),
-		Edits:   []analysis.Edit{edit},
+		Edits:   []analysis.Edit{appendToSave(pass, decl, fmt.Sprintf("%s.%s(%s.%s)", w, m, recv, field.Name()))},
 	}
 }
 

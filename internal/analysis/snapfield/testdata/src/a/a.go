@@ -12,10 +12,9 @@ type Good struct {
 	name string
 }
 
-func (g *Good) Save(w *checkpoint.Writer) error {
+func (g *Good) Save(w *checkpoint.Writer) {
 	w.U64(g.tick)
 	g.saveStats(w)
-	return nil
 }
 
 // saveStats is reached from Save, so the fields it writes count.
@@ -38,9 +37,8 @@ type Mutated struct {
 	epoch uint64 // want `field Mutated\.epoch is read by \(\*Mutated\)\.Restore but never written by Save; the decoder will consume other fields' bytes`
 }
 
-func (m *Mutated) Save(w *checkpoint.Writer) error {
+func (m *Mutated) Save(w *checkpoint.Writer) {
 	w.U64(m.tick)
-	return nil
 }
 
 func (m *Mutated) Restore(r *checkpoint.Reader) error {
@@ -69,11 +67,10 @@ type Holes struct {
 	waived uint64
 }
 
-func (h *Holes) Save(w *checkpoint.Writer) error {
+func (h *Holes) Save(w *checkpoint.Writer) {
 	w.U64(h.kept)
 	w.U64(h.oneway)
 	w.U64(h.loud)
-	return nil
 }
 
 func (h *Holes) Restore(r *checkpoint.Reader) error {
@@ -90,9 +87,8 @@ type ByMethod struct {
 	lost uint64 // want `field ByMethod\.lost is not serialised`
 }
 
-func (b *ByMethod) Save(w *checkpoint.Writer) error {
+func (b *ByMethod) Save(w *checkpoint.Writer) {
 	b.put(w)
-	return nil
 }
 
 func (b *ByMethod) put(w *checkpoint.Writer) { w.U64(b.tick) }
@@ -107,9 +103,8 @@ type Inner struct {
 	base uint64
 }
 
-func (in *Inner) Save(w *checkpoint.Writer) error {
+func (in *Inner) Save(w *checkpoint.Writer) {
 	w.U64(in.base)
-	return nil
 }
 
 func (in *Inner) Restore(r *checkpoint.Reader) error {
@@ -130,6 +125,46 @@ type NotASnapshotter struct {
 	junk uint64
 }
 
-func (n *NotASnapshotter) Save(w *checkpoint.Writer) error {
-	return nil
+func (n *NotASnapshotter) Save(w *checkpoint.Writer) {}
+
+// OldShape's Save returns an error, which checkpoint.Snapshotter's Save
+// does not, so it is not a Snapshotter and is out of scope.
+type OldShape struct {
+	junk uint64
+}
+
+func (o *OldShape) Save(w *checkpoint.Writer) error { return nil }
+
+func (o *OldShape) Restore(r *checkpoint.Reader) error { return r.Err() }
+
+// BareReturn ends Save with a bare return, which the Save-side fix inserts
+// before.
+type BareReturn struct {
+	tick uint64
+	lost uint64 // want `field BareReturn\.lost is not serialised`
+}
+
+func (b *BareReturn) Save(w *checkpoint.Writer) {
+	w.U64(b.tick)
+	return
+}
+
+func (b *BareReturn) Restore(r *checkpoint.Reader) error {
+	b.tick = r.U64()
+	return r.Err()
+}
+
+// ValueSave implements Save on the value receiver, which the pointer's
+// method set includes.
+type ValueSave struct {
+	tick uint64
+	lost uint64 // want `field ValueSave\.lost is read by \(\*ValueSave\)\.Restore but never written by Save`
+}
+
+func (v ValueSave) Save(w *checkpoint.Writer) { w.U64(v.tick) }
+
+func (v *ValueSave) Restore(r *checkpoint.Reader) error {
+	v.tick = r.U64()
+	v.lost = r.U64()
+	return r.Err()
 }

@@ -41,9 +41,8 @@ func restoreCounters(r *checkpoint.Reader, t []counter) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (b *Bimodal) Save(w *checkpoint.Writer) error {
+func (b *Bimodal) Save(w *checkpoint.Writer) {
 	saveCounters(w, b.table)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -52,10 +51,9 @@ func (b *Bimodal) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (g *GShare) Save(w *checkpoint.Writer) error {
+func (g *GShare) Save(w *checkpoint.Writer) {
 	saveCounters(w, g.table)
 	w.U64(g.history)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -72,10 +70,9 @@ func (g *GShare) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (p *PAg) Save(w *checkpoint.Writer) error {
+func (p *PAg) Save(w *checkpoint.Writer) {
 	w.U64s(p.histories)
 	saveCounters(w, p.table)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -89,12 +86,10 @@ func (p *PAg) Restore(r *checkpoint.Reader) error {
 
 // Save implements checkpoint.Snapshotter: the chooser, then both
 // component predictors.
-func (c *Combining) Save(w *checkpoint.Writer) error {
+func (c *Combining) Save(w *checkpoint.Writer) {
 	saveCounters(w, c.chooser)
-	if err := c.a.Save(w); err != nil {
-		return err
-	}
-	return c.b.Save(w)
+	c.a.Save(w)
+	c.b.Save(w)
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -109,7 +104,7 @@ func (c *Combining) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter; Static has no dynamic state.
-func (s Static) Save(*checkpoint.Writer) error { return nil }
+func (s Static) Save(*checkpoint.Writer) {}
 
 // Restore implements checkpoint.Snapshotter.
 func (s Static) Restore(*checkpoint.Reader) error { return nil }

@@ -4,14 +4,13 @@ import "tagprefetch/internal/checkpoint"
 
 // Save implements checkpoint.Snapshotter, writing occupancy state and
 // statistics into a section named after the bus.
-func (b *Bus) Save(w *checkpoint.Writer) error {
+func (b *Bus) Save(w *checkpoint.Writer) {
 	w.Section("bus." + b.name)
 	w.I64(b.freeAt)
 	w.I64(b.busy)
 	w.U64(b.transfers)
 	w.U64(b.bytes)
 	w.I64(b.waited)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.

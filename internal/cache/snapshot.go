@@ -10,7 +10,7 @@ import (
 // Save implements checkpoint.Snapshotter, writing every line frame (tags,
 // flags, timing metadata, and the unexported LRU stamp), the recency clock,
 // and the activity counters into a section named after the cache.
-func (c *Cache) Save(w *checkpoint.Writer) error {
+func (c *Cache) Save(w *checkpoint.Writer) {
 	w.Section("cache." + c.name)
 	w.I64(c.tick)
 	w.U32(uint32(c.geom.Sets()))
@@ -29,7 +29,6 @@ func (c *Cache) Save(w *checkpoint.Writer) error {
 	for _, f := range c.st.Fields() {
 		w.U64(*f)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter. The cache must have the same
@@ -67,7 +66,7 @@ func (c *Cache) Restore(r *checkpoint.Reader) error {
 // Save implements checkpoint.Snapshotter. In-flight entries are gathered
 // from the fixed pool and written in ascending block-ID order, so the image
 // is deterministic and independent of pool-frame assignment.
-func (f *MSHRFile) Save(w *checkpoint.Writer) error {
+func (f *MSHRFile) Save(w *checkpoint.Writer) {
 	w.Section("mshr")
 	w.U64(f.merges)
 	w.U64(f.allocs)
@@ -86,7 +85,6 @@ func (f *MSHRFile) Save(w *checkpoint.Writer) error {
 		w.Int(m.Demands)
 		w.Bool(m.Prefetch)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.

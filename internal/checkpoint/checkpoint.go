@@ -44,13 +44,17 @@ const (
 // opposed to structural mismatches against the restoring component.
 var ErrCorrupt = errors.New("checkpoint: corrupt or truncated data")
 
-// Snapshotter is implemented by every stateful simulator component. Save
-// serialises the component's dynamic state; Restore loads it back into an
-// identically-configured component. Restore validates structure (lengths,
-// names) and returns an error on any mismatch rather than restoring
-// partially.
+// Snapshotter is implemented by every stateful simulator component, and
+// required by type: prefetch.Prefetcher, workload.Generator and
+// branch.Predictor embed it, so anything a machine can hold is
+// checkpointable at compile time. Save serialises the component's dynamic
+// state and cannot fail, because Writer cannot. Restore loads it back into
+// an identically-configured component; it decodes bytes from disk or the
+// network, so it validates structure (lengths, names) and returns an error
+// on any mismatch rather than restoring partially. A composite writes its
+// sub-components in the order of one list that both methods walk.
 type Snapshotter interface {
-	Save(w *Writer) error
+	Save(w *Writer)
 	Restore(r *Reader) error
 }
 
@@ -58,9 +62,8 @@ type Snapshotter interface {
 // named sections with Section and write scalars/slices into them; Finish
 // closes the last section and appends the CRC trailer.
 //
-// Writes cannot fail (the buffer grows as needed), so the primitive methods
-// return nothing; Snapshotter.Save returns an error only for the
-// component's own invariant violations.
+// Writes cannot fail (the buffer grows as needed), so neither the
+// primitive methods nor Snapshotter.Save return an error.
 type Writer struct {
 	buf    []byte
 	lenOff int // offset of the open section's length field, -1 when none

@@ -9,7 +9,7 @@ import (
 // Save implements checkpoint.Snapshotter, writing the THT rows, the PHT
 // entries (tags, MRU target lists, recency), the correlation clock, and the
 // predictor counters.
-func (t *TCP) Save(w *checkpoint.Writer) error {
+func (t *TCP) Save(w *checkpoint.Writer) {
 	w.Section("tcp")
 	w.I64(t.clock)
 	w.U32(uint32(len(t.thtFill)))
@@ -42,7 +42,6 @@ func (t *TCP) Save(w *checkpoint.Writer) error {
 	for _, f := range t.st.fields() {
 		w.U64(*f)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter. The TCP must be configured

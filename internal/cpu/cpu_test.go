@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tagprefetch/internal/addr"
+	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/workload"
 	"tagprefetch/internal/xrand"
 )
@@ -25,10 +26,14 @@ type scriptGen struct {
 	pos   int
 }
 
-func (g *scriptGen) Name() string { return "script" }
 func (g *scriptGen) Next(in *workload.Inst) {
 	*in = g.insts[g.pos]
 	g.pos = (g.pos + 1) % len(g.insts)
+}
+func (g *scriptGen) Save(w *checkpoint.Writer) { w.Int(g.pos) }
+func (g *scriptGen) Restore(r *checkpoint.Reader) error {
+	g.pos = r.Int()
+	return r.Err()
 }
 
 // runMeasured drives a fresh core the way sim.Machine does: warmup on the

@@ -36,7 +36,7 @@ func restoreResult(rd *checkpoint.Reader, r *Result) {
 // full pipeline rolling state (completion/commit rings, LSQ ring,
 // functional-unit scoreboards, front-end cursors), and the branch predictor
 // (tagged with its scheme name for structural validation).
-func (c *Core) Save(w *checkpoint.Writer) error {
+func (c *Core) Save(w *checkpoint.Writer) {
 	w.Section("cpu")
 	w.U64(c.done)
 	w.Bool(c.warmed)
@@ -66,7 +66,7 @@ func (c *Core) Save(w *checkpoint.Writer) error {
 	w.I64(c.fclock)
 
 	w.String(c.pred.Name())
-	return c.pred.Save(w)
+	c.pred.Save(w)
 }
 
 // Restore implements checkpoint.Snapshotter. The core must be configured

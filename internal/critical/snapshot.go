@@ -5,11 +5,10 @@ import "tagprefetch/internal/checkpoint"
 // Save implements checkpoint.Snapshotter. The predictor is embedded CPU
 // training state (owned by the critical-filtered prefetcher wrapper), so
 // its fields are written raw into the owner's section.
-func (p *Predictor) Save(w *checkpoint.Writer) error {
+func (p *Predictor) Save(w *checkpoint.Writer) {
 	w.Bytes(p.counters)
 	w.U64(p.trainings)
 	w.U64(p.critical)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.

@@ -9,7 +9,7 @@ import (
 
 // Save implements checkpoint.Snapshotter, writing the shadow directory,
 // correlation table, clock, and statistics.
-func (d *DBCP) Save(w *checkpoint.Writer) error {
+func (d *DBCP) Save(w *checkpoint.Writer) {
 	w.Section("dbcp")
 	w.I64(d.clock)
 	w.U32(uint32(len(d.shadow)))
@@ -32,7 +32,6 @@ func (d *DBCP) Save(w *checkpoint.Writer) error {
 	w.U64(d.stats.Deaths)
 	w.U64(d.stats.Hits)
 	w.U64(d.stats.Predictions)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.

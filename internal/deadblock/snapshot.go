@@ -10,7 +10,7 @@ import (
 // table's keys in insertion order (that order IS the FIFO replacement
 // state), so serialising ring entries with their live times captures the
 // map deterministically without sorting.
-func (p *Predictor) Save(w *checkpoint.Writer) error {
+func (p *Predictor) Save(w *checkpoint.Writer) {
 	w.Section("deadblock")
 	w.U64(p.stats.Learned)
 	w.U64(p.stats.Queries)
@@ -21,7 +21,6 @@ func (p *Predictor) Save(w *checkpoint.Writer) error {
 		w.U64(id)
 		w.I64(p.live[id])
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter, rebuilding the live table by

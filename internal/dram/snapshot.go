@@ -5,11 +5,10 @@ import "tagprefetch/internal/checkpoint"
 // Save implements checkpoint.Snapshotter. The memory bus is owned (and
 // checkpointed) by the memory system, so only the access counters live
 // here.
-func (m *Memory) Save(w *checkpoint.Writer) error {
+func (m *Memory) Save(w *checkpoint.Writer) {
 	w.Section("dram")
 	w.U64(m.reads)
 	w.U64(m.writes)
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.

@@ -178,10 +178,11 @@ func (s *Store) writeWhole(data []byte) (string, error) {
 // removes the lease after the job's manifest is published; Abandon stops
 // renewing without removing the file (what a crash leaves behind).
 type Claim struct {
-	s     *Store
-	lease Lease
-	done  chan struct{}
-	stop  sync.Once
+	s       *Store
+	lease   Lease
+	done    chan struct{}
+	stop    sync.Once
+	renewer sync.WaitGroup // the heartbeat loop, once Start ran
 }
 
 // TryClaim attempts to acquire the lease for job (the manifest filename).
@@ -219,7 +220,21 @@ func (s *Store) TryClaim(job string) (*Claim, bool, error) {
 
 // Start launches the background heartbeat renewer, which rewrites the
 // lease with a fresh Heartbeat every TTL/3 until Release or Abandon.
-func (c *Claim) Start() { go c.heartbeatLoop() }
+func (c *Claim) Start() {
+	c.renewer.Add(1)
+	go func() {
+		defer c.renewer.Done()
+		c.heartbeatLoop()
+	}()
+}
+
+// halt stops the heartbeat renewer and waits for it to exit, so no renewal
+// is in flight afterwards: none can rewrite a lease Release removed, and
+// Stats counts every renewal a reader could have seen on disk.
+func (c *Claim) halt() {
+	c.stop.Do(func() { close(c.done) })
+	c.renewer.Wait()
+}
 
 func (c *Claim) heartbeatLoop() {
 	period := c.s.ttl / 3
@@ -284,7 +299,7 @@ func (c *Claim) renew() error {
 // Release stops the heartbeat renewer and removes the lease file. Call
 // only after the job's manifest has been published.
 func (c *Claim) Release() {
-	c.stop.Do(func() { close(c.done) })
+	c.halt()
 	os.Remove(c.s.leasePath(c.lease.Job))
 	c.s.releases.Add(1)
 	c.s.rec.Record(c.lease.Job, EventRelease)
@@ -293,9 +308,7 @@ func (c *Claim) Release() {
 // Abandon stops the heartbeat renewer but leaves the lease file on disk —
 // the state an injected crash must leave behind so other workers exercise
 // the stale-lease steal path.
-func (c *Claim) Abandon() {
-	c.stop.Do(func() { close(c.done) })
-}
+func (c *Claim) Abandon() { c.halt() }
 
 // StealIfStale inspects job's lease and reclaims it when the holder's
 // heartbeat has expired. It reports whether the caller should immediately

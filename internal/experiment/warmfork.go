@@ -80,8 +80,8 @@ func warmFileName(key warmKey) string {
 }
 
 // simulate runs one grid point, forking from the benchmark's shared warm
-// checkpoint when the config is eligible. Any warm-path failure (a stale or
-// foreign on-disk image, a non-checkpointable component) falls back to the
+// checkpoint when the config is eligible. An image that fails to restore (a
+// stale or foreign one from the checkpoint directory) falls back to the
 // cold run, which produces the identical result by construction.
 func (r *Runner) simulate(bench string, f sim.Factory, cfg sim.Config) sim.Result {
 	key, ok := warmKeyFor(bench, cfg)

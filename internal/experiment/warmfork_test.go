@@ -86,18 +86,3 @@ func TestWarmForkIneligibleFallsBack(t *testing.T) {
 		t.Errorf("warm-fork stats = %d/%d, want 0/0", warmups, forks)
 	}
 }
-
-// benchmarkSweep measures a serial one-benchmark sweep over the Figure 13
-// grid slice; the warm-fork variant pays the warmup once instead of once
-// per grid point.
-func benchmarkSweep(b *testing.B, warmFork bool) {
-	cfg := sim.Config{Instructions: 5_000, Warmup: 100_000, Seed: 1, BaselineWarmup: warmFork}
-	jobs := GridJobs([]string{"mcf"}, fig13Grid(), cfg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewRunner(1).Map(jobs)
-	}
-}
-
-func BenchmarkSweepCold(b *testing.B)     { benchmarkSweep(b, false) }
-func BenchmarkSweepWarmFork(b *testing.B) { benchmarkSweep(b, true) }

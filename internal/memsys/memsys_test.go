@@ -333,15 +333,15 @@ func TestVirtualMissTrainsOnPromotedHit(t *testing.T) {
 }
 
 // toL1Stub always requests one same-set block for L1 promotion.
-type toL1Stub struct{ g addr.Geometry }
+type toL1Stub struct {
+	prefetch.None
+	g addr.Geometry
+}
 
 func (s toL1Stub) Name() string { return "tol1stub" }
 func (s toL1Stub) OnMiss(m trace.Miss) []prefetch.Request {
 	return []prefetch.Request{{Addr: s.g.Compose(m.Tag+7, m.Index), ToL1: true}}
 }
-func (s toL1Stub) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
-func (s toL1Stub) OnEvict(addr.Addr, int64, int64, int64)                        {}
-func (s toL1Stub) StorageBits() uint64                                           { return 0 }
 
 func TestPromotionGateRejectsUnknownLiveVictims(t *testing.T) {
 	g := DefaultConfig().L1D
@@ -390,7 +390,10 @@ func TestPromotionAllowedOnceVictimLifetimeLearned(t *testing.T) {
 }
 
 // recordingStub counts the training calls the hierarchy makes.
-type recordingStub struct{ misses, accesses, evicts int }
+type recordingStub struct {
+	prefetch.None
+	misses, accesses, evicts int
+}
 
 func (s *recordingStub) Name() string { return "recording" }
 func (s *recordingStub) OnMiss(trace.Miss) []prefetch.Request {
@@ -402,7 +405,6 @@ func (s *recordingStub) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.R
 	return nil
 }
 func (s *recordingStub) OnEvict(addr.Addr, int64, int64, int64) { s.evicts++ }
-func (s *recordingStub) StorageBits() uint64                    { return 0 }
 
 // TestUsePrefetcherAfterNone pins the None elision to the prefetcher
 // actually attached: a hierarchy built with the no-prefetch baseline and

@@ -17,13 +17,24 @@ func (m *MemSys) UsePrefetcher(p prefetch.Prefetcher) {
 	m.setPrefetchers(p, m.l2pf)
 }
 
-// snapshotter asserts that a prefetcher can be checkpointed.
-func snapshotter(p prefetch.Prefetcher) (checkpoint.Snapshotter, error) {
-	s, ok := p.(checkpoint.Snapshotter)
-	if !ok {
-		return nil, fmt.Errorf("memsys: prefetcher %s is not checkpointable", p.Name())
+// sections lists the hierarchy's subcomponents in checkpoint order, for
+// Save and Restore alike. The optional prefetch bus, L2 prefetcher and
+// dead-block predictor are listed when the matching flag is set: the
+// machine's own presence when saving, the decoded presence flags when
+// restoring.
+func (m *MemSys) sections(pfBus, l2pf, dbp bool) []checkpoint.Snapshotter {
+	s := []checkpoint.Snapshotter{m.l1d, m.l2, m.mshr, m.l1Bus}
+	if pfBus {
+		s = append(s, m.pfBus)
 	}
-	return s, nil
+	s = append(s, m.memBus, m.mem, m.pf)
+	if l2pf {
+		s = append(s, m.l2pf)
+	}
+	if dbp {
+		s = append(s, m.dbp)
+	}
+	return s
 }
 
 // Save implements checkpoint.Snapshotter: the hierarchy counters and
@@ -31,59 +42,18 @@ func snapshotter(p prefetch.Prefetcher) (checkpoint.Snapshotter, error) {
 // subcomponent (caches, MSHRs, buses, DRAM, prefetchers, dead-block
 // predictor). The presence flags let Restore validate that the checkpoint
 // and the receiving machine were built with the same topology.
-func (m *MemSys) Save(w *checkpoint.Writer) error {
+func (m *MemSys) Save(w *checkpoint.Writer) {
+	hasPfBus, hasL2pf, hasDbp := m.pfBus != nil, m.l2pf != nil, m.dbp != nil
 	w.Section("memsys")
-	w.Bool(m.pfBus != nil)
-	w.Bool(m.l2pf != nil)
-	w.Bool(m.dbp != nil)
+	w.Bool(hasPfBus)
+	w.Bool(hasL2pf)
+	w.Bool(hasDbp)
 	for _, f := range m.st.own() {
 		w.U64(*f)
 	}
-	if err := m.l1d.Save(w); err != nil {
-		return err
+	for _, c := range m.sections(hasPfBus, hasL2pf, hasDbp) {
+		c.Save(w)
 	}
-	if err := m.l2.Save(w); err != nil {
-		return err
-	}
-	if err := m.mshr.Save(w); err != nil {
-		return err
-	}
-	if err := m.l1Bus.Save(w); err != nil {
-		return err
-	}
-	if m.pfBus != nil {
-		if err := m.pfBus.Save(w); err != nil {
-			return err
-		}
-	}
-	if err := m.memBus.Save(w); err != nil {
-		return err
-	}
-	if err := m.mem.Save(w); err != nil {
-		return err
-	}
-	s, err := snapshotter(m.pf)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(w); err != nil {
-		return err
-	}
-	if m.l2pf != nil {
-		s, err := snapshotter(m.l2pf)
-		if err != nil {
-			return err
-		}
-		if err := s.Save(w); err != nil {
-			return err
-		}
-	}
-	if m.dbp != nil {
-		if err := m.dbp.Save(w); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter and publishes the restored
@@ -115,47 +85,8 @@ func (m *MemSys) Restore(r *checkpoint.Reader) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if err := m.l1d.Restore(r); err != nil {
-		return err
-	}
-	if err := m.l2.Restore(r); err != nil {
-		return err
-	}
-	if err := m.mshr.Restore(r); err != nil {
-		return err
-	}
-	if err := m.l1Bus.Restore(r); err != nil {
-		return err
-	}
-	if hasPfBus {
-		if err := m.pfBus.Restore(r); err != nil {
-			return err
-		}
-	}
-	if err := m.memBus.Restore(r); err != nil {
-		return err
-	}
-	if err := m.mem.Restore(r); err != nil {
-		return err
-	}
-	s, err := snapshotter(m.pf)
-	if err != nil {
-		return err
-	}
-	if err := s.Restore(r); err != nil {
-		return err
-	}
-	if hasL2pf {
-		s, err := snapshotter(m.l2pf)
-		if err != nil {
-			return err
-		}
-		if err := s.Restore(r); err != nil {
-			return err
-		}
-	}
-	if hasDbp {
-		if err := m.dbp.Restore(r); err != nil {
+	for _, c := range m.sections(hasPfBus, hasL2pf, hasDbp) {
+		if err := c.Restore(r); err != nil {
 			return err
 		}
 	}

@@ -13,6 +13,7 @@ package prefetch
 
 import (
 	"tagprefetch/internal/addr"
+	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/trace"
 )
 
@@ -22,8 +23,10 @@ type Request struct {
 	ToL1 bool      // hybrid schemes: also promote into L1 when the victim is dead
 }
 
-// Prefetcher observes the L1 demand stream and proposes prefetches.
+// Prefetcher observes the L1 demand stream and proposes prefetches. Its
+// tables are warm state, so every prefetcher is a checkpoint.Snapshotter.
 type Prefetcher interface {
+	checkpoint.Snapshotter
 	// Name identifies the scheme (used in experiment tables).
 	Name() string
 	// OnMiss is invoked for every L1 demand miss and returns the prefetch

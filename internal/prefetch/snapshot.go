@@ -14,9 +14,8 @@ import (
 // still write their (empty) section for the same structural validation.
 
 // Save implements checkpoint.Snapshotter.
-func (None) Save(w *checkpoint.Writer) error {
+func (None) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.none")
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -25,9 +24,8 @@ func (None) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (p *NextLine) Save(w *checkpoint.Writer) error {
+func (p *NextLine) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.nextline")
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -36,7 +34,7 @@ func (p *NextLine) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (p *Stride) Save(w *checkpoint.Writer) error {
+func (p *Stride) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.stride")
 	w.U32(uint32(len(p.entries)))
 	for i := range p.entries {
@@ -47,7 +45,6 @@ func (p *Stride) Save(w *checkpoint.Writer) error {
 		w.U8(e.state)
 		w.Bool(e.valid)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -73,7 +70,7 @@ func (p *Stride) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (p *StreamBuffers) Save(w *checkpoint.Writer) error {
+func (p *StreamBuffers) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.stream")
 	w.I64(p.clock)
 	w.U32(uint32(len(p.buffers)))
@@ -84,7 +81,6 @@ func (p *StreamBuffers) Save(w *checkpoint.Writer) error {
 		w.Int(b.left)
 		w.I64(b.used)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -110,7 +106,7 @@ func (p *StreamBuffers) Restore(r *checkpoint.Reader) error {
 }
 
 // Save implements checkpoint.Snapshotter.
-func (p *Markov) Save(w *checkpoint.Writer) error {
+func (p *Markov) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.markov")
 	w.I64(p.clock)
 	w.U64(uint64(p.last))
@@ -129,7 +125,6 @@ func (p *Markov) Save(w *checkpoint.Writer) error {
 			}
 		}
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -173,7 +168,7 @@ func (p *Markov) Restore(r *checkpoint.Reader) error {
 
 // Save implements checkpoint.Snapshotter. The PC index map is written in
 // ascending key order so the image is deterministic.
-func (p *GHB) Save(w *checkpoint.Writer) error {
+func (p *GHB) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.ghb")
 	w.Int(p.head)
 	w.U32(uint32(len(p.buffer)))
@@ -193,7 +188,6 @@ func (p *GHB) Save(w *checkpoint.Writer) error {
 		w.U64(k)
 		w.Int(p.index[k])
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -242,17 +236,11 @@ func (p *GHB) Restore(r *checkpoint.Reader) error {
 
 // Save implements checkpoint.Snapshotter: the gate statistics and the
 // criticality predictor, then the wrapped prefetcher's own section.
-func (f *CriticalFiltered) Save(w *checkpoint.Writer) error {
+func (f *CriticalFiltered) Save(w *checkpoint.Writer) {
 	w.Section("prefetch.critfilter")
 	w.U64(f.suppressed)
-	if err := f.pred.Save(w); err != nil {
-		return err
-	}
-	s, ok := f.inner.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("prefetch: wrapped prefetcher %s is not checkpointable", f.inner.Name())
-	}
-	return s.Save(w)
+	f.pred.Save(w)
+	f.inner.Save(w)
 }
 
 // Restore implements checkpoint.Snapshotter.
@@ -264,9 +252,5 @@ func (f *CriticalFiltered) Restore(r *checkpoint.Reader) error {
 	if err := f.pred.Restore(r); err != nil {
 		return err
 	}
-	s, ok := f.inner.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("prefetch: wrapped prefetcher %s is not checkpointable", f.inner.Name())
-	}
-	return s.Restore(r)
+	return f.inner.Restore(r)
 }

@@ -249,7 +249,7 @@ func (m *Machine) boundaryCounters() []*uint64 {
 // window is deliberately not part of the identity: the warm state at any
 // pre-boundary position does not depend on it, which is what lets one
 // baseline warmup fork into grid points with different measure lengths.
-func (m *Machine) Save(w *checkpoint.Writer) error {
+func (m *Machine) Save(w *checkpoint.Writer) {
 	w.Section("machine")
 	w.String(m.spec.Name)
 	w.U64(m.cfg.Seed)
@@ -273,23 +273,21 @@ func (m *Machine) Save(w *checkpoint.Writer) error {
 			w.U64(*f)
 		}
 	}
-	if err := m.core.Save(w); err != nil {
-		return err
+	for _, c := range m.sections(hasSampler) {
+		c.Save(w)
 	}
-	gen, ok := m.gen.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("sim: workload generator %s is not checkpointable", m.gen.Name())
+}
+
+// sections lists the machine's components in checkpoint order, after the
+// identity section, for Save and Restore alike: the core, the workload
+// generator, the memory hierarchy, and the telemetry sampler when the image
+// carries one.
+func (m *Machine) sections(sampler bool) []checkpoint.Snapshotter {
+	s := []checkpoint.Snapshotter{m.core, m.gen, m.mem}
+	if sampler {
+		s = append(s, m.tel.Sampler)
 	}
-	if err := gen.Save(w); err != nil {
-		return err
-	}
-	if err := m.mem.Save(w); err != nil {
-		return err
-	}
-	if hasSampler {
-		return m.tel.Sampler.Save(w)
-	}
-	return nil
+	return s
 }
 
 // hasSampler reports whether an observing telemetry run samples, which
@@ -369,32 +367,20 @@ func (m *Machine) Restore(r *checkpoint.Reader) error {
 			return err
 		}
 	}
-	if err := m.core.Restore(r); err != nil {
-		return err
-	}
-	gen, ok := m.gen.(checkpoint.Snapshotter)
-	if !ok {
-		return fmt.Errorf("sim: workload generator %s is not checkpointable", m.gen.Name())
-	}
-	if err := gen.Restore(r); err != nil {
-		return err
-	}
-	if err := m.mem.Restore(r); err != nil {
-		return err
-	}
-	if hasSampler {
-		return m.tel.Sampler.Restore(r)
+	for _, c := range m.sections(hasSampler) {
+		if err := c.Restore(r); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // Checkpoint serialises the machine into a complete checkpoint image
-// (header, sections, CRC trailer).
+// (header, sections, CRC trailer). Saving cannot fail; the error result is
+// always nil.
 func (m *Machine) Checkpoint() ([]byte, error) {
 	w := checkpoint.NewWriter()
-	if err := m.Save(w); err != nil {
-		return nil, err
-	}
+	m.Save(w)
 	return w.Finish(), nil
 }
 

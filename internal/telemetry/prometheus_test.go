@@ -128,16 +128,3 @@ func TestPromNoAllocWhenUnscraped(t *testing.T) {
 		t.Errorf("collect ran %d times without a scrape, want 0", scrapes)
 	}
 }
-
-// BenchmarkWritePrometheus tracks the per-scrape rendering cost.
-func BenchmarkWritePrometheus(b *testing.B) {
-	reg := promTestRegistry()
-	labels := []PromLabel{{Name: "bench", Value: "mcf"}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var sb strings.Builder
-		if err := WritePrometheus(&sb, PromFromRegistry(reg, labels...)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

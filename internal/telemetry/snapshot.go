@@ -11,7 +11,7 @@ import (
 // boundaries. Probe registration (names and value functions) is structural
 // — the restoring run re-registers the same probes — so only names are
 // stored, for validation.
-func (s *Sampler) Save(w *checkpoint.Writer) error {
+func (s *Sampler) Save(w *checkpoint.Writer) {
 	w.Section("telemetry.sampler")
 	w.I64(s.next)
 	w.U64(s.truncated)
@@ -33,7 +33,6 @@ func (s *Sampler) Save(w *checkpoint.Writer) error {
 		w.I64(ph.Cycle)
 		w.U64(ph.Instructions)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter. The sampler must have the

@@ -24,7 +24,7 @@ const (
 )
 
 // Save implements checkpoint.Snapshotter.
-func (s *synth) Save(w *checkpoint.Writer) error {
+func (s *synth) Save(w *checkpoint.Writer) {
 	w.Section("workload")
 	w.String(s.spec.Name)
 	w.U64(s.rng.State())
@@ -40,7 +40,6 @@ func (s *synth) Save(w *checkpoint.Writer) error {
 	for _, st := range s.streams {
 		st.save(w)
 	}
-	return nil
 }
 
 // Restore implements checkpoint.Snapshotter.

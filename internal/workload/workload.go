@@ -20,6 +20,7 @@ package workload
 import (
 	"fmt"
 
+	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/xrand"
 )
 
@@ -72,10 +73,11 @@ type Inst struct {
 	Dep2  int32
 }
 
-// Generator produces an endless dynamic instruction stream.
+// Generator produces an endless dynamic instruction stream. Its position
+// in the stream is machine state, so every generator is a
+// checkpoint.Snapshotter.
 type Generator interface {
-	// Name identifies the workload.
-	Name() string
+	checkpoint.Snapshotter
 	// Next fills in the next dynamic instruction.
 	Next(*Inst)
 }
@@ -217,9 +219,6 @@ type synth struct {
 	// The spec's per-instruction probabilities, prepared once by New.
 	depP, loadUseP, predictableP, coinP xrand.Prob //tcp:nosnap derived from the spec by New
 }
-
-// Name implements Generator.
-func (s *synth) Name() string { return s.spec.Name }
 
 func hashName(name string) uint64 {
 	h := uint64(14695981039346656037)

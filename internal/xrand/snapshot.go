@@ -13,9 +13,8 @@ func (r *Rand) SetState(s uint64) { r.s = s }
 // Save writes the generator state into the current checkpoint section.
 // Rand is embedded state — owners (workload streams, generators) hold it
 // inside their own sections, so no section is opened here.
-func (r *Rand) Save(w *checkpoint.Writer) error {
+func (r *Rand) Save(w *checkpoint.Writer) {
 	w.U64(r.s)
-	return nil
 }
 
 // Restore loads generator state written by Save.
