@@ -5,7 +5,8 @@
 //	tcpfigs -exp fig13a -n 200000   # PHT size sweep, quick scale
 //
 // Experiment ids: table1, fig1, fig2 ... fig7, fig11, fig12, fig13a,
-// fig13b, fig14, fig15, coverage, ablations.
+// fig13b, fig14, fig15, coverage. The DESIGN.md ablations are tcpsweep
+// sweeps (tcpsweep -sweep k, assoc, ...), one results/aN_run.txt each.
 //
 // With -report, tcpfigs instead renders a machine-readable telemetry
 // report produced by `tcpsim -json` or `tcpsweep -json`: per-run headline
@@ -33,10 +34,10 @@ func main() { os.Exit(run()) }
 
 // allIDs is every experiment id, in the order -exp all runs them.
 var allIDs = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-	"fig7", "fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "coverage", "ablations"}
+	"fig7", "fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "coverage"}
 
 func run() int {
-	exp := flag.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, ablations, all)")
+	exp := flag.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, coverage, all)")
 	asCSV := flag.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
 	reportIn := flag.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")
 	rf := runflags.Register(flag.CommandLine, "tcpfigs")
@@ -65,12 +66,11 @@ func run() int {
 		return 2
 	}
 	// One runner for every figure: baselines simulated for fig1 are reused
-	// by fig11, fig14 and the ablations via the memoised cache.
+	// by fig11 and fig14 via the memoised cache.
 	r, err := rf.Bind(*exp)
 	if err != nil {
 		return rf.Exit(err)
 	}
-	defer r.Close()
 	o := r.Options
 
 	bad := false
@@ -84,17 +84,10 @@ func run() int {
 		}
 		t.WriteTo(os.Stdout) //nolint:errcheck
 	}
-	// sweep prints a row of the sweep table as tcpsweep does, except that
-	// a table follows -csv.
+	// sweep prints a Figure 13 curve as tcpsweep does.
 	sweep := func(name string) {
 		sw, _ := experiment.LookupSweep(name) //nolint:errcheck // names from the table
-		res := sw.Run(o)
-		for _, s := range res.Series {
-			fmt.Println(s.String())
-		}
-		if res.Table != nil {
-			emit(res.Table)
-		}
+		sw.Run(o).Print(os.Stdout)
 	}
 
 	var prof map[string]profiler.Summary
@@ -140,14 +133,6 @@ func run() int {
 			emit(experiment.Fig15Strided(o, needProfile()))
 		case "coverage":
 			emit(experiment.CoverageComparison(o))
-		case "ablations":
-			fmt.Println("== Ablations (DESIGN.md A1-A5) ==")
-			// Every sweep but Figure 13's two is an ablation.
-			for _, sw := range experiment.Sweeps {
-				if sw.Name != "size" && sw.Name != "nbits" {
-					sweep(sw.Name)
-				}
-			}
 		}
 	}
 

@@ -1,6 +1,5 @@
-// Machine-readable output: -format json is a flat findings array for
-// scripting, -format sarif is a minimal SARIF 2.1.0 document for code
-// scanning UIs (CI uploads it as the lint artifact).
+// Machine-readable output: -format sarif is a minimal SARIF 2.1.0
+// document for code scanning UIs (CI uploads it as the lint artifact).
 package main
 
 import (
@@ -9,35 +8,6 @@ import (
 
 	"tagprefetch/internal/analysis"
 )
-
-// jsonFinding is one finding in -format json output.
-type jsonFinding struct {
-	Analyzer string                 `json:"analyzer"`
-	File     string                 `json:"file"`
-	Line     int                    `json:"line"`
-	Column   int                    `json:"column"`
-	Message  string                 `json:"message"`
-	Fix      *analysis.SuggestedFix `json:"fix,omitempty"`
-}
-
-func printJSON(out *os.File, diags []analysis.Diagnostic) error {
-	findings := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		findings = append(findings, jsonFinding{
-			Analyzer: d.Analyzer,
-			File:     d.Pos.Filename,
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Message:  d.Message,
-			Fix:      d.Fix,
-		})
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Findings []jsonFinding `json:"findings"`
-	}{findings})
-}
 
 // Minimal SARIF 2.1.0 structures — only what code-scanning consumers
 // require.
@@ -97,14 +67,12 @@ type sarifRegion struct {
 }
 
 func printSARIF(out *os.File, selected []*analysis.Analyzer, diags []analysis.Diagnostic) error {
-	rules := make([]sarifRule, 0, len(selected)+2)
+	rules := make([]sarifRule, 0, len(selected)+1)
 	for _, a := range selected {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: a.Doc}})
 	}
 	rules = append(rules,
-		sarifRule{ID: suppressCheck, ShortDescription: sarifText{Text: "stale //lint:ignore suppression comments"}},
-		sarifRule{ID: baselineCheck, ShortDescription: sarifText{Text: "stale committed-baseline entries"}},
-	)
+		sarifRule{ID: suppressCheck, ShortDescription: sarifText{Text: "stale //lint:ignore suppression comments"}})
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
 		line := d.Pos.Line

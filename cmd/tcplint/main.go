@@ -14,12 +14,12 @@
 // filtered afterwards: dependency-only packages and packages outside an
 // analyzer's scope are analyzed for facts but never reported on.
 //
-// Exit status: 0 clean, 1 findings (including stale suppressions and
-// stale baseline entries), 2 load or internal errors. Findings default
-// to the go vet file:line:col format; -format json and -format sarif
-// emit machine-readable reports, -fix applies suggested fixes in place,
-// -diff previews them, and -baseline/-write-baseline manage a committed
-// findings baseline. See docs/STATIC_ANALYSIS.md for the analyzer
+// Exit status: 0 clean, 1 findings (including stale suppressions), 2
+// load or internal errors. Findings default to the go vet file:line:col
+// format; -format sarif emits a machine-readable report, -fix applies
+// suggested fixes in place and -diff previews them. A finding is
+// tolerated only by a //lint:ignore comment at its site, which must keep
+// suppressing something. See docs/STATIC_ANALYSIS.md for the analyzer
 // catalogue and the suppression syntax.
 package main
 
@@ -54,11 +54,9 @@ var analyzers = []*analysis.Analyzer{
 	hotprop.Analyzer,
 }
 
-// Pseudo-analyzer names used for driver-synthesised findings.
-const (
-	suppressCheck = "suppress" // stale //lint:ignore comments
-	baselineCheck = "baseline" // stale committed-baseline entries
-)
+// suppressCheck is the pseudo-analyzer name of driver-synthesised
+// findings for stale //lint:ignore comments.
+const suppressCheck = "suppress"
 
 // simPackageRE matches the packages that hold simulator state or feed
 // experiment results: the determinism analyzers (detmap, notime, detflow)
@@ -93,11 +91,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	verbose := fs.Bool("v", false, "report the number of packages analyzed")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
+	format := fs.String("format", "text", "output format: text or sarif")
 	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
 	diff := fs.Bool("diff", false, "print suggested fixes as a unified diff without applying them")
-	baseline := fs.String("baseline", "", "baseline file: listed findings are tolerated, vanished ones fail")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: tcplint [flags] [packages]\n\nEnforces simulator determinism and hot-path invariants.\nSee docs/STATIC_ANALYSIS.md.\n\n")
 		fs.PrintDefaults()
@@ -113,9 +109,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 0
 	}
 	switch *format {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fmt.Fprintf(stderr, "tcplint: unknown format %q (want text, json, or sarif)\n", *format)
+		fmt.Fprintf(stderr, "tcplint: unknown format %q (want text or sarif)\n", *format)
 		return 2
 	}
 
@@ -152,45 +148,20 @@ func run(args []string, stdout, stderr *os.File) int {
 	relativize(diags, root)
 	sortDiags(diags)
 
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintln(stderr, "tcplint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "tcplint: wrote %d baseline entries to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baseline != "" {
-		kept, stale, err := applyBaseline(*baseline, diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "tcplint:", err)
-			return 2
-		}
-		diags = append(kept, stale...)
-		sortDiags(diags)
-	}
-
-	if *fix || *diff {
+	switch {
+	case *fix || *diff:
 		if err := applyFixes(root, diags, *fix, stdout); err != nil {
 			fmt.Fprintln(stderr, "tcplint:", err)
 			return 2
 		}
-	} else {
-		switch *format {
-		case "text":
-			for _, d := range diags {
-				fmt.Fprintln(stdout, d)
-			}
-		case "json":
-			if err := printJSON(stdout, diags); err != nil {
-				fmt.Fprintln(stderr, "tcplint:", err)
-				return 2
-			}
-		case "sarif":
-			if err := printSARIF(stdout, selected, diags); err != nil {
-				fmt.Fprintln(stderr, "tcplint:", err)
-				return 2
-			}
+	case *format == "sarif":
+		if err := printSARIF(stdout, selected, diags); err != nil {
+			fmt.Fprintln(stderr, "tcplint:", err)
+			return 2
+		}
+	default:
+		for _, d := range diags {
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if *verbose {
@@ -284,7 +255,7 @@ func moduleRoot(dir string) (string, error) {
 }
 
 // relativize rewrites every finding and fix path to be module-relative,
-// so text output, baselines, and SARIF are stable across checkouts.
+// so text output and SARIF are stable across checkouts.
 func relativize(diags []analysis.Diagnostic, root string) {
 	rel := func(p string) string {
 		if r, err := filepath.Rel(root, p); err == nil && !strings.HasPrefix(r, "..") {

@@ -334,38 +334,6 @@ func step(xs []int) []int {
 }
 `
 
-// The baseline lifecycle: record the debt, run clean against it, then fix
-// the code and watch the unregenerated baseline fail the run.
-func TestBaselineLifecycle(t *testing.T) {
-	dir := writeTempModule(t, map[string]string{"p.go": hotSource})
-	base := filepath.Join(dir, "base.json")
-
-	if code, out := runLint(t, "./..."); code != 1 {
-		t.Fatalf("dirty tree exit = %d, want 1\n%s", code, out)
-	}
-	if code, out := runLint(t, "-write-baseline", base, "./..."); code != 0 {
-		t.Fatalf("write-baseline exit = %d, want 0\n%s", code, out)
-	}
-	if code, out := runLint(t, "-baseline", base, "./..."); code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\n%s", code, out)
-	}
-
-	clean := `package p
-
-func step(xs []int) []int { return xs }
-`
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(clean), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out := runLint(t, "-baseline", base, "./...")
-	if code != 1 {
-		t.Fatalf("shrunk-baseline exit = %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(out, "stale baseline entry") {
-		t.Errorf("no stale-baseline finding:\n%s", out)
-	}
-}
-
 // SARIF output must be well-formed and carry the findings.
 func TestSARIFOutput(t *testing.T) {
 	writeTempModule(t, map[string]string{"p.go": hotSource})
@@ -418,23 +386,5 @@ func step(xs []int) []int {
 	}
 	if code, out := runLint(t, "-diff", "./..."); code != 0 || strings.Contains(out, "@@") {
 		t.Fatalf("second -diff not empty (exit %d):\n%s", code, out)
-	}
-}
-
-// JSON output is a flat findings array for scripting.
-func TestJSONOutput(t *testing.T) {
-	writeTempModule(t, map[string]string{"p.go": hotSource})
-	code, out := runLint(t, "-format", "json", "./...")
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\n%s", code, out)
-	}
-	var doc struct {
-		Findings []jsonFinding `json:"findings"`
-	}
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("output is not JSON: %v\n%s", err, out)
-	}
-	if len(doc.Findings) == 0 || doc.Findings[0].Analyzer != "hotalloc" || doc.Findings[0].File != "p.go" {
-		t.Errorf("unexpected findings: %+v", doc.Findings)
 	}
 }

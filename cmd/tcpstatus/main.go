@@ -8,11 +8,11 @@
 //	tcpstatus -dir shared -watch          # live terminal view
 //	tcpstatus -dir shared -json           # FleetSnapshot as JSON
 //	tcpstatus -dir shared -timeline       # replay the flight-recorder logs
-//	tcpstatus -dir shared -status-addr :8080   # serve /status /events /metrics
+//	tcpstatus -dir shared -status-addr :8080   # serve /status and /metrics
 //
-// The same views are available in-process from a worker: tcpsweep and
-// tcpfigs take -status-addr and serve the identical endpoints while they
-// simulate. See docs/OBSERVABILITY.md.
+// Run it next to the workers (or on any host that sees the directory) for
+// live status while a grid simulates; the sweep daemon serves the same
+// /status and /metrics over its cache. See docs/OBSERVABILITY.md.
 package main
 
 import (
@@ -36,7 +36,7 @@ func run() int {
 		watch    = flag.Bool("watch", false, "redraw the status view every -interval until interrupted")
 		interval = flag.Duration("interval", 2*time.Second, "refresh cadence for -watch")
 		timeline = flag.Bool("timeline", false, "render the merged flight-recorder timeline instead of current status")
-		addr     = flag.String("status-addr", "", "serve /status, /events and /metrics on this address instead of printing")
+		addr     = flag.String("status-addr", "", "serve /status and /metrics on this address instead of printing")
 	)
 	flag.Parse()
 	if *dir == "" && flag.NArg() == 1 {
@@ -70,7 +70,7 @@ func run() int {
 			return 1
 		}
 	case *addr != "":
-		srv := fleetobs.NewServer(*dir, clock, 0)
+		srv := fleetobs.NewServer(*dir, clock)
 		ln, err := net.Listen("tcp", *addr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcpstatus:", err)

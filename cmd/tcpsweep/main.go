@@ -55,7 +55,6 @@ func run() int {
 	if err != nil {
 		return rf.Exit(err)
 	}
-	defer r.Close()
 
 	var res experiment.SweepResult
 	if err := experiment.CatchIncomplete(func() { res = sw.Run(r.Options) }); err != nil {

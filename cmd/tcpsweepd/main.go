@@ -9,8 +9,8 @@
 //
 // The cache directory (<root>/ckpt-v<version>) is an ordinary checkpoint
 // directory: external `tcpsweep -workers` processes pointed at it join the
-// daemon's fleet, and /status, /events and /metrics expose it exactly as
-// `tcpsweep -status-addr` would.
+// daemon's fleet, and /status and /metrics expose it exactly as
+// `tcpstatus -status-addr` would.
 package main
 
 import (
@@ -33,7 +33,6 @@ func run() int {
 		leaseTTL = flag.Duration("lease-ttl", 30*time.Second, "job-lease staleness horizon before a crashed worker's leases may be stolen")
 		maxQueue = flag.Int("max-queue", 1024, "global queued-job bound; requests overflowing it get 429 + Retry-After")
 		maxJobs  = flag.Int("max-jobs", 4096, "per-request job budget; larger grids are rejected with 400")
-		interval = flag.Duration("event-interval", 0, "/events poll cadence (0 selects the fleetobs default)")
 	)
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func run() int {
 		LeaseTTL:        *leaseTTL,
 		MaxQueuedJobs:   *maxQueue,
 		MaxJobsPerSweep: *maxJobs,
-		EventInterval:   *interval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcpsweepd:", err)

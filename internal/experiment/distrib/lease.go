@@ -34,6 +34,11 @@ type Lease struct {
 	Seq uint64 `json:"seq"`
 }
 
+// Expired reports whether the lease's holder is presumed dead at now: a
+// lease is live through the instant Heartbeat+TTL and stale after it.
+// StealIfStale steals on this rule and fleetobs reports it.
+func (l Lease) Expired(now int64) bool { return now > l.Heartbeat+l.TTL }
+
 // ParseLease decodes and validates a lease record. Truncated, corrupt, or
 // structurally invalid bytes (for instance a file caught mid-replacement
 // by a reader on a filesystem without atomic rename visibility) return an
@@ -323,20 +328,16 @@ func (s *Store) StealIfStale(job string) bool {
 		return true // no lease: holder released (or never existed) — retry
 	}
 	now := s.clock.Now()
-	var expiry int64
-	if l, err := ParseLease(data); err == nil {
-		if l.Job != job {
-			// A foreign record at this path protects nothing; steal it
-			// on the same horizon as a corrupt one.
-			expiry = s.corruptFirstSeen(job, now) + int64(s.ttl)
-		} else {
-			s.forgetCorrupt(job)
-			expiry = l.Heartbeat + l.TTL
-		}
+	var stale bool
+	if l, err := ParseLease(data); err == nil && l.Job == job {
+		s.forgetCorrupt(job)
+		stale = l.Expired(now)
 	} else {
-		expiry = s.corruptFirstSeen(job, now) + int64(s.ttl)
+		// A corrupt record, or a foreign one at this path, protects
+		// nothing; steal it one TTL after first seeing it.
+		stale = now > s.corruptFirstSeen(job, now)+int64(s.ttl)
 	}
-	if now <= expiry {
+	if !stale {
 		return false
 	}
 	// Rename-to-unique-name is the atomic single-winner operation: of any

@@ -16,6 +16,7 @@ import (
 
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/sim"
+	"tagprefetch/internal/telemetry"
 )
 
 // SetClaims enables distributed execution: jobs are claimed through the
@@ -35,6 +36,22 @@ func (r *Runner) SetStrictGather(on bool) { r.strict = on }
 // StoreStats reports how many job submissions were answered from result
 // manifests on disk.
 func (r *Runner) StoreStats() (manifestHits uint64) { return r.storeHits.Load() }
+
+// WorkerStats reports the attached lease store's claim-protocol counters
+// and this runner's manifest hits as one worker record: the -json report
+// entry of a tcpsweep/tcpfigs worker and a sweep daemon worker's status
+// row. ok is false when no lease store is attached.
+func (r *Runner) WorkerStats() (ws telemetry.WorkerStats, ok bool) {
+	if r.claims == nil {
+		return ws, false
+	}
+	st := r.claims.Stats()
+	return telemetry.WorkerStats{
+		ID: r.claims.Worker(), Claims: st.Claims, ClaimConflicts: st.ClaimConflicts,
+		Steals: st.Steals, StealRaces: st.StealRaces, Heartbeats: st.Heartbeats,
+		LeasesLost: st.LeasesLost, Releases: st.Releases, WaitPolls: st.WaitPolls,
+		ManifestHits: r.StoreStats()}, true
+}
 
 // IncompleteGridError reports a strict gather that found no manifest for a
 // job, meaning the distributed workers have not (yet) covered the grid.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"strings"
 
 	"tagprefetch/internal/branch"
 	"tagprefetch/internal/sim"
@@ -68,10 +69,20 @@ func nonDefaultClauses(n sim.Config) string {
 	return s
 }
 
+// Manifest filenames are jobPrefix + 16 hex digits + jobSuffix.
+const jobPrefix, jobSuffix = "job-", ".json"
+
 // jobFile names a job's manifest by hashing its canonical normalized
 // configuration.
 func jobFile(bench, factory string, baseline bool, c sim.Config) string {
 	h := fnv.New64a()
 	io.WriteString(h, pointPreimage(bench, factory, baseline, c)) //nolint:errcheck // fnv never errors
-	return fmt.Sprintf("job-%016x.json", h.Sum64())
+	return fmt.Sprintf(jobPrefix+"%016x"+jobSuffix, h.Sum64())
+}
+
+// IsJobFile reports whether name has the form jobFile gives a result
+// manifest, so directory readers pick manifests (and their lease and
+// flight-log companions) out from grid.json and checkpoint images.
+func IsJobFile(name string) bool {
+	return strings.HasPrefix(name, jobPrefix) && strings.HasSuffix(name, jobSuffix)
 }

@@ -10,7 +10,7 @@ import (
 
 // Sweep is one named design-space sweep. Sweeps is the one list of them:
 // tcpsweep's -sweep values, the grids tcpsweepd serves, and tcpfigs'
-// fig13a, fig13b and ablations output all come from it.
+// fig13a and fig13b output all come from it.
 type Sweep struct {
 	Name string
 	Run  func(Options) SweepResult
@@ -42,7 +42,7 @@ func table(f func(Options) *stats.Table) func(Options) SweepResult {
 }
 
 // Sweeps lists every sweep in help-text order: Figure 13's two, then the
-// DESIGN.md ablations in the order tcpfigs prints them.
+// DESIGN.md ablations A1-A9.
 var Sweeps = []Sweep{
 	{"size", func(o Options) SweepResult { return SweepResult{Series: Fig13PHTSize(o)} }},
 	{"nbits", series(Fig13IndexBits)},

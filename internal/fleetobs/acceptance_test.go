@@ -120,7 +120,7 @@ func TestFleetObservabilityUnderCrashes(t *testing.T) {
 	for _, point := range []distrib.Point{distrib.AfterClaim, distrib.MidJob, distrib.BeforeRename} {
 		t.Run(string(point), func(t *testing.T) {
 			dir := t.TempDir()
-			srv := fleetobs.NewServer(dir, nil, 0)
+			srv := fleetobs.NewServer(dir, nil)
 			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()

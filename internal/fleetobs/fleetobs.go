@@ -5,10 +5,10 @@
 // ever writing to the directory or participating in the claim protocol.
 //
 // The package is consumed three ways: cmd/tcpstatus renders snapshots as a
-// one-shot table, a -watch live view, or -json machine output; tcpsweep and
-// tcpfigs workers expose snapshots over a -status-addr HTTP listener
-// (/status JSON, /events SSE transitions, /metrics Prometheus text); and
-// the gather error path lists incomplete jobs with their last-known lease
+// one-shot table, a -watch live view, or -json machine output, or serves
+// them over a -status-addr HTTP listener (/status JSON, /metrics
+// Prometheus text), as the sweep daemon does next to its API; and the
+// gather error path lists incomplete jobs with their last-known lease
 // holders. Everything is driven through distrib.Clock, so under the manual
 // test clock every snapshot and timeline byte is deterministic.
 //
@@ -138,11 +138,6 @@ type FleetSnapshot struct {
 	CorruptLeases int `json:"corrupt_leases,omitempty"`
 }
 
-// isJobName reports whether name is a result-manifest filename.
-func isJobName(name string) bool {
-	return strings.HasPrefix(name, "job-") && strings.HasSuffix(name, ".json")
-}
-
 // jobInfo accumulates every trace of one job found during a directory walk.
 type jobInfo struct {
 	done    bool
@@ -183,7 +178,7 @@ func Scan(dir string, clock distrib.Clock) (*FleetSnapshot, error) {
 		switch {
 		case strings.HasSuffix(name, distrib.FlightSuffix):
 			job := strings.TrimSuffix(name, distrib.FlightSuffix)
-			if !isJobName(job) {
+			if !experiment.IsJobFile(job) {
 				continue
 			}
 			evs, err := distrib.ReadFlight(filepath.Join(dir, name))
@@ -192,7 +187,7 @@ func Scan(dir string, clock distrib.Clock) (*FleetSnapshot, error) {
 			}
 		case strings.HasSuffix(name, distrib.LeaseSuffix):
 			job := strings.TrimSuffix(name, distrib.LeaseSuffix)
-			if !isJobName(job) {
+			if !experiment.IsJobFile(job) {
 				continue
 			}
 			ji := get(job)
@@ -205,7 +200,7 @@ func Scan(dir string, clock distrib.Clock) (*FleetSnapshot, error) {
 			} else {
 				ji.corrupt = true
 			}
-		case isJobName(name):
+		case experiment.IsJobFile(name):
 			get(name).done = true
 		}
 	}
@@ -288,9 +283,7 @@ func Scan(dir string, clock distrib.Clock) (*FleetSnapshot, error) {
 			js.Seq = l.Seq
 			w := wget(l.Worker)
 			see(w, l.Heartbeat)
-			// The staleness rule mirrors distrib.StealIfStale: a lease is
-			// live through the instant Heartbeat+TTL and stale after it.
-			if now > l.Heartbeat+l.TTL {
+			if l.Expired(now) {
 				js.State = JobStale
 				snap.States.Stale++
 				w.stale++

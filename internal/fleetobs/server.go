@@ -2,43 +2,26 @@ package fleetobs
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
-	"time"
 
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/telemetry"
 )
 
-// Transition is one job state change, as streamed over /events.
-type Transition struct {
-	// TNS is the observing clock's Now when the change was seen.
-	TNS  int64    `json:"t_ns"`
-	Job  string   `json:"job"`
-	From JobState `json:"from,omitempty"` // empty when the job first appears
-	To   JobState `json:"to"`
-	// Worker is the job's holder (or last-known worker) after the change.
-	Worker string `json:"worker,omitempty"`
-}
-
 // Server exposes a checkpoint directory's fleet status over HTTP:
 //
 //	/status  — a fresh FleetSnapshot as indented JSON
-//	/events  — Server-Sent Events: one "snapshot" event on connect, then a
-//	           "transition" event per job state change, observed by polling
-//	           the directory on the server's clock
 //	/metrics — Prometheus text exposition of the fleet.* gauges/counters
 //	           plus any extra registries attached with AddMetrics
 //
-// The server is read-only and advisory: it never writes to the directory,
-// and nothing is scanned or allocated between requests except the /events
-// poll loop (which only runs while Serve is live).
+// The server is read-only, advisory and pull-only: it never writes to the
+// directory, each request scans it once, and nothing is scanned or
+// allocated between requests.
 type Server struct {
-	dir      string
-	clock    distrib.Clock
-	interval time.Duration
+	dir   string
+	clock distrib.Clock
 
 	reg     *telemetry.Registry
 	scans   *telemetry.Counter
@@ -50,39 +33,18 @@ type Server struct {
 	workersFresh, completion, etaSecs *telemetry.Gauge
 
 	mu    sync.Mutex
-	last  map[string]JobStatus // job -> status at the previous poll
-	subs  map[chan []byte]struct{}
 	extra []func() []telemetry.PromSet
 	srv   *http.Server
-
-	done      chan struct{}
-	watchOnce sync.Once
-	closeOnce sync.Once
 }
 
-// DefaultEventInterval is the /events poll cadence when NewServer is given
-// a non-positive one.
-const DefaultEventInterval = time.Second
-
 // NewServer creates a status server over dir. A nil clock selects
-// distrib.System; interval is the /events poll cadence (<= 0 selects
-// DefaultEventInterval).
-func NewServer(dir string, clock distrib.Clock, interval time.Duration) *Server {
+// distrib.System.
+func NewServer(dir string, clock distrib.Clock) *Server {
 	if clock == nil {
 		clock = distrib.System
 	}
-	if interval <= 0 {
-		interval = DefaultEventInterval
-	}
 	reg := telemetry.NewRegistry()
-	s := &Server{
-		dir:      dir,
-		clock:    clock,
-		interval: interval,
-		reg:      reg,
-		subs:     make(map[chan []byte]struct{}),
-		done:     make(chan struct{}),
-	}
+	s := &Server{dir: dir, clock: clock, reg: reg}
 	s.scans = reg.Counter("fleet.scans", "checkpoint-directory scans performed")
 	s.scrapes = reg.Counter("fleet.scrapes", "/metrics scrapes served")
 	s.jobsTotal = reg.Gauge("fleet.jobs.total", "jobs discovered in the checkpoint directory")
@@ -138,7 +100,6 @@ func (s *Server) AddMetrics(collect func() []telemetry.PromSet) {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", s.handleStatus)
-	mux.HandleFunc("/events", s.handleEvents)
 	mux.Handle("/metrics", telemetry.PromHandler(s.collect))
 	return mux
 }
@@ -168,160 +129,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	enc.Encode(snap) //nolint:errcheck // client gone mid-response is not actionable
 }
 
-// handleEvents streams job state transitions as SSE. The connection first
-// receives the current snapshot, then one transition event per change
-// observed by the poll loop.
-func (s *Server) handleEvents(w http.ResponseWriter, req *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-
-	snap, err := s.scan()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	data, err := json.Marshal(snap)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	fmt.Fprintf(w, "event: snapshot\ndata: %s\n\n", data)
-	flusher.Flush()
-
-	ch := make(chan []byte, 64)
-	s.mu.Lock()
-	s.subs[ch] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.subs, ch)
-		s.mu.Unlock()
-	}()
-
-	for {
-		select {
-		case <-req.Context().Done():
-			return
-		case <-s.done:
-			return
-		case msg := <-ch:
-			if _, err := w.Write(msg); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
-}
-
-// keepalive is the comment broadcast on idle poll ticks. SSE comments
-// (lines starting with ':') are invisible to event decoders, but they are
-// bytes on the wire — enough to stop proxies and load balancers from
-// reaping a connection that has been quiet because the fleet is quiet.
-var keepalive = []byte(": keepalive\n\n")
-
-// watch is the /events poll loop: scan on the server's clock, diff job
-// states against the previous poll, broadcast one SSE message per change —
-// or a keepalive comment when the poll saw no changes, so idle streams
-// carry traffic every tick.
-func (s *Server) watch() {
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.clock.After(s.interval):
-		}
-		snap, err := s.scan()
-		if err != nil {
-			continue
-		}
-		if s.publish(snap) == 0 {
-			s.broadcast(keepalive)
-		}
-	}
-}
-
-// broadcast fans one raw SSE message out to every subscriber, dropping it
-// for slow ones (same policy as publish).
-func (s *Server) broadcast(msg []byte) {
-	s.mu.Lock()
-	subs := make([]chan []byte, 0, len(s.subs))
-	for ch := range s.subs {
-		subs = append(subs, ch)
-	}
-	s.mu.Unlock()
-	for _, ch := range subs {
-		select {
-		case ch <- msg:
-		default:
-		}
-	}
-}
-
-// publish diffs snap against the previous poll, broadcasts transitions,
-// and returns how many messages it sent (the watch loop keeps idle
-// connections alive when the answer is zero). Slow subscribers drop
-// messages rather than stall the loop: /events is a live view, and a
-// dropped transition is recovered by re-reading /status.
-func (s *Server) publish(snap *FleetSnapshot) int {
-	cur := make(map[string]JobStatus, len(snap.Jobs))
-	for _, js := range snap.Jobs {
-		cur[js.Job] = js
-	}
-	s.mu.Lock()
-	prev := s.last
-	s.last = cur
-	var msgs [][]byte
-	for _, js := range snap.Jobs { // snapshot order: sorted by job name
-		old, seen := prev[js.Job]
-		if seen && old.State == js.State {
-			continue
-		}
-		tr := Transition{TNS: snap.NowNS, Job: js.Job, To: js.State, Worker: js.Worker}
-		if seen {
-			tr.From = old.State
-		}
-		data, err := json.Marshal(tr)
-		if err != nil {
-			continue
-		}
-		msgs = append(msgs, []byte(fmt.Sprintf("event: transition\ndata: %s\n\n", data)))
-	}
-	if prev == nil {
-		msgs = nil // first poll: /events connections already got a snapshot
-	}
-	subs := make([]chan []byte, 0, len(s.subs))
-	for ch := range s.subs {
-		subs = append(subs, ch)
-	}
-	s.mu.Unlock()
-	for _, msg := range msgs {
-		for _, ch := range subs {
-			select {
-			case ch <- msg:
-			default:
-			}
-		}
-	}
-	return len(msgs)
-}
-
-// StartWatch starts the /events poll loop without serving HTTP, for
-// embedding Handler's routes into a larger mux (the sweep daemon mounts
-// them next to its /v1 API). Idempotent; Close stops the loop. Serve
-// calls it implicitly.
-func (s *Server) StartWatch() {
-	s.watchOnce.Do(func() { go s.watch() })
-}
-
-// Serve runs the HTTP server on l, starting the /events poll loop; it
-// blocks until Close (returning nil) or a listener failure.
+// Serve runs the HTTP server on l; it blocks until Close (returning nil)
+// or a listener failure.
 func (s *Server) Serve(l net.Listener) error {
-	s.StartWatch()
 	err := s.srv.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
@@ -329,9 +139,7 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// Close stops the poll loop, disconnects /events streams, and shuts the
-// HTTP server down. Safe to call more than once.
+// Close shuts the HTTP server down. Safe to call more than once.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.done) })
 	s.srv.Close() //nolint:errcheck // shutdown errors are not actionable
 }

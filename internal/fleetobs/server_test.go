@@ -3,12 +3,10 @@ package fleetobs_test
 import (
 	"bufio"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/fleetobs"
@@ -23,7 +21,7 @@ func TestServerStatusAndMetrics(t *testing.T) {
 	clock := distrib.NewManualClock(1000)
 	writeLease(t, dir, jobHeld, "w1", 990, 100, 3)
 
-	srv := fleetobs.NewServer(dir, clock, 0)
+	srv := fleetobs.NewServer(dir, clock)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -75,7 +73,7 @@ func TestServerStatusAndMetrics(t *testing.T) {
 // a 200 with an empty snapshot, not a 500.
 func TestServerStatusBeforeBootstrap(t *testing.T) {
 	dir := t.TempDir() + "/not-created-yet"
-	srv := fleetobs.NewServer(dir, distrib.NewManualClock(1), 0)
+	srv := fleetobs.NewServer(dir, distrib.NewManualClock(1))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -111,7 +109,7 @@ func TestServerStatusBeforeBootstrap(t *testing.T) {
 
 func TestServerAddMetrics(t *testing.T) {
 	dir := t.TempDir()
-	srv := fleetobs.NewServer(dir, distrib.NewManualClock(1), 0)
+	srv := fleetobs.NewServer(dir, distrib.NewManualClock(1))
 	defer srv.Close()
 	reg := telemetry.NewRegistry()
 	reg.Counter("run.instructions", "retired").Add(42)
@@ -132,89 +130,6 @@ func TestServerAddMetrics(t *testing.T) {
 	}
 }
 
-// TestServerEvents drives the SSE stream end to end on the system clock: a
-// connection receives the current snapshot immediately, then a transition
-// event when a job changes state between polls.
-func TestServerEvents(t *testing.T) {
-	dir := t.TempDir()
-	const job = "job-000000000000000a.json"
-	writeLease(t, dir, job, "w1", time.Now().UnixNano(), int64(time.Hour), 1)
-
-	srv := fleetobs.NewServer(dir, nil, 5*time.Millisecond)
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln) //nolint:errcheck
-
-	resp, err := http.Get("http://" + ln.Addr().String() + "/events")
-	if err != nil {
-		t.Fatalf("GET /events: %v", err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Errorf("/events content-type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	event, data := readSSE(t, sc)
-	if event != "snapshot" {
-		t.Fatalf("first event = %q, want snapshot", event)
-	}
-	var snap fleetobs.FleetSnapshot
-	if err := json.Unmarshal([]byte(data), &snap); err != nil {
-		t.Fatalf("snapshot event did not decode: %v", err)
-	}
-	if snap.Total != 1 || snap.States.Running != 1 {
-		t.Errorf("snapshot = total %d running %d, want 1/1", snap.Total, snap.States.Running)
-	}
-
-	// Let at least one poll baseline the state, then complete the job.
-	time.Sleep(20 * time.Millisecond)
-	writeManifest(t, dir, job)
-
-	for {
-		event, data = readSSE(t, sc)
-		if event != "transition" {
-			t.Fatalf("event = %q, want transition", event)
-		}
-		var tr fleetobs.Transition
-		if err := json.Unmarshal([]byte(data), &tr); err != nil {
-			t.Fatalf("transition did not decode: %v", err)
-		}
-		if tr.Job != job {
-			continue
-		}
-		if tr.To != fleetobs.JobDone {
-			t.Errorf("transition = %+v, want to=done", tr)
-		}
-		return
-	}
-}
-
-// readSSE reads one "event:"/"data:" pair off the stream.
-func readSSE(t *testing.T, sc *bufio.Scanner) (event, data string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "" && event != "":
-			return event, data
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	t.Fatalf("SSE stream ended before a complete event (err=%v)", sc.Err())
-	return "", ""
-}
-
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	var b strings.Builder
@@ -227,98 +142,4 @@ func readAll(t *testing.T, resp *http.Response) string {
 		t.Fatal(err)
 	}
 	return b.String()
-}
-
-// TestServerEventsKeepalive pins the idle-stream contract on a manual
-// clock: every poll tick that observes no job transitions broadcasts
-// exactly one `: keepalive` SSE comment — bytes enough to stop proxies
-// from reaping a quiet connection — and the comment never surfaces in the
-// decoded event stream (SSE decoders must ignore ':' comment lines, and
-// nothing here arrives under an "event:" field).
-func TestServerEventsKeepalive(t *testing.T) {
-	dir := t.TempDir()
-	// One done job and nothing else: the fleet never changes state, so
-	// every poll after the first is idle.
-	writeManifest(t, dir, "job-000000000000000a.json")
-	clock := distrib.NewManualClock(1000)
-	srv := fleetobs.NewServer(dir, clock, time.Second)
-	defer srv.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln) //nolint:errcheck
-
-	resp, err := http.Get("http://" + ln.Addr().String() + "/events")
-	if err != nil {
-		t.Fatalf("GET /events: %v", err)
-	}
-	defer resp.Body.Close()
-
-	lines := make(chan string, 256)
-	go func() {
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			lines <- sc.Text()
-		}
-		close(lines)
-	}()
-	read := func(timeout time.Duration) (string, bool) {
-		select {
-		case l, ok := <-lines:
-			if !ok {
-				t.Fatal("SSE stream closed early")
-			}
-			return l, true
-		case <-time.After(timeout):
-			return "", false
-		}
-	}
-
-	// Drain the connect-time snapshot event (event:/data:/blank).
-	for {
-		l, ok := read(10 * time.Second)
-		if !ok {
-			t.Fatal("no snapshot event on connect")
-		}
-		if l == "" {
-			break
-		}
-	}
-
-	// Tick the poll loop and collect three keepalives. An Advance that
-	// lands before the watch loop has re-registered its timer fires
-	// nothing (ManualClock only releases already-registered waiters);
-	// those attempts time out and retry, so each received keepalive maps
-	// to exactly one observed tick.
-	keepalives := 0
-	var decoded []string // lines an SSE decoder would treat as fields
-	for attempts := 0; keepalives < 3; attempts++ {
-		if attempts > 2000 {
-			t.Fatalf("only %d keepalives after %d advances", keepalives, attempts)
-		}
-		clock.Advance(time.Second)
-		l, ok := read(20 * time.Millisecond)
-		if !ok {
-			continue
-		}
-		switch {
-		case l == ": keepalive":
-			keepalives++
-			if nl, ok := read(2 * time.Second); !ok || nl != "" {
-				t.Fatalf("keepalive not terminated by a blank line, got %q", nl)
-			}
-		case l == "":
-			// stray separator; ignore
-		default:
-			decoded = append(decoded, l)
-		}
-	}
-	if len(decoded) > 0 {
-		t.Errorf("idle stream carried non-comment lines: %q", decoded)
-	}
-	// Cadence: nothing more arrives without another tick.
-	if l, ok := read(50 * time.Millisecond); ok {
-		t.Errorf("unsolicited line after last tick: %q", l)
-	}
 }

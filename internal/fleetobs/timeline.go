@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 
+	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/experiment/distrib"
 )
 
@@ -28,7 +29,7 @@ func ReadTimeline(dir string) ([]distrib.FlightEvent, error) {
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
 		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, distrib.FlightSuffix) && isJobName(strings.TrimSuffix(name, distrib.FlightSuffix)) {
+		if !e.IsDir() && strings.HasSuffix(name, distrib.FlightSuffix) && experiment.IsJobFile(strings.TrimSuffix(name, distrib.FlightSuffix)) {
 			names = append(names, name)
 		}
 	}

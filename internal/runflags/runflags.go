@@ -1,16 +1,15 @@
 // Package runflags owns the grid-run flags that tcpfigs and tcpsweep share.
 // It registers them with today's names and defaults, validates them, and
 // wires the experiment Runner they describe: checkpoint directory, result
-// store, distributed claims, flight recorder, strict gather and the fleet
-// status server. Tool-specific flags (-exp, -sweep, -csv, -json, -report)
-// stay in each command.
+// store, distributed claims, flight recorder and strict gather.
+// Tool-specific flags (-exp, -sweep, -csv, -json, -report) stay in each
+// command.
 package runflags
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"runtime"
 	"strings"
@@ -38,8 +37,7 @@ type Flags struct {
 	workers                *int
 	workerID               *string
 	leaseTTL               *time.Duration
-	gather, flight         *bool
-	statusAddr             *string
+	gather                 *bool
 }
 
 // Register adds the grid-run flags to fs. tool names the command in
@@ -65,9 +63,6 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 		workerID: fs.String("worker-id", "", "unique id for this worker in a distributed run (default hostname-pid; requires -workers)"),
 		leaseTTL: fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen"),
 		gather:   fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating; errors if any job is missing"),
-
-		statusAddr: fs.String("status-addr", "", "serve live fleet status over -checkpoint-dir on this address (/status JSON, /events SSE, /metrics Prometheus) while the grid runs"),
-		flight:     fs.Bool("flight", true, "record claim-protocol events to per-job flight logs in -checkpoint-dir (worker mode; replay with tcpstatus -timeline)"),
 	}
 }
 
@@ -91,9 +86,7 @@ func (f *Flags) StartProfile() (stop func(), err error) {
 type Run struct {
 	Options experiment.Options
 
-	tool   string
-	claims *distrib.Store
-	status *fleetobs.Server
+	tool string
 }
 
 // Bind validates the flags and returns the run they describe. exp is the
@@ -130,8 +123,6 @@ func (f *Flags) Bind(exp string) (*Run, error) {
 		return nil, usage("-gather requires -checkpoint-dir")
 	case *f.gather && workerMode:
 		return nil, usage("-gather and -workers are mutually exclusive (gather assembles after the workers finish)")
-	case *f.statusAddr != "" && dir == "":
-		return nil, usage("-status-addr requires -checkpoint-dir (status is read from the shared directory)")
 	}
 
 	o.Runner = experiment.NewRunner(*f.jobs)
@@ -174,34 +165,19 @@ func (f *Flags) Bind(exp string) (*Run, error) {
 			}
 			id = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		if r.claims, err = distrib.NewStore(dir, id, *f.leaseTTL, nil); err != nil {
-			return nil, err
-		}
-		if *f.flight {
-			rec := distrib.NewRecorder(dir, id, nil, 0)
-			r.claims.SetRecorder(rec)
-			store.SetRecorder(rec)
-		}
-		o.Runner.SetClaims(r.claims)
-	}
-	o.Runner.SetStrictGather(*f.gather)
-	if *f.statusAddr != "" {
-		ln, err := net.Listen("tcp", *f.statusAddr)
+		claims, err := distrib.NewStore(dir, id, *f.leaseTTL, nil)
 		if err != nil {
 			return nil, err
 		}
-		r.status = fleetobs.NewServer(dir, nil, 0)
-		fmt.Fprintf(os.Stderr, "%s: fleet status on http://%s\n", f.tool, ln.Addr())
-		go r.status.Serve(ln) //nolint:errcheck // listener failure only loses the status view
+		// Claim-protocol events go to per-job flight logs, replayed by
+		// tcpstatus -timeline.
+		rec := distrib.NewRecorder(dir, id, nil, 0)
+		claims.SetRecorder(rec)
+		store.SetRecorder(rec)
+		o.Runner.SetClaims(claims)
 	}
+	o.Runner.SetStrictGather(*f.gather)
 	return r, nil
-}
-
-// Close stops the fleet status server, if one was started.
-func (r *Run) Close() {
-	if r.status != nil {
-		r.status.Close()
-	}
 }
 
 // PrintStats writes the runner's end-of-run counters to stderr. In worker
@@ -219,18 +195,14 @@ func (r *Run) PrintStats() []telemetry.WorkerStats {
 	if hits := run.StoreStats(); hits > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %d jobs answered from result manifests\n", r.tool, hits)
 	}
-	if r.claims == nil {
+	ws, ok := run.WorkerStats()
+	if !ok {
 		return nil
 	}
-	st := r.claims.Stats()
 	fmt.Fprintf(os.Stderr, "%s: worker %s: %d claimed, %d conflicts, %d stolen (%d races), %d heartbeats, %d lost, %d waits\n",
-		r.tool, r.claims.Worker(), st.Claims, st.ClaimConflicts, st.Steals, st.StealRaces,
-		st.Heartbeats, st.LeasesLost, st.WaitPolls)
-	return []telemetry.WorkerStats{{
-		ID: r.claims.Worker(), Claims: st.Claims, ClaimConflicts: st.ClaimConflicts,
-		Steals: st.Steals, StealRaces: st.StealRaces, Heartbeats: st.Heartbeats,
-		LeasesLost: st.LeasesLost, Releases: st.Releases, WaitPolls: st.WaitPolls,
-		ManifestHits: run.StoreStats()}}
+		r.tool, ws.ID, ws.Claims, ws.ClaimConflicts, ws.Steals, ws.StealRaces,
+		ws.Heartbeats, ws.LeasesLost, ws.WaitPolls)
+	return []telemetry.WorkerStats{ws}
 }
 
 // Exit prints err as "<tool>: err" on stderr and returns the command's exit

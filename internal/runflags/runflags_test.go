@@ -36,7 +36,6 @@ func TestBindRejects(t *testing.T) {
 		{[]string{"-resume"}, "-resume requires -checkpoint-dir"},
 		{[]string{"-workers", "2"}, "-workers/-worker-id require -checkpoint-dir (the shared directory is the coordination medium)"},
 		{[]string{"-gather"}, "-gather requires -checkpoint-dir"},
-		{[]string{"-status-addr", "127.0.0.1:0"}, "-status-addr requires -checkpoint-dir (status is read from the shared directory)"},
 		{[]string{"-gather", "-workers", "2", "-checkpoint-dir", dir}, "-gather and -workers are mutually exclusive (gather assembles after the workers finish)"},
 		{[]string{"-lease-ttl", "0s", "-checkpoint-dir", dir}, "invalid flag -lease-ttl: must be positive, got 0s"},
 		{[]string{"-workers", "-1", "-checkpoint-dir", dir}, "invalid flag -workers: must be non-negative, got -1"},
@@ -73,7 +72,6 @@ func TestBindWiresGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	o := r.Options
 	if o.Instructions != 1000 || o.Warmup != 2000 || strings.Join(o.Benches, ",") != "swim,mcf" ||
 		o.WarmupFidelity != "fast" || o.Runner == nil || o.Runner.Jobs() != 1 {

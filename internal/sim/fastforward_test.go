@@ -216,7 +216,10 @@ func TestFastWarmupMeasuredEquivalence(t *testing.T) {
 // TestFastWarmupIsFaster is the wall-clock half of the contract: skipping
 // per-cycle pipeline bookkeeping must actually buy time. The margin is
 // generous (fast merely must not be slower) so the test stays robust on
-// loaded CI machines; the benchmark quantifies the real speedup.
+// loaded CI machines; the benchmark quantifies the real speedup. Each
+// engine runs three times in alternating order, so neither always runs
+// first on cold caches, and the minimums are compared: host noise only
+// ever adds time.
 func TestFastWarmupIsFaster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
@@ -224,17 +227,21 @@ func TestFastWarmupIsFaster(t *testing.T) {
 	full := Config{Instructions: 50_000, Warmup: 2_000_000, Seed: 1}
 	fast := full
 	fast.WarmupFidelity = FidelityFast
+	cfgs := [2]Config{full, fast}
 
-	start := time.Now()
-	MustRun("swim", TCP8K(), full)
-	fullDur := time.Since(start)
-
-	start = time.Now()
-	MustRun("swim", TCP8K(), fast)
-	fastDur := time.Since(start)
-
-	if fastDur >= fullDur {
-		t.Errorf("fast warmup (%v) not faster than full (%v)", fastDur, fullDur)
+	var best [2]time.Duration // indexed like cfgs
+	for round := 0; round < 3; round++ {
+		for k := 0; k < 2; k++ {
+			e := k ^ (round & 1) // full first on even rounds, fast first on odd
+			start := time.Now()
+			MustRun("swim", TCP8K(), cfgs[e])
+			if d := time.Since(start); best[e] == 0 || d < best[e] {
+				best[e] = d
+			}
+		}
+	}
+	if best[1] >= best[0] {
+		t.Errorf("fast warmup (best %v) not faster than full (best %v)", best[1], best[0])
 	}
 }
 

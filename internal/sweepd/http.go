@@ -91,7 +91,7 @@ type errorBody struct {
 }
 
 // Handler returns the daemon's route mux: the /v1 sweep API plus the
-// fleetobs /status, /events and /metrics views over the cache directory
+// fleetobs /status and /metrics views over the cache directory
 // (the /metrics exposition includes the sweepd.* families via AddMetrics).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -101,7 +101,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleCancel)
 	obs := s.obs.Handler()
 	mux.Handle("/status", obs)
-	mux.Handle("/events", obs)
 	mux.Handle("/metrics", obs)
 	return mux
 }

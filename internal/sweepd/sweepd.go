@@ -63,12 +63,9 @@ type Config struct {
 	// MaxJobsPerSweep caps one request's job count (default 4096). A
 	// request may lower — never raise — its own budget via "max_jobs".
 	MaxJobsPerSweep int
-	// Clock drives timestamps, leases and the /events poll (default
-	// distrib.System; tests inject distrib.ManualClock).
+	// Clock drives timestamps and leases (default distrib.System; tests
+	// inject distrib.ManualClock).
 	Clock distrib.Clock
-	// EventInterval is the fleetobs /events poll cadence (default
-	// fleetobs.DefaultEventInterval).
-	EventInterval time.Duration
 }
 
 // Sweep lifecycle states.
@@ -94,14 +91,6 @@ type sweepRec struct {
 	executed  int              // jobs this daemon's workers completed
 	failure   string
 	result    []byte // rendered body, cached after the first GET /result
-}
-
-// workerState is one in-process fleet worker: a serial runner wired to the
-// shared manifest store and its own lease store.
-type workerState struct {
-	id     string
-	runner *experiment.Runner
-	claims *distrib.Store
 }
 
 // Server is the daemon: an HTTP handler plus a worker pool over one
@@ -130,7 +119,7 @@ type Server struct {
 	sweeps  map[string]*sweepRec
 	sched   *roundRobin
 	tenants map[string]*tenantStats
-	workers []*workerState
+	workers []*experiment.Runner // serial, each with its own lease store
 	started bool
 	closed  bool
 	wg      sync.WaitGroup
@@ -184,7 +173,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		cacheDir: cacheDir,
 		store:    store,
-		obs:      fleetobs.NewServer(cacheDir, cfg.Clock, cfg.EventInterval),
+		obs:      fleetobs.NewServer(cacheDir, cfg.Clock),
 		reg:      reg,
 		sweeps:   make(map[string]*sweepRec),
 		sched:    newRoundRobin(),
@@ -228,22 +217,20 @@ func (s *Server) Start() error {
 		runner.SetCheckpointDir(s.cacheDir)
 		runner.SetResultStore(s.store)
 		runner.SetClaims(claims)
-		w := &workerState{id: id, runner: runner, claims: claims}
-		s.workers = append(s.workers, w)
+		s.workers = append(s.workers, runner)
 		s.wg.Add(1)
-		go s.workerLoop(w)
+		go s.workerLoop(runner)
 	}
 	s.started = true
 	return nil
 }
 
-// Serve starts the workers and the fleetobs poll loop, then serves HTTP on
-// l until Close (returning nil) or a listener failure.
+// Serve starts the workers, then serves HTTP on l until Close (returning
+// nil) or a listener failure.
 func (s *Server) Serve(l net.Listener) error {
 	if err := s.Start(); err != nil {
 		return err
 	}
-	s.obs.StartWatch()
 	err := s.srv.Serve(l)
 	if err == http.ErrServerClosed {
 		return nil
@@ -251,8 +238,8 @@ func (s *Server) Serve(l net.Listener) error {
 	return err
 }
 
-// Close stops the HTTP server, the fleetobs loop and the workers, waiting
-// for in-flight jobs to finish. Safe to call more than once.
+// Close stops the HTTP server and the workers, waiting for in-flight jobs
+// to finish. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -263,13 +250,12 @@ func (s *Server) Close() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.srv.Close() //nolint:errcheck // shutdown errors are not actionable
-	s.obs.Close()
 	s.wg.Wait()
 }
 
 // workerLoop pops refs under the fair-scheduling policy and executes them
 // until Close. Refs whose sweep died (failed) after queuing are skipped.
-func (s *Server) workerLoop(w *workerState) {
+func (s *Server) workerLoop(w *experiment.Runner) {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
@@ -296,7 +282,7 @@ func (s *Server) workerLoop(w *workerState) {
 // stub). The runner consults the manifest store first, so a point another
 // sweep already simulated costs a disk read; otherwise the claim protocol
 // arbitrates against the daemon's other workers and any external fleet.
-func (s *Server) execJob(w *workerState, job experiment.Job) (err error) {
+func (s *Server) execJob(w *experiment.Runner, job experiment.Job) (err error) {
 	if s.exec != nil {
 		return s.exec(job)
 	}
@@ -305,7 +291,7 @@ func (s *Server) execJob(w *workerState, job experiment.Job) (err error) {
 			err = fmt.Errorf("job panicked: %v", p)
 		}
 	}()
-	w.runner.Map([]experiment.Job{job})
+	w.Map([]experiment.Job{job})
 	return nil
 }
 
@@ -467,13 +453,8 @@ func (s *Server) promSets() []telemetry.PromSet {
 func (s *Server) workerStats() []telemetry.WorkerStats {
 	out := make([]telemetry.WorkerStats, 0, len(s.workers))
 	for _, w := range s.workers {
-		st := w.claims.Stats()
-		out = append(out, telemetry.WorkerStats{
-			ID: w.id, Claims: st.Claims, ClaimConflicts: st.ClaimConflicts,
-			Steals: st.Steals, StealRaces: st.StealRaces, Heartbeats: st.Heartbeats,
-			LeasesLost: st.LeasesLost, Releases: st.Releases, WaitPolls: st.WaitPolls,
-			ManifestHits: w.runner.StoreStats(),
-		})
+		ws, _ := w.WorkerStats() // every worker runner has a lease store
+		out = append(out, ws)
 	}
 	return out
 }
