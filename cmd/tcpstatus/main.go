@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"time"
 
@@ -77,7 +78,7 @@ func run() int {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "tcpstatus: fleet status on http://%s\n", ln.Addr())
-		if err := srv.Serve(ln); err != nil {
+		if err := http.Serve(ln, srv.Handler()); err != nil {
 			fmt.Fprintln(os.Stderr, "tcpstatus:", err)
 			return 1
 		}

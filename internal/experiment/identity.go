@@ -46,11 +46,19 @@ func JobName(j Job) string {
 // separators and the trailing non-default clauses must not change without
 // bumping every existing manifest name deliberately.
 func pointPreimage(bench, factory string, baseline bool, c sim.Config) string {
+	var b strings.Builder
+	writePreimage(&b, bench, factory, baseline, c)
+	return b.String()
+}
+
+// writePreimage writes pointPreimage's string to w, so the manifest-name
+// hash consumes it without materialising it.
+func writePreimage(w io.Writer, bench, factory string, baseline bool, c sim.Config) {
 	n := c.Normalized()
-	s := fmt.Sprintf("%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v",
+	fmt.Fprintf(w, "%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v", //nolint:errcheck // callers write to a hash or a strings.Builder
 		bench, factory, baseline, n.Instructions, n.Warmup, n.NoWarmup, n.Seed,
 		n.BaselineWarmup, cpuKeyFor(n.CPU), n.Mem.WithDefaults())
-	return s + nonDefaultClauses(n)
+	io.WriteString(w, nonDefaultClauses(n)) //nolint:errcheck // as above
 }
 
 // nonDefaultClauses renders the fingerprint fields that join a preimage
@@ -76,7 +84,7 @@ const jobPrefix, jobSuffix = "job-", ".json"
 // configuration.
 func jobFile(bench, factory string, baseline bool, c sim.Config) string {
 	h := fnv.New64a()
-	io.WriteString(h, pointPreimage(bench, factory, baseline, c)) //nolint:errcheck // fnv never errors
+	writePreimage(h, bench, factory, baseline, c)
 	return fmt.Sprintf(jobPrefix+"%016x"+jobSuffix, h.Sum64())
 }
 

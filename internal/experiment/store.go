@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/sim"
@@ -22,11 +24,43 @@ import (
 // unique per writer and the rename is atomic, any number of workers may
 // publish the same job concurrently and the manifest is always one
 // writer's complete bytes.
+//
+// A store parses each manifest once: Lookup memoises the parsed result
+// with the file's identity (device and inode, size and mtime) and, on later
+// lookups of the same grid point, revalidates it with one stat, re-reading
+// only a file that changed. A deleted manifest misses and a rewritten one
+// is parsed again on the next lookup, so the memo never outlives the bytes
+// it was read from. A rewrite that keeps the inode, size and mtime (an
+// in-place edit within one tick of a coarse file-system clock) goes
+// unseen; the store's own writers never produce one, because each publish
+// renames a new file over the old. The memo holds one parsed result and
+// its key per point looked up, for the store's lifetime: one process for
+// the CLIs, the daemon's life for tcpsweepd.
 type ResultStore struct {
 	dir    string
 	resume bool
 	faults *distrib.Faults
 	rec    *distrib.Recorder
+
+	mu   sync.Mutex
+	memo map[pointKey]*manifestEntry
+}
+
+// pointKey is a grid point as Lookup's caller names it. Configs that
+// normalize alike share a manifest but not a key; each key revalidates on
+// its own.
+type pointKey struct {
+	bench, factory string
+	baseline       bool
+	cfg            sim.Config
+}
+
+// manifestEntry is one parsed manifest and the identity of the file it was
+// parsed from. Entries are replaced, never mutated.
+type manifestEntry struct {
+	path string
+	info os.FileInfo
+	sr   storedResult
 }
 
 // NewResultStore opens (creating if needed) a manifest directory. When
@@ -36,7 +70,7 @@ func NewResultStore(dir string, resume bool) (*ResultStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &ResultStore{dir: dir, resume: resume}, nil
+	return &ResultStore{dir: dir, resume: resume, memo: make(map[pointKey]*manifestEntry)}, nil
 }
 
 // SetFaults installs a crash-injection script (tests only): the
@@ -78,18 +112,55 @@ func (s *ResultStore) Lookup(bench, factory string, baseline bool, c sim.Config)
 	if s == nil || !s.resume {
 		return sim.Result{}, false
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, jobFile(bench, factory, baseline, c)))
-	if err != nil {
+	k := pointKey{bench, factory, baseline, c}
+	s.mu.Lock()
+	e := s.memo[k]
+	s.mu.Unlock()
+	if e == nil || !e.unchanged() {
+		var err error
+		if e, err = readManifest(filepath.Join(s.dir, jobFile(bench, factory, baseline, c))); err != nil {
+			return sim.Result{}, false
+		}
+		s.mu.Lock()
+		s.memo[k] = e
+		s.mu.Unlock()
+	}
+	if e.sr.Bench != bench || e.sr.Factory != factory || e.sr.Baseline != baseline {
 		return sim.Result{}, false
+	}
+	return e.sr.Result, true
+}
+
+// unchanged reports whether e's manifest is still the file e was parsed
+// from: same device and inode, size and mtime.
+func (e *manifestEntry) unchanged() bool {
+	fi, err := os.Stat(e.path)
+	return err == nil && os.SameFile(fi, e.info) && fi.Size() == e.info.Size() && fi.ModTime().Equal(e.info.ModTime())
+}
+
+// readManifest opens, stats, reads and parses one manifest, with no more
+// syscalls than os.ReadFile makes. The stat precedes the read, so a write
+// that lands after it changes the identity the memo compares against; a
+// file that grew since the stat parses as truncated and misses.
+func readManifest(path string) (*manifestEntry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, err
 	}
 	sr, err := parseManifest(data)
 	if err != nil {
-		return sim.Result{}, false
+		return nil, err
 	}
-	if sr.Bench != bench || sr.Factory != factory || sr.Baseline != baseline {
-		return sim.Result{}, false
-	}
-	return sr.Result, true
+	return &manifestEntry{path: path, info: fi, sr: sr}, nil
 }
 
 // Save records a completed job result, atomically. Failures are silent by

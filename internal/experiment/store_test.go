@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"tagprefetch/internal/sim"
@@ -124,4 +125,94 @@ func TestResultStoreIdentityMismatch(t *testing.T) {
 		t.Error("Lookup accepted a manifest with a mismatched identity")
 	}
 
+}
+
+// TestResultStoreMemoRevalidates: once a Lookup has memoised a manifest,
+// later Lookups answer from the memo only while the file is the one it
+// was parsed from. Deleting the manifest, rewriting it in place or
+// publishing a new one under the same name is seen on the next Lookup.
+func TestResultStoreMemoRevalidates(t *testing.T) {
+	jobs := storeJobs()
+	j := jobs[len(jobs)-1] // a grid job
+	res := sim.MustRun(j.Bench, j.Factory, j.Config)
+
+	// fresh returns a store holding one memoised manifest for j, and the
+	// manifest's path.
+	fresh := func(t *testing.T) (*ResultStore, string) {
+		t.Helper()
+		dir := t.TempDir()
+		store, err := NewResultStore(dir, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.Save(j.Bench, j.Factory.Name, false, j.Config, res)
+		if got, ok := store.Lookup(j.Bench, j.Factory.Name, false, j.Config); !ok || got != res {
+			t.Fatalf("first Lookup = %v (ok %v), want the saved result", got, ok)
+		}
+		return store, filepath.Join(dir, JobName(j))
+	}
+	lookup := func(store *ResultStore) (sim.Result, bool) {
+		return store.Lookup(j.Bench, j.Factory.Name, false, j.Config)
+	}
+
+	t.Run("hit", func(t *testing.T) {
+		store, _ := fresh(t)
+		k := pointKey{j.Bench, j.Factory.Name, false, j.Config}
+		parsed := store.memo[k]
+		if got, ok := lookup(store); !ok || got != res {
+			t.Errorf("second Lookup = %v (ok %v), want the saved result", got, ok)
+		}
+		if store.memo[k] != parsed {
+			t.Error("second Lookup of an unchanged manifest read it again")
+		}
+	})
+	t.Run("removed", func(t *testing.T) {
+		store, path := fresh(t)
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := lookup(store); ok {
+			t.Errorf("Lookup after remove hit: %v", got)
+		}
+	})
+	t.Run("rewritten in place", func(t *testing.T) {
+		store, path := fresh(t)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		munged := strings.Replace(string(data), j.Bench, "applu", 1)
+		if err := os.WriteFile(path, []byte(munged), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := lookup(store); ok {
+			t.Errorf("Lookup after an in-place rewrite to another identity hit: %v", got)
+		}
+	})
+	t.Run("saved again", func(t *testing.T) {
+		store, _ := fresh(t)
+		other := res
+		other.CPU.Cycles++
+		store.Save(j.Bench, j.Factory.Name, false, j.Config, other)
+		if got, ok := lookup(store); !ok || got != other {
+			t.Errorf("Lookup after a new Save = %v (ok %v), want the new result", got, ok)
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		store, _ := fresh(t)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if got, ok := lookup(store); !ok || got != res {
+						t.Errorf("concurrent Lookup = %v (ok %v), want the saved result", got, ok)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }

@@ -121,7 +121,6 @@ func TestFleetObservabilityUnderCrashes(t *testing.T) {
 		t.Run(string(point), func(t *testing.T) {
 			dir := t.TempDir()
 			srv := fleetobs.NewServer(dir, nil)
-			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 

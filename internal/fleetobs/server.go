@@ -2,7 +2,6 @@ package fleetobs
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
 	"sync"
 
@@ -34,7 +33,6 @@ type Server struct {
 
 	mu    sync.Mutex
 	extra []func() []telemetry.PromSet
-	srv   *http.Server
 }
 
 // NewServer creates a status server over dir. A nil clock selects
@@ -57,7 +55,6 @@ func NewServer(dir string, clock distrib.Clock) *Server {
 	s.workersFresh = reg.Gauge("fleet.workers.fresh", "workers holding at least one live lease")
 	s.completion = reg.Gauge("fleet.completion_pct", "percentage of discovered jobs done")
 	s.etaSecs = reg.Gauge("fleet.eta_seconds", "estimated seconds to finish remaining discovered jobs")
-	s.srv = &http.Server{Handler: s.Handler()}
 	return s
 }
 
@@ -96,7 +93,7 @@ func (s *Server) AddMetrics(collect func() []telemetry.PromSet) {
 	s.mu.Unlock()
 }
 
-// Handler returns the route mux (also reachable via Serve).
+// Handler returns the route mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/status", s.handleStatus)
@@ -127,19 +124,4 @@ func (s *Server) handleStatus(w http.ResponseWriter, req *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(snap) //nolint:errcheck // client gone mid-response is not actionable
-}
-
-// Serve runs the HTTP server on l; it blocks until Close (returning nil)
-// or a listener failure.
-func (s *Server) Serve(l net.Listener) error {
-	err := s.srv.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// Close shuts the HTTP server down. Safe to call more than once.
-func (s *Server) Close() {
-	s.srv.Close() //nolint:errcheck // shutdown errors are not actionable
 }

@@ -22,7 +22,6 @@ func TestServerStatusAndMetrics(t *testing.T) {
 	writeLease(t, dir, jobHeld, "w1", 990, 100, 3)
 
 	srv := fleetobs.NewServer(dir, clock)
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -74,7 +73,6 @@ func TestServerStatusAndMetrics(t *testing.T) {
 func TestServerStatusBeforeBootstrap(t *testing.T) {
 	dir := t.TempDir() + "/not-created-yet"
 	srv := fleetobs.NewServer(dir, distrib.NewManualClock(1))
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -110,7 +108,6 @@ func TestServerStatusBeforeBootstrap(t *testing.T) {
 func TestServerAddMetrics(t *testing.T) {
 	dir := t.TempDir()
 	srv := fleetobs.NewServer(dir, distrib.NewManualClock(1))
-	defer srv.Close()
 	reg := telemetry.NewRegistry()
 	reg.Counter("run.instructions", "retired").Add(42)
 	srv.AddMetrics(func() []telemetry.PromSet {

@@ -46,6 +46,92 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// newE2EDaemon starts a two-worker daemon with real simulations behind an
+// httptest server.
+func newE2EDaemon(t *testing.T) (*sweepd.Server, *httptest.Server) {
+	t.Helper()
+	srv, err := sweepd.New(sweepd.Config{Root: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	return srv, ts
+}
+
+// e2eRequest is the small Fig. 13 index-bits grid both end-to-end tests
+// submit.
+func e2eRequest(tenant string) sweepd.Request {
+	return sweepd.Request{
+		Sweep:        "nbits",
+		Benches:      []string{e2eBench},
+		Instructions: e2eInstr,
+		Warmup:       e2eWarmup,
+		Tenant:       tenant,
+	}
+}
+
+func postSweep(t *testing.T, base string, r sweepd.Request) (int, sweepd.Status) {
+	t.Helper()
+	body, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st sweepd.Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatalf("POST response did not decode: %v", err)
+	}
+	return resp.StatusCode, st
+}
+
+// awaitDone polls a sweep's status until it is done.
+func awaitDone(t *testing.T, base, id string) sweepd.Status {
+	t.Helper()
+	deadline := time.Now().Add(4 * time.Minute)
+	for {
+		gcode, data := getBody(t, base+"/v1/sweeps/"+id)
+		if gcode != http.StatusOK {
+			t.Fatalf("GET status = %d: %s", gcode, data)
+		}
+		var cur sweepd.Status
+		if err := json.Unmarshal(data, &cur); err != nil {
+			t.Fatal(err)
+		}
+		if cur.State == sweepd.StateDone {
+			return cur
+		}
+		if cur.State == sweepd.StateFailed {
+			t.Fatalf("sweep failed: %s", cur.Failure)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep stuck in %s: %s", cur.State, data)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// serialBody is the exact bytes `tcpsweep -sweep nbits -benches swim -n
+// ...` prints for the e2eRequest grid (one Series.String() line per
+// series), from a fresh serial run.
+func serialBody() []byte {
+	var want bytes.Buffer
+	fmt.Fprintln(&want, experiment.Fig13IndexBits(experiment.Options{
+		Instructions: e2eInstr, Warmup: e2eWarmup,
+		Benches: []string{e2eBench},
+		Runner:  experiment.NewRunner(1),
+	}).String())
+	return want.Bytes()
+}
+
 // TestDaemonEndToEnd drives the daemon with real simulations: POST a small
 // Fig. 13 index-bits grid, poll to completion, and pin the three
 // acceptance properties —
@@ -61,67 +147,13 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations; skipped in -short")
 	}
-	srv, err := sweepd.New(sweepd.Config{Root: t.TempDir(), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	req := sweepd.Request{
-		Sweep:        "nbits",
-		Benches:      []string{e2eBench},
-		Instructions: e2eInstr,
-		Warmup:       e2eWarmup,
-		Tenant:       "alice",
-	}
-	post := func(r sweepd.Request) (int, sweepd.Status) {
-		body, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st sweepd.Status
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatalf("POST response did not decode: %v", err)
-		}
-		return resp.StatusCode, st
-	}
-
-	code, st := post(req)
+	srv, ts := newE2EDaemon(t)
+	req := e2eRequest("alice")
+	code, st := postSweep(t, ts.URL, req)
 	if code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
 	}
-	deadline := time.Now().Add(4 * time.Minute)
-	for {
-		gcode, data := getBody(t, ts.URL+"/v1/sweeps/"+st.ID)
-		if gcode != http.StatusOK {
-			t.Fatalf("GET status = %d: %s", gcode, data)
-		}
-		var cur sweepd.Status
-		if err := json.Unmarshal(data, &cur); err != nil {
-			t.Fatal(err)
-		}
-		if cur.State == sweepd.StateDone {
-			st = cur
-			break
-		}
-		if cur.State == sweepd.StateFailed {
-			t.Fatalf("sweep failed: %s", cur.Failure)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sweep stuck in %s: %s", cur.State, data)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+	st = awaitDone(t, ts.URL, st.ID)
 	if len(st.Workers) != 2 {
 		t.Errorf("status reports %d workers, want 2", len(st.Workers))
 	}
@@ -134,15 +166,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// Property 1: byte-identity with a fresh serial run of the same grid
 	// — the exact bytes `tcpsweep -sweep nbits -benches swim -n ... `
 	// prints (one Series.String() line per series).
-	var want bytes.Buffer
-	fmt.Fprintln(&want, experiment.Fig13IndexBits(experiment.Options{
-		Instructions: e2eInstr, Warmup: e2eWarmup,
-		Benches: []string{e2eBench},
-		Runner:  experiment.NewRunner(1),
-	}).String())
-	if !bytes.Equal(daemonBody, want.Bytes()) {
+	if want := serialBody(); !bytes.Equal(daemonBody, want) {
 		t.Errorf("daemon result differs from a fresh serial run:\ndaemon: %q\nserial: %q",
-			daemonBody, want.Bytes())
+			daemonBody, want)
 	}
 
 	// Property 2: an identical grid from a second tenant is served
@@ -150,7 +176,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	// byte-identical body.
 	before := countManifests(t, srv.CacheDir())
 	req.Tenant = "bob"
-	code2, st2 := post(req)
+	code2, st2 := postSweep(t, ts.URL, req)
 	if code2 != http.StatusAccepted {
 		t.Fatalf("cross-tenant POST = %d", code2)
 	}
@@ -198,5 +224,68 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 	if _, err := os.Stat(srv.CacheDir()); err != nil {
 		t.Errorf("cache dir missing: %v", err)
+	}
+}
+
+// TestDeletedManifestRerun pins the failure-matrix row "manifests deleted
+// under a done sweep": with one manifest of a done sweep removed before
+// its result was ever rendered, GET …/result answers 409, and a fresh
+// tenant's re-POST finds every other point cached, re-runs exactly the
+// missing one and serves the bytes a fresh serial run prints. The
+// deleted manifest was looked up (and memoised) before it went, so the
+// daemon's manifest memo must see the deletion.
+func TestDeletedManifestRerun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations; skipped in -short")
+	}
+	srv, ts := newE2EDaemon(t)
+	code, st := postSweep(t, ts.URL, e2eRequest("alice"))
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	st = awaitDone(t, ts.URL, st.ID)
+	manifests := countManifests(t, srv.CacheDir())
+	if manifests != st.Jobs.Total {
+		t.Fatalf("%d manifests for %d jobs", manifests, st.Jobs.Total)
+	}
+	// A cached re-POST looks every point up, so the daemon's manifest memo
+	// holds the one about to be deleted.
+	if _, st1 := postSweep(t, ts.URL, e2eRequest("bob")); st1.Jobs.CachedAtSubmit != st1.Jobs.Total {
+		t.Fatalf("bob's re-POST cached %d of %d jobs, want all", st1.Jobs.CachedAtSubmit, st1.Jobs.Total)
+	}
+	names, err := filepath.Glob(filepath.Join(srv.CacheDir(), "job-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(names[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	if rcode, body := getBody(t, ts.URL+"/v1/sweeps/"+st.ID+"/result"); rcode != http.StatusConflict {
+		t.Errorf("GET result with a manifest deleted = %d, want 409: %s", rcode, body)
+	}
+
+	code, st2 := postSweep(t, ts.URL, e2eRequest("carol"))
+	if code != http.StatusAccepted {
+		t.Fatalf("re-POST = %d", code)
+	}
+	if st2.Jobs.CachedAtSubmit != st2.Jobs.Total-1 {
+		t.Errorf("re-POST cached %d of %d jobs at submit, want %d",
+			st2.Jobs.CachedAtSubmit, st2.Jobs.Total, st2.Jobs.Total-1)
+	}
+	st2 = awaitDone(t, ts.URL, st2.ID)
+	if st2.Jobs.Executed != 1 {
+		t.Errorf("re-POST executed %d jobs, want 1", st2.Jobs.Executed)
+	}
+	if after := countManifests(t, srv.CacheDir()); after != manifests {
+		t.Errorf("manifests after the re-run = %d, want %d", after, manifests)
+	}
+	want := serialBody()
+	for _, id := range []string{st2.ID, st.ID} {
+		rcode, body := getBody(t, ts.URL+"/v1/sweeps/"+id+"/result")
+		if rcode != http.StatusOK || !bytes.Equal(body, want) {
+			t.Errorf("GET result of %s = %d, body differs from a fresh serial run:\ndaemon: %q\nserial: %q",
+				id, rcode, body, want)
+		}
 	}
 }
