@@ -208,29 +208,18 @@ func TestSnapfieldChecksEverySnapshotter(t *testing.T) {
 	}
 }
 
-// snapfield's fix completes a Save that ends without a return statement,
-// the usual shape now that Save cannot fail.
-func TestSnapfieldFixAppendsToSave(t *testing.T) {
+// snapfield's fix codes a forgotten scalar field with one line appended
+// to Snapshot, which then both encodes and decodes it.
+func TestSnapfieldFixAppendsToSnapshot(t *testing.T) {
 	dir := writeTempModule(t, map[string]string{
 		"internal/checkpoint/checkpoint.go": `package checkpoint
 
-type Writer struct{ buf []uint64 }
+type Codec struct{ buf []uint64 }
 
-func (w *Writer) U64(v uint64) { w.buf = append(w.buf, v) }
-
-type Reader struct{ buf []uint64 }
-
-func (r *Reader) U64() uint64 {
-	v := r.buf[0]
-	r.buf = r.buf[1:]
-	return v
-}
-
-func (r *Reader) Err() error { return nil }
+func (c *Codec) U64(p *uint64) { c.buf = append(c.buf, *p) }
 
 type Snapshotter interface {
-	Save(w *Writer)
-	Restore(r *Reader) error
+	Snapshot(c *Codec)
 }
 `,
 		"p.go": `package p
@@ -242,13 +231,8 @@ type Counter struct {
 	lost uint64
 }
 
-func (c *Counter) Save(w *checkpoint.Writer) {
-	w.U64(c.tick)
-}
-
-func (c *Counter) Restore(r *checkpoint.Reader) error {
-	c.tick = r.U64()
-	return r.Err()
+func (k *Counter) Snapshot(c *checkpoint.Codec) {
+	c.U64(&k.tick)
 }
 `})
 	if code, out := runLint(t, "-fix", "./..."); code != 1 {
@@ -258,13 +242,8 @@ func (c *Counter) Restore(r *checkpoint.Reader) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"\tw.U64(c.tick)\n\tw.U64(c.lost)\n}\n",
-		"\tc.lost = r.U64()\n\treturn r.Err()\n",
-	} {
-		if !strings.Contains(string(got), want) {
-			t.Errorf("fixed p.go lacks %q:\n%s", want, got)
-		}
+	if want := "\tc.U64(&k.tick)\n\tc.U64(&k.lost)\n}\n"; !strings.Contains(string(got), want) {
+		t.Errorf("fixed p.go lacks %q:\n%s", want, got)
 	}
 	if code, out := runLint(t, "./..."); code != 0 {
 		t.Fatalf("fixed tree exit = %d, want 0\n%s", code, out)

@@ -2,7 +2,7 @@
 // packages: values whose *order or content* depends on a
 // nondeterministic construct — map iteration, select arm choice,
 // sync.Map access, wall-clock time, unseeded math/rand — must not flow
-// into reproducibility sinks: checkpoint.Writer encoders, telemetry
+// into reproducibility sinks: checkpoint.Codec primitives, telemetry
 // mutators, or JSON manifests. detmap and notime ban the constructs at
 // the point of use; detflow closes the laundering gap where the
 // nondeterministic value is stashed in a local, passed through a helper,
@@ -585,7 +585,7 @@ func (fa *funcAnalysis) sinkArgs(call *ast.CallExpr) []ast.Expr {
 	if recv := recvNamed(fn); recv != nil && recv.Obj().Pkg() != nil {
 		path, tname := recv.Obj().Pkg().Path(), recv.Obj().Name()
 		switch {
-		case strings.HasSuffix(path, "internal/checkpoint") && tname == "Writer":
+		case strings.HasSuffix(path, "internal/checkpoint") && tname == "Codec":
 			return call.Args
 		case strings.HasSuffix(path, "internal/telemetry"):
 			key := tname + "." + fn.Name()

@@ -16,37 +16,37 @@ var hits *telemetry.Counter
 var occupancy *telemetry.Gauge
 
 // direct launders a map key through a local before encoding it.
-func direct(w *checkpoint.Writer, m map[uint64]int) error {
+func direct(c *checkpoint.Codec, m map[uint64]int) error {
 	var last uint64
 	for k := range m {
 		last = k
 	}
-	w.U64(last) // want `value derived from map iteration order flows into checkpoint\.Writer\.U64; produce it deterministically or sort before the sink`
+	c.U64(&last) // want `value derived from map iteration order flows into checkpoint\.Codec\.U64; produce it deterministically or sort before the sink`
 	return nil
 }
 
 // sorted is the blessed collect-then-sort idiom: the sort sanitizes.
-func sorted(w *checkpoint.Writer, m map[uint64]int) error {
+func sorted(c *checkpoint.Codec, m map[uint64]int) error {
 	keys := make([]uint64, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.U64s(keys)
+	c.U64s(keys)
 	return nil
 }
 
 // viaHelper forwards the tainted value through a same-package helper
 // whose parameter carries a SinkParams fact.
-func viaHelper(w *checkpoint.Writer, m map[uint64]int) {
+func viaHelper(c *checkpoint.Codec, m map[uint64]int) {
 	for k := range m {
-		encode(w, k) // want `value derived from map iteration order flows into a\.encode; produce it deterministically or sort before the sink`
+		encode(c, k) // want `value derived from map iteration order flows into a\.encode; produce it deterministically or sort before the sink`
 	}
 }
 
 // encode's second parameter flows into a sink, so callers are checked.
-func encode(w *checkpoint.Writer, v uint64) {
-	w.U64(v)
+func encode(c *checkpoint.Codec, v uint64) {
+	c.U64(&v)
 }
 
 // counted accumulates map values into a telemetry counter. The sum is
@@ -87,17 +87,18 @@ func firstOf(m map[uint64]int) uint64 {
 }
 
 // uses consumes firstOf's tainted result.
-func uses(w *checkpoint.Writer, m map[uint64]int) {
-	w.U64(firstOf(m)) // want `value derived from a nondeterministically-derived result of a\.firstOf flows into checkpoint\.Writer\.U64`
+func uses(c *checkpoint.Codec, m map[uint64]int) {
+	v := firstOf(m)
+	c.U64(&v) // want `value derived from a nondeterministically-derived result of a\.firstOf flows into checkpoint\.Codec\.U64`
 }
 
 // waived is a deliberate, justified exception.
-func waived(w *checkpoint.Writer, m map[uint64]int) {
+func waived(c *checkpoint.Codec, m map[uint64]int) {
 	var last uint64
 	for k := range m {
 		last = k
 	}
 	//lint:ignore tcplint/detflow the value is a debug watermark, excluded from the replay digest
-	w.U64(last)
+	c.U64(&last)
 	_ = occupancy
 }

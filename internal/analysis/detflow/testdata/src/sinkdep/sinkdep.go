@@ -5,8 +5,8 @@ package sinkdep
 import "tagprefetch/internal/checkpoint"
 
 // Emit forwards v into the checkpoint image: SinkParams bit 1.
-func Emit(w *checkpoint.Writer, v uint64) {
-	w.U64(v)
+func Emit(c *checkpoint.Codec, v uint64) {
+	c.U64(&v)
 }
 
 // Pick returns a map-order-dependent element: TaintedReturn.

@@ -9,18 +9,19 @@ import (
 )
 
 // launder pushes a map key through the dependency's forwarding helper.
-func launder(w *checkpoint.Writer, m map[uint64]int) {
+func launder(c *checkpoint.Codec, m map[uint64]int) {
 	for k := range m {
-		sinkdep.Emit(w, k) // want `value derived from map iteration order flows into sinkdep\.Emit`
+		sinkdep.Emit(c, k) // want `value derived from map iteration order flows into sinkdep\.Emit`
 	}
 }
 
 // consume encodes the dependency's tainted pick.
-func consume(w *checkpoint.Writer, m map[uint64]int) {
-	w.U64(sinkdep.Pick(m)) // want `value derived from a nondeterministically-derived result of sinkdep\.Pick flows into checkpoint\.Writer\.U64`
+func consume(c *checkpoint.Codec, m map[uint64]int) {
+	v := sinkdep.Pick(m)
+	c.U64(&v) // want `value derived from a nondeterministically-derived result of sinkdep\.Pick flows into checkpoint\.Codec\.U64`
 }
 
 // clean passes a deterministic value through the same helper: allowed.
-func clean(w *checkpoint.Writer) {
-	sinkdep.Emit(w, 42)
+func clean(c *checkpoint.Codec) {
+	sinkdep.Emit(c, 42)
 }

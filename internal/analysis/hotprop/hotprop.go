@@ -9,7 +9,7 @@
 // whole reachable subgraph.
 //
 // The escape hatch is the deliberate slow path: the enforced idiom splits
-// rare work into its own function (Emit → emitSlow, Writer.Write →
+// rare work into its own function (Emit → emitSlow, Codec.put →
 // grow), and such a function carries a
 //
 //	//tcp:coldpath <why the call is rare/guarded>

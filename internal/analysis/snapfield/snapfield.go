@@ -1,7 +1,7 @@
 // Package snapfield proves snapshot coverage for every type implementing
 // checkpoint.Snapshotter: each struct field must be referenced by the
-// Save method (written into the image) and by the Restore method (read
-// back), or carry an explicit exemption
+// Snapshot method, which both encodes it into the image and decodes it
+// back, or carry an explicit exemption
 //
 //	//tcp:nosnap <why this field need not survive a checkpoint>
 //
@@ -10,19 +10,20 @@
 // FuzzRestore, and only when the forgotten field actually changes bytes —
 // a freshly-zero counter or a cold table slips through and silently
 // breaks the restore-and-continue bit-identity contract
-// (docs/CHECKPOINT.md).
+// (docs/CHECKPOINT.md). One method codes both directions, so a field is
+// either in the layout or not; there is no one-way codec to detect.
 //
 // Coverage is judged by reference, through the static call closure inside
-// the package: a field used by a helper that Save calls counts, and a
+// the package: a field used by a helper that Snapshot calls counts, and a
 // field read for validation (a section label, a geometry check) counts
 // too — the analyzer proves presence, not byte equality, which stays the
 // golden test's job. A Snapshotter implemented by a promoted method is
 // treated as covering only the embedded field that provides it: the other
-// fields are invisible to the inherited encoder and are reported.
+// fields are invisible to the inherited codec and are reported.
 //
 // `tcplint -fix` repairs findings mechanically: a plain scalar field gains
-// matching Save/Restore lines; anything else gains a //tcp:nosnap TODO
-// stub to be justified or serialised by hand.
+// one codec line at the end of Snapshot; anything else gains a
+// //tcp:nosnap TODO stub to be justified or serialised by hand.
 package snapfield
 
 import (
@@ -42,8 +43,8 @@ const NoSnapMarker = "tcp:nosnap"
 // Analyzer proves Snapshotter field coverage.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapfield",
-	Doc: "for every checkpoint.Snapshotter, proves each struct field is written by Save and " +
-		"read by Restore (through the package call closure), or carries //tcp:nosnap <why>",
+	Doc: "for every checkpoint.Snapshotter, proves each struct field is coded by Snapshot " +
+		"(through the package call closure), or carries //tcp:nosnap <why>",
 	Run: run,
 }
 
@@ -59,12 +60,12 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// snapshotter is one type the analyzer checks, with the two methods its
-// field coverage is judged from.
+// snapshotter is one type the analyzer checks, with the method its field
+// coverage is judged from.
 type snapshotter struct {
-	named         *types.Named
-	st            *types.Struct
-	save, restore coverage
+	named    *types.Named
+	st       *types.Struct
+	snapshot coverage
 }
 
 // snapshotters lists pkg's package-level struct types whose pointer
@@ -91,7 +92,7 @@ func snapshotters(pkg *types.Package) []snapshotter {
 		if !ok || !types.Implements(types.NewPointer(named), iface) {
 			continue
 		}
-		out = append(out, snapshotter{named, st, snapMethod(named, st, pkg, "Save"), snapMethod(named, st, pkg, "Restore")})
+		out = append(out, snapshotter{named, st, snapMethod(named, st, pkg)})
 	}
 	return out
 }
@@ -107,8 +108,8 @@ func Checked(pkg *types.Package) []*types.Named {
 	return out
 }
 
-// coverage pairs one Snapshotter method with the embedded field providing
-// it when the method is promoted (nil when declared on the type itself).
+// coverage pairs the Snapshot method with the embedded field providing it
+// when the method is promoted (nil when declared on the type itself).
 type coverage struct {
 	method   *types.Func
 	promoted *types.Var
@@ -116,9 +117,8 @@ type coverage struct {
 
 // checkType reports uncovered fields of one Snapshotter type.
 func checkType(pass *analysis.Pass, idx *packageIndex, t snapshotter) {
-	named, st, save, restore := t.named, t.st, t.save, t.restore
-	saved := idx.fieldsReachedBy(save)
-	restored := idx.fieldsReachedBy(restore)
+	named, st := t.named, t.st
+	covered := idx.fieldsReachedBy(t.snapshot)
 	tname := named.Obj().Name()
 
 	for i := 0; i < st.NumFields(); i++ {
@@ -128,27 +128,16 @@ func checkType(pass *analysis.Pass, idx *packageIndex, t snapshotter) {
 		}
 		decl := idx.fieldDecl[field]
 		why, exempt := nosnapOf(decl)
-		inSave, inRestore := saved[field], restored[field]
-		if exempt && why == "" {
-			pass.Reportf(fieldPos(decl, field), "//tcp:nosnap needs a justification: say why %s.%s need not survive a checkpoint", tname, field.Name())
-			continue
-		}
 		switch {
-		case exempt && inSave && inRestore:
-			pass.Reportf(fieldPos(decl, field), "stale //tcp:nosnap on %s.%s: Save and Restore both reference the field, so the annotation excuses nothing; drop it", tname, field.Name())
-		case exempt:
-			// justified exclusion
-		case inSave && inRestore:
-			// covered
-		case inSave:
-			pass.ReportFix(fieldPos(decl, field), idx.restoreFix(pass, restore, field),
-				"field %s.%s is written by (*%s).Save but never read back by Restore; restored runs diverge from the saved machine", tname, field.Name(), tname)
-		case inRestore:
-			pass.ReportFix(fieldPos(decl, field), idx.saveFix(pass, save, field),
-				"field %s.%s is read by (*%s).Restore but never written by Save; the decoder will consume other fields' bytes", tname, field.Name(), tname)
+		case exempt && why == "":
+			pass.Reportf(fieldPos(decl, field), "//tcp:nosnap needs a justification: say why %s.%s need not survive a checkpoint", tname, field.Name())
+		case exempt && covered[field]:
+			pass.Reportf(fieldPos(decl, field), "stale //tcp:nosnap on %s.%s: Snapshot references the field, so the annotation excuses nothing; drop it", tname, field.Name())
+		case exempt, covered[field]:
+			// justified exclusion, or coded
 		default:
-			pass.ReportFix(fieldPos(decl, field), idx.bothFix(pass, save, restore, decl, field),
-				"field %s.%s is not serialised: (*%s).Save never writes it and Restore never reads it; encode it in both or annotate //tcp:nosnap <why>", tname, field.Name(), tname)
+			pass.ReportFix(fieldPos(decl, field), idx.fix(pass, t.snapshot, decl, field),
+				"field %s.%s is not serialised: (*%s).Snapshot never codes it; encode it or annotate //tcp:nosnap <why>", tname, field.Name(), tname)
 		}
 	}
 }
@@ -195,10 +184,10 @@ func findSnapshotter(pkg *types.Package) *types.Interface {
 	return nil
 }
 
-// snapMethod resolves a Snapshotter method of T, following promotion
-// through embedded fields; promoted is the embedded field supplying it.
-func snapMethod(named *types.Named, st *types.Struct, pkg *types.Package, name string) coverage {
-	obj, index, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, pkg, name)
+// snapMethod resolves T's Snapshot method, following promotion through
+// embedded fields; promoted is the embedded field supplying it.
+func snapMethod(named *types.Named, st *types.Struct, pkg *types.Package) coverage {
+	obj, index, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, pkg, "Snapshot")
 	cov := coverage{method: obj.(*types.Func)}
 	if len(index) > 1 {
 		cov.promoted = st.Field(index[0])
@@ -362,7 +351,7 @@ func (idx *packageIndex) fieldsReachedBy(cov coverage) map[*types.Var]bool {
 }
 
 // scalarMethod maps a plain basic field type to the matching
-// checkpoint.Writer/Reader accessor pair, for encoder-line fixes.
+// checkpoint.Codec primitive, for codec-line fixes.
 func scalarMethod(t types.Type) (string, bool) {
 	b, ok := t.(*types.Basic)
 	if !ok {
@@ -373,8 +362,6 @@ func scalarMethod(t types.Type) (string, bool) {
 		return "Bool", true
 	case types.Uint8:
 		return "U8", true
-	case types.Uint16:
-		return "U16", true
 	case types.Uint32:
 		return "U32", true
 	case types.Uint64:
@@ -391,90 +378,17 @@ func scalarMethod(t types.Type) (string, bool) {
 	return "", false
 }
 
-// methodNames returns the receiver and first-parameter names of a local
-// method declaration, for rendering fix text.
-func (idx *packageIndex) methodNames(fn *types.Func) (decl *ast.FuncDecl, recv, param string, ok bool) {
-	decl = idx.decls[fn]
-	if decl == nil || decl.Recv == nil || len(decl.Recv.List) == 0 || len(decl.Recv.List[0].Names) == 0 {
-		return nil, "", "", false
-	}
-	params := decl.Type.Params
-	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {
-		return nil, "", "", false
-	}
-	return decl, decl.Recv.List[0].Names[0].Name, params.List[0].Names[0].Name, true
-}
-
-// insertBeforeFinalReturn builds an edit adding line before the method's
-// trailing return statement; ok=false when the body has another shape.
-func insertBeforeFinalReturn(pass *analysis.Pass, decl *ast.FuncDecl, line string) (analysis.Edit, bool) {
-	stmts := decl.Body.List
-	if len(stmts) == 0 {
-		return analysis.Edit{}, false
-	}
-	last, ok := stmts[len(stmts)-1].(*ast.ReturnStmt)
-	if !ok {
-		return analysis.Edit{}, false
-	}
-	return pass.InsertAt(last.Pos(), line+"\n\t"), true
-}
-
-// appendToSave builds an edit adding line as Save's last statement. Save
-// returns nothing, so its body usually ends without a return: the line goes
-// after the last statement, or before a trailing bare return.
-func appendToSave(pass *analysis.Pass, decl *ast.FuncDecl, line string) analysis.Edit {
-	if edit, ok := insertBeforeFinalReturn(pass, decl, line); ok {
-		return edit
-	}
-	if stmts := decl.Body.List; len(stmts) > 0 {
-		return pass.InsertAt(stmts[len(stmts)-1].End(), "\n\t"+line)
-	}
-	return pass.InsertAt(decl.Body.Lbrace+1, "\n\t"+line)
-}
-
-// saveFix builds the Save-side encoder line for a scalar field.
-func (idx *packageIndex) saveFix(pass *analysis.Pass, save coverage, field *types.Var) *analysis.SuggestedFix {
-	m, ok := scalarMethod(field.Type())
-	if !ok {
-		return nil
-	}
-	decl, recv, w, ok := idx.methodNames(save.method)
-	if !ok {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("write %s in Save", field.Name()),
-		Edits:   []analysis.Edit{appendToSave(pass, decl, fmt.Sprintf("%s.%s(%s.%s)", w, m, recv, field.Name()))},
-	}
-}
-
-// restoreFix builds the Restore-side decoder line for a scalar field.
-func (idx *packageIndex) restoreFix(pass *analysis.Pass, restore coverage, field *types.Var) *analysis.SuggestedFix {
-	m, ok := scalarMethod(field.Type())
-	if !ok {
-		return nil
-	}
-	decl, recv, r, ok := idx.methodNames(restore.method)
-	if !ok {
-		return nil
-	}
-	edit, ok := insertBeforeFinalReturn(pass, decl, fmt.Sprintf("%s.%s = %s.%s()", recv, field.Name(), r, m))
-	if !ok {
-		return nil
-	}
-	return &analysis.SuggestedFix{
-		Message: fmt.Sprintf("read %s back in Restore", field.Name()),
-		Edits:   []analysis.Edit{edit},
-	}
-}
-
-// bothFix repairs a fully-missing field: matching encoder and decoder
-// lines for plain scalars, a //tcp:nosnap TODO stub otherwise.
-func (idx *packageIndex) bothFix(pass *analysis.Pass, save, restore coverage, decl *ast.Field, field *types.Var) *analysis.SuggestedFix {
-	if sf, rf := idx.saveFix(pass, save, field), idx.restoreFix(pass, restore, field); sf != nil && rf != nil {
-		return &analysis.SuggestedFix{
-			Message: fmt.Sprintf("serialise %s in Save and Restore", field.Name()),
-			Edits:   append(sf.Edits, rf.Edits...),
+// fix repairs an uncoded field: one codec line appended to Snapshot for a
+// plain scalar, a //tcp:nosnap TODO stub otherwise.
+func (idx *packageIndex) fix(pass *analysis.Pass, snapshot coverage, decl *ast.Field, field *types.Var) *analysis.SuggestedFix {
+	if m, ok := scalarMethod(field.Type()); ok {
+		if fn := idx.decls[snapshot.method]; fn != nil && snapshot.promoted == nil {
+			if recv, c, ok := methodNames(fn); ok {
+				return &analysis.SuggestedFix{
+					Message: fmt.Sprintf("code %s in Snapshot", field.Name()),
+					Edits:   []analysis.Edit{appendStmt(pass, fn, fmt.Sprintf("%s.%s(&%s.%s)", c, m, recv, field.Name()))},
+				}
+			}
 		}
 	}
 	if decl == nil {
@@ -484,4 +398,31 @@ func (idx *packageIndex) bothFix(pass *analysis.Pass, save, restore coverage, de
 		Message: fmt.Sprintf("stub a //tcp:nosnap exemption for %s", field.Name()),
 		Edits:   []analysis.Edit{pass.InsertAt(decl.End(), " //"+NoSnapMarker+" TODO: justify exclusion or serialise the field")},
 	}
+}
+
+// methodNames returns the receiver and first-parameter names of a method
+// declaration, for rendering fix text.
+func methodNames(decl *ast.FuncDecl) (recv, param string, ok bool) {
+	if decl.Recv == nil || len(decl.Recv.List) == 0 || len(decl.Recv.List[0].Names) == 0 {
+		return "", "", false
+	}
+	params := decl.Type.Params
+	if params == nil || len(params.List) == 0 || len(params.List[0].Names) == 0 {
+		return "", "", false
+	}
+	return decl.Recv.List[0].Names[0].Name, params.List[0].Names[0].Name, true
+}
+
+// appendStmt builds an edit adding line as the method's last statement:
+// after the last statement, or before a trailing bare return.
+func appendStmt(pass *analysis.Pass, decl *ast.FuncDecl, line string) analysis.Edit {
+	stmts := decl.Body.List
+	if len(stmts) == 0 {
+		return pass.InsertAt(decl.Body.Lbrace+1, "\n\t"+line)
+	}
+	last := stmts[len(stmts)-1]
+	if _, ok := last.(*ast.ReturnStmt); ok {
+		return pass.InsertAt(last.Pos(), line+"\n\t")
+	}
+	return pass.InsertAt(last.End(), "\n\t"+line)
 }

@@ -1,6 +1,6 @@
 // Package a exercises snapshot-coverage checking for Snapshotter
-// implementations: every struct field must be referenced by Save and by
-// Restore (through same-package helpers), or carry //tcp:nosnap <why>.
+// implementations: every struct field must be coded by Snapshot (through
+// same-package helpers), or carry //tcp:nosnap <why>.
 package a
 
 import "tagprefetch/internal/checkpoint"
@@ -12,46 +12,31 @@ type Good struct {
 	name string
 }
 
-func (g *Good) Save(w *checkpoint.Writer) {
-	w.U64(g.tick)
-	g.saveStats(w)
+func (g *Good) Snapshot(c *checkpoint.Codec) {
+	c.U64(&g.tick)
+	g.snapshotStats(c)
 }
 
-// saveStats is reached from Save, so the fields it writes count.
-func (g *Good) saveStats(w *checkpoint.Writer) {
-	w.I64(g.hits)
-	w.String(g.name)
+// snapshotStats is reached from Snapshot, so the fields it codes count.
+func (g *Good) snapshotStats(c *checkpoint.Codec) {
+	c.I64(&g.hits)
+	c.String(&g.name)
 }
 
-func (g *Good) Restore(r *checkpoint.Reader) error {
-	g.tick = r.U64()
-	g.hits = r.I64()
-	g.name = r.String()
-	return r.Err()
-}
-
-// Mutated mirrors a real Save with one field write deleted: Restore still
-// reads epoch, so the decoder consumes bytes Save never produced.
+// Mutated mirrors a real Snapshot with one coded field deleted.
 type Mutated struct {
 	tick  uint64
-	epoch uint64 // want `field Mutated\.epoch is read by \(\*Mutated\)\.Restore but never written by Save; the decoder will consume other fields' bytes`
+	epoch uint64 // want `field Mutated\.epoch is not serialised: \(\*Mutated\)\.Snapshot never codes it; encode it or annotate //tcp:nosnap <why>`
 }
 
-func (m *Mutated) Save(w *checkpoint.Writer) {
-	w.U64(m.tick)
-}
-
-func (m *Mutated) Restore(r *checkpoint.Reader) error {
-	m.tick = r.U64()
-	m.epoch = r.U64()
-	return r.Err()
+func (m *Mutated) Snapshot(c *checkpoint.Codec) {
+	c.U64(&m.tick)
 }
 
 // Holes has the full bug taxonomy in one struct.
 type Holes struct {
 	kept    uint64
-	lost    uint64 // want `field Holes\.lost is not serialised: \(\*Holes\)\.Save never writes it and Restore never reads it; encode it in both or annotate //tcp:nosnap <why>`
-	oneway  uint64 // want `field Holes\.oneway is written by \(\*Holes\)\.Save but never read back by Restore; restored runs diverge from the saved machine`
+	lost    uint64 // want `field Holes\.lost is not serialised`
 	scratch []int  // want `field Holes\.scratch is not serialised`
 
 	//tcp:nosnap derived from kept on first access after restore
@@ -61,25 +46,18 @@ type Holes struct {
 	why uint64 // want `//tcp:nosnap needs a justification: say why Holes\.why need not survive a checkpoint`
 
 	//tcp:nosnap kept for debugging
-	loud uint64 // want `stale //tcp:nosnap on Holes\.loud: Save and Restore both reference the field, so the annotation excuses nothing; drop it`
+	loud uint64 // want `stale //tcp:nosnap on Holes\.loud: Snapshot references the field, so the annotation excuses nothing; drop it`
 
 	//lint:ignore tcplint/snapfield rebuilt by the warmup pass before the first simulated cycle
 	waived uint64
 }
 
-func (h *Holes) Save(w *checkpoint.Writer) {
-	w.U64(h.kept)
-	w.U64(h.oneway)
-	w.U64(h.loud)
+func (h *Holes) Snapshot(c *checkpoint.Codec) {
+	c.U64(&h.kept)
+	c.U64(&h.loud)
 }
 
-func (h *Holes) Restore(r *checkpoint.Reader) error {
-	h.kept = r.U64()
-	h.loud = r.U64()
-	return r.Err()
-}
-
-// ByMethod reaches its encoder through a method call. The selection b.put
+// ByMethod reaches its codec through a method call. The selection b.put
 // has index 1 (put is ByMethod's second declared method), which must not
 // be read as field 1: lost stays unserialised.
 type ByMethod struct {
@@ -87,32 +65,22 @@ type ByMethod struct {
 	lost uint64 // want `field ByMethod\.lost is not serialised`
 }
 
-func (b *ByMethod) Save(w *checkpoint.Writer) {
-	b.put(w)
+func (b *ByMethod) Snapshot(c *checkpoint.Codec) {
+	b.put(c)
 }
 
-func (b *ByMethod) put(w *checkpoint.Writer) { w.U64(b.tick) }
-
-func (b *ByMethod) Restore(r *checkpoint.Reader) error {
-	b.tick = r.U64()
-	return r.Err()
-}
+func (b *ByMethod) put(c *checkpoint.Codec) { c.U64(&b.tick) }
 
 // Inner is a complete Snapshotter used as an embedded implementer below.
 type Inner struct {
 	base uint64
 }
 
-func (in *Inner) Save(w *checkpoint.Writer) {
-	w.U64(in.base)
+func (in *Inner) Snapshot(c *checkpoint.Codec) {
+	c.U64(&in.base)
 }
 
-func (in *Inner) Restore(r *checkpoint.Reader) error {
-	in.base = r.U64()
-	return r.Err()
-}
-
-// Outer satisfies Snapshotter only through the promoted methods of Inner,
+// Outer satisfies Snapshotter only through the promoted method of Inner,
 // which cannot see extra: the classic "embedded implementer hides a new
 // field" hole.
 type Outer struct {
@@ -120,51 +88,36 @@ type Outer struct {
 	extra uint64 // want `field Outer\.extra is not serialised`
 }
 
-// NotASnapshotter has Save but no Restore, so it is out of scope.
-type NotASnapshotter struct {
-	junk uint64
-}
-
-func (n *NotASnapshotter) Save(w *checkpoint.Writer) {}
-
-// OldShape's Save returns an error, which checkpoint.Snapshotter's Save
-// does not, so it is not a Snapshotter and is out of scope.
+// OldShape has the retired Save/Restore pair but no Snapshot, so it is
+// not a Snapshotter and is out of scope.
 type OldShape struct {
 	junk uint64
 }
 
-func (o *OldShape) Save(w *checkpoint.Writer) error { return nil }
+func (o *OldShape) Save(c *checkpoint.Codec) {}
 
-func (o *OldShape) Restore(r *checkpoint.Reader) error { return r.Err() }
+func (o *OldShape) Restore(c *checkpoint.Codec) error { return nil }
 
-// BareReturn ends Save with a bare return, which the Save-side fix inserts
+// BareReturn ends Snapshot with a bare return, which the fix inserts
 // before.
 type BareReturn struct {
 	tick uint64
 	lost uint64 // want `field BareReturn\.lost is not serialised`
 }
 
-func (b *BareReturn) Save(w *checkpoint.Writer) {
-	w.U64(b.tick)
+func (b *BareReturn) Snapshot(c *checkpoint.Codec) {
+	c.U64(&b.tick)
 	return
 }
 
-func (b *BareReturn) Restore(r *checkpoint.Reader) error {
-	b.tick = r.U64()
-	return r.Err()
+// Validated references cfg only to check a decoded length against it,
+// which counts as coverage: the field shapes the layout.
+type Validated struct {
+	cfg     int
+	entries []uint64
 }
 
-// ValueSave implements Save on the value receiver, which the pointer's
-// method set includes.
-type ValueSave struct {
-	tick uint64
-	lost uint64 // want `field ValueSave\.lost is read by \(\*ValueSave\)\.Restore but never written by Save`
-}
-
-func (v ValueSave) Save(w *checkpoint.Writer) { w.U64(v.tick) }
-
-func (v *ValueSave) Restore(r *checkpoint.Reader) error {
-	v.tick = r.U64()
-	v.lost = r.U64()
-	return r.Err()
+func (v *Validated) Snapshot(c *checkpoint.Codec) {
+	c.Len(v.cfg)
+	c.U64s(v.entries)
 }

@@ -85,7 +85,7 @@ func (c counter) update(taken bool) counter {
 // Bimodal is a PC-indexed table of 2-bit counters.
 type Bimodal struct {
 	table []counter
-	mask  uint64 //tcp:nosnap geometry derived from the table size at construction; Restore keeps the constructor's value
+	mask  uint64 //tcp:nosnap geometry derived from the table size at construction; decoding keeps the constructor's value
 }
 
 // NewBimodal creates a bimodal predictor with 2^bits counters.
@@ -117,7 +117,7 @@ type GShare struct {
 	table   []counter
 	mask    uint64 //tcp:nosnap geometry derived from the table size at construction
 	history uint64
-	histLen uint //tcp:nosnap geometry fixed at construction; Restore only masks the decoded history with it
+	histLen uint // geometry fixed at construction; decoding masks the history with it
 }
 
 // NewGShare creates a gshare predictor with 2^bits counters and a

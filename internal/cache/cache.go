@@ -33,11 +33,11 @@ type Cache struct {
 	name  string
 	geom  addr.Geometry
 	lines []Line
-	ways  int   //tcp:nosnap derived from geom at construction; Restore validates geometry instead
+	ways  int   //tcp:nosnap derived from geom at construction; Snapshot validates geometry instead
 	tick  int64 // recency clock
 
 	st  Stats            // activity counters, single-writer
-	pub telemetry.Mirror //tcp:nosnap host-side registry mirror of st, republished after Restore
+	pub telemetry.Mirror //tcp:nosnap host-side registry mirror of st, republished after a decode
 }
 
 // set returns the line frames of set idx.

@@ -19,13 +19,13 @@ import "tagprefetch/internal/addr"
 // and retirement except under Quiesce, which rebuilds the heap, so the pair
 // identifies one allocation generation.
 type MSHRFile struct {
-	capacity int         //tcp:nosnap geometry fixed at construction; Restore validates the decoded entry count against it
-	pool     []MSHR      // backing store rebuilt by Restore from the decoded entry list
-	free     []int32     //tcp:nosnap free-frame list rebuilt by Restore from the decoded entry list
-	ready    []mshrReady //tcp:nosnap ready heap rebuilt by Restore from the decoded entry list
+	capacity int         // geometry fixed at construction; bounds the decoded entry count
+	pool     []MSHR      // backing store rebuilt on decode from the entry list
+	free     []int32     // free-frame list rebuilt with pool
+	ready    []mshrReady // ready heap rebuilt with pool
 	count    int         // in-flight tally mirroring the entry set, rebuilt with it
 
-	heads []int32 // chained lookup index rebuilt by Restore from the decoded entry list
+	heads []int32 // chained lookup index rebuilt with pool
 	next  []int32 // chain links indexed by pool frame, rebuilt with heads
 	shift uint    // table geometry fixed at construction
 

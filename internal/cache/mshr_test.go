@@ -238,15 +238,10 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 			f = NewMSHRFile(cap)
 			o.entries, o.stats = o.entries[:0], MSHRStats{}
 		default: // checkpoint round trip into a fresh file
-			w := checkpoint.NewWriter()
-			f.Save(w)
-			r, err := checkpoint.NewReader(w.Finish())
-			if err != nil {
-				t.Fatal(err)
-			}
+			img := checkpoint.Encode(f)
 			f = NewMSHRFile(cap)
-			if err := f.Restore(r); err != nil {
-				t.Fatalf("step %d: Restore: %v", step, err)
+			if err := checkpoint.Decode(img, f); err != nil {
+				t.Fatalf("step %d: Decode: %v", step, err)
 			}
 		}
 		if f.InFlight() != len(o.entries) {
@@ -265,27 +260,30 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestMSHRRestoreRejectsRepeatedBlock: an image that lists one block twice
-// cannot come from Save, and restoring it would put two entries for one
-// block in the index.
-func TestMSHRRestoreRejectsRepeatedBlock(t *testing.T) {
-	w := checkpoint.NewWriter()
-	w.Section("mshr")
-	w.U64(0)
-	w.U64(0)
-	w.U64(0)
-	w.U32(2)
+// repeatedBlock encodes an MSHR section that lists one block twice.
+type repeatedBlock struct{}
+
+func (repeatedBlock) Snapshot(c *checkpoint.Codec) {
+	var stats [3]uint64
+	c.Section("mshr")
+	for i := range stats {
+		c.U64(&stats[i])
+	}
+	c.Count(2, 2)
 	for i := 0; i < 2; i++ {
-		w.U64(0x40)
-		w.I64(100)
-		w.Int(1)
-		w.Bool(false)
+		e := MSHR{Block: 0x40, ReadyAt: 100, Demands: 1}
+		c.U64(&e.Block)
+		c.I64(&e.ReadyAt)
+		c.Int(&e.Demands)
+		c.Bool(&e.Prefetch)
 	}
-	r, err := checkpoint.NewReader(w.Finish())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := NewMSHRFile(4).Restore(r); err == nil {
-		t.Error("Restore accepted a block listed twice")
+}
+
+// TestMSHRRestoreRejectsRepeatedBlock: an image that lists one block twice
+// cannot come from an encoding file, and decoding it would put two entries
+// for one block in the index.
+func TestMSHRRestoreRejectsRepeatedBlock(t *testing.T) {
+	if err := checkpoint.Decode(checkpoint.Encode(repeatedBlock{}), NewMSHRFile(4)); err == nil {
+		t.Error("Decode accepted a block listed twice")
 	}
 }

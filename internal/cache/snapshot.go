@@ -2,119 +2,77 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tagprefetch/internal/checkpoint"
 )
 
-// Save implements checkpoint.Snapshotter, writing every line frame (tags,
-// flags, timing metadata, and the unexported LRU stamp), the recency clock,
-// and the activity counters into a section named after the cache.
-func (c *Cache) Save(w *checkpoint.Writer) {
-	w.Section("cache." + c.name)
-	w.I64(c.tick)
-	w.U32(uint32(c.geom.Sets()))
-	w.U32(uint32(c.geom.Ways()))
+// Snapshot implements checkpoint.Snapshotter: every line frame (tags,
+// flags, timing metadata, and the unexported LRU stamp), the recency
+// clock, and the activity counters, in a section named after the cache.
+// Decoding requires the geometry the image was encoded with.
+func (c *Cache) Snapshot(cd *checkpoint.Codec) {
+	cd.Section("cache." + c.name)
+	cd.I64(&c.tick)
+	sets, ways := uint32(c.geom.Sets()), uint32(c.geom.Ways())
+	cd.U32(&sets)
+	cd.U32(&ways)
+	cd.Check(int(sets) == c.geom.Sets() && int(ways) == c.geom.Ways(),
+		"cache %s: checkpoint geometry %dx%d, want %dx%d", c.name, sets, ways, c.geom.Sets(), c.geom.Ways())
 	for i := range c.lines {
 		ln := &c.lines[i]
-		w.U64(ln.Tag)
-		w.Bool(ln.Valid)
-		w.Bool(ln.Dirty)
-		w.Bool(ln.Prefetched)
-		w.I64(ln.ReadyAt)
-		w.I64(ln.FilledAt)
-		w.I64(ln.LastTouch)
-		w.I64(ln.lru)
+		cd.U64(&ln.Tag)
+		cd.Bool(&ln.Valid)
+		cd.Bool(&ln.Dirty)
+		cd.Bool(&ln.Prefetched)
+		cd.I64(&ln.ReadyAt)
+		cd.I64(&ln.FilledAt)
+		cd.I64(&ln.LastTouch)
+		cd.I64(&ln.lru)
 	}
 	for _, f := range c.st.Fields() {
-		w.U64(*f)
+		cd.U64(f)
 	}
 }
 
-// Restore implements checkpoint.Snapshotter. The cache must have the same
-// geometry as the one that was saved.
-func (c *Cache) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("cache." + c.name); err != nil {
-		return err
-	}
-	c.tick = r.I64()
-	sets, ways := int(r.U32()), int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if sets != c.geom.Sets() || ways != c.geom.Ways() {
-		return fmt.Errorf("cache %s: checkpoint geometry %dx%d, want %dx%d",
-			c.name, sets, ways, c.geom.Sets(), c.geom.Ways())
-	}
-	for i := range c.lines {
-		ln := &c.lines[i]
-		ln.Tag = r.U64()
-		ln.Valid = r.Bool()
-		ln.Dirty = r.Bool()
-		ln.Prefetched = r.Bool()
-		ln.ReadyAt = r.I64()
-		ln.FilledAt = r.I64()
-		ln.LastTouch = r.I64()
-		ln.lru = r.I64()
-	}
-	for _, f := range c.st.Fields() {
-		*f = r.U64()
-	}
-	return r.Err()
-}
-
-// Save implements checkpoint.Snapshotter. In-flight entries are gathered
-// from the fixed pool and written in ascending block-ID order, so the image
-// is deterministic and independent of pool-frame assignment.
-func (f *MSHRFile) Save(w *checkpoint.Writer) {
-	w.Section("mshr")
-	w.U64(f.merges)
-	w.U64(f.allocs)
-	w.U64(f.fullStall)
-	live := make([]*MSHR, 0, f.count)
+// Snapshot implements checkpoint.Snapshotter. In-flight entries are coded
+// in ascending block-ID order, so the image is deterministic and
+// independent of pool-frame assignment; decoding re-inserts them into the
+// cleared file.
+func (f *MSHRFile) Snapshot(c *checkpoint.Codec) {
+	c.Section("mshr")
+	c.U64(&f.merges)
+	c.U64(&f.allocs)
+	c.U64(&f.fullStall)
+	live := make([]MSHR, 0, f.count)
 	for i := range f.pool {
 		if m := &f.pool[i]; f.isLive(m) {
-			live = append(live, m)
+			live = append(live, *m)
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].Block < live[j].Block })
-	w.U32(uint32(len(live)))
-	for _, m := range live {
-		w.U64(m.Block)
-		w.I64(m.ReadyAt)
-		w.Int(m.Demands)
-		w.Bool(m.Prefetch)
+	n := c.Count(len(live), f.capacity)
+	live = slices.Grow(live[:0], n)[:n]
+	for i := range live {
+		e := &live[i]
+		c.U64(&e.Block)
+		c.I64(&e.ReadyAt)
+		c.Int(&e.Demands)
+		c.Bool(&e.Prefetch)
+	}
+	if c.Decoding() {
+		f.rebuild(c, live)
 	}
 }
 
-// Restore implements checkpoint.Snapshotter.
-func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("mshr"); err != nil {
-		return err
-	}
-	f.merges = r.U64()
-	f.allocs = r.U64()
-	f.fullStall = r.U64()
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n > f.capacity {
-		return fmt.Errorf("mshr: checkpoint holds %d entries, capacity %d", n, f.capacity)
-	}
+// rebuild replaces the file's entries with the decoded live list.
+func (f *MSHRFile) rebuild(c *checkpoint.Codec, live []MSHR) {
 	f.clear()
-	for i := 0; i < n; i++ {
-		e := MSHR{
-			Block:    r.U64(),
-			ReadyAt:  r.I64(),
-			Demands:  r.Int(),
-			Prefetch: r.Bool(),
-		}
-		if r.Err() != nil {
-			break
-		}
+	for _, e := range live {
 		if f.get(e.Block) != nil {
-			return fmt.Errorf("mshr: checkpoint holds block %#x twice", e.Block)
+			c.Fail(fmt.Errorf("mshr: checkpoint holds block %#x twice", e.Block))
+			return
 		}
 		slot := f.free[len(f.free)-1]
 		f.free = f.free[:len(f.free)-1]
@@ -123,5 +81,4 @@ func (f *MSHRFile) Restore(r *checkpoint.Reader) error {
 		f.insert(&f.pool[slot])
 		f.pushReady(mshrReady{block: e.Block, readyAt: e.ReadyAt})
 	}
-	return r.Err()
 }

@@ -12,7 +12,7 @@
 //	section: nameLen u16 | name | payloadLen u32 | payload   (repeated)
 //	trailer: crc32(IEEE) over everything before it, u32
 //
-// All integers are little-endian. The CRC is verified by NewReader before
+// All integers are little-endian. The CRC is verified by Decode before
 // any section is parsed, so truncated or corrupted files fail cleanly.
 package checkpoint
 
@@ -29,7 +29,7 @@ import (
 const (
 	// Magic identifies a checkpoint file ("TCPC" in little-endian order).
 	Magic uint32 = 0x43504354
-	// Version is the current format version. Readers reject any other.
+	// Version is the current format version. Decode rejects any other.
 	// History: 1 = initial layout; 2 = machine identity records the warmup
 	// fidelity and the cpu section carries the functional fast-forward
 	// clock (docs/FASTFORWARD.md).
@@ -47,210 +47,64 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated data")
 // Snapshotter is implemented by every stateful simulator component, and
 // required by type: prefetch.Prefetcher, workload.Generator and
 // branch.Predictor embed it, so anything a machine can hold is
-// checkpointable at compile time. Save serialises the component's dynamic
-// state and cannot fail, because Writer cannot. Restore loads it back into
-// an identically-configured component; it decodes bytes from disk or the
-// network, so it validates structure (lengths, names) and returns an error
-// on any mismatch rather than restoring partially. A composite writes its
-// sub-components in the order of one list that both methods walk.
+// checkpointable at compile time. Snapshot walks the component's dynamic
+// state through c once, in image order: an encoding Codec writes each
+// value, a decoding one overwrites it from the image, so the layout is
+// written in one place and the two directions cannot disagree. Decoding
+// loads into an identically-configured component; the image comes from
+// disk or the network, so Snapshot validates structure (lengths, names,
+// ranges) with c.Len, c.Count and c.Check. A composite snapshots its
+// sub-components in the order of one list.
 type Snapshotter interface {
-	Save(w *Writer)
-	Restore(r *Reader) error
+	Snapshot(c *Codec)
 }
 
-// Writer serialises a checkpoint into an in-memory buffer. Components open
-// named sections with Section and write scalars/slices into them; Finish
-// closes the last section and appends the CRC trailer.
+// Codec encodes a Snapshotter into a checkpoint image or decodes one back
+// into it, through the same calls. Every primitive takes a pointer or a
+// slice: an encoding Codec appends what it points to, a decoding one
+// overwrites it.
 //
-// Writes cannot fail (the buffer grows as needed), so neither the
-// primitive methods nor Snapshotter.Save return an error.
-type Writer struct {
-	buf    []byte
-	lenOff int // offset of the open section's length field, -1 when none
+// Decode errors are sticky: after the first failure every primitive
+// leaves its pointee alone, Count returns 0 and Check returns false, and
+// Decode reports the first error. A Snapshot method can therefore walk a
+// whole section unconditionally and stop only where a decoded value is
+// about to index or size something. Encoding cannot fail.
+type Codec struct {
+	buf      []byte
+	pos      int    // decode: read offset into buf
+	sec      int    // encode: offset of the open section's length field; decode: end of its payload; -1 when none
+	name     string // open section's name, for decode errors
+	decoding bool
+	err      error
 }
 
-// NewWriter returns a Writer with the header already emitted.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16), lenOff: -1}
-	var h [headerLen]byte
-	binary.LittleEndian.PutUint32(h[0:], Magic)
-	binary.LittleEndian.PutUint16(h[4:], Version)
-	binary.LittleEndian.PutUint16(h[6:], 0) // flags, reserved
-	w.Write(h[:])
-	return w
+// Encode returns the complete checkpoint image of s: header, s's
+// sections, CRC trailer.
+func Encode(s Snapshotter) []byte {
+	c := &Codec{buf: make([]byte, headerLen, 1<<16), sec: -1}
+	binary.LittleEndian.PutUint32(c.buf[0:], Magic)
+	binary.LittleEndian.PutUint16(c.buf[4:], Version) // flags, reserved, stay 0
+	s.Snapshot(c)
+	c.closeSection()
+	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(c.buf))
 }
 
-// Write appends raw bytes to the buffer.
-//
-// Every scalar written to a checkpoint funnels through here — for a warm
-// L2 that is hundreds of thousands of calls per snapshot — so the in-place
-// fast path must not allocate; growth is split into the grow slow path.
-//
-//tcp:hotpath
-func (w *Writer) Write(p []byte) {
-	if len(w.buf)+len(p) > cap(w.buf) {
-		w.grow(len(p))
+// Decode loads image data into s. The CRC trailer, magic and version are
+// validated before s sees a byte, so arbitrary bytes fail cleanly with an
+// error wrapping ErrCorrupt; afterwards sections must be consumed strictly
+// in write order, each exactly to its end, and no bytes may remain.
+func Decode(data []byte, s Snapshotter) error {
+	c, err := newDecoder(data)
+	if err != nil {
+		return err
 	}
-	n := len(w.buf)
-	w.buf = w.buf[:n+len(p)]
-	copy(w.buf[n:], p)
+	s.Snapshot(c)
+	return c.finish()
 }
 
-// grow reallocates the buffer with room for at least n more bytes.
-//
-//tcp:coldpath amortised-O(1) capacity doubling; runs once per buffer exhaustion, not per encoded value
-func (w *Writer) grow(n int) {
-	c := 2 * cap(w.buf)
-	if c < len(w.buf)+n {
-		c = len(w.buf) + n
-	}
-	buf := make([]byte, len(w.buf), c)
-	copy(buf, w.buf)
-	w.buf = buf
-}
-
-// Section closes the open section (if any) and starts a new one. Section
-// names are literal and read back in the same order by Reader.Section; they
-// exist to catch format drift, not to support random access.
-func (w *Writer) Section(name string) {
-	w.closeSection()
-	var n [2]byte
-	binary.LittleEndian.PutUint16(n[:], uint16(len(name)))
-	w.Write(n[:])
-	w.Write([]byte(name))
-	w.lenOff = len(w.buf)
-	var pl [4]byte
-	w.Write(pl[:]) // payload length, backpatched on close
-}
-
-// closeSection backpatches the open section's payload length.
-func (w *Writer) closeSection() {
-	if w.lenOff < 0 {
-		return
-	}
-	binary.LittleEndian.PutUint32(w.buf[w.lenOff:], uint32(len(w.buf)-(w.lenOff+4)))
-	w.lenOff = -1
-}
-
-// Finish closes the last section, appends the CRC trailer, and returns the
-// complete checkpoint image. The Writer must not be used afterwards.
-func (w *Writer) Finish() []byte {
-	w.closeSection()
-	var c [trailerLen]byte
-	binary.LittleEndian.PutUint32(c[:], crc32.ChecksumIEEE(w.buf))
-	w.Write(c[:])
-	return w.buf
-}
-
-// U8 writes one byte.
-func (w *Writer) U8(v uint8) {
-	var b [1]byte
-	b[0] = v
-	w.Write(b[:])
-}
-
-// Bool writes a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
-	} else {
-		w.U8(0)
-	}
-}
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	w.Write(b[:])
-}
-
-// U32 writes a little-endian uint32.
-func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Write(b[:])
-}
-
-// U64 writes a little-endian uint64.
-func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Write(b[:])
-}
-
-// I64 writes an int64 as its two's-complement uint64 image.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as an int64.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 writes a float64 as its IEEE-754 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// String writes a length-prefixed string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
-	w.Write([]byte(s))
-}
-
-// Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(p []byte) {
-	w.U32(uint32(len(p)))
-	w.Write(p)
-}
-
-// U64s writes a length-prefixed []uint64.
-func (w *Writer) U64s(v []uint64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.U64(x)
-	}
-}
-
-// I64s writes a length-prefixed []int64.
-func (w *Writer) I64s(v []int64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.I64(x)
-	}
-}
-
-// F64s writes a length-prefixed []float64.
-func (w *Writer) F64s(v []float64) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.F64(x)
-	}
-}
-
-// Ints writes a length-prefixed []int, each element as an int64.
-func (w *Writer) Ints(v []int) {
-	w.U32(uint32(len(v)))
-	for _, x := range v {
-		w.I64(int64(x))
-	}
-}
-
-// Reader parses a checkpoint image produced by Writer. The CRC trailer,
-// magic, and version are validated up front by NewReader; afterwards
-// sections must be consumed strictly in write order via Section, and every
-// section must be read exactly to its end before the next one opens.
-//
-// Errors are sticky: after the first failure every primitive returns the
-// zero value and Err/Finish report the original error. Restore code can
-// therefore read an entire section unconditionally and check once.
-type Reader struct {
-	data   []byte
-	pos    int
-	secEnd int // absolute end of the open section's payload, -1 when none
-	err    error
-}
-
-// NewReader validates the header and CRC trailer of data and returns a
-// Reader positioned at the first section. Arbitrary bytes fail cleanly
-// with an error wrapping ErrCorrupt.
-func NewReader(data []byte) (*Reader, error) {
+// newDecoder validates the header and CRC trailer of data and returns a
+// decoding Codec positioned at the first section.
+func newDecoder(data []byte) (*Codec, error) {
 	if len(data) < headerLen+trailerLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than header+trailer", ErrCorrupt, len(data))
 	}
@@ -268,305 +122,303 @@ func NewReader(data []byte) (*Reader, error) {
 	if f := binary.LittleEndian.Uint16(body[6:]); f != 0 {
 		return nil, fmt.Errorf("checkpoint: unsupported flags %#x", f)
 	}
-	return &Reader{data: body, pos: headerLen, secEnd: -1}, nil
+	return &Codec{buf: body, pos: headerLen, sec: -1, decoding: true}, nil
 }
 
-// failf records the first error; subsequent reads return zero values.
-func (r *Reader) failf(format string, args ...any) error {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
+// Decoding reports whether c decodes. Snapshot methods branch on it only
+// where the image layout is rebuilt rather than copied: a table whose
+// decoded entries are re-inserted (MSHR entries, TCP's sparse PHT, a
+// map), or machine state a decode must re-derive (parked components,
+// published counters).
+func (c *Codec) Decoding() bool { return c.decoding }
+
+// Fail records err as the decode error unless one is already recorded.
+// Encoding ignores it: an encoder writes whatever state it holds.
+func (c *Codec) Fail(err error) {
+	if !c.decoding {
+		return
 	}
-	return r.err
+	if c.err == nil {
+		c.err = err
+	}
+	c.sec = -1 // no section is open any more, so every later take fails
 }
 
-// Err returns the first error encountered, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Section finishes the open section and opens the next one, which must
-// carry exactly the given name. Leftover unread payload in the previous
-// section is an error: a component that wrote more than its restorer reads
-// indicates format drift, not a recoverable condition.
-func (r *Reader) Section(name string) error {
-	if r.err != nil {
-		return r.err
+// Check fails decoding with the formatted error unless ok, and reports
+// whether decoding is still sound. Encoding records nothing and reports
+// true.
+func (c *Codec) Check(ok bool, format string, args ...any) bool {
+	if !ok && c.decoding && c.err == nil {
+		c.Fail(fmt.Errorf(format, args...))
 	}
-	if r.secEnd >= 0 && r.pos != r.secEnd {
-		return r.failf("checkpoint: %d unread bytes before section %q", r.secEnd-r.pos, name)
-	}
-	r.secEnd = -1
-	if len(r.data)-r.pos < 2 {
-		return r.failf("%w: truncated at section %q header", ErrCorrupt, name)
-	}
-	n := int(binary.LittleEndian.Uint16(r.data[r.pos:]))
-	r.pos += 2
-	if len(r.data)-r.pos < n {
-		return r.failf("%w: truncated section name (want %d bytes)", ErrCorrupt, n)
-	}
-	got := string(r.data[r.pos : r.pos+n])
-	r.pos += n
-	if got != name {
-		return r.failf("checkpoint: section %q, want %q", got, name)
-	}
-	if len(r.data)-r.pos < 4 {
-		return r.failf("%w: truncated section %q length", ErrCorrupt, name)
-	}
-	plen := int(binary.LittleEndian.Uint32(r.data[r.pos:]))
-	r.pos += 4
-	if len(r.data)-r.pos < plen {
-		return r.failf("%w: section %q payload %d bytes, only %d remain", ErrCorrupt, name, plen, len(r.data)-r.pos)
-	}
-	r.secEnd = r.pos + plen
-	return nil
+	return c.err == nil
 }
 
-// Finish verifies that the open section was fully consumed and that no
-// sections remain, completing a strict read of the whole image.
-func (r *Reader) Finish() error {
-	if r.err != nil {
-		return r.err
+// Section closes the open section and opens the next one. Encoding writes
+// the name; decoding requires the next section to carry exactly this name
+// and the previous one to have been consumed to its end. Names exist to
+// catch format drift, not to support random access.
+func (c *Codec) Section(name string) {
+	if !c.decoding {
+		c.closeSection()
+		binary.LittleEndian.PutUint16(c.put(2), uint16(len(name)))
+		copy(c.put(len(name)), name)
+		c.sec = len(c.buf)
+		c.put(4) // payload length, backpatched on close
+		return
 	}
-	if r.secEnd >= 0 && r.pos != r.secEnd {
-		return r.failf("checkpoint: %d unread bytes at end of final section", r.secEnd-r.pos)
+	if c.err != nil {
+		return
 	}
-	end := r.pos
-	if r.secEnd >= 0 {
-		end = r.secEnd
+	if c.sec >= 0 && c.pos != c.sec {
+		c.Fail(fmt.Errorf("checkpoint: %d unread bytes before section %q", c.sec-c.pos, name))
+		return
 	}
-	if end != len(r.data) {
-		return r.failf("checkpoint: %d trailing unread bytes", len(r.data)-end)
-	}
-	return nil
-}
-
-// take returns the next n payload bytes of the open section, bounds-checked.
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.secEnd < 0 {
-		r.failf("checkpoint: read outside any section")
-		return nil
-	}
-	if r.secEnd-r.pos < n {
-		r.failf("%w: section underrun (want %d bytes, %d left)", ErrCorrupt, n, r.secEnd-r.pos)
-		return nil
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-// sliceLen reads a u32 element count and validates that count*elemBytes
-// fits in the remaining payload, bounding allocation on hostile input.
-func (r *Reader) sliceLen(elemBytes int) int {
-	n := int(r.U32())
-	if r.err != nil {
-		return 0
-	}
-	if n*elemBytes > r.secEnd-r.pos {
-		r.failf("%w: slice of %d elements overruns section", ErrCorrupt, n)
-		return 0
-	}
-	return n
-}
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a bool written by Writer.Bool. Any value other than 0 or 1 is
-// an error.
-func (r *Reader) Bool() bool {
-	switch r.U8() {
-	case 0:
-		return false
-	case 1:
-		return true
+	c.sec = -1
+	hdr, err := readSectionHeader(c.buf, &c.pos)
+	switch {
+	case err != nil:
+		c.Fail(err)
+	case hdr.Name != name:
+		c.Fail(fmt.Errorf("checkpoint: section %q, want %q", hdr.Name, name))
 	default:
-		r.failf("%w: invalid bool encoding", ErrCorrupt)
-		return false
+		c.sec, c.name = c.pos+hdr.Len, name
 	}
 }
 
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
+// closeSection backpatches the open section's payload length.
+func (c *Codec) closeSection() {
+	if c.sec < 0 {
+		return
+	}
+	binary.LittleEndian.PutUint32(c.buf[c.sec:], uint32(len(c.buf)-(c.sec+4)))
+	c.sec = -1
+}
+
+// finish verifies that the open section was fully consumed and that no
+// sections remain, completing a strict decode of the whole image.
+func (c *Codec) finish() error {
+	if c.err != nil {
+		return c.err
+	}
+	if c.sec >= 0 && c.pos != c.sec {
+		return fmt.Errorf("checkpoint: %d unread bytes at end of final section", c.sec-c.pos)
+	}
+	if c.pos != len(c.buf) {
+		return fmt.Errorf("checkpoint: %d trailing unread bytes", len(c.buf)-c.pos)
+	}
+	return nil
+}
+
+// The primitives below branch on the direction once and then put or take
+// the value's bytes in place: for a warm L2 they run hundreds of thousands
+// of times per image.
+
+// put extends the encoded image by n bytes and returns them for the
+// caller to fill. The in-place path must not allocate; growth is split
+// into the grow slow path.
+//
+//tcp:hotpath
+func (c *Codec) put(n int) []byte {
+	if len(c.buf)+n > cap(c.buf) {
+		c.grow(n)
+	}
+	c.buf = c.buf[:len(c.buf)+n]
+	return c.buf[len(c.buf)-n:]
+}
+
+// grow reallocates the encode buffer with room for at least n more bytes.
+//
+//tcp:coldpath amortised-O(1) capacity doubling; runs once per buffer exhaustion, not per encoded value
+func (c *Codec) grow(n int) {
+	buf := make([]byte, len(c.buf), max(2*cap(c.buf), len(c.buf)+n))
+	copy(buf, c.buf)
+	c.buf = buf
+}
+
+// take returns the next n payload bytes of the open section, or nil once
+// decoding has failed (Fail closes the section, so one bounds check
+// covers both).
+func (c *Codec) take(n int) []byte {
+	if c.sec-c.pos < n {
+		return c.takeFailed(n)
+	}
+	c.pos += n
+	return c.buf[c.pos-n : c.pos]
+}
+
+// takeFailed records why take could not serve n bytes, unless decoding
+// has already failed, and returns nil.
+func (c *Codec) takeFailed(n int) []byte {
+	switch {
+	case c.err != nil:
+	case c.sec < 0:
+		c.Fail(errors.New("checkpoint: read outside any section"))
+	default:
+		c.Fail(fmt.Errorf("%w: section %q underrun (want %d bytes, %d left)", ErrCorrupt, c.name, n, c.sec-c.pos))
+	}
+	return nil
+}
+
+// U8 encodes or decodes one byte.
+func (c *Codec) U8(p *uint8) {
+	if !c.decoding {
+		c.put(1)[0] = *p
+	} else if b := c.take(1); b != nil {
+		*p = b[0]
+	}
+}
+
+// Bool encodes a bool as one byte, 0 or 1; decoding any other value is
+// corrupt.
+func (c *Codec) Bool(p *bool) {
+	if !c.decoding {
+		var v byte
+		if *p {
+			v = 1
+		}
+		c.put(1)[0] = v
+		return
+	}
+	b := c.take(1)
+	switch {
+	case b == nil:
+	case b[0] > 1:
+		c.Fail(fmt.Errorf("%w: section %q: invalid bool encoding %d", ErrCorrupt, c.name, b[0]))
+	default:
+		*p = b[0] == 1
+	}
+}
+
+// U32 encodes or decodes a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if !c.decoding {
+		binary.LittleEndian.PutUint32(c.put(4), *p)
+	} else if b := c.take(4); b != nil {
+		*p = binary.LittleEndian.Uint32(b)
+	}
+}
+
+// U64 encodes or decodes a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if !c.decoding {
+		binary.LittleEndian.PutUint64(c.put(8), *p)
+	} else if b := c.take(8); b != nil {
+		*p = binary.LittleEndian.Uint64(b)
+	}
+}
+
+// I64 encodes or decodes an int64 as its two's-complement uint64 image.
+func (c *Codec) I64(p *int64) {
+	if !c.decoding {
+		binary.LittleEndian.PutUint64(c.put(8), uint64(*p))
+	} else if b := c.take(8); b != nil {
+		*p = int64(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// Int encodes or decodes an int as an int64.
+func (c *Codec) Int(p *int) {
+	if !c.decoding {
+		binary.LittleEndian.PutUint64(c.put(8), uint64(*p))
+	} else if b := c.take(8); b != nil {
+		*p = int(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// F64 encodes or decodes a float64 as its IEEE-754 bit pattern.
+func (c *Codec) F64(p *float64) {
+	if !c.decoding {
+		binary.LittleEndian.PutUint64(c.put(8), math.Float64bits(*p))
+	} else if b := c.take(8); b != nil {
+		*p = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// String encodes or decodes a u32-length-prefixed string.
+func (c *Codec) String(p *string) {
+	n := c.Count(len(*p), math.MaxInt)
+	if !c.decoding {
+		copy(c.put(len(*p)), *p)
+	} else if b := c.take(n); b != nil {
+		*p = string(b)
+	}
+}
+
+// Len encodes n, the length of a table the receiver's configuration fixes,
+// as a u32. Decoding requires the stored length to equal n: another
+// length means the image belongs to a differently-configured component.
+func (c *Codec) Len(n int) {
+	v := uint32(n)
+	c.U32(&v)
+	if c.decoding && c.err == nil && int(v) != n {
+		c.Fail(fmt.Errorf("checkpoint: section %q: table length %d, want %d", c.name, v, n))
+	}
+}
+
+// Count encodes n, the length of a variable-length run, as a u32 and
+// returns it; decoding returns the stored count instead. A stored count
+// above limit, or above the bytes left in the section (every element
+// takes at least one), is corrupt and decodes as 0, which bounds
+// allocation on hostile input.
+func (c *Codec) Count(n, limit int) int {
+	v := uint32(n)
+	c.U32(&v)
+	switch {
+	case !c.decoding:
+		return n
+	case c.err != nil:
+		return 0
+	case int(v) > limit || int(v) > c.sec-c.pos:
+		c.Fail(fmt.Errorf("%w: section %q: count %d exceeds %d or the %d bytes left",
+			ErrCorrupt, c.name, v, limit, c.sec-c.pos))
 		return 0
 	}
-	return binary.LittleEndian.Uint16(b)
+	return int(v)
 }
 
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads a float64 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.sliceLen(1)
-	b := r.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-// Bytes reads a length-prefixed byte slice into a fresh copy.
-func (r *Reader) Bytes() []byte {
-	n := r.sliceLen(1)
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
-}
-
-// ReadBytes reads a length-prefixed byte slice that must have exactly
-// len(dst) elements into dst.
-func (r *Reader) ReadBytes(dst []byte) {
-	n := r.sliceLen(1)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.failf("checkpoint: byte slice length %d, want %d", n, len(dst))
-		return
-	}
-	copy(dst, r.take(n))
-}
-
-// U64s reads a length-prefixed []uint64 into a fresh slice.
-func (r *Reader) U64s() []uint64 {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
-	}
-	return out
-}
-
-// ReadU64s reads a length-prefixed []uint64 that must have exactly
-// len(dst) elements into dst.
-func (r *Reader) ReadU64s(dst []uint64) {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.failf("checkpoint: uint64 slice length %d, want %d", n, len(dst))
-		return
-	}
-	for i := range dst {
-		dst[i] = r.U64()
+// Bytes encodes or decodes a u32-length-prefixed []byte of exactly len(s)
+// elements (see Len).
+func (c *Codec) Bytes(s []byte) {
+	c.Len(len(s))
+	for i := range s {
+		c.U8(&s[i])
 	}
 }
 
-// ReadU64sUpTo reads a length-prefixed []uint64 of at most len(dst)
-// elements into the front of dst, without allocating, and returns its
-// length. A longer slice is corrupt.
-func (r *Reader) ReadU64sUpTo(dst []uint64) int {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return 0
-	}
-	if n > len(dst) {
-		r.failf("%w: uint64 slice length %d, max %d", ErrCorrupt, n, len(dst))
-		return 0
-	}
-	for i := range dst[:n] {
-		dst[i] = r.U64()
-	}
-	return n
-}
-
-// I64s reads a length-prefixed []int64 into a fresh slice.
-func (r *Reader) I64s() []int64 {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.I64()
-	}
-	return out
-}
-
-// ReadI64s reads a length-prefixed []int64 that must have exactly
-// len(dst) elements into dst.
-func (r *Reader) ReadI64s(dst []int64) {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return
-	}
-	if n != len(dst) {
-		r.failf("checkpoint: int64 slice length %d, want %d", n, len(dst))
-		return
-	}
-	for i := range dst {
-		dst[i] = r.I64()
+// U64s encodes or decodes a u32-length-prefixed []uint64 of exactly
+// len(s) elements (see Len).
+func (c *Codec) U64s(s []uint64) {
+	c.Len(len(s))
+	for i := range s {
+		c.U64(&s[i])
 	}
 }
 
-// F64s reads a length-prefixed []float64 into a fresh slice.
-func (r *Reader) F64s() []float64 {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return nil
+// I64s encodes or decodes a u32-length-prefixed []int64 of exactly len(s)
+// elements (see Len).
+func (c *Codec) I64s(s []int64) {
+	c.Len(len(s))
+	for i := range s {
+		c.I64(&s[i])
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
-	return out
 }
 
-// ReadInts reads a length-prefixed []int that must have exactly len(dst)
-// elements into dst.
-func (r *Reader) ReadInts(dst []int) {
-	n := r.sliceLen(8)
-	if r.err != nil {
-		return
+// Ints encodes or decodes a u32-length-prefixed []int, each element as an
+// int64, of exactly len(s) elements (see Len).
+func (c *Codec) Ints(s []int) {
+	c.Len(len(s))
+	for i := range s {
+		c.Int(&s[i])
 	}
-	if n != len(dst) {
-		r.failf("checkpoint: int slice length %d, want %d", n, len(dst))
-		return
-	}
-	for i := range dst {
-		dst[i] = r.Int()
+}
+
+// F64s encodes or decodes a u32-length-prefixed []float64 of exactly
+// len(s) elements (see Len).
+func (c *Codec) F64s(s []float64) {
+	c.Len(len(s))
+	for i := range s {
+		c.F64(&s[i])
 	}
 }
 
@@ -591,39 +443,49 @@ type SectionInfo struct {
 	Len  int
 }
 
-// Sections validates data like NewReader and walks the section framing,
+// Sections validates data like Decode and walks the section framing,
 // returning every section's name and payload length in order.
 func Sections(data []byte) ([]SectionInfo, error) {
-	r, err := NewReader(data)
+	c, err := newDecoder(data)
 	if err != nil {
 		return nil, err
 	}
 	var out []SectionInfo
-	pos := r.pos
-	for pos < len(r.data) {
-		if len(r.data)-pos < 2 {
-			return nil, fmt.Errorf("%w: truncated section header", ErrCorrupt)
+	for c.pos < len(c.buf) {
+		hdr, err := readSectionHeader(c.buf, &c.pos)
+		if err != nil {
+			return nil, err
 		}
-		n := int(binary.LittleEndian.Uint16(r.data[pos:]))
-		pos += 2
-		if len(r.data)-pos < n {
-			return nil, fmt.Errorf("%w: truncated section name (want %d bytes)", ErrCorrupt, n)
-		}
-		name := string(r.data[pos : pos+n])
-		pos += n
-		if len(r.data)-pos < 4 {
-			return nil, fmt.Errorf("%w: truncated section %q length", ErrCorrupt, name)
-		}
-		plen := int(binary.LittleEndian.Uint32(r.data[pos:]))
-		pos += 4
-		if len(r.data)-pos < plen {
-			return nil, fmt.Errorf("%w: section %q payload %d bytes, only %d remain",
-				ErrCorrupt, name, plen, len(r.data)-pos)
-		}
-		pos += plen
-		out = append(out, SectionInfo{Name: name, Len: plen})
+		c.pos += hdr.Len
+		out = append(out, hdr)
 	}
 	return out, nil
+}
+
+// readSectionHeader parses the section header at buf[*pos:], advancing
+// *pos to the payload, and checks that the payload fits in buf.
+func readSectionHeader(buf []byte, pos *int) (SectionInfo, error) {
+	p := *pos
+	if len(buf)-p < 2 {
+		return SectionInfo{}, fmt.Errorf("%w: truncated section header", ErrCorrupt)
+	}
+	n := int(binary.LittleEndian.Uint16(buf[p:]))
+	p += 2
+	if len(buf)-p < n {
+		return SectionInfo{}, fmt.Errorf("%w: truncated section name (want %d bytes)", ErrCorrupt, n)
+	}
+	name := string(buf[p : p+n])
+	p += n
+	if len(buf)-p < 4 {
+		return SectionInfo{}, fmt.Errorf("%w: truncated section %q length", ErrCorrupt, name)
+	}
+	plen := int(binary.LittleEndian.Uint32(buf[p:]))
+	p += 4
+	if len(buf)-p < plen {
+		return SectionInfo{}, fmt.Errorf("%w: section %q payload %d bytes, only %d remain", ErrCorrupt, name, plen, len(buf)-p)
+	}
+	*pos = p
+	return SectionInfo{Name: name, Len: plen}, nil
 }
 
 // WriteFile atomically writes a checkpoint image to path: the bytes land

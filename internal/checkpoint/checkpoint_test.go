@@ -1,98 +1,92 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 )
 
-// buildImage writes one checkpoint exercising every primitive, in two
-// sections, and returns the finished image.
-func buildImage() []byte {
-	w := NewWriter()
-	w.Section("alpha")
-	w.U8(0xAB)
-	w.Bool(true)
-	w.Bool(false)
-	w.U16(0xBEEF)
-	w.U32(0xDEADBEEF)
-	w.U64(math.MaxUint64 - 1)
-	w.I64(-42)
-	w.Int(-7)
-	w.F64(3.5)
-	w.Section("beta")
-	w.String("hello")
-	w.Bytes([]byte{1, 2, 3})
-	w.U64s([]uint64{10, 20, 30})
-	w.I64s([]int64{-1, 0, 1})
-	w.F64s([]float64{0.5, -0.25})
-	w.Ints([]int{4, 5})
-	return w.Finish()
+// sample holds one value of every primitive. Its Snapshot lays them out in
+// two sections, the way a component would.
+type sample struct {
+	u8     uint8
+	t, f   bool
+	u32    uint32
+	u64    uint64
+	i64    int64
+	n      int
+	f64    float64
+	s      string
+	b      [3]byte
+	u64s   [3]uint64
+	i64s   [3]int64
+	f64s   [2]float64
+	ints   [2]int
+	run    []uint64 // variable length, at most maxRun
+	maxRun int
 }
+
+func (s *sample) Snapshot(c *Codec) {
+	c.Section("alpha")
+	c.U8(&s.u8)
+	c.Bool(&s.t)
+	c.Bool(&s.f)
+	c.U32(&s.u32)
+	c.U64(&s.u64)
+	c.I64(&s.i64)
+	c.Int(&s.n)
+	c.F64(&s.f64)
+	c.Section("beta")
+	c.String(&s.s)
+	c.Bytes(s.b[:])
+	c.U64s(s.u64s[:])
+	c.I64s(s.i64s[:])
+	c.F64s(s.f64s[:])
+	c.Ints(s.ints[:])
+	n := c.Count(len(s.run), s.maxRun)
+	s.run = slices.Grow(s.run[:0], n)[:n]
+	for i := range s.run {
+		c.U64(&s.run[i])
+	}
+}
+
+// full returns a sample with every field set away from its zero value.
+func full() *sample {
+	return &sample{
+		u8: 0xAB, t: true, u32: 0xDEADBEEF, u64: math.MaxUint64 - 1, i64: -42, n: -7, f64: 3.5,
+		s: "hello", b: [3]byte{1, 2, 3}, u64s: [3]uint64{10, 20, 30}, i64s: [3]int64{-1, 0, 1},
+		f64s: [2]float64{0.5, -0.25}, ints: [2]int{4, 5}, run: []uint64{7, 8}, maxRun: 4,
+	}
+}
+
+// buildImage encodes full().
+func buildImage() []byte { return Encode(full()) }
+
+// snapFunc adapts a function to Snapshotter, for hand-built layouts.
+type snapFunc func(c *Codec)
+
+func (f snapFunc) Snapshot(c *Codec) { f(c) }
+
+// decodeWith decodes img through fn and returns the decode error.
+func decodeWith(img []byte, fn func(c *Codec)) error { return Decode(img, snapFunc(fn)) }
 
 func TestRoundTrip(t *testing.T) {
 	img := buildImage()
-	r, err := NewReader(img)
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+	got := &sample{maxRun: 4}
+	if err := Decode(img, got); err != nil {
+		t.Fatalf("Decode: %v", err)
 	}
-	if err := r.Section("alpha"); err != nil {
-		t.Fatalf("Section(alpha): %v", err)
+	if want := full(); !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, want %+v", got, want)
 	}
-	if got := r.U8(); got != 0xAB {
-		t.Errorf("U8 = %#x, want 0xAB", got)
-	}
-	if !r.Bool() || r.Bool() {
-		t.Errorf("Bool round-trip mismatch")
-	}
-	if got := r.U16(); got != 0xBEEF {
-		t.Errorf("U16 = %#x", got)
-	}
-	if got := r.U32(); got != 0xDEADBEEF {
-		t.Errorf("U32 = %#x", got)
-	}
-	if got := r.U64(); got != math.MaxUint64-1 {
-		t.Errorf("U64 = %d", got)
-	}
-	if got := r.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := r.Int(); got != -7 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := r.F64(); got != 3.5 {
-		t.Errorf("F64 = %v", got)
-	}
-	if err := r.Section("beta"); err != nil {
-		t.Fatalf("Section(beta): %v", err)
-	}
-	if got := r.String(); got != "hello" {
-		t.Errorf("String = %q", got)
-	}
-	if got := r.Bytes(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Bytes = %v", got)
-	}
-	var u3 [3]uint64
-	r.ReadU64s(u3[:])
-	if u3 != [3]uint64{10, 20, 30} {
-		t.Errorf("ReadU64s = %v", u3)
-	}
-	if got := r.I64s(); len(got) != 3 || got[0] != -1 || got[2] != 1 {
-		t.Errorf("I64s = %v", got)
-	}
-	if got := r.F64s(); len(got) != 2 || got[0] != 0.5 || got[1] != -0.25 {
-		t.Errorf("F64s = %v", got)
-	}
-	var i2 [2]int
-	r.ReadInts(i2[:])
-	if i2 != [2]int{4, 5} {
-		t.Errorf("ReadInts = %v", i2)
-	}
-	if err := r.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
+	if again := Encode(got); !bytes.Equal(again, img) {
+		t.Error("re-encoding the decoded sample is not byte-identical")
 	}
 }
 
@@ -104,7 +98,7 @@ func reCRC(img []byte) []byte {
 	return img
 }
 
-func TestNewReaderRejectsCorruptImages(t *testing.T) {
+func TestDecodeRejectsCorruptImages(t *testing.T) {
 	valid := buildImage()
 	flip := func(off int) []byte {
 		img := append([]byte(nil), valid...)
@@ -124,11 +118,11 @@ func TestNewReaderRejectsCorruptImages(t *testing.T) {
 		{"bad flags", reCRC(flip(6))},
 	}
 	for _, tc := range cases {
-		if _, err := NewReader(tc.data); err == nil {
-			t.Errorf("%s: NewReader accepted corrupt image", tc.name)
+		if err := Decode(tc.data, &sample{maxRun: 4}); err == nil {
+			t.Errorf("%s: Decode accepted corrupt image", tc.name)
 		}
 	}
-	if _, err := NewReader(valid[:headerLen+trailerLen-1]); !errors.Is(err, ErrCorrupt) {
+	if err := Decode(valid[:headerLen+trailerLen-1], &sample{}); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("short image error = %v, want ErrCorrupt", err)
 	}
 }
@@ -136,135 +130,158 @@ func TestNewReaderRejectsCorruptImages(t *testing.T) {
 func TestSectionDiscipline(t *testing.T) {
 	img := buildImage()
 
-	// Wrong section name.
-	r, _ := NewReader(img)
-	if err := r.Section("gamma"); err == nil {
+	if err := decodeWith(img, func(c *Codec) { c.Section("gamma") }); err == nil {
 		t.Error("Section with wrong name succeeded")
 	}
 
 	// Unread payload left behind when the next section opens.
-	r, _ = NewReader(img)
-	if err := r.Section("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	r.U8()
-	if err := r.Section("beta"); err == nil {
+	err := decodeWith(img, func(c *Codec) {
+		var v uint8
+		c.Section("alpha")
+		c.U8(&v)
+		c.Section("beta")
+	})
+	if err == nil {
 		t.Error("Section over unread payload succeeded")
 	}
 
-	// Unread payload at Finish.
-	r, _ = NewReader(img)
-	r.Section("alpha") //nolint:errcheck
-	if err := r.Finish(); err == nil {
-		t.Error("Finish with unread payload succeeded")
+	// Unread payload at the end of the decode.
+	if err := decodeWith(img, func(c *Codec) { c.Section("alpha") }); err == nil {
+		t.Error("Decode with unread payload succeeded")
 	}
 
 	// Reading past the end of a section is an underrun, not a spill into
 	// the next section.
-	r, _ = NewReader(img)
-	r.Section("alpha") //nolint:errcheck
-	for i := 0; i < 64; i++ {
-		r.U64()
-	}
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("section underrun error = %v, want ErrCorrupt", r.Err())
+	err = decodeWith(img, func(c *Codec) {
+		c.Section("alpha")
+		for i := 0; i < 64; i++ {
+			var v uint64
+			c.U64(&v)
+		}
+	})
+	if !errors.Is(err, ErrCorrupt) {
+		t.Errorf("section underrun error = %v, want ErrCorrupt", err)
 	}
 
 	// Reading with no section open.
-	w := NewWriter()
-	w.Section("only")
-	empty := w.Finish()
-	r, _ = NewReader(empty)
-	r.U8()
-	if r.Err() == nil {
+	empty := Encode(snapFunc(func(c *Codec) { c.Section("only") }))
+	if err := decodeWith(empty, func(c *Codec) {
+		var v uint8
+		c.U8(&v)
+	}); err == nil {
 		t.Error("read outside any section succeeded")
 	}
 }
 
 func TestStickyErrors(t *testing.T) {
-	r, _ := NewReader(buildImage())
-	r.Section("alpha") //nolint:errcheck
-	for i := 0; i < 64; i++ {
-		r.U64()
-	}
-	first := r.Err()
+	var first, later error
+	err := decodeWith(buildImage(), func(c *Codec) {
+		c.Section("alpha")
+		for i := 0; i < 64; i++ {
+			var v uint64
+			c.U64(&v)
+		}
+		first = c.err
+		// Every primitive after the failure leaves its pointee alone.
+		u, s, b := uint64(9), "kept", true
+		c.U64(&u)
+		c.String(&s)
+		c.Bool(&b)
+		if u != 9 || s != "kept" || !b {
+			t.Errorf("decodes after failure changed values: %d %q %v", u, s, b)
+		}
+		if n := c.Count(3, 8); n != 0 {
+			t.Errorf("Count after failure = %d, want 0", n)
+		}
+		if c.Check(true, "unused") {
+			t.Error("Check after failure reported a sound decode")
+		}
+		c.Fail(errors.New("second failure"))
+		later = c.err
+	})
 	if first == nil {
 		t.Fatal("expected an error")
 	}
-	// All subsequent reads are zero-valued and the error is unchanged.
-	if r.U64() != 0 || r.String() != "" || r.Bytes() != nil {
-		t.Error("reads after failure returned non-zero values")
-	}
-	if r.Err() != first {
-		t.Errorf("error not sticky: %v then %v", first, r.Err())
+	if later != first || err != first {
+		t.Errorf("error not sticky: %v, then %v, Decode returned %v", first, later, err)
 	}
 }
 
 func TestInvalidBoolAndSliceGuards(t *testing.T) {
+	u8Image := func(v uint8) []byte {
+		return Encode(snapFunc(func(c *Codec) {
+			c.Section("s")
+			c.U8(&v)
+		}))
+	}
 	// A bool byte other than 0/1 is rejected.
-	w := NewWriter()
-	w.Section("s")
-	w.U8(2)
-	r, _ := NewReader(w.Finish())
-	r.Section("s") //nolint:errcheck
-	r.Bool()
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("invalid bool error = %v, want ErrCorrupt", r.Err())
+	if err := decodeWith(u8Image(2), func(c *Codec) {
+		var b bool
+		c.Section("s")
+		c.Bool(&b)
+	}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("invalid bool error = %v, want ErrCorrupt", err)
 	}
 
-	// A hostile element count is caught before allocation.
-	w = NewWriter()
-	w.Section("s")
-	w.U32(1 << 30) // claims a gigantic slice with no payload behind it
-	r, _ = NewReader(w.Finish())
-	r.Section("s") //nolint:errcheck
-	if got := r.U64s(); got != nil {
-		t.Errorf("oversized slice read returned %d elements", len(got))
-	}
-	if !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("oversized slice error = %v, want ErrCorrupt", r.Err())
-	}
-
-	// Exact-length readers reject a length mismatch.
-	w = NewWriter()
-	w.Section("s")
-	w.U64s([]uint64{1, 2, 3})
-	r, _ = NewReader(w.Finish())
-	r.Section("s") //nolint:errcheck
-	var two [2]uint64
-	r.ReadU64s(two[:])
-	if r.Err() == nil {
-		t.Error("ReadU64s accepted a length mismatch")
+	// A hostile count is caught before allocation.
+	huge := Encode(snapFunc(func(c *Codec) {
+		c.Section("s")
+		c.Count(1<<30, math.MaxInt) // claims a gigantic run with no payload behind it
+	}))
+	if err := decodeWith(huge, func(c *Codec) {
+		c.Section("s")
+		if n := c.Count(0, math.MaxInt); n != 0 {
+			t.Errorf("oversized count decoded as %d", n)
+		}
+	}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("oversized count error = %v, want ErrCorrupt", err)
 	}
 
-	// The bounded reader rejects a slice longer than its buffer.
-	w = NewWriter()
-	w.Section("s")
-	w.U64s([]uint64{1, 2})
-	r, _ = NewReader(w.Finish())
-	r.Section("s") //nolint:errcheck
-	var one [1]uint64
-	if n := r.ReadU64sUpTo(one[:]); n != 0 || !errors.Is(r.Err(), ErrCorrupt) {
-		t.Errorf("ReadU64sUpTo over capacity = %d, %v, want 0 and ErrCorrupt", n, r.Err())
+	// Exact-length tables reject a length mismatch.
+	three := Encode(snapFunc(func(c *Codec) {
+		c.Section("s")
+		c.U64s([]uint64{1, 2, 3})
+	}))
+	if err := decodeWith(three, func(c *Codec) {
+		var two [2]uint64
+		c.Section("s")
+		c.U64s(two[:])
+	}); err == nil {
+		t.Error("U64s accepted a length mismatch")
+	}
+
+	// A count above its bound is corrupt.
+	if err := Decode(buildImage(), &sample{maxRun: 1}); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("count over its bound = %v, want ErrCorrupt", err)
 	}
 }
 
-func TestReadU64sUpTo(t *testing.T) {
-	w := NewWriter()
-	w.Section("s")
-	w.U64s([]uint64{7, 8})
-	w.U64s(nil)
-	r, _ := NewReader(w.Finish())
-	r.Section("s") //nolint:errcheck
-	buf := []uint64{0, 0, 9}
-	if n := r.ReadU64sUpTo(buf); n != 2 || buf[0] != 7 || buf[1] != 8 || buf[2] != 9 {
-		t.Errorf("ReadU64sUpTo = %d %v, want 2 [7 8 9]", n, buf)
-	}
-	if n := r.ReadU64sUpTo(buf); n != 0 {
-		t.Errorf("empty ReadU64sUpTo = %d", n)
-	}
-	if err := r.Finish(); err != nil {
+func TestCountBoundsRuns(t *testing.T) {
+	img := Encode(snapFunc(func(c *Codec) {
+		c.Section("s")
+		for _, run := range [][]uint64{{7, 8}, nil} {
+			c.Count(len(run), 3)
+			for i := range run {
+				c.U64(&run[i])
+			}
+		}
+	}))
+	var runs [][]uint64
+	err := decodeWith(img, func(c *Codec) {
+		c.Section("s")
+		for range 2 {
+			run := make([]uint64, c.Count(0, 3))
+			for i := range run {
+				c.U64(&run[i])
+			}
+			runs = append(runs, run)
+		}
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(runs) != 2 || !slices.Equal(runs[0], []uint64{7, 8}) || len(runs[1]) != 0 {
+		t.Errorf("decoded runs %v, want [[7 8] []]", runs)
 	}
 }
 
@@ -281,7 +298,7 @@ func TestWriteFileReadFile(t *testing.T) {
 	if string(got) != string(img) {
 		t.Error("ReadFile returned different bytes")
 	}
-	if _, err := NewReader(got); err != nil {
+	if err := Decode(got, &sample{maxRun: 4}); err != nil {
 		t.Errorf("reloaded image invalid: %v", err)
 	}
 }

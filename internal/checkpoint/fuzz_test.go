@@ -1,14 +1,16 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
 
-// FuzzRestore feeds arbitrary bytes through the checkpoint reader driving a
-// restore-shaped schema: the reader must either parse or fail cleanly with
-// an error, never panic, over-allocate, or read out of bounds — mirroring
-// internal/trace's FuzzReader contract.
+// FuzzRestore feeds arbitrary bytes to a decoding Codec driving the sample
+// layout: the decode must either succeed or fail cleanly with an error,
+// never panic, over-allocate, or read out of bounds — mirroring
+// internal/trace's FuzzReader contract. An image it accepts must encode
+// back byte-identical, since every decoded value is kept.
 func FuzzRestore(f *testing.F) {
 	valid := buildImage()
 	f.Add(valid)
@@ -23,38 +25,16 @@ func FuzzRestore(f *testing.F) {
 	f.Add(reCRC(mut))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(data)
+		s := &sample{maxRun: 4}
+		err := Decode(data, s)
 		if err != nil {
 			if len(data) < headerLen+trailerLen && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("short input error %v does not wrap ErrCorrupt", err)
 			}
 			return
 		}
-		// Drive the same shape a component restore would: sections in
-		// order, scalars, then bounded slices. Errors are sticky, so the
-		// whole walk is unconditional.
-		if err := r.Section("alpha"); err != nil {
-			return
+		if again := Encode(s); !bytes.Equal(again, data) {
+			t.Fatal("accepted image does not encode back byte-identical")
 		}
-		r.U8()
-		r.Bool()
-		r.Bool()
-		r.U16()
-		r.U32()
-		r.U64()
-		r.I64()
-		r.Int()
-		r.F64()
-		if err := r.Section("beta"); err != nil {
-			return
-		}
-		_ = r.String()
-		_ = r.Bytes()
-		r.U64s()
-		r.I64s()
-		r.F64s()
-		var dst [2]int
-		r.ReadInts(dst[:])
-		_ = r.Finish()
 	})
 }

@@ -15,10 +15,10 @@ func TestSectionsWalk(t *testing.T) {
 	if len(secs) != 2 || secs[0].Name != "alpha" || secs[1].Name != "beta" {
 		t.Fatalf("sections = %+v, want alpha then beta", secs)
 	}
-	// alpha holds every fixed-width primitive buildImage writes:
-	// 1+1+1+2+4+8+8+8+8 bytes.
-	if secs[0].Len != 41 {
-		t.Errorf("alpha payload = %d, want 41", secs[0].Len)
+	// alpha holds every fixed-width primitive the sample encodes:
+	// 1+1+1+4+8+8+8+8 bytes.
+	if secs[0].Len != 39 {
+		t.Errorf("alpha payload = %d, want 39", secs[0].Len)
 	}
 	for _, s := range secs {
 		if s.Len < 0 {
@@ -27,7 +27,7 @@ func TestSectionsWalk(t *testing.T) {
 	}
 
 	// An empty image (header + trailer only) has no sections.
-	empty := NewWriter().Finish()
+	empty := Encode(snapFunc(func(*Codec) {}))
 	secs, err = Sections(empty)
 	if err != nil || len(secs) != 0 {
 		t.Errorf("Sections(empty) = %+v, %v; want none", secs, err)
@@ -40,7 +40,7 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("Validate(valid image): %v", err)
 	}
 
-	// Header/CRC corruption is caught by the NewReader gate.
+	// Header/CRC corruption is caught by the decoder's gate.
 	bad := append([]byte(nil), img...)
 	bad[headerLen] ^= 0xFF
 	if err := Validate(bad); !errors.Is(err, ErrCorrupt) {

@@ -35,24 +35,6 @@ func missStream(g addr.Geometry, n int) []trace.Miss {
 	return out
 }
 
-func snapshot(tb testing.TB, tcp *TCP) []byte {
-	tb.Helper()
-	w := checkpoint.NewWriter()
-	tcp.Save(w)
-	return w.Finish()
-}
-
-func restore(tcp *TCP, img []byte) error {
-	r, err := checkpoint.NewReader(img)
-	if err != nil {
-		return err
-	}
-	if err := tcp.Restore(r); err != nil {
-		return err
-	}
-	return r.Finish()
-}
-
 // reCRC rewrites the trailer of img so a mutated body passes the checksum
 // gate and reaches the TCP decoder.
 func reCRC(img []byte) []byte {
@@ -80,13 +62,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if s := orig.Stats(); s.Hits == 0 || s.Evictions == 0 {
 				t.Fatalf("stream left the PHT barely exercised: %+v", s)
 			}
-			img := snapshot(t, orig)
+			img := checkpoint.Encode(orig)
 			got := New(tc.cfg)
-			if err := restore(got, img); err != nil {
+			if err := checkpoint.Decode(img, got); err != nil {
 				t.Fatal(err)
 			}
-			if again := snapshot(t, got); !bytes.Equal(img, again) {
-				t.Fatal("Save after Restore is not byte-identical")
+			if again := checkpoint.Encode(got); !bytes.Equal(img, again) {
+				t.Fatal("encoding after decoding is not byte-identical")
 			}
 			for i, m := range misses[5000:] {
 				want := slices.Clone(orig.OnMiss(m))
@@ -118,27 +100,27 @@ func TestRestoreRejectsCorruptTables(t *testing.T) {
 		{"negative fill", func() []byte {
 			tcp := trained(TCP8K(g))
 			tcp.thtFill[7] = -1
-			return snapshot(t, tcp)
+			return checkpoint.Encode(tcp)
 		}, TCP8K(g)},
 		{"fill above depth", func() []byte {
 			tcp := trained(TCP8K(g))
 			tcp.thtFill[7] = 3
-			return snapshot(t, tcp)
+			return checkpoint.Encode(tcp)
 		}, TCP8K(g)},
 		{"tag wider than TagBits", func() []byte {
 			tcp := trained(TCP8K(g))
 			tcp.pht[5].tag = 1 << 16
-			return snapshot(t, tcp)
+			return checkpoint.Encode(tcp)
 		}, TCP8K(g)},
 		{"more targets than Targets", func() []byte {
-			return snapshot(t, trained(Config{L1: g, Targets: 2}))
+			return checkpoint.Encode(trained(Config{L1: g, Targets: 2}))
 		}, Config{L1: g, Targets: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tcp := New(tc.into)
-			err := restore(tcp, tc.img())
+			err := checkpoint.Decode(tc.img(), tcp)
 			if !errors.Is(err, checkpoint.ErrCorrupt) {
-				t.Fatalf("Restore = %v, want an error wrapping ErrCorrupt", err)
+				t.Fatalf("Decode = %v, want an error wrapping ErrCorrupt", err)
 			}
 		})
 	}
@@ -182,7 +164,7 @@ func TestTCP8MHostFootprint(t *testing.T) {
 }
 
 // FuzzTCPRestore feeds arbitrary images to the TCP decoder. It must never
-// panic; an image it accepts must Save back byte-identical and leave a TCP
+// panic; an image it accepts must encode back byte-identical and leave a TCP
 // that keeps running. The fuzzer's bytes get a fresh CRC, so mutations
 // reach the decoder instead of dying at the checksum gate. Images are about
 // 50 KB, so minimizing a new input at the default 60 s stalls a short run:
@@ -194,7 +176,7 @@ func FuzzTCPRestore(f *testing.F) {
 	for _, m := range misses[:2000] {
 		tcp.OnMiss(m)
 	}
-	img := snapshot(f, tcp)
+	img := checkpoint.Encode(tcp)
 	f.Add(img)
 	mut := slices.Clone(img)
 	mut[len(mut)/2] ^= 0x40
@@ -207,11 +189,11 @@ func FuzzTCPRestore(f *testing.F) {
 		}
 		data = reCRC(slices.Clone(data))
 		tcp := New(TCP8K(g))
-		if restore(tcp, data) != nil {
+		if checkpoint.Decode(data, tcp) != nil {
 			return
 		}
-		if again := snapshot(t, tcp); !bytes.Equal(again, data) {
-			t.Fatal("accepted image does not Save back byte-identical")
+		if again := checkpoint.Encode(tcp); !bytes.Equal(again, data) {
+			t.Fatal("accepted image does not encode back byte-identical")
 		}
 		for _, m := range misses[2000:] {
 			tcp.OnMiss(m)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math/bits"
 	"runtime"
 	"runtime/debug"
@@ -18,7 +19,7 @@ import (
 // denseTCP is the reference TCP for the sparse PHT: the layout in which
 // every PHT set's ways are preallocated at pht[set*PHTWays:] and their
 // targets at targets[set*PHTWays*Targets:]. It mirrors TCP's update,
-// lookup and Save, so the differential tests below hold the demand-
+// lookup and encoding, so the differential tests below hold the demand-
 // materialised tables to the same requests, counters and checkpoint bytes.
 type denseTCP struct {
 	geo     *TCP // index hash and geometry only; its own tables stay empty
@@ -143,41 +144,48 @@ func (d *denseTCP) OnMiss(m trace.Miss) []prefetch.Request {
 	return reqs
 }
 
-// image returns the dense table's checkpoint in TCP's format.
+// image returns the dense table's checkpoint in TCP's format. It is
+// encoded by hand, container framing included, so the reference shares no
+// code with the codec under test and a 2 M entry image stays cheap under
+// the race detector.
 func (d *denseTCP) image() []byte {
-	w := checkpoint.NewWriter()
-	w.Section("tcp")
-	w.I64(d.clock)
-	w.U32(uint32(len(d.thtFill)))
-	w.U32(uint32(d.cfg.HistoryDepth))
-	for _, tag := range d.tht {
-		w.U64(tag)
-	}
-	w.Ints(d.thtFill)
-	w.U32(uint32(len(d.pht)))
-	// The PHT records are encoded by hand, one Write for the whole table,
-	// so the reference does not share the encoder under test and a 2 M
-	// entry image stays cheap under the race detector.
 	le := binary.LittleEndian
-	buf := make([]byte, 0, len(d.pht)*21+len(d.targets)*8)
+	p := le.AppendUint64(nil, uint64(d.clock))
+	p = le.AppendUint32(p, uint32(len(d.thtFill)))
+	p = le.AppendUint32(p, uint32(d.cfg.HistoryDepth))
+	for _, tag := range d.tht {
+		p = le.AppendUint64(p, tag)
+	}
+	p = le.AppendUint32(p, uint32(len(d.thtFill)))
+	for _, f := range d.thtFill {
+		p = le.AppendUint64(p, uint64(f))
+	}
+	p = le.AppendUint32(p, uint32(len(d.pht)))
 	for i, e := range d.pht {
-		buf = le.AppendUint64(buf, uint64(e.tag))
-		buf = le.AppendUint64(buf, uint64(e.used))
+		p = le.AppendUint64(p, uint64(e.tag))
+		p = le.AppendUint64(p, uint64(e.used))
 		valid := byte(0)
 		if e.valid {
 			valid = 1
 		}
-		buf = append(buf, valid)
-		buf = le.AppendUint32(buf, uint32(e.n))
+		p = append(p, valid)
+		p = le.AppendUint32(p, uint32(e.n))
 		for _, tg := range d.entryTargets(i) {
-			buf = le.AppendUint64(buf, tg)
+			p = le.AppendUint64(p, tg)
 		}
 	}
-	w.Write(buf)
 	for _, f := range d.st.fields() {
-		w.U64(*f)
+		p = le.AppendUint64(p, *f)
 	}
-	return w.Finish()
+	// One "tcp" section between the header and the CRC trailer.
+	img := le.AppendUint32(nil, checkpoint.Magic)
+	img = le.AppendUint16(img, checkpoint.Version)
+	img = le.AppendUint16(img, 0)
+	img = le.AppendUint16(img, uint16(len("tcp")))
+	img = append(img, "tcp"...)
+	img = le.AppendUint32(img, uint32(len(p)))
+	img = append(img, p...)
+	return le.AppendUint32(img, crc32.ChecksumIEEE(img))
 }
 
 // mixedMisses returns n seeded misses. Half come from 64 sets and a
@@ -208,7 +216,7 @@ func mixedMisses(g addr.Geometry, seed uint64, n int) []trace.Miss {
 
 // lockstep feeds misses to both TCPs, failing at the first miss whose
 // requests or counters differ. Every saveEvery misses (0: never) it also
-// compares Save bytes.
+// compares checkpoint bytes.
 func lockstep(t *testing.T, sparse *TCP, dense *denseTCP, misses []trace.Miss, saveEvery int) {
 	t.Helper()
 	for i, m := range misses {
@@ -219,15 +227,15 @@ func lockstep(t *testing.T, sparse *TCP, dense *denseTCP, misses []trace.Miss, s
 		if sparse.Stats() != dense.st {
 			t.Fatalf("miss %d: stats %+v, want %+v", i, sparse.Stats(), dense.st)
 		}
-		if saveEvery > 0 && (i+1)%saveEvery == 0 && !bytes.Equal(snapshot(t, sparse), dense.image()) {
-			t.Fatalf("Save after %d misses differs from the dense table's", i+1)
+		if saveEvery > 0 && (i+1)%saveEvery == 0 && !bytes.Equal(checkpoint.Encode(sparse), dense.image()) {
+			t.Fatalf("image after %d misses differs from the dense table's", i+1)
 		}
 	}
 }
 
 // TestSparsePHTMatchesDense drives the sparse TCP and the dense reference
 // with the same seeded miss streams: every OnMiss returns the same
-// requests, the counters agree, and Save bytes are equal every 1000
+// requests, the counters agree, and checkpoint bytes are equal every 1000
 // misses. A second stream after restoring an empty image reuses the pools'
 // stale frames.
 func TestSparsePHTMatchesDense(t *testing.T) {
@@ -258,7 +266,7 @@ func TestSparsePHTMatchesDense(t *testing.T) {
 			if sets := len(sparse.pht) / sparse.cfg.PHTWays; tc.name == "tcp-8M" && sets <= initialFrames {
 				t.Errorf("%d sets materialised, want more than %d to cover pool growth", sets, initialFrames)
 			}
-			if err := restore(sparse, newDense(tc.cfg).image()); err != nil {
+			if err := checkpoint.Decode(newDense(tc.cfg).image(), sparse); err != nil {
 				t.Fatal(err)
 			}
 			lockstep(t, sparse, newDense(tc.cfg), mixedMisses(g, 8, 2000), 1000)
@@ -294,17 +302,17 @@ func TestRestoreMaterialisesOnlyTrainedSets(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tcp := New(TCP8K(g))
-			for _, m := range missStream(g, 2000) { // stale sets Restore must drop
+			for _, m := range missStream(g, 2000) { // stale sets decoding must drop
 				tcp.OnMiss(m)
 			}
-			if err := restore(tcp, tc.img); err != nil {
+			if err := checkpoint.Decode(tc.img, tcp); err != nil {
 				t.Fatal(err)
 			}
 			if sets := len(tcp.pht) / tcp.cfg.PHTWays; sets != tc.sets {
-				t.Errorf("Restore materialised %d sets, want %d", sets, tc.sets)
+				t.Errorf("Decode materialised %d sets, want %d", sets, tc.sets)
 			}
-			if again := snapshot(t, tcp); !bytes.Equal(again, tc.img) {
-				t.Error("Save after Restore is not byte-identical")
+			if again := checkpoint.Encode(tcp); !bytes.Equal(again, tc.img) {
+				t.Error("encoding after decoding is not byte-identical")
 			}
 		})
 	}
@@ -364,7 +372,7 @@ func fuzzMisses(g addr.Geometry, data []byte) []trace.Miss {
 
 // FuzzSparsePHT is the differential oracle under fuzzing: any miss stream
 // must give the sparse and the dense TCP equal requests and counters at
-// every miss and equal Save bytes at the end. Each input saves two 1.4 MB
+// every miss and equal checkpoint bytes at the end. Each input encodes two 1.4 MB
 // images, so minimizing at the default 60 s would take over a short run:
 // pass -fuzzminimizetime=10x as CI does.
 func FuzzSparsePHT(f *testing.F) {
@@ -378,14 +386,14 @@ func FuzzSparsePHT(f *testing.F) {
 		f.Add(data)
 	}
 	// TCP-8M-shaped (8 ways, every miss-index bit private) but with 8192
-	// PHT sets, so a Save per input stays small while a long input can
+	// PHT sets, so an image per input stays small while a long input can
 	// still grow the pools past New's 4096-set reservation.
 	cfg := Config{L1: g, HistoryDepth: 2, PHTSets: 8192, PHTWays: 8, IndexBits: int(g.IndexBits())}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sparse, dense := New(cfg), newDense(cfg)
 		lockstep(t, sparse, dense, fuzzMisses(g, data), 0)
-		if !bytes.Equal(snapshot(t, sparse), dense.image()) {
-			t.Fatalf("Save differs from the dense table's after %d misses", len(data)/4)
+		if !bytes.Equal(checkpoint.Encode(sparse), dense.image()) {
+			t.Fatalf("image differs from the dense table's after %d misses", len(data)/4)
 		}
 	})
 }

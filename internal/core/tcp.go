@@ -127,7 +127,7 @@ func TCP8M(l1 addr.Geometry) Config {
 // TCP is the tag correlating prefetcher. Construct with New.
 type TCP struct {
 	cfg     Config
-	tagMask uint64 //tcp:nosnap geometry derived from cfg at construction
+	tagMask uint64 // geometry derived from cfg at construction; bounds a decoded tag
 	setMask uint64 //tcp:nosnap geometry derived from cfg at construction
 	idxMask uint32 //tcp:nosnap geometry derived from cfg at construction
 	hiBits  uint   //tcp:nosnap geometry derived from cfg at construction
@@ -154,7 +154,7 @@ type TCP struct {
 	reqs []prefetch.Request
 
 	st  Stats             // predictor counters, single-writer
-	pub telemetry.Mirror  //tcp:nosnap host-side registry mirror of st, republished after Restore
+	pub telemetry.Mirror  //tcp:nosnap host-side registry mirror of st, republished after a decode
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 

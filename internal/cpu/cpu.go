@@ -176,7 +176,7 @@ func (r Result) sub(w Result) Result {
 // checkpointed mid-flight, and finished with Finish. sim.Machine is the
 // driver that sequences these calls.
 type Core struct {
-	cfg  Config //tcp:nosnap configuration supplied at construction; Restore only revalidates against it
+	cfg  Config // configuration supplied at construction; decoding validates slot counts against it
 	mem  Memory //tcp:nosnap wiring; the memory system serialises its own state through the machine walk
 	pred branch.Predictor
 

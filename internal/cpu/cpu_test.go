@@ -30,11 +30,7 @@ func (g *scriptGen) Next(in *workload.Inst) {
 	*in = g.insts[g.pos]
 	g.pos = (g.pos + 1) % len(g.insts)
 }
-func (g *scriptGen) Save(w *checkpoint.Writer) { w.Int(g.pos) }
-func (g *scriptGen) Restore(r *checkpoint.Reader) error {
-	g.pos = r.Int()
-	return r.Err()
-}
+func (g *scriptGen) Snapshot(c *checkpoint.Codec) { c.Int(&g.pos) }
 
 // runMeasured drives a fresh core the way sim.Machine does: warmup on the
 // cycle-accurate engine (or, with fast, the functional one), the warm

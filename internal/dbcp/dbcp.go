@@ -60,7 +60,7 @@ func DBCP2M(l1 addr.Geometry) Config {
 
 // DBCP is the dead-block correlating prefetcher. Construct with New.
 type DBCP struct {
-	cfg     Config //tcp:nosnap configuration supplied at construction; Restore requires a same-config instance
+	cfg     Config //tcp:nosnap configuration supplied at construction; decoding requires a same-config instance
 	sigMask uint64 //tcp:nosnap geometry derived from cfg at construction
 	setMask uint64 //tcp:nosnap geometry derived from cfg at construction
 

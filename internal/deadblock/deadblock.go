@@ -43,7 +43,7 @@ func (c Config) withDefaults() Config {
 
 // Predictor is the timekeeping dead-block predictor. Construct with New.
 type Predictor struct {
-	cfg  Config           //tcp:nosnap configuration supplied at construction; Restore only validates table bounds against it
+	cfg  Config           // configuration supplied at construction; bounds the decoded ring
 	live map[uint64]int64 // blockID -> last observed live time (cycles)
 	// ring holds the map's keys in insertion order; when the table is
 	// full the oldest insertion is replaced. Replacement must be

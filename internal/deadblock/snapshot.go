@@ -1,59 +1,33 @@
 package deadblock
 
 import (
-	"fmt"
+	"slices"
 
 	"tagprefetch/internal/checkpoint"
 )
 
-// Save implements checkpoint.Snapshotter. The ring already holds the live
-// table's keys in insertion order (that order IS the FIFO replacement
-// state), so serialising ring entries with their live times captures the
-// map deterministically without sorting.
-func (p *Predictor) Save(w *checkpoint.Writer) {
-	w.Section("deadblock")
-	w.U64(p.stats.Learned)
-	w.U64(p.stats.Queries)
-	w.U64(p.stats.PredictDead)
-	w.Int(p.ringHead)
-	w.U32(uint32(len(p.ring)))
-	for _, id := range p.ring {
-		w.U64(id)
-		w.I64(p.live[id])
+// Snapshot implements checkpoint.Snapshotter. The ring already holds the
+// live table's keys in insertion order (that order IS the FIFO replacement
+// state), so coding ring entries with their live times captures the map
+// deterministically without sorting; decoding rebuilds the map by
+// replaying the ring insertions in order.
+func (p *Predictor) Snapshot(c *checkpoint.Codec) {
+	c.Section("deadblock")
+	c.U64(&p.stats.Learned)
+	c.U64(&p.stats.Queries)
+	c.U64(&p.stats.PredictDead)
+	c.Int(&p.ringHead)
+	n := c.Count(len(p.ring), p.cfg.Entries)
+	c.Check(p.ringHead >= 0 && (n > 0 && p.ringHead < p.cfg.Entries || n == 0 && p.ringHead == 0),
+		"deadblock: checkpoint ring head %d out of range", p.ringHead)
+	p.ring = slices.Grow(p.ring[:0], n)[:n]
+	if c.Decoding() {
+		p.live = make(map[uint64]int64, p.cfg.Entries)
 	}
-}
-
-// Restore implements checkpoint.Snapshotter, rebuilding the live table by
-// replaying ring insertions in order.
-func (p *Predictor) Restore(r *checkpoint.Reader) error {
-	if err := r.Section("deadblock"); err != nil {
-		return err
+	for i := range p.ring {
+		c.U64(&p.ring[i])
+		lt := p.live[p.ring[i]]
+		c.I64(&lt)
+		p.live[p.ring[i]] = lt
 	}
-	p.stats.Learned = r.U64()
-	p.stats.Queries = r.U64()
-	p.stats.PredictDead = r.U64()
-	head := r.Int()
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n > p.cfg.Entries {
-		return fmt.Errorf("deadblock: checkpoint ring %d entries, max %d", n, p.cfg.Entries)
-	}
-	if head < 0 || (n > 0 && head >= p.cfg.Entries) || (n == 0 && head != 0) {
-		return fmt.Errorf("deadblock: checkpoint ring head %d out of range", head)
-	}
-	p.ringHead = head
-	p.ring = p.ring[:0]
-	p.live = make(map[uint64]int64, p.cfg.Entries)
-	for i := 0; i < n; i++ {
-		id := r.U64()
-		lt := r.I64()
-		if r.Err() != nil {
-			break
-		}
-		p.ring = append(p.ring, id)
-		p.live[id] = lt
-	}
-	return r.Err()
 }

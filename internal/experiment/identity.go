@@ -1,9 +1,10 @@
 package experiment
 
-// Grid-point identity: every result manifest, baseline memo and daemon
-// cache entry is keyed by a content fingerprint of the job's normalized
-// configuration. The fingerprint covers exactly the inputs that shape a
-// simulation's output — benchmark, factory name, baseline flag, measured
+// Grid-point identity: every result manifest and daemon cache entry is
+// keyed by a content fingerprint of the job's normalized configuration,
+// and the runner's baseline memo by that normalized configuration itself.
+// The fingerprint covers exactly the inputs that shape a simulation's
+// output — benchmark, factory name, baseline flag, measured
 // and warmup windows, seed, warmup fidelity, the cpu.Config (cpuKey plus
 // the branch predictor's name) and the defaulted memsys.Config — so two
 // requests that describe the same machine resolve to the same address and
@@ -39,9 +40,9 @@ func JobName(j Job) string {
 	return jobFile(j.Bench, factory, j.Baseline, j.Config)
 }
 
-// pointPreimage builds the fingerprint string the manifest-name hash and
-// the runner's baseline memo consume. It is stable across processes and
-// hosts: only the normalized configuration participates, never live state.
+// pointPreimage builds the fingerprint string the manifest-name hash
+// consumes. It is stable across processes and hosts: only the normalized
+// configuration participates, never live state.
 // The layout is pinned by a golden test (identity_test.go): field order,
 // separators and the trailing non-default clauses must not change without
 // bumping every existing manifest name deliberately.

@@ -63,7 +63,7 @@ type Runner struct {
 	workers int
 
 	mu       sync.Mutex
-	baseline map[string]*baselineEntry // keyed by pointPreimage
+	baseline map[pointKey]*baselineEntry // keyed by the normalized point
 
 	// warm-fork state: shared baseline-warmed checkpoints (see warmfork.go)
 	// and the optional on-disk persistence / completed-result manifests.
@@ -97,7 +97,7 @@ func NewRunner(jobs int) *Runner {
 	}
 	return &Runner{
 		workers:  jobs,
-		baseline: make(map[string]*baselineEntry),
+		baseline: make(map[pointKey]*baselineEntry),
 		warm:     make(map[warmKey]*warmEntry),
 	}
 }
@@ -183,26 +183,10 @@ func (r *Runner) run(j Job) sim.Result {
 		return sim.Result{}
 	}
 	if !j.Baseline {
-		if res, ok := r.store.Lookup(j.Bench, j.Factory.Name, false, j.Config); ok {
-			r.storeHits.Add(1)
-			return res
-		}
-		if r.claims != nil {
-			return r.runDistributed(j.Bench, j.Factory, false, j.Config)
-		}
-		r.requireComplete(j.Bench, j.Factory.Name, false, j.Config)
-		res := r.simulate(j.Bench, j.Factory, j.Config)
-		r.store.Save(j.Bench, j.Factory.Name, false, j.Config, res)
-		return res
+		return r.resolve(j.Bench, j.Factory, false, j.Config)
 	}
 	base := sim.NoPrefetch()
-	// The memo keys on the fingerprint preimage itself, not its hash, so a
-	// hash collision cannot alias two configs.
-	key := pointPreimage(j.Bench, base.Name, true, j.Config)
-	if res, ok := r.store.Lookup(j.Bench, base.Name, true, j.Config); ok {
-		r.storeHits.Add(1)
-		return res
-	}
+	key := pointKey{j.Bench, base.Name, true, normalizedPoint(j.Config)}
 	r.mu.Lock()
 	e := r.baseline[key]
 	if e == nil {
@@ -212,21 +196,42 @@ func (r *Runner) run(j Job) sim.Result {
 		r.baselineReuses.Add(1)
 	}
 	r.mu.Unlock()
-	// once.Do coalesces duplicate in-flight submissions onto one run;
-	// latecomers block until the result is ready. In distributed mode the
-	// coalescer still collapses this worker's duplicate submissions, and
-	// the claim protocol arbitrates across workers.
-	e.once.Do(func() {
-		if r.claims != nil {
-			e.res = r.runDistributed(j.Bench, base, true, j.Config)
-			return
-		}
-		r.requireComplete(j.Bench, base.Name, true, j.Config)
-		r.baselineRuns.Add(1)
-		e.res = r.simulate(j.Bench, base, j.Config)
-		r.store.Save(j.Bench, base.Name, true, j.Config, e.res)
-	})
+	// once.Do coalesces duplicate in-flight submissions onto one
+	// resolution; latecomers block until the result is ready. In
+	// distributed mode the coalescer still collapses this worker's
+	// duplicate submissions, and the claim protocol arbitrates across
+	// workers.
+	e.once.Do(func() { e.res = r.resolve(j.Bench, base, true, j.Config) })
 	return e.res
+}
+
+// normalizedPoint is c as the point preimage sees it (writePreimage), so
+// two configs share a baseline memo key exactly when they share a
+// preimage.
+func normalizedPoint(c sim.Config) sim.Config {
+	n := c.Normalized()
+	n.Mem = n.Mem.WithDefaults()
+	return n
+}
+
+// resolve answers one grid point: from its manifest, else through the
+// claim protocol in distributed mode, else — unless a strict gather
+// forbids it — by simulating and publishing the manifest.
+func (r *Runner) resolve(bench string, f sim.Factory, baseline bool, cfg sim.Config) sim.Result {
+	if res, ok := r.store.Lookup(bench, f.Name, baseline, cfg); ok {
+		r.storeHits.Add(1)
+		return res
+	}
+	if r.claims != nil {
+		return r.runDistributed(bench, f, baseline, cfg)
+	}
+	r.requireComplete(bench, f.Name, baseline, cfg)
+	if baseline {
+		r.baselineRuns.Add(1)
+	}
+	res := r.simulate(bench, f, cfg)
+	r.store.Save(bench, f.Name, baseline, cfg, res)
+	return res
 }
 
 // ForEach runs fn(i) for every i in [0, n) across the pool. It is the

@@ -140,7 +140,7 @@ func (s Stats) Sub(w Stats) Stats {
 
 // MemSys is the memory hierarchy. Construct with New.
 type MemSys struct {
-	cfg Config //tcp:nosnap configuration supplied at construction; Restore requires a same-config instance
+	cfg Config //tcp:nosnap configuration supplied at construction; decoding requires a same-config instance
 
 	l1d    *cache.Cache
 	l2     *cache.Cache
@@ -160,10 +160,10 @@ type MemSys struct {
 	// nothing, so the trace.Miss construction and request-batch handling
 	// around them are dead work. setPrefetchers derives it whenever pf or
 	// l2pf changes.
-	pfNoop bool //tcp:nosnap derived from pf and l2pf, which Restore requires to match
+	pfNoop bool //tcp:nosnap derived from pf and l2pf, which decoding requires to match
 
 	st  Stats             // hierarchy counters, single-writer; the L1 fields stay zero (see fields)
-	pub telemetry.Mirror  //tcp:nosnap host-side registry mirror of st, republished after Restore
+	pub telemetry.Mirror  // host-side registry mirror of st, republished after a decode
 	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
 }
 
@@ -254,7 +254,7 @@ func (m *MemSys) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) 
 // PublishCounters stores the hierarchy's, both caches' and the attached
 // prefetchers' counters into the registry mirrors bound by AttachTelemetry.
 // It runs at the machine's publish points (cpu.Core.OnPublish), at Finish
-// and after Restore, on the simulation goroutine.
+// and after a checkpoint decode, on the simulation goroutine.
 func (m *MemSys) PublishCounters() {
 	m.pub.Publish()
 	m.l1d.PublishCounters()

@@ -14,7 +14,7 @@ import (
 type Markov struct {
 	sets    [][]markovEntry
 	setMask uint64 //tcp:nosnap geometry derived from the set count at construction
-	targets int    //tcp:nosnap per-entry capacity fixed at construction; Restore validates row lengths against it
+	targets int    // per-entry capacity fixed at construction; bounds a decoded row
 	last    addr.Addr
 	hasLast bool
 	clock   int64

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"tagprefetch/internal/addr"
 	"tagprefetch/internal/cache"
 	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/cpu"
@@ -25,7 +24,7 @@ import (
 // split and every component serialises its complete dynamic state.
 type Machine struct {
 	spec   workload.Spec
-	f      Factory        //tcp:nosnap construction wiring; Restore rebuilds parked components through it, it is not serialisable state
+	f      Factory        //tcp:nosnap construction wiring; it built the parked components, it is not serialisable state
 	cfg    Config         // normalized
 	memCfg memsys.Config  // normalized, including the hybrid prefetch bus
 	tel    *telemetry.Run // set by Observe; its sampler, when present, is part of the image
@@ -33,16 +32,18 @@ type Machine struct {
 	mem  *memsys.MemSys
 	core *cpu.Core
 	gen  workload.Generator
-	pf   prefetch.Prefetcher //tcp:nosnap serialised through the memsys walk when attached; Restore re-parks it from the decoded parked flag
+	pf   prefetch.Prefetcher // coded through the memsys walk once attached
 
 	// The scheme's components, attached at construction — or, during a
 	// baseline warmup (Config.BaselineWarmup), parked and attached at the
 	// warmup/measure boundary, so every grid config shares one
 	// bit-identical warm state for warm-fork sweeps.
-	parked       bool                           //tcp:nosnap re-derived by Restore from the decoded warmup phase
-	parkedAtL2   bool                           //tcp:nosnap re-derived by Restore from the decoded warmup phase
-	parkedDbp    *deadblock.Predictor           //tcp:nosnap re-parked by Restore via the factory, serialised through the memsys walk when attached
-	parkedRetire func(pc uint64, critical bool) //tcp:nosnap function wiring re-established by Restore; not serialisable
+	// A post-boundary image attaches them on decode, before the memsys
+	// walk codes them.
+	parked       bool
+	parkedAtL2   bool
+	parkedDbp    *deadblock.Predictor
+	parkedRetire func(pc uint64, critical bool)
 
 	memAtBoundary              memsys.Stats
 	l1AtBoundary, l2AtBoundary cache.Stats
@@ -102,7 +103,7 @@ func NewMachine(spec workload.Spec, f Factory, cfg Config) (*Machine, error) {
 // to tel.Tracer, and — when tel.Sampler is set — the core drives
 // cycle-sampled time series for IPC, L1 miss rate and prefetch
 // coverage/accuracy, with warmup/measure phase boundaries recorded.
-// Call it at most once, before the first RunTo or Restore; a sampler is
+// Call it at most once, before the first RunTo or RestoreImage; a sampler is
 // part of the checkpoint image, so a saver and its restorer must agree on
 // one. A nil tel observes nothing, and an unobserved machine pays nothing.
 func (m *Machine) Observe(tel *telemetry.Run) {
@@ -242,46 +243,68 @@ func (m *Machine) boundaryCounters() []*uint64 {
 	return slices.Concat(mem[:], l1[:], l2[:])
 }
 
-// Save implements checkpoint.Snapshotter: an identity section (benchmark,
-// seed, warmup, position, cache geometries, boundary snapshots) followed by
-// every component's own section — CPU, workload generator, memory hierarchy,
-// and the telemetry sampler when one is attached. The configured measured
-// window is deliberately not part of the identity: the warm state at any
-// pre-boundary position does not depend on it, which is what lets one
-// baseline warmup fork into grid points with different measure lengths.
-func (m *Machine) Save(w *checkpoint.Writer) {
-	w.Section("machine")
-	w.String(m.spec.Name)
-	w.U64(m.cfg.Seed)
-	w.U64(m.cfg.Warmup)
+// Snapshot implements checkpoint.Snapshotter: an identity section
+// (benchmark, seed, warmup, position, cache geometries, boundary
+// snapshots) followed by every component's own section — CPU, workload
+// generator, memory hierarchy, and the telemetry sampler when one is
+// attached. The configured measured window is deliberately not part of
+// the identity: the warm state at any pre-boundary position does not
+// depend on it, which is what lets one baseline warmup fork into grid
+// points with different measure lengths. Decoding checks the identity
+// against the machine's own before any component decodes, and a
+// post-boundary image attaches the parked components first so section
+// names line up with the encoded image.
+func (m *Machine) Snapshot(c *checkpoint.Codec) {
+	c.Section("machine")
+	name, seed, warmup, done := m.spec.Name, m.cfg.Seed, m.cfg.Warmup, m.core.Done()
 	// The warmup fidelity is identity: the machine state along a fast
 	// warmup trajectory is not the state along a full one (pipeline clocks
 	// differ pre-boundary, cycle-trained components diverge), so an image
 	// may only be restored into a machine configured for the same engine.
-	w.String(string(m.cfg.WarmupFidelity))
-	w.U64(m.core.Done())
-	for _, g := range [...]addr.Geometry{m.memCfg.L1D, m.memCfg.L2} {
-		w.Int(g.SizeBytes())
-		w.Int(g.Ways())
-		w.Int(g.BlockBytes())
+	fidelity := string(m.cfg.WarmupFidelity)
+	c.String(&name)
+	c.U64(&seed)
+	c.U64(&warmup)
+	c.String(&fidelity)
+	c.U64(&done)
+	want := [6]int{
+		m.memCfg.L1D.SizeBytes(), m.memCfg.L1D.Ways(), m.memCfg.L1D.BlockBytes(),
+		m.memCfg.L2.SizeBytes(), m.memCfg.L2.Ways(), m.memCfg.L2.BlockBytes(),
 	}
-	hasSampler := m.hasSampler()
-	w.Bool(hasSampler)
-	w.Bool(m.core.Warmed())
-	if m.core.Warmed() {
+	geo := want
+	for i := range geo {
+		c.Int(&geo[i])
+	}
+	hasSampler, warmed := m.hasSampler(), m.core.Warmed()
+	c.Bool(&hasSampler)
+	c.Bool(&warmed)
+	c.Check(name == m.spec.Name, "sim: checkpoint for benchmark %q, machine runs %q", name, m.spec.Name)
+	c.Check(seed == m.cfg.Seed, "sim: checkpoint seed %d, machine seed %d", seed, m.cfg.Seed)
+	c.Check(warmup == m.cfg.Warmup, "sim: checkpoint warmup %d, machine warmup %d", warmup, m.cfg.Warmup)
+	if Fidelity(fidelity) != m.cfg.WarmupFidelity {
+		c.Fail(&FidelityMismatchError{Checkpoint: Fidelity(fidelity), Machine: m.cfg.WarmupFidelity})
+	}
+	c.Check(geo == want, "sim: checkpoint cache geometry %v, machine %v", geo, want)
+	c.Check(hasSampler == m.hasSampler(), "sim: checkpoint sampler presence %v, machine %v", hasSampler, m.hasSampler())
+	if !c.Check(done <= m.Total(), "sim: checkpoint position %d beyond run length %d", done, m.Total()) {
+		return
+	}
+	if warmed {
+		if c.Decoding() {
+			m.attachParked()
+		}
 		for _, f := range m.boundaryCounters() {
-			w.U64(*f)
+			c.U64(f)
 		}
 	}
-	for _, c := range m.sections(hasSampler) {
-		c.Save(w)
+	for _, s := range m.sections(hasSampler) {
+		s.Snapshot(c)
 	}
 }
 
 // sections lists the machine's components in checkpoint order, after the
-// identity section, for Save and Restore alike: the core, the workload
-// generator, the memory hierarchy, and the telemetry sampler when the image
-// carries one.
+// identity section: the core, the workload generator, the memory
+// hierarchy, and the telemetry sampler when the image carries one.
 func (m *Machine) sections(sampler bool) []checkpoint.Snapshotter {
 	s := []checkpoint.Snapshotter{m.core, m.gen, m.mem}
 	if sampler {
@@ -294,7 +317,7 @@ func (m *Machine) sections(sampler bool) []checkpoint.Snapshotter {
 // makes its sampler part of the checkpoint image.
 func (m *Machine) hasSampler() bool { return m.tel != nil && m.tel.Sampler != nil }
 
-// FidelityMismatchError is the typed error Restore returns when a
+// FidelityMismatchError is the typed error RestoreImage returns when a
 // checkpoint image recorded under one warmup fidelity is restored into a
 // machine configured for another. Crossing fidelities silently would make
 // the continued run's results belong to neither engine: the image's
@@ -308,90 +331,19 @@ func (e *FidelityMismatchError) Error() string {
 		e.Checkpoint, e.Machine)
 }
 
-// Restore implements checkpoint.Snapshotter. The machine must be freshly
-// constructed (nothing run yet) from the same benchmark, seed, warmup and
-// cache geometries as the saver; a post-boundary checkpoint attaches the
-// parked components first so section names line up with the saved image.
-func (m *Machine) Restore(r *checkpoint.Reader) error {
+// Checkpoint serialises the machine into a complete checkpoint image
+// (header, sections, CRC trailer). Encoding cannot fail; the error result
+// is always nil.
+func (m *Machine) Checkpoint() ([]byte, error) {
+	return checkpoint.Encode(m), nil
+}
+
+// RestoreImage restores a freshly constructed machine (nothing run yet)
+// from a complete checkpoint image encoded by a machine with the same
+// benchmark, seed, warmup, warmup fidelity and cache geometries.
+func (m *Machine) RestoreImage(data []byte) error {
 	if m.core.Done() != 0 {
 		return fmt.Errorf("sim: checkpoint restore requires a fresh machine")
 	}
-	if err := r.Section("machine"); err != nil {
-		return err
-	}
-	name := r.String()
-	seed := r.U64()
-	warmup := r.U64()
-	fidelity := Fidelity(r.String())
-	done := r.U64()
-	var geo [6]int
-	for i := range geo {
-		geo[i] = r.Int()
-	}
-	hasSampler := r.Bool()
-	warmed := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if name != m.spec.Name {
-		return fmt.Errorf("sim: checkpoint for benchmark %q, machine runs %q", name, m.spec.Name)
-	}
-	if seed != m.cfg.Seed {
-		return fmt.Errorf("sim: checkpoint seed %d, machine seed %d", seed, m.cfg.Seed)
-	}
-	if warmup != m.cfg.Warmup {
-		return fmt.Errorf("sim: checkpoint warmup %d, machine warmup %d", warmup, m.cfg.Warmup)
-	}
-	if fidelity != m.cfg.WarmupFidelity {
-		return &FidelityMismatchError{Checkpoint: fidelity, Machine: m.cfg.WarmupFidelity}
-	}
-	want := [6]int{
-		m.memCfg.L1D.SizeBytes(), m.memCfg.L1D.Ways(), m.memCfg.L1D.BlockBytes(),
-		m.memCfg.L2.SizeBytes(), m.memCfg.L2.Ways(), m.memCfg.L2.BlockBytes(),
-	}
-	if geo != want {
-		return fmt.Errorf("sim: checkpoint cache geometry %v, machine %v", geo, want)
-	}
-	if machineSampler := m.hasSampler(); hasSampler != machineSampler {
-		return fmt.Errorf("sim: checkpoint sampler presence %v, machine %v", hasSampler, machineSampler)
-	}
-	if done > m.Total() {
-		return fmt.Errorf("sim: checkpoint position %d beyond run length %d", done, m.Total())
-	}
-	if warmed {
-		m.attachParked()
-		for _, f := range m.boundaryCounters() {
-			*f = r.U64()
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-	}
-	for _, c := range m.sections(hasSampler) {
-		if err := c.Restore(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Checkpoint serialises the machine into a complete checkpoint image
-// (header, sections, CRC trailer). Saving cannot fail; the error result is
-// always nil.
-func (m *Machine) Checkpoint() ([]byte, error) {
-	w := checkpoint.NewWriter()
-	m.Save(w)
-	return w.Finish(), nil
-}
-
-// RestoreImage restores the machine from a complete checkpoint image.
-func (m *Machine) RestoreImage(data []byte) error {
-	r, err := checkpoint.NewReader(data)
-	if err != nil {
-		return err
-	}
-	if err := m.Restore(r); err != nil {
-		return err
-	}
-	return r.Finish()
+	return checkpoint.Decode(data, m)
 }

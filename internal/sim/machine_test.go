@@ -11,7 +11,7 @@ func testConfig() Config {
 	return Config{Instructions: 30_000, Warmup: 60_000, Seed: 1}
 }
 
-func mustMachine(t *testing.T, bench string, f Factory, cfg Config) *Machine {
+func mustMachine(t testing.TB, bench string, f Factory, cfg Config) *Machine {
 	t.Helper()
 	spec, err := workload.Spec2000(bench)
 	if err != nil {

@@ -72,7 +72,7 @@ func (c *Counter) value(full string) MetricValue {
 // registry Counters. The simulated machine counts into plain fields, so its
 // hot paths pay no atomic read-modify-write, and stores the totals into
 // the registry at its publish points: each sampler tick just before the
-// sample, the warm boundary, Finish and Restore. A registry reader sees
+// sample, the warm boundary, Finish and a checkpoint decode. A registry reader sees
 // values as fresh as the last publish. Publish must run on the goroutine
 // that writes the fields. The zero Mirror mirrors nothing.
 type Mirror struct {

@@ -20,7 +20,7 @@ type Sampler struct {
 
 	phases    []Phase
 	onSample  func(cycle int64, instructions uint64, values []float64) //tcp:nosnap host-side callback wiring; not serialisable
-	maxSample int                                                      //tcp:nosnap capacity configuration fixed at construction
+	maxSample int                                                      // capacity fixed at construction; bounds the decoded samples
 	truncated uint64
 	scratch   []float64 //tcp:nosnap scratch buffer, dead between samples
 }

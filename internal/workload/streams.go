@@ -7,13 +7,12 @@ import (
 
 // stream produces a deterministic address sequence. next returns the byte
 // address and whether the access is address-dependent on the stream's
-// previous access (true only for pointer chases). save/restore checkpoint
-// the stream's dynamic cursor only — structure (footprints, permutations)
+// previous access (true only for pointer chases). snapshot codes the
+// stream's dynamic cursor only — structure (footprints, permutations)
 // is rebuilt by New; see snapshot.go.
 type stream interface {
 	next() (addr uint64, chained bool)
-	save(w *checkpoint.Writer)
-	restore(r *checkpoint.Reader) error
+	snapshot(c *checkpoint.Codec)
 }
 
 func newStream(ss StreamSpec, base uint64, r *xrand.Rand) stream {

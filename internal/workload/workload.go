@@ -207,7 +207,7 @@ type branchPattern struct {
 type synth struct {
 	spec    Spec
 	rng     *xrand.Rand
-	body    []slot //tcp:nosnap static structure rebuilt deterministically by New from the spec and seed; Restore only validates the decoded cursor against its length
+	body    []slot // static structure rebuilt deterministically by New from the spec and seed; bounds the decoded cursor
 	streams []stream
 	branch  []branchPattern
 
