@@ -71,6 +71,9 @@ func (g Geometry) SizeBytes() int { return int(g.sets) * g.ways * g.blockBytes }
 // IndexBits returns the number of set-index bits.
 func (g Geometry) IndexBits() uint { return g.indexBits }
 
+// IndexMask returns the mask that selects the set index from a block ID.
+func (g Geometry) IndexMask() uint64 { return g.indexMask }
+
 // BlockShift returns log2(block size).
 func (g Geometry) BlockShift() uint { return g.blockShift }
 

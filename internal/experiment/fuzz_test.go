@@ -1,43 +1,112 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"tagprefetch/internal/sim"
 )
 
-// FuzzParseManifest asserts the result-manifest parser's contract against
-// arbitrary bytes — truncated files from torn writes, a concurrent writer's
-// half-visible rename, or plain corruption: parseManifest returns a
-// validated record or an error, never panics, and never yields a result
-// with no job identity attached.
+// referenceParse is parseManifest's contract written with encoding/json
+// alone: the decode the fast pass must agree with on every input.
+func referenceParse(data []byte) (storedResult, bool) {
+	var sr storedResult
+	if err := json.Unmarshal(data, &sr); err != nil || sr.Bench == "" || sr.Factory == "" {
+		return storedResult{}, false
+	}
+	return sr, true
+}
+
+// schemeManifests returns the manifest Save writes for one small run of
+// each sim.Schemes row.
+func schemeManifests(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, s := range sim.Schemes {
+		f := s.Factory()
+		res := sim.MustRun("mcf", f, sim.Config{Instructions: 2_000, Warmup: 2_000, Seed: 1})
+		data, err := json.MarshalIndent(storedResult{Bench: "mcf", Factory: f.Name, Result: res}, "", "  ")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
+	}
+	return out
+}
+
+// TestFastPathAcceptsWrittenManifests: every manifest Save writes is
+// decoded by the one-pass decoder itself, not by the encoding/json
+// fallback, and decodes to what encoding/json reads from it.
+func TestFastPathAcceptsWrittenManifests(t *testing.T) {
+	for _, data := range schemeManifests(t) {
+		var sr storedResult
+		if d := (manifestDecoder{data: data}); !d.document(reflect.ValueOf(&sr).Elem()) {
+			t.Fatalf("fast pass declined a manifest Save writes, at byte %d:\n%s", d.pos, data)
+		}
+		if ref, _ := referenceParse(data); sr != ref {
+			t.Errorf("fast pass decoded\n%+v\nencoding/json decodes\n%+v", sr, ref)
+		}
+	}
+}
+
+// FuzzParseManifest checks parseManifest differentially against
+// referenceParse on arbitrary bytes — truncated files from torn writes, a
+// concurrent writer's half-visible rename, plain corruption, and JSON the
+// fast pass must hand to encoding/json: both return the same record, or
+// both reject the input, and parseManifest never panics.
 func FuzzParseManifest(f *testing.F) {
-	good, _ := json.MarshalIndent(storedResult{
-		Bench: "swim", Factory: "tcp-8K", Baseline: false,
-		Result: sim.Result{},
-	}, "", "  ")
-	f.Add(good)
+	written := schemeManifests(f)
+	for _, data := range written {
+		f.Add(data)
+	}
+	good := written[1]
 	f.Add(good[:len(good)/2])
+	for _, edit := range [][2]string{
+		{`"Factory": "tcp-8K"`, `"Factory": "tcp\u002d8K"`},                  // escaped factory name
+		{`"Factory": "tcp-8K"`, `"Factory": "tcp\/8K"`},                      // escaped solidus
+		{`"Bench": "mcf"`, `"bench": "mcf"`},                                 // key in another case
+		{`"Bench": "mcf"`, `"Bench": "swim", "Bench": "mcf"`},                // duplicate key
+		{`"CPU": {`, `"CPU": {"Loads": 9}, "CPU": {`},                        // duplicate object merges
+		{`"Instructions": 2000`, `"Instructions": 02000`},                    // leading zero
+		{`"Instructions": 2000`, `"Instructions": 2e3`},                      // exponent in a uint field
+		{`"Instructions": 2000`, `"Instructions": -2000`},                    // sign in a uint field
+		{`"Cycles": `, `"Cycles": -0, "Cycles": `},                           // negative zero in an int field
+		{`"Baseline": false`, `"Baseline": false, "Extra": [1, {"a": [2]}]`}, // unknown key holding an array
+		{`"Baseline": false`, `"Baseline": null`},                            // null
+		{`"Bench": "mcf"`, `"Bench": "m\u00e9f"`},                            // escaped non-ASCII
+		{`"Bench": "mcf"`, "\"Bench\": \"m\xc3\xa9f\""},                      // raw UTF-8
+		{`"Bench": "mcf"`, "\"Bench\": \"m\xffcf\""},                         // invalid UTF-8
+	} {
+		if !bytes.Contains(good, []byte(edit[0])) {
+			f.Fatalf("seed edit %q does not apply to the manifest", edit[0])
+		}
+		f.Add(bytes.Replace(good, []byte(edit[0]), []byte(edit[1]), 1))
+	}
+	f.Add(append(bytes.Clone(good), "xyz"...)) // trailing garbage
+	f.Add(append(bytes.Clone(good), " \n\t"...))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Bench":"swim"}`))
 	f.Add([]byte(`{"Factory":"tcp-8K"}`))
 	f.Add([]byte(`{"Bench":"","Factory":""}`))
+	f.Add([]byte(`{"Bench":"swim","Factory":"tcp-8K","Result":{"CPU":{"IPC":1e400}}}`))
+	f.Add([]byte(`{"Bench":"swim","Factory":"tcp-8K","Result":{"CPU":{"IPC":-0.5E-3}}}`))
+	f.Add([]byte(`{"Bench":"swim","Factory":"tcp-8K","Result":{"CPU":{"Cycles":99999999999999999999}}}`))
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[{}]`))
 	f.Add([]byte("\xff\x00garbage"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sr, err := parseManifest(data)
-		if err != nil {
-			if sr != (storedResult{}) {
-				t.Fatalf("error %v returned alongside non-zero result %+v", err, sr)
-			}
-			return
+		var sr storedResult
+		err := parseManifest(data, &sr)
+		ref, ok := referenceParse(data)
+		if (err == nil) != ok {
+			t.Fatalf("parseManifest error %v, encoding/json accepts: %v", err, ok)
 		}
-		if sr.Bench == "" || sr.Factory == "" {
-			t.Fatalf("accepted manifest with missing identity: %+v", sr)
+		if sr != ref {
+			t.Fatalf("parseManifest decoded\n%+v\nencoding/json decodes\n%+v", sr, ref)
 		}
 	})
 }

@@ -19,12 +19,12 @@ package experiment
 // cache split.
 
 import (
-	"fmt"
-	"hash/fnv"
-	"io"
+	"strconv"
 	"strings"
 
+	"tagprefetch/internal/addr"
 	"tagprefetch/internal/branch"
+	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/sim"
 )
 
@@ -40,42 +40,100 @@ func JobName(j Job) string {
 	return jobFile(j.Bench, factory, j.Baseline, j.Config)
 }
 
-// pointPreimage builds the fingerprint string the manifest-name hash
-// consumes. It is stable across processes and hosts: only the normalized
-// configuration participates, never live state.
+// appendPreimage appends the fingerprint string the manifest-name hash
+// consumes to b, so the hash reads it from a caller's buffer without
+// materialising a string. It is stable across processes and hosts: only
+// the normalized configuration participates, never live state.
 // The layout is pinned by a golden test (identity_test.go): field order,
 // separators and the trailing non-default clauses must not change without
 // bumping every existing manifest name deliberately.
-func pointPreimage(bench, factory string, baseline bool, c sim.Config) string {
-	var b strings.Builder
-	writePreimage(&b, bench, factory, baseline, c)
-	return b.String()
-}
-
-// writePreimage writes pointPreimage's string to w, so the manifest-name
-// hash consumes it without materialising it.
-func writePreimage(w io.Writer, bench, factory string, baseline bool, c sim.Config) {
+func appendPreimage(b []byte, bench, factory string, baseline bool, c sim.Config) []byte {
 	n := c.Normalized()
-	fmt.Fprintf(w, "%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v", //nolint:errcheck // callers write to a hash or a strings.Builder
-		bench, factory, baseline, n.Instructions, n.Warmup, n.NoWarmup, n.Seed,
-		n.BaselineWarmup, cpuKeyFor(n.CPU), n.Mem.WithDefaults())
-	io.WriteString(w, nonDefaultClauses(n)) //nolint:errcheck // as above
+	b = append(append(b, bench...), '|')
+	b = append(append(b, factory...), '|')
+	b = append(strconv.AppendBool(b, baseline), '|')
+	b = append(strconv.AppendUint(b, n.Instructions, 10), '|')
+	b = append(strconv.AppendUint(b, n.Warmup, 10), '|')
+	b = append(strconv.AppendBool(b, n.NoWarmup), '|')
+	b = append(strconv.AppendUint(b, n.Seed, 10), '|')
+	b = strconv.AppendBool(b, n.BaselineWarmup)
+	return appendMachine(b, cpuKeyFor(n.CPU), n.Mem.WithDefaults(), n.WarmupFidelity, n.CPU.Predictor)
 }
 
-// nonDefaultClauses renders the fingerprint fields that join a preimage
-// only when they differ from their defaults — the warmup fidelity and the
-// branch predictor — so default-mode addresses match the builds that
-// predate those fields and old result directories and warm images keep
-// resolving. n must be normalized.
-func nonDefaultClauses(n sim.Config) string {
-	s := ""
-	if n.WarmupFidelity != sim.FidelityFull {
-		s += fmt.Sprintf("|fid=%s", n.WarmupFidelity)
+// appendMachine appends the machine clauses both fingerprints end with:
+// "|<cpuKey>|<memsys.Config>" in fmt's %+v layout, then the fields that
+// join only when they differ from their defaults — the warmup fidelity
+// and the branch predictor — so default-mode addresses match the builds
+// that predate those fields and old result directories and warm images
+// keep resolving. fid and pred must be normalized.
+func appendMachine(b []byte, k cpuKey, m memsys.Config, fid sim.Fidelity, pred string) []byte {
+	b = appendInt(b, "|{issueWidth:", int64(k.issueWidth))
+	b = appendInt(b, " ruuSize:", int64(k.ruuSize))
+	b = appendInt(b, " lsqSize:", int64(k.lsqSize))
+	b = appendInt(b, " intALU:", int64(k.intALU))
+	b = appendInt(b, " intMult:", int64(k.intMult))
+	b = appendInt(b, " fpALU:", int64(k.fpALU))
+	b = appendInt(b, " fpMult:", int64(k.fpMult))
+	b = appendInt(b, " memPorts:", int64(k.memPorts))
+	b = appendInt(b, " redirectPenalty:", k.redirectPenalty)
+	b = appendGeometry(append(b, "}|{L1D:"...), m.L1D)
+	b = appendGeometry(append(b, " L2:"...), m.L2)
+	b = appendInt(b, " L1HitLatency:", m.L1HitLatency)
+	b = appendInt(b, " L2Latency:", m.L2Latency)
+	b = appendInt(b, " MemLatency:", m.MemLatency)
+	b = appendInt(b, " L1L2BusBytes:", int64(m.L1L2BusBytes))
+	b = appendInt(b, " MemBusBytes:", int64(m.MemBusBytes))
+	b = appendInt(b, " MSHRs:", int64(m.MSHRs))
+	b = strconv.AppendBool(append(b, " IdealL2:"...), m.IdealL2)
+	b = strconv.AppendBool(append(b, " PrefetchBus:"...), m.PrefetchBus)
+	b = appendInt(b, " MaxPerMiss:", int64(m.MaxPerMiss))
+	b = append(b, '}')
+	if fid != sim.FidelityFull {
+		b = append(append(b, "|fid="...), fid...)
 	}
-	if n.CPU.Predictor != branch.Default {
-		s += fmt.Sprintf("|pred=%s", n.CPU.Predictor)
+	if pred != branch.Default {
+		b = append(append(b, "|pred="...), pred...)
 	}
-	return s
+	return b
+}
+
+// appendGeometry appends g in fmt's %+v layout.
+func appendGeometry(b []byte, g addr.Geometry) []byte {
+	b = appendInt(b, "{sets:", int64(g.Sets()))
+	b = appendInt(b, " ways:", int64(g.Ways()))
+	b = appendInt(b, " blockBytes:", int64(g.BlockBytes()))
+	b = appendInt(b, " blockShift:", int64(g.BlockShift()))
+	b = appendInt(b, " indexBits:", int64(g.IndexBits()))
+	b = strconv.AppendUint(append(b, " indexMask:"...), g.IndexMask(), 10)
+	return append(b, '}')
+}
+
+// appendInt appends label and v in decimal.
+func appendInt(b []byte, label string, v int64) []byte {
+	return strconv.AppendInt(append(b, label...), v, 10)
+}
+
+// fingerprintBuf sizes the stack buffer a fingerprint is built in; the
+// canonical preimage takes about 360 bytes, and a longer one grows onto
+// the heap.
+const fingerprintBuf = 512
+
+// fnv64a is the FNV-1a hash of b, as hash/fnv's New64a computes it.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// appendHex16 appends h as 16 lower-case hex digits, fmt's %016x.
+func appendHex16(b []byte, h uint64) []byte {
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[h>>shift&0xf])
+	}
+	return b
 }
 
 // Manifest filenames are jobPrefix + 16 hex digits + jobSuffix.
@@ -84,9 +142,9 @@ const jobPrefix, jobSuffix = "job-", ".json"
 // jobFile names a job's manifest by hashing its canonical normalized
 // configuration.
 func jobFile(bench, factory string, baseline bool, c sim.Config) string {
-	h := fnv.New64a()
-	writePreimage(h, bench, factory, baseline, c)
-	return fmt.Sprintf(jobPrefix+"%016x"+jobSuffix, h.Sum64())
+	var buf [fingerprintBuf]byte
+	h := fnv64a(appendPreimage(buf[:0], bench, factory, baseline, c))
+	return jobPrefix + string(appendHex16(buf[:0], h)) + jobSuffix
 }
 
 // IsJobFile reports whether name has the form jobFile gives a result

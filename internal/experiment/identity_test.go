@@ -1,11 +1,16 @@
 package experiment
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 
+	"tagprefetch/internal/addr"
 	"tagprefetch/internal/branch"
+	"tagprefetch/internal/cpu"
+	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
@@ -17,6 +22,11 @@ import (
 func fig13Config() (bench, factory string, cfg sim.Config) {
 	return "swim", sim.TCPWithPHT(8<<10, 2, false).Name,
 		sim.Config{Instructions: 1_000_000, Warmup: 2_000_000, Seed: 1}
+}
+
+// pointPreimage is the fingerprint preimage of a point as a string.
+func pointPreimage(bench, factory string, baseline bool, c sim.Config) string {
+	return string(appendPreimage(nil, bench, factory, baseline, c))
 }
 
 // TestPointFingerprintGolden pins the exact fingerprint preimage and the
@@ -254,6 +264,145 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 	for label := range knownCollisions {
 		if !collided[label] {
 			t.Errorf("known collision %q no longer occurs; drop it from knownCollisions", label)
+		}
+	}
+}
+
+// referencePreimage renders a job's fingerprint preimage with fmt, as
+// every address was hashed before the fingerprints were built with
+// strconv: %v and %+v of the normalized config's clauses.
+func referencePreimage(bench, factory string, baseline bool, c sim.Config) string {
+	n := c.Normalized()
+	return fmt.Sprintf("%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v",
+		bench, factory, baseline, n.Instructions, n.Warmup, n.NoWarmup, n.Seed,
+		n.BaselineWarmup, cpuKeyFor(n.CPU), n.Mem.WithDefaults()) +
+		referenceClauses(n.WarmupFidelity, n.CPU.Predictor)
+}
+
+// referenceClauses renders the non-default fidelity and predictor clauses
+// with fmt.
+func referenceClauses(fid sim.Fidelity, pred string) string {
+	s := ""
+	if fid != sim.FidelityFull {
+		s += fmt.Sprintf("|fid=%s", fid)
+	}
+	if pred != branch.Default {
+		s += fmt.Sprintf("|pred=%s", pred)
+	}
+	return s
+}
+
+// referenceName hashes preimage with hash/fnv and formats the name with
+// fmt.
+func referenceName(format, preimage string) string {
+	h := fnv.New64a()
+	h.Write([]byte(preimage))
+	return fmt.Sprintf(format, h.Sum64())
+}
+
+// referenceWarmFileName is warmFileName rendered with fmt and hash/fnv.
+func referenceWarmFileName(key warmKey) string {
+	pre := fmt.Sprintf("%s|%d|%v|%d|%+v|%+v", key.bench, key.warmup, key.noWarmup, key.seed, key.cpu, key.mem) +
+		referenceClauses(key.fidelity, key.predictor)
+	return referenceName("warm-"+key.bench+"-%016x.ckpt", pre)
+}
+
+// TestFingerprintsMatchReference requires the strconv-built preimage, the
+// manifest name and the warm-image name to equal their fmt renderings for
+// every job every sweep plans, at both warmup fidelities, under every
+// branch predictor, a non-default memory system and other windows and
+// seeds. A field added to cpuKey, memsys.Config or addr.Geometry shows in
+// the %+v reference, so it fails here until the appender renders it.
+func TestFingerprintsMatchReference(t *testing.T) {
+	var jobs []Job
+	r := NewRunner(1)
+	r.SetPlan(func(j Job) { jobs = append(jobs, j) })
+	for _, fid := range []sim.Fidelity{sim.FidelityFull, sim.FidelityFast} {
+		for _, sw := range Sweeps {
+			sw.Run(Options{WarmupFidelity: fid, Runner: r})
+		}
+	}
+	if len(jobs) == 0 {
+		t.Fatal("the sweeps planned no jobs")
+	}
+
+	variants := []func(*sim.Config){
+		func(*sim.Config) {},
+		func(c *sim.Config) {
+			c.Mem = memsys.Config{
+				L1D: addr.MustGeometry(8<<10, 2, 32), L2: addr.MustGeometry(64<<10, 8, 64),
+				L1HitLatency: 2, L2Latency: 9, MemLatency: 120, L1L2BusBytes: 16,
+				MemBusBytes: 4, MSHRs: 8, IdealL2: true, PrefetchBus: true, MaxPerMiss: 2,
+			}
+		},
+		func(c *sim.Config) { c.NoWarmup = true },
+		func(c *sim.Config) { c.Instructions, c.Warmup, c.Seed = 12_345, 67_890, 7 },
+		func(c *sim.Config) { c.BaselineWarmup = !c.BaselineWarmup },
+		func(c *sim.Config) { c.CPU.IssueWidth, c.CPU.RUUSize, c.CPU.RedirectPenalty = 4, 64, 5 },
+	}
+	for _, p := range branch.Predictors {
+		variants = append(variants, func(c *sim.Config) { c.CPU.Predictor = p.Name })
+	}
+
+	checked := 0
+	for _, j := range jobs {
+		factory := j.Factory.Name
+		if j.Baseline {
+			factory = sim.NoPrefetch().Name
+		}
+		for _, v := range variants {
+			c := j.Config
+			v(&c)
+			want := referencePreimage(j.Bench, factory, j.Baseline, c)
+			if got := pointPreimage(j.Bench, factory, j.Baseline, c); got != want {
+				t.Fatalf("preimage\n got %q\nwant %q", got, want)
+			}
+			if got, want := jobFile(j.Bench, factory, j.Baseline, c), referenceName("job-%016x.json", want); got != want {
+				t.Fatalf("%s: jobFile = %s, want %s", want, got, want)
+			}
+			if key, ok := warmKeyFor(j.Bench, c); ok {
+				if got, want := warmFileName(key), referenceWarmFileName(key); got != want {
+					t.Fatalf("%+v: warmFileName = %s, want %s", key, got, want)
+				}
+			}
+			checked++
+		}
+	}
+	t.Logf("%d planned jobs, %d fingerprints checked", len(jobs), checked)
+}
+
+// TestFingerprintCoversConfigFields lists every field of the configs the
+// fingerprints render. A field added to any of them fails here until
+// appendPreimage/appendMachine render it (which moves every address:
+// regenerate the goldens) or the list records why it is left out. fmt's
+// %+v picked a new field up by itself; the hand-written appender does not,
+// and a field that shapes a simulation but not its address would let two
+// machines share a manifest. No field is left out today.
+func TestFingerprintCoversConfigFields(t *testing.T) {
+	for _, tc := range []struct {
+		typ    reflect.Type
+		fields []string
+	}{
+		// The cpu.Config clause is cpuKey plus the pred= clause, and the
+		// warmup fidelity is the fid= clause.
+		{reflect.TypeOf(sim.Config{}), []string{"CPU", "Mem", "Instructions", "Warmup",
+			"NoWarmup", "Seed", "WarmupFidelity", "BaselineWarmup"}},
+		{reflect.TypeOf(cpu.Config{}), []string{"IssueWidth", "RUUSize", "LSQSize", "IntALU",
+			"IntMult", "FPALU", "FPMult", "MemPorts", "RedirectPenalty", "Predictor"}},
+		{reflect.TypeOf(cpuKey{}), []string{"issueWidth", "ruuSize", "lsqSize", "intALU",
+			"intMult", "fpALU", "fpMult", "memPorts", "redirectPenalty"}},
+		{reflect.TypeOf(memsys.Config{}), []string{"L1D", "L2", "L1HitLatency", "L2Latency",
+			"MemLatency", "L1L2BusBytes", "MemBusBytes", "MSHRs", "IdealL2", "PrefetchBus", "MaxPerMiss"}},
+		{reflect.TypeOf(addr.Geometry{}), []string{"sets", "ways", "blockBytes", "blockShift",
+			"indexBits", "indexMask"}},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumField(); i++ {
+			got = append(got, tc.typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, tc.fields) {
+			t.Errorf("%v fields are %v; the fingerprints render %v.\n"+
+				"Render a new field in appendPreimage/appendMachine, or record here why it is left out.", tc.typ, got, tc.fields)
 		}
 	}
 }

@@ -146,9 +146,9 @@ type baselineEntry struct {
 }
 
 // cpuKey is the numeric part of cpu.Config as the fingerprints render it:
-// its %+v text is pinned by the identity goldens, so it stays a type of
-// its own, and the predictor joins the fingerprints as a non-default
-// clause (nonDefaultClauses) instead.
+// its %+v text (field names included, appendMachine writes it) is pinned by
+// the identity goldens, so it stays a type of its own, and the predictor
+// joins the fingerprints as a non-default clause instead.
 type cpuKey struct {
 	issueWidth, ruuSize, lsqSize             int
 	intALU, intMult, fpALU, fpMult, memPorts int
@@ -205,7 +205,7 @@ func (r *Runner) run(j Job) sim.Result {
 	return e.res
 }
 
-// normalizedPoint is c as the point preimage sees it (writePreimage), so
+// normalizedPoint is c as the point preimage sees it (appendPreimage), so
 // two configs share a baseline memo key exactly when they share a
 // preimage.
 func normalizedPoint(c sim.Config) sim.Config {

@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -36,6 +34,13 @@ import (
 // renames a new file over the old. The memo holds one parsed result and
 // its key per point looked up, for the store's lifetime: one process for
 // the CLIs, the daemon's life for tcpsweepd.
+//
+// Save writes each manifest with json.MarshalIndent. A first lookup
+// decodes it in one pass through a field table derived from storedResult
+// (manifest.go). Bytes that pass does not recognise, such as an escape, a
+// non-canonical number or an unknown or differently-cased key, are
+// decoded by json.Unmarshal instead, so every manifest reads as
+// encoding/json reads it.
 type ResultStore struct {
 	dir    string
 	resume bool
@@ -92,20 +97,6 @@ type storedResult struct {
 	Result   sim.Result
 }
 
-// parseManifest decodes and validates one manifest. Truncated, corrupt or
-// identity-less bytes error — the caller treats any error as "job not
-// done", never as a partial result.
-func parseManifest(data []byte) (storedResult, error) {
-	var sr storedResult
-	if err := json.Unmarshal(data, &sr); err != nil {
-		return storedResult{}, fmt.Errorf("experiment: corrupt manifest: %w", err)
-	}
-	if sr.Bench == "" || sr.Factory == "" {
-		return storedResult{}, errors.New("experiment: corrupt manifest: missing job identity")
-	}
-	return sr, nil
-}
-
 // Lookup returns the stored result for a job, if the store is in resume mode
 // and a manifest with a matching identity exists. A nil store never hits.
 func (s *ResultStore) Lookup(bench, factory string, baseline bool, c sim.Config) (sim.Result, bool) {
@@ -156,11 +147,11 @@ func readManifest(path string) (*manifestEntry, error) {
 	if _, err := io.ReadFull(f, data); err != nil {
 		return nil, err
 	}
-	sr, err := parseManifest(data)
-	if err != nil {
+	e := &manifestEntry{path: path, info: fi}
+	if err := parseManifest(data, &e.sr); err != nil {
 		return nil, err
 	}
-	return &manifestEntry{path: path, info: fi, sr: sr}, nil
+	return e, nil
 }
 
 // Save records a completed job result, atomically. Failures are silent by

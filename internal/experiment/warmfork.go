@@ -1,10 +1,9 @@
 package experiment
 
 import (
-	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"tagprefetch/internal/checkpoint"
@@ -34,9 +33,10 @@ type warmKey struct {
 	seed     uint64
 	cpu      cpuKey
 	mem      memsys.Config
-	// nonDefault is the trailing fidelity and predictor clauses, rendered
-	// as the job preimage renders them (empty for a default machine).
-	nonDefault string
+	// fidelity and predictor are normalized, so two keys that render the
+	// same trailing clauses compare equal.
+	fidelity  sim.Fidelity
+	predictor string
 }
 
 type warmEntry struct {
@@ -57,26 +57,30 @@ func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
 		return warmKey{}, false
 	}
 	return warmKey{
-		bench:      bench,
-		warmup:     n.Warmup,
-		noWarmup:   n.NoWarmup,
-		seed:       n.Seed,
-		cpu:        cpuKeyFor(n.CPU),
-		mem:        n.Mem.WithDefaults(),
-		nonDefault: nonDefaultClauses(n),
+		bench:     bench,
+		warmup:    n.Warmup,
+		noWarmup:  n.NoWarmup,
+		seed:      n.Seed,
+		cpu:       cpuKeyFor(n.CPU),
+		mem:       n.Mem.WithDefaults(),
+		fidelity:  n.WarmupFidelity,
+		predictor: n.CPU.Predictor,
 	}, true
 }
 
 // warmFileName is the on-disk name for a warm checkpoint, keyed by a hash of
 // the warmup-trajectory fingerprint.
 func warmFileName(key warmKey) string {
-	h := fnv.New64a()
 	// The non-default clauses join the hash so a fast image can never
 	// shadow a full one, nor one predictor's image another's; a default
 	// machine keeps the name it had before those fields existed.
-	fmt.Fprintf(h, "%s|%d|%v|%d|%+v|%+v%s",
-		key.bench, key.warmup, key.noWarmup, key.seed, key.cpu, key.mem, key.nonDefault)
-	return fmt.Sprintf("warm-%s-%016x.ckpt", key.bench, h.Sum64())
+	var buf [fingerprintBuf]byte
+	b := append(append(buf[:0], key.bench...), '|')
+	b = append(strconv.AppendUint(b, key.warmup, 10), '|')
+	b = append(strconv.AppendBool(b, key.noWarmup), '|')
+	b = strconv.AppendUint(b, key.seed, 10)
+	h := fnv64a(appendMachine(b, key.cpu, key.mem, key.fidelity, key.predictor))
+	return "warm-" + key.bench + "-" + string(appendHex16(buf[:0], h)) + ".ckpt"
 }
 
 // simulate runs one grid point, forking from the benchmark's shared warm

@@ -5,22 +5,26 @@ import (
 	"hash/crc32"
 	"slices"
 	"testing"
+
+	"tagprefetch/internal/addr"
 )
 
 // FuzzMachineRestore feeds mutated checkpoint images to every component
-// decoder a machine holds. Each input pairs a layoutConfigs row with an
-// image. The fuzzer's bytes get a fresh CRC so mutations reach the section
+// decoder a machine holds. Each input pairs a fuzzRows row with an image.
+// The fuzzer's bytes get a fresh CRC so mutations reach the section
 // decoders instead of dying at the checksum gate, and RestoreImage into a
 // fresh machine of the same row must return nil or an error, never panic.
 //
 // The seeds are every row's mid-warmup and post-boundary images, except
 // those over maxFuzzSeed: the engine marshals a seed to up to four times
-// its size and rejects one over 100 MB, which the 8 MB TCP's 45 MB images
-// are. That row's decoders are the tcp-8K rows'. The other images take
-// 0.8 to 7 MB, so pass -fuzzminimizetime=1s for short runs, as CI does.
+// its size and rejects one over 100 MB, which the 8 MB TCP's 44 MB images
+// are. That row's decoders are the tcp-8K rows'. The rows' small caches
+// keep most images near 40-90 KB; DBCP's and Markov's fixed tables keep
+// theirs at 6.6 and 2.9 MB, so pass -fuzzminimizetime=1s for short runs,
+// as CI does.
 func FuzzMachineRestore(f *testing.F) {
 	const maxFuzzSeed = 16 << 20
-	for i, lc := range layoutConfigs() {
+	for i, lc := range fuzzRows() {
 		m := mustMachine(f, "swim", lc.f, lc.cfg)
 		m.Observe(lc.tel)
 		for _, at := range []uint64{lc.cfg.Warmup / 2, lc.cfg.Warmup + lc.cfg.Instructions/2} {
@@ -38,7 +42,7 @@ func FuzzMachineRestore(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		rows := layoutConfigs()
+		rows := fuzzRows()
 		lc := rows[int(row)%len(rows)]
 		m := mustMachine(t, "swim", lc.f, lc.cfg)
 		m.Observe(lc.tel)
@@ -46,4 +50,17 @@ func FuzzMachineRestore(f *testing.F) {
 		binary.LittleEndian.PutUint32(body[len(body)-4:], crc32.ChecksumIEEE(body[:len(body)-4]))
 		_ = m.RestoreImage(body) // nil or an error; a panic fails the input
 	})
+}
+
+// fuzzRows is layoutConfigs with a small L1 and L2 (4 KB and 32 KB), so
+// the cache arrays, which dominate an image, shrink about 20x while every
+// row keeps its section decoders: the fuzzer mutates and restores
+// thousands of images in the time the full-size ones allowed tens.
+func fuzzRows() []layoutConfig {
+	rows := layoutConfigs()
+	for i := range rows {
+		rows[i].cfg.Mem.L1D = addr.MustGeometry(4<<10, 1, 32)
+		rows[i].cfg.Mem.L2 = addr.MustGeometry(32<<10, 4, 64)
+	}
+	return rows
 }

@@ -14,25 +14,24 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current code")
 
-// layoutConfigs spans every Snapshotter family the simulator can put into a
-// checkpoint: the baseline, each prefetcher organisation (their sections
-// differ), the hybrid with its dead-block predictor, the critical-filter
-// wrapper, and a telemetry sampler.
-func layoutConfigs() []struct {
+// layoutConfig is one machine configuration whose checkpoint layout the
+// snapshot tests pin.
+type layoutConfig struct {
 	label string
 	f     Factory
 	cfg   Config
 	tel   *telemetry.Run
-} {
+}
+
+// layoutConfigs spans every Snapshotter family the simulator can put into a
+// checkpoint: the baseline, each prefetcher organisation (their sections
+// differ), the hybrid with its dead-block predictor, the critical-filter
+// wrapper, and a telemetry sampler.
+func layoutConfigs() []layoutConfig {
 	base := Config{Instructions: 1_000, Warmup: 2_000, Seed: 1}
 	fastWarm := base
 	fastWarm.WarmupFidelity = FidelityFast
-	return []struct {
-		label string
-		f     Factory
-		cfg   Config
-		tel   *telemetry.Run
-	}{
+	return []layoutConfig{
 		{"none", NoPrefetch(), base, nil},
 		{"tcp-8K", TCP8K(), base, nil},
 		{"tcp-8M", TCP8M(), base, nil},
