@@ -1,26 +1,24 @@
 // Command tcplint is the repo's static-analysis driver: it runs the
-// internal/analysis suite (detmap, notime, hotalloc, statreg, snapfield,
-// detflow, hotprop) over the module, enforcing at compile time the two
-// contracts the simulator's results rest on — bit-identical
-// reproducibility from a seed, and zero-allocation hot paths. CI runs it
-// next to go vet; run it locally with
+// internal/analysis suite (detmap, notime, detflow) over the module,
+// enforcing at compile time the contract the simulator's results rest on:
+// bit-identical reproducibility from a seed. CI runs it next to go vet;
+// run it locally with
 //
 //	go run ./cmd/tcplint ./...
 //
 // Packages are analyzed in dependency order over one shared fact store,
-// so cross-package analyzers (snapfield's call closures, detflow's
-// SinkParams/TaintedReturn, hotprop's AllocSummary) see their
-// dependencies' facts before any importer is checked. Reporting is
-// filtered afterwards: dependency-only packages and packages outside an
-// analyzer's scope are analyzed for facts but never reported on.
+// so detflow's cross-package facts (SinkParams, TaintedReturn) reach an
+// importer before it is checked. Reporting is filtered afterwards:
+// dependency-only packages and packages outside the simulator are
+// analyzed for facts but never reported on.
 //
 // Exit status: 0 clean, 1 findings (including stale suppressions), 2
-// load or internal errors. Findings default to the go vet file:line:col
-// format; -format sarif emits a machine-readable report, -fix applies
-// suggested fixes in place and -diff previews them. A finding is
-// tolerated only by a //lint:ignore comment at its site, which must keep
-// suppressing something. See docs/STATIC_ANALYSIS.md for the analyzer
-// catalogue and the suppression syntax.
+// load or internal errors. Findings use the go vet file:line:col format.
+// A finding is tolerated only by a //lint:ignore comment at its site,
+// which must keep suppressing something. See docs/STATIC_ANALYSIS.md for
+// the analyzer catalogue, the suppression syntax and the runtime tests
+// that check allocation-freedom, telemetry registration and checkpoint
+// coverage.
 package main
 
 import (
@@ -35,23 +33,15 @@ import (
 	"tagprefetch/internal/analysis"
 	"tagprefetch/internal/analysis/detflow"
 	"tagprefetch/internal/analysis/detmap"
-	"tagprefetch/internal/analysis/hotalloc"
-	"tagprefetch/internal/analysis/hotprop"
 	"tagprefetch/internal/analysis/load"
 	"tagprefetch/internal/analysis/notime"
-	"tagprefetch/internal/analysis/snapfield"
-	"tagprefetch/internal/analysis/statreg"
 )
 
 // analyzers is the suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
 	detmap.Analyzer,
 	notime.Analyzer,
-	hotalloc.Analyzer,
-	statreg.Analyzer,
-	snapfield.Analyzer,
 	detflow.Analyzer,
-	hotprop.Analyzer,
 }
 
 // suppressCheck is the pseudo-analyzer name of driver-synthesised
@@ -59,27 +49,12 @@ var analyzers = []*analysis.Analyzer{
 const suppressCheck = "suppress"
 
 // simPackageRE matches the packages that hold simulator state or feed
-// experiment results: the determinism analyzers (detmap, notime, detflow)
-// report only there. Host-side tooling — telemetry's wall-clock run
-// reports, pprof plumbing, and the analysis suite itself — is exempt; the
-// cmd/ binaries are included because table and JSON output order is part
-// of a reproducible run.
+// experiment results: the analyzers report only there. Host-side tooling
+// — telemetry's wall-clock run reports, pprof plumbing, and the analysis
+// suite itself — is exempt; the cmd/ binaries are included because table
+// and JSON output order is part of a reproducible run.
 var simPackageRE = regexp.MustCompile(`^tagprefetch(/cmd/[^/]+)?$|` +
 	`^tagprefetch/internal/(addr|branch|bus|cache|checkpoint|core|coverage|cpu|critical|dbcp|deadblock|dram|experiment|memsys|prefetch|profiler|sim|stats|trace|workload|xrand)$`)
-
-// runsOn reports whether analyzer a's findings apply to package path; the
-// analyzer may still run elsewhere to compute facts.
-func runsOn(a *analysis.Analyzer, path string) bool {
-	switch a.Name {
-	case "detmap", "notime", "detflow":
-		return simPackageRE.MatchString(path)
-	default:
-		// hotalloc/hotprop are gated by //tcp:hotpath markers, snapfield
-		// by Snapshotter implementations, and statreg by telemetry usage,
-		// so they run everywhere.
-		return true
-	}
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -91,11 +66,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	verbose := fs.Bool("v", false, "report the number of packages analyzed")
-	format := fs.String("format", "text", "output format: text or sarif")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source tree")
-	diff := fs.Bool("diff", false, "print suggested fixes as a unified diff without applying them")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: tcplint [flags] [packages]\n\nEnforces simulator determinism and hot-path invariants.\nSee docs/STATIC_ANALYSIS.md.\n\n")
+		fmt.Fprintf(stderr, "usage: tcplint [flags] [packages]\n\nEnforces simulator determinism.\nSee docs/STATIC_ANALYSIS.md.\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -108,13 +80,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		return 0
 	}
-	switch *format {
-	case "text", "sarif":
-	default:
-		fmt.Fprintf(stderr, "tcplint: unknown format %q (want text or sarif)\n", *format)
-		return 2
-	}
-
 	selected, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintln(stderr, "tcplint:", err)
@@ -148,21 +113,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	relativize(diags, root)
 	sortDiags(diags)
 
-	switch {
-	case *fix || *diff:
-		if err := applyFixes(root, diags, *fix, stdout); err != nil {
-			fmt.Fprintln(stderr, "tcplint:", err)
-			return 2
-		}
-	case *format == "sarif":
-		if err := printSARIF(stdout, selected, diags); err != nil {
-			fmt.Fprintln(stderr, "tcplint:", err)
-			return 2
-		}
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if *verbose {
 		fmt.Fprintf(stderr, "tcplint: %d packages, %d analyzers, %d findings\n",
@@ -187,7 +139,7 @@ func analyze(pkgs []*load.Package, selected []*analysis.Analyzer, stderr *os.Fil
 	for _, pkg := range pkgs {
 		supp := analysis.IndexSuppressions(pkg.Fset, pkg.Files)
 		for _, a := range selected {
-			reportable := !pkg.DepOnly && runsOn(a, pkg.Path)
+			reportable := !pkg.DepOnly && simPackageRE.MatchString(pkg.Path)
 			if !reportable && len(a.FactTypes) == 0 {
 				continue // nothing to report, no facts to compute
 			}
@@ -254,22 +206,12 @@ func moduleRoot(dir string) (string, error) {
 	}
 }
 
-// relativize rewrites every finding and fix path to be module-relative,
-// so text output and SARIF are stable across checkouts.
+// relativize rewrites every finding path to be module-relative, so the
+// output is stable across checkouts.
 func relativize(diags []analysis.Diagnostic, root string) {
-	rel := func(p string) string {
-		if r, err := filepath.Rel(root, p); err == nil && !strings.HasPrefix(r, "..") {
-			return filepath.ToSlash(r)
-		}
-		return p
-	}
 	for i := range diags {
-		diags[i].Pos.Filename = rel(diags[i].Pos.Filename)
-		if diags[i].Fix == nil {
-			continue
-		}
-		for j := range diags[i].Fix.Edits {
-			diags[i].Fix.Edits[j].File = rel(diags[i].Fix.Edits[j].File)
+		if r, err := filepath.Rel(root, diags[i].Pos.Filename); err == nil && !strings.HasPrefix(r, "..") {
+			diags[i].Pos.Filename = filepath.ToSlash(r)
 		}
 	}
 }

@@ -4,9 +4,8 @@
 //
 // The repo cannot vendor x/tools (the build is fully offline), so this
 // package re-implements the subset the tcplint suite needs — single-package
-// analyzers, position-accurate diagnostics, suppression comments, typed
-// cross-package facts (facts.go), and suggested fixes — on top of the
-// standard library. The API is shaped after x/tools so analyzers can
+// analyzers, position-accurate diagnostics, suppression comments and typed
+// cross-package facts (facts.go) — on top of the standard library. The API is shaped after x/tools so analyzers can
 // migrate to the real framework mechanically if the dependency ever lands.
 //
 // # Suppression comments
@@ -53,29 +52,11 @@ type Analyzer struct {
 	FactTypes []Fact
 }
 
-// An Edit is one textual change of a suggested fix, expressed as a byte
-// range in a file plus replacement text, so a driver can apply it without
-// re-resolving positions.
-type Edit struct {
-	File  string `json:"file"`
-	Start int    `json:"start"` // byte offset, inclusive
-	End   int    `json:"end"`   // byte offset, exclusive; == Start for pure insertion
-	New   string `json:"new"`
-}
-
-// A SuggestedFix is a machine-applicable resolution for a diagnostic,
-// applied by `tcplint -fix`.
-type SuggestedFix struct {
-	Message string `json:"message"`
-	Edits   []Edit `json:"edits"`
-}
-
 // A Diagnostic is one finding, positioned in the analyzed package.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fix      *SuggestedFix // nil when no mechanical fix exists
 }
 
 // String renders the diagnostic in the canonical file:line:col form.
@@ -252,16 +233,6 @@ func NewSuitePass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *type
 // the analyzer but missing a justification reports its own diagnostic (once
 // per comment) and does not suppress.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, nil, format, args...)
-}
-
-// ReportFix is Reportf with an attached suggested fix, applied by
-// `tcplint -fix`. A nil fix is allowed and equivalent to Reportf.
-func (p *Pass) ReportFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
-	p.report(pos, fix, format, args...)
-}
-
-func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	if s, ok := p.suppress.m[suppressKey{position.Filename, position.Line}]; ok && s.matches(p.Analyzer.Name) {
 		if s.reason != "" {
@@ -281,14 +252,7 @@ func (p *Pass) report(pos token.Pos, fix *SuggestedFix, format string, args ...a
 		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
 	})
-}
-
-// InsertAt builds a pure-insertion Edit at pos.
-func (p *Pass) InsertAt(pos token.Pos, text string) Edit {
-	position := p.Fset.Position(pos)
-	return Edit{File: position.Filename, Start: position.Offset, End: position.Offset, New: text}
 }
 
 func (s *suppression) matches(analyzer string) bool {

@@ -85,7 +85,7 @@ func (c counter) update(taken bool) counter {
 // Bimodal is a PC-indexed table of 2-bit counters.
 type Bimodal struct {
 	table []counter
-	mask  uint64 //tcp:nosnap geometry derived from the table size at construction; decoding keeps the constructor's value
+	mask  uint64 // geometry derived from the table size at construction; decoding keeps the constructor's value
 }
 
 // NewBimodal creates a bimodal predictor with 2^bits counters.
@@ -115,7 +115,7 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // shared PHT (history from every branch shares one pattern table).
 type GShare struct {
 	table   []counter
-	mask    uint64 //tcp:nosnap geometry derived from the table size at construction
+	mask    uint64 // geometry derived from the table size at construction
 	history uint64
 	histLen uint // geometry fixed at construction; decoding masks the history with it
 }
@@ -156,10 +156,10 @@ func (g *GShare) Update(pc uint64, taken bool) {
 // branch-prediction analogue of TCP's per-set THT feeding a shared PHT.
 type PAg struct {
 	histories []uint64
-	hmask     uint64 //tcp:nosnap geometry derived from the history-table size at construction
+	hmask     uint64 // geometry derived from the history-table size at construction
 	table     []counter
-	pmask     uint64 //tcp:nosnap geometry derived from the PHT size at construction
-	histLen   uint   //tcp:nosnap geometry fixed at construction, not dynamic state
+	pmask     uint64 // geometry derived from the PHT size at construction
+	histLen   uint   // geometry fixed at construction, not dynamic state
 }
 
 // NewPAg creates a PAg predictor with 2^histTableBits history registers of
@@ -207,7 +207,7 @@ func (p *PAg) Update(pc uint64, taken bool) {
 type Combining struct {
 	a, b    Predictor
 	chooser []counter
-	mask    uint64 //tcp:nosnap geometry derived from the chooser size at construction
+	mask    uint64 // geometry derived from the chooser size at construction
 }
 
 // NewCombining builds a combining predictor over a and b with 2^bits
@@ -242,7 +242,7 @@ func (c *Combining) Update(pc uint64, taken bool) {
 
 // Static always predicts the same direction; the degenerate baseline.
 type Static struct {
-	//tcp:nosnap the fixed direction is configuration chosen at construction, not dynamic state
+	// The fixed direction is configuration chosen at construction, not dynamic state.
 	Taken bool
 }
 

@@ -13,7 +13,7 @@ import "fmt"
 // Bus is a shared, in-order bus. The zero value is unusable; use New.
 type Bus struct {
 	name          string
-	bytesPerCycle int //tcp:nosnap bandwidth configuration fixed at construction, not dynamic state
+	bytesPerCycle int // bandwidth configuration fixed at construction, not dynamic state
 
 	freeAt    int64 // first cycle at which the bus is idle
 	busy      int64 // total busy cycles

@@ -33,16 +33,16 @@ type Cache struct {
 	name  string
 	geom  addr.Geometry
 	lines []Line
-	ways  int   //tcp:nosnap derived from geom at construction; Snapshot validates geometry instead
+	ways  int   // derived from geom at construction; Snapshot validates geometry instead
 	tick  int64 // recency clock
 
 	st  Stats            // activity counters, single-writer
-	pub telemetry.Mirror //tcp:nosnap host-side registry mirror of st, republished after a decode
+	pub telemetry.Mirror // host-side registry mirror of st, republished after a decode
 }
 
 // set returns the line frames of set idx.
 //
-//tcp:hotpath — every probe, access and fill resolves its set through here.
+// Every probe, access and fill resolves its set through here.
 func (c *Cache) set(idx uint32) []Line {
 	base := int(idx) * c.ways
 	return c.lines[base : base+c.ways : base+c.ways]
@@ -125,7 +125,7 @@ type AccessResult struct {
 
 // Probe reports whether block a is present, without changing any state.
 //
-//tcp:hotpath — the prefetch filter probes on every candidate prediction.
+// The prefetch filter probes on every candidate prediction.
 func (c *Cache) Probe(a addr.Addr) bool {
 	set := c.set(c.geom.Index(a))
 	tag := c.geom.Tag(a)
@@ -142,7 +142,7 @@ func (c *Cache) Probe(a addr.Addr) bool {
 // caller is responsible for performing the Fill after the lower levels
 // return the block.
 //
-//tcp:hotpath — runs once per demand access at every cache level.
+// Runs once per demand access at every cache level.
 func (c *Cache) Access(a addr.Addr, write bool, now int64) AccessResult {
 	idx := c.geom.Index(a)
 	tag := c.geom.Tag(a)
@@ -194,7 +194,7 @@ type Eviction struct {
 // in-flight demand fill and a prefetch to the same block merge).
 // Returns the eviction, if any.
 //
-//tcp:hotpath — runs on every fill (demand and prefetch).
+// Runs on every fill (demand and prefetch).
 func (c *Cache) Fill(a addr.Addr, now, readyAt int64, prefetch bool) Eviction {
 	idx := c.geom.Index(a)
 	tag := c.geom.Tag(a)
@@ -226,7 +226,7 @@ func (c *Cache) Fill(a addr.Addr, now, readyAt int64, prefetch bool) Eviction {
 // precondition, and the direct-mapped case resolves its victim without a
 // scan; every state change is exactly Fill's.
 //
-//tcp:hotpath — the demand-miss fill path.
+// The demand-miss fill path.
 func (c *Cache) FillFresh(a addr.Addr, now, readyAt int64, prefetch bool) Eviction {
 	idx := c.geom.Index(a)
 	tag := c.geom.Tag(a)

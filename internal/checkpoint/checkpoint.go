@@ -217,8 +217,6 @@ func (c *Codec) finish() error {
 // put extends the encoded image by n bytes and returns them for the
 // caller to fill. The in-place path must not allocate; growth is split
 // into the grow slow path.
-//
-//tcp:hotpath
 func (c *Codec) put(n int) []byte {
 	if len(c.buf)+n > cap(c.buf) {
 		c.grow(n)
@@ -229,7 +227,8 @@ func (c *Codec) put(n int) []byte {
 
 // grow reallocates the encode buffer with room for at least n more bytes.
 //
-//tcp:coldpath amortised-O(1) capacity doubling; runs once per buffer exhaustion, not per encoded value
+// Doubling is amortised O(1): it runs once per buffer exhaustion, not
+// per encoded value.
 func (c *Codec) grow(n int) {
 	buf := make([]byte, len(c.buf), max(2*cap(c.buf), len(c.buf)+n))
 	copy(buf, c.buf)

@@ -128,9 +128,9 @@ func TCP8M(l1 addr.Geometry) Config {
 type TCP struct {
 	cfg     Config
 	tagMask uint64 // geometry derived from cfg at construction; bounds a decoded tag
-	setMask uint64 //tcp:nosnap geometry derived from cfg at construction
-	idxMask uint32 //tcp:nosnap geometry derived from cfg at construction
-	hiBits  uint   //tcp:nosnap geometry derived from cfg at construction
+	setMask uint64 // geometry derived from cfg at construction
+	idxMask uint32 // geometry derived from cfg at construction
+	hiBits  uint   // geometry derived from cfg at construction
 
 	tht     []uint64 // L1 sets x k tag history, row-major, oldest first
 	thtFill []int    // valid tags per row
@@ -149,13 +149,11 @@ type TCP struct {
 	// reqs is the scratch buffer OnMiss returns; per the Prefetcher
 	// contract the slice is only valid until the next call, so reusing the
 	// backing array keeps the per-miss path allocation-free.
-	//
-	//tcp:nosnap scratch buffer, dead between OnMiss calls by the Prefetcher contract
 	reqs []prefetch.Request
 
 	st  Stats             // predictor counters, single-writer
-	pub telemetry.Mirror  //tcp:nosnap host-side registry mirror of st, republished after a decode
-	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
+	pub telemetry.Mirror  // host-side registry mirror of st, republished after a decode
+	tr  *telemetry.Tracer // host-side observability wiring, outside the simulated state
 }
 
 // phtEntry is pointer-free (16 bytes): its targets live in TCP.targets,
@@ -358,7 +356,8 @@ func (t *TCP) frame(setIdx uint64) int {
 // (capped at PHTSets) bounds a run to O(log(sets/initialFrames)) growths
 // and its cumulative pool bytes to twice the final pools.
 //
-//tcp:coldpath capacity doubling; at most log2(PHTSets/4096) growths per TCP lifetime, none for PHTs up to 128 KB
+// A TCP grows at most log2(PHTSets/4096) times in its lifetime, and
+// never for PHTs up to 128 KB.
 func (t *TCP) growPools(frames int) {
 	pht := make([]phtEntry, len(t.pht), frames*t.cfg.PHTWays)
 	copy(pht, t.pht)

@@ -44,15 +44,14 @@ func (c *Core) FastForwardTo(gen workload.Generator, target uint64) {
 		}
 		c.fastActive = true
 	}
-	var inst workload.Inst
 	for c.done < target {
 		i := c.done
 		if c.sampler != nil && c.sampler.Due(c.fclock) {
 			c.syncCounters(i, c.fclock)
 			c.sampler.Sample(c.fclock, i)
 		}
-		gen.Next(&inst)
-		c.fastStep(&inst)
+		gen.Next(&c.inst)
+		c.fastStep(&c.inst)
 		c.done = i + 1
 	}
 }
@@ -63,10 +62,8 @@ func (c *Core) FastForwardTo(gen workload.Generator, target uint64) {
 // mispredicts). Stall counters stay untouched — there is no pipeline to
 // stall — and the functional clock ticks once per instruction.
 //
-// tcplint's hotalloc keeps it free of allocation, fmt, and interface
-// boxing.
-//
-//tcp:hotpath — runs once per fast-forwarded instruction
+// It runs once per fast-forwarded instruction; internal/sim's allocation
+// gate keeps it allocation-free.
 func (c *Core) fastStep(inst *workload.Inst) {
 	res := &c.res
 	switch inst.Class {

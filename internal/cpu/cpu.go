@@ -138,7 +138,7 @@ func newPool(n int) *fuPool { return &fuPool{freeAt: make([]int64, n)} }
 // minimum lives in locals so the scan compiles to conditional moves, not
 // data-dependent branches.
 //
-//tcp:hotpath — every instruction books a functional unit.
+// Every instruction books a functional unit.
 func (p *fuPool) issue(ready int64) int64 {
 	f := p.freeAt
 	best, lo := 0, f[0]
@@ -177,7 +177,7 @@ func (r Result) sub(w Result) Result {
 // driver that sequences these calls.
 type Core struct {
 	cfg  Config // configuration supplied at construction; decoding validates slot counts against it
-	mem  Memory //tcp:nosnap wiring; the memory system serialises its own state through the machine walk
+	mem  Memory // wiring; the memory system serialises its own state through the machine walk
 	pred branch.Predictor
 
 	p       *pipeline
@@ -191,11 +191,16 @@ type Core struct {
 	fastActive bool
 	fclock     int64 // functional cycle: one per fast-forwarded instruction
 
+	// inst holds the instruction being stepped. A local would escape
+	// through the Generator interface and cost a heap allocation per
+	// advance.
+	inst workload.Inst
+
 	// telemetry (optional; nil fields are skipped on the hot path)
-	instrCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
-	cycleCtr *telemetry.Counter //tcp:nosnap host-side observability handle, outside the simulated state
-	sampler  *telemetry.Sampler //tcp:nosnap host-side observability wiring; the sampler snapshots itself when registered
-	publish  func()             //tcp:nosnap host-side observability wiring, outside the simulated state
+	instrCtr *telemetry.Counter // host-side observability handle, outside the simulated state
+	cycleCtr *telemetry.Counter // host-side observability handle, outside the simulated state
+	sampler  *telemetry.Sampler // host-side observability wiring; the sampler snapshots itself when registered
+	publish  func()             // host-side observability wiring, outside the simulated state
 }
 
 // New creates a core bound to a data-memory system.
@@ -264,7 +269,7 @@ type pipeline struct {
 	cfg          Config
 	mem          Memory
 	pred         branch.Predictor
-	onLoadRetire func(pc uint64, critical bool) //tcp:nosnap host wiring installed by SetOnLoadRetire, not simulated state
+	onLoadRetire func(pc uint64, critical bool) // host wiring installed by SetOnLoadRetire, not simulated state
 
 	doneAt    []int64 // completion, ring by instruction index
 	commitAt  []int64 // commit, same ring
@@ -280,7 +285,7 @@ type pipeline struct {
 	lastCommit    int64
 	fetchResume   int64
 
-	ruu, lsq ring //tcp:nosnap index geometry derived from the fixed RUU/LSQ sizes by newPipeline
+	ruu, lsq ring // index geometry derived from the fixed RUU/LSQ sizes by newPipeline
 }
 
 // ring is the index geometry of one of the pipeline's rings, fixed at
@@ -330,10 +335,8 @@ func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
 // step advances the model by one dynamic instruction — dispatch, operand
 // readiness, issue/execute, in-order commit — accumulating stall and event
 // counters into res. i is the dynamic instruction index. It is the
-// cycle-accurate model's only per-instruction path; tcplint's hotalloc
-// keeps it free of allocation, fmt, and interface boxing.
-//
-//tcp:hotpath — runs once per simulated instruction.
+// cycle-accurate model's only per-instruction path; internal/sim's
+// allocation gate keeps it allocation-free.
 func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	cfg := &p.cfg
 
@@ -475,15 +478,14 @@ func (c *Core) AdvanceTo(gen workload.Generator, target uint64) {
 	if c.fastActive && c.done < target {
 		panic("cpu: AdvanceTo during fast-forward; call SealFastForward (or MarkWarmBoundary) first")
 	}
-	var inst workload.Inst
 	for c.done < target {
 		i := c.done
 		if c.sampler != nil && c.sampler.Due(c.p.lastCommit) {
 			c.syncCounters(i, c.p.lastCommit)
 			c.sampler.Sample(c.p.lastCommit, i)
 		}
-		gen.Next(&inst)
-		c.p.step(i, &inst, &c.res)
+		gen.Next(&c.inst)
+		c.p.step(i, &c.inst, &c.res)
 		c.done = i + 1
 	}
 }

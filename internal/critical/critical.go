@@ -17,7 +17,7 @@ package critical
 // New.
 type Predictor struct {
 	counters []uint8
-	mask     uint64 //tcp:nosnap geometry derived from the table size at construction
+	mask     uint64 // geometry derived from the table size at construction
 
 	trainings uint64
 	critical  uint64

@@ -60,15 +60,16 @@ func DBCP2M(l1 addr.Geometry) Config {
 
 // DBCP is the dead-block correlating prefetcher. Construct with New.
 type DBCP struct {
-	cfg     Config //tcp:nosnap configuration supplied at construction; decoding requires a same-config instance
-	sigMask uint64 //tcp:nosnap geometry derived from cfg at construction
-	setMask uint64 //tcp:nosnap geometry derived from cfg at construction
+	cfg     Config // configuration supplied at construction; decoding requires a same-config instance
+	sigMask uint64 // geometry derived from cfg at construction
+	setMask uint64 // geometry derived from cfg at construction
 
 	shadow []shadowEntry // one per L1 set (direct-mapped)
 	table  []corrEntry
 	clock  int64
 
 	stats Stats
+	req   [1]prefetch.Request // scratch batch OnAccess returns
 }
 
 type shadowEntry struct {
@@ -203,7 +204,8 @@ func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Reque
 		return nil
 	}
 	d.stats.Predictions++
-	return []prefetch.Request{{Addr: e.target}}
+	d.req[0] = prefetch.Request{Addr: e.target}
+	return d.req[:]
 }
 
 // OnEvict implements prefetch.Prefetcher. The shadow directory already

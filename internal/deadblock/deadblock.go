@@ -65,13 +65,12 @@ type Stats struct {
 // New creates a predictor from cfg (zero fields take defaults).
 func New(cfg Config) *Predictor {
 	cfg = cfg.withDefaults()
-	return &Predictor{cfg: cfg, live: make(map[uint64]int64, cfg.Entries)}
+	return &Predictor{cfg: cfg, live: make(map[uint64]int64, cfg.Entries),
+		ring: make([]uint64, 0, cfg.Entries)}
 }
 
 // OnEvict records a completed lifetime: block a was filled at fillAt and
 // last touched at lastTouch before being evicted.
-//
-//tcp:coldpath runs per L1 eviction, not per cycle; the ring append grows only until the bounded table reaches cfg.Entries
 func (p *Predictor) OnEvict(a addr.Addr, fillAt, lastTouch int64) {
 	lt := lastTouch - fillAt
 	if lt < 0 {

@@ -6,8 +6,8 @@ import "tagprefetch/internal/bus"
 
 // Memory is the main-memory model. The zero value is unusable; use New.
 type Memory struct {
-	latency int64    //tcp:nosnap access-latency configuration fixed at construction
-	bus     *bus.Bus //tcp:nosnap wiring; the bus serialises its own state through the memsys walk
+	latency int64    // access-latency configuration fixed at construction
+	bus     *bus.Bus // wiring; the bus serialises its own state through the memsys walk
 	reads   uint64
 	writes  uint64
 }

@@ -140,7 +140,7 @@ func (s Stats) Sub(w Stats) Stats {
 
 // MemSys is the memory hierarchy. Construct with New.
 type MemSys struct {
-	cfg Config //tcp:nosnap configuration supplied at construction; decoding requires a same-config instance
+	cfg Config // configuration supplied at construction; decoding requires a same-config instance
 
 	l1d    *cache.Cache
 	l2     *cache.Cache
@@ -160,11 +160,11 @@ type MemSys struct {
 	// nothing, so the trace.Miss construction and request-batch handling
 	// around them are dead work. setPrefetchers derives it whenever pf or
 	// l2pf changes.
-	pfNoop bool //tcp:nosnap derived from pf and l2pf, which decoding requires to match
+	pfNoop bool // derived from pf and l2pf, which decoding requires to match
 
 	st  Stats             // hierarchy counters, single-writer; the L1 fields stay zero (see fields)
 	pub telemetry.Mirror  // host-side registry mirror of st, republished after a decode
-	tr  *telemetry.Tracer //tcp:nosnap host-side observability wiring, outside the simulated state
+	tr  *telemetry.Tracer // host-side observability wiring, outside the simulated state
 }
 
 // counterPublisher is a prefetcher that mirrors its own counters into the
@@ -276,7 +276,7 @@ func (m *MemSys) L2() *cache.Cache { return m.l2 }
 // the cycle at which the data is available to the core. The hit path must
 // stay allocation-free; misses take the separate miss slow path.
 //
-//tcp:hotpath — every load and store walks through here.
+// Every load and store walks through here.
 func (m *MemSys) Access(a, pc addr.Addr, write bool, now int64) int64 {
 	res := m.l1d.Access(a, write, now)
 	if res.Hit {
@@ -310,11 +310,7 @@ func (m *MemSys) Access(a, pc addr.Addr, write bool, now int64) int64 {
 
 // miss handles an L1 demand miss: MSHR merge/stall, the L2/memory walk,
 // the L1 fill with write-allocate, and prefetcher training. It is split
-// from Access so the hit path stays on the allocation-free fast path (the
-// miss path allocates by design: prefetcher request batches are
-// miss-local slices).
-//
-//tcp:coldpath per-miss path, not per-cycle; merging the prefetcher's request batches may grow a miss-local slice bounded by the prefetch degree
+// from Access so the hit path stays small.
 func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 	// Merge with an in-flight fill of the same block. Entries are retired
 	// lazily: a completed entry found here is dropped instead of merged.
@@ -355,7 +351,14 @@ func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 	if !m.pfNoop {
 		miss := trace.MakeMiss(m.cfg.L1D, a, pc, start, write)
 		reqs := m.pf.OnMiss(miss)
-		reqs = append(reqs, m.pf.OnAccess(a, pc, start, false)...)
+		// No scheme returns requests from both calls (DBCP predicts on
+		// access, the rest on miss), so taking the non-empty batch keeps
+		// the miss path allocation-free.
+		if more := m.pf.OnAccess(a, pc, start, false); len(reqs) == 0 {
+			reqs = more
+		} else if len(more) > 0 {
+			reqs = append(reqs, more...)
+		}
 		m.issue(reqs, start)
 	}
 

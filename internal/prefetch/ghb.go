@@ -23,9 +23,18 @@ type GHB struct {
 
 	index map[uint64]int // PC -> buffer position of most recent miss
 
-	degree int           //tcp:nosnap prefetch-degree configuration fixed at construction
-	geom   addr.Geometry //tcp:nosnap address geometry fixed at construction
+	degree int           // prefetch-degree configuration fixed at construction
+	geom   addr.Geometry // address geometry fixed at construction
+
+	// Scratch for one OnMiss: the key's recent misses, their deltas and
+	// the batch it returns, sized at construction.
+	hist   []addr.Addr
+	deltas []int64
+	reqs   []Request
 }
+
+// ghbChain is how many of a key's most recent misses OnMiss correlates.
+const ghbChain = 16
 
 type ghbEntry struct {
 	addr addr.Addr
@@ -47,17 +56,21 @@ func NewGHB(g addr.Geometry, size, degree int) *GHB {
 		index:  make(map[uint64]int),
 		degree: degree,
 		geom:   g,
+		hist:   make([]addr.Addr, 0, ghbChain),
+		deltas: make([]int64, 0, ghbChain-1),
+		reqs:   make([]Request, 0, degree),
 	}
 }
 
 // Name implements Prefetcher.
 func (p *GHB) Name() string { return "ghb-pc/dc" }
 
-// chain returns up to n most-recent miss addresses for key, newest first.
-func (p *GHB) chain(key uint64, n int) []addr.Addr {
-	out := make([]addr.Addr, 0, n)
+// chain returns up to ghbChain most-recent miss addresses for key, newest
+// first, in the hist scratch.
+func (p *GHB) chain(key uint64) []addr.Addr {
+	out := p.hist[:0]
 	pos, ok := p.index[key]
-	for ok && len(out) < n {
+	for ok && len(out) < ghbChain {
 		e := p.buffer[pos]
 		if e.key != key {
 			break // entry overwritten by another chain
@@ -91,14 +104,14 @@ func (p *GHB) OnMiss(m trace.Miss) []Request {
 
 	// Delta correlation over the chain (newest first -> reverse to oldest
 	// first for natural delta order).
-	hist := p.chain(key, 16)
+	hist := p.chain(key)
 	if len(hist) < 4 {
 		return nil
 	}
 	for i, j := 0, len(hist)-1; i < j; i, j = i+1, j-1 {
 		hist[i], hist[j] = hist[j], hist[i]
 	}
-	deltas := make([]int64, len(hist)-1)
+	deltas := p.deltas[:len(hist)-1]
 	for i := 1; i < len(hist); i++ {
 		deltas[i-1] = int64(hist[i]) - int64(hist[i-1])
 	}
@@ -116,7 +129,7 @@ func (p *GHB) OnMiss(m trace.Miss) []Request {
 		return nil
 	}
 	// Replay the deltas that followed the matched pair.
-	reqs := make([]Request, 0, p.degree)
+	reqs := p.reqs[:0]
 	cur := int64(m.Addr)
 	for i := match + 1; i < len(deltas) && len(reqs) < p.degree; i++ {
 		cur += deltas[i]

@@ -53,17 +53,16 @@ func TestGHBNeedsHistory(t *testing.T) {
 func TestGHBSeparatesPCs(t *testing.T) {
 	g := l1()
 	p := NewGHB(g, 256, 1)
-	// PC A strides +64; PC B strides +4096, interleaved.
+	// PC A strides +64; PC B strides +4096, interleaved. Each batch is
+	// read before the next OnMiss, which reuses its backing array.
 	var gotA, gotB bool
 	for i := 0; i < 16; i++ {
-		ra := p.OnMiss(ghbMiss(g, addr.Addr(0x100000+i*64), 0x400100))
-		rb := p.OnMiss(ghbMiss(g, addr.Addr(0x800000+i*4096), 0x400200))
-		for _, r := range ra {
+		for _, r := range p.OnMiss(ghbMiss(g, addr.Addr(0x100000+i*64), 0x400100)) {
 			if r.Addr == g.Block(addr.Addr(0x100000+(i+1)*64)) {
 				gotA = true
 			}
 		}
-		for _, r := range rb {
+		for _, r := range p.OnMiss(ghbMiss(g, addr.Addr(0x800000+i*4096), 0x400200)) {
 			if r.Addr == g.Block(addr.Addr(0x800000+(i+1)*4096)) {
 				gotB = true
 			}

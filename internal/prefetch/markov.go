@@ -12,18 +12,23 @@ import (
 // entry supplies the prefetch candidates. The paper cites its 1-2 MB table
 // appetite as the motivating cost problem for TCP (Section 1).
 type Markov struct {
-	sets    [][]markovEntry
-	setMask uint64 //tcp:nosnap geometry derived from the set count at construction
-	targets int    // per-entry capacity fixed at construction; bounds a decoded row
+	// table holds the sets' entries set-major, ways per set; entry i's
+	// successors are succ[i*targets:][:table[i].n], MRU first.
+	table   []markovEntry
+	succ    []addr.Addr
+	ways    int
+	setMask uint64
+	targets int // per-entry capacity fixed at construction; bounds a decoded row
 	last    addr.Addr
 	hasLast bool
 	clock   int64
+	reqs    []Request // scratch batch OnMiss returns
 }
 
 type markovEntry struct {
 	block addr.Addr
-	succ  []addr.Addr // MRU-first successor list
 	used  int64
+	n     int32 // live successors
 	valid bool
 }
 
@@ -37,25 +42,36 @@ func NewMarkov(setBits uint, ways, targets int) *Markov {
 		targets = 1
 	}
 	n := 1 << setBits
-	sets := make([][]markovEntry, n)
-	for i := range sets {
-		sets[i] = make([]markovEntry, ways)
+	return &Markov{
+		table:   make([]markovEntry, n*ways),
+		succ:    make([]addr.Addr, n*ways*targets),
+		ways:    ways,
+		setMask: uint64(n - 1),
+		targets: targets,
+		reqs:    make([]Request, 0, targets),
 	}
-	return &Markov{sets: sets, setMask: uint64(n - 1), targets: targets}
 }
 
 // Name implements Prefetcher.
 func (p *Markov) Name() string { return "markov" }
 
-func (p *Markov) find(block addr.Addr, allocate bool) *markovEntry {
-	set := p.sets[(uint64(block)>>6)&p.setMask]
+// successors returns entry i's live successor list.
+func (p *Markov) successors(i int) []addr.Addr {
+	return p.succ[i*p.targets:][:p.table[i].n]
+}
+
+// find returns the table index of block's entry, allocating the set's LRU
+// way for it when allocate is set, or -1.
+func (p *Markov) find(block addr.Addr, allocate bool) int {
+	base := int((uint64(block)>>6)&p.setMask) * p.ways
+	set := p.table[base : base+p.ways]
 	for i := range set {
 		if set[i].valid && set[i].block == block {
-			return &set[i]
+			return base + i
 		}
 	}
 	if !allocate {
-		return nil
+		return -1
 	}
 	victim := 0
 	for i := range set {
@@ -68,35 +84,40 @@ func (p *Markov) find(block addr.Addr, allocate bool) *markovEntry {
 		}
 	}
 	set[victim] = markovEntry{block: block, valid: true}
-	return &set[victim]
+	return base + victim
 }
 
 // OnMiss implements Prefetcher.
 func (p *Markov) OnMiss(m trace.Miss) []Request {
 	p.clock++
 	if p.hasLast && p.last != m.Addr {
-		e := p.find(p.last, true)
+		i := p.find(p.last, true)
+		e := &p.table[i]
 		e.used = p.clock
-		// Move-to-front insert of the new successor.
-		out := make([]addr.Addr, 0, p.targets)
-		out = append(out, m.Addr)
-		for _, s := range e.succ {
-			if s != m.Addr && len(out) < p.targets {
-				out = append(out, s)
-			}
+		// Move-to-front insert of the new successor: shift the entries
+		// ahead of it (or all of them, dropping the LRU one when full).
+		s := p.successors(i)
+		j := 0
+		for j < len(s) && s[j] != m.Addr {
+			j++
 		}
-		e.succ = out
+		if j == len(s) && len(s) < p.targets {
+			e.n++
+			s = s[:len(s)+1]
+		}
+		copy(s[1:min(j+1, len(s))], s[:j])
+		s[0] = m.Addr
 	}
 	p.last = m.Addr
 	p.hasLast = true
 
-	e := p.find(m.Addr, false)
-	if e == nil {
+	i := p.find(m.Addr, false)
+	if i < 0 {
 		return nil
 	}
-	e.used = p.clock
-	reqs := make([]Request, 0, len(e.succ))
-	for _, s := range e.succ {
+	p.table[i].used = p.clock
+	reqs := p.reqs[:0]
+	for _, s := range p.successors(i) {
 		reqs = append(reqs, Request{Addr: s})
 	}
 	return reqs
@@ -111,9 +132,5 @@ func (p *Markov) OnEvict(addr.Addr, int64, int64, int64) {}
 // StorageBits implements Prefetcher: per entry one block address tag plus
 // `targets` successor addresses, ~40 bits each.
 func (p *Markov) StorageBits() uint64 {
-	ways := 0
-	if len(p.sets) > 0 {
-		ways = len(p.sets[0])
-	}
-	return uint64(len(p.sets)) * uint64(ways) * uint64(1+p.targets) * 40
+	return uint64(len(p.table)) * uint64(1+p.targets) * 40
 }

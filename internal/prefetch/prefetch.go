@@ -66,8 +66,9 @@ func (None) StorageBits() uint64 { return 0 }
 // NextLine prefetches the next Degree sequential blocks after each miss —
 // the simplest spatial prefetcher, a useful calibration floor.
 type NextLine struct {
-	geom   addr.Geometry //tcp:nosnap address geometry fixed at construction
-	degree int           //tcp:nosnap prefetch-degree configuration fixed at construction
+	geom   addr.Geometry // address geometry fixed at construction
+	degree int           // prefetch-degree configuration fixed at construction
+	reqs   []Request     // scratch batch OnMiss returns
 }
 
 // NewNextLine creates a next-line prefetcher of the given degree (>=1)
@@ -76,7 +77,7 @@ func NewNextLine(g addr.Geometry, degree int) *NextLine {
 	if degree < 1 {
 		degree = 1
 	}
-	return &NextLine{geom: g, degree: degree}
+	return &NextLine{geom: g, degree: degree, reqs: make([]Request, 0, degree)}
 }
 
 // Name implements Prefetcher.
@@ -84,7 +85,7 @@ func (p *NextLine) Name() string { return "nextline" }
 
 // OnMiss implements Prefetcher.
 func (p *NextLine) OnMiss(m trace.Miss) []Request {
-	reqs := make([]Request, 0, p.degree)
+	reqs := p.reqs[:0]
 	for i := 1; i <= p.degree; i++ {
 		reqs = append(reqs, Request{Addr: m.Addr + addr.Addr(i*p.geom.BlockBytes())})
 	}

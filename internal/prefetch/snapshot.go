@@ -58,19 +58,19 @@ func (p *Markov) Snapshot(c *checkpoint.Codec) {
 	c.I64(&p.clock)
 	c.U64((*uint64)(&p.last))
 	c.Bool(&p.hasLast)
-	c.Len(len(p.sets))
-	for _, set := range p.sets {
-		c.Len(len(set))
-		for i := range set {
-			e := &set[i]
-			c.U64((*uint64)(&e.block))
-			c.I64(&e.used)
-			c.Bool(&e.valid)
-			n := c.Count(len(e.succ), p.targets)
-			e.succ = slices.Grow(e.succ[:0], n)[:n]
-			for j := range e.succ {
-				c.U64((*uint64)(&e.succ[j]))
-			}
+	c.Len(len(p.table) / p.ways)
+	for i := range p.table {
+		if i%p.ways == 0 {
+			c.Len(p.ways)
+		}
+		e := &p.table[i]
+		c.U64((*uint64)(&e.block))
+		c.I64(&e.used)
+		c.Bool(&e.valid)
+		e.n = int32(c.Count(int(e.n), p.targets))
+		succ := p.successors(i)
+		for j := range succ {
+			c.U64((*uint64)(&succ[j]))
 		}
 	}
 }

@@ -11,10 +11,11 @@ import (
 // miss that matches no buffer (re)allocates the least-recently-used buffer
 // starting at the next block.
 type StreamBuffers struct {
-	geom    addr.Geometry //tcp:nosnap address geometry fixed at construction
-	depth   int           //tcp:nosnap per-buffer depth configuration fixed at construction
+	geom    addr.Geometry // address geometry fixed at construction
+	depth   int           // per-buffer depth configuration fixed at construction
 	buffers []streamBuf
 	clock   int64
+	reqs    []Request // scratch batch OnMiss returns
 }
 
 type streamBuf struct {
@@ -32,7 +33,8 @@ func NewStreamBuffers(g addr.Geometry, n, depth int) *StreamBuffers {
 	if depth < 1 {
 		depth = 1
 	}
-	return &StreamBuffers{geom: g, depth: depth, buffers: make([]streamBuf, n)}
+	return &StreamBuffers{geom: g, depth: depth, buffers: make([]streamBuf, n),
+		reqs: make([]Request, 0, depth)}
 }
 
 // Name implements Prefetcher.
@@ -48,7 +50,7 @@ func (p *StreamBuffers) OnMiss(m trace.Miss) []Request {
 			// Head hit: stream advances, prefetch one more block to refill.
 			b.next += blockBytes
 			b.used = p.clock
-			return []Request{{Addr: b.next + addr.Addr(b.left-1)*blockBytes}}
+			return append(p.reqs[:0], Request{Addr: b.next + addr.Addr(b.left-1)*blockBytes})
 		}
 	}
 	// Allocate LRU buffer and prefetch the next `depth` blocks.
@@ -64,7 +66,7 @@ func (p *StreamBuffers) OnMiss(m trace.Miss) []Request {
 	}
 	b := &p.buffers[victim]
 	*b = streamBuf{valid: true, next: m.Addr + blockBytes, left: p.depth, used: p.clock}
-	reqs := make([]Request, 0, p.depth)
+	reqs := p.reqs[:0]
 	for i := 0; i < p.depth; i++ {
 		reqs = append(reqs, Request{Addr: b.next + addr.Addr(i)*blockBytes})
 	}

@@ -9,10 +9,11 @@ import (
 // it tracks the last miss address and the last stride, and once the stride
 // repeats (the entry reaches the steady state) it prefetches ahead.
 type Stride struct {
-	geom    addr.Geometry //tcp:nosnap address geometry fixed at construction
+	geom    addr.Geometry // address geometry fixed at construction
 	entries []strideEntry
-	mask    uint64 //tcp:nosnap geometry derived from the table size at construction
-	degree  int    //tcp:nosnap prefetch-degree configuration fixed at construction
+	mask    uint64    // geometry derived from the table size at construction
+	degree  int       // prefetch-degree configuration fixed at construction
+	reqs    []Request // scratch batch OnMiss returns
 }
 
 type strideEntry struct {
@@ -35,6 +36,7 @@ func NewStride(g addr.Geometry, bits uint, degree int) *Stride {
 		entries: make([]strideEntry, n),
 		mask:    uint64(n - 1),
 		degree:  degree,
+		reqs:    make([]Request, 0, degree),
 	}
 }
 
@@ -67,7 +69,7 @@ func (p *Stride) OnMiss(m trace.Miss) []Request {
 	if e.state != 2 {
 		return nil
 	}
-	reqs := make([]Request, 0, p.degree)
+	reqs := p.reqs[:0]
 	for i := 1; i <= p.degree; i++ {
 		target := int64(m.Addr) + int64(i)*e.stride
 		if target <= 0 {

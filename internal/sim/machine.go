@@ -24,7 +24,7 @@ import (
 // split and every component serialises its complete dynamic state.
 type Machine struct {
 	spec   workload.Spec
-	f      Factory        //tcp:nosnap construction wiring; it built the parked components, it is not serialisable state
+	f      Factory        // construction wiring; it built the parked components, it is not serialisable state
 	cfg    Config         // normalized
 	memCfg memsys.Config  // normalized, including the hybrid prefetch bus
 	tel    *telemetry.Run // set by Observe; its sampler, when present, is part of the image
@@ -123,13 +123,13 @@ func (m *Machine) Observe(tel *telemetry.Run) {
 	m.core.UseSampler(tel.Sampler)
 	reg := tel.Registry
 	tel.Sampler.Ratio("cpu.ipc",
-		counterProbe(reg, "cpu.instructions_retired"), counterProbe(reg, "cpu.cycles"))
+		reg.Reader("cpu.instructions_retired"), reg.Reader("cpu.cycles"))
 	tel.Sampler.Ratio("memsys.l1.miss_rate",
-		counterProbe(reg, "memsys.l1.misses"), counterProbe(reg, "memsys.l1.accesses"))
+		reg.Reader("memsys.l1.misses"), reg.Reader("memsys.l1.accesses"))
 	tel.Sampler.Ratio("prefetch.coverage",
-		counterProbe(reg, "memsys.l2.prefetched_original"), counterProbe(reg, "memsys.l2.demand"))
+		reg.Reader("memsys.l2.prefetched_original"), reg.Reader("memsys.l2.demand"))
 	tel.Sampler.Ratio("prefetch.accuracy",
-		counterProbe(reg, "memsys.l2.prefetched_original"), counterProbe(reg, "memsys.prefetch.fills"))
+		reg.Reader("memsys.l2.prefetched_original"), reg.Reader("memsys.prefetch.fills"))
 	if m.cfg.Warmup > 0 {
 		tel.Sampler.MarkPhase("warmup", 0, 0)
 	} else {

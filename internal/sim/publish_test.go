@@ -64,14 +64,11 @@ func TestLiveScrapeMatchesMachineStats(t *testing.T) {
 	m := mustMachine(t, "mcf", TCP8K(), testConfig())
 	m.Observe(tel)
 
-	accesses, ok := tel.Registry.Lookup("memsys.l1.accesses")
-	if !ok {
-		t.Fatal("memsys.l1.accesses not registered")
-	}
+	accesses := tel.Registry.Reader("memsys.l1.accesses")
 	ticks := 0
 	tel.Sampler.OnSample(func(int64, uint64, []float64) {
 		ticks++
-		if got, want := accesses.(*telemetry.Counter).Value(), m.mem.L1Stats().Accesses; got != want {
+		if got, want := uint64(accesses()), m.mem.L1Stats().Accesses; got != want || got == 0 {
 			t.Errorf("tick %d: published memsys.l1.accesses %d, cache counts %d", ticks, got, want)
 		}
 	})

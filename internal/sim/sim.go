@@ -349,8 +349,8 @@ func MustRun(bench string, f Factory, cfg Config) Result {
 // itself, so the memory system does not elide its OnMiss calls.
 type missObserver struct {
 	prefetch.None
-	fn    func(trace.Miss) //tcp:nosnap host-side observer callback, outside the simulated state
-	armed bool             //tcp:nosnap observer state, outside the simulated state; ObserveMisses never checkpoints
+	fn    func(trace.Miss) // host-side observer callback, outside the simulated state
+	armed bool             // observer state, outside the simulated state; ObserveMisses never checkpoints
 }
 
 func (t *missObserver) OnMiss(m trace.Miss) []prefetch.Request {
@@ -384,16 +384,6 @@ func ObserveMisses(bench string, cfg Config, tel *telemetry.Run, fn func(trace.M
 	m.RunTo(m.cfg.Warmup)
 	tap.armed = true
 	return m.Run(), nil
-}
-
-// counterProbe adapts a registered counter into a sampler probe; a name
-// that is not registered (e.g. a prefetcher without that metric) reads 0.
-func counterProbe(reg *telemetry.Registry, name string) func() float64 {
-	m, ok := reg.Lookup(name)
-	if !ok {
-		return func() float64 { return 0 }
-	}
-	return telemetry.CounterValue(m.(*telemetry.Counter))
 }
 
 // exportRunGauges publishes the measured-window headline numbers. The

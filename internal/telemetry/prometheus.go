@@ -15,11 +15,12 @@ import (
 // -status-addr listener without taking a client-library dependency.
 //
 // Metric names follow the registry convention (dot-separated
-// lower_snake_case paths, enforced by the tcplint statreg analyzer), which
-// maps onto valid Prometheus names by replacing dots with underscores under
-// a "tcp_" prefix: "memsys.l1.misses" → "tcp_memsys_l1_misses". Nothing is
-// collected, rendered, or allocated until a scrape actually arrives —
-// attaching an exposition handler to a registry is free when unscraped.
+// lower_snake_case paths, checked over a built machine by internal/sim's
+// registry walk), which maps onto valid Prometheus names by replacing dots
+// with underscores under a "tcp_" prefix: "memsys.l1.misses" →
+// "tcp_memsys_l1_misses". Nothing is collected, rendered, or allocated
+// until a scrape actually arrives — attaching an exposition handler to a
+// registry is free when unscraped.
 
 // PromContentType is the Content-Type of the text exposition format.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -138,7 +139,7 @@ func promName(name string) string { return promPrefix + promIdent(name) }
 
 // promIdent maps an identifier onto the Prometheus name alphabet
 // [a-zA-Z0-9_:] with a non-digit first character; anything else becomes an
-// underscore (registry names checked by statreg never contain one).
+// underscore (registry names never contain one).
 func promIdent(name string) string {
 	var b strings.Builder
 	b.Grow(len(name))

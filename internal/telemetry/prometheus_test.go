@@ -65,7 +65,7 @@ func TestWritePrometheusMergesSets(t *testing.T) {
 }
 
 // TestPromNameValid: every name obeying the registry naming convention
-// (the statreg rule: dot-separated lower_snake_case segments) maps onto a
+// (the registry rule: dot-separated lower_snake_case segments) maps onto a
 // valid Prometheus metric name, and hostile input degrades safely.
 func TestPromNameValid(t *testing.T) {
 	promRE := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

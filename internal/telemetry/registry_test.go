@@ -54,12 +54,19 @@ func TestAttachExistingMetrics(t *testing.T) {
 	c.Add(3)
 	r := NewRegistry()
 	r.Sub("memsys.l2").Attach(c)
-	got, ok := r.Lookup("memsys.l2.hits")
-	if !ok || got.(*Counter) != c {
-		t.Fatalf("Lookup after Attach = %v, %v", got, ok)
+	read := r.Reader("memsys.l2.hits")
+	if got := read(); got != 3 {
+		t.Fatalf("Reader after Attach = %v, want 3", got)
+	}
+	if got := r.Reader("memsys.l2.misses")(); got != 0 {
+		t.Errorf("Reader of an absent metric = %v, want 0", got)
 	}
 	if v := r.Snapshot()[0]; v.Name != "memsys.l2.hits" || v.Count != 3 {
 		t.Errorf("snapshot = %+v", v)
+	}
+	c.Inc()
+	if got := read(); got != 4 {
+		t.Errorf("Reader after Inc = %v, want 4", got)
 	}
 }
 
@@ -100,9 +107,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if c.Value() != writers*perWriter {
 		t.Errorf("accesses = %d, want %d", c.Value(), writers*perWriter)
 	}
-	dyn, _ := r.Lookup("dyn.counter")
-	if dyn.(*Counter).Value() != writers*perWriter {
-		t.Errorf("dyn.counter = %d", dyn.(*Counter).Value())
+	if dyn := r.Reader("dyn.counter")(); dyn != writers*perWriter {
+		t.Errorf("dyn.counter = %v", dyn)
 	}
 }
 

@@ -9,7 +9,7 @@ package telemetry
 // safe for concurrent use; it trades locking for a two-instruction due
 // check on the hot path.
 type Sampler struct {
-	every int64 //tcp:nosnap sampling-interval configuration fixed at construction
+	every int64 // sampling-interval configuration fixed at construction
 	next  int64
 
 	probes []samplerProbe
@@ -19,10 +19,10 @@ type Sampler struct {
 	values [][]float64 // values[p][i] = probe p at sample i
 
 	phases    []Phase
-	onSample  func(cycle int64, instructions uint64, values []float64) //tcp:nosnap host-side callback wiring; not serialisable
+	onSample  func(cycle int64, instructions uint64, values []float64) // host-side callback wiring; not serialisable
 	maxSample int                                                      // capacity fixed at construction; bounds the decoded samples
 	truncated uint64
-	scratch   []float64 //tcp:nosnap scratch buffer, dead between samples
+	scratch   []float64 // scratch buffer, dead between samples
 }
 
 type samplerProbe struct {
@@ -86,7 +86,7 @@ func (s *Sampler) OnSample(fn func(cycle int64, instructions uint64, values []fl
 // Due reports whether a sample should be taken at cycle. It is called once
 // per committed instruction, so it is a single comparison.
 //
-//tcp:hotpath — the when-off path of sampling; Sample is the slow path.
+// The when-off path of sampling; Sample is the slow path.
 func (s *Sampler) Due(cycle int64) bool { return cycle >= s.next }
 
 // Sample records one sample at the given cycle. Callers gate on Due.

@@ -107,14 +107,14 @@ func NewTracer(w io.Writer, opts TracerOptions) *Tracer {
 // Enabled reports whether events at level l would be recorded. Call sites
 // use it to skip expensive event-field computation.
 //
-//tcp:hotpath — consulted before building event fields on per-cycle paths.
+// Consulted before building event fields on per-cycle paths.
 func (t *Tracer) Enabled(l Level) bool { return t.enabled && l >= t.min }
 
 // Emit records ev. Disabled tracers and filtered levels return
 // immediately with zero allocations: the whole slow path lives in
 // emitSlow so this gate stays small enough to inline into per-cycle code.
 //
-//tcp:hotpath — the disabled-tracer fast path is one branch; anything that
+// The disabled-tracer fast path is one branch; anything that
 // can allocate belongs in emitSlow.
 func (t *Tracer) Emit(ev Event) {
 	if !t.enabled || ev.Level < t.min {
@@ -127,7 +127,7 @@ func (t *Tracer) Emit(ev Event) {
 // buffer fills. The append never grows the buffer: capacity is fixed at
 // construction and flushLocked resets the length.
 //
-//tcp:coldpath runs only on enabled tracers past the level filter; the append stays within the capacity fixed at construction
+// It runs only on enabled tracers past the level filter.
 func (t *Tracer) emitSlow(ev Event) {
 	t.mu.Lock()
 	if t.max > 0 && t.written+uint64(len(t.buf)) >= t.max {

@@ -217,7 +217,7 @@ type synth struct {
 	lastOf   []uint64
 
 	// The spec's per-instruction probabilities, prepared once by New.
-	depP, loadUseP, predictableP, coinP xrand.Prob //tcp:nosnap derived from the spec by New
+	depP, loadUseP, predictableP, coinP xrand.Prob // derived from the spec by New
 }
 
 func hashName(name string) uint64 {
