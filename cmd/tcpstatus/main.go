@@ -60,8 +60,7 @@ func run() int {
 
 	// All timing flows through distrib.Clock: the one-shot paths call
 	// Scan(..., nil) which selects the system clock, and -watch sleeps on
-	// it, so this binary stays free of direct wall-clock reads like the
-	// simulator packages (tcplint notime).
+	// it, so this binary stays free of direct wall-clock reads.
 	clock := distrib.System
 
 	switch {

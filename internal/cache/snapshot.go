@@ -18,8 +18,9 @@ func (c *Cache) Snapshot(cd *checkpoint.Codec) {
 	sets, ways := uint32(c.geom.Sets()), uint32(c.geom.Ways())
 	cd.U32(&sets)
 	cd.U32(&ways)
-	cd.Check(int(sets) == c.geom.Sets() && int(ways) == c.geom.Ways(),
-		"cache %s: checkpoint geometry %dx%d, want %dx%d", c.name, sets, ways, c.geom.Sets(), c.geom.Ways())
+	if int(sets) != c.geom.Sets() || int(ways) != c.geom.Ways() {
+		cd.Fail(fmt.Errorf("cache %s: checkpoint geometry %dx%d, want %dx%d", c.name, sets, ways, c.geom.Sets(), c.geom.Ways()))
+	}
 	for i := range c.lines {
 		ln := &c.lines[i]
 		cd.U64(&ln.Tag)

@@ -53,8 +53,11 @@ var ErrCorrupt = errors.New("checkpoint: corrupt or truncated data")
 // written in one place and the two directions cannot disagree. Decoding
 // loads into an identically-configured component; the image comes from
 // disk or the network, so Snapshot validates structure (lengths, names,
-// ranges) with c.Len, c.Count and c.Check. A composite snapshots its
-// sub-components in the order of one list.
+// ranges) with c.Len and c.Count, and calls c.Fail when a decoded value
+// is out of range. The error is built only on that failure path: a
+// formatted error built on every call would box its arguments on every
+// encode. A composite snapshots its sub-components in the order of one
+// list.
 type Snapshotter interface {
 	Snapshot(c *Codec)
 }
@@ -65,10 +68,10 @@ type Snapshotter interface {
 // overwrites it.
 //
 // Decode errors are sticky: after the first failure every primitive
-// leaves its pointee alone, Count returns 0 and Check returns false, and
-// Decode reports the first error. A Snapshot method can therefore walk a
-// whole section unconditionally and stop only where a decoded value is
-// about to index or size something. Encoding cannot fail.
+// leaves its pointee alone, Count returns 0, Err returns the error, and
+// Decode reports it. A Snapshot method can therefore walk a whole section
+// unconditionally and stop only where a decoded value is about to index
+// or size something. Encoding cannot fail.
 type Codec struct {
 	buf      []byte
 	pos      int    // decode: read offset into buf
@@ -144,15 +147,9 @@ func (c *Codec) Fail(err error) {
 	c.sec = -1 // no section is open any more, so every later take fails
 }
 
-// Check fails decoding with the formatted error unless ok, and reports
-// whether decoding is still sound. Encoding records nothing and reports
-// true.
-func (c *Codec) Check(ok bool, format string, args ...any) bool {
-	if !ok && c.decoding && c.err == nil {
-		c.Fail(fmt.Errorf(format, args...))
-	}
-	return c.err == nil
-}
+// Err returns the first decode error, or nil while decoding is sound.
+// Encoding never fails, so an encoding Codec always returns nil.
+func (c *Codec) Err() error { return c.err }
 
 // Section closes the open section and opens the next one. Encoding writes
 // the name; decoding requires the next section to carry exactly this name

@@ -17,8 +17,9 @@ func (t *TCP) Snapshot(c *checkpoint.Codec) {
 	rows, depth := uint32(len(t.thtFill)), uint32(t.cfg.HistoryDepth)
 	c.U32(&rows)
 	c.U32(&depth)
-	c.Check(int(rows) == len(t.thtFill) && int(depth) == t.cfg.HistoryDepth,
-		"tcp: checkpoint THT %dx%d, want %dx%d", rows, depth, len(t.thtFill), t.cfg.HistoryDepth)
+	if int(rows) != len(t.thtFill) || int(depth) != t.cfg.HistoryDepth {
+		c.Fail(fmt.Errorf("tcp: checkpoint THT %dx%d, want %dx%d", rows, depth, len(t.thtFill), t.cfg.HistoryDepth))
+	}
 	for i := range t.tht {
 		c.U64(&t.tht[i])
 	}

@@ -98,7 +98,8 @@ func (e *Evaluator) gc() {
 	if len(e.pending) < 4*e.window {
 		return
 	}
-	//lint:ignore tcplint/detmap each entry is dropped by an independent staleness predicate, so the surviving map contents do not depend on iteration order
+	// Map order cannot matter: each entry is dropped by an independent
+	// staleness predicate, so the surviving contents do not depend on it.
 	for id, at := range e.pending {
 		if e.seq-at > uint64(e.window) {
 			delete(e.pending, id)

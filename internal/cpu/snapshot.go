@@ -1,6 +1,10 @@
 package cpu
 
-import "tagprefetch/internal/checkpoint"
+import (
+	"fmt"
+
+	"tagprefetch/internal/checkpoint"
+)
 
 // snapshotResult codes a Result's counters (IPC is derived and recomputed
 // by Finish, so it is not stored).
@@ -51,15 +55,19 @@ func (c *Core) Snapshot(cd *checkpoint.Codec) {
 	// (the clock already flowed into the pipeline cursors above).
 	cd.Bool(&c.fastActive)
 	cd.I64(&c.fclock)
-	cd.Check(c.fclock >= 0, "cpu: checkpoint functional clock %d negative", c.fclock)
-	cd.Check(p.memCount >= 0, "cpu: checkpoint LSQ count %d negative", p.memCount)
-	cd.Check(p.dispatchSlots >= 0 && p.dispatchSlots <= c.cfg.IssueWidth &&
-		p.commitSlots >= 0 && p.commitSlots <= c.cfg.IssueWidth,
-		"cpu: checkpoint slot counts (%d,%d) exceed issue width %d",
-		p.dispatchSlots, p.commitSlots, c.cfg.IssueWidth)
+	switch w := c.cfg.IssueWidth; {
+	case c.fclock < 0:
+		cd.Fail(fmt.Errorf("cpu: checkpoint functional clock %d negative", c.fclock))
+	case p.memCount < 0:
+		cd.Fail(fmt.Errorf("cpu: checkpoint LSQ count %d negative", p.memCount))
+	case p.dispatchSlots < 0 || p.dispatchSlots > w || p.commitSlots < 0 || p.commitSlots > w:
+		cd.Fail(fmt.Errorf("cpu: checkpoint slot counts (%d,%d) exceed issue width %d", p.dispatchSlots, p.commitSlots, w))
+	}
 
 	name := c.pred.Name()
 	cd.String(&name)
-	cd.Check(name == c.pred.Name(), "cpu: checkpoint predictor %q, core has %q", name, c.pred.Name())
+	if name != c.pred.Name() {
+		cd.Fail(fmt.Errorf("cpu: checkpoint predictor %q, core has %q", name, c.pred.Name()))
+	}
 	c.pred.Snapshot(cd)
 }

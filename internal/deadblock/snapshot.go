@@ -1,6 +1,7 @@
 package deadblock
 
 import (
+	"fmt"
 	"slices"
 
 	"tagprefetch/internal/checkpoint"
@@ -18,8 +19,9 @@ func (p *Predictor) Snapshot(c *checkpoint.Codec) {
 	c.U64(&p.stats.PredictDead)
 	c.Int(&p.ringHead)
 	n := c.Count(len(p.ring), p.cfg.Entries)
-	c.Check(p.ringHead >= 0 && (n > 0 && p.ringHead < p.cfg.Entries || n == 0 && p.ringHead == 0),
-		"deadblock: checkpoint ring head %d out of range", p.ringHead)
+	if p.ringHead < 0 || n > 0 && p.ringHead >= p.cfg.Entries || n == 0 && p.ringHead != 0 {
+		c.Fail(fmt.Errorf("deadblock: checkpoint ring head %d out of range", p.ringHead))
+	}
 	p.ring = slices.Grow(p.ring[:0], n)[:n]
 	if c.Decoding() {
 		p.live = make(map[uint64]int64, p.cfg.Entries)

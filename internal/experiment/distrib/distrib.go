@@ -22,10 +22,11 @@
 // protocol can be this small. See docs/DISTRIBUTED.md for the failure
 // matrix.
 //
-// Wall-clock time is confined to this package on purpose: the simulator
-// packages (including internal/experiment) are checked by the tcplint
-// notime analyzer, and everything here flows through the Clock interface so
-// the fault-injection tests can drive the protocol on a manual clock.
+// Wall-clock time is confined to this package on purpose: simulator output
+// must not depend on it (internal/sim's TestDeterminismGate runs every
+// scheme twice and compares the bytes), and everything here flows through
+// the Clock interface so the fault-injection tests can drive the protocol
+// on a manual clock.
 package distrib
 
 import (

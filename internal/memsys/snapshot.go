@@ -1,6 +1,8 @@
 package memsys
 
 import (
+	"errors"
+
 	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/prefetch"
 )
@@ -49,9 +51,15 @@ func (m *MemSys) Snapshot(c *checkpoint.Codec) {
 	c.Bool(&hasPfBus)
 	c.Bool(&hasL2pf)
 	c.Bool(&hasDbp)
-	if !c.Check(!hasPfBus || m.pfBus != nil, "memsys: checkpoint has a prefetch bus, machine does not") ||
-		!c.Check(!hasL2pf || m.l2pf != nil, "memsys: checkpoint has an L2 prefetcher, machine does not") ||
-		!c.Check(!hasDbp || m.dbp != nil, "memsys: checkpoint has a dead-block predictor, machine does not") {
+	switch {
+	case hasPfBus && m.pfBus == nil:
+		c.Fail(errors.New("memsys: checkpoint has a prefetch bus, machine does not"))
+	case hasL2pf && m.l2pf == nil:
+		c.Fail(errors.New("memsys: checkpoint has an L2 prefetcher, machine does not"))
+	case hasDbp && m.dbp == nil:
+		c.Fail(errors.New("memsys: checkpoint has a dead-block predictor, machine does not"))
+	}
+	if c.Err() != nil {
 		return
 	}
 	for _, f := range m.st.own() {

@@ -81,7 +81,9 @@ func (p *GHB) Snapshot(c *checkpoint.Codec) {
 	c.Section("prefetch.ghb")
 	c.Int(&p.head)
 	c.Len(len(p.buffer))
-	c.Check(p.head >= 0 && p.head < len(p.buffer), "ghb: checkpoint head %d out of range", p.head)
+	if p.head < 0 || p.head >= len(p.buffer) {
+		c.Fail(fmt.Errorf("ghb: checkpoint head %d out of range", p.head))
+	}
 	for i := range p.buffer {
 		e := &p.buffer[i]
 		c.U64((*uint64)(&e.addr))

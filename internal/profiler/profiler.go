@@ -192,7 +192,8 @@ func (p *Profiler) Summarize() Summary {
 	}
 	if s.UniqueSeqs > 0 {
 		var su uint64
-		//lint:ignore tcplint/detmap counting keys that satisfy a per-key predicate is an order-independent reduction
+		// Map order cannot matter: counting the keys that satisfy a per-key
+		// predicate is an order-independent reduction.
 		for k := range p.seqCount {
 			if isStrided(k[:p.seqLen]) {
 				su++

@@ -62,12 +62,6 @@ func mallocs(fn func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// allocatedBytes returns the heap bytes fn allocates.
-func allocatedBytes(fn func()) uint64 {
-	before, after := memStats(fn)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
 // memStats reads the memory statistics around fn. The counts are
 // process-wide, so the window opens only once the runtime is quiet: a
 // collection finishes first, the work it queues (such as the unique
@@ -145,19 +139,34 @@ func TestAdvanceGates(t *testing.T) {
 	}
 }
 
+// encodeScratchAllocs bounds the allocations encoding a warmed
+// no-prefetch machine makes besides its buffer: the codec (1), the
+// section names of the two caches and two buses (4), each MSHR file's
+// sorted copy of its live entries and the sort's swapper (4), the memory
+// system's section list and the machine's boundary-counter list (2), and
+// crc32's table, built on a process's first checksum (1). None grows with
+// the image.
+const encodeScratchAllocs = 12
+
 // TestCheckpointEncodeGrowth: the codec doubles its buffer from 64 KB, so
 // encoding an image allocates at most the doubling schedule's cumulative
 // capacity, 2 x (64 KB << d) for the d doublings the image needs, plus
 // 256 KB for the components' own scratch. Growing the buffer by append's
 // smaller steps on the per-value path would allocate several times the
-// image.
+// image. The allocation count is the first buffer and its d doublings
+// plus encodeScratchAllocs: a value boxed or a string built on the
+// per-field path would allocate once per record.
 func TestCheckpointEncodeGrowth(t *testing.T) {
 	m := mustMachine(t, "mcf", NoPrefetch(), Config{Instructions: 2_000, Warmup: 20_000})
 	m.RunTo(21_000)
 	var img []byte
-	bytes := allocatedBytes(func() { img = checkpoint.Encode(m) })
+	before, after := memStats(func() { img = checkpoint.Encode(m) })
 	doublings := bits.Len(uint((len(img) - 1) >> 16))
-	if limit := uint64(2*(64<<10)<<doublings + 256<<10); bytes > limit {
+	if bytes, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*(64<<10)<<doublings+256<<10); bytes > limit {
 		t.Errorf("encoding a %d-byte image allocated %d bytes, want at most %d", len(img), bytes, limit)
+	}
+	if allocs, limit := after.Mallocs-before.Mallocs, uint64(1+doublings+encodeScratchAllocs); allocs > limit {
+		t.Errorf("encoding a %d-byte image made %d heap allocations, want at most %d (%d buffer doublings)",
+			len(img), allocs, limit, doublings)
 	}
 }

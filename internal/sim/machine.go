@@ -278,15 +278,23 @@ func (m *Machine) Snapshot(c *checkpoint.Codec) {
 	hasSampler, warmed := m.hasSampler(), m.core.Warmed()
 	c.Bool(&hasSampler)
 	c.Bool(&warmed)
-	c.Check(name == m.spec.Name, "sim: checkpoint for benchmark %q, machine runs %q", name, m.spec.Name)
-	c.Check(seed == m.cfg.Seed, "sim: checkpoint seed %d, machine seed %d", seed, m.cfg.Seed)
-	c.Check(warmup == m.cfg.Warmup, "sim: checkpoint warmup %d, machine warmup %d", warmup, m.cfg.Warmup)
-	if Fidelity(fidelity) != m.cfg.WarmupFidelity {
+	switch {
+	case name != m.spec.Name:
+		c.Fail(fmt.Errorf("sim: checkpoint for benchmark %q, machine runs %q", name, m.spec.Name))
+	case seed != m.cfg.Seed:
+		c.Fail(fmt.Errorf("sim: checkpoint seed %d, machine seed %d", seed, m.cfg.Seed))
+	case warmup != m.cfg.Warmup:
+		c.Fail(fmt.Errorf("sim: checkpoint warmup %d, machine warmup %d", warmup, m.cfg.Warmup))
+	case Fidelity(fidelity) != m.cfg.WarmupFidelity:
 		c.Fail(&FidelityMismatchError{Checkpoint: Fidelity(fidelity), Machine: m.cfg.WarmupFidelity})
+	case geo != want:
+		c.Fail(fmt.Errorf("sim: checkpoint cache geometry %v, machine %v", geo, want))
+	case hasSampler != m.hasSampler():
+		c.Fail(fmt.Errorf("sim: checkpoint sampler presence %v, machine %v", hasSampler, m.hasSampler()))
+	case done > m.Total():
+		c.Fail(fmt.Errorf("sim: checkpoint position %d beyond run length %d", done, m.Total()))
 	}
-	c.Check(geo == want, "sim: checkpoint cache geometry %v, machine %v", geo, want)
-	c.Check(hasSampler == m.hasSampler(), "sim: checkpoint sampler presence %v, machine %v", hasSampler, m.hasSampler())
-	if !c.Check(done <= m.Total(), "sim: checkpoint position %d beyond run length %d", done, m.Total()) {
+	if c.Err() != nil {
 		return
 	}
 	if warmed {

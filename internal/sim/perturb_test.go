@@ -2,15 +2,23 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
 	"go/types"
+	"io"
 	"math"
+	"os"
+	"os/exec"
 	"path"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"tagprefetch/internal/addr"
-	"tagprefetch/internal/analysis/load"
 	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/dbcp"
 	"tagprefetch/internal/prefetch"
@@ -383,7 +391,7 @@ func TestPerturbationCoversEverySnapshotter(t *testing.T) {
 			reached[typ.PkgPath()+"."+typ.Name()] = true
 		}
 	}
-	pkgs, err := load.Load(".", "tagprefetch/...")
+	pkgs, err := modulePackages()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +399,7 @@ func TestPerturbationCoversEverySnapshotter(t *testing.T) {
 	for _, p := range pkgs {
 		// Each package sees checkpoint through its own import.
 		var iface *types.Interface
-		for _, imp := range p.Types.Imports() {
+		for _, imp := range p.Imports() {
 			if imp.Path() == "tagprefetch/internal/checkpoint" {
 				iface = imp.Scope().Lookup("Snapshotter").Type().Underlying().(*types.Interface)
 			}
@@ -399,7 +407,7 @@ func TestPerturbationCoversEverySnapshotter(t *testing.T) {
 		if iface == nil {
 			continue
 		}
-		scope := p.Types.Scope()
+		scope := p.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) ||
@@ -407,12 +415,68 @@ func TestPerturbationCoversEverySnapshotter(t *testing.T) {
 				continue
 			}
 			implementers++
-			if !reached[p.Path+"."+name] {
-				t.Errorf("%s.%s implements checkpoint.Snapshotter but no perturbation row builds it", p.Path, name)
+			if !reached[p.Path()+"."+name] {
+				t.Errorf("%s.%s implements checkpoint.Snapshotter but no perturbation row builds it", p.Path(), name)
 			}
 		}
 	}
 	if implementers < len(reached) {
 		t.Fatalf("the load found %d Snapshotters, fewer than the %d the walk reached; the scan is broken", implementers, len(reached))
 	}
+}
+
+// modulePackages typechecks every package of the module from source.
+// Export data omits unexported types no exported declaration reaches
+// (workload.synth, sim.missObserver), so each package is parsed and
+// checked, with its imports resolved through the export data
+// `go list -deps -export` compiles into the build cache.
+func modulePackages() ([]*types.Package, error) {
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json", "tagprefetch/...")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, err
+	}
+	type listed struct {
+		ImportPath, Dir, Export string
+		GoFiles                 []string
+		Standard                bool
+		Module                  *struct{}
+	}
+	var list []listed
+	exports := map[string]string{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var lp listed
+		if err := dec.Decode(&lp); err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, err
+		}
+		exports[lp.ImportPath] = lp.Export
+		list = append(list, lp)
+	}
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})}
+	var pkgs []*types.Package
+	for _, lp := range list {
+		if lp.Standard || lp.Module == nil || len(lp.GoFiles) == 0 {
+			continue // outside the module: its types stay behind export data
+		}
+		var files []*ast.File
+		for _, name := range lp.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		p, err := conf.Check(lp.ImportPath, fset, files, nil)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -21,7 +22,9 @@ func (s *Sampler) Snapshot(c *checkpoint.Codec) {
 		p := &s.probes[i]
 		name := p.name
 		c.String(&name)
-		c.Check(name == p.name, "sampler: checkpoint probe %q, want %q", name, p.name)
+		if name != p.name {
+			c.Fail(fmt.Errorf("sampler: checkpoint probe %q, want %q", name, p.name))
+		}
 		c.F64(&p.prevNum)
 		c.F64(&p.prevDen)
 	}

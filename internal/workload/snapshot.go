@@ -1,6 +1,10 @@
 package workload
 
-import "tagprefetch/internal/checkpoint"
+import (
+	"fmt"
+
+	"tagprefetch/internal/checkpoint"
+)
 
 // The generator's static structure — loop body, slot-to-stream binding,
 // branch periods, chase permutations — is rebuilt deterministically by
@@ -24,13 +28,17 @@ func (s *synth) Snapshot(c *checkpoint.Codec) {
 	c.Section("workload")
 	name := s.spec.Name
 	c.String(&name)
-	c.Check(name == s.spec.Name, "workload: checkpoint for %q, generator is %q", name, s.spec.Name)
+	if name != s.spec.Name {
+		c.Fail(fmt.Errorf("workload: checkpoint for %q, generator is %q", name, s.spec.Name))
+	}
 	s.rng.Snapshot(c)
 	c.Int(&s.slotIdx)
 	c.U64(&s.icount)
 	c.U64(&s.lastLoad)
 	c.U64s(s.lastOf)
-	c.Check(s.slotIdx >= 0 && s.slotIdx < len(s.body), "workload: checkpoint slot index %d out of range", s.slotIdx)
+	if s.slotIdx < 0 || s.slotIdx >= len(s.body) {
+		c.Fail(fmt.Errorf("workload: checkpoint slot index %d out of range", s.slotIdx))
+	}
 	c.Len(len(s.branch))
 	for i := range s.branch {
 		c.Int(&s.branch[i].count)
@@ -45,7 +53,9 @@ func (s *synth) Snapshot(c *checkpoint.Codec) {
 func streamTag(c *checkpoint.Codec, want uint8, kind string) {
 	got := want
 	c.U8(&got)
-	c.Check(got == want, "workload: checkpoint stream tag %d, want %s (%d)", got, kind, want)
+	if got != want {
+		c.Fail(fmt.Errorf("workload: checkpoint stream tag %d, want %s (%d)", got, kind, want))
+	}
 }
 
 func (t *throttled) snapshot(c *checkpoint.Codec) {
@@ -59,13 +69,17 @@ func (t *throttled) snapshot(c *checkpoint.Codec) {
 func (s *sweepStream) snapshot(c *checkpoint.Codec) {
 	streamTag(c, streamTagSweep, "sweep")
 	c.U64(&s.pos)
-	c.Check(s.pos < s.footprint, "workload: sweep position %d beyond footprint %d", s.pos, s.footprint)
+	if s.pos >= s.footprint {
+		c.Fail(fmt.Errorf("workload: sweep position %d beyond footprint %d", s.pos, s.footprint))
+	}
 }
 
 func (c *chaseStream) snapshot(cd *checkpoint.Codec) {
 	streamTag(cd, streamTagChase, "chase")
 	cd.U32(&c.cur)
-	cd.Check(int(c.cur) < len(c.succ), "workload: chase cursor %d beyond permutation of %d", c.cur, len(c.succ))
+	if int(c.cur) >= len(c.succ) {
+		cd.Fail(fmt.Errorf("workload: chase cursor %d beyond permutation of %d", c.cur, len(c.succ)))
+	}
 }
 
 func (s *randomStream) snapshot(c *checkpoint.Codec) {
@@ -77,5 +91,7 @@ func (s *columnStream) snapshot(c *checkpoint.Codec) {
 	streamTag(c, streamTagColumn, "column")
 	c.U64(&s.row)
 	c.U64(&s.col)
-	c.Check(s.row < s.rows && s.col < s.cols, "workload: column cursor (%d,%d) beyond (%d,%d)", s.row, s.col, s.rows, s.cols)
+	if s.row >= s.rows || s.col >= s.cols {
+		c.Fail(fmt.Errorf("workload: column cursor (%d,%d) beyond (%d,%d)", s.row, s.col, s.rows, s.cols))
+	}
 }
