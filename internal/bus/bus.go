@@ -20,6 +20,8 @@ type Bus struct {
 	transfers uint64
 	bytes     uint64
 	waited    int64 // total queueing delay imposed on transfers
+
+	section string // checkpoint section name, "bus." + name; last, clear of the transfer path's fields
 }
 
 // New creates a bus transferring width bytes per core cycle.
@@ -28,7 +30,7 @@ func New(name string, width int) *Bus {
 	if width <= 0 {
 		panic(fmt.Sprintf("bus: non-positive width %d", width))
 	}
-	return &Bus{name: name, bytesPerCycle: width}
+	return &Bus{name: name, section: "bus." + name, bytesPerCycle: width}
 }
 
 // Name returns the bus name.

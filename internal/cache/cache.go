@@ -38,6 +38,8 @@ type Cache struct {
 
 	st  Stats            // activity counters, single-writer
 	pub telemetry.Mirror // host-side registry mirror of st, republished after a decode
+
+	section string // checkpoint section name, "cache." + name; last, clear of the access path's fields
 }
 
 // set returns the line frames of set idx.
@@ -82,7 +84,7 @@ func (s *Stats) Fields() [10]*uint64 {
 
 // New creates a cache with the given geometry.
 func New(name string, g addr.Geometry) *Cache {
-	return &Cache{name: name, geom: g,
+	return &Cache{name: name, section: "cache." + name, geom: g,
 		lines: make([]Line, g.Sets()*g.Ways()), ways: g.Ways()}
 }
 

@@ -32,6 +32,8 @@ type MSHRFile struct {
 	merges    uint64
 	allocs    uint64
 	fullStall uint64
+
+	sorted []MSHR // Snapshot's scratch: the live entries in block order
 }
 
 // MSHR is one in-flight miss. Entries live in the file's fixed pool, so
@@ -70,6 +72,7 @@ func NewMSHRFile(capacity int) *MSHRFile {
 		heads:    make([]int32, buckets),
 		next:     make([]int32, capacity),
 		shift:    shift,
+		sorted:   make([]MSHR, 0, capacity),
 	}
 	f.clear()
 	return f

@@ -225,9 +225,14 @@ func (c *Codec) put(n int) []byte {
 // grow reallocates the encode buffer with room for at least n more bytes.
 //
 // Doubling is amortised O(1): it runs once per buffer exhaustion, not
-// per encoded value.
+// per encoded value. A large Span doubles the capacity as many times as
+// it needs at once, so the buffer stays on the doubling schedule.
 func (c *Codec) grow(n int) {
-	buf := make([]byte, len(c.buf), max(2*cap(c.buf), len(c.buf)+n))
+	size := 2 * cap(c.buf)
+	for size < len(c.buf)+n {
+		size *= 2
+	}
+	buf := make([]byte, len(c.buf), size)
 	copy(buf, c.buf)
 	c.buf = buf
 }
@@ -373,48 +378,73 @@ func (c *Codec) Count(n, limit int) int {
 	return int(v)
 }
 
+// Span puts n bytes into the encoded image, or takes the next n payload
+// bytes of the open section, and returns them in place: an encoder fills
+// them, a decoder reads them. A run of fixed-size records is coded
+// through one Span rather than one primitive call per field. Decoding
+// returns nil once it has failed, and a Span that would overrun the
+// section fails it.
+func (c *Codec) Span(n int) []byte {
+	if !c.decoding {
+		return c.put(n)
+	}
+	return c.take(n)
+}
+
 // Bytes encodes or decodes a u32-length-prefixed []byte of exactly len(s)
 // elements (see Len).
 func (c *Codec) Bytes(s []byte) {
 	c.Len(len(s))
-	for i := range s {
-		c.U8(&s[i])
+	if b := c.Span(len(s)); !c.decoding {
+		copy(b, s)
+	} else if b != nil {
+		copy(s, b)
 	}
 }
 
 // U64s encodes or decodes a u32-length-prefixed []uint64 of exactly
 // len(s) elements (see Len).
-func (c *Codec) U64s(s []uint64) {
-	c.Len(len(s))
-	for i := range s {
-		c.U64(&s[i])
-	}
-}
+func (c *Codec) U64s(s []uint64) { words(c, s) }
 
 // I64s encodes or decodes a u32-length-prefixed []int64 of exactly len(s)
 // elements (see Len).
-func (c *Codec) I64s(s []int64) {
-	c.Len(len(s))
-	for i := range s {
-		c.I64(&s[i])
-	}
-}
+func (c *Codec) I64s(s []int64) { words(c, s) }
 
 // Ints encodes or decodes a u32-length-prefixed []int, each element as an
 // int64, of exactly len(s) elements (see Len).
-func (c *Codec) Ints(s []int) {
+func (c *Codec) Ints(s []int) { words(c, s) }
+
+// words codes s as its length (see Len) and one Span of little-endian
+// 8-byte words, each element's two's-complement image.
+func words[T ~int | ~int64 | ~uint64](c *Codec, s []T) {
 	c.Len(len(s))
-	for i := range s {
-		c.Int(&s[i])
+	b := c.Span(8 * len(s))
+	switch {
+	case !c.decoding:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+	case b != nil:
+		for i := range s {
+			s[i] = T(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 }
 
 // F64s encodes or decodes a u32-length-prefixed []float64 of exactly
-// len(s) elements (see Len).
+// len(s) elements (see Len), each as its IEEE-754 bit pattern.
 func (c *Codec) F64s(s []float64) {
 	c.Len(len(s))
-	for i := range s {
-		c.F64(&s[i])
+	b := c.Span(8 * len(s))
+	switch {
+	case !c.decoding:
+		for i, v := range s {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+	case b != nil:
+		for i := range s {
+			s[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ func referenceParse(data []byte) (storedResult, bool) {
 }
 
 // schemeManifests returns the manifest Save writes for one small run of
-// each sim.Schemes row.
+// each sim.Schemes row, trailing newline included.
 func schemeManifests(tb testing.TB) [][]byte {
 	tb.Helper()
 	var out [][]byte
@@ -31,22 +31,22 @@ func schemeManifests(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, data)
+		out = append(out, append(data, '\n'))
 	}
 	return out
 }
 
-// TestFastPathAcceptsWrittenManifests: every manifest Save writes is
-// decoded by the one-pass decoder itself, not by the encoding/json
-// fallback, and decodes to what encoding/json reads from it.
+// TestFastPathAcceptsWrittenManifests: every manifest Save writes
+// matches the template itself, not the encoding/json fallback, and
+// decodes to what encoding/json reads from it.
 func TestFastPathAcceptsWrittenManifests(t *testing.T) {
 	for _, data := range schemeManifests(t) {
 		var sr storedResult
-		if d := (manifestDecoder{data: data}); !d.document(reflect.ValueOf(&sr).Elem()) {
-			t.Fatalf("fast pass declined a manifest Save writes, at byte %d:\n%s", d.pos, data)
+		if !manifestLayout.match(data, reflect.ValueOf(&sr).Elem()) {
+			t.Fatalf("template declined a manifest Save writes:\n%s", data)
 		}
 		if ref, _ := referenceParse(data); sr != ref {
-			t.Errorf("fast pass decoded\n%+v\nencoding/json decodes\n%+v", sr, ref)
+			t.Errorf("template decoded\n%+v\nencoding/json decodes\n%+v", sr, ref)
 		}
 	}
 }
@@ -84,8 +84,34 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		f.Add(bytes.Replace(good, []byte(edit[0]), []byte(edit[1]), 1))
 	}
+	// Valid JSON off Save's layout: each must miss the template and take
+	// the fallback.
+	indented := func(data []byte, indent string) []byte {
+		var out bytes.Buffer
+		if err := json.Indent(&out, data, "", indent); err != nil {
+			f.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	for _, data := range [][]byte{
+		bytes.Replace(good, []byte("\"Bench\": \"mcf\",\n  \"Factory\": \"tcp-8K\""),
+			[]byte("\"Factory\": \"tcp-8K\",\n  \"Bench\": \"mcf\""), 1), // keys reordered
+		indented(good, "\t"), // tab indentation
+		bytes.ReplaceAll(good, []byte("\n"), []byte("\r\n")), // CRLF line ends
+		good[:len(good)-1],                    // no trailing newline
+		append(bytes.Clone(good), " \n\t"...), // trailing whitespace
+		append(bytes.Clone(good[:len(good)-3]), ",\n  \"Bench\": \"swim\"\n}\n"...), // duplicate key after the last one
+		append(bytes.Clone(good[:len(good)-3]), ",\n  \"Extra\": 1\n}\n"...),        // extra unknown key
+	} {
+		if ok := manifestLayout.match(data, reflect.ValueOf(&storedResult{}).Elem()); ok {
+			f.Fatalf("seed off Save's layout matched the template:\n%s", data)
+		}
+		if _, ok := referenceParse(data); !ok {
+			f.Fatalf("seed off Save's layout is not a valid manifest:\n%s", data)
+		}
+		f.Add(data)
+	}
 	f.Add(append(bytes.Clone(good), "xyz"...)) // trailing garbage
-	f.Add(append(bytes.Clone(good), " \n\t"...))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Bench":"swim"}`))
 	f.Add([]byte(`{"Factory":"tcp-8K"}`))

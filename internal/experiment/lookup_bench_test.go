@@ -88,9 +88,9 @@ func stringFields(t reflect.Type) int {
 // TestManifestPathAllocs gates the allocations of the two per-point costs
 // of the manifest path: JobName builds its preimage in a stack buffer and
 // allocates only the name it returns, and the fast manifest decode
-// allocates only the strings it returns. A manifest the fast pass stopped
-// accepting (say, a new sim.Result field of a kind it skips) would go to
-// encoding/json and fail the second gate.
+// allocates only the strings it returns. A manifest the template stopped
+// matching (say, a new sim.Result field of a kind it does not decode)
+// would go to encoding/json and fail the second gate.
 func TestManifestPathAllocs(t *testing.T) {
 	bench, _, cfg := fig13Config()
 	j := Job{Bench: bench, Factory: sim.TCPWithPHT(8<<10, 2, false), Config: cfg}
@@ -103,6 +103,7 @@ func TestManifestPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data = append(data, '\n') // as Save writes it
 	limit := float64(stringFields(reflect.TypeOf(storedResult{})))
 	var sr storedResult
 	if n := testing.AllocsPerRun(100, func() {

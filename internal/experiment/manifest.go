@@ -6,55 +6,85 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 )
 
-// Manifest decoding. Every cached re-run of a grid, every resumed figure
-// suite and every new daemon reads one manifest per grid point, so the
-// read path decodes the manifest shape in one pass over the bytes instead
-// of through encoding/json's reflection-driven decoder. The pass accepts
-// only the subset of JSON that json.MarshalIndent writes for a
-// storedResult: canonical numbers, escape-free ASCII strings, the
-// schema's own keys with their exact case. At the first byte outside that
-// subset the input goes to json.Unmarshal whole, so parseManifest returns
-// what encoding/json returns on every input (FuzzParseManifest checks this
-// differentially against json.Unmarshal).
+// Manifest decoding: template match, else encoding/json. Every cached
+// re-run of a grid, every resumed figure suite and every new daemon reads
+// one manifest per grid point, and Save writes each in one layout:
+// json.MarshalIndent(v, "", "  ") of a storedResult plus a newline. The
+// read path matches the bytes against that layout, a template derived
+// from storedResult once. Each literal run between values (braces, keys,
+// indentation, ",\n") is compared as it stands and each value is parsed
+// in place: an escape-free printable-ASCII string, true or false, a
+// number in canonical grammar through strconv, an integer only for an
+// integer field. At the first byte that differs the input goes to
+// json.Unmarshal whole, so parseManifest returns what encoding/json
+// returns on every input (FuzzParseManifest checks this differentially
+// against json.Unmarshal).
 
-// manifestField is one field of the manifest schema as the fast pass
-// decodes it: its index in the enclosing struct, its kind, and for a
-// nested struct its own fields.
-type manifestField struct {
-	index int
+// manifestSlot is one value of the template: the literal bytes that
+// precede it, its field path in storedResult and its kind.
+type manifestSlot struct {
+	lit   string
+	index []int
 	kind  reflect.Kind
-	sub   map[string]manifestField
 }
 
-// manifestSchema is derived from storedResult once, so a counter added to
-// sim.Result is decoded without any list to update.
-var manifestSchema = schemaOf(reflect.TypeOf(storedResult{}))
+// manifestTemplate is Save's layout: every value slot in write order, then
+// the literal bytes that end the file.
+type manifestTemplate struct {
+	slots []manifestSlot
+	tail  string
+}
 
-// schemaOf maps each key encoding/json would write for t to its field.
-// Fields the fast pass does not decode — a json tag, an embedded struct,
-// a kind sim.Result does not use — are left out, so a key naming one
-// sends the input to the fallback (and TestFastPathAcceptsWrittenManifests
-// fails until the pass learns it).
-func schemaOf(t reflect.Type) map[string]manifestField {
-	fields := make(map[string]manifestField, t.NumField())
-	for i := 0; i < t.NumField(); i++ {
-		sf := t.Field(i)
-		if !sf.IsExported() || sf.Anonymous || sf.Tag.Get("json") != "" {
-			continue
+// manifestLayout is derived from storedResult once, so a counter added to
+// sim.Result is matched without any list to update.
+var manifestLayout = templateOf(reflect.TypeOf(storedResult{}))
+
+// templateOf lays struct type t out as Save writes it. A field the
+// template does not decode — an embedded struct, a json tag, a kind
+// sim.Result does not use — becomes a slot of kind Invalid that no input
+// matches, so every manifest goes to the fallback (and
+// TestFastPathAcceptsWrittenManifests fails until the template learns it).
+func templateOf(t reflect.Type) manifestTemplate {
+	var tm manifestTemplate
+	var lit strings.Builder
+	var object func(t reflect.Type, index []int, indent string)
+	object = func(t reflect.Type, index []int, indent string) {
+		lit.WriteByte('{')
+		sep := "\n"
+		for i := 0; i < t.NumField(); i++ {
+			sf := t.Field(i)
+			if !sf.IsExported() && !sf.Anonymous {
+				continue
+			}
+			lit.WriteString(sep + indent + `  "` + sf.Name + `": `)
+			sep = ",\n"
+			path := append(index[:len(index):len(index)], i)
+			kind := sf.Type.Kind()
+			switch {
+			case sf.Anonymous || sf.Tag.Get("json") != "":
+				kind = reflect.Invalid
+			case kind == reflect.Struct:
+				object(sf.Type, path, indent+"  ")
+				continue
+			case kind != reflect.String && kind != reflect.Bool && kind != reflect.Float64 &&
+				kind != reflect.Int64 && kind != reflect.Uint64:
+				kind = reflect.Invalid
+			}
+			tm.slots = append(tm.slots, manifestSlot{lit: lit.String(), index: path, kind: kind})
+			lit.Reset()
 		}
-		f := manifestField{index: i, kind: sf.Type.Kind()}
-		switch f.kind {
-		case reflect.Struct:
-			f.sub = schemaOf(sf.Type)
-		case reflect.String, reflect.Bool, reflect.Float64, reflect.Int64, reflect.Uint64:
-		default:
-			continue
+		if sep != "\n" {
+			lit.WriteString("\n" + indent)
 		}
-		fields[sf.Name] = f
+		lit.WriteByte('}')
 	}
-	return fields
+	object(t, nil, "")
+	lit.WriteByte('\n')
+	tm.tail = lit.String()
+	return tm
 }
 
 // parseManifest decodes and validates one manifest into *sr, which the
@@ -63,8 +93,7 @@ func schemaOf(t reflect.Type) map[string]manifestField {
 // and leave *sr zero — the caller treats any error as "job not done",
 // never as a partial result.
 func parseManifest(data []byte, sr *storedResult) error {
-	d := manifestDecoder{data: data}
-	if !d.document(reflect.ValueOf(sr).Elem()) {
+	if !manifestLayout.match(data, reflect.ValueOf(sr).Elem()) {
 		*sr = storedResult{}
 		if err := json.Unmarshal(data, sr); err != nil {
 			*sr = storedResult{}
@@ -78,187 +107,137 @@ func parseManifest(data []byte, sr *storedResult) error {
 	return nil
 }
 
-// manifestDecoder is the fast pass's cursor. Each method reports false as
-// soon as the bytes leave the subset it decodes, leaving the destination
-// partly written; parseManifest then discards it.
-type manifestDecoder struct {
-	data []byte
-	pos  int
+// match decodes data into the storedResult v and reports whether data is
+// the template with a value in every slot. A false return leaves v partly
+// written; parseManifest then discards it.
+func (tm *manifestTemplate) match(data []byte, v reflect.Value) bool {
+	for i := range tm.slots {
+		s := &tm.slots[i]
+		if !hasLit(data, s.lit) {
+			return false
+		}
+		n := s.decode(data[len(s.lit):], v.FieldByIndex(s.index))
+		if n == 0 {
+			return false
+		}
+		data = data[len(s.lit)+n:]
+	}
+	return string(data) == tm.tail
 }
 
-// document decodes one top-level object into v, followed by nothing but
-// whitespace.
-func (d *manifestDecoder) document(v reflect.Value) bool {
-	d.space()
-	if !d.object(v, manifestSchema) {
-		return false
-	}
-	d.space()
-	return d.pos == len(d.data)
-}
-
-// object decodes a JSON object into the struct v. A repeated key is
-// decoded again over the first, as encoding/json does: a scalar takes the
-// last value and a nested object merges into the struct.
-func (d *manifestDecoder) object(v reflect.Value, fields map[string]manifestField) bool {
-	if !d.byte('{') {
-		return false
-	}
-	d.space()
-	if d.byte('}') {
-		return true
-	}
-	for {
-		key, ok := d.str()
-		if !ok {
-			return false
-		}
-		f, ok := fields[string(key)]
-		if !ok {
-			return false
-		}
-		d.space()
-		if !d.byte(':') {
-			return false
-		}
-		d.space()
-		if !d.value(v.Field(f.index), f) {
-			return false
-		}
-		d.space()
-		if d.byte('}') {
-			return true
-		}
-		if !d.byte(',') {
-			return false
-		}
-		d.space()
-	}
-}
-
-// value decodes one field's value into v.
-func (d *manifestDecoder) value(v reflect.Value, f manifestField) bool {
-	switch f.kind {
-	case reflect.Struct:
-		return d.object(v, f.sub)
+// decode parses the slot's value at the start of b into f and returns its
+// length in bytes, or 0 if b does not start with a value the slot takes.
+func (s *manifestSlot) decode(b []byte, f reflect.Value) int {
+	switch s.kind {
 	case reflect.String:
-		s, ok := d.str()
-		if ok {
-			v.SetString(string(s))
+		n := quoted(b)
+		if n > 0 {
+			f.SetString(string(b[1 : n-1]))
 		}
-		return ok
+		return n
 	case reflect.Bool:
-		for _, lit := range [...]string{"false", "true"} {
-			if len(d.data)-d.pos >= len(lit) && string(d.data[d.pos:d.pos+len(lit)]) == lit {
-				d.pos += len(lit)
-				v.SetBool(lit == "true")
-				return true
-			}
+		switch {
+		case hasLit(b, "true"):
+			f.SetBool(true)
+			return len("true")
+		case hasLit(b, "false"):
+			f.SetBool(false)
+			return len("false")
 		}
-		return false
+		return 0
 	}
-	lit, integer := d.number()
-	if lit == nil {
-		return false
+	n, integer := number(b)
+	if n == 0 {
+		return 0
 	}
-	switch f.kind {
+	var err error
+	switch s.kind {
 	case reflect.Float64:
-		x, err := strconv.ParseFloat(string(lit), 64)
-		if err != nil {
-			return false
-		}
-		v.SetFloat(x)
+		var x float64
+		x, err = strconv.ParseFloat(string(b[:n]), 64)
+		f.SetFloat(x)
 	case reflect.Uint64:
-		x, err := strconv.ParseUint(string(lit), 10, 64)
-		if !integer || err != nil {
-			return false
-		}
-		v.SetUint(x)
+		var x uint64
+		x, err = strconv.ParseUint(string(b[:n]), 10, 64)
+		f.SetUint(x)
 	case reflect.Int64:
-		x, err := strconv.ParseInt(string(lit), 10, 64)
-		if !integer || err != nil {
-			return false
-		}
-		v.SetInt(x)
+		var x int64
+		x, err = strconv.ParseInt(string(b[:n]), 10, 64)
+		f.SetInt(x)
+	default:
+		return 0
 	}
-	return true
+	if err != nil || (!integer && s.kind != reflect.Float64) {
+		return 0
+	}
+	return n
 }
 
-// str returns the contents of a string literal with no escapes and only
-// printable ASCII; anything else (an escape, a control byte, UTF-8 that
-// encoding/json would validate or replace) reports false.
-func (d *manifestDecoder) str() ([]byte, bool) {
-	if !d.byte('"') {
-		return nil, false
+// quoted returns the length, quotes included, of the string literal at
+// the start of b if it holds only printable ASCII and no escape, else 0:
+// encoding/json would unescape, validate or replace anything else.
+func quoted(b []byte) int {
+	if len(b) == 0 || b[0] != '"' {
+		return 0
 	}
-	start := d.pos
-	for ; d.pos < len(d.data); d.pos++ {
-		switch c := d.data[d.pos]; {
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
 		case c == '"':
-			d.pos++
-			return d.data[start : d.pos-1], true
+			return i + 1
 		case c < 0x20 || c == '\\' || c >= 0x80:
-			return nil, false
+			return 0
 		}
 	}
-	return nil, false
+	return 0
 }
 
-// number returns the literal of a JSON number in canonical grammar
-// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?), nil if there is none,
-// and whether it has neither fraction nor exponent.
-func (d *manifestDecoder) number() (lit []byte, integer bool) {
-	start := d.pos
-	d.byte('-')
-	// A leading zero is the whole integer part.
-	if !d.byte('0') && d.digits() == 0 {
-		return nil, false
+// number returns the length of the JSON number in canonical grammar
+// (-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?) at the start of b, 0
+// if there is none, and whether it has neither fraction nor exponent.
+func number(b []byte) (n int, integer bool) {
+	if hasLit(b, "-") {
+		n++
+	}
+	switch d := digits(b[n:]); {
+	case d == 0:
+		return 0, false
+	case b[n] == '0': // a leading zero is the whole integer part
+		n++
+	default:
+		n += d
 	}
 	integer = true
-	if d.byte('.') {
-		if d.digits() == 0 {
-			return nil, false
+	if hasLit(b[n:], ".") {
+		d := digits(b[n+1:])
+		if d == 0 {
+			return 0, false
 		}
-		integer = false
+		n, integer = n+1+d, false
 	}
-	if d.byte('e') || d.byte('E') {
-		if !d.byte('+') {
-			d.byte('-')
+	if hasLit(b[n:], "e") || hasLit(b[n:], "E") {
+		n++
+		if hasLit(b[n:], "+") || hasLit(b[n:], "-") {
+			n++
 		}
-		if d.digits() == 0 {
-			return nil, false
+		d := digits(b[n:])
+		if d == 0 {
+			return 0, false
 		}
-		integer = false
+		n, integer = n+d, false
 	}
-	return d.data[start:d.pos], integer
+	return n, integer
 }
 
-// digits skips a run of decimal digits and returns its length.
-func (d *manifestDecoder) digits() int {
-	start := d.pos
-	for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-		d.pos++
+// digits returns the length of the run of decimal digits b starts with.
+func digits(b []byte) int {
+	n := 0
+	for n < len(b) && '0' <= b[n] && b[n] <= '9' {
+		n++
 	}
-	return d.pos - start
+	return n
 }
 
-// byte consumes c if it is next.
-func (d *manifestDecoder) byte(c byte) bool {
-	if d.pos < len(d.data) && d.data[d.pos] == c {
-		d.pos++
-		return true
-	}
-	return false
-}
-
-// space skips JSON whitespace.
-func (d *manifestDecoder) space() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
+// hasLit reports whether b starts with lit.
+func hasLit(b []byte, lit string) bool {
+	return len(b) >= len(lit) && string(b[:len(lit)]) == lit
 }

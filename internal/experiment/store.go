@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"syscall"
 
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/sim"
@@ -36,10 +37,11 @@ import (
 // the CLIs, the daemon's life for tcpsweepd.
 //
 // Save writes each manifest with json.MarshalIndent. A first lookup
-// decodes it in one pass through a field table derived from storedResult
-// (manifest.go). Bytes that pass does not recognise, such as an escape, a
-// non-canonical number or an unknown or differently-cased key, are
-// decoded by json.Unmarshal instead, so every manifest reads as
+// decodes it by template match, else encoding/json: the bytes are matched
+// against Save's own layout, derived from storedResult (manifest.go), with
+// each value parsed in place. Bytes off that layout, such as an escape, a
+// non-canonical number, another indentation or key order, or an unknown
+// key, are decoded by json.Unmarshal instead, so every manifest reads as
 // encoding/json reads it.
 type ResultStore struct {
 	dir    string
@@ -129,15 +131,23 @@ func (e *manifestEntry) unchanged() bool {
 	return err == nil && os.SameFile(fi, e.info) && fi.Size() == e.info.Size() && fi.ModTime().Equal(e.info.ModTime())
 }
 
-// readManifest opens, stats, reads and parses one manifest, with no more
-// syscalls than os.ReadFile makes. The stat precedes the read, so a write
-// that lands after it changes the identity the memo compares against; a
-// file that grew since the stat parses as truncated and misses.
+// readManifest opens, stats, reads and parses one manifest. The stat
+// precedes the read, so a write that lands after it changes the identity
+// the memo compares against; a file that grew since the stat parses as
+// truncated and misses. The file is opened with syscall.Open and wrapped
+// by os.NewFile, which keeps it out of the runtime poller: os.Open would
+// switch a regular file to non-blocking mode, fail to register it with
+// epoll and switch it back, four fcntl calls and an epoll_ctl per
+// manifest where NewFile makes one fcntl call.
 func readManifest(path string) (*manifestEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR { // as os.Open retries: a signal is not a miss
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
 	}
+	if err != nil {
+		return nil, &os.PathError{Op: "open", Path: path, Err: err}
+	}
+	f := os.NewFile(uintptr(fd), path)
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {

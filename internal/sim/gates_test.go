@@ -140,13 +140,12 @@ func TestAdvanceGates(t *testing.T) {
 }
 
 // encodeScratchAllocs bounds the allocations encoding a warmed
-// no-prefetch machine makes besides its buffer: the codec (1), the
-// section names of the two caches and two buses (4), each MSHR file's
-// sorted copy of its live entries and the sort's swapper (4), the memory
+// no-prefetch machine makes besides its buffer: the codec (1), the memory
 // system's section list and the machine's boundary-counter list (2), and
-// crc32's table, built on a process's first checksum (1). None grows with
-// the image.
-const encodeScratchAllocs = 12
+// crc32's table, built on a process's first checksum (1). Section names
+// are built at construction and each MSHR file sorts into a scratch slice
+// it keeps, so none grows with the image or the component count.
+const encodeScratchAllocs = 4
 
 // TestCheckpointEncodeGrowth: the codec doubles its buffer from 64 KB, so
 // encoding an image allocates at most the doubling schedule's cumulative

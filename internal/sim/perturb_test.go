@@ -58,6 +58,9 @@ var unsnapped = map[string]string{
 	"prefetch.GHB.hist":            "scratch, dead between OnMiss calls",
 	"prefetch.GHB.deltas":          "scratch, dead between OnMiss calls",
 	"prefetch.GHB.reqs":            "scratch batch, dead between OnMiss calls by the Prefetcher contract",
+	"bus.Bus.name":                 "reaches the image through section, the section name built from it at construction",
+	"cache.Cache.name":             "reaches the image through section, the section name built from it at construction",
+	"cache.MSHRFile.sorted":        "Snapshot's sort scratch, dead between Snapshot calls",
 	"dbcp.DBCP.cfg":                "configuration supplied at construction; decoding requires a same-config instance",
 	"dbcp.DBCP.sigMask":            "geometry derived from cfg at construction",
 	"dbcp.DBCP.setMask":            "geometry derived from cfg at construction",
