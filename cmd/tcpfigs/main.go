@@ -65,8 +65,9 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "tcpfigs: unknown experiment %q\n", *exp)
 		return 2
 	}
-	// One runner for every figure: baselines simulated for fig1 are reused
-	// by fig11 and fig14 via the memoised cache.
+	// One runner for every figure, so each point is simulated once: fig1's
+	// baselines and fig11's TCP points are reused by fig12, fig13 and fig14
+	// through the runner's memo.
 	r, err := rf.Bind(*exp)
 	if err != nil {
 		return rf.Exit(err)

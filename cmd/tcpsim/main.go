@@ -193,8 +193,6 @@ func run() int {
 		tracer = telemetry.NewTracer(tf, telemetry.TracerOptions{
 			MinLevel: lvl, MaxEvents: *traceMax})
 		defer tracer.Flush()
-		telemetry.SetDefault(tracer)
-		defer telemetry.SetDefault(nil)
 	}
 	report := telemetry.NewReport("tcpsim")
 
@@ -291,7 +289,6 @@ func run() int {
 	tab.WriteTo(os.Stdout) //nolint:errcheck
 
 	if *jsonOut != "" {
-		report.GeomeanClamped = stats.GeomeanClampCount()
 		if err := report.WriteFile(*jsonOut); err != nil {
 			fmt.Fprintln(os.Stderr, "tcpsim:", err)
 			return 1

@@ -80,9 +80,15 @@ func (e *Evaluator) Observe(m trace.Miss) {
 	// Replay the miss both as a miss and as the (missing) access, since
 	// access-triggered schemes like DBCP predict from OnAccess. Hit
 	// accesses are not in the trace, so signature-based schemes see a
-	// misses-only approximation of their access stream.
-	reqs := e.pf.OnMiss(m)
-	reqs = append(reqs, e.pf.OnAccess(m.Addr, m.PC, m.Cycle, false)...)
+	// misses-only approximation of their access stream. A batch is valid
+	// only until the prefetcher's next call, so each is consumed first.
+	e.predict(e.pf.OnMiss(m))
+	e.predict(e.pf.OnAccess(m.Addr, m.PC, m.Cycle, false))
+	e.gc()
+}
+
+// predict records a batch of predictions made at the current miss.
+func (e *Evaluator) predict(reqs []prefetch.Request) {
 	for _, r := range reqs {
 		e.res.Predictions++
 		pid := e.geom.BlockID(r.Addr)
@@ -90,7 +96,6 @@ func (e *Evaluator) Observe(m trace.Miss) {
 			e.pending[pid] = e.seq
 		}
 	}
-	e.gc()
 }
 
 // gc drops stale pending predictions so the map stays bounded.

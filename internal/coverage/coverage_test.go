@@ -126,3 +126,32 @@ func TestDefaultWindow(t *testing.T) {
 		t.Errorf("default window = %d", e.window)
 	}
 }
+
+// sharedScratch predicts the next block from OnMiss and the block after it
+// from OnAccess, returning both batches in one scratch array, as the
+// Prefetcher contract allows: a batch is valid only until the next call.
+type sharedScratch struct {
+	prefetch.None
+	scratch [2]prefetch.Request
+}
+
+func (p *sharedScratch) OnMiss(m trace.Miss) []prefetch.Request {
+	p.scratch[0] = prefetch.Request{Addr: m.Addr + 32}
+	return p.scratch[:1]
+}
+
+func (p *sharedScratch) OnAccess(a, _ addr.Addr, _ int64, _ bool) []prefetch.Request {
+	p.scratch[0] = prefetch.Request{Addr: a + 64}
+	return p.scratch[:1]
+}
+
+// TestBatchConsumedBeforeNextCall: the OnMiss batch counts even though
+// OnAccess reuses its array.
+func TestBatchConsumedBeforeNextCall(t *testing.T) {
+	geo := g()
+	misses := []trace.Miss{trace.MakeMiss(geo, 0, 0, 0, false), trace.MakeMiss(geo, 32, 0, 1, false)}
+	r := Replay(geo, &sharedScratch{}, misses, 16)
+	if r.Predictions != 4 || r.Covered != 1 {
+		t.Errorf("result = %+v, want 4 predictions and the OnMiss one covering the second miss", r)
+	}
+}

@@ -172,8 +172,8 @@ func AblationBranchPredictors(o Options) stats.Series {
 	s := stats.Series{Name: "mean baseline IPC vs branch predictor"}
 	cfg := o.simConfig()
 	// Each point names its predictor, so every point has an address; the
-	// gshare row is the default machine and shares the memoised baseline
-	// with every other sweep.
+	// gshare row is the default machine and shares the baseline with every
+	// other sweep.
 	var jobs []Job
 	for _, p := range branch.Predictors {
 		c := cfg

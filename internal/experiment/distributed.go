@@ -94,22 +94,22 @@ func CatchIncomplete(fn func()) (err error) {
 
 // requireComplete enforces strict-gather mode for a job whose manifest
 // lookup just missed.
-func (r *Runner) requireComplete(bench, factory string, baseline bool, c sim.Config) {
+func (r *Runner) requireComplete(j Job) {
 	if !r.strict {
 		return
 	}
-	panic(&IncompleteGridError{Bench: bench, Factory: factory, Baseline: baseline,
-		Job: jobFile(bench, factory, baseline, c)})
+	panic(&IncompleteGridError{Bench: j.Bench, Factory: j.Factory.Name, Baseline: j.Baseline,
+		Job: JobName(j)})
 }
 
 // runDistributed resolves one job against the shared directory: answer it
 // from a manifest, or claim and simulate it, or wait (with stale-lease
 // stealing) for the worker that holds it. It only returns with the job's
 // result.
-func (r *Runner) runDistributed(bench string, f sim.Factory, baseline bool, cfg sim.Config) sim.Result {
-	name := jobFile(bench, f.Name, baseline, cfg)
+func (r *Runner) runDistributed(j Job) sim.Result {
+	name := JobName(j)
 	for attempt := 0; ; attempt++ {
-		if res, ok := r.store.Lookup(bench, f.Name, baseline, cfg); ok {
+		if res, ok := r.store.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config); ok {
 			r.storeHits.Add(1)
 			return res
 		}
@@ -118,10 +118,10 @@ func (r *Runner) runDistributed(bench string, f sim.Factory, baseline bool, cfg 
 			// Shared storage failed under us: simulate locally rather
 			// than wedging the sweep — the result is correct, it is just
 			// not published for peers.
-			return r.simulate(bench, f, cfg)
+			return r.simulate(j.Bench, j.Factory, j.Config)
 		}
 		if got {
-			return r.runClaimed(claim, name, bench, f, baseline, cfg)
+			return r.runClaimed(claim, name, j)
 		}
 		r.claims.AwaitRetry(name, attempt)
 	}
@@ -132,7 +132,7 @@ func (r *Runner) runDistributed(bench string, f sim.Factory, baseline bool, cfg 
 // crashes (*distrib.Crash) abandon the lease exactly as a killed process
 // would — heartbeats stop, the lease file stays — so the fault-injection
 // tests exercise the same on-disk states real failures leave.
-func (r *Runner) runClaimed(claim *distrib.Claim, name, bench string, f sim.Factory, baseline bool, cfg sim.Config) sim.Result {
+func (r *Runner) runClaimed(claim *distrib.Claim, name string, j Job) sim.Result {
 	released := false
 	defer func() {
 		if released {
@@ -154,12 +154,9 @@ func (r *Runner) runClaimed(claim *distrib.Claim, name, bench string, f sim.Fact
 	}()
 	r.claims.Faults().Fire(distrib.AfterClaim, name)
 	claim.Start()
-	res := r.simulate(bench, f, cfg)
-	if baseline {
-		r.baselineRuns.Add(1)
-	}
+	res := r.simulate(j.Bench, j.Factory, j.Config)
 	r.claims.Faults().Fire(distrib.MidJob, name)
-	r.store.Save(bench, f.Name, baseline, cfg, res) // distrib.BeforeRename fires inside
+	r.store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config, res) // distrib.BeforeRename fires inside
 	claim.Release()
 	released = true
 	return res

@@ -277,7 +277,7 @@ func TestDistributedThreeWorkersConcurrent(t *testing.T) {
 }
 
 // TestDistributedBaselineJobs drives worker mode over a job set containing
-// memoised baselines, which publish through manifests like any job.
+// baseline jobs, which publish through manifests like any job.
 func TestDistributedBaselineJobs(t *testing.T) {
 	jobs := storeJobs()
 

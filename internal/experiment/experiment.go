@@ -117,12 +117,12 @@ func Table1() *stats.Table {
 	return t
 }
 
-// runPair submits the memoised no-prefetch baseline and every factory over
-// all benches through the runner, returning the baseline results in bench
+// runPair submits the no-prefetch baseline and every factory over all
+// benches through the runner, returning the baseline results in bench
 // order and the factory results as grid[bench][factory]. It is the runner's
 // seam: every baseline-relative figure and ablation funnels through here,
 // so all of a figure's simulation points fan out across one worker pool and
-// the baselines hit the sweep-wide cache.
+// points another figure already ran hit the runner's memo.
 func runPair(o Options, cfg sim.Config, fs ...sim.Factory) (base []sim.Result, grid [][]sim.Result) {
 	jobs := append(BaselineJobs(o.Benches, cfg), GridJobs(o.Benches, fs, cfg)...)
 	res := o.Runner.Map(jobs)

@@ -2,7 +2,7 @@ package experiment
 
 // Grid-point identity: every result manifest and daemon cache entry is
 // keyed by a content fingerprint of the job's normalized configuration,
-// and the runner's baseline memo by that normalized configuration itself.
+// and the runner's memo by that normalized configuration itself.
 // The fingerprint covers exactly the inputs that shape a simulation's
 // output — benchmark, factory name, baseline flag, measured
 // and warmup windows, seed, warmup fidelity, the cpu.Config (cpuKey plus
@@ -30,14 +30,9 @@ import (
 
 // JobName returns the content address of a Job: the result-manifest
 // filename ("job-<fnv64a>.json") the runner's ResultStore publishes under
-// and the distributed claim protocol leases, resolving the baseline
-// factory name for baseline jobs.
+// and the distributed claim protocol leases.
 func JobName(j Job) string {
-	factory := j.Factory.Name
-	if j.Baseline {
-		factory = sim.NoPrefetch().Name
-	}
-	return jobFile(j.Bench, factory, j.Baseline, j.Config)
+	return jobFile(j.Bench, j.Factory.Name, j.Baseline, j.Config)
 }
 
 // appendPreimage appends the fingerprint string the manifest-name hash

@@ -182,8 +182,7 @@ func TestJobNameMatchesStore(t *testing.T) {
 		t.Errorf("JobName(grid) = %s, want %s", gname, want)
 	}
 
-	baseline := Job{Bench: bench, Config: cfg, Baseline: true}
-	bname := JobName(baseline)
+	bname := JobName(BaselineJobs([]string{bench}, cfg)[0])
 	if want := jobFile(bench, sim.NoPrefetch().Name, true, cfg); bname != want {
 		t.Errorf("JobName(baseline) = %s, want %s", bname, want)
 	}
@@ -197,16 +196,9 @@ func TestJobNameMatchesStore(t *testing.T) {
 // machine: two jobs sharing a JobName must agree on benchmark, baseline
 // flag and factory flags, and build prefetchers that are deeply equal. A
 // factory label reused for a different configuration would otherwise let
-// one grid answer another's points from the shared manifest store.
-//
-// One such label remains and is listed in knownCollisions: the size
-// sweep's 8 MB PHT with no miss-index bits is labelled "tcp-8M", as is
-// Figure 11's TCP-8M, which uses 10. Renaming either moves committed
-// bytes — Figure 11's column header, or the size sweep's counter keys in
-// the benchmark goldens — so the list pins it until that rename lands;
-// a new collision, or a listed one that is gone, fails the test.
+// one grid answer another's points from the shared manifest store, and
+// the runner's memo one figure's points from another's.
 func TestJobNamesNameOneMachine(t *testing.T) {
-	knownCollisions := map[string]bool{"tcp-8M": true}
 	type machine struct {
 		bench            string
 		baseline         bool
@@ -216,14 +208,10 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 		plannedBy        string
 	}
 	seen := map[string]machine{}
-	collided := map[string]bool{}
 	var plannedBy string
 	r := NewRunner(1)
 	r.SetPlan(func(j Job) {
 		f := j.Factory
-		if j.Baseline {
-			f = sim.NoPrefetch()
-		}
 		mem := j.Config.Normalized().Mem.WithDefaults()
 		geom := mem.L1D
 		if f.AtL2 {
@@ -240,11 +228,8 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 		if prev.bench != got.bench || prev.baseline != got.baseline ||
 			prev.critFilter != got.critFilter || prev.atL2 != got.atL2 ||
 			prev.hybrid != got.hybrid || !reflect.DeepEqual(prev.pf, got.pf) {
-			collided[f.Name] = true
-			if !knownCollisions[f.Name] {
-				t.Errorf("%s names two machines: %s %q planned by %s and by %s",
-					name, j.Bench, f.Name, prev.plannedBy, plannedBy)
-			}
+			t.Errorf("%s names two machines: %s %q planned by %s and by %s",
+				name, j.Bench, f.Name, prev.plannedBy, plannedBy)
 		}
 	})
 	o := Options{Benches: []string{"swim", "mcf"}, Runner: r}
@@ -260,11 +245,6 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 	} {
 		plannedBy = fig.name
 		fig.run(o)
-	}
-	for label := range knownCollisions {
-		if !collided[label] {
-			t.Errorf("known collision %q no longer occurs; drop it from knownCollisions", label)
-		}
 	}
 }
 
@@ -347,9 +327,6 @@ func TestFingerprintsMatchReference(t *testing.T) {
 	checked := 0
 	for _, j := range jobs {
 		factory := j.Factory.Name
-		if j.Baseline {
-			factory = sim.NoPrefetch().Name
-		}
 		for _, v := range variants {
 			c := j.Config
 			v(&c)

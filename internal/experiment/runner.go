@@ -21,18 +21,18 @@ type Job struct {
 	// Config carries the per-job seed: the workload generator is derived
 	// from Config.Seed inside the worker, never from shared RNG state.
 	Config sim.Config
-	// Baseline marks the job as a no-prefetch baseline run. Factory is
-	// ignored; the result is memoised on (Bench, Config) across every Map
-	// call on the same Runner, so a sweep simulates each baseline point
-	// once per invocation instead of once per figure or row.
+	// Baseline marks the job as the no-prefetch baseline a figure divides
+	// by; its Factory is sim.NoPrefetch(). The flag joins the content
+	// address, so a baseline and a grid point that both run "none" keep
+	// separate manifests.
 	Baseline bool
 }
 
-// BaselineJobs returns one memoised no-prefetch job per benchmark.
+// BaselineJobs returns one no-prefetch baseline job per benchmark.
 func BaselineJobs(benches []string, cfg sim.Config) []Job {
 	jobs := make([]Job, len(benches))
 	for i, b := range benches {
-		jobs[i] = Job{Bench: b, Config: cfg, Baseline: true}
+		jobs[i] = Job{Bench: b, Factory: sim.NoPrefetch(), Config: cfg, Baseline: true}
 	}
 	return jobs
 }
@@ -50,10 +50,11 @@ func GridJobs(benches []string, fs []sim.Factory, cfg sim.Config) []Job {
 }
 
 // Runner executes simulation jobs across a pool of workers and memoises
-// no-prefetch baseline results. One Runner should be shared across every
+// every result by grid point. One Runner should be shared across every
 // figure/ablation of a command invocation: the pool bounds concurrency
-// globally and the baseline cache then spans figures, so `tcpfigs -exp all`
-// simulates each benchmark's baseline once rather than once per figure.
+// globally and the memo then spans figures, so `tcpfigs -exp all`
+// simulates each point once — a benchmark's baseline, or a TCP-8K that
+// Figures 11, 12, 13 and 14 all show — rather than once per figure.
 //
 // Determinism: results are returned in submission order and each job seeds
 // its own workload generator, so a Runner with N workers produces tables
@@ -62,8 +63,8 @@ func GridJobs(benches []string, fs []sim.Factory, cfg sim.Config) []Job {
 type Runner struct {
 	workers int
 
-	mu       sync.Mutex
-	baseline map[pointKey]*baselineEntry // keyed by the normalized point
+	mu   sync.Mutex
+	memo map[pointKey]*memoEntry // keyed by the normalized point
 
 	// warm-fork state: shared baseline-warmed checkpoints (see warmfork.go)
 	// and the optional on-disk persistence / completed-result manifests.
@@ -82,11 +83,11 @@ type Runner struct {
 	// SetPlan): jobs are recorded, never simulated.
 	plan func(Job)
 
-	baselineRuns   atomic.Uint64
-	baselineReuses atomic.Uint64
-	warmWarmups    atomic.Uint64
-	warmForks      atomic.Uint64
-	storeHits      atomic.Uint64
+	simulated   atomic.Uint64
+	memoReuses  atomic.Uint64
+	warmWarmups atomic.Uint64
+	warmForks   atomic.Uint64
+	storeHits   atomic.Uint64
 }
 
 // NewRunner creates a pool of the given width; jobs <= 0 uses all
@@ -96,9 +97,9 @@ func NewRunner(jobs int) *Runner {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		workers:  jobs,
-		baseline: make(map[pointKey]*baselineEntry),
-		warm:     make(map[warmKey]*warmEntry),
+		workers: jobs,
+		memo:    make(map[pointKey]*memoEntry),
+		warm:    make(map[warmKey]*warmEntry),
 	}
 }
 
@@ -110,6 +111,8 @@ func (r *Runner) SetCheckpointDir(dir string) { r.checkpointDir = dir }
 // SetResultStore installs a completed-result manifest: every job result
 // is written there, and — when the store was opened in resume mode —
 // consulted before simulating, so a killed sweep picks up where it stopped.
+// A store in resume mode is then the runner's only cache: the memo is
+// skipped, so a deleted manifest is simulated and published again.
 func (r *Runner) SetResultStore(s *ResultStore) { r.store = s }
 
 // WarmForkStats reports warm-fork effectiveness: warmups actually simulated
@@ -120,9 +123,9 @@ func (r *Runner) WarmForkStats() (warmups, forks uint64) {
 
 // SetPlan puts the runner in job-enumeration mode: Map records every job
 // it would execute through collect and returns zero-value results without
-// simulating, claiming, or touching the result store. Baseline
-// memoisation and warm forking are bypassed, so collect sees one call per
-// submitted job — duplicates included; dedupe on JobName. The collector
+// simulating, claiming, or touching the result store. The memo and warm
+// forking are bypassed, so collect sees one call per submitted job —
+// duplicates included; dedupe on JobName. The collector
 // must be safe for concurrent use when the runner has more than one
 // worker. The sweep daemon (internal/sweepd) uses this to expand a sweep
 // request into its exact job set — running the experiment's own
@@ -133,14 +136,14 @@ func (r *Runner) SetPlan(collect func(Job)) { r.plan = collect }
 // Jobs returns the pool width.
 func (r *Runner) Jobs() int { return r.workers }
 
-// BaselineStats reports baseline-cache effectiveness: simulated is the
-// number of baseline points actually run, reused how many submissions were
-// answered from the cache (or coalesced onto an in-flight run).
-func (r *Runner) BaselineStats() (simulated, reused uint64) {
-	return r.baselineRuns.Load(), r.baselineReuses.Load()
+// MemoStats reports how the runner answered its jobs: simulated is the
+// number of grid points it actually ran, reused how many submissions the
+// memo answered (or coalesced onto an in-flight run).
+func (r *Runner) MemoStats() (simulated, reused uint64) {
+	return r.simulated.Load(), r.memoReuses.Load()
 }
 
-type baselineEntry struct {
+type memoEntry struct {
 	once sync.Once
 	res  sim.Result
 }
@@ -182,32 +185,29 @@ func (r *Runner) run(j Job) sim.Result {
 		r.plan(j)
 		return sim.Result{}
 	}
-	if !j.Baseline {
-		return r.resolve(j.Bench, j.Factory, false, j.Config)
+	if r.store.consulted() {
+		return r.resolve(j)
 	}
-	base := sim.NoPrefetch()
-	key := pointKey{j.Bench, base.Name, true, normalizedPoint(j.Config)}
+	// A factory label names one machine (TestJobNamesNameOneMachine), so
+	// the key names one simulation.
+	key := pointKey{j.Bench, j.Factory.Name, j.Baseline, normalizedPoint(j.Config)}
 	r.mu.Lock()
-	e := r.baseline[key]
+	e := r.memo[key]
 	if e == nil {
-		e = &baselineEntry{}
-		r.baseline[key] = e
+		e = &memoEntry{}
+		r.memo[key] = e
 	} else {
-		r.baselineReuses.Add(1)
+		r.memoReuses.Add(1)
 	}
 	r.mu.Unlock()
 	// once.Do coalesces duplicate in-flight submissions onto one
-	// resolution; latecomers block until the result is ready. In
-	// distributed mode the coalescer still collapses this worker's
-	// duplicate submissions, and the claim protocol arbitrates across
-	// workers.
-	e.once.Do(func() { e.res = r.resolve(j.Bench, base, true, j.Config) })
+	// resolution; latecomers block until the result is ready.
+	e.once.Do(func() { e.res = r.resolve(j) })
 	return e.res
 }
 
 // normalizedPoint is c as the point preimage sees it (appendPreimage), so
-// two configs share a baseline memo key exactly when they share a
-// preimage.
+// two configs share a memo key exactly when they share a preimage.
 func normalizedPoint(c sim.Config) sim.Config {
 	n := c.Normalized()
 	n.Mem = n.Mem.WithDefaults()
@@ -217,20 +217,17 @@ func normalizedPoint(c sim.Config) sim.Config {
 // resolve answers one grid point: from its manifest, else through the
 // claim protocol in distributed mode, else — unless a strict gather
 // forbids it — by simulating and publishing the manifest.
-func (r *Runner) resolve(bench string, f sim.Factory, baseline bool, cfg sim.Config) sim.Result {
-	if res, ok := r.store.Lookup(bench, f.Name, baseline, cfg); ok {
+func (r *Runner) resolve(j Job) sim.Result {
+	if res, ok := r.store.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config); ok {
 		r.storeHits.Add(1)
 		return res
 	}
 	if r.claims != nil {
-		return r.runDistributed(bench, f, baseline, cfg)
+		return r.runDistributed(j)
 	}
-	r.requireComplete(bench, f.Name, baseline, cfg)
-	if baseline {
-		r.baselineRuns.Add(1)
-	}
-	res := r.simulate(bench, f, cfg)
-	r.store.Save(bench, f.Name, baseline, cfg, res)
+	r.requireComplete(j)
+	res := r.simulate(j.Bench, j.Factory, j.Config)
+	r.store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config, res)
 	return res
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -34,22 +33,29 @@ func TestRunnerDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunnerBaselineCache verifies the memoised baseline: two figures over
-// the same benches and config must simulate each bench's no-prefetch point
-// exactly once, answering the rest from the cache.
-func TestRunnerBaselineCache(t *testing.T) {
-	o := tiny()
-	o.Runner = NewRunner(4)
-
-	Fig11IPC(o)
-	Fig14Hybrid(o)
-
-	simulated, reused := o.Runner.BaselineStats()
-	if want := uint64(len(tiny().Benches)); simulated != want {
-		t.Errorf("baseline simulations = %d, want %d (one per bench)", simulated, want)
+// TestRunnerMemoSpansFigures: one store-less runner renders Figures 11,
+// 12 and 14, simulating each distinct point once, and every table equals
+// the one a fresh runner renders for that figure alone. Figure 12 repeats
+// Figure 11's TCP-8K and TCP-8M points, Figure 14 its baseline and TCP-8K:
+// five distinct points per bench.
+func TestRunnerMemoSpansFigures(t *testing.T) {
+	shared := tiny()
+	shared.Runner = NewRunner(2)
+	figs := []struct {
+		name string
+		run  func(Options) *stats.Table
+	}{{"fig11", Fig11IPC}, {"fig12", Fig12Traffic}, {"fig14", Fig14Hybrid}}
+	for _, fig := range figs {
+		alone := tiny()
+		alone.Runner = NewRunner(2)
+		if got, want := fig.run(shared).String(), fig.run(alone).String(); got != want {
+			t.Errorf("%s through the shared runner differs from a fresh runner's:\n%s\nvs\n%s", fig.name, got, want)
+		}
 	}
-	if want := uint64(len(tiny().Benches)); reused != want {
-		t.Errorf("baseline reuses = %d, want %d (second figure fully cached)", reused, want)
+	n := uint64(len(tiny().Benches))
+	simulated, reused := shared.Runner.MemoStats()
+	if simulated != 5*n || reused != 4*n {
+		t.Errorf("memo: %d simulated, %d reused; want %d, %d", simulated, reused, 5*n, 4*n)
 	}
 }
 
@@ -63,7 +69,7 @@ func TestRunnerBaselineCacheKeySplitsOnConfig(t *testing.T) {
 
 	a := r.Map(BaselineJobs([]string{"art"}, cfg))[0]
 	b := r.Map(BaselineJobs([]string{"art"}, ideal))[0]
-	if simulated, _ := r.BaselineStats(); simulated != 2 {
+	if simulated, _ := r.MemoStats(); simulated != 2 {
 		t.Errorf("baseline simulations = %d, want 2 (distinct configs)", simulated)
 	}
 	if a.CPU.Cycles == b.CPU.Cycles {
@@ -74,8 +80,8 @@ func TestRunnerBaselineCacheKeySplitsOnConfig(t *testing.T) {
 	// fields) must share an entry.
 	explicit := sim.Config{Instructions: 30_000, Warmup: 60_000, Seed: 1}
 	r.Map(BaselineJobs([]string{"art"}, explicit))
-	if simulated, _ := r.BaselineStats(); simulated != 2 {
-		t.Errorf("normalised config missed the cache: %d simulations", simulated)
+	if simulated, _ := r.MemoStats(); simulated != 2 {
+		t.Errorf("normalised config missed the memo: %d simulations", simulated)
 	}
 }
 
@@ -110,32 +116,15 @@ func TestForEachCoversAllIndices(t *testing.T) {
 }
 
 // TestConcurrentGeomeanAndTracer exercises, under -race, the process-global
-// state workers share: the stats.Geomean clamp counter and the default
-// tracer used for its clamp events — including a concurrent SetDefault swap
-// as tcpsim's trace setup performs.
+// state workers share: the stats.Geomean clamp counter.
 func TestConcurrentGeomeanAndTracer(t *testing.T) {
 	before := stats.GeomeanClampCount()
-	tracer := telemetry.NewTracer(&strings.Builder{}, telemetry.TracerOptions{})
-	defer telemetry.SetDefault(nil)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			telemetry.SetDefault(tracer)
-			telemetry.SetDefault(nil)
-		}
-	}()
 
 	r := NewRunner(8)
 	r.ForEach(64, func(i int) {
-		// Each iteration clamps exactly one non-positive input and emits a
-		// clamp event through whatever default tracer is installed.
+		// Each iteration clamps exactly one non-positive input.
 		stats.Geomean([]float64{0, 1, 2})
-		telemetry.Default().Emit(telemetry.Event{Type: "test.tick", Level: telemetry.LevelInfo})
 	})
-	wg.Wait()
 
 	if got := stats.GeomeanClampCount() - before; got != 64 {
 		t.Errorf("clamp count advanced by %d, want 64", got)
@@ -144,7 +133,7 @@ func TestConcurrentGeomeanAndTracer(t *testing.T) {
 
 // TestParallelSweepRace runs a small real sweep wide; under `go test -race`
 // this checks the full figure path for worker races (shared geomean
-// counter, baseline cache, result collection).
+// counter, result memo, result collection).
 func TestParallelSweepRace(t *testing.T) {
 	o := Options{Instructions: 30_000, Warmup: 60_000,
 		Benches: []string{"swim", "mcf"}, Jobs: 4}

@@ -102,7 +102,7 @@ type storedResult struct {
 // Lookup returns the stored result for a job, if the store is in resume mode
 // and a manifest with a matching identity exists. A nil store never hits.
 func (s *ResultStore) Lookup(bench, factory string, baseline bool, c sim.Config) (sim.Result, bool) {
-	if s == nil || !s.resume {
+	if !s.consulted() {
 		return sim.Result{}, false
 	}
 	k := pointKey{bench, factory, baseline, c}
@@ -123,6 +123,10 @@ func (s *ResultStore) Lookup(bench, factory string, baseline bool, c sim.Config)
 	}
 	return e.sr.Result, true
 }
+
+// consulted reports whether Lookup reads manifests: the store is in resume
+// mode. A nil store is not consulted.
+func (s *ResultStore) consulted() bool { return s != nil && s.resume }
 
 // unchanged reports whether e's manifest is still the file e was parsed
 // from: same device and inode, size and mtime.

@@ -59,8 +59,8 @@ func TestResultStoreKillAndResume(t *testing.T) {
 		}
 	}
 
-	// A fully-populated resume answers everything from disk: the baseline
-	// coalescer never simulates.
+	// A fully-populated resume answers everything from disk: nothing is
+	// simulated.
 	r3 := NewRunner(2)
 	store3, err := NewResultStore(dir, true)
 	if err != nil {
@@ -73,8 +73,8 @@ func TestResultStoreKillAndResume(t *testing.T) {
 			t.Errorf("job %d: second resume differs", i)
 		}
 	}
-	if simulated, _ := r3.BaselineStats(); simulated != 0 {
-		t.Errorf("full resume simulated %d baselines, want 0", simulated)
+	if simulated, _ := r3.MemoStats(); simulated != 0 {
+		t.Errorf("full resume simulated %d points, want 0", simulated)
 	}
 }
 

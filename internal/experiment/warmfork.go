@@ -88,6 +88,7 @@ func warmFileName(key warmKey) string {
 // stale or foreign one from the checkpoint directory) falls back to the
 // cold run, which produces the identical result by construction.
 func (r *Runner) simulate(bench string, f sim.Factory, cfg sim.Config) sim.Result {
+	r.simulated.Add(1)
 	key, ok := warmKeyFor(bench, cfg)
 	if !ok {
 		return sim.MustRun(bench, f, cfg)

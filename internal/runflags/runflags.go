@@ -184,8 +184,8 @@ func (f *Flags) Bind(exp string) (*Run, error) {
 // mode it also returns this worker's claim statistics for a JSON report.
 func (r *Run) PrintStats() []telemetry.WorkerStats {
 	run := r.Options.Runner
-	if simulated, reused := run.BaselineStats(); reused > 0 {
-		fmt.Fprintf(os.Stderr, "%s: baseline cache: %d simulated, %d reused\n",
+	if simulated, reused := run.MemoStats(); reused > 0 {
+		fmt.Fprintf(os.Stderr, "%s: result memo: %d simulated, %d reused\n",
 			r.tool, simulated, reused)
 	}
 	if warmups, forks := run.WarmForkStats(); forks > 0 {

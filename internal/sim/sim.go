@@ -195,12 +195,9 @@ func sizeLabel(b int) string {
 // TCP8K is the paper's realistic design point (Figure 11).
 func TCP8K() Factory { return TCPWithPHT(8*1024, 0, false) }
 
-// TCP8M is the paper's idealised private-history point (Figure 11).
-func TCP8M() Factory {
-	f := TCPWithPHT(8*1024*1024, 10, false)
-	f.Name = "tcp-8M"
-	return f
-}
+// TCP8M is the paper's idealised private-history point (Figure 11): the
+// 8 MB PHT indexed with the full miss index, Figure 13's "tcp-8M/n10".
+func TCP8M() Factory { return TCPWithPHT(8*1024*1024, 10, false) }
 
 // Hybrid8K is TCP-8K prefetching into L1 gated by the timekeeping
 // dead-block predictor over a dedicated prefetch bus (Figure 14).

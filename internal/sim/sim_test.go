@@ -69,15 +69,15 @@ func TestIdealL2BarelyMattersForCacheResident(t *testing.T) {
 
 func TestFactoryNames(t *testing.T) {
 	cases := map[string]Factory{
-		"none":      NoPrefetch(),
-		"tcp-8K":    TCP8K(),
-		"tcp-8M":    TCP8M(),
-		"hybrid-8K": Hybrid8K(),
-		"dbcp-2M":   DBCP2M(),
-		"stride":    Stride(),
-		"stream":    StreamBuffers(),
-		"markov":    Markov(),
-		"nextline":  NextLine(),
+		"none":       NoPrefetch(),
+		"tcp-8K":     TCP8K(),
+		"tcp-8M/n10": TCP8M(),
+		"hybrid-8K":  Hybrid8K(),
+		"dbcp-2M":    DBCP2M(),
+		"stride":     Stride(),
+		"stream":     StreamBuffers(),
+		"markov":     Markov(),
+		"nextline":   NextLine(),
 	}
 	for want, f := range cases {
 		if f.Name != want {

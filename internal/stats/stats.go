@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
-
-	"tagprefetch/internal/telemetry"
 )
 
 // geomeanClamps counts non-positive inputs clamped across all Geomean
@@ -23,9 +21,8 @@ var geomeanClamps atomic.Uint64
 //
 // Clamping silently distorts the mean, so it is never silent here: each
 // clamped input is added to the process-wide count reported by
-// GeomeanClampCount and recorded as a "stats.geomean_clamped" event on
-// the default tracer. Callers that want the count per call should use
-// GeomeanClamped.
+// GeomeanClampCount, which tcpsweep's JSON report carries. Callers that
+// want the count per call should use GeomeanClamped.
 func Geomean(xs []float64) float64 {
 	g, _ := GeomeanClamped(xs)
 	return g
@@ -48,12 +45,6 @@ func GeomeanClamped(xs []float64) (float64, int) {
 	}
 	if clamped > 0 {
 		geomeanClamps.Add(uint64(clamped))
-		telemetry.Default().Emit(telemetry.Event{
-			Type:  "stats.geomean_clamped",
-			Level: telemetry.LevelInfo,
-			Value: int64(clamped),
-			Note:  fmt.Sprintf("%d of %d geomean inputs non-positive", clamped, len(xs)),
-		})
 	}
 	return math.Exp(sum / float64(len(xs))), clamped
 }

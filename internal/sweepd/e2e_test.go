@@ -46,11 +46,11 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// newE2EDaemon starts a two-worker daemon with real simulations behind an
-// httptest server.
-func newE2EDaemon(t *testing.T) (*sweepd.Server, *httptest.Server) {
+// newE2EDaemon starts a daemon with real simulations behind an httptest
+// server.
+func newE2EDaemon(t *testing.T, workers int) (*sweepd.Server, *httptest.Server) {
 	t.Helper()
-	srv, err := sweepd.New(sweepd.Config{Root: t.TempDir(), Workers: 2})
+	srv, err := sweepd.New(sweepd.Config{Root: t.TempDir(), Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations; skipped in -short")
 	}
-	srv, ts := newE2EDaemon(t)
+	srv, ts := newE2EDaemon(t, 2)
 	req := e2eRequest("alice")
 	code, st := postSweep(t, ts.URL, req)
 	if code != http.StatusAccepted {
@@ -238,7 +238,7 @@ func TestDeletedManifestRerun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real simulations; skipped in -short")
 	}
-	srv, ts := newE2EDaemon(t)
+	srv, ts := newE2EDaemon(t, 2)
 	code, st := postSweep(t, ts.URL, e2eRequest("alice"))
 	if code != http.StatusAccepted {
 		t.Fatalf("POST = %d", code)
@@ -287,5 +287,65 @@ func TestDeletedManifestRerun(t *testing.T) {
 			t.Errorf("GET result of %s = %d, body differs from a fresh serial run:\ndaemon: %q\nserial: %q",
 				id, rcode, body, want)
 		}
+	}
+}
+
+// TestDeletedBaselineManifestRerun: a deleted baseline manifest is re-run
+// and published again. The daemon's only worker simulated that baseline
+// for the first sweep, so the re-run lands on the runner that computed it;
+// the manifest store, not a memo in that runner, must answer it.
+func TestDeletedBaselineManifestRerun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations; skipped in -short")
+	}
+	srv, ts := newE2EDaemon(t, 1)
+	req := sweepd.Request{Sweep: "placement", Benches: []string{e2eBench},
+		Instructions: e2eInstr, Warmup: e2eWarmup, Tenant: "alice"}
+	code, st := postSweep(t, ts.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	st = awaitDone(t, ts.URL, st.ID)
+	rcode, first := getBody(t, ts.URL+"/v1/sweeps/"+st.ID+"/result")
+	if rcode != http.StatusOK {
+		t.Fatalf("GET result = %d: %s", rcode, first)
+	}
+	manifests := countManifests(t, srv.CacheDir())
+	names, err := filepath.Glob(filepath.Join(srv.CacheDir(), "job-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deleted := false
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte(`"Baseline": true`)) {
+			if err := os.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+			deleted = true
+			break
+		}
+	}
+	if !deleted {
+		t.Fatal("the placement sweep wrote no baseline manifest")
+	}
+
+	req.Tenant = "carol"
+	code, st2 := postSweep(t, ts.URL, req)
+	if code != http.StatusAccepted {
+		t.Fatalf("re-POST = %d", code)
+	}
+	st2 = awaitDone(t, ts.URL, st2.ID)
+	if st2.Jobs.Executed != 1 {
+		t.Errorf("re-POST executed %d jobs, want 1", st2.Jobs.Executed)
+	}
+	if after := countManifests(t, srv.CacheDir()); after != manifests {
+		t.Errorf("manifests after the re-run = %d, want %d", after, manifests)
+	}
+	if rcode, body := getBody(t, ts.URL+"/v1/sweeps/"+st2.ID+"/result"); rcode != http.StatusOK || !bytes.Equal(body, first) {
+		t.Errorf("GET result after the re-run = %d, body differs from the first:\n%s\nvs\n%s", rcode, body, first)
 	}
 }

@@ -299,11 +299,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // jobCached reports whether a job's manifest already answers it.
 func (s *Server) jobCached(j experiment.Job) bool {
-	factory := j.Factory.Name
-	if j.Baseline {
-		factory = sim.NoPrefetch().Name
-	}
-	_, ok := s.store.Lookup(j.Bench, factory, j.Baseline, j.Config)
+	_, ok := s.store.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config)
 	return ok
 }
 

@@ -24,11 +24,7 @@ import (
 // without simulating anything.
 func manifestStub(s *Server) func(experiment.Job) error {
 	return func(j experiment.Job) error {
-		factory := j.Factory.Name
-		if j.Baseline {
-			factory = sim.NoPrefetch().Name
-		}
-		s.store.Save(j.Bench, factory, j.Baseline, j.Config, sim.Result{})
+		s.store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config, sim.Result{})
 		return nil
 	}
 }

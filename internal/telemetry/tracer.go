@@ -104,12 +104,6 @@ func NewTracer(w io.Writer, opts TracerOptions) *Tracer {
 	}
 }
 
-// Enabled reports whether events at level l would be recorded. Call sites
-// use it to skip expensive event-field computation.
-//
-// Consulted before building event fields on per-cycle paths.
-func (t *Tracer) Enabled(l Level) bool { return t.enabled && l >= t.min }
-
 // Emit records ev. Disabled tracers and filtered levels return
 // immediately with zero allocations: the whole slow path lives in
 // emitSlow so this gate stays small enough to inline into per-cycle code.
@@ -202,21 +196,3 @@ func (t *Tracer) Written() uint64 {
 // Dropped returns the number of events dropped (MaxEvents reached or sink
 // failure).
 func (t *Tracer) Dropped() uint64 { return t.dropped.Load() }
-
-// defaultTracer is the process-wide tracer used by code without run-scoped
-// plumbing (e.g. stats.Geomean clamp warnings). It starts as Nop().
-var defaultTracer atomic.Pointer[Tracer]
-
-func init() { defaultTracer.Store(nop) }
-
-// Default returns the process-wide default tracer (never nil).
-func Default() *Tracer { return defaultTracer.Load() }
-
-// SetDefault installs t as the process-wide default tracer; nil restores
-// the no-op tracer.
-func SetDefault(t *Tracer) {
-	if t == nil {
-		t = nop
-	}
-	defaultTracer.Store(t)
-}

@@ -15,9 +15,6 @@ func TestNopTracerZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Nop tracer Emit allocates %v per event, want 0", allocs)
 	}
-	if tr.Enabled(LevelInfo) {
-		t.Error("Nop tracer reports enabled")
-	}
 }
 
 func TestTracerJSONLAndLevels(t *testing.T) {
@@ -63,24 +60,5 @@ func TestTracerBoundedBuffer(t *testing.T) {
 	}
 	if tr.Dropped() != 4 {
 		t.Errorf("dropped = %d, want 4", tr.Dropped())
-	}
-}
-
-func TestDefaultTracerSwap(t *testing.T) {
-	if Default() != Nop() {
-		t.Fatal("default tracer is not Nop at start")
-	}
-	var buf bytes.Buffer
-	tr := NewTracer(&buf, TracerOptions{})
-	SetDefault(tr)
-	defer SetDefault(nil)
-	Default().Emit(Event{Type: "stats.geomean_clamped", Level: LevelInfo, Value: 2})
-	Default().Flush()
-	if !strings.Contains(buf.String(), "geomean_clamped") {
-		t.Errorf("default tracer did not record: %q", buf.String())
-	}
-	SetDefault(nil)
-	if Default() != Nop() {
-		t.Error("SetDefault(nil) did not restore Nop")
 	}
 }

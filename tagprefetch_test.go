@@ -48,12 +48,12 @@ func TestEmptyPrefetcherMeansNone(t *testing.T) {
 }
 
 // TestSchemeSpellings pins every prefetcher spelling the library or tcpsim
-// accepted before the scheme table existed to the Factory.Name it built
-// then: the ten constants, the library's "" and tcpsim's "dbcp", in any
-// letter case.
+// accepted before the scheme table existed to the Factory.Name it builds:
+// the ten constants, the library's "" and tcpsim's "dbcp", in any letter
+// case. TCP8M carries Figure 13's label for the same machine, tcp-8M/n10.
 func TestSchemeSpellings(t *testing.T) {
 	want := map[Prefetcher]string{
-		None: "none", TCP8K: "tcp-8K", TCP8M: "tcp-8M", Hybrid8K: "hybrid-8K",
+		None: "none", TCP8K: "tcp-8K", TCP8M: "tcp-8M/n10", Hybrid8K: "hybrid-8K",
 		DBCP2M: "dbcp-2M", Stride: "stride", Stream: "stream", Markov: "markov",
 		NextLine: "nextline", GHB: "ghb-pc/dc", "": "none", "dbcp": "dbcp-2M",
 	}
