@@ -300,32 +300,6 @@ func (c *Cache) SetDirty(a addr.Addr) {
 	}
 }
 
-// Invalidate removes block a if present, returning whether it was dirty.
-func (c *Cache) Invalidate(a addr.Addr) (present, dirty bool) {
-	set := c.set(c.geom.Index(a))
-	tag := c.geom.Tag(a)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			dirty = set[i].Dirty
-			set[i] = Line{}
-			return true, dirty
-		}
-	}
-	return false, false
-}
-
-// LineAt returns a copy of the line holding block a, if present.
-func (c *Cache) LineAt(a addr.Addr) (Line, bool) {
-	set := c.set(c.geom.Index(a))
-	tag := c.geom.Tag(a)
-	for i := range set {
-		if set[i].Valid && set[i].Tag == tag {
-			return set[i], true
-		}
-	}
-	return Line{}, false
-}
-
 // VictimFor returns the line that a fill of block a would displace right
 // now, without displacing it. ok is false when the fill would use an
 // invalid (empty) way or merge with an existing copy of the block.
@@ -355,17 +329,6 @@ func (c *Cache) UnusedPrefetched() int {
 	n := 0
 	for i := range c.lines {
 		if c.lines[i].Valid && c.lines[i].Prefetched {
-			n++
-		}
-	}
-	return n
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
 			n++
 		}
 	}

@@ -95,15 +95,15 @@ func TestFillMergesExistingBlock(t *testing.T) {
 	if ev.Valid {
 		t.Errorf("merge must not evict: %+v", ev)
 	}
-	ln, ok := c.LineAt(a)
-	if !ok || ln.ReadyAt != 30 {
-		t.Errorf("line = %+v, want ReadyAt 30", ln)
+	if n := validLines(c); n != 1 {
+		t.Errorf("occupancy = %d", n)
 	}
-	if ln.Prefetched {
+	res := c.Access(a, false, 20)
+	if !res.Hit || res.ReadyAt != 30 {
+		t.Errorf("access = %+v, want a hit ready at 30", res)
+	}
+	if res.Prefetched {
 		t.Error("demand-filled line must not become prefetched by merge")
-	}
-	if c.Occupancy() != 1 {
-		t.Errorf("occupancy = %d", c.Occupancy())
 	}
 }
 
@@ -119,23 +119,6 @@ func TestUnusedPrefetchEvictionCounted(t *testing.T) {
 	}
 	if c.Stats().UnusedPrefetchEvicted != 1 {
 		t.Errorf("UnusedPrefetchEvicted = %d", c.Stats().UnusedPrefetchEvicted)
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := New("L1D", l1geom())
-	a := addr.Addr(0x4000)
-	if p, _ := c.Invalidate(a); p {
-		t.Error("invalidate on absent block reported present")
-	}
-	c.Fill(a, 0, 0, false)
-	c.Access(a, true, 1)
-	p, d := c.Invalidate(a)
-	if !p || !d {
-		t.Errorf("invalidate = (%v,%v), want (true,true)", p, d)
-	}
-	if c.Probe(a) {
-		t.Error("block still present after invalidate")
 	}
 }
 
@@ -169,6 +152,17 @@ func TestResetAndString(t *testing.T) {
 	}
 }
 
+// validLines counts c's valid lines.
+func validLines(c *Cache) int {
+	n := 0
+	for _, ln := range c.lines {
+		if ln.Valid {
+			n++
+		}
+	}
+	return n
+}
+
 func TestOccupancyNeverExceedsCapacityProperty(t *testing.T) {
 	g := tinyGeom()
 	f := func(raw []uint16) bool {
@@ -180,7 +174,7 @@ func TestOccupancyNeverExceedsCapacityProperty(t *testing.T) {
 			if res := c.Access(a, r%3 == 0, now); !res.Hit {
 				c.Fill(a, now, now, r%5 == 0)
 			}
-			if c.Occupancy() > g.Sets()*g.Ways() {
+			if validLines(c) > g.Sets()*g.Ways() {
 				return false
 			}
 		}

@@ -490,15 +490,10 @@ func (t *TCP) OnEvict(addr.Addr, int64, int64, int64) {}
 
 // StorageBits implements prefetch.Prefetcher: the PHT budget
 // (sets x ways x (tag + Targets x tag')); the paper quotes designs by PHT
-// size, with the ~4 KB THT (1024 x 2 x 16b) reported separately by THTBits.
+// size, with the ~4 KB THT (1024 x 2 x 16b) reported separately.
 func (t *TCP) StorageBits() uint64 {
 	entry := uint64(t.cfg.TagBits) * uint64(1+t.cfg.Targets)
 	return uint64(t.cfg.PHTSets) * uint64(t.cfg.PHTWays) * entry
-}
-
-// THTBits returns the first-level table budget.
-func (t *TCP) THTBits() uint64 {
-	return uint64(t.cfg.L1.Sets()) * uint64(t.cfg.HistoryDepth) * uint64(t.cfg.TagBits)
 }
 
 // Stats returns the predictor counters.

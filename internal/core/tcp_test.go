@@ -36,7 +36,8 @@ func TestPresetStorageBudgets(t *testing.T) {
 		t.Errorf("TCP8M PHT = %d bytes, want 8MB", got)
 	}
 	// THT: 1024 sets x 2 tags x 16 bits = 4KB.
-	if got := k8.THTBits() / 8; got != 4*1024 {
+	c := k8.Config()
+	if got := c.L1.Sets() * c.HistoryDepth * c.TagBits / 8; got != 4*1024 {
 		t.Errorf("THT = %d bytes, want 4096", got)
 	}
 	if k8.Name() != "tcp-8K" {

@@ -18,7 +18,7 @@ func TestRunMeasuredZeroMeasureWindow(t *testing.T) {
 		t.Run(engine.name, func(t *testing.T) {
 			calls := 0
 			var boundaryCycle int64
-			g := workload.New(workload.MustSpec2000("gzip"), 3)
+			g := workload.New(mustSpec(t, "gzip"), 3)
 			core := New(Config{}, &fixedMem{latency: 5})
 			r := runMeasured(core, g, 10_000, 0, engine.fast, func(cy int64) { calls++; boundaryCycle = cy })
 			if calls != 1 {
@@ -40,7 +40,7 @@ func TestRunMeasuredZeroMeasureWindow(t *testing.T) {
 // The functional clock ticks exactly once per instruction, so the boundary
 // cycle after a fast warmup equals the warmup length.
 func TestFastForwardClockIsInstructionCount(t *testing.T) {
-	g := workload.New(workload.MustSpec2000("swim"), 1)
+	g := workload.New(mustSpec(t, "swim"), 1)
 	core := New(Config{}, &fixedMem{latency: 5})
 	var boundary int64
 	runMeasured(core, g, 25_000, 1_000, true, func(cy int64) { boundary = cy })
@@ -56,7 +56,7 @@ func TestFastForwardClockIsInstructionCount(t *testing.T) {
 func TestFastWarmupEventCountersMatchFull(t *testing.T) {
 	const warmup, measure = 40_000, 20_000
 	run := func(fast bool) (Result, uint64) {
-		g := workload.New(workload.MustSpec2000("gzip"), 9)
+		g := workload.New(mustSpec(t, "gzip"), 9)
 		mem := &fixedMem{latency: 8}
 		return runMeasured(New(Config{}, mem), g, warmup, measure, fast, nil), mem.accesses
 	}
@@ -81,7 +81,7 @@ func TestFastWarmupEventCountersMatchFull(t *testing.T) {
 // bit-identical Result.
 func TestFastForwardDeterministic(t *testing.T) {
 	run := func() Result {
-		g := workload.New(workload.MustSpec2000("mcf"), 11)
+		g := workload.New(mustSpec(t, "mcf"), 11)
 		return runMeasured(New(Config{}, &fixedMem{latency: 12}), g, 30_000, 10_000, true, nil)
 	}
 	if r1, r2 := run(), run(); r1 != r2 {

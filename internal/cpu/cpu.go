@@ -1,7 +1,9 @@
 // Package cpu is a constructive cycle-level timing model of the paper's
 // simulated processor (Table 1): an 8-issue out-of-order superscalar with a
 // 128-entry RUU, a 128-entry LSQ, the listed functional-unit mix, and a
-// two-level branch predictor driving fetch redirects.
+// two-level branch predictor driving fetch redirects. That shape is the
+// package's constants (IssueWidth, RUUSize, ...); Config selects only the
+// branch predictor.
 //
 // The model is "constructive" in the sense of SimpleScalar-class timing
 // analysis: because dispatch and commit are in order, each dynamic
@@ -38,66 +40,32 @@ type Memory interface {
 	Access(a, pc addr.Addr, write bool, now int64) int64
 }
 
-// Config parameterises the core. Zero fields take Table 1 defaults.
+// Table 1's core, the only machine the paper evaluates. Every part of
+// its shape is fixed; only the branch predictor is configurable.
+const (
+	IssueWidth = 8   // instructions dispatched and committed per cycle
+	RUUSize    = 128 // register update unit (window) entries
+	LSQSize    = 128 // load/store queue entries
+
+	IntALUs  = 8 // functional-unit counts
+	IntMults = 3
+	FPALUs   = 6
+	FPMults  = 2
+	MemPorts = 4
+
+	RedirectPenalty = 3 // extra front-end cycles after a mispredict resolves
+)
+
+// The pipeline indexes its rings with RUUSize-1 and LSQSize-1 as masks,
+// so both sizes must be powers of two: otherwise this array length is
+// negative and the package does not build.
+var _ [-(RUUSize&(RUUSize-1) | LSQSize&(LSQSize-1))]struct{}
+
+// Config parameterises the core.
 type Config struct {
-	IssueWidth int // instructions dispatched and committed per cycle
-	RUUSize    int // register update unit (window) entries
-	LSQSize    int // load/store queue entries
-
-	IntALU, IntMult, FPALU, FPMult, MemPorts int // functional-unit counts
-
-	RedirectPenalty int64 // extra front-end cycles after a mispredict resolves
-
 	// Predictor names the front-end branch predictor, a row of
 	// branch.Predictors; "" selects branch.Default.
 	Predictor string
-}
-
-// DefaultConfig returns the paper's Table 1 core.
-func DefaultConfig() Config {
-	return Config{
-		IssueWidth:      8,
-		RUUSize:         128,
-		LSQSize:         128,
-		IntALU:          8,
-		IntMult:         3,
-		FPALU:           6,
-		FPMult:          2,
-		MemPorts:        4,
-		RedirectPenalty: 3,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.IssueWidth <= 0 {
-		c.IssueWidth = d.IssueWidth
-	}
-	if c.RUUSize <= 0 {
-		c.RUUSize = d.RUUSize
-	}
-	if c.LSQSize <= 0 {
-		c.LSQSize = d.LSQSize
-	}
-	if c.IntALU <= 0 {
-		c.IntALU = d.IntALU
-	}
-	if c.IntMult <= 0 {
-		c.IntMult = d.IntMult
-	}
-	if c.FPALU <= 0 {
-		c.FPALU = d.FPALU
-	}
-	if c.FPMult <= 0 {
-		c.FPMult = d.FPMult
-	}
-	if c.MemPorts <= 0 {
-		c.MemPorts = d.MemPorts
-	}
-	if c.RedirectPenalty <= 0 {
-		c.RedirectPenalty = d.RedirectPenalty
-	}
-	return c
 }
 
 // execution latencies per class (cycles in a functional unit).
@@ -176,7 +144,6 @@ func (r Result) sub(w Result) Result {
 // checkpointed mid-flight, and finished with Finish. sim.Machine is the
 // driver that sequences these calls.
 type Core struct {
-	cfg  Config // configuration supplied at construction; decoding validates slot counts against it
 	mem  Memory // wiring; the memory system serialises its own state through the machine walk
 	pred branch.Predictor
 
@@ -206,12 +173,11 @@ type Core struct {
 // New creates a core bound to a data-memory system.
 // An unknown predictor name panics; sim.Config.Validate reports it first.
 func New(cfg Config, mem Memory) *Core {
-	cfg = cfg.withDefaults()
 	pred, err := branch.New(cfg.Predictor)
 	if err != nil {
 		panic("cpu: " + err.Error())
 	}
-	return &Core{cfg: cfg, mem: mem, pred: pred, p: newPipeline(cfg, mem, pred)}
+	return &Core{mem: mem, pred: pred, p: newPipeline(mem, pred)}
 }
 
 // SetOnLoadRetire installs (or clears) the load-retirement hook: fn is
@@ -222,9 +188,6 @@ func New(cfg Config, mem Memory) *Core {
 func (c *Core) SetOnLoadRetire(fn func(pc uint64, critical bool)) {
 	c.p.onLoadRetire = fn
 }
-
-// Config returns the effective configuration.
-func (c *Core) Config() Config { return c.cfg }
 
 // AttachTelemetry implements telemetry.Component: the core exports
 // cumulative retired-instruction and cycle counters (updated at sampler
@@ -264,16 +227,16 @@ func (c *Core) syncCounters(instructions uint64, cycles int64) {
 // pipeline is the rolling state of the constructive timing model: the
 // completion/commit rings, functional-unit scoreboards, and the front-end
 // cursors that carry from one committed instruction to the next. It is
-// built once per run and advanced by step.
+// built once per run and advanced by step. Instruction i occupies RUU slot
+// i&(RUUSize-1), and the n-th memory op LSQ slot n&(LSQSize-1).
 type pipeline struct {
-	cfg          Config
 	mem          Memory
 	pred         branch.Predictor
 	onLoadRetire func(pc uint64, critical bool) // host wiring installed by SetOnLoadRetire, not simulated state
 
-	doneAt    []int64 // completion, ring by instruction index
-	commitAt  []int64 // commit, same ring
-	memCommit []int64
+	doneAt    [RUUSize]int64 // completion, ring by instruction index
+	commitAt  [RUUSize]int64 // commit, same ring
+	memCommit [LSQSize]int64
 	memCount  int
 
 	intALU, intMul, fpALU, fpMul, memPort *fuPool
@@ -284,51 +247,19 @@ type pipeline struct {
 	commitSlots   int
 	lastCommit    int64
 	fetchResume   int64
-
-	ruu, lsq ring // index geometry derived from the fixed RUU/LSQ sizes by newPipeline
 }
 
-// ring is the index geometry of one of the pipeline's rings, fixed at
-// construction.
-type ring struct {
-	n    uint64
-	mask uint64 // n-1 when n is a power of two, else 0
-}
-
-func newRing(n int) ring {
-	r := ring{n: uint64(n)}
-	if n&(n-1) == 0 {
-		r.mask = r.n - 1
-	}
-	return r
-}
-
-// slot maps sequence number i onto the ring: an AND for power-of-two
-// sizes (Table 1's 128-entry RUU and LSQ), a modulo otherwise.
-func (r ring) slot(i uint64) uint64 {
-	if r.mask != 0 {
-		return i & r.mask
-	}
-	return i % r.n
-}
-
-// newPipeline allocates every ring and scoreboard up front so that step
-// itself never allocates.
-func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
+// newPipeline allocates every scoreboard up front (the rings are arrays in
+// the pipeline) so that step itself never allocates.
+func newPipeline(mem Memory, pred branch.Predictor) *pipeline {
 	return &pipeline{
-		cfg:       cfg,
-		mem:       mem,
-		pred:      pred,
-		ruu:       newRing(cfg.RUUSize),
-		lsq:       newRing(cfg.LSQSize),
-		doneAt:    make([]int64, cfg.RUUSize),
-		commitAt:  make([]int64, cfg.RUUSize),
-		memCommit: make([]int64, cfg.LSQSize),
-		intALU:    newPool(cfg.IntALU),
-		intMul:    newPool(cfg.IntMult),
-		fpALU:     newPool(cfg.FPALU),
-		fpMul:     newPool(cfg.FPMult),
-		memPort:   newPool(cfg.MemPorts),
+		mem:     mem,
+		pred:    pred,
+		intALU:  newPool(IntALUs),
+		intMul:  newPool(IntMults),
+		fpALU:   newPool(FPALUs),
+		fpMul:   newPool(FPMults),
+		memPort: newPool(MemPorts),
 	}
 }
 
@@ -338,23 +269,21 @@ func newPipeline(cfg Config, mem Memory, pred branch.Predictor) *pipeline {
 // cycle-accurate model's only per-instruction path; internal/sim's
 // allocation gate keeps it allocation-free.
 func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
-	cfg := &p.cfg
-
 	// --- dispatch ---
 	d := p.dispatchCycle
 	if p.fetchResume > d {
 		d = p.fetchResume
 		res.FetchRedirectStall++
 	}
-	if i >= uint64(cfg.RUUSize) {
-		if w := p.commitAt[p.ruu.slot(i)]; w > d {
+	if i >= RUUSize {
+		if w := p.commitAt[i&(RUUSize-1)]; w > d {
 			d = w
 			res.DispatchStallRUU++
 		}
 	}
 	isMem := inst.Class.IsMem()
-	if isMem && p.memCount >= cfg.LSQSize {
-		if w := p.memCommit[p.lsq.slot(uint64(p.memCount))]; w > d {
+	if isMem && p.memCount >= LSQSize {
+		if w := p.memCommit[uint64(p.memCount)&(LSQSize-1)]; w > d {
 			d = w
 			res.DispatchStallLSQ++
 		}
@@ -363,7 +292,7 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 		p.dispatchCycle = d
 		p.dispatchSlots = 0
 	}
-	if p.dispatchSlots == cfg.IssueWidth {
+	if p.dispatchSlots == IssueWidth {
 		p.dispatchCycle++
 		p.dispatchSlots = 0
 	}
@@ -374,13 +303,13 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	// A producer more than RUUSize back committed before our dispatch,
 	// so it is necessarily complete.
 	ready := d + 1
-	if dep := inst.Dep1; dep > 0 && uint64(dep) <= i && dep <= int32(cfg.RUUSize) {
-		if w := p.doneAt[p.ruu.slot(i-uint64(dep))]; w > ready {
+	if dep := inst.Dep1; dep > 0 && uint64(dep) <= i && dep <= RUUSize {
+		if w := p.doneAt[(i-uint64(dep))&(RUUSize-1)]; w > ready {
 			ready = w
 		}
 	}
-	if dep := inst.Dep2; dep > 0 && uint64(dep) <= i && dep <= int32(cfg.RUUSize) {
-		if w := p.doneAt[p.ruu.slot(i-uint64(dep))]; w > ready {
+	if dep := inst.Dep2; dep > 0 && uint64(dep) <= i && dep <= RUUSize {
+		if w := p.doneAt[(i-uint64(dep))&(RUUSize-1)]; w > ready {
 			ready = w
 		}
 	}
@@ -403,7 +332,7 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 		p.pred.Update(inst.PC, inst.Taken)
 		if predicted != inst.Taken {
 			res.BranchMispredicts++
-			if r := done + cfg.RedirectPenalty; r > p.fetchResume {
+			if r := done + RedirectPenalty; r > p.fetchResume {
 				p.fetchResume = r
 			}
 		}
@@ -422,7 +351,7 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	default:
 		done = p.intALU.issue(ready) + latIntALU
 	}
-	p.doneAt[p.ruu.slot(i)] = done
+	p.doneAt[i&(RUUSize-1)] = done
 
 	// --- in-order commit, IssueWidth per cycle ---
 	cm := done
@@ -440,16 +369,16 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 		p.commitCycle = cm
 		p.commitSlots = 0
 	}
-	if p.commitSlots == cfg.IssueWidth {
+	if p.commitSlots == IssueWidth {
 		p.commitCycle++
 		p.commitSlots = 0
 	}
 	cm = p.commitCycle
 	p.commitSlots++
 	p.lastCommit = cm
-	p.commitAt[p.ruu.slot(i)] = cm
+	p.commitAt[i&(RUUSize-1)] = cm
 	if isMem {
-		p.memCommit[p.lsq.slot(uint64(p.memCount))] = cm
+		p.memCommit[uint64(p.memCount)&(LSQSize-1)] = cm
 		p.memCount++
 	}
 }

@@ -54,18 +54,27 @@ func runScript(c *Core, insts []workload.Inst, n uint64) Result {
 	return runMeasured(c, &scriptGen{insts: insts}, 0, n, false, nil)
 }
 
+// mustSpec returns the named benchmark's workload model.
+func mustSpec(t *testing.T, name string) workload.Spec {
+	t.Helper()
+	spec, err := workload.Spec2000(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
 func run(t *testing.T, cfg Config, insts []workload.Inst, n uint64, lat int64) Result {
 	t.Helper()
 	return runScript(New(cfg, &fixedMem{latency: lat}), insts, n)
 }
 
 func TestDefaultsMatchTable1(t *testing.T) {
-	c := DefaultConfig()
-	if c.IssueWidth != 8 || c.RUUSize != 128 || c.LSQSize != 128 {
-		t.Errorf("core = %+v", c)
+	if IssueWidth != 8 || RUUSize != 128 || LSQSize != 128 || RedirectPenalty != 3 {
+		t.Errorf("core = %d-issue, %d-RUU, %d-LSQ, redirect %d", IssueWidth, RUUSize, LSQSize, RedirectPenalty)
 	}
-	if c.IntALU != 8 || c.IntMult != 3 || c.FPALU != 6 || c.FPMult != 2 || c.MemPorts != 4 {
-		t.Errorf("FUs = %+v", c)
+	if IntALUs != 8 || IntMults != 3 || FPALUs != 6 || FPMults != 2 || MemPorts != 4 {
+		t.Errorf("FUs = %d IntALU, %d IntMult, %d FPALU, %d FPMult, %d ports", IntALUs, IntMults, FPALUs, FPMults, MemPorts)
 	}
 }
 
@@ -135,37 +144,84 @@ func TestDependentLoadsSerialise(t *testing.T) {
 }
 
 func TestWindowLimitsOverlap(t *testing.T) {
-	// With a tiny window, fewer independent loads fit in flight, so IPC
-	// must drop versus the big window.
+	// Independent 200-cycle loads: the window holds RUUSize instructions,
+	// so once it fills, dispatch waits on the oldest load and at most
+	// RUUSize instructions complete per load latency (Little's law). A
+	// 20-cycle memory never fills it.
 	mix := []workload.Inst{
 		{Class: workload.Load, Addr: 0x1000},
 		{Class: workload.IntALU},
 	}
-	big := run(t, Config{RUUSize: 128, LSQSize: 128}, mix, 20000, 200)
-	small := run(t, Config{RUUSize: 8, LSQSize: 8}, mix, 20000, 200)
-	if small.IPC >= big.IPC {
-		t.Errorf("small window IPC %v >= big window IPC %v", small.IPC, big.IPC)
+	slow := run(t, Config{}, mix, 20000, 200)
+	if slow.DispatchStallRUU == 0 {
+		t.Error("no RUU stalls with 200-cycle loads")
 	}
-	if small.DispatchStallRUU == 0 {
-		t.Error("no RUU stalls recorded with a tiny window")
+	if bound := float64(RUUSize) / 200; slow.IPC > bound {
+		t.Errorf("IPC %v exceeds the window bound %v", slow.IPC, bound)
+	}
+	fast := run(t, Config{}, mix, 20000, 20)
+	if fast.IPC <= slow.IPC {
+		t.Errorf("20-cycle IPC %v <= 200-cycle IPC %v", fast.IPC, slow.IPC)
 	}
 }
 
 func TestLSQLimitsMemOps(t *testing.T) {
+	// A full LSQ holds a memory op at dispatch until the entry LSQSize
+	// memory ops back commits; other instructions do not wait. On Table
+	// 1's core the RUU binds first (the LSQ is as large as the window),
+	// so the ring is filled by hand: LSQSize memory ops are in flight and
+	// the oldest commits at cycle 500.
+	c := New(Config{}, &fixedMem{latency: 1})
+	p := c.p
+	p.memCount = LSQSize
+	p.memCommit[0] = 500
+	var res Result
+	p.step(0, &workload.Inst{Class: workload.IntALU}, &res)
+	if res.DispatchStallLSQ != 0 || p.dispatchCycle != 0 {
+		t.Errorf("non-memory op waited on the LSQ: stalls %d, dispatch %d", res.DispatchStallLSQ, p.dispatchCycle)
+	}
+	p.step(1, &workload.Inst{Class: workload.Load, Addr: 0x1000}, &res)
+	if res.DispatchStallLSQ != 1 || p.dispatchCycle != 500 {
+		t.Errorf("load on a full LSQ: stalls %d, dispatch %d, want 1 and 500", res.DispatchStallLSQ, p.dispatchCycle)
+	}
+
+	// A stream of loads fills the LSQ, but each entry retires with its
+	// RUU entry, so the window stalls and the LSQ never does.
 	loads := []workload.Inst{{Class: workload.Load, Addr: 0x1000}}
-	r := run(t, Config{RUUSize: 128, LSQSize: 4}, loads, 20000, 200)
-	if r.DispatchStallLSQ == 0 {
-		t.Error("no LSQ stalls with 4-entry LSQ and 200-cycle loads")
+	r := run(t, Config{}, loads, 20000, 200)
+	if r.DispatchStallRUU == 0 || r.DispatchStallLSQ != 0 {
+		t.Errorf("loads: RUU stalls %d, LSQ stalls %d; want some and none", r.DispatchStallRUU, r.DispatchStallLSQ)
 	}
 }
 
 func TestBranchMispredictsStallFetch(t *testing.T) {
-	// Alternating branches defeat the predictor's 2-bit counters enough to
-	// produce mispredicts; with a long redirect penalty IPC drops sharply.
+	// Under an always-taken predictor a not-taken branch mispredicts: it
+	// issues at 1 and resolves at 2, and the next instruction dispatches
+	// RedirectPenalty cycles later, at 5, and completes at 7. Taken, the
+	// pair dispatches together and commits at 2.
+	for _, tc := range []struct {
+		taken  bool
+		cycles int64
+		stalls uint64
+	}{{false, 2 + RedirectPenalty + 2, 1}, {true, 2, 0}} {
+		insts := []workload.Inst{
+			{Class: workload.Branch, PC: 0x400000, Taken: tc.taken},
+			{Class: workload.IntALU},
+		}
+		r := runScript(New(Config{Predictor: "always-taken"}, &fixedMem{}), insts, 2)
+		if r.Cycles != tc.cycles || r.FetchRedirectStall != tc.stalls {
+			t.Errorf("taken=%v: cycles %d, redirect stalls %d; want %d, %d",
+				tc.taken, r.Cycles, r.FetchRedirectStall, tc.cycles, tc.stalls)
+		}
+	}
+
+	// Alternating branches defeat the default predictor's 2-bit counters
+	// enough to produce mispredicts, and IPC drops below a predictable
+	// stream's.
 	alternating := make([]workload.Inst, 2)
 	alternating[0] = workload.Inst{Class: workload.Branch, PC: 0x400000, Taken: true}
 	alternating[1] = workload.Inst{Class: workload.Branch, PC: 0x400000, Taken: false}
-	r := run(t, Config{RedirectPenalty: 20}, alternating, 20000, 0)
+	r := run(t, Config{}, alternating, 20000, 0)
 	if r.BranchMispredicts == 0 {
 		t.Fatal("no mispredicts on an adversarial pattern")
 	}
@@ -173,7 +229,7 @@ func TestBranchMispredictsStallFetch(t *testing.T) {
 		t.Error("mispredicts never stalled fetch")
 	}
 	perfect := []workload.Inst{{Class: workload.Branch, PC: 0x400100, Taken: true}}
-	rp := run(t, Config{RedirectPenalty: 20}, perfect, 20000, 0)
+	rp := run(t, Config{}, perfect, 20000, 0)
 	if rp.IPC <= r.IPC {
 		t.Errorf("predictable branches (%v) not faster than adversarial (%v)", rp.IPC, r.IPC)
 	}
@@ -227,8 +283,8 @@ func TestResultBookkeeping(t *testing.T) {
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	g1 := workload.New(workload.MustSpec2000("gzip"), 7)
-	g2 := workload.New(workload.MustSpec2000("gzip"), 7)
+	g1 := workload.New(mustSpec(t, "gzip"), 7)
+	g2 := workload.New(mustSpec(t, "gzip"), 7)
 	c1 := New(Config{}, &fixedMem{latency: 10})
 	c2 := New(Config{}, &fixedMem{latency: 10})
 	r1 := runMeasured(c1, g1, 0, 50000, false, nil)
@@ -274,7 +330,7 @@ func TestOnLoadRetireCriticality(t *testing.T) {
 }
 
 func TestRunMeasuredSubtractsWarmup(t *testing.T) {
-	g1 := workload.New(workload.MustSpec2000("gzip"), 5)
+	g1 := workload.New(mustSpec(t, "gzip"), 5)
 	core := New(Config{}, &fixedMem{latency: 5})
 	r := runMeasured(core, g1, 30_000, 60_000, false, nil)
 	if r.Instructions != 60_000 {
@@ -285,7 +341,7 @@ func TestRunMeasuredSubtractsWarmup(t *testing.T) {
 	}
 	// A boundary callback must fire exactly once.
 	calls := 0
-	g2 := workload.New(workload.MustSpec2000("gzip"), 5)
+	g2 := workload.New(mustSpec(t, "gzip"), 5)
 	core2 := New(Config{}, &fixedMem{latency: 5})
 	runMeasured(core2, g2, 10_000, 10_000, false, func(int64) { calls++ })
 	if calls != 1 {
@@ -294,55 +350,59 @@ func TestRunMeasuredSubtractsWarmup(t *testing.T) {
 }
 
 func TestGoldenSchedule(t *testing.T) {
-	// Hand-checked schedule on a 2-wide, 4-entry-window machine with one
-	// ALU-class unit of each kind and a 10-cycle memory:
+	// Hand-checked schedule on the Table 1 core with a 10-cycle memory:
 	//
-	//   i0 load  : dispatch 0, AGU at 1, mem access at 2 -> done 12
-	//   i1 alu dep(i0): dispatch 0, ready max(1, 12) = 12 -> done 13
-	//   i2 alu   : dispatch 1 (2-wide), ready 2 -> done 3
-	//   i3 alu dep(i1): dispatch 1, ready = done(i1) = 13 -> done 14
+	//   i0 load        : dispatch 0, AGU at 1, mem access at 2 -> done 12
+	//   i1 alu dep(i0) : dispatch 0, ready 12                  -> done 13
+	//   i2-i4 mult     : dispatch 0, one IntMult each at 1     -> done 4
+	//   i5 mult        : dispatch 0, 3 IntMults busy, issue 2  -> done 5
+	//   i6 alu         : dispatch 0, issue 1                   -> done 2
+	//   i7 alu dep(i5) : dispatch 0, ready 5                   -> done 6
+	//   i8 alu         : dispatch 1 (8-wide), issue 2          -> done 3
+	//   i9 alu         : dispatch 1, issue 2                   -> done 3
 	//
-	// commits (2/cycle, in order): i0@12, i1@13, i2@13, i3@14.
-	cfg := Config{
-		IssueWidth: 2, RUUSize: 4, LSQSize: 4,
-		IntALU: 2, IntMult: 1, FPALU: 1, FPMult: 1, MemPorts: 1,
-	}
+	// commits (in order, 8 per cycle): i0@12, i1-i8@13, i9@14.
 	insts := []workload.Inst{
 		{Class: workload.Load, Addr: 0x1000},
 		{Class: workload.IntALU, Dep1: 1},
+		{Class: workload.IntMult},
+		{Class: workload.IntMult},
+		{Class: workload.IntMult},
+		{Class: workload.IntMult},
 		{Class: workload.IntALU},
 		{Class: workload.IntALU, Dep1: 2},
+		{Class: workload.IntALU},
+		{Class: workload.IntALU},
 	}
-	r := runScript(New(cfg, &fixedMem{latency: 10}), insts, 4)
+	wantDone := []int64{12, 13, 4, 4, 4, 5, 2, 6, 3, 3}
+	wantCommit := []int64{12, 13, 13, 13, 13, 13, 13, 13, 13, 14}
+	c := New(Config{}, &fixedMem{latency: 10})
+	gen := &scriptGen{insts: insts}
+	for i := range insts {
+		c.AdvanceTo(gen, uint64(i+1))
+		if done, commit := c.p.doneAt[i], c.p.commitAt[i]; done != wantDone[i] || commit != wantCommit[i] {
+			t.Errorf("i%d: done %d, commit %d; want %d, %d", i, done, commit, wantDone[i], wantCommit[i])
+		}
+	}
+	r := c.Finish()
 	if r.Cycles != 14 {
 		t.Errorf("cycles = %d, want 14", r.Cycles)
 	}
-	if r.IPC != 4.0/14 {
+	if r.IPC != 10.0/14 {
 		t.Errorf("IPC = %v", r.IPC)
 	}
 }
 
 func TestGoldenIndependentPair(t *testing.T) {
-	// Two independent single-cycle ALU ops dispatch together at cycle 0,
-	// issue at 1, complete at 2, both commit at 2.
-	cfg := Config{IssueWidth: 2, RUUSize: 4, LSQSize: 4,
-		IntALU: 2, IntMult: 1, FPALU: 1, FPMult: 1, MemPorts: 1}
-	r := runScript(New(cfg, &fixedMem{}), []workload.Inst{{Class: workload.IntALU}}, 2)
-	if r.Cycles != 2 {
-		t.Errorf("cycles = %d, want 2", r.Cycles)
+	// IssueWidth independent single-cycle ALU ops dispatch together at
+	// cycle 0, issue at 1, complete at 2, and all commit at 2; one more
+	// dispatches a cycle later and commits at 3.
+	alu := []workload.Inst{{Class: workload.IntALU}}
+	if r := runScript(New(Config{}, &fixedMem{}), alu, IssueWidth); r.Cycles != 2 {
+		t.Errorf("%d ops: cycles = %d, want 2", IssueWidth, r.Cycles)
 	}
-}
-
-// TestRingSlot pins the ring index against plain modulo for every ring
-// size up to past Table 1's 128, masked (power-of-two) and not.
-func TestRingSlot(t *testing.T) {
-	for n := 1; n <= 130; n++ {
-		r := newRing(n)
-		for i := uint64(0); i < 1_000; i++ {
-			if got, want := r.slot(i), i%uint64(n); got != want {
-				t.Fatalf("ring %d: slot(%d) = %d, want %d", n, i, got, want)
-			}
-		}
+	if r := runScript(New(Config{}, &fixedMem{}), alu, IssueWidth+1); r.Cycles != 3 {
+		t.Errorf("%d ops: cycles = %d, want 3", IssueWidth+1, r.Cycles)
 	}
 }
 
@@ -393,4 +453,38 @@ func TestFUPoolIssueMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stepMix is BenchmarkPipelineStep's script: a load-heavy integer loop
+// with a dependent load, a store, FP work and two branches, so every
+// issue path runs.
+var stepMix = []workload.Inst{
+	{Class: workload.Load, Addr: 0x1000, PC: 0x10},
+	{Class: workload.IntALU, Dep1: 1},
+	{Class: workload.Load, Addr: 0x2000, PC: 0x18, Dep1: 1},
+	{Class: workload.IntMult, Dep1: 1},
+	{Class: workload.Store, Addr: 0x3000, PC: 0x20, Dep1: 2},
+	{Class: workload.FPALU},
+	{Class: workload.FPMult, Dep1: 1},
+	{Class: workload.IntALU, Dep2: 3},
+	{Class: workload.Branch, PC: 0x40, Taken: true},
+	{Class: workload.Load, Addr: 0x4000, PC: 0x48},
+	{Class: workload.IntALU, Dep1: 1},
+	{Class: workload.Branch, PC: 0x50, Taken: false},
+}
+
+// BenchmarkPipelineStep times the Table 1 core's per-instruction step
+// (one op is one instruction) against a fixed-latency memory, after a
+// warmup that fills the window. Stepping must not allocate; the time is
+// reported only.
+func BenchmarkPipelineStep(b *testing.B) {
+	c := New(Config{}, &fixedMem{latency: 20})
+	gen := &scriptGen{insts: stepMix}
+	c.AdvanceTo(gen, 100_000)
+	if a := testing.AllocsPerRun(100, func() { c.AdvanceTo(gen, c.Done()+1) }); a != 0 {
+		b.Fatalf("step allocates %v times per instruction", a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	c.AdvanceTo(gen, c.Done()+uint64(b.N))
 }

@@ -24,9 +24,8 @@ func snapshotResult(c *checkpoint.Codec, r *Result) {
 // the full pipeline rolling state (completion/commit rings, LSQ ring,
 // functional-unit scoreboards, front-end cursors), and the branch
 // predictor (tagged with its scheme name for structural validation). The
-// core must be configured identically to the one encoded (ring sizes,
-// functional-unit counts, predictor scheme); mismatches fail with a length
-// or name error.
+// core must run the predictor scheme of the one encoded; a mismatch fails
+// with a name error.
 func (c *Core) Snapshot(cd *checkpoint.Codec) {
 	cd.Section("cpu")
 	cd.U64(&c.done)
@@ -35,9 +34,9 @@ func (c *Core) Snapshot(cd *checkpoint.Codec) {
 	snapshotResult(cd, &c.warmRes)
 
 	p := c.p
-	cd.I64s(p.doneAt)
-	cd.I64s(p.commitAt)
-	cd.I64s(p.memCommit)
+	cd.I64s(p.doneAt[:])
+	cd.I64s(p.commitAt[:])
+	cd.I64s(p.memCommit[:])
 	cd.Int(&p.memCount)
 	for _, pool := range [...]*fuPool{p.intALU, p.intMul, p.fpALU, p.fpMul, p.memPort} {
 		cd.I64s(pool.freeAt)
@@ -55,13 +54,13 @@ func (c *Core) Snapshot(cd *checkpoint.Codec) {
 	// (the clock already flowed into the pipeline cursors above).
 	cd.Bool(&c.fastActive)
 	cd.I64(&c.fclock)
-	switch w := c.cfg.IssueWidth; {
+	switch {
 	case c.fclock < 0:
 		cd.Fail(fmt.Errorf("cpu: checkpoint functional clock %d negative", c.fclock))
 	case p.memCount < 0:
 		cd.Fail(fmt.Errorf("cpu: checkpoint LSQ count %d negative", p.memCount))
-	case p.dispatchSlots < 0 || p.dispatchSlots > w || p.commitSlots < 0 || p.commitSlots > w:
-		cd.Fail(fmt.Errorf("cpu: checkpoint slot counts (%d,%d) exceed issue width %d", p.dispatchSlots, p.commitSlots, w))
+	case p.dispatchSlots < 0 || p.dispatchSlots > IssueWidth || p.commitSlots < 0 || p.commitSlots > IssueWidth:
+		cd.Fail(fmt.Errorf("cpu: checkpoint slot counts (%d,%d) exceed issue width %d", p.dispatchSlots, p.commitSlots, IssueWidth))
 	}
 
 	name := c.pred.Name()

@@ -22,9 +22,6 @@ func New(latency int64, b *bus.Bus) *Memory {
 	return &Memory{latency: latency, bus: b}
 }
 
-// Latency returns the configured access latency.
-func (m *Memory) Latency() int64 { return m.latency }
-
 // Read returns the cycle at which a block of n bytes requested at cycle now
 // is fully delivered: access latency plus the bus transfer of the block.
 func (m *Memory) Read(now int64, n int) int64 {

@@ -11,9 +11,6 @@ func TestReadLatencyNoBus(t *testing.T) {
 	if done := m.Read(100, 64); done != 170 {
 		t.Errorf("done = %d, want 170", done)
 	}
-	if m.Latency() != 70 {
-		t.Errorf("latency = %d", m.Latency())
-	}
 }
 
 func TestReadWithBus(t *testing.T) {
@@ -44,8 +41,8 @@ func TestWriteOccupiesBusOnly(t *testing.T) {
 
 func TestNegativeLatencyClamped(t *testing.T) {
 	m := New(-5, nil)
-	if m.Latency() != 0 {
-		t.Errorf("latency = %d, want 0", m.Latency())
+	if done := m.Read(100, 64); done != 100 {
+		t.Errorf("done = %d, want 100 (latency clamped to 0)", done)
 	}
 }
 

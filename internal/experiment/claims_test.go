@@ -160,7 +160,7 @@ func TestClaimStrideAssistHelpsSmallPHT(t *testing.T) {
 	}
 	o := Options{Instructions: 300_000, Warmup: 900_000, Benches: []string{"swim", "lucas"}}
 	tab := AblationStrideAssist(o)
-	if tab.NumRows() != 3 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.Rows()) != 3 {
+		t.Fatalf("rows = %d", len(tab.Rows()))
 	}
 }

@@ -102,12 +102,11 @@ func (o Options) simConfig() sim.Config {
 // Table1 renders the simulated machine configuration (paper Table 1).
 func Table1() *stats.Table {
 	mc := memsys.DefaultConfig()
-	cc := cpu.DefaultConfig()
 	t := stats.NewTable("Table 1: configuration of simulated processor", "parameter", "value")
-	t.AddRow("instruction window", fmt.Sprintf("%d-RUU, %d-LSQ", cc.RUUSize, cc.LSQSize))
-	t.AddRow("issue width", fmt.Sprintf("%d instructions per cycle", cc.IssueWidth))
+	t.AddRow("instruction window", fmt.Sprintf("%d-RUU, %d-LSQ", cpu.RUUSize, cpu.LSQSize))
+	t.AddRow("issue width", fmt.Sprintf("%d instructions per cycle", cpu.IssueWidth))
 	t.AddRow("functional units", fmt.Sprintf("%d IntALU, %d IntMult/Div, %d FPALU, %d FPMult/Div, %d Load/Store",
-		cc.IntALU, cc.IntMult, cc.FPALU, cc.FPMult, cc.MemPorts))
+		cpu.IntALUs, cpu.IntMults, cpu.FPALUs, cpu.FPMults, cpu.MemPorts))
 	t.AddRow("L1 dcache", fmt.Sprintf("%dKB, %d-way, %dB blocks, %d MSHRs",
 		mc.L1D.SizeBytes()/1024, mc.L1D.Ways(), mc.L1D.BlockBytes(), mc.MSHRs))
 	t.AddRow("L1/L2 bus", fmt.Sprintf("%d-byte wide, core clock", mc.L1L2BusBytes))

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"tagprefetch/internal/stats"
 )
 
 // tiny returns options small enough for unit tests: three benchmarks with
@@ -30,8 +32,8 @@ func TestTable1ContainsPaperParameters(t *testing.T) {
 func TestFig01ShapesHold(t *testing.T) {
 	tab := Fig01IdealL2(tiny())
 	out := tab.String()
-	if tab.NumRows() != 4 { // 3 benches + geomean
-		t.Fatalf("rows = %d:\n%s", tab.NumRows(), out)
+	if len(tab.Rows()) != 4 { // 3 benches + geomean
+		t.Fatalf("rows = %d:\n%s", len(tab.Rows()), out)
 	}
 	// All benchmark rows present.
 	for _, b := range []string{"fma3d", "art", "mcf", "geomean"} {
@@ -43,16 +45,16 @@ func TestFig01ShapesHold(t *testing.T) {
 
 func TestFig11Runs(t *testing.T) {
 	tab := Fig11IPC(tiny())
-	if tab.NumRows() != 4 {
-		t.Fatalf("rows = %d:\n%s", tab.NumRows(), tab.String())
+	if len(tab.Rows()) != 4 {
+		t.Fatalf("rows = %d:\n%s", len(tab.Rows()), tab.String())
 	}
 }
 
 func TestFig12CategoriesPresent(t *testing.T) {
 	tab := Fig12Traffic(tiny())
 	// 3 benches x 2 configs.
-	if tab.NumRows() != 6 {
-		t.Fatalf("rows = %d:\n%s", tab.NumRows(), tab.String())
+	if len(tab.Rows()) != 6 {
+		t.Fatalf("rows = %d:\n%s", len(tab.Rows()), tab.String())
 	}
 	if !strings.Contains(tab.String(), "tcp-8K") || !strings.Contains(tab.String(), "tcp-8M") {
 		t.Errorf("missing configs:\n%s", tab.String())
@@ -84,8 +86,8 @@ func TestFig13Sweeps(t *testing.T) {
 
 func TestFig14Runs(t *testing.T) {
 	tab := Fig14Hybrid(tiny())
-	if tab.NumRows() != 4 {
-		t.Fatalf("rows = %d:\n%s", tab.NumRows(), tab.String())
+	if len(tab.Rows()) != 4 {
+		t.Fatalf("rows = %d:\n%s", len(tab.Rows()), tab.String())
 	}
 }
 
@@ -111,14 +113,14 @@ func TestProfileFiguresShareOnePass(t *testing.T) {
 		t.Errorf("mcf seqs %d <= art seqs %d", prof["mcf"].UniqueSeqs, prof["art"].UniqueSeqs)
 	}
 
-	tabs := []interface{ NumRows() int }{
+	tabs := []*stats.Table{
 		Fig02TagStats(o, prof), Fig03AddrStats(o, prof), Fig04TagSpread(o, prof),
 		Fig05SeqRatio(o, prof), Fig06SeqStats(o, prof), Fig07SeqSpread(o, prof),
 		Fig15Strided(o, prof),
 	}
 	for i, tab := range tabs {
-		if tab.NumRows() != 3 {
-			t.Errorf("figure table %d has %d rows, want 3", i, tab.NumRows())
+		if len(tab.Rows()) != 3 {
+			t.Errorf("figure table %d has %d rows, want 3", i, len(tab.Rows()))
 		}
 	}
 }
@@ -147,8 +149,8 @@ func TestAblationsRun(t *testing.T) {
 	if s := AblationMultiTarget(o); len(s.Values) != 3 {
 		t.Errorf("multi-target points = %d", len(s.Values))
 	}
-	if tab := AblationClassicBaselines(o); tab.NumRows() != 2 {
-		t.Errorf("baselines rows = %d", tab.NumRows())
+	if tab := AblationClassicBaselines(o); len(tab.Rows()) != 2 {
+		t.Errorf("baselines rows = %d", len(tab.Rows()))
 	}
 }
 
@@ -163,11 +165,11 @@ func TestPow2Floor(t *testing.T) {
 func TestNewAblationsRun(t *testing.T) {
 	o := tiny()
 	o.Benches = []string{"swim"}
-	if tab := AblationCriticalFilter(o); tab.NumRows() != 1 {
-		t.Errorf("critical filter rows = %d", tab.NumRows())
+	if tab := AblationCriticalFilter(o); len(tab.Rows()) != 1 {
+		t.Errorf("critical filter rows = %d", len(tab.Rows()))
 	}
-	if tab := AblationStrideAssist(o); tab.NumRows() != 2 {
-		t.Errorf("stride assist rows = %d", tab.NumRows())
+	if tab := AblationStrideAssist(o); len(tab.Rows()) != 2 {
+		t.Errorf("stride assist rows = %d", len(tab.Rows()))
 	}
 }
 
@@ -197,8 +199,8 @@ func TestCaptureMisses(t *testing.T) {
 func TestCoverageComparison(t *testing.T) {
 	o := Options{Instructions: 60_000, Warmup: 120_000, Benches: []string{"art", "swim"}}
 	tab := CoverageComparison(o)
-	if tab.NumRows() != 2 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.Rows()) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows()))
 	}
 	out := tab.String()
 	for _, want := range []string{"tcp-8K cov", "tcp-8K acc", "dbcp-2M cov"} {
@@ -212,8 +214,8 @@ func TestPlacementAblation(t *testing.T) {
 	o := tiny()
 	o.Benches = []string{"art"}
 	tab := AblationPlacement(o)
-	if tab.NumRows() != 2 {
-		t.Fatalf("rows = %d", tab.NumRows())
+	if len(tab.Rows()) != 2 {
+		t.Fatalf("rows = %d", len(tab.Rows()))
 	}
 	if !strings.Contains(tab.String(), "tcp-8K@l2") {
 		t.Errorf("missing @l2 column:\n%s", tab.String())

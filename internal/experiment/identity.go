@@ -5,7 +5,7 @@ package experiment
 // and the runner's memo by that normalized configuration itself.
 // The fingerprint covers exactly the inputs that shape a simulation's
 // output — benchmark, factory name, baseline flag, measured
-// and warmup windows, seed, warmup fidelity, the cpu.Config (cpuKey plus
+// and warmup windows, seed, warmup fidelity, the core (coreClause plus
 // the branch predictor's name) and the defaulted memsys.Config — so two
 // requests that describe the same machine resolve to the same address and
 // one simulation serves both. sim.Config is a plain value, so every config
@@ -52,26 +52,25 @@ func appendPreimage(b []byte, bench, factory string, baseline bool, c sim.Config
 	b = append(strconv.AppendBool(b, n.NoWarmup), '|')
 	b = append(strconv.AppendUint(b, n.Seed, 10), '|')
 	b = strconv.AppendBool(b, n.BaselineWarmup)
-	return appendMachine(b, cpuKeyFor(n.CPU), n.Mem.WithDefaults(), n.WarmupFidelity, n.CPU.Predictor)
+	return appendMachine(b, n.Mem.WithDefaults(), n.WarmupFidelity, n.CPU.Predictor)
 }
 
+// coreClause is the core's clause of both fingerprints. Table 1's core is
+// fixed (the cpu package's constants), so the clause is a constant too. Its
+// bytes are the ones every existing address was hashed with, so manifests,
+// warm images and daemon cache entries keep their names; the zeros date
+// from when the clause rendered per-run core fields whose zero value
+// selected the Table 1 shape.
+const coreClause = "|{issueWidth:0 ruuSize:0 lsqSize:0 intALU:0 intMult:0 fpALU:0 fpMult:0 memPorts:0 redirectPenalty:0}"
+
 // appendMachine appends the machine clauses both fingerprints end with:
-// "|<cpuKey>|<memsys.Config>" in fmt's %+v layout, then the fields that
+// coreClause, "|<memsys.Config>" in fmt's %+v layout, then the fields that
 // join only when they differ from their defaults — the warmup fidelity
 // and the branch predictor — so default-mode addresses match the builds
 // that predate those fields and old result directories and warm images
 // keep resolving. fid and pred must be normalized.
-func appendMachine(b []byte, k cpuKey, m memsys.Config, fid sim.Fidelity, pred string) []byte {
-	b = appendInt(b, "|{issueWidth:", int64(k.issueWidth))
-	b = appendInt(b, " ruuSize:", int64(k.ruuSize))
-	b = appendInt(b, " lsqSize:", int64(k.lsqSize))
-	b = appendInt(b, " intALU:", int64(k.intALU))
-	b = appendInt(b, " intMult:", int64(k.intMult))
-	b = appendInt(b, " fpALU:", int64(k.fpALU))
-	b = appendInt(b, " fpMult:", int64(k.fpMult))
-	b = appendInt(b, " memPorts:", int64(k.memPorts))
-	b = appendInt(b, " redirectPenalty:", k.redirectPenalty)
-	b = appendGeometry(append(b, "}|{L1D:"...), m.L1D)
+func appendMachine(b []byte, m memsys.Config, fid sim.Fidelity, pred string) []byte {
+	b = appendGeometry(append(b, coreClause+"|{L1D:"...), m.L1D)
 	b = appendGeometry(append(b, " L2:"...), m.L2)
 	b = appendInt(b, " L1HitLatency:", m.L1HitLatency)
 	b = appendInt(b, " L2Latency:", m.L2Latency)

@@ -32,7 +32,7 @@ func pointPreimage(bench, factory string, baseline bool, c sim.Config) string {
 // TestPointFingerprintGolden pins the exact fingerprint preimage and the
 // manifest name it hashes to for a canonical Fig. 13 config. The daemon's
 // result cache, the distributed claim protocol and -resume all key on
-// these bytes: a field added to (or reordered in) cpuKey, memsys.Config or
+// these bytes: a field added to (or reordered in) memsys.Config or
 // the preimage layout must change this golden — loudly, here — rather than
 // silently splitting the cache so every old manifest stops resolving.
 // Regenerating the golden is the deliberate act that acknowledges the
@@ -144,9 +144,6 @@ func TestPointNameSeparatesConfigs(t *testing.T) {
 	c.BaselineWarmup = true
 	mutate["baseline_warmup"] = c
 	c = cfg
-	c.CPU.IssueWidth = 8
-	mutate["cpu.issue_width"] = c
-	c = cfg
 	c.Mem.MSHRs = 32
 	mutate["mem.mshrs"] = c
 	c = cfg
@@ -248,6 +245,14 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 	}
 }
 
+// legacyCPUKey is the core clause's type from when the core's shape was
+// a set of config fields; every address renders its zero value.
+type legacyCPUKey struct {
+	issueWidth, ruuSize, lsqSize             int
+	intALU, intMult, fpALU, fpMult, memPorts int
+	redirectPenalty                          int64
+}
+
 // referencePreimage renders a job's fingerprint preimage with fmt, as
 // every address was hashed before the fingerprints were built with
 // strconv: %v and %+v of the normalized config's clauses.
@@ -255,7 +260,7 @@ func referencePreimage(bench, factory string, baseline bool, c sim.Config) strin
 	n := c.Normalized()
 	return fmt.Sprintf("%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v",
 		bench, factory, baseline, n.Instructions, n.Warmup, n.NoWarmup, n.Seed,
-		n.BaselineWarmup, cpuKeyFor(n.CPU), n.Mem.WithDefaults()) +
+		n.BaselineWarmup, legacyCPUKey{}, n.Mem.WithDefaults()) +
 		referenceClauses(n.WarmupFidelity, n.CPU.Predictor)
 }
 
@@ -282,7 +287,7 @@ func referenceName(format, preimage string) string {
 
 // referenceWarmFileName is warmFileName rendered with fmt and hash/fnv.
 func referenceWarmFileName(key warmKey) string {
-	pre := fmt.Sprintf("%s|%d|%v|%d|%+v|%+v", key.bench, key.warmup, key.noWarmup, key.seed, key.cpu, key.mem) +
+	pre := fmt.Sprintf("%s|%d|%v|%d|%+v|%+v", key.bench, key.warmup, key.noWarmup, key.seed, legacyCPUKey{}, key.mem) +
 		referenceClauses(key.fidelity, key.predictor)
 	return referenceName("warm-"+key.bench+"-%016x.ckpt", pre)
 }
@@ -291,7 +296,7 @@ func referenceWarmFileName(key warmKey) string {
 // manifest name and the warm-image name to equal their fmt renderings for
 // every job every sweep plans, at both warmup fidelities, under every
 // branch predictor, a non-default memory system and other windows and
-// seeds. A field added to cpuKey, memsys.Config or addr.Geometry shows in
+// seeds. A field added to memsys.Config or addr.Geometry shows in
 // the %+v reference, so it fails here until the appender renders it.
 func TestFingerprintsMatchReference(t *testing.T) {
 	var jobs []Job
@@ -318,7 +323,6 @@ func TestFingerprintsMatchReference(t *testing.T) {
 		func(c *sim.Config) { c.NoWarmup = true },
 		func(c *sim.Config) { c.Instructions, c.Warmup, c.Seed = 12_345, 67_890, 7 },
 		func(c *sim.Config) { c.BaselineWarmup = !c.BaselineWarmup },
-		func(c *sim.Config) { c.CPU.IssueWidth, c.CPU.RUUSize, c.CPU.RedirectPenalty = 4, 64, 5 },
 	}
 	for _, p := range branch.Predictors {
 		variants = append(variants, func(c *sim.Config) { c.CPU.Predictor = p.Name })
@@ -360,14 +364,11 @@ func TestFingerprintCoversConfigFields(t *testing.T) {
 		typ    reflect.Type
 		fields []string
 	}{
-		// The cpu.Config clause is cpuKey plus the pred= clause, and the
-		// warmup fidelity is the fid= clause.
+		// cpu.Config is the pred= clause (the core's shape is the constant
+		// coreClause), and the warmup fidelity is the fid= clause.
 		{reflect.TypeOf(sim.Config{}), []string{"CPU", "Mem", "Instructions", "Warmup",
 			"NoWarmup", "Seed", "WarmupFidelity", "BaselineWarmup"}},
-		{reflect.TypeOf(cpu.Config{}), []string{"IssueWidth", "RUUSize", "LSQSize", "IntALU",
-			"IntMult", "FPALU", "FPMult", "MemPorts", "RedirectPenalty", "Predictor"}},
-		{reflect.TypeOf(cpuKey{}), []string{"issueWidth", "ruuSize", "lsqSize", "intALU",
-			"intMult", "fpALU", "fpMult", "memPorts", "redirectPenalty"}},
+		{reflect.TypeOf(cpu.Config{}), []string{"Predictor"}},
 		{reflect.TypeOf(memsys.Config{}), []string{"L1D", "L2", "L1HitLatency", "L2Latency",
 			"MemLatency", "L1L2BusBytes", "MemBusBytes", "MSHRs", "IdealL2", "PrefetchBus", "MaxPerMiss"}},
 		{reflect.TypeOf(addr.Geometry{}), []string{"sets", "ways", "blockBytes", "blockShift",

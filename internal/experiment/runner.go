@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/sim"
 )
@@ -146,26 +145,6 @@ func (r *Runner) MemoStats() (simulated, reused uint64) {
 type memoEntry struct {
 	once sync.Once
 	res  sim.Result
-}
-
-// cpuKey is the numeric part of cpu.Config as the fingerprints render it:
-// its %+v text (field names included, appendMachine writes it) is pinned by
-// the identity goldens, so it stays a type of its own, and the predictor
-// joins the fingerprints as a non-default clause instead.
-type cpuKey struct {
-	issueWidth, ruuSize, lsqSize             int
-	intALU, intMult, fpALU, fpMult, memPorts int
-	redirectPenalty                          int64
-}
-
-// cpuKeyFor extracts the comparable fingerprint of a cpu.Config.
-func cpuKeyFor(c cpu.Config) cpuKey {
-	return cpuKey{
-		issueWidth: c.IssueWidth, ruuSize: c.RUUSize, lsqSize: c.LSQSize,
-		intALU: c.IntALU, intMult: c.IntMult, fpALU: c.FPALU,
-		fpMult: c.FPMult, memPorts: c.MemPorts,
-		redirectPenalty: c.RedirectPenalty,
-	}
 }
 
 // Map executes all jobs across the pool and returns their results in

@@ -164,7 +164,11 @@ func TestPerRunTelemetryIsolationAcrossWorkers(t *testing.T) {
 	NewRunner(4).ForEach(len(benches), func(i int) {
 		runs[i] = telemetry.NewRun(2_000)
 		runs[i].Tracer = tracer
-		m, err := sim.NewMachine(workload.MustSpec2000(benches[i]), sim.TCP8K(), cfg)
+		spec, err := workload.Spec2000(benches[i])
+		if err != nil {
+			panic(err)
+		}
+		m, err := sim.NewMachine(spec, sim.TCP8K(), cfg)
 		if err != nil {
 			panic(err)
 		}

@@ -31,7 +31,6 @@ type warmKey struct {
 	warmup   uint64
 	noWarmup bool
 	seed     uint64
-	cpu      cpuKey
 	mem      memsys.Config
 	// fidelity and predictor are normalized, so two keys that render the
 	// same trailing clauses compare equal.
@@ -61,7 +60,6 @@ func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
 		warmup:    n.Warmup,
 		noWarmup:  n.NoWarmup,
 		seed:      n.Seed,
-		cpu:       cpuKeyFor(n.CPU),
 		mem:       n.Mem.WithDefaults(),
 		fidelity:  n.WarmupFidelity,
 		predictor: n.CPU.Predictor,
@@ -79,7 +77,7 @@ func warmFileName(key warmKey) string {
 	b = append(strconv.AppendUint(b, key.warmup, 10), '|')
 	b = append(strconv.AppendBool(b, key.noWarmup), '|')
 	b = strconv.AppendUint(b, key.seed, 10)
-	h := fnv64a(appendMachine(b, key.cpu, key.mem, key.fidelity, key.predictor))
+	h := fnv64a(appendMachine(b, key.mem, key.fidelity, key.predictor))
 	return "warm-" + key.bench + "-" + string(appendHex16(buf[:0], h)) + ".ckpt"
 }
 

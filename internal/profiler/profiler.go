@@ -68,9 +68,6 @@ func New(g addr.Geometry, seqLen int) *Profiler {
 	}
 }
 
-// SeqLen returns the configured sequence length.
-func (p *Profiler) SeqLen() int { return p.seqLen }
-
 // Observe records one L1 miss.
 func (p *Profiler) Observe(m trace.Miss) {
 	p.misses++
@@ -95,11 +92,6 @@ func (p *Profiler) Observe(m trace.Miss) {
 			p.strided++
 		}
 	}
-}
-
-// ObserveAddr is a convenience wrapper building the Miss from a raw address.
-func (p *Profiler) ObserveAddr(a addr.Addr, cycle int64) {
-	p.Observe(trace.MakeMiss(p.geom, a, 0, cycle, false))
 }
 
 // isStrided reports whether the tags exhibit a constant non-zero stride

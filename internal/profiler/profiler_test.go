@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"tagprefetch/internal/addr"
+	"tagprefetch/internal/trace"
 )
 
 func g() addr.Geometry { return addr.MustGeometry(32*1024, 1, 32) }
 
 // obs feeds the profiler a miss composed from (tag, set).
 func obs(p *Profiler, tag uint64, set uint32) {
-	p.ObserveAddr(p.geom.Compose(tag, set), 0)
+	p.Observe(trace.MakeMiss(p.geom, p.geom.Compose(tag, set), 0, 0, false))
 }
 
 func close(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
@@ -25,14 +26,23 @@ func TestEmptySummary(t *testing.T) {
 }
 
 func TestSeqLenClamping(t *testing.T) {
-	if New(g(), 0).SeqLen() != 2 {
-		t.Error("low clamp failed")
+	// n misses in one set complete n-k+1 windows of k tags.
+	const n = 20
+	windows := func(seqLen int) uint64 {
+		p := New(g(), seqLen)
+		for tag := uint64(0); tag < n; tag++ {
+			obs(p, tag, 0)
+		}
+		return p.Summarize().SeqWindows
 	}
-	if New(g(), 99).SeqLen() != MaxSeqLen {
-		t.Error("high clamp failed")
+	if w := windows(0); w != n-2+1 {
+		t.Errorf("low clamp failed: %d windows", w)
 	}
-	if New(g(), 3).SeqLen() != 3 {
-		t.Error("normal value altered")
+	if w := windows(99); w != n-MaxSeqLen+1 {
+		t.Errorf("high clamp failed: %d windows", w)
+	}
+	if w := windows(3); w != n-3+1 {
+		t.Errorf("normal value altered: %d windows", w)
 	}
 }
 
@@ -197,7 +207,7 @@ func TestSweepProducesSharedSequences(t *testing.T) {
 	p := New(geo, 3)
 	for pass := 0; pass < 4; pass++ {
 		for blk := uint64(0); blk < 8*1024; blk++ { // 8K blocks = 256KB
-			p.ObserveAddr(addr.Addr(blk*32), 0)
+			p.Observe(trace.MakeMiss(geo, addr.Addr(blk*32), 0, 0, false))
 		}
 	}
 	s := p.Summarize()

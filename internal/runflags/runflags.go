@@ -46,7 +46,7 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 	return &Flags{
 		tool:     tool,
 		n:        fs.Uint64("n", 1_000_000, "measured instructions per run"),
-		warmup:   fs.Uint64("warmup", 2_000_000, "warmup instructions per run"),
+		warmup:   fs.Uint64("warmup", 2_000_000, "warmup instructions per run (at least 1)"),
 		fidelity: fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)"),
 		seed:     fs.Uint64("seed", 1, "workload seed"),
 		benches:  fs.String("benches", "", "comma-separated benchmark subset (default all 26)"),
@@ -62,7 +62,7 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 		workers:  fs.Int("workers", 0, "join a distributed run splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)"),
 		workerID: fs.String("worker-id", "", "unique id for this worker in a distributed run (default hostname-pid; requires -workers)"),
 		leaseTTL: fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen"),
-		gather:   fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating; errors if any job is missing"),
+		gather:   fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating grid points; errors if any job is missing (tcpfigs' miss-stream passes for fig2-fig7, fig15 and coverage are not grid jobs and still simulate)"),
 	}
 }
 
@@ -100,6 +100,11 @@ func (f *Flags) Bind(exp string) (*Run, error) {
 	}
 	if *f.n == 0 {
 		return nil, &usageError{&sim.ConfigError{Field: "Instructions", Reason: "measured window is zero"}}
+	}
+	// Options reads a zero warmup as its 2 M default, so -warmup 0 would
+	// simulate that default while grid.json recorded 0.
+	if *f.warmup == 0 {
+		return nil, &usageError{&sim.ConfigError{Field: "Warmup", Reason: "warmup window is zero"}}
 	}
 	o := experiment.Options{Instructions: *f.n, Warmup: *f.warmup, Seed: *f.seed,
 		WarmupFidelity: fid, BaselineWarmup: *f.warmFork}

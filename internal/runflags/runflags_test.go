@@ -43,6 +43,7 @@ func TestBindRejects(t *testing.T) {
 		{[]string{"-workers", "3", "-worker-id", "3", "-checkpoint-dir", dir}, "invalid flag -worker-id: numeric id 3 is out of range for -workers 3 (ids are 0-based)"},
 		{[]string{"-warmup-fidelity", "psychic", "-checkpoint-dir", dir}, `-warmup-fidelity: unknown warmup fidelity "psychic" (want "full" or "fast")`},
 		{[]string{"-n", "0", "-checkpoint-dir", dir}, "sim: invalid config: Instructions: measured window is zero"},
+		{[]string{"-warmup", "0", "-checkpoint-dir", dir}, "sim: invalid config: Warmup: warmup window is zero"},
 		{[]string{"-n", "1", "-warmup", "18446744073709551615", "-checkpoint-dir", dir}, "sim: invalid config: Warmup: warmup 18446744073709551615 + instructions 1 overflows"},
 		{[]string{"-benches", "doom", "-checkpoint-dir", dir}, `unknown benchmark "doom"`},
 		{[]string{"-benches", "swim,", "-checkpoint-dir", dir}, `unknown benchmark ""`},

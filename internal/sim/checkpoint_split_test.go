@@ -56,15 +56,14 @@ func TestCheckpointMidMeasuredWindow(t *testing.T) {
 // FuzzCheckpointSplit fuzzes the checkpoint contract over short random
 // runs: splitting at a random instruction k, checkpointing, restoring into
 // a fresh machine and continuing must equal the unsplit run on both the
-// Result and the final image. The space covers RUU/LSQ rings of masked
-// (power-of-two) and modulo sizes, MSHR files from 1 entry up, the Figure
-// 13 prefetcher shapes, and both warmup fidelities. Wired into CI's
+// Result and the final image. The space covers MSHR files from 1 entry
+// up, the Figure 13 prefetcher shapes, and both warmup fidelities. Wired into CI's
 // fuzz-smoke step.
 func FuzzCheckpointSplit(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint8(7), uint8(7), uint8(64), false, uint16(4000), uint16(6000), uint16(5000))
-	f.Add(uint64(7), uint8(1), uint8(4), uint8(5), uint8(6), uint8(3), true, uint16(2000), uint16(0), uint16(100))
-	f.Add(uint64(42), uint8(2), uint8(7), uint8(9), uint8(5), uint8(1), true, uint16(1000), uint16(500), uint16(900))
-	f.Fuzz(func(t *testing.T, seed uint64, benchPick, cfgPick, ruuExp, lsqExp, mshrs uint8, fast bool, n, w, k uint16) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint8(64), false, uint16(4000), uint16(6000), uint16(5000))
+	f.Add(uint64(7), uint8(1), uint8(4), uint8(3), true, uint16(2000), uint16(0), uint16(100))
+	f.Add(uint64(42), uint8(2), uint8(7), uint8(1), true, uint16(1000), uint16(500), uint16(900))
+	f.Fuzz(func(t *testing.T, seed uint64, benchPick, cfgPick, mshrs uint8, fast bool, n, w, k uint16) {
 		benches := []string{"swim", "mcf", "equake"}
 		cases := fastEquivCases()
 		bench := benches[int(benchPick)%len(benches)]
@@ -80,16 +79,6 @@ func FuzzCheckpointSplit(f *testing.F) {
 		}
 		if fast {
 			cfg.WarmupFidelity = FidelityFast
-		}
-		// Ring geometry from 8 to 256 entries; odd exponents are bent to
-		// non-powers-of-two so the modulo ring index is covered too.
-		cfg.CPU.RUUSize = 8 << (int(ruuExp) % 6)
-		if ruuExp%2 == 1 {
-			cfg.CPU.RUUSize -= 3
-		}
-		cfg.CPU.LSQSize = 8 << (int(lsqExp) % 6)
-		if lsqExp%4 == 3 {
-			cfg.CPU.LSQSize -= 1
 		}
 		cfg.Mem.MSHRs = 1 + int(mshrs)%96
 

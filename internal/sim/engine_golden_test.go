@@ -36,10 +36,8 @@ type engineGoldenCase struct {
 }
 
 // engineGoldenCases spans three benches across the Figure 13 sweep shapes
-// (fastEquivCases), plus one non-power-of-two RUU/LSQ geometry so the
-// modulo ring index is pinned alongside the masked one, and two fast
-// warmups so the functional engine's use of the MSHR file and prefetcher
-// plumbing is pinned too.
+// (fastEquivCases), plus two fast warmups so the functional engine's use
+// of the MSHR file and prefetcher plumbing is pinned too.
 func engineGoldenCases() []engineGoldenCase {
 	base := Config{Instructions: 100_000, Warmup: 200_000, Seed: 1}
 	var cases []engineGoldenCase
@@ -48,13 +46,9 @@ func engineGoldenCases() []engineGoldenCase {
 			cases = append(cases, engineGoldenCase{bench + "/" + tc.label, bench, tc.f, base})
 		}
 	}
-	odd := base
-	odd.CPU.RUUSize = 96
-	odd.CPU.LSQSize = 48
 	fast := base
 	fast.WarmupFidelity = FidelityFast
 	return append(cases,
-		engineGoldenCase{"mcf/tcp-8K/ruu96-lsq48", "mcf", TCP8K(), odd},
 		engineGoldenCase{"swim/none/fast-warmup", "swim", NoPrefetch(), fast},
 		engineGoldenCase{"mcf/tcp-8K/fast-warmup", "mcf", TCP8K(), fast})
 }
@@ -180,7 +174,7 @@ func TestTimingEngineGolden(t *testing.T) {
 // Result, sampled series and final image, byte for byte.
 func TestMeasuredSkipEquivalence(t *testing.T) {
 	checkEngineGolden(t, func(tc engineGoldenCase) bool {
-		return tc.cfg.CPU.RUUSize == 0 && tc.cfg.WarmupFidelity != FidelityFast
+		return tc.cfg.WarmupFidelity != FidelityFast
 	})
 }
 
@@ -190,15 +184,5 @@ func TestMeasuredSkipEquivalence(t *testing.T) {
 func TestMeasuredSkipComposesWithFastWarmup(t *testing.T) {
 	checkEngineGolden(t, func(tc engineGoldenCase) bool {
 		return tc.cfg.WarmupFidelity == FidelityFast
-	})
-}
-
-// TestMeasuredSkipNonPowerOfTwoFallsBack checks the same contract for a
-// RUU 96 / LSQ 48 geometry, where the ring index falls back from a mask
-// to modulo.
-func TestMeasuredSkipNonPowerOfTwoFallsBack(t *testing.T) {
-	checkEngineGolden(t, func(tc engineGoldenCase) bool {
-		n := tc.cfg.CPU.RUUSize
-		return n != 0 && n&(n-1) != 0
 	})
 }

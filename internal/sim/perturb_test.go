@@ -81,7 +81,6 @@ var unsnapped = map[string]string{
 	"branch.Static.Taken":          "the fixed direction is configuration chosen at construction, not dynamic state",
 	"dram.Memory.latency":          "access-latency configuration fixed at construction",
 	"dram.Memory.bus":              "wiring; the bus serialises its own state through the memsys walk",
-	"cpu.Core.cfg":                 "configuration supplied at construction; decoding validates slot counts against it",
 	"cpu.Core.mem":                 "wiring; the memory system serialises its own state through the machine walk",
 	"cpu.Core.instrCtr":            "host-side observability handle, outside the simulated state",
 	"cpu.Core.cycleCtr":            "host-side observability handle, outside the simulated state",

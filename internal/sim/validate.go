@@ -33,14 +33,6 @@ func (c Config) Validate() error {
 		name string
 		v    int
 	}{
-		{"CPU.IssueWidth", c.CPU.IssueWidth},
-		{"CPU.RUUSize", c.CPU.RUUSize},
-		{"CPU.LSQSize", c.CPU.LSQSize},
-		{"CPU.IntALU", c.CPU.IntALU},
-		{"CPU.IntMult", c.CPU.IntMult},
-		{"CPU.FPALU", c.CPU.FPALU},
-		{"CPU.FPMult", c.CPU.FPMult},
-		{"CPU.MemPorts", c.CPU.MemPorts},
 		{"Mem.L1L2BusBytes", c.Mem.L1L2BusBytes},
 		{"Mem.MemBusBytes", c.Mem.MemBusBytes},
 		{"Mem.MSHRs", c.Mem.MSHRs},
@@ -56,7 +48,6 @@ func (c Config) Validate() error {
 		name string
 		v    int64
 	}{
-		{"CPU.RedirectPenalty", c.CPU.RedirectPenalty},
 		{"Mem.L1HitLatency", c.Mem.L1HitLatency},
 		{"Mem.L2Latency", c.Mem.L2Latency},
 		{"Mem.MemLatency", c.Mem.MemLatency},

@@ -16,18 +16,12 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		cfg   Config
 		field string
 	}{
-		{"negative issue width",
-			Config{CPU: cpu.Config{IssueWidth: -4}}, "CPU.IssueWidth"},
-		{"negative RUU",
-			Config{CPU: cpu.Config{RUUSize: -1}}, "CPU.RUUSize"},
 		{"negative MSHRs",
 			Config{Mem: memsys.Config{MSHRs: -8}}, "Mem.MSHRs"},
 		{"negative bus width",
 			Config{Mem: memsys.Config{L1L2BusBytes: -32}}, "Mem.L1L2BusBytes"},
 		{"negative L2 latency",
 			Config{Mem: memsys.Config{L2Latency: -12}}, "Mem.L2Latency"},
-		{"negative redirect penalty",
-			Config{CPU: cpu.Config{RedirectPenalty: -3}}, "CPU.RedirectPenalty"},
 		{"L2 block smaller than L1 block",
 			Config{Mem: memsys.Config{
 				L1D: addr.MustGeometry(32<<10, 1, 64),
@@ -67,7 +61,7 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 // TestRunSurfacesConfigError: the error path replaces the panic the
 // defaulting logic used to hit deep inside component construction.
 func TestRunSurfacesConfigError(t *testing.T) {
-	bad := Config{CPU: cpu.Config{LSQSize: -2}}
+	bad := Config{Mem: memsys.Config{MSHRs: -2}}
 	_, err := Run("mcf", TCP8K(), bad)
 	var ce *ConfigError
 	if !errors.As(err, &ce) {

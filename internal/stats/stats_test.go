@@ -89,8 +89,8 @@ func TestTableRendering(t *testing.T) {
 	if strings.Contains(out, "extra-cell-dropped") {
 		t.Errorf("extra cell not dropped:\n%s", out)
 	}
-	if tab.NumRows() != 3 {
-		t.Errorf("rows = %d", tab.NumRows())
+	if len(tab.Rows()) != 3 {
+		t.Errorf("rows = %d", len(tab.Rows()))
 	}
 	if tab.Title() != "Fig X" {
 		t.Errorf("title = %q", tab.Title())

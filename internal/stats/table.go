@@ -44,9 +44,6 @@ func (t *Table) AddRowf(values ...interface{}) {
 	t.AddRow(cells...)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Title returns the table title.
 func (t *Table) Title() string { return t.title }
 

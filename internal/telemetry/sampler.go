@@ -136,9 +136,6 @@ func (s *Sampler) MarkPhase(name string, cycle int64, instructions uint64) {
 // Phases returns the recorded phase boundaries in order.
 func (s *Sampler) Phases() []Phase { return s.phases }
 
-// NumSamples returns the number of recorded samples.
-func (s *Sampler) NumSamples() int { return len(s.cycles) }
-
 // Truncated returns the number of samples dropped after maxSamples.
 func (s *Sampler) Truncated() uint64 { return s.truncated }
 
@@ -154,32 +151,6 @@ func (s *Sampler) Series() []TimeSeries {
 	out = append(out, TimeSeries{Name: "cpu.instructions_retired", Cycles: s.cycles, Values: instr})
 	for i, p := range s.probes {
 		out = append(out, TimeSeries{Name: p.name, Cycles: s.cycles, Values: s.values[i]})
-	}
-	return out
-}
-
-// SamplesInPhase returns the indices of samples belonging to the named
-// phase: at or after its boundary and before the next one.
-func (s *Sampler) SamplesInPhase(name string) []int {
-	var from, to int64 = -1, -1
-	for i, ph := range s.phases {
-		if ph.Name != name {
-			continue
-		}
-		from = ph.Cycle
-		if i+1 < len(s.phases) {
-			to = s.phases[i+1].Cycle
-		}
-		break
-	}
-	if from < 0 {
-		return nil
-	}
-	var out []int
-	for i, c := range s.cycles {
-		if c >= from && (to < 0 || c < to) {
-			out = append(out, i)
-		}
 	}
 	return out
 }

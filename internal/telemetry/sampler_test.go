@@ -74,16 +74,13 @@ func TestSamplerPhaseBoundary(t *testing.T) {
 		t.Errorf("measured sample = %v, want 0.01 (warmup bled in)", series.Values[1])
 	}
 
-	warm := s.SamplesInPhase("warmup")
-	meas := s.SamplesInPhase("measure")
-	if len(warm) != 1 || warm[0] != 0 {
-		t.Errorf("warmup samples = %v", warm)
+	ph := s.Phases()
+	if len(ph) != 2 || ph[1].Name != "measure" || ph[1].Cycle != 150 {
+		t.Fatalf("phases = %+v", ph)
 	}
-	if len(meas) != 1 || meas[0] != 1 {
-		t.Errorf("measure samples = %v", meas)
-	}
-	if ph := s.Phases(); len(ph) != 2 || ph[1].Name != "measure" || ph[1].Cycle != 150 {
-		t.Errorf("phases = %+v", ph)
+	// One sample falls on each side of the measure boundary.
+	if c := series.Cycles; len(c) != 2 || c[0] >= ph[1].Cycle || c[1] < ph[1].Cycle {
+		t.Errorf("sample cycles = %v, want one before and one at or after %d", c, ph[1].Cycle)
 	}
 }
 
@@ -94,8 +91,8 @@ func TestSamplerMaxSamples(t *testing.T) {
 			s.Sample(c, uint64(c))
 		}
 	}
-	if s.NumSamples() != 3 {
-		t.Errorf("samples = %d, want 3", s.NumSamples())
+	if n := len(s.Series()[0].Cycles); n != 3 {
+		t.Errorf("samples = %d, want 3", n)
 	}
 	if s.Truncated() != 7 {
 		t.Errorf("truncated = %d, want 7", s.Truncated())
@@ -165,8 +162,8 @@ func TestSamplerClockJump(t *testing.T) {
 					t.Fatalf("sampled at %v, want %v", got, tc.want)
 				}
 			}
-			if s.NumSamples() != len(tc.want) {
-				t.Errorf("NumSamples = %d, want %d", s.NumSamples(), len(tc.want))
+			if n := len(s.Series()[0].Cycles); n != len(tc.want) {
+				t.Errorf("recorded %d samples, want %d", n, len(tc.want))
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 )
 
 // KB and MB are byte-size helpers for stream footprints.
@@ -322,32 +321,7 @@ func Spec2000(name string) (Spec, error) {
 	return s, nil
 }
 
-// MustSpec2000 is Spec2000 but panics on unknown names.
-func MustSpec2000(name string) Spec {
-	s, err := Spec2000(name)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Names returns all benchmark names in the paper's figure order.
 func Names() []string {
 	return append([]string(nil), IdealOrder...)
-}
-
-// AllSpecs returns every benchmark model in the paper's figure order.
-func AllSpecs() []Spec {
-	out := make([]Spec, 0, len(IdealOrder))
-	for _, n := range IdealOrder {
-		out = append(out, specs[n])
-	}
-	return out
-}
-
-// SortedNames returns all names alphabetically (for stable CLI listings).
-func SortedNames() []string {
-	out := Names()
-	sort.Strings(out)
-	return out
 }
