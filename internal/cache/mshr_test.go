@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"tagprefetch/internal/addr"
@@ -285,5 +286,41 @@ func (repeatedBlock) Snapshot(c *checkpoint.Codec) {
 func TestMSHRRestoreRejectsRepeatedBlock(t *testing.T) {
 	if err := checkpoint.Decode(checkpoint.Encode(repeatedBlock{}), NewMSHRFile(4)); err == nil {
 		t.Error("Decode accepted a block listed twice")
+	}
+}
+
+// BenchmarkMSHRAllocateRetire times one retire plus one allocate on a full
+// MSHR file in steady state, at Table 1's 64 entries and at 2048: op k
+// retires the fill that completes at cycle k through ReleaseBefore and
+// allocates block k, due n cycles later. Neither may allocate; the time is
+// reported only.
+func BenchmarkMSHRAllocateRetire(b *testing.B) {
+	for _, n := range []int{64, 2048} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			g := l1geom()
+			f := NewMSHRFile(n)
+			k := int64(0)
+			op := func() {
+				f.ReleaseBefore(k)
+				if _, ok := f.Allocate(g, addr.Addr(k*32), k+int64(n), false); !ok {
+					b.Fatalf("allocate %d stalled with %d in flight", k, f.InFlight())
+				}
+				k++
+			}
+			for k < int64(n) {
+				op()
+			}
+			if a := testing.AllocsPerRun(1000, op); a != 0 {
+				b.Fatalf("allocate/retire allocates %v times per op", a)
+			}
+			if f.InFlight() != n {
+				b.Fatalf("%d in flight, want a full file of %d", f.InFlight(), n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
 	}
 }
