@@ -43,13 +43,6 @@ func run() int {
 	rf := runflags.Register(flag.CommandLine, "tcpfigs")
 	flag.Parse()
 
-	stopProf, err := rf.StartProfile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpfigs:", err)
-		return 1
-	}
-	defer stopProf()
-
 	if *reportIn != "" {
 		if err := renderReport(*reportIn, *asCSV); err != nil {
 			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
@@ -68,10 +61,11 @@ func run() int {
 	// One runner for every figure, so each point is simulated once: fig1's
 	// baselines and fig11's TCP points are reused by fig12, fig13 and fig14
 	// through the runner's memo.
-	r, err := rf.Bind(*exp)
+	r, stopProf, err := rf.Bind(*exp)
 	if err != nil {
 		return rf.Exit(err)
 	}
+	defer stopProf()
 	o := r.Options
 
 	bad := false
@@ -188,10 +182,9 @@ func renderReport(path string, asCSV bool) error {
 			st := stats.NewTable("sampled time series",
 				"series", "samples", "first", "last", "min", "max")
 			for _, ts := range run.Series {
-				lo, hi := seriesExtrema(ts.Values)
-				first, last := 0.0, 0.0
-				if len(ts.Values) > 0 {
-					first, last = ts.Values[0], ts.Values[len(ts.Values)-1]
+				var first, last, lo, hi float64
+				if vs := ts.Values; len(vs) > 0 {
+					first, last, lo, hi = vs[0], vs[len(vs)-1], slices.Min(vs), slices.Max(vs)
 				}
 				st.AddRowf(ts.Name, len(ts.Values), first, last, lo, hi)
 			}
@@ -232,16 +225,4 @@ func renderReport(path string, asCSV bool) error {
 			rep.GeomeanClamped)
 	}
 	return nil
-}
-
-func seriesExtrema(vs []float64) (lo, hi float64) {
-	for i, v := range vs {
-		if i == 0 || v < lo {
-			lo = v
-		}
-		if i == 0 || v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }

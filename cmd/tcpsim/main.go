@@ -27,7 +27,7 @@ import (
 	"tagprefetch/internal/checkpoint"
 	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/memsys"
-	"tagprefetch/internal/profiling"
+	"tagprefetch/internal/runflags"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
@@ -53,17 +53,14 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		bench    = flag.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
-		pfName   = flag.String("pf", "none", pfUsage())
-		pht      = flag.Int("pht", 8192, "PHT bytes for -pf tcp")
-		nbits    = flag.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
-		n        = flag.Uint64("n", 1_000_000, "measured instructions")
-		warm     = flag.Uint64("warmup", 0, "warmup instructions (default n/2)")
-		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		ideal    = flag.Bool("ideal", false, "ideal L2 (every L2 access hits)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		list     = flag.Bool("list", false, "list benchmark models and exit")
-		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers across benchmarks (1 = serial)")
+		win    = runflags.RegisterWindow(flag.CommandLine, "tcpsim")
+		bench  = flag.String("bench", "all", "SPEC2000 benchmark name, or 'all'")
+		pfName = flag.String("pf", "none", pfUsage())
+		pht    = flag.Int("pht", 8192, "PHT bytes for -pf tcp")
+		nbits  = flag.Int("nbits", 0, "miss-index bits in the PHT index for -pf tcp")
+		ideal  = flag.Bool("ideal", false, "ideal L2 (every L2 access hits)")
+		list   = flag.Bool("list", false, "list benchmark models and exit")
+		jobs   = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers across benchmarks (1 = serial)")
 
 		jsonOut    = flag.String("json", "", "write a machine-readable run report (metrics, time series, phases) to this file")
 		sample     = flag.Int64("sample", 10_000, "time-series sampling interval in cycles (with -json/-progress)")
@@ -72,8 +69,6 @@ func run() int {
 		traceMax   = flag.Uint64("trace-max", 1<<20, "cap on traced events (0 = unlimited)")
 		progress   = flag.Uint64("progress", 0, "print a heartbeat to stderr every N million instructions")
 		statusAddr = flag.String("status-addr", "", "serve the running benchmarks' live metric registries as Prometheus text on this address (/metrics)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
 
 		l1Geom      = flag.String("l1", "", "L1 dcache geometry as sizeBytes:ways:blockBytes (default Table 1)")
 		l2Geom      = flag.String("l2", "", "L2 cache geometry as sizeBytes:ways:blockBytes (default Table 1)")
@@ -91,13 +86,6 @@ func run() int {
 		}
 	})
 
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim:", err)
-		return 1
-	}
-	defer stopProf()
-
 	if *list {
 		for _, b := range workload.Names() {
 			spec, _ := workload.Spec2000(b)
@@ -107,6 +95,12 @@ func run() int {
 		return 0
 	}
 
+	window, stopProf, err := win.Bind()
+	if err != nil {
+		return win.Exit(err)
+	}
+	defer stopProf()
+
 	var f sim.Factory
 	if strings.EqualFold(*pfName, "tcp") {
 		f = sim.TCPWithPHT(*pht, *nbits, false)
@@ -114,55 +108,25 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "tcpsim:", err)
 		return 2
 	}
-	fid, err := sim.ParseFidelity(*fidelity)
+	cfg, err := machineConfig(window, *ideal, *l1Geom, *l2Geom)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsim: -warmup-fidelity:", err)
-		return 2
-	}
-	// sim.Config reads a zero window as "default", so -n 0 would silently
-	// simulate 1M instructions under a report that says 0.
-	if *n == 0 {
-		fmt.Fprintln(os.Stderr, "tcpsim: -n must be positive")
-		return 2
-	}
-	cfg := sim.Config{
-		Instructions:   *n,
-		Warmup:         *warm,
-		WarmupFidelity: fid,
-		Seed:           *seed,
-		Mem:            memsys.Config{IdealL2: *ideal},
-	}
-	if *l1Geom != "" {
-		g, err := parseGeometry(*l1Geom)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim: -l1:", err)
-			return 2
-		}
-		cfg.Mem.L1D = g
-	}
-	if *l2Geom != "" {
-		g, err := parseGeometry(*l2Geom)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim: -l2:", err)
-			return 2
-		}
-		cfg.Mem.L2 = g
-	}
-	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "tcpsim:", err)
 		return 2
 	}
-	norm := cfg.Normalized()
+	if saveAtSet && *savePath == "" {
+		fmt.Fprintln(os.Stderr, "tcpsim: -save-at requires -save FILE")
+		return 2
+	}
+	if !saveAtSet {
+		*saveAt = cfg.Warmup
+	}
 	// Validate -save-at against the run's end while the flag is still in
 	// hand: sim.Machine.RunTo clamps to the final instruction, so an
 	// out-of-range value would otherwise silently snapshot the end state.
-	if saveAtSet {
-		total := norm.Warmup + norm.Instructions
-		if *saveAt > total {
-			fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)\n",
-				*saveAt, norm.Warmup, norm.Instructions, total)
-			return 2
-		}
+	if total := cfg.Warmup + cfg.Instructions; *saveAt > total {
+		fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is past the end of the run (warmup %d + measured %d = %d instructions)\n",
+			*saveAt, cfg.Warmup, cfg.Instructions, total)
+		return 2
 	}
 
 	benches := workload.Names()
@@ -240,11 +204,7 @@ func run() int {
 		defer srv.Close()
 	}
 
-	ck := checkpointing{save: *savePath, saveAt: *saveAt, saveAtSet: saveAtSet, restore: *restorePath}
-	if ck.saveAtSet && ck.save == "" {
-		fmt.Fprintln(os.Stderr, "tcpsim: -save-at requires -save FILE")
-		return 2
-	}
+	ck := checkpointing{save: *savePath, saveAt: *saveAt, restore: *restorePath}
 	if (ck.save != "" || ck.restore != "") && len(benches) != 1 {
 		fmt.Fprintln(os.Stderr, "tcpsim: -save/-restore need a single benchmark (-bench NAME, not all)")
 		return 2
@@ -261,13 +221,13 @@ func run() int {
 	}
 
 	tab := stats.NewTable(
-		fmt.Sprintf("tcpsim: pf=%s n=%d ideal=%v", f.Name, *n, *ideal),
+		fmt.Sprintf("tcpsim: pf=%s n=%d ideal=%v", f.Name, cfg.Instructions, *ideal),
 		"bench", "IPC", "L1 miss%", "L2 miss%", "pf issued", "pf useful%", "mispred%")
 	for i, b := range benches {
 		r := results[i]
 		if teleRuns[i] != nil {
 			report.Runs = append(report.Runs,
-				teleRuns[i].Report(b, f.Name, norm.Instructions, norm.Warmup, norm.Seed, r.IPC()))
+				teleRuns[i].Report(b, f.Name, cfg.Instructions, cfg.Warmup, cfg.Seed, r.IPC()))
 		}
 		useful := 0.0
 		if tot := r.Mem.PrefetchedOriginal + r.Mem.PrefetchedExtra; tot > 0 {
@@ -279,8 +239,8 @@ func run() int {
 		}
 		tab.AddRow(b,
 			fmt.Sprintf("%.3f", r.IPC()),
-			fmt.Sprintf("%.1f", float64(r.Mem.L1Misses)/float64(max64(r.Mem.Accesses, 1))*100),
-			fmt.Sprintf("%.1f", float64(r.Mem.L2Misses)/float64(max64(r.Mem.L2Demand, 1))*100),
+			fmt.Sprintf("%.1f", float64(r.Mem.L1Misses)/float64(max(r.Mem.Accesses, 1))*100),
+			fmt.Sprintf("%.1f", float64(r.Mem.L2Misses)/float64(max(r.Mem.L2Demand, 1))*100),
 			fmt.Sprintf("%d", r.Mem.PrefetchIssued),
 			fmt.Sprintf("%.1f", useful),
 			fmt.Sprintf("%.1f", mis),
@@ -317,14 +277,12 @@ func installProgress(s *telemetry.Sampler, bench string, everyMillion uint64) {
 	})
 }
 
-// checkpointing carries the -save, -save-at and -restore flags. saveAtSet
-// distinguishes an explicit -save-at 0 (snapshot the initial state) from
-// the flag being absent (snapshot at the warmup/measure boundary).
+// checkpointing carries the -save, -save-at and -restore flags, with
+// -save-at resolved: an unset one is the warmup/measure boundary.
 type checkpointing struct {
-	save      string
-	saveAt    uint64
-	saveAtSet bool
-	restore   string
+	save    string
+	saveAt  uint64
+	restore string
 }
 
 // runBench runs one benchmark on its own sim.Machine, observed by tel when
@@ -358,16 +316,12 @@ func runBench(bench string, f sim.Factory, cfg sim.Config, tel *telemetry.Run, c
 			ck.restore, m.Position(), m.Total())
 	}
 	if ck.save != "" {
-		at := cfg.Normalized().Warmup
-		if ck.saveAtSet {
-			at = ck.saveAt
-		}
-		if at < m.Position() {
+		if ck.saveAt < m.Position() {
 			fmt.Fprintf(os.Stderr, "tcpsim: -save-at %d is before the current position %d\n",
-				at, m.Position())
+				ck.saveAt, m.Position())
 			return sim.Result{}, 2
 		}
-		m.RunTo(at)
+		m.RunTo(ck.saveAt)
 		img, err := m.Checkpoint()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcpsim: checkpoint:", err)
@@ -383,6 +337,24 @@ func runBench(bench string, f sim.Factory, cfg sim.Config, tel *telemetry.Run, c
 	return m.Run(), 0
 }
 
+// machineConfig completes cfg, the bound run window, with the machine
+// flags: the ideal L2 and the -l1/-l2 cache geometries.
+func machineConfig(cfg sim.Config, ideal bool, l1, l2 string) (sim.Config, error) {
+	cfg.Mem = memsys.Config{IdealL2: ideal}
+	var err error
+	if l1 != "" {
+		if cfg.Mem.L1D, err = parseGeometry(l1); err != nil {
+			return sim.Config{}, fmt.Errorf("-l1: %w", err)
+		}
+	}
+	if l2 != "" {
+		if cfg.Mem.L2, err = parseGeometry(l2); err != nil {
+			return sim.Config{}, fmt.Errorf("-l2: %w", err)
+		}
+	}
+	return cfg, cfg.Validate()
+}
+
 // parseGeometry parses "sizeBytes:ways:blockBytes" into a validated cache
 // geometry, surfacing addr.NewGeometry's power-of-two errors instead of the
 // panic the defaulted path would hit later.
@@ -392,11 +364,4 @@ func parseGeometry(s string) (addr.Geometry, error) {
 		return addr.Geometry{}, fmt.Errorf("geometry %q: want sizeBytes:ways:blockBytes", s)
 	}
 	return addr.NewGeometry(size, ways, block)
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

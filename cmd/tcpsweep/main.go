@@ -39,22 +39,16 @@ func run() int {
 	rf := runflags.Register(flag.CommandLine, "tcpsweep")
 	flag.Parse()
 
-	stopProf, err := rf.StartProfile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcpsweep:", err)
-		return 1
-	}
-	defer stopProf()
-
 	sw, err := experiment.LookupSweep(*sweep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tcpsweep:", err)
 		return 2
 	}
-	r, err := rf.Bind(*sweep)
+	r, stopProf, err := rf.Bind(*sweep)
 	if err != nil {
 		return rf.Exit(err)
 	}
+	defer stopProf()
 
 	var res experiment.SweepResult
 	if err := experiment.CatchIncomplete(func() { res = sw.Run(r.Options) }); err != nil {

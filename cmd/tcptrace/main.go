@@ -16,7 +16,7 @@ import (
 
 	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/profiler"
-	"tagprefetch/internal/profiling"
+	"tagprefetch/internal/runflags"
 	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
@@ -35,35 +35,23 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		bench    = flag.String("bench", "", "SPEC2000 benchmark to trace")
-		n        = flag.Uint64("n", 1_000_000, "measured instructions")
-		warm     = flag.Uint64("warmup", 2_000_000, "warmup instructions")
-		fidelity = flag.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)")
-		seed     = flag.Uint64("seed", 1, "workload seed")
-		out      = flag.String("o", "", "dump the raw miss trace to this file")
-		in       = flag.String("i", "", "analyse an existing trace file instead of simulating")
+		win   = runflags.RegisterWindow(flag.CommandLine, "tcptrace")
+		bench = flag.String("bench", "", "SPEC2000 benchmark to trace")
+		out   = flag.String("o", "", "dump the raw miss trace to this file")
+		in    = flag.String("i", "", "analyse an existing trace file instead of simulating")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file")
 		statusAddr = flag.String("status-addr", "", "serve the run's live metric registry as Prometheus text on this address (/metrics) while tracing")
 		seqLen     = flag.Int("k", 3, "tag-sequence length (paper: 3)")
 	)
 	flag.Parse()
 
-	fid, err := sim.ParseFidelity(*fidelity)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcptrace: -warmup-fidelity:", err)
-		return 2
-	}
 	if *statusAddr != "" && *bench == "" {
 		fmt.Fprintln(os.Stderr, "tcptrace: -status-addr requires -bench (only a live simulation has metrics to serve)")
 		return 2
 	}
-
-	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
+	cfg, stopProf, err := win.Bind()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tcptrace:", err)
-		return 1
+		return win.Exit(err)
 	}
 	defer stopProf()
 
@@ -91,18 +79,11 @@ func run() int {
 			prof.Observe(m)
 		}
 	case *bench != "":
-		// Reject a bad window or name before -o or -status-addr touch
-		// anything.
-		if *n == 0 {
-			fmt.Fprintln(os.Stderr, "tcptrace: -n must be positive")
-			return 2
-		}
+		// Reject a bad name before -o or -status-addr touch anything.
 		if _, err := workload.Spec2000(*bench); err != nil {
 			fmt.Fprintln(os.Stderr, "tcptrace:", err)
 			return 1
 		}
-		cfg := sim.Config{Instructions: *n, Warmup: *warm, NoWarmup: *warm == 0,
-			Seed: *seed, WarmupFidelity: fid}
 		// A scrape snapshots the run's registry, which the core republishes
 		// every statusEvery cycles; between scrapes the simulation pays
 		// nothing.

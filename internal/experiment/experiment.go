@@ -24,11 +24,12 @@ import (
 // Options control experiment scale. The zero value gives the reference
 // configuration used in EXPERIMENTS.md.
 type Options struct {
-	// Instructions measured per run (default 1e6).
+	// Instructions measured per run (default sim.DefaultInstructions).
 	Instructions uint64
-	// Warmup instructions before measurement (default 2e6 — long enough
-	// for every workload model's streams to complete at least one pass;
-	// the analogue of the paper's 1-billion-instruction skip).
+	// Warmup instructions before measurement (default sim.DefaultWarmup —
+	// long enough for every workload model's streams to complete at least
+	// one pass; the analogue of the paper's 1-billion-instruction skip).
+	// 0 means unset, so a grid always warms.
 	Warmup uint64
 	// Seed for the workload models (default 1).
 	Seed uint64
@@ -57,13 +58,13 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Instructions == 0 {
-		o.Instructions = 1_000_000
+		o.Instructions = sim.DefaultInstructions
 	}
 	if o.Warmup == 0 {
-		o.Warmup = 2_000_000
+		o.Warmup = sim.DefaultWarmup
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = sim.DefaultSeed
 	}
 	if len(o.Benches) == 0 {
 		o.Benches = workload.Names()

@@ -49,7 +49,9 @@ func appendPreimage(b []byte, bench, factory string, baseline bool, c sim.Config
 	b = append(strconv.AppendBool(b, baseline), '|')
 	b = append(strconv.AppendUint(b, n.Instructions, 10), '|')
 	b = append(strconv.AppendUint(b, n.Warmup, 10), '|')
-	b = append(strconv.AppendBool(b, n.NoWarmup), '|')
+	// The clause once rendered a NoWarmup flag, which normalized to true
+	// exactly when the warmup was 0; it keeps those bytes.
+	b = append(strconv.AppendBool(b, n.Warmup == 0), '|')
 	b = append(strconv.AppendUint(b, n.Seed, 10), '|')
 	b = strconv.AppendBool(b, n.BaselineWarmup)
 	return appendMachine(b, n.Mem.WithDefaults(), n.WarmupFidelity, n.CPU.Predictor)

@@ -255,11 +255,13 @@ type legacyCPUKey struct {
 
 // referencePreimage renders a job's fingerprint preimage with fmt, as
 // every address was hashed before the fingerprints were built with
-// strconv: %v and %+v of the normalized config's clauses.
+// strconv: %v and %+v of the normalized config's clauses. The sixth
+// clause rendered a NoWarmup flag, which normalized to true exactly when
+// the warmup was 0.
 func referencePreimage(bench, factory string, baseline bool, c sim.Config) string {
 	n := c.Normalized()
 	return fmt.Sprintf("%s|%s|%v|%d|%d|%v|%d|%v|%+v|%+v",
-		bench, factory, baseline, n.Instructions, n.Warmup, n.NoWarmup, n.Seed,
+		bench, factory, baseline, n.Instructions, n.Warmup, n.Warmup == 0, n.Seed,
 		n.BaselineWarmup, legacyCPUKey{}, n.Mem.WithDefaults()) +
 		referenceClauses(n.WarmupFidelity, n.CPU.Predictor)
 }
@@ -286,8 +288,9 @@ func referenceName(format, preimage string) string {
 }
 
 // referenceWarmFileName is warmFileName rendered with fmt and hash/fnv.
+// Its third clause rendered a NoWarmup flag, false for every warm image.
 func referenceWarmFileName(key warmKey) string {
-	pre := fmt.Sprintf("%s|%d|%v|%d|%+v|%+v", key.bench, key.warmup, key.noWarmup, key.seed, legacyCPUKey{}, key.mem) +
+	pre := fmt.Sprintf("%s|%d|%v|%d|%+v|%+v", key.bench, key.warmup, false, key.seed, legacyCPUKey{}, key.mem) +
 		referenceClauses(key.fidelity, key.predictor)
 	return referenceName("warm-"+key.bench+"-%016x.ckpt", pre)
 }
@@ -320,7 +323,7 @@ func TestFingerprintsMatchReference(t *testing.T) {
 				MemBusBytes: 4, MSHRs: 8, IdealL2: true, PrefetchBus: true, MaxPerMiss: 2,
 			}
 		},
-		func(c *sim.Config) { c.NoWarmup = true },
+		func(c *sim.Config) { c.Warmup = 0 },
 		func(c *sim.Config) { c.Instructions, c.Warmup, c.Seed = 12_345, 67_890, 7 },
 		func(c *sim.Config) { c.BaselineWarmup = !c.BaselineWarmup },
 	}
@@ -367,7 +370,7 @@ func TestFingerprintCoversConfigFields(t *testing.T) {
 		// cpu.Config is the pred= clause (the core's shape is the constant
 		// coreClause), and the warmup fidelity is the fid= clause.
 		{reflect.TypeOf(sim.Config{}), []string{"CPU", "Mem", "Instructions", "Warmup",
-			"NoWarmup", "Seed", "WarmupFidelity", "BaselineWarmup"}},
+			"Seed", "WarmupFidelity", "BaselineWarmup"}},
 		{reflect.TypeOf(cpu.Config{}), []string{"Predictor"}},
 		{reflect.TypeOf(memsys.Config{}), []string{"L1D", "L2", "L1HitLatency", "L2Latency",
 			"MemLatency", "L1L2BusBytes", "MemBusBytes", "MSHRs", "IdealL2", "PrefetchBus", "MaxPerMiss"}},

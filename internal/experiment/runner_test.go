@@ -94,8 +94,8 @@ func TestRunnerPanicPropagates(t *testing.T) {
 		}
 	}()
 	NewRunner(4).Map([]Job{
-		{Bench: "art", Factory: sim.NoPrefetch(), Config: sim.Config{Instructions: 10_000}},
-		{Bench: "no-such-bench", Factory: sim.NoPrefetch(), Config: sim.Config{Instructions: 10_000}},
+		{Bench: "art", Factory: sim.NoPrefetch(), Config: sim.Config{Instructions: 10_000, Warmup: 5_000}},
+		{Bench: "no-such-bench", Factory: sim.NoPrefetch(), Config: sim.Config{Instructions: 10_000, Warmup: 5_000}},
 	})
 }
 
@@ -158,9 +158,9 @@ func TestPerRunTelemetryIsolationAcrossWorkers(t *testing.T) {
 	tracer := telemetry.NewTracer(&strings.Builder{}, telemetry.TracerOptions{})
 	runs := make([]*telemetry.Run, len(benches))
 	results := make([]sim.Result, len(benches))
-	// NoWarmup so the cumulative registry counters equal the (otherwise
+	// No warmup, so the cumulative registry counters equal the (otherwise
 	// warmup-subtracted) Result counters and can be compared directly.
-	cfg := sim.Config{Instructions: 30_000, NoWarmup: true}
+	cfg := sim.Config{Instructions: 30_000, Warmup: 0}
 	NewRunner(4).ForEach(len(benches), func(i int) {
 		runs[i] = telemetry.NewRun(2_000)
 		runs[i].Tracer = tracer

@@ -27,11 +27,10 @@ import (
 // the state at the boundary does not depend on how long the measure window
 // will be, so grid points with different lengths share a warm image.
 type warmKey struct {
-	bench    string
-	warmup   uint64
-	noWarmup bool
-	seed     uint64
-	mem      memsys.Config
+	bench  string
+	warmup uint64
+	seed   uint64
+	mem    memsys.Config
 	// fidelity and predictor are normalized, so two keys that render the
 	// same trailing clauses compare equal.
 	fidelity  sim.Fidelity
@@ -58,7 +57,6 @@ func warmKeyFor(bench string, c sim.Config) (warmKey, bool) {
 	return warmKey{
 		bench:     bench,
 		warmup:    n.Warmup,
-		noWarmup:  n.NoWarmup,
 		seed:      n.Seed,
 		mem:       n.Mem.WithDefaults(),
 		fidelity:  n.WarmupFidelity,
@@ -74,8 +72,9 @@ func warmFileName(key warmKey) string {
 	// machine keeps the name it had before those fields existed.
 	var buf [fingerprintBuf]byte
 	b := append(append(buf[:0], key.bench...), '|')
-	b = append(strconv.AppendUint(b, key.warmup, 10), '|')
-	b = append(strconv.AppendBool(b, key.noWarmup), '|')
+	// A warm image needs a warmup, so the clause that once rendered a
+	// NoWarmup flag is the constant it always hashed as.
+	b = append(strconv.AppendUint(b, key.warmup, 10), "|false|"...)
 	b = strconv.AppendUint(b, key.seed, 10)
 	h := fnv64a(appendMachine(b, key.mem, key.fidelity, key.predictor))
 	return "warm-" + key.bench + "-" + string(appendHex16(buf[:0], h)) + ".ckpt"

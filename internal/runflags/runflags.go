@@ -1,9 +1,12 @@
-// Package runflags owns the grid-run flags that tcpfigs and tcpsweep share.
-// It registers them with today's names and defaults, validates them, and
-// wires the experiment Runner they describe: checkpoint directory, result
-// store, distributed claims, flight recorder and strict gather.
-// Tool-specific flags (-exp, -sweep, -csv, -json, -report) stay in each
-// command.
+// Package runflags owns the flags that describe a run, in two sets. The
+// window set (-n, -warmup, -seed, -warmup-fidelity, -cpuprofile,
+// -memprofile) is every simulating command's, with package sim's defaults;
+// tcpsim and tcptrace bind it alone. The grid set embeds it and adds the
+// grid-run flags tcpfigs and tcpsweep share: benchmark subset, workers,
+// checkpoint directory, result store, distributed claims, flight recorder
+// and strict gather; it wires the experiment Runner they describe.
+// Tool-specific flags (-bench, -exp, -sweep, -csv, -json, -report) stay in
+// each command.
 package runflags
 
 import (
@@ -24,36 +27,84 @@ import (
 	"tagprefetch/internal/workload"
 )
 
-// Flags are one command's registered grid-run flags.
-type Flags struct {
+// Window is one command's registered run-window flags.
+type Window struct {
 	tool string
 
 	n, warmup, seed        *uint64
-	fidelity, benches      *string
-	jobs                   *int
+	fidelity               *string
 	cpuProfile, memProfile *string
-	warmFork, resume       *bool
-	ckptDir                *string
-	workers                *int
-	workerID               *string
-	leaseTTL               *time.Duration
-	gather                 *bool
 }
 
-// Register adds the grid-run flags to fs. tool names the command in
-// messages and in the checkpoint directory's grid.json.
-func Register(fs *flag.FlagSet, tool string) *Flags {
-	return &Flags{
+// RegisterWindow adds the window flags to fs. tool names the command in
+// messages.
+func RegisterWindow(fs *flag.FlagSet, tool string) *Window {
+	return &Window{
 		tool:     tool,
-		n:        fs.Uint64("n", 1_000_000, "measured instructions per run"),
-		warmup:   fs.Uint64("warmup", 2_000_000, "warmup instructions per run (at least 1)"),
+		n:        fs.Uint64("n", sim.DefaultInstructions, "measured instructions per run"),
+		warmup:   fs.Uint64("warmup", sim.DefaultWarmup, "warmup instructions per run (0 = none)"),
 		fidelity: fs.String("warmup-fidelity", "full", "warmup engine: full (cycle-accurate) or fast (functional fast-forward, docs/FASTFORWARD.md)"),
-		seed:     fs.Uint64("seed", 1, "workload seed"),
-		benches:  fs.String("benches", "", "comma-separated benchmark subset (default all 26)"),
-		jobs:     fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)"),
+		seed:     fs.Uint64("seed", sim.DefaultSeed, "workload seed"),
 
 		cpuProfile: fs.String("cpuprofile", "", "write a CPU profile to this file"),
 		memProfile: fs.String("memprofile", "", "write an allocation profile to this file"),
+	}
+}
+
+// Bind validates the window, starts -cpuprofile/-memprofile and returns
+// the window as a literal sim.Config: -warmup 0 means no warmup. The
+// returned stop must run before the process exits. Pass a returned error
+// to Exit.
+func (w *Window) Bind() (sim.Config, func(), error) {
+	fid, err := sim.ParseFidelity(*w.fidelity)
+	if err != nil {
+		return sim.Config{}, nil, usage("-warmup-fidelity: %w", err)
+	}
+	// sim.Config reads a zero measured window or seed as its default, so
+	// -n 0 or -seed 0 would simulate another run than the one reported.
+	if *w.n == 0 {
+		return sim.Config{}, nil, &usageError{&sim.ConfigError{Field: "Instructions", Reason: "measured window is zero"}}
+	}
+	if *w.seed == 0 {
+		return sim.Config{}, nil, &usageError{&sim.ConfigError{Field: "Seed", Reason: "seed is zero"}}
+	}
+	cfg := sim.Config{Instructions: *w.n, Warmup: *w.warmup, Seed: *w.seed, WarmupFidelity: fid}
+	if err := cfg.Validate(); err != nil {
+		return sim.Config{}, nil, &usageError{err}
+	}
+	stop, err := profiling.Start(*w.cpuProfile, *w.memProfile)
+	return cfg, stop, err
+}
+
+// Exit prints err as "<tool>: err" on stderr and returns the command's
+// exit status.
+func (w *Window) Exit(err error) int {
+	fmt.Fprintf(os.Stderr, "%s: %v\n", w.tool, err)
+	return exitCode(err)
+}
+
+// Flags are one command's registered grid-run flags: the window set plus
+// the grid's own.
+type Flags struct {
+	*Window
+
+	benches          *string
+	jobs             *int
+	warmFork, resume *bool
+	ckptDir          *string
+	workers          *int
+	workerID         *string
+	leaseTTL         *time.Duration
+	gather           *bool
+}
+
+// Register adds the window and grid-run flags to fs. tool names the
+// command in messages and in the checkpoint directory's grid.json.
+func Register(fs *flag.FlagSet, tool string) *Flags {
+	f := &Flags{
+		Window:  RegisterWindow(fs, tool),
+		benches: fs.String("benches", "", "comma-separated benchmark subset (default all 26)"),
+		jobs:    fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation workers (1 = serial)"),
 
 		warmFork: fs.Bool("warmfork", false, "run every warmup under the no-prefetch baseline and fork grid points from one warm checkpoint per benchmark"),
 		ckptDir:  fs.String("checkpoint-dir", "", "persist warm checkpoints and per-job result manifests in this directory"),
@@ -64,6 +115,8 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 		leaseTTL: fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen"),
 		gather:   fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating grid points; errors if any job is missing (tcpfigs' miss-stream passes for fig2-fig7, fig15 and coverage are not grid jobs and still simulate)"),
 	}
+	fs.Lookup("warmup").Usage = "warmup instructions per run (at least 1)"
+	return f
 }
 
 // usageError is a flag value the command rejects with exit status 2.
@@ -76,12 +129,6 @@ func usage(format string, a ...any) error {
 	return &usageError{fmt.Errorf(format, a...)}
 }
 
-// StartProfile starts -cpuprofile/-memprofile. The returned stop must run
-// before the process exits.
-func (f *Flags) StartProfile() (stop func(), err error) {
-	return profiling.Start(*f.cpuProfile, *f.memProfile)
-}
-
 // Run is a validated grid run: its Options carry the wired Runner.
 type Run struct {
 	Options experiment.Options
@@ -89,25 +136,32 @@ type Run struct {
 	tool string
 }
 
-// Bind validates the flags and returns the run they describe. exp is the
-// experiment id recorded in grid.json; the caller checks it against its
-// own table first. Every flag is checked before the checkpoint directory
-// is touched. Pass a returned error to Exit.
-func (f *Flags) Bind(exp string) (*Run, error) {
-	fid, err := sim.ParseFidelity(*f.fidelity)
+// Bind binds the window set as Window.Bind does, then validates the grid
+// flags and returns the run they describe. exp is the experiment id
+// recorded in grid.json; the caller checks it against its own table
+// first. Every flag is checked before the checkpoint directory is
+// touched. Pass a returned error to Exit.
+func (f *Flags) Bind(exp string) (*Run, func(), error) {
+	cfg, stop, err := f.Window.Bind()
 	if err != nil {
-		return nil, usage("-warmup-fidelity: %w", err)
+		return nil, nil, err
 	}
-	if *f.n == 0 {
-		return nil, &usageError{&sim.ConfigError{Field: "Instructions", Reason: "measured window is zero"}}
+	r, err := f.run(exp, cfg)
+	if err != nil {
+		stop()
+		return nil, nil, err
 	}
-	// Options reads a zero warmup as its 2 M default, so -warmup 0 would
+	return r, stop, nil
+}
+
+func (f *Flags) run(exp string, cfg sim.Config) (*Run, error) {
+	// Options reads a zero warmup as its default, so -warmup 0 would
 	// simulate that default while grid.json recorded 0.
-	if *f.warmup == 0 {
+	if cfg.Warmup == 0 {
 		return nil, &usageError{&sim.ConfigError{Field: "Warmup", Reason: "warmup window is zero"}}
 	}
-	o := experiment.Options{Instructions: *f.n, Warmup: *f.warmup, Seed: *f.seed,
-		WarmupFidelity: fid, BaselineWarmup: *f.warmFork}
+	o := experiment.Options{Instructions: cfg.Instructions, Warmup: cfg.Warmup, Seed: cfg.Seed,
+		WarmupFidelity: cfg.WarmupFidelity, BaselineWarmup: *f.warmFork}
 	if *f.benches != "" {
 		o.Benches = strings.Split(*f.benches, ",")
 	}
@@ -142,12 +196,12 @@ func (f *Flags) Bind(exp string) (*Run, error) {
 	// The default engine is recorded as the field's absence, so default
 	// runs write grid.json byte-identical to pre-fidelity builds.
 	fidDesc := ""
-	if fid != sim.FidelityFull {
-		fidDesc = string(fid)
+	if cfg.WarmupFidelity != sim.FidelityFull {
+		fidDesc = string(cfg.WarmupFidelity)
 	}
 	desc := experiment.GridDesc{Tool: f.tool, Experiment: exp,
-		Instructions: *f.n, Warmup: *f.warmup, WarmupFidelity: fidDesc,
-		Seed: *f.seed, Benches: benches, WarmFork: *f.warmFork}
+		Instructions: cfg.Instructions, Warmup: cfg.Warmup, WarmupFidelity: fidDesc,
+		Seed: cfg.Seed, Benches: benches, WarmFork: *f.warmFork}
 	// Consumers of existing manifests (resume, workers, gather) must match
 	// the recorded grid; a fresh recording run replaces it.
 	if err := experiment.EnsureGrid(dir, desc, !*f.resume && !workerMode && !*f.gather); err != nil {
@@ -214,14 +268,14 @@ func (r *Run) PrintStats() []telemetry.WorkerStats {
 // status. After an incomplete gather it lists every hole of the grid and
 // its last-known holder, so the operator knows which worker to restart.
 func (f *Flags) Exit(err error) int {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", f.tool, err)
+	code := f.Window.Exit(err)
 	var ige *experiment.IncompleteGridError
 	if errors.As(err, &ige) {
 		if herr := fleetobs.WriteHoles(os.Stderr, *f.ckptDir); herr != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", f.tool, herr)
 		}
 	}
-	return exitCode(err)
+	return code
 }
 
 // exitCode is 2 for a usage error or a grid mismatch, 1 otherwise.

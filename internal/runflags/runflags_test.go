@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tagprefetch/internal/experiment"
+	"tagprefetch/internal/sim"
 )
 
 // bind parses args into a fresh flag set and binds it, as tcpsweep would.
@@ -21,7 +22,64 @@ func bind(t *testing.T, args ...string) (*Run, error) {
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
-	return f.Bind("nbits")
+	r, stop, err := f.Bind("nbits")
+	if err == nil {
+		stop()
+	}
+	return r, err
+}
+
+// bindWindow parses args into a fresh flag set and binds its window set,
+// as tcpsim would.
+func bindWindow(t *testing.T, args ...string) (sim.Config, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("tcpsim", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	w := RegisterWindow(fs, "tcpsim")
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	cfg, stop, err := w.Bind()
+	if err == nil {
+		stop()
+	}
+	return cfg, err
+}
+
+// TestWindowBindRejects: a zero measured window, a zero seed (which
+// sim.Config would run as seed 1), a bad fidelity and an overflowing
+// window each exit 2 with their message.
+func TestWindowBindRejects(t *testing.T) {
+	cases := []struct {
+		args []string
+		msg  string
+	}{
+		{[]string{"-n", "0"}, "sim: invalid config: Instructions: measured window is zero"},
+		{[]string{"-seed", "0"}, "sim: invalid config: Seed: seed is zero"},
+		{[]string{"-warmup-fidelity", "psychic"}, `-warmup-fidelity: unknown warmup fidelity "psychic" (want "full" or "fast")`},
+		{[]string{"-n", "1", "-warmup", "18446744073709551615"}, "sim: invalid config: Warmup: warmup 18446744073709551615 + instructions 1 overflows"},
+	}
+	for _, tc := range cases {
+		_, err := bindWindow(t, tc.args...)
+		if err == nil || err.Error() != tc.msg || exitCode(err) != 2 {
+			t.Errorf("%v: exit %d %v, want exit 2 %q", tc.args, exitCode(err), err, tc.msg)
+		}
+	}
+}
+
+// TestWindowBindIsLiteral: with no arguments the window is package sim's
+// defaults, and -warmup 0 is a run with no warmup, not a default.
+func TestWindowBindIsLiteral(t *testing.T) {
+	cfg, err := bindWindow(t)
+	want := sim.Config{Instructions: sim.DefaultInstructions, Warmup: sim.DefaultWarmup,
+		Seed: sim.DefaultSeed, WarmupFidelity: sim.FidelityFull}
+	if err != nil || cfg != want {
+		t.Errorf("default window = %+v, %v; want %+v", cfg, err, want)
+	}
+	cfg, err = bindWindow(t, "-warmup", "0", "-warmup-fidelity", "fast")
+	if err != nil || cfg.Warmup != 0 || cfg.Normalized().Warmup != 0 || cfg.WarmupFidelity != sim.FidelityFast {
+		t.Errorf("-warmup 0 -warmup-fidelity fast = %+v, %v; want no warmup on the fast engine", cfg, err)
+	}
 }
 
 // TestBindRejects covers every validation error Bind returns: each exits
@@ -44,6 +102,7 @@ func TestBindRejects(t *testing.T) {
 		{[]string{"-warmup-fidelity", "psychic", "-checkpoint-dir", dir}, `-warmup-fidelity: unknown warmup fidelity "psychic" (want "full" or "fast")`},
 		{[]string{"-n", "0", "-checkpoint-dir", dir}, "sim: invalid config: Instructions: measured window is zero"},
 		{[]string{"-warmup", "0", "-checkpoint-dir", dir}, "sim: invalid config: Warmup: warmup window is zero"},
+		{[]string{"-seed", "0", "-checkpoint-dir", dir}, "sim: invalid config: Seed: seed is zero"},
 		{[]string{"-n", "1", "-warmup", "18446744073709551615", "-checkpoint-dir", dir}, "sim: invalid config: Warmup: warmup 18446744073709551615 + instructions 1 overflows"},
 		{[]string{"-benches", "doom", "-checkpoint-dir", dir}, `unknown benchmark "doom"`},
 		{[]string{"-benches", "swim,", "-checkpoint-dir", dir}, `unknown benchmark ""`},

@@ -74,9 +74,6 @@ func FuzzCheckpointSplit(f *testing.F) {
 			Warmup:       uint64(w) % 8_000,
 			Seed:         seed,
 		}
-		if cfg.Warmup == 0 {
-			cfg.NoWarmup = true
-		}
 		if fast {
 			cfg.WarmupFidelity = FidelityFast
 		}

@@ -53,7 +53,7 @@ type Machine struct {
 // factory and config. The config is validated first; construction never
 // panics on bad numeric fields.
 func NewMachine(spec workload.Spec, f Factory, cfg Config) (*Machine, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

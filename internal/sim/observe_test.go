@@ -30,10 +30,11 @@ func TestObserveMissesCountsMeasuredWindow(t *testing.T) {
 	}
 }
 
-// TestObserveMissesNoWarmup: without a warmup the tap is armed from
-// instruction 0, so the cold machine's first compulsory misses arrive.
+// TestObserveMissesNoWarmup: with Warmup 0 there is no warmup, so the tap
+// is armed from instruction 0 and the cold machine's first compulsory
+// misses arrive.
 func TestObserveMissesNoWarmup(t *testing.T) {
-	cfg := Config{Instructions: 50_000, NoWarmup: true}
+	cfg := Config{Instructions: 50_000, Warmup: 0}
 	var misses []trace.Miss
 	res, err := ObserveMisses("art", cfg, nil, func(m trace.Miss) { misses = append(misses, m) })
 	if err != nil {

@@ -23,22 +23,22 @@ import (
 )
 
 // Config parameterises one simulation run. Zero fields take Table 1
-// defaults.
+// defaults, except Warmup, which is literal.
 type Config struct {
 	CPU cpu.Config
 	Mem memsys.Config
 
 	// Instructions is the number of measured dynamic instructions
-	// (default 1e6). The paper measures 2e9 per benchmark; our synthetic
-	// workloads are stationary, so shapes stabilise much earlier.
+	// (default DefaultInstructions). The paper measures 2e9 per benchmark;
+	// our synthetic workloads are stationary, so shapes stabilise much
+	// earlier.
 	Instructions uint64
 	// Warmup instructions run before measurement begins — the analogue of
-	// the paper's 1-billion-instruction skip (default Instructions/2).
-	// Set negative-like behaviour by NoWarmup.
+	// the paper's 1-billion-instruction skip. It is read literally: 0
+	// measures from a cold machine. Front doors that read 0 as unset fill
+	// it with DefaultWarmup.
 	Warmup uint64
-	// NoWarmup disables the warmup default (measure from a cold machine).
-	NoWarmup bool
-	// Seed drives all pseudo-random workload choices (default 1).
+	// Seed drives all pseudo-random workload choices (default DefaultSeed).
 	Seed uint64
 
 	// WarmupFidelity selects the execution engine for the warmup window:
@@ -62,27 +62,27 @@ type Config struct {
 	BaselineWarmup bool
 }
 
+// The run window every front door fills an unset field from: the tools'
+// flags, experiment.Options, sweepd requests and the public RunConfig.
+const (
+	DefaultInstructions = 1_000_000
+	DefaultWarmup       = 2_000_000
+	DefaultSeed         = 1
+)
+
 // Normalized resolves every defaulted field to its effective value (the
 // config a Machine actually simulates), so that two configs describing the
 // same machine compare equal — the experiment runner keys its baseline
 // cache on this.
-func (c Config) Normalized() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
+func (c Config) Normalized() Config {
 	if c.CPU.Predictor == "" {
 		c.CPU.Predictor = branch.Default
 	}
 	if c.Instructions == 0 {
-		c.Instructions = 1_000_000
-	}
-	if c.Warmup == 0 && !c.NoWarmup {
-		c.Warmup = c.Instructions / 2
-	}
-	if c.NoWarmup {
-		c.Warmup = 0
+		c.Instructions = DefaultInstructions
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = DefaultSeed
 	}
 	if c.WarmupFidelity == "" {
 		c.WarmupFidelity = FidelityFull
@@ -361,7 +361,7 @@ func (t *missObserver) OnMiss(m trace.Miss) []prefetch.Request {
 // hands fn every L1 data-cache miss of the measured window, in order, as a
 // prefetcher at the L1/L2 boundary sees it (MSHR merges never reach it) —
 // the miss stream Section 3 of the paper profiles. With a warmup the tap
-// arms at the warmup/measure boundary; with NoWarmup it delivers from
+// arms at the warmup/measure boundary; with Warmup 0 it delivers from
 // instruction 0. The machine, its warmup engine and the boundary are those
 // of every other run, so cfg's fidelity applies unchanged, and a non-nil
 // tel observes the run as Machine.Observe describes.

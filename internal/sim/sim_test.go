@@ -9,7 +9,7 @@ import (
 	"tagprefetch/internal/memsys"
 )
 
-func quickCfg() Config { return Config{Instructions: 150_000} }
+func quickCfg() Config { return Config{Instructions: 150_000, Warmup: 75_000} }
 
 func TestRunUnknownBenchmark(t *testing.T) {
 	if _, err := Run("nope", NoPrefetch(), quickCfg()); err == nil {
@@ -91,11 +91,11 @@ func TestFactoryNames(t *testing.T) {
 }
 
 func TestTCPStorageBudgets(t *testing.T) {
-	k := MustRun("art", TCP8K(), Config{Instructions: 10_000})
+	k := MustRun("art", TCP8K(), Config{Instructions: 10_000, Warmup: 5_000})
 	if k.PrefetcherStorageBits/8 != 8*1024 {
 		t.Errorf("tcp-8K storage = %d bytes", k.PrefetcherStorageBits/8)
 	}
-	d := MustRun("art", DBCP2M(), Config{Instructions: 10_000})
+	d := MustRun("art", DBCP2M(), Config{Instructions: 10_000, Warmup: 5_000})
 	if d.PrefetcherStorageBits/8 != 2*1024*1024 {
 		t.Errorf("dbcp storage = %d bytes", d.PrefetcherStorageBits/8)
 	}
@@ -103,14 +103,14 @@ func TestTCPStorageBudgets(t *testing.T) {
 
 func TestCustomFactory(t *testing.T) {
 	f := Custom("tiny-tcp", core.Config{PHTSets: 16, PHTWays: 2})
-	r := MustRun("art", f, Config{Instructions: 50_000})
+	r := MustRun("art", f, Config{Instructions: 50_000, Warmup: 25_000})
 	if r.Prefetcher != "tiny-tcp" {
 		t.Errorf("name = %q", r.Prefetcher)
 	}
 }
 
 func TestTCPImprovesMemoryBoundSweep(t *testing.T) {
-	cfg := Config{Instructions: 400_000}
+	cfg := Config{Instructions: 400_000, Warmup: 200_000}
 	base := MustRun("art", NoPrefetch(), cfg)
 	tcp := MustRun("art", TCP8K(), cfg)
 	if imp := Improvement(tcp, base); imp <= 0 {
@@ -141,7 +141,7 @@ func TestCriticalFilterFactory(t *testing.T) {
 }
 
 func TestNoWarmupRunsCold(t *testing.T) {
-	cfg := Config{Instructions: 50_000, NoWarmup: true}
+	cfg := Config{Instructions: 50_000, Warmup: 0}
 	r := MustRun("gzip", NoPrefetch(), cfg)
 	if r.CPU.Instructions != 50_000 {
 		t.Errorf("instructions = %d", r.CPU.Instructions)
@@ -161,8 +161,8 @@ func TestHybridFactoryAttachesPredictor(t *testing.T) {
 }
 
 func TestSeedChangesResults(t *testing.T) {
-	a := MustRun("twolf", NoPrefetch(), Config{Instructions: 100_000, Seed: 1})
-	b := MustRun("twolf", NoPrefetch(), Config{Instructions: 100_000, Seed: 2})
+	a := MustRun("twolf", NoPrefetch(), Config{Instructions: 100_000, Warmup: 50_000, Seed: 1})
+	b := MustRun("twolf", NoPrefetch(), Config{Instructions: 100_000, Warmup: 50_000, Seed: 2})
 	if a.CPU.Cycles == b.CPU.Cycles {
 		t.Error("different seeds produced identical cycle counts (suspicious)")
 	}
@@ -217,7 +217,7 @@ func TestMeasurementWindowConsistency(t *testing.T) {
 
 	// A warmed run's measured window must see strictly less traffic than
 	// the whole (warmup+measure) execution it is embedded in.
-	whole := MustRun("swim", NoPrefetch(), Config{Instructions: 400_000, NoWarmup: true})
+	whole := MustRun("swim", NoPrefetch(), Config{Instructions: 400_000, Warmup: 0})
 	if warm.L1.Accesses >= whole.L1.Accesses {
 		t.Errorf("measured-window L1 accesses %d not below whole-run %d",
 			warm.L1.Accesses, whole.L1.Accesses)

@@ -59,7 +59,7 @@ func (c Config) Validate() error {
 		}
 	}
 
-	n := c.withDefaults()
+	n := c.Normalized()
 	mc := n.Mem.WithDefaults()
 	if mc.L2.BlockBytes() < mc.L1D.BlockBytes() {
 		return &ConfigError{Field: "Mem.L2",

@@ -15,8 +15,8 @@ import (
 	"tagprefetch/internal/workload"
 )
 
-// Request is the POST /v1/sweeps body. Every omitted numeric field selects
-// the tcpsweep default, so the JSON `{"sweep":"size"}` and the CLI
+// Request is the POST /v1/sweeps body. Every omitted or zero numeric field
+// selects the tcpsweep default, so the JSON `{"sweep":"size"}` and the CLI
 // `tcpsweep -sweep size` describe the same grid.
 type Request struct {
 	// Sweep names the grid: a row of experiment.Sweeps, the table behind
@@ -25,13 +25,14 @@ type Request struct {
 	// Benches restricts the benchmark set (default: all 26, paper order).
 	// Order matters: it shapes the rendered result body.
 	Benches []string `json:"benches,omitempty"`
-	// Instructions measured per run (default 1e6).
+	// Instructions measured per run (default sim.DefaultInstructions).
 	Instructions uint64 `json:"instructions,omitempty"`
-	// Warmup instructions per run (default 2e6).
+	// Warmup instructions per run (default sim.DefaultWarmup). As in
+	// experiment.Options, 0 means unset: a grid always warms.
 	Warmup uint64 `json:"warmup,omitempty"`
 	// WarmupFidelity is "full" (default) or "fast" (docs/FASTFORWARD.md).
 	WarmupFidelity string `json:"warmup_fidelity,omitempty"`
-	// Seed for the workload models (default 1).
+	// Seed for the workload models (default sim.DefaultSeed).
 	Seed uint64 `json:"seed,omitempty"`
 	// WarmFork warms every point under the no-prefetch baseline and forks
 	// grid points from per-benchmark warm checkpoints.
@@ -139,13 +140,13 @@ func normalize(req *Request, headerTenant string) error {
 		return &RequestError{Field: "sweep", Reason: err.Error()}
 	}
 	if req.Instructions == 0 {
-		req.Instructions = 1_000_000
+		req.Instructions = sim.DefaultInstructions
 	}
 	if req.Warmup == 0 {
-		req.Warmup = 2_000_000
+		req.Warmup = sim.DefaultWarmup
 	}
 	if req.Seed == 0 {
-		req.Seed = 1
+		req.Seed = sim.DefaultSeed
 	}
 	fid, err := sim.ParseFidelity(req.WarmupFidelity)
 	if err != nil {
@@ -274,6 +275,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if len(refs) == 0 {
 		sw.state = StateDone
 		s.mSweepsDone.Inc()
+		s.retireLocked(sw)
 	} else {
 		s.sched.push(req.Tenant, refs...)
 		s.cond.Broadcast()
@@ -424,6 +426,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		sw.state = StateCancelled
 		s.sched.removeSweep(sw)
 		s.mSweepsCanceled.Inc()
+		s.retireLocked(sw)
 	}
 	status := s.statusLocked(sw)
 	s.mu.Unlock()

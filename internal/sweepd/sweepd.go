@@ -80,6 +80,11 @@ const (
 	StateFailed    = "failed"    // a job errored; Failure says which
 )
 
+// maxFinishedSweeps bounds the finished (done, failed or cancelled) sweeps
+// the daemon remembers. Past it the oldest is forgotten and its id is a
+// 404; queued and running sweeps are never forgotten.
+const maxFinishedSweeps = 1024
+
 // sweepRec is the daemon's record of one accepted sweep.
 type sweepRec struct {
 	id        string
@@ -120,6 +125,7 @@ type Server struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	sweeps  map[string]*sweepRec
+	retired []*sweepRec // finished sweeps, oldest first; see maxFinishedSweeps
 	sched   *roundRobin
 	tenants map[string]*tenantStats
 	workers []*experiment.Runner // serial, each with its own lease store
@@ -311,6 +317,7 @@ func (s *Server) finish(ref jobRef, err error) {
 		sw.failure = fmt.Sprintf("job %s: %v", ref.name, err)
 		s.mSweepsFailed.Inc()
 		s.sched.removeSweep(sw)
+		s.retireLocked(sw)
 		return
 	}
 	if sw.pending[ref.name] {
@@ -322,6 +329,23 @@ func (s *Server) finish(ref jobRef, err error) {
 	if len(sw.pending) == 0 {
 		sw.state = StateDone
 		s.mSweepsDone.Inc()
+		s.retireLocked(sw)
+	}
+}
+
+// retireLocked records that sw has just finished and, past
+// maxFinishedSweeps, forgets the oldest finished sweep unless a newer one
+// has taken over its id. Callers hold s.mu.
+func (s *Server) retireLocked(sw *sweepRec) {
+	s.retired = append(s.retired, sw)
+	if len(s.retired) <= maxFinishedSweeps {
+		return
+	}
+	old := s.retired[0]
+	s.retired[0] = nil
+	s.retired = s.retired[1:]
+	if s.sweeps[old.id] == old {
+		delete(s.sweeps, old.id)
 	}
 }
 
@@ -337,15 +361,13 @@ func (s *Server) tenantRec(name string) *tenantStats {
 }
 
 // options assembles the experiment Options for a normalized request over
-// the given runner. The fidelity string was validated at admission, so the
-// parse cannot fail here.
+// the given runner.
 func options(req Request, r *experiment.Runner) experiment.Options {
-	fid, _ := sim.ParseFidelity(req.WarmupFidelity) //nolint:errcheck // validated at admission
 	return experiment.Options{
 		Instructions:   req.Instructions,
 		Warmup:         req.Warmup,
 		Seed:           req.Seed,
-		WarmupFidelity: fid,
+		WarmupFidelity: sim.Fidelity(req.WarmupFidelity),
 		BaselineWarmup: req.WarmFork,
 		Benches:        req.Benches,
 		Runner:         r,

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -839,6 +840,82 @@ func TestTenantHeader(t *testing.T) {
 	}
 	if st.Tenant != "carol" {
 		t.Errorf("tenant = %q, want carol (from X-Tenant)", st.Tenant)
+	}
+}
+
+// TestOmittedWarmupIsDefault: an omitted warmup and "warmup": 0 both mean
+// the default, as in experiment.Options, so the two bodies normalize to
+// the same request and the same sweep.
+func TestOmittedWarmupIsDefault(t *testing.T) {
+	var reqs [2]Request
+	for i, body := range []string{`{"sweep":"size"}`, `{"sweep":"size","warmup":0}`} {
+		req, err := decodeRequest(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := normalize(&req, ""); err != nil {
+			t.Fatal(err)
+		}
+		if req.Warmup != sim.DefaultWarmup {
+			t.Errorf("%s: warmup %d, want the default %d", body, req.Warmup, sim.DefaultWarmup)
+		}
+		reqs[i] = req
+	}
+	if !reflect.DeepEqual(reqs[0], reqs[1]) {
+		t.Errorf("normalized requests differ:\n%+v\n%+v", reqs[0], reqs[1])
+	}
+	if a, b := sweepID("t", reqs[0]), sweepID("t", reqs[1]); a != b {
+		t.Errorf("sweep ids differ: %s vs %s", a, b)
+	}
+}
+
+// TestFinishedSweepsAreBounded: after 2×maxFinishedSweeps cached requests
+// under fresh tenants the daemon holds at most maxFinishedSweeps records.
+// The newest still serves the grid's result; the oldest is forgotten and
+// answers 404 like an unknown id.
+func TestFinishedSweepsAreBounded(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1}, nil)
+	req := Request{Sweep: "nbits", Benches: []string{"swim"}, Instructions: 10_000,
+		Warmup: 10_000, Tenant: "tenant-0"}
+	_, first, _ := postSweep(t, ts, req)
+	waitState(t, ts, first.ID, StateDone)
+	h := s.Handler()
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return w
+	}
+	want := serve(http.MethodGet, "/v1/sweeps/"+first.ID+"/result", nil)
+	if want.Code != http.StatusOK {
+		t.Fatalf("first result = %d %s", want.Code, want.Body.Bytes())
+	}
+	var newest string
+	for i := 1; i < 2*maxFinishedSweeps; i++ {
+		req.Tenant = fmt.Sprintf("tenant-%d", i)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := serve(http.MethodPost, "/v1/sweeps", body)
+		var st Status
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || w.Code != http.StatusAccepted || st.State != StateDone {
+			t.Fatalf("POST %d = %d %s: want 202, done at admission", i, w.Code, w.Body.Bytes())
+		}
+		newest = st.ID
+	}
+	s.mu.Lock()
+	held := len(s.sweeps)
+	s.mu.Unlock()
+	if held > maxFinishedSweeps {
+		t.Errorf("%d sweeps held after %d finished, want at most %d", held, 2*maxFinishedSweeps, maxFinishedSweeps)
+	}
+	if w := serve(http.MethodGet, "/v1/sweeps/"+newest+"/result", nil); w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want.Body.Bytes()) {
+		t.Errorf("newest result = %d, %d bytes; want 200 and the first sweep's %d bytes", w.Code, w.Body.Len(), want.Body.Len())
+	}
+	for _, path := range []string{"/v1/sweeps/" + first.ID, "/v1/sweeps/" + first.ID + "/result"} {
+		if w := serve(http.MethodGet, path, nil); w.Code != http.StatusNotFound {
+			t.Errorf("GET %s of the oldest sweep = %d, want 404", path, w.Code)
+		}
 	}
 }
 

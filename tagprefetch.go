@@ -60,13 +60,14 @@ func (p Prefetcher) Factory() (sim.Factory, error) {
 }
 
 // RunConfig controls one simulation. The zero value uses the paper's
-// Table 1 machine, 1M measured instructions after 500K warmup.
+// Table 1 machine and the window every tool runs by default: 1M measured
+// instructions after 2M warmup, seed 1. A zero field means its default.
 type RunConfig struct {
-	// Instructions measured (default 1e6).
+	// Instructions measured (default sim.DefaultInstructions).
 	Instructions uint64
-	// Warmup instructions before measurement (default Instructions/2).
+	// Warmup instructions before measurement (default sim.DefaultWarmup).
 	Warmup uint64
-	// Seed for the deterministic workload models (default 1).
+	// Seed for the deterministic workload models (default sim.DefaultSeed).
 	Seed uint64
 	// IdealL2 makes every L2 access hit (the Figure 1 study).
 	IdealL2 bool
@@ -109,25 +110,21 @@ func Run(bench string, p Prefetcher, cfg RunConfig) (Result, error) {
 	} else if f, err = p.Factory(); err != nil {
 		return Result{}, err
 	}
-	sc := sim.Config{
-		Instructions: cfg.Instructions,
-		Warmup:       cfg.Warmup,
-		Seed:         cfg.Seed,
-		Mem:          memsys.Config{IdealL2: cfg.IdealL2},
-	}
-	return sim.Run(bench, f, sc)
+	return sim.Run(bench, f, cfg.simConfig())
 }
 
 // RunTCP simulates one benchmark with a fully custom TCP configuration.
 func RunTCP(bench string, tcp TCPConfig, cfg RunConfig) (Result, error) {
-	f := sim.Custom("tcp-custom", tcp)
-	sc := sim.Config{
-		Instructions: cfg.Instructions,
-		Warmup:       cfg.Warmup,
-		Seed:         cfg.Seed,
-		Mem:          memsys.Config{IdealL2: cfg.IdealL2},
+	return sim.Run(bench, sim.Custom("tcp-custom", tcp), cfg.simConfig())
+}
+
+// simConfig is the machine cfg describes, its unset warmup filled in.
+func (cfg RunConfig) simConfig() sim.Config {
+	if cfg.Warmup == 0 {
+		cfg.Warmup = sim.DefaultWarmup
 	}
-	return sim.Run(bench, f, sc)
+	return sim.Config{Instructions: cfg.Instructions, Warmup: cfg.Warmup, Seed: cfg.Seed,
+		Mem: memsys.Config{IdealL2: cfg.IdealL2}}
 }
 
 // Improvement returns r's relative IPC improvement over base (0.14 = 14%).

@@ -100,6 +100,30 @@ func TestRunTCP(t *testing.T) {
 	}
 }
 
+// TestUnsetWarmupIsDefault: Run and RunTCP fill an unset warmup with
+// package sim's default, as Profile and every tool do.
+func TestUnsetWarmupIsDefault(t *testing.T) {
+	unset := RunConfig{Instructions: 20_000}
+	set := RunConfig{Instructions: 20_000, Warmup: sim.DefaultWarmup}
+	tcp := TCPConfig{HistoryDepth: 3, PHTSets: 512, PHTWays: 4}
+	for name, run := range map[string]func(RunConfig) (Result, error){
+		"Run":    func(c RunConfig) (Result, error) { return Run("gzip", TCP8K, c) },
+		"RunTCP": func(c RunConfig) (Result, error) { return RunTCP("gzip", tcp, c) },
+	} {
+		a, err := run(unset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := run(set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%s: RunConfig{} and RunConfig{Warmup: sim.DefaultWarmup} differ:\n%+v\n%+v", name, a, b)
+		}
+	}
+}
+
 func TestImprovementAndIdealL2(t *testing.T) {
 	base, err := Run("ammp", None, quick())
 	if err != nil {
