@@ -32,8 +32,10 @@ const (
 	// Version is the current format version. Decode rejects any other.
 	// History: 1 = initial layout; 2 = machine identity records the warmup
 	// fidelity and the cpu section carries the functional fast-forward
-	// clock (docs/FASTFORWARD.md).
-	Version uint16 = 2
+	// clock (docs/FASTFORWARD.md); 3 = the tcp section codes only the
+	// PHT's materialised sets, and the cpu LSQ ring and the dead-block
+	// predictor's counters are gone.
+	Version uint16 = 3
 
 	headerLen  = 8 // magic u32 + version u16 + flags u16
 	trailerLen = 4 // crc32 u32

@@ -6,11 +6,12 @@ import (
 	"tagprefetch/internal/checkpoint"
 )
 
-// Snapshot implements checkpoint.Snapshotter: the THT rows, the PHT
-// entries (tags, MRU target lists, recency), the correlation clock, and
-// the predictor counters. Decoding requires an identically-configured TCP;
-// a THT fill outside [0, k], a tag wider than TagBits or more than Targets
-// targets is corrupt.
+// Snapshot implements checkpoint.Snapshotter: the THT rows, the PHT's
+// materialised sets (tags, MRU target lists, recency), the correlation
+// clock, and the predictor counters. Decoding requires an identically-
+// configured TCP; a THT fill outside [0, k], a PHT set index out of order
+// or range, a tag wider than TagBits or more than Targets targets is
+// corrupt.
 func (t *TCP) Snapshot(c *checkpoint.Codec) {
 	c.Section("tcp")
 	c.I64(&t.clock)
@@ -29,34 +30,31 @@ func (t *TCP) Snapshot(c *checkpoint.Codec) {
 			c.Fail(fmt.Errorf("%w: tcp: THT row %d fill %d outside [0, %d]", checkpoint.ErrCorrupt, i, f, t.cfg.HistoryDepth))
 		}
 	}
+	// The PHT codes only its materialised sets, in increasing set order:
+	// a count, then each set's index and its PHTWays records. Decoding
+	// materialises exactly the coded sets.
 	ways := t.cfg.PHTWays
 	c.Len(len(t.dir) * ways)
 	if c.Decoding() {
-		// Only sets with a non-zero record are materialised: an all-zero
-		// set probes and allocates exactly like one never allocated.
 		t.clearPHT()
-		list := make([]uint64, t.cfg.Targets)
-		for i := range len(t.dir) * ways {
-			var e phtEntry
-			targets := t.phtRecord(c, &e, list[:0])
-			if e == (phtEntry{}) {
-				continue
-			}
-			j := t.frame(uint64(i/ways))*ways + i%ways
-			t.pht[j] = e
-			copy(t.targets[j*t.cfg.Targets:], targets)
+	}
+	set := -1
+	for range c.Count(len(t.pht)/ways, len(t.dir)) {
+		next := uint32(set + 1)
+		for !c.Decoding() && t.dir[next] == 0 {
+			next++
 		}
-	} else {
-		for _, f := range t.dir {
-			for w := range ways {
-				var e phtEntry // a set never allocated encodes as all-zero records
-				var targets []uint64
-				if f != 0 {
-					j := int(f-1)*ways + w
-					e, targets = t.pht[j], t.entryTargets(j)
-				}
-				t.phtRecord(c, &e, targets)
-			}
+		c.U32(&next)
+		if int(next) <= set || int(next) >= len(t.dir) {
+			c.Fail(fmt.Errorf("%w: tcp: PHT set %d after set %d of %d", checkpoint.ErrCorrupt, next, set, len(t.dir)))
+		}
+		if c.Err() != nil {
+			break
+		}
+		set = int(next)
+		base := t.frame(uint64(set)) * ways
+		for j := base; j < base+ways; j++ {
+			t.phtRecord(c, &t.pht[j], t.entryTargets(j))
 		}
 	}
 	for _, f := range t.st.fields() {
@@ -64,21 +62,21 @@ func (t *TCP) Snapshot(c *checkpoint.Codec) {
 	}
 }
 
-// phtRecord codes one PHT way: its tag (as a u64), recency, valid bit and
-// MRU target list, and returns the list. Decoding fills targets' backing
-// array, which must hold Targets slots, and sets e.n from the list.
-func (t *TCP) phtRecord(c *checkpoint.Codec, e *phtEntry, targets []uint64) []uint64 {
-	tag := uint64(e.tag)
-	c.U64(&tag)
+// phtRecord codes one PHT way: its tag, recency, valid bit and MRU target
+// list. Decoding fills targets' backing array, which must hold Targets
+// slots, and sets e.n from the list.
+func (t *TCP) phtRecord(c *checkpoint.Codec, e *phtEntry, targets []uint64) {
+	c.U32(&e.tag)
 	c.I64(&e.used)
 	c.Bool(&e.valid)
 	targets = targets[:c.Count(len(targets), t.cfg.Targets)]
 	for k := range targets {
 		c.U64(&targets[k])
 	}
-	if tag > t.tagMask {
-		c.Fail(fmt.Errorf("%w: tcp: PHT tag %#x wider than %d bits", checkpoint.ErrCorrupt, tag, t.cfg.TagBits))
+	if uint64(e.tag) > t.tagMask {
+		c.Fail(fmt.Errorf("%w: tcp: PHT tag %#x wider than %d bits", checkpoint.ErrCorrupt, e.tag, t.cfg.TagBits))
 	}
-	e.tag, e.n = uint32(tag), uint8(len(targets))
-	return targets
+	if c.Decoding() {
+		e.n = uint8(len(targets))
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/bits"
 	"runtime"
@@ -146,9 +147,22 @@ func (d *denseTCP) OnMiss(m trace.Miss) []prefetch.Request {
 
 // image returns the dense table's checkpoint in TCP's format. It is
 // encoded by hand, container framing included, so the reference shares no
-// code with the codec under test and a 2 M entry image stays cheap under
-// the race detector.
+// code with the codec under test. It codes every set with a non-zero
+// record: on the run path, exactly the sets the sparse table materialised.
 func (d *denseTCP) image() []byte {
+	w := d.cfg.PHTWays
+	var sets []int
+	for set := range d.cfg.PHTSets {
+		if slices.ContainsFunc(d.pht[set*w:][:w], func(e phtEntry) bool { return e != phtEntry{} }) {
+			sets = append(sets, set)
+		}
+	}
+	return d.imageOf(sets)
+}
+
+// imageOf is image with the PHT sets coded in the order given; a set
+// outside the table codes as all-zero records.
+func (d *denseTCP) imageOf(sets []int) []byte {
 	le := binary.LittleEndian
 	p := le.AppendUint64(nil, uint64(d.clock))
 	p = le.AppendUint32(p, uint32(len(d.thtFill)))
@@ -161,17 +175,27 @@ func (d *denseTCP) image() []byte {
 		p = le.AppendUint64(p, uint64(f))
 	}
 	p = le.AppendUint32(p, uint32(len(d.pht)))
-	for i, e := range d.pht {
-		p = le.AppendUint64(p, uint64(e.tag))
-		p = le.AppendUint64(p, uint64(e.used))
-		valid := byte(0)
-		if e.valid {
-			valid = 1
-		}
-		p = append(p, valid)
-		p = le.AppendUint32(p, uint32(e.n))
-		for _, tg := range d.entryTargets(i) {
-			p = le.AppendUint64(p, tg)
+	p = le.AppendUint32(p, uint32(len(sets)))
+	w := d.cfg.PHTWays
+	for _, set := range sets {
+		p = le.AppendUint32(p, uint32(set))
+		for way := range w {
+			var e phtEntry
+			var targets []uint64
+			if set < d.cfg.PHTSets {
+				e, targets = d.pht[set*w+way], d.entryTargets(set*w+way)
+			}
+			p = le.AppendUint32(p, e.tag)
+			p = le.AppendUint64(p, uint64(e.used))
+			valid := byte(0)
+			if e.valid {
+				valid = 1
+			}
+			p = append(p, valid)
+			p = le.AppendUint32(p, uint32(e.n))
+			for _, tg := range targets {
+				p = le.AppendUint64(p, tg)
+			}
 		}
 	}
 	for _, f := range d.st.fields() {
@@ -285,27 +309,46 @@ func zeroWayImage(g addr.Geometry) []byte {
 	return d.image()
 }
 
+// TestRestoreMaterialisesOnlyTrainedSets decodes hand-built images into a
+// trained TCP: exactly the coded sets are materialised and re-encode to
+// the same bytes, and a set list out of range or out of order, or longer
+// than the table, is corrupt.
 func TestRestoreMaterialisesOnlyTrainedSets(t *testing.T) {
 	g := l1()
+	sets := TCP8K(g).PHTSets
+	zero := newDense(TCP8K(g))
 	for _, tc := range []struct {
-		name string
-		img  []byte
-		sets int
+		name    string
+		img     []byte
+		sets    int
+		corrupt bool
 	}{
-		{"zero way before trained way", zeroWayImage(g), 1},
-		{"only zero sets", newDense(TCP8K(g)).image(), 0},
+		{"zero way before trained way", zeroWayImage(g), 1, false},
+		{"only zero sets", newDense(TCP8K(g)).image(), 0, false},
 		{"invalid way with non-zero fields", func() []byte {
 			d := newDense(TCP8K(g))
 			d.pht[9*d.cfg.PHTWays+2] = phtEntry{used: 3, tag: 7}
 			return d.image()
-		}(), 1},
+		}(), 1, false},
+		{"coded zero set", zero.imageOf([]int{4}), 1, false},
+		{"set out of range", zero.imageOf([]int{3, sets}), 0, true},
+		{"repeated set", zero.imageOf([]int{5, 5}), 0, true},
+		{"decreasing set", zero.imageOf([]int{9, 5}), 0, true},
+		{"count over PHTSets", zero.imageOf(make([]int, sets+1)), 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tcp := New(TCP8K(g))
 			for _, m := range missStream(g, 2000) { // stale sets decoding must drop
 				tcp.OnMiss(m)
 			}
-			if err := checkpoint.Decode(tc.img, tcp); err != nil {
+			err := checkpoint.Decode(tc.img, tcp)
+			if tc.corrupt {
+				if !errors.Is(err, checkpoint.ErrCorrupt) {
+					t.Fatalf("Decode = %v, want an error wrapping ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if sets := len(tcp.pht) / tcp.cfg.PHTWays; sets != tc.sets {

@@ -77,11 +77,9 @@ func (c *Core) fastStep(inst *workload.Inst) {
 	case workload.Load:
 		res.Loads++
 		c.mem.Access(addr.Addr(inst.Addr), addr.Addr(inst.PC), false, c.fclock)
-		c.p.memCount++
 	case workload.Store:
 		res.Stores++
 		c.mem.Access(addr.Addr(inst.Addr), addr.Addr(inst.PC), true, c.fclock)
-		c.p.memCount++
 	}
 	c.fclock++
 }
@@ -104,9 +102,6 @@ func (c *Core) SealFastForward() {
 	}
 	for i := range p.commitAt {
 		p.commitAt[i] = f
-	}
-	for i := range p.memCommit {
-		p.memCommit[i] = f
 	}
 	for _, pool := range [...]*fuPool{p.intALU, p.intMul, p.fpALU, p.fpMul, p.memPort} {
 		for i := range pool.freeAt {

@@ -56,10 +56,16 @@ const (
 	RedirectPenalty = 3 // extra front-end cycles after a mispredict resolves
 )
 
-// The pipeline indexes its rings with RUUSize-1 and LSQSize-1 as masks,
-// so both sizes must be powers of two: otherwise this array length is
-// negative and the package does not build.
-var _ [-(RUUSize&(RUUSize-1) | LSQSize&(LSQSize-1))]struct{}
+// The pipeline indexes its rings with RUUSize-1 as a mask, so RUUSize
+// must be a power of two: otherwise this array length is negative and the
+// package does not build.
+var _ [-(RUUSize & (RUUSize - 1))]struct{}
+
+// The LSQ is never modelled: the memory op LSQSize memory ops back is at
+// least LSQSize instructions back, and commit is in order, so with
+// LSQSize >= RUUSize it has committed by the time the RUU entry dispatch
+// waits on has. Otherwise this array length is negative.
+var _ [LSQSize - RUUSize]struct{}
 
 // Config parameterises the core.
 type Config struct {
@@ -88,7 +94,6 @@ type Result struct {
 	Branches           uint64
 	BranchMispredicts  uint64
 	DispatchStallRUU   uint64 // instructions whose dispatch waited on window space
-	DispatchStallLSQ   uint64
 	FetchRedirectStall uint64 // instructions delayed by a mispredict redirect
 }
 
@@ -131,7 +136,6 @@ func (r Result) sub(w Result) Result {
 		Branches:           r.Branches - w.Branches,
 		BranchMispredicts:  r.BranchMispredicts - w.BranchMispredicts,
 		DispatchStallRUU:   r.DispatchStallRUU - w.DispatchStallRUU,
-		DispatchStallLSQ:   r.DispatchStallLSQ - w.DispatchStallLSQ,
 		FetchRedirectStall: r.FetchRedirectStall - w.FetchRedirectStall,
 	}
 }
@@ -228,16 +232,14 @@ func (c *Core) syncCounters(instructions uint64, cycles int64) {
 // completion/commit rings, functional-unit scoreboards, and the front-end
 // cursors that carry from one committed instruction to the next. It is
 // built once per run and advanced by step. Instruction i occupies RUU slot
-// i&(RUUSize-1), and the n-th memory op LSQ slot n&(LSQSize-1).
+// i&(RUUSize-1).
 type pipeline struct {
 	mem          Memory
 	pred         branch.Predictor
 	onLoadRetire func(pc uint64, critical bool) // host wiring installed by SetOnLoadRetire, not simulated state
 
-	doneAt    [RUUSize]int64 // completion, ring by instruction index
-	commitAt  [RUUSize]int64 // commit, same ring
-	memCommit [LSQSize]int64
-	memCount  int
+	doneAt   [RUUSize]int64 // completion, ring by instruction index
+	commitAt [RUUSize]int64 // commit, same ring
 
 	intALU, intMul, fpALU, fpMul, memPort *fuPool
 
@@ -279,13 +281,6 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 		if w := p.commitAt[i&(RUUSize-1)]; w > d {
 			d = w
 			res.DispatchStallRUU++
-		}
-	}
-	isMem := inst.Class.IsMem()
-	if isMem && p.memCount >= LSQSize {
-		if w := p.memCommit[uint64(p.memCount)&(LSQSize-1)]; w > d {
-			d = w
-			res.DispatchStallLSQ++
 		}
 	}
 	if d > p.dispatchCycle {
@@ -377,10 +372,6 @@ func (p *pipeline) step(i uint64, inst *workload.Inst, res *Result) {
 	p.commitSlots++
 	p.lastCommit = cm
 	p.commitAt[i&(RUUSize-1)] = cm
-	if isMem {
-		p.memCommit[uint64(p.memCount)&(LSQSize-1)] = cm
-		p.memCount++
-	}
 }
 
 // Done returns the number of dynamic instructions processed so far.

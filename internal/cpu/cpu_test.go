@@ -165,35 +165,6 @@ func TestWindowLimitsOverlap(t *testing.T) {
 	}
 }
 
-func TestLSQLimitsMemOps(t *testing.T) {
-	// A full LSQ holds a memory op at dispatch until the entry LSQSize
-	// memory ops back commits; other instructions do not wait. On Table
-	// 1's core the RUU binds first (the LSQ is as large as the window),
-	// so the ring is filled by hand: LSQSize memory ops are in flight and
-	// the oldest commits at cycle 500.
-	c := New(Config{}, &fixedMem{latency: 1})
-	p := c.p
-	p.memCount = LSQSize
-	p.memCommit[0] = 500
-	var res Result
-	p.step(0, &workload.Inst{Class: workload.IntALU}, &res)
-	if res.DispatchStallLSQ != 0 || p.dispatchCycle != 0 {
-		t.Errorf("non-memory op waited on the LSQ: stalls %d, dispatch %d", res.DispatchStallLSQ, p.dispatchCycle)
-	}
-	p.step(1, &workload.Inst{Class: workload.Load, Addr: 0x1000}, &res)
-	if res.DispatchStallLSQ != 1 || p.dispatchCycle != 500 {
-		t.Errorf("load on a full LSQ: stalls %d, dispatch %d, want 1 and 500", res.DispatchStallLSQ, p.dispatchCycle)
-	}
-
-	// A stream of loads fills the LSQ, but each entry retires with its
-	// RUU entry, so the window stalls and the LSQ never does.
-	loads := []workload.Inst{{Class: workload.Load, Addr: 0x1000}}
-	r := run(t, Config{}, loads, 20000, 200)
-	if r.DispatchStallRUU == 0 || r.DispatchStallLSQ != 0 {
-		t.Errorf("loads: RUU stalls %d, LSQ stalls %d; want some and none", r.DispatchStallRUU, r.DispatchStallLSQ)
-	}
-}
-
 func TestBranchMispredictsStallFetch(t *testing.T) {
 	// Under an always-taken predictor a not-taken branch mispredicts: it
 	// issues at 1 and resolves at 2, and the next instruction dispatches

@@ -16,12 +16,11 @@ func snapshotResult(c *checkpoint.Codec, r *Result) {
 	c.U64(&r.Branches)
 	c.U64(&r.BranchMispredicts)
 	c.U64(&r.DispatchStallRUU)
-	c.U64(&r.DispatchStallLSQ)
 	c.U64(&r.FetchRedirectStall)
 }
 
 // Snapshot implements checkpoint.Snapshotter: run position and counters,
-// the full pipeline rolling state (completion/commit rings, LSQ ring,
+// the full pipeline rolling state (completion/commit rings,
 // functional-unit scoreboards, front-end cursors), and the branch
 // predictor (tagged with its scheme name for structural validation). The
 // core must run the predictor scheme of the one encoded; a mismatch fails
@@ -36,8 +35,6 @@ func (c *Core) Snapshot(cd *checkpoint.Codec) {
 	p := c.p
 	cd.I64s(p.doneAt[:])
 	cd.I64s(p.commitAt[:])
-	cd.I64s(p.memCommit[:])
-	cd.Int(&p.memCount)
 	for _, pool := range [...]*fuPool{p.intALU, p.intMul, p.fpALU, p.fpMul, p.memPort} {
 		cd.I64s(pool.freeAt)
 	}
@@ -57,8 +54,6 @@ func (c *Core) Snapshot(cd *checkpoint.Codec) {
 	switch {
 	case c.fclock < 0:
 		cd.Fail(fmt.Errorf("cpu: checkpoint functional clock %d negative", c.fclock))
-	case p.memCount < 0:
-		cd.Fail(fmt.Errorf("cpu: checkpoint LSQ count %d negative", p.memCount))
 	case p.dispatchSlots < 0 || p.dispatchSlots > IssueWidth || p.commitSlots < 0 || p.commitSlots > IssueWidth:
 		cd.Fail(fmt.Errorf("cpu: checkpoint slot counts (%d,%d) exceed issue width %d", p.dispatchSlots, p.commitSlots, IssueWidth))
 	}

@@ -51,15 +51,6 @@ type Predictor struct {
 	// runs), which rules out dropping an arbitrary map key.
 	ring     []uint64
 	ringHead int
-
-	stats Stats
-}
-
-// Stats counts predictor activity.
-type Stats struct {
-	Learned     uint64 // block deaths recorded
-	Queries     uint64
-	PredictDead uint64
 }
 
 // New creates a predictor from cfg (zero fields take defaults).
@@ -90,32 +81,14 @@ func (p *Predictor) OnEvict(a addr.Addr, fillAt, lastTouch int64) {
 		}
 	}
 	p.live[id] = lt
-	p.stats.Learned++
-}
-
-// IsDead reports whether block a, last touched at lastTouch, is predicted
-// dead at cycle now.
-func (p *Predictor) IsDead(a addr.Addr, lastTouch, now int64) bool {
-	p.stats.Queries++
-	idle := now - lastTouch
-	if idle < 0 {
-		return false
-	}
-	threshold := p.cfg.DefaultIdle
-	if lt, ok := p.live[p.cfg.Geom.BlockID(a)]; ok {
-		threshold = lt * p.cfg.SlackPct / 100
-	}
-	dead := idle > threshold
-	if dead {
-		p.stats.PredictDead++
-	}
-	return dead
 }
 
 // DeadAt returns the predicted death cycle for block a last touched at
 // lastTouch: the touch time plus the (slack-scaled) remembered live time,
-// or the default idle threshold for unknown blocks. The hybrid prefetcher
-// uses this to defer L1 promotion until the victim line is predicted dead.
+// or the default idle threshold for unknown blocks. The block is predicted
+// dead at every cycle from DeadAt on, once its idle time exceeds that
+// threshold. The hybrid prefetcher uses this to defer L1 promotion until
+// the victim line is predicted dead.
 func (p *Predictor) DeadAt(a addr.Addr, lastTouch int64) int64 {
 	threshold := p.cfg.DefaultIdle
 	if lt, ok := p.live[p.cfg.Geom.BlockID(a)]; ok {
@@ -129,6 +102,3 @@ func (p *Predictor) DeadAt(a addr.Addr, lastTouch int64) int64 {
 func (p *Predictor) StorageBits() uint64 {
 	return uint64(p.cfg.Entries) * (40 + 16)
 }
-
-// Stats returns predictor counters.
-func (p *Predictor) Stats() Stats { return p.stats }

@@ -8,6 +8,12 @@ import (
 
 func g() addr.Geometry { return addr.MustGeometry(32*1024, 1, 32) }
 
+// dead reports whether block a, last touched at lastTouch, is predicted
+// dead at cycle now: whether now has reached DeadAt.
+func dead(p *Predictor, a addr.Addr, lastTouch, now int64) bool {
+	return now >= p.DeadAt(a, lastTouch)
+}
+
 func TestDefaults(t *testing.T) {
 	p := New(Config{Geom: g()})
 	if p.cfg.Entries != 16384 || p.cfg.DefaultIdle != 4096 || p.cfg.SlackPct != 100 {
@@ -21,10 +27,10 @@ func TestDefaults(t *testing.T) {
 func TestUnknownBlockUsesDefaultIdle(t *testing.T) {
 	p := New(Config{Geom: g(), DefaultIdle: 100})
 	a := addr.Addr(0x1000)
-	if p.IsDead(a, 1000, 1050) {
+	if dead(p, a, 1000, 1050) {
 		t.Error("dead before default idle elapsed")
 	}
-	if !p.IsDead(a, 1000, 1101) {
+	if !dead(p, a, 1000, 1101) {
 		t.Error("not dead after default idle elapsed")
 	}
 }
@@ -35,16 +41,12 @@ func TestLearnedLiveTimeDrivesPrediction(t *testing.T) {
 	// Block lived 200 cycles (filled 0, last touch 200).
 	p.OnEvict(a, 0, 200)
 	// Idle 150 < live 200: alive.
-	if p.IsDead(a, 1000, 1150) {
+	if dead(p, a, 1000, 1150) {
 		t.Error("predicted dead while idle < live time")
 	}
 	// Idle 250 > live 200: dead.
-	if !p.IsDead(a, 1000, 1251) {
+	if !dead(p, a, 1000, 1251) {
 		t.Error("not predicted dead after idle > live time")
-	}
-	s := p.Stats()
-	if s.Learned != 1 || s.Queries != 2 || s.PredictDead != 1 {
-		t.Errorf("stats = %+v", s)
 	}
 }
 
@@ -52,10 +54,10 @@ func TestSlackScalesThreshold(t *testing.T) {
 	p := New(Config{Geom: g(), SlackPct: 200})
 	a := addr.Addr(0x3000)
 	p.OnEvict(a, 0, 100) // live 100, threshold 200
-	if p.IsDead(a, 0, 150) {
+	if dead(p, a, 0, 150) {
 		t.Error("dead below slack-scaled threshold")
 	}
-	if !p.IsDead(a, 0, 201) {
+	if !dead(p, a, 0, 201) {
 		t.Error("alive above slack-scaled threshold")
 	}
 }
@@ -64,10 +66,10 @@ func TestNegativeTimesClamped(t *testing.T) {
 	p := New(Config{Geom: g()})
 	a := addr.Addr(0x4000)
 	p.OnEvict(a, 500, 100) // lastTouch < fillAt: live time clamps to 0
-	if !p.IsDead(a, 0, 1) {
+	if !dead(p, a, 0, 1) {
 		t.Error("zero live time should predict dead after any idle")
 	}
-	if p.IsDead(a, 100, 50) { // now < lastTouch: never dead
+	if dead(p, a, 100, 50) { // now < lastTouch: never dead
 		t.Error("negative idle predicted dead")
 	}
 }
@@ -86,10 +88,10 @@ func TestBlockGranularity(t *testing.T) {
 	p := New(Config{Geom: g(), DefaultIdle: 1 << 40})
 	p.OnEvict(0x5000, 0, 300)
 	// Another address in the same 32B block shares the entry.
-	if p.IsDead(0x5008, 0, 250) {
+	if dead(p, 0x5008, 0, 250) {
 		t.Error("same-block address not sharing live time (dead too early)")
 	}
-	if !p.IsDead(0x5008, 0, 301) {
+	if !dead(p, 0x5008, 0, 301) {
 		t.Error("same-block address not sharing live time (never dead)")
 	}
 }
@@ -104,13 +106,6 @@ func TestDeadAt(t *testing.T) {
 	p.OnEvict(a, 0, 200) // live 200
 	if got := p.DeadAt(a, 1000); got != 1201 {
 		t.Errorf("DeadAt known = %d, want 1201", got)
-	}
-	// DeadAt must be consistent with IsDead.
-	if p.IsDead(a, 1000, 1200) {
-		t.Error("IsDead true before DeadAt")
-	}
-	if !p.IsDead(a, 1000, 1201) {
-		t.Error("IsDead false at DeadAt")
 	}
 }
 

@@ -14,9 +14,6 @@ import (
 // replaying the ring insertions in order.
 func (p *Predictor) Snapshot(c *checkpoint.Codec) {
 	c.Section("deadblock")
-	c.U64(&p.stats.Learned)
-	c.U64(&p.stats.Queries)
-	c.U64(&p.stats.PredictDead)
 	c.Int(&p.ringHead)
 	n := c.Count(len(p.ring), p.cfg.Entries)
 	if p.ringHead < 0 || n > 0 && p.ringHead >= p.cfg.Entries || n == 0 && p.ringHead != 0 {

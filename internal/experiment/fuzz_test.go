@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -48,6 +49,33 @@ func TestFastPathAcceptsWrittenManifests(t *testing.T) {
 		if ref, _ := referenceParse(data); sr != ref {
 			t.Errorf("template decoded\n%+v\nencoding/json decodes\n%+v", sr, ref)
 		}
+	}
+}
+
+// TestManifestWithLSQStallReads: a manifest written while sim.Result
+// still carried the CPU's DispatchStallLSQ counter (always 0) misses the
+// template, and the encoding/json fallback reads it to the Result the
+// same job gives now.
+func TestManifestWithLSQStallReads(t *testing.T) {
+	data, err := os.ReadFile("testdata/manifest-lsq.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"DispatchStallLSQ": 0`)) {
+		t.Fatal("fixture lacks its DispatchStallLSQ key")
+	}
+	if manifestLayout.match(data, reflect.ValueOf(&storedResult{}).Elem()) {
+		t.Fatal("the template matched a manifest with a field sim.Result no longer has")
+	}
+	var sr storedResult
+	if err := parseManifest(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	f := sim.TCP8K()
+	want := storedResult{Bench: "mcf", Factory: f.Name,
+		Result: sim.MustRun("mcf", f, sim.Config{Instructions: 2_000, Warmup: 2_000, Seed: 1})}
+	if sr != want {
+		t.Errorf("old manifest decoded\n%+v\nthe same job runs to\n%+v", sr, want)
 	}
 }
 

@@ -15,15 +15,12 @@ import (
 // decoders instead of dying at the checksum gate, and RestoreImage into a
 // fresh machine of the same row must return nil or an error, never panic.
 //
-// The seeds are every row's mid-warmup and post-boundary images, except
-// those over maxFuzzSeed: the engine marshals a seed to up to four times
-// its size and rejects one over 100 MB, which the 8 MB TCP's 44 MB images
-// are. That row's decoders are the tcp-8K rows'. The rows' small caches
-// keep most images near 40-90 KB; DBCP's and Markov's fixed tables keep
-// theirs at 6.6 and 2.9 MB, so pass -fuzzminimizetime=1s for short runs,
-// as CI does.
+// The seeds are every row's mid-warmup and post-boundary images. The
+// rows' small caches keep most images near 40-90 KB, the 8 MB TCP's
+// included, since its image codes only the PHT sets the run trained;
+// DBCP's and Markov's fixed tables keep theirs at 6.6 and 2.9 MB, so pass
+// -fuzzminimizetime=1s for short runs, as CI does.
 func FuzzMachineRestore(f *testing.F) {
-	const maxFuzzSeed = 16 << 20
 	for i, lc := range fuzzRows() {
 		m := mustMachine(f, "swim", lc.f, lc.cfg)
 		m.Observe(lc.tel)
@@ -33,9 +30,7 @@ func FuzzMachineRestore(f *testing.F) {
 			if err != nil {
 				f.Fatalf("%s at %d: checkpoint: %v", lc.label, at, err)
 			}
-			if len(img) <= maxFuzzSeed {
-				f.Add(uint8(i), img)
-			}
+			f.Add(uint8(i), img)
 		}
 	}
 	f.Fuzz(func(t *testing.T, row uint8, data []byte) {

@@ -272,6 +272,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.sweeps[id] = sw
 	s.mJobsCached.Add(uint64(cached))
 	s.tenantRec(req.Tenant).jobsCached += uint64(cached)
+	s.tenantActive(req.Tenant, 1) // until retireLocked
 	if len(refs) == 0 {
 		sw.state = StateDone
 		s.mSweepsDone.Inc()

@@ -25,6 +25,7 @@ package sweepd
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
 	"hash/fnv"
 	"net"
@@ -85,6 +86,13 @@ const (
 // 404; queued and running sweeps are never forgotten.
 const maxFinishedSweeps = 1024
 
+// maxTenants bounds the tenants whose accounting the daemon remembers,
+// each one sweepd.tenant.* set on /metrics. Past it the least recently
+// seen idle tenant is forgotten, in O(1) through a list; a tenant with a
+// queued or running sweep never is, so the map exceeds the bound only
+// while more tenants than that have work in flight.
+const maxTenants = maxFinishedSweeps
+
 // sweepRec is the daemon's record of one accepted sweep.
 type sweepRec struct {
 	id        string
@@ -128,6 +136,7 @@ type Server struct {
 	retired []*sweepRec // finished sweeps, oldest first; see maxFinishedSweeps
 	sched   *roundRobin
 	tenants map[string]*tenantStats
+	idle    *list.List           // names of tenants with no queued or running sweep, least recently seen first
 	workers []*experiment.Runner // serial, each with its own lease store
 	started bool
 	closed  bool
@@ -145,6 +154,8 @@ type tenantStats struct {
 	requests     uint64
 	jobsExecuted uint64
 	jobsCached   uint64
+	active       int           // queued or running sweeps
+	idle         *list.Element // place in Server.idle while active is 0
 }
 
 // New creates a daemon over cfg.Root, creating the version-scoped cache
@@ -187,6 +198,7 @@ func New(cfg Config) (*Server, error) {
 		sweeps:   make(map[string]*sweepRec),
 		sched:    newRoundRobin(),
 		tenants:  make(map[string]*tenantStats),
+		idle:     list.New(),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.mRequests = reg.Counter("sweepd.requests.total", "sweep requests received")
@@ -199,7 +211,7 @@ func New(cfg Config) (*Server, error) {
 	s.mJobsCached = reg.Counter("sweepd.jobs.cached", "jobs answered from the result cache at submit")
 	s.gSweepsActive = reg.Gauge("sweepd.sweeps.active", "sweeps currently queued or running")
 	s.gJobsQueued = reg.Gauge("sweepd.jobs.queued", "jobs waiting in the scheduler queue")
-	s.gTenantsActive = reg.Gauge("sweepd.tenants.active", "tenants that have submitted at least one sweep")
+	s.gTenantsActive = reg.Gauge("sweepd.tenants.active", "tenants whose accounting the daemon holds")
 	s.obs.AddMetrics(s.promSets)
 	s.srv = &http.Server{Handler: s.Handler()}
 	return s, nil
@@ -337,6 +349,7 @@ func (s *Server) finish(ref jobRef, err error) {
 // maxFinishedSweeps, forgets the oldest finished sweep unless a newer one
 // has taken over its id. Callers hold s.mu.
 func (s *Server) retireLocked(sw *sweepRec) {
+	s.tenantActive(sw.tenant, -1)
 	s.retired = append(s.retired, sw)
 	if len(s.retired) <= maxFinishedSweeps {
 		return
@@ -349,15 +362,38 @@ func (s *Server) retireLocked(sw *sweepRec) {
 	}
 }
 
-// tenantRec returns (creating if needed) a tenant's accounting record.
-// Callers hold s.mu.
+// tenantRec returns (creating if needed) a tenant's accounting record and
+// marks an idle tenant most recently seen. Creating one past maxTenants
+// forgets the least recently seen idle tenant. Callers hold s.mu.
 func (s *Server) tenantRec(name string) *tenantStats {
 	t := s.tenants[name]
-	if t == nil {
+	switch {
+	case t == nil:
+		if e := s.idle.Front(); e != nil && len(s.tenants) >= maxTenants {
+			delete(s.tenants, s.idle.Remove(e).(string))
+		}
 		t = &tenantStats{}
+		t.idle = s.idle.PushBack(name)
 		s.tenants[name] = t
+	case t.idle != nil:
+		s.idle.MoveToBack(t.idle)
 	}
 	return t
+}
+
+// tenantActive counts one more (d = 1) or one fewer (d = -1) queued or
+// running sweep for a tenant. A tenant with none is idle: it joins the
+// idle list, from which tenantRec may forget it. Callers hold s.mu.
+func (s *Server) tenantActive(name string, d int) {
+	t := s.tenantRec(name)
+	t.active += d
+	switch {
+	case t.active > 0 && t.idle != nil:
+		s.idle.Remove(t.idle)
+		t.idle = nil
+	case t.active == 0 && t.idle == nil:
+		t.idle = s.idle.PushBack(name)
+	}
 }
 
 // options assembles the experiment Options for a normalized request over

@@ -919,6 +919,70 @@ func TestFinishedSweepsAreBounded(t *testing.T) {
 	}
 }
 
+// TestTenantsAreBounded: 2 x maxTenants cached requests under fresh
+// tenants leave at most maxTenants tenants' accounting, and as many
+// tenant sets on /metrics, while a tenant whose sweep is still running
+// keeps its record.
+func TestTenantsAreBounded(t *testing.T) {
+	gate := make(chan struct{})
+	var s *Server
+	var ts *httptest.Server
+	s, ts = newTestServer(t, Config{Workers: 1}, nil)
+	s.exec = func(j experiment.Job) error {
+		if j.Bench == "mcf" {
+			<-gate
+		}
+		return manifestStub(s)(j)
+	}
+	t.Cleanup(func() { close(gate) })
+
+	req := Request{Sweep: "nbits", Benches: []string{"swim"}, Instructions: 10_000,
+		Warmup: 10_000, Tenant: "tenant-0"}
+	_, first, _ := postSweep(t, ts, req)
+	waitState(t, ts, first.ID, StateDone)
+	busy := req
+	busy.Benches, busy.Tenant = []string{"mcf"}, "busy"
+	if code, _, body := postSweep(t, ts, busy); code != http.StatusAccepted {
+		t.Fatalf("busy POST = %d %s", code, body)
+	}
+	h := s.Handler()
+	for i := 1; i < 2*maxTenants; i++ {
+		req.Tenant = fmt.Sprintf("tenant-%d", i)
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweeps", bytes.NewReader(body)))
+		if w.Code != http.StatusAccepted {
+			t.Fatalf("POST %d = %d %s", i, w.Code, w.Body.Bytes())
+		}
+	}
+	s.mu.Lock()
+	held, busyRec := len(s.tenants), s.tenants["busy"]
+	s.mu.Unlock()
+	if held > maxTenants {
+		t.Errorf("%d tenants held after %d, want at most %d", held, 2*maxTenants+1, maxTenants)
+	}
+	if busyRec == nil || busyRec.requests != 1 {
+		t.Errorf("busy tenant's record = %+v, want kept with its 1 request", busyRec)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	sets := 0
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if strings.HasPrefix(line, "tcp_sweepd_tenant_requests{") {
+			sets++
+		}
+	}
+	if sets == 0 || sets > maxTenants {
+		t.Errorf("/metrics renders %d tenant sets, want 1 to %d", sets, maxTenants)
+	}
+	if !strings.Contains(w.Body.String(), `tcp_sweepd_tenant_requests{tenant="busy"} 1`) {
+		t.Error("/metrics lost the busy tenant")
+	}
+}
+
 // BenchmarkCachedRequest times one cached request as a client makes it: a
 // POST under a fresh tenant, then the result GET, through the handler.
 // The grid is perfbench sweepd's 28-point size sweep over mcf and swim,
