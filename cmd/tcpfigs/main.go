@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -68,21 +69,20 @@ func run() int {
 	defer stopProf()
 	o := r.Options
 
-	bad := false
+	// Each figure renders into out and is printed only once the gather,
+	// if any, has found every point it submitted.
+	var out bytes.Buffer
 	emit := func(t *stats.Table) {
 		if *asCSV {
-			if err := t.WriteCSV(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tcpfigs:", err)
-				bad = true
-			}
+			t.WriteCSV(&out) //nolint:errcheck // a bytes.Buffer cannot fail
 			return
 		}
-		t.WriteTo(os.Stdout) //nolint:errcheck
+		t.WriteTo(&out) //nolint:errcheck
 	}
 	// sweep prints a Figure 13 curve as tcpsweep does.
 	sweep := func(name string) {
 		sw, _ := experiment.LookupSweep(name) //nolint:errcheck // names from the table
-		sw.Run(o).Print(os.Stdout)
+		sw.Run(o).Print(&out)
 	}
 
 	var prof map[string]profiler.Summary
@@ -94,7 +94,7 @@ func run() int {
 		return prof
 	}
 
-	runExp := func(id string) {
+	for _, id := range ids {
 		switch id {
 		case "table1":
 			emit(experiment.Table1())
@@ -117,10 +117,10 @@ func run() int {
 		case "fig12":
 			emit(experiment.Fig12Traffic(o))
 		case "fig13a":
-			fmt.Println("== Figure 13 (top): mean IPC vs PHT size ==")
+			fmt.Fprintln(&out, "== Figure 13 (top): mean IPC vs PHT size ==")
 			sweep("size")
 		case "fig13b":
-			fmt.Println("== Figure 13 (bottom): mean IPC vs miss-index bits ==")
+			fmt.Fprintln(&out, "== Figure 13 (bottom): mean IPC vs miss-index bits ==")
 			sweep("nbits")
 		case "fig14":
 			emit(experiment.Fig14Hybrid(o))
@@ -129,16 +129,14 @@ func run() int {
 		case "coverage":
 			emit(experiment.CoverageComparison(o))
 		}
-	}
-
-	for _, id := range ids {
-		if err := experiment.CatchIncomplete(func() { runExp(id) }); err != nil {
+		if err := r.Gather.Err(); err != nil {
 			return rf.Exit(err)
 		}
-		if bad {
+		out.WriteByte('\n')
+		if _, err := out.WriteTo(os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
 			return 1
 		}
-		fmt.Println()
 	}
 	r.PrintStats()
 	return 0

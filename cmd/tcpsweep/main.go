@@ -50,8 +50,8 @@ func run() int {
 	}
 	defer stopProf()
 
-	var res experiment.SweepResult
-	if err := experiment.CatchIncomplete(func() { res = sw.Run(r.Options) }); err != nil {
+	res := sw.Run(r.Options)
+	if err := r.Gather.Err(); err != nil {
 		return rf.Exit(err)
 	}
 	res.Print(os.Stdout)

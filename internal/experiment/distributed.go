@@ -6,13 +6,15 @@ package experiment
 // simulates each one, manifests publish results atomically, and every
 // worker blocks on peers' manifests for jobs it did not claim — so every
 // worker finishes holding the complete grid and renders output
-// byte-identical to a serial run. A final strict-gather pass re-renders
-// the same output from manifests alone, erroring on any hole instead of
+// byte-identical to a serial run. A final gather pass (Gather) re-renders
+// the same output from manifests alone and names every hole instead of
 // quietly re-simulating. See docs/DISTRIBUTED.md for the protocol and the
 // failure matrix.
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/sim"
@@ -25,13 +27,6 @@ import (
 // are reclaimed. Requires a ResultStore opened in resume mode on the same
 // directory. Call before submitting jobs.
 func (r *Runner) SetClaims(c *distrib.Store) { r.claims = c }
-
-// SetStrictGather makes the runner refuse to simulate any job: every one
-// must be answered by an existing manifest, and a missing or unreadable
-// manifest raises *IncompleteGridError. This is the -gather pass of a
-// distributed sweep — it assembles output from completed manifests and
-// proves the workers covered the whole grid.
-func (r *Runner) SetStrictGather(on bool) { r.strict = on }
 
 // StoreStats reports how many job submissions were answered from result
 // manifests on disk.
@@ -53,53 +48,103 @@ func (r *Runner) WorkerStats() (ws telemetry.WorkerStats, ok bool) {
 		ManifestHits: r.StoreStats()}, true
 }
 
-// IncompleteGridError reports a strict gather that found no manifest for a
-// job, meaning the distributed workers have not (yet) covered the grid.
-// It is raised as a panic through Runner.Map (like MustRun's unknown
-// benchmark) and surfaced as an error by the command-line tools.
+// Gather answers a grid from result manifests in one pass and simulates
+// nothing: the -gather pass of tcpsweep and tcpfigs, and the sweep
+// daemon's answer to a request. As a Runner's answer hook
+// (SetAnswer(g.Answer)) it dedupes every submitted batch on JobName,
+// looks each new point up once and hands every submission, repeats
+// included, its point's result; a point the lookup misses gets a zero
+// result and is recorded as missing. Output rendered while Err is nil is
+// byte-identical to a serial run over the same points.
+type Gather struct {
+	// Jobs are the grid's distinct points in first-submission order,
+	// Names their JobNames, and Missing the indexes the lookup missed.
+	Jobs    []Job
+	Names   []string
+	Missing []int
+
+	lookup   func(Job) (sim.Result, bool)
+	budget   int
+	index    map[string]int
+	answered []*sim.Result // each point's result where Answer first handed it out
+}
+
+// NewGather returns a pass answering each point through lookup. It looks
+// nothing up once the grid holds more than budget points, so a grid
+// submitted in one batch, as every Sweeps row is, and rejected for its
+// size costs no manifest read.
+func NewGather(lookup func(Job) (sim.Result, bool), budget int) *Gather {
+	return &Gather{lookup: lookup, budget: budget, index: make(map[string]int)}
+}
+
+// Answer is the Runner answer hook.
+func (g *Gather) Answer(batch []Job) []sim.Result {
+	at := make([]int, len(batch))
+	g.Jobs = slices.Grow(g.Jobs, len(batch))
+	g.Names = slices.Grow(g.Names, len(batch))
+	for k, j := range batch {
+		name := JobName(j)
+		i, seen := g.index[name]
+		if !seen {
+			i = len(g.Jobs)
+			g.index[name] = i
+			g.Jobs = append(g.Jobs, j)
+			g.Names = append(g.Names, name)
+		}
+		at[k] = i
+	}
+	out := make([]sim.Result, len(batch))
+	if len(g.Jobs) > g.budget {
+		return out
+	}
+	// Points are numbered in first-seen order, so the first point not yet
+	// answered is the next new one: it is looked up where it first appears
+	// and copied to its repeats.
+	for k, i := range at {
+		if i < len(g.answered) {
+			out[k] = *g.answered[i]
+			continue
+		}
+		res, ok := g.lookup(g.Jobs[i])
+		if !ok {
+			g.Missing = append(g.Missing, i)
+		}
+		out[k] = res
+		g.answered = append(g.answered, &out[k])
+	}
+	return out
+}
+
+// Err returns nil when every point submitted so far was found, else an
+// *IncompleteGridError naming every missing point. A nil Gather has none.
+func (g *Gather) Err() error {
+	if g == nil || len(g.Missing) == 0 {
+		return nil
+	}
+	e := &IncompleteGridError{}
+	for _, i := range g.Missing {
+		e.Jobs = append(e.Jobs, g.Jobs[i])
+		e.Names = append(e.Names, g.Names[i])
+	}
+	return e
+}
+
+// IncompleteGridError reports the points a gather found no manifest for:
+// the distributed workers have not (yet) covered the grid, or a manifest
+// was deleted. Names are their manifest filenames, to match against lease
+// files and flight logs in the checkpoint directory.
 type IncompleteGridError struct {
-	Bench    string
-	Factory  string
-	Baseline bool
-	// Job is the missing manifest's filename, so operators can match the
-	// hole against lease files and flight logs in the checkpoint directory
-	// (tcpstatus reports the last-known holder per job).
-	Job string
+	Jobs  []Job
+	Names []string
 }
 
 func (e *IncompleteGridError) Error() string {
-	kind := "job"
-	if e.Baseline {
-		kind = "baseline job"
+	var b strings.Builder
+	fmt.Fprintf(&b, "experiment: gather: no manifest for %d grid point(s) — the distributed workers have not completed this grid:", len(e.Names))
+	for i, j := range e.Jobs {
+		fmt.Fprintf(&b, " %s (%s/%s)", e.Names[i], j.Bench, j.Factory.Name)
 	}
-	return fmt.Sprintf("experiment: gather: no manifest %s for %s %s/%s — the distributed workers have not completed this grid",
-		e.Job, kind, e.Bench, e.Factory)
-}
-
-// CatchIncomplete runs fn and returns the *IncompleteGridError a strict
-// gather raised inside it as an ordinary error. Any other panic propagates.
-func CatchIncomplete(fn func()) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			ige, ok := p.(*IncompleteGridError)
-			if !ok {
-				panic(p)
-			}
-			err = ige
-		}
-	}()
-	fn()
-	return nil
-}
-
-// requireComplete enforces strict-gather mode for a job whose manifest
-// lookup just missed.
-func (r *Runner) requireComplete(j Job) {
-	if !r.strict {
-		return
-	}
-	panic(&IncompleteGridError{Bench: j.Bench, Factory: j.Factory.Name, Baseline: j.Baseline,
-		Job: JobName(j)})
+	return b.String()
 }
 
 // runDistributed resolves one job against the shared directory: answer it
@@ -109,7 +154,7 @@ func (r *Runner) requireComplete(j Job) {
 func (r *Runner) runDistributed(j Job) sim.Result {
 	name := JobName(j)
 	for attempt := 0; ; attempt++ {
-		if res, ok := r.store.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config); ok {
+		if res, ok := r.store.LookupJob(j); ok {
 			r.storeHits.Add(1)
 			return res
 		}

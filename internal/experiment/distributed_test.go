@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -17,7 +21,7 @@ import (
 // under test is the one docs/DISTRIBUTED.md promises: whatever workers
 // crash, the survivors finish the grid, no result is lost or duplicated,
 // every worker's rendered output is byte-identical to a serial run, and a
-// strict -gather pass re-renders the same bytes from manifests alone.
+// gather pass re-renders the same bytes from manifests alone.
 
 // distTTL is deliberately short so stale-lease steals happen quickly on the
 // system clock; production default is 30s.
@@ -119,17 +123,17 @@ func manifestNames(t *testing.T, dir string) []string {
 	return names
 }
 
-// gatherFig13 runs the strict -gather pass: manifests only, no simulation.
-func gatherFig13(t *testing.T, dir string) (string, *Runner) {
+// gatherFig13 runs the -gather pass: manifests only, no simulation.
+func gatherFig13(t *testing.T, dir string) (string, *Gather) {
 	t.Helper()
 	store, err := NewResultStore(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := NewGather(store.LookupJob, math.MaxInt)
 	r := NewRunner(1)
-	r.SetResultStore(store)
-	r.SetStrictGather(true)
-	return Fig13IndexBits(fig13Options(r)).String(), r
+	r.SetAnswer(g.Answer)
+	return Fig13IndexBits(fig13Options(r)).String(), g
 }
 
 // testCrashPoint is the shared scenario: worker w1 runs first and crashes at
@@ -191,13 +195,13 @@ func testCrashPoint(t *testing.T, point distrib.Point) {
 		seen[n] = true
 	}
 
-	// Strict gather re-renders identical bytes from manifests alone.
-	gathered, gr := gatherFig13(t, dir)
+	// The gather re-renders identical bytes from manifests alone.
+	gathered, g := gatherFig13(t, dir)
 	if gathered != serial {
 		t.Errorf("gather output differs from serial run:\n got: %q\nwant: %q", gathered, serial)
 	}
-	if hits := gr.StoreStats(); hits != 8 {
-		t.Errorf("gather manifest hits = %d, want 8 (gather must not simulate)", hits)
+	if len(g.Jobs) != 8 || g.Err() != nil {
+		t.Errorf("gather found %d points, holes %v; want 8 points, none missing", len(g.Jobs), g.Err())
 	}
 }
 
@@ -324,8 +328,9 @@ func TestDistributedBaselineJobs(t *testing.T) {
 	}
 }
 
-// TestGatherIncompleteGrid: strict gather over a directory missing one
-// manifest raises *IncompleteGridError instead of quietly re-simulating.
+// TestGatherIncompleteGrid: a gather over a directory missing two
+// manifests returns an *IncompleteGridError naming exactly those two
+// points instead of quietly re-simulating.
 func TestGatherIncompleteGrid(t *testing.T) {
 	dir := t.TempDir()
 	w := runFig13Worker(t, dir, "w1", nil)
@@ -336,20 +341,31 @@ func TestGatherIncompleteGrid(t *testing.T) {
 	if len(names) != 8 {
 		t.Fatalf("manifests = %d, want 8", len(names))
 	}
-	if err := os.Remove(filepath.Join(dir, names[3])); err != nil {
-		t.Fatal(err)
+	gone := []string{names[3], names[6]}
+	for _, n := range gone {
+		if err := os.Remove(filepath.Join(dir, n)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	defer func() {
-		p := recover()
-		ige, ok := p.(*IncompleteGridError)
-		if !ok {
-			t.Fatalf("recover = %v, want *IncompleteGridError", p)
+	_, g := gatherFig13(t, dir)
+	var ige *IncompleteGridError
+	if !errors.As(g.Err(), &ige) {
+		t.Fatalf("gather over an incomplete grid = %v, want *IncompleteGridError", g.Err())
+	}
+	got := slices.Clone(ige.Names)
+	slices.Sort(got)
+	if !slices.Equal(got, gone) || len(ige.Jobs) != 2 {
+		t.Errorf("holes = %v, want %v", got, gone)
+	}
+	for i, j := range ige.Jobs {
+		if JobName(j) != ige.Names[i] {
+			t.Errorf("hole %d: job %s/%s is named %s, want %s", i, j.Bench, j.Factory.Name, JobName(j), ige.Names[i])
 		}
-		if ige.Bench == "" || ige.Factory == "" {
-			t.Errorf("error missing job identity: %+v", ige)
+	}
+	for _, n := range gone {
+		if !strings.Contains(ige.Error(), n) {
+			t.Errorf("error %q does not name %s", ige.Error(), n)
 		}
-	}()
-	gatherFig13(t, dir)
-	t.Fatal("gather over incomplete grid did not raise IncompleteGridError")
+	}
 }

@@ -73,10 +73,8 @@ type Runner struct {
 	warm          map[warmKey]*warmEntry
 
 	// distributed-sweep state: the lease store for claiming jobs against
-	// other workers sharing the checkpoint directory, and the strict
-	// gather mode that forbids simulation (see distributed.go).
+	// other workers sharing the checkpoint directory (see distributed.go).
 	claims *distrib.Store
-	strict bool
 
 	// answer, when non-nil, answers every Map batch in place of the
 	// runner (see SetAnswer): nothing is simulated, claimed or memoised.
@@ -125,10 +123,10 @@ func (r *Runner) WarmForkStats() (warmups, forks uint64) {
 // claims nothing, and bypasses the memo, warm forking and the result
 // store, so fn sees every submitted job, duplicates included (dedupe on
 // JobName). fn is called on Map's goroutine, one batch at a time, whatever
-// the pool width. The sweep daemon (internal/sweepd) answers a request
-// this way: the experiment's own job-construction code enumerates the
-// grid, so the plan can never drift from execution, and fn answers each
-// point from the manifest store in the same pass.
+// the pool width. A Gather answers a grid from manifests this way: the
+// experiment's own job-construction code enumerates the grid, so the plan
+// can never drift from execution, and each point is answered in the same
+// pass.
 func (r *Runner) SetAnswer(fn func([]Job) []sim.Result) { r.answer = fn }
 
 // SetPlan puts the runner in job-enumeration mode: Map records every job
@@ -203,18 +201,17 @@ func normalizedPoint(c sim.Config) sim.Config {
 	return n
 }
 
-// resolve answers one grid point: from its manifest, else through the
-// claim protocol in distributed mode, else — unless a strict gather
-// forbids it — by simulating and publishing the manifest.
+// resolve answers one grid point: through the claim protocol in
+// distributed mode, whose every attempt reads the manifest first, else
+// from its manifest or by simulating and publishing the manifest.
 func (r *Runner) resolve(j Job) sim.Result {
-	if res, ok := r.store.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config); ok {
-		r.storeHits.Add(1)
-		return res
-	}
 	if r.claims != nil {
 		return r.runDistributed(j)
 	}
-	r.requireComplete(j)
+	if res, ok := r.store.LookupJob(j); ok {
+		r.storeHits.Add(1)
+		return res
+	}
 	res := r.simulate(j.Bench, j.Factory, j.Config)
 	r.store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config, res)
 	return res

@@ -124,6 +124,11 @@ func (s *ResultStore) Lookup(bench, factory string, baseline bool, c sim.Config)
 	return e.sr.Result, true
 }
 
+// LookupJob is Lookup for one job.
+func (s *ResultStore) LookupJob(j Job) (sim.Result, bool) {
+	return s.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config)
+}
+
 // consulted reports whether Lookup reads manifests: the store is in resume
 // mode. A nil store is not consulted.
 func (s *ResultStore) consulted() bool { return s != nil && s.resume }

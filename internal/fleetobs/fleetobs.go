@@ -410,18 +410,6 @@ func lastWorker(evs []distrib.FlightEvent) string {
 	return evs[len(evs)-1].Worker
 }
 
-// Incomplete returns the snapshot's not-done jobs, in name order — the
-// holes a strict gather would report, each with its last-known holder.
-func (s *FleetSnapshot) Incomplete() []JobStatus {
-	var out []JobStatus
-	for _, js := range s.Jobs {
-		if js.State != JobDone {
-			out = append(out, js)
-		}
-	}
-	return out
-}
-
 // Rollup aggregates the snapshot's view of a named job subset — typically
 // one sweep's job set inside a directory shared by many sweeps. Jobs
 // absent from the snapshot have left no trace on disk (no lease, flight

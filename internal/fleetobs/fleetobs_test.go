@@ -3,14 +3,19 @@ package fleetobs_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/experiment/distrib"
 	"tagprefetch/internal/fleetobs"
+	"tagprefetch/internal/sim"
 )
 
 // writeLease publishes a lease record the way a worker would leave it.
@@ -276,37 +281,58 @@ func TestTimelineMergesAndOrders(t *testing.T) {
 	}
 }
 
+// TestWriteHoles: a gather over a grid with one stale-leased hole and one
+// hole no worker ever claimed names both, and the hole list shows each
+// with its last-known holder: the stale lease's worker, and no known
+// holder for the job that left no trace on disk. Points with manifests
+// are not listed.
 func TestWriteHoles(t *testing.T) {
 	dir := t.TempDir()
-	const jobDone = "job-000000000000000a.json"
-	const jobStale = "job-000000000000000b.json"
-	writeManifest(t, dir, jobDone)
-	// A stale holder: heartbeat far in the past on the system clock.
-	writeLease(t, dir, jobStale, "w9", 1, int64(time.Millisecond), 4)
-
-	var b bytes.Buffer
-	if err := fleetobs.WriteHoles(&b, dir); err != nil {
-		t.Fatalf("WriteHoles: %v", err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "1 incomplete job(s)") {
-		t.Errorf("WriteHoles output missing count:\n%s", out)
-	}
-	if !strings.Contains(out, jobStale) || !strings.Contains(out, "w9") || !strings.Contains(out, "stale") {
-		t.Errorf("WriteHoles output missing stale job detail:\n%s", out)
-	}
-	if strings.Contains(out, jobDone) {
-		t.Errorf("WriteHoles listed a completed job:\n%s", out)
-	}
-
-	var empty bytes.Buffer
-	done := t.TempDir()
-	writeManifest(t, done, jobDone)
-	if err := fleetobs.WriteHoles(&empty, done); err != nil {
+	store, err := experiment.NewResultStore(dir, true)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(empty.String(), "no incomplete jobs") {
-		t.Errorf("complete dir output = %q", empty.String())
+	gather := func() *experiment.Gather {
+		g := experiment.NewGather(store.LookupJob, math.MaxInt)
+		r := experiment.NewRunner(1)
+		r.SetAnswer(g.Answer)
+		experiment.Fig13IndexBits(experiment.Options{Instructions: 8_000, Warmup: 8_000, Seed: 1,
+			Benches: []string{"swim", "mcf"}, Runner: r})
+		return g
+	}
+	plan := gather()
+	if len(plan.Jobs) != 8 {
+		t.Fatalf("grid has %d points, want 8", len(plan.Jobs))
+	}
+	stale, never := plan.Names[2], plan.Names[5]
+	for i, j := range plan.Jobs {
+		if n := plan.Names[i]; n != stale && n != never {
+			store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config, sim.Result{})
+		}
+	}
+	// A stale holder: heartbeat far in the past on the system clock.
+	writeLease(t, dir, stale, "w9", 1, int64(time.Millisecond), 4)
+
+	var ige *experiment.IncompleteGridError
+	if err := gather().Err(); !errors.As(err, &ige) {
+		t.Fatalf("gather = %v, want *experiment.IncompleteGridError", err)
+	}
+	if want := []string{stale, never}; !slices.Equal(ige.Names, want) {
+		t.Fatalf("gather holes = %v, want %v", ige.Names, want)
+	}
+	var b bytes.Buffer
+	if err := fleetobs.WriteHoles(&b, dir, ige.Names); err != nil {
+		t.Fatalf("WriteHoles: %v", err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[0], "2 incomplete job(s)") {
+		t.Fatalf("WriteHoles output = %q, want a count line and two holes", b.String())
+	}
+	if l := lines[1]; !strings.Contains(l, stale) || !strings.Contains(l, "stale, last holder w9") {
+		t.Errorf("stale hole line = %q", l)
+	}
+	if l := lines[2]; !strings.Contains(l, never) || !strings.Contains(l, "pending, no known holder") {
+		t.Errorf("never-claimed hole line = %q", l)
 	}
 }
 

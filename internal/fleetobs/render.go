@@ -26,21 +26,17 @@ func orDash(s string) string {
 	return s
 }
 
-// WriteHoles scans dir and lists its incomplete jobs with their last-known
-// lease holders — what tcpsweep/tcpfigs print when a strict gather raises
-// *experiment.IncompleteGridError, so operators know which worker to
-// restart. Grid jobs no worker ever touched leave no trace on disk and
-// cannot be listed; the gather error itself names the first such hole.
-func WriteHoles(w io.Writer, dir string) error {
+// WriteHoles lists the named jobs — the holes a gather found
+// (*experiment.IncompleteGridError) — with the last-known lease holder
+// dir shows for each, so operators know which worker to restart. A job no
+// worker ever touched left no trace on disk and is listed as pending with
+// no known holder.
+func WriteHoles(w io.Writer, dir string, jobs []string) error {
 	snap, err := Scan(dir, nil)
 	if err != nil {
 		return err
 	}
-	holes := snap.Incomplete()
-	if len(holes) == 0 {
-		_, err := fmt.Fprintf(w, "no incomplete jobs discovered in %s (missing jobs were never claimed)\n", dir)
-		return err
-	}
+	_, holes := snap.Rollup(jobs)
 	if _, err := fmt.Fprintf(w, "%d incomplete job(s) in %s:\n", len(holes), dir); err != nil {
 		return err
 	}

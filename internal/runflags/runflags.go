@@ -4,7 +4,10 @@
 // tcpsim and tcptrace bind it alone. The grid set embeds it and adds the
 // grid-run flags tcpfigs and tcpsweep share: benchmark subset, workers,
 // checkpoint directory, result store, distributed claims, flight recorder
-// and strict gather; it wires the experiment Runner they describe.
+// and -gather; it wires the experiment Runner they describe. Under
+// -gather the Runner answers every grid point through an
+// experiment.Gather over the directory's manifests, the pass the sweep
+// daemon answers requests with, and Run.Gather reports what it missed.
 // Tool-specific flags (-bench, -exp, -sweep, -csv, -json, -report) stay in
 // each command.
 package runflags
@@ -13,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -132,6 +136,10 @@ func usage(format string, a ...any) error {
 // Run is a validated grid run: its Options carry the wired Runner.
 type Run struct {
 	Options experiment.Options
+	// Gather answers the Runner under -gather, else it is nil. A tool
+	// checks Gather.Err after each figure and prints the figure only
+	// when it is nil.
+	Gather *experiment.Gather
 
 	tool string
 }
@@ -235,7 +243,10 @@ func (f *Flags) run(exp string, cfg sim.Config) (*Run, error) {
 		store.SetRecorder(rec)
 		o.Runner.SetClaims(claims)
 	}
-	o.Runner.SetStrictGather(*f.gather)
+	if *f.gather {
+		r.Gather = experiment.NewGather(store.LookupJob, math.MaxInt)
+		o.Runner.SetAnswer(r.Gather.Answer)
+	}
 	return r, nil
 }
 
@@ -251,7 +262,11 @@ func (r *Run) PrintStats() []telemetry.WorkerStats {
 		fmt.Fprintf(os.Stderr, "%s: warm fork: %d warmups simulated, %d grid points forked\n",
 			r.tool, warmups, forks)
 	}
-	if hits := run.StoreStats(); hits > 0 {
+	hits := run.StoreStats()
+	if g := r.Gather; g != nil {
+		hits = uint64(len(g.Jobs) - len(g.Missing))
+	}
+	if hits > 0 {
 		fmt.Fprintf(os.Stderr, "%s: %d jobs answered from result manifests\n", r.tool, hits)
 	}
 	ws, ok := run.WorkerStats()
@@ -271,7 +286,7 @@ func (f *Flags) Exit(err error) int {
 	code := f.Window.Exit(err)
 	var ige *experiment.IncompleteGridError
 	if errors.As(err, &ige) {
-		if herr := fleetobs.WriteHoles(os.Stderr, *f.ckptDir); herr != nil {
+		if herr := fleetobs.WriteHoles(os.Stderr, *f.ckptDir, ige.Names); herr != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", f.tool, herr)
 		}
 	}

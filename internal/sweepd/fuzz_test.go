@@ -50,26 +50,26 @@ func FuzzSweepRequest(f *testing.F) {
 			reject("normalize", err)
 			return
 		}
-		a, err := pass(storeLookup(store), req, admission.budget(req))
+		g, body, err := answer(store.LookupJob, req, admission.budget(req))
 		if err != nil {
-			reject("pass", err)
+			reject("answer", err)
 			return
 		}
-		if len(a.jobs) > admission.budget(req) {
-			t.Fatalf("admitted %d jobs over a budget of %d", len(a.jobs), admission.budget(req))
+		if len(g.Jobs) > admission.budget(req) {
+			t.Fatalf("admitted %d jobs over a budget of %d", len(g.Jobs), admission.budget(req))
 		}
-		if len(a.missing) != len(a.jobs) || a.body != nil {
-			t.Fatalf("empty store: %d of %d points missed, body %q", len(a.missing), len(a.jobs), a.body)
+		if len(g.Missing) != len(g.Jobs) || body != nil {
+			t.Fatalf("empty store: %d of %d points missed, body %q", len(g.Missing), len(g.Jobs), body)
 		}
-		seen := make(map[string]bool, len(a.names))
-		for i, j := range a.jobs {
+		seen := make(map[string]bool, len(g.Names))
+		for i, j := range g.Jobs {
 			if err := j.Config.Validate(); err != nil {
 				t.Fatalf("admitted job %s/%s fails validation: %v", j.Bench, j.Factory.Name, err)
 			}
-			if seen[a.names[i]] {
-				t.Fatalf("duplicate job name %s", a.names[i])
+			if seen[g.Names[i]] {
+				t.Fatalf("duplicate job name %s", g.Names[i])
 			}
-			seen[a.names[i]] = true
+			seen[g.Names[i]] = true
 		}
 	})
 }

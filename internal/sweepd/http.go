@@ -224,13 +224,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	// Answer outside the lock: the pass runs the sweep definition (no
 	// simulation), rejects a grid over the job budget and reads manifests.
-	a, err := s.answerFor(req)
+	g, body, err := s.answerFor(req)
 	if err != nil {
 		s.mInvalid.Inc()
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cached := len(a.jobs) - len(a.missing)
+	cached := len(g.Jobs) - len(g.Missing)
 
 	s.mu.Lock()
 	if s.closed {
@@ -245,29 +245,29 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, status)
 		return
 	}
-	if s.sched.queued+len(a.missing) > s.cfg.MaxQueuedJobs {
+	if s.sched.queued+len(g.Missing) > s.cfg.MaxQueuedJobs {
 		retry := s.retryAfterLocked()
 		s.mRejected.Inc()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
 		writeError(w, http.StatusTooManyRequests,
 			fmt.Errorf("sweepd: queue full (%d queued, %d requested, limit %d)",
-				s.sched.queued, len(a.missing), s.cfg.MaxQueuedJobs))
+				s.sched.queued, len(g.Missing), s.cfg.MaxQueuedJobs))
 		return
 	}
 	sw := &sweepRec{
 		id: id, tenant: req.Tenant, req: req,
 		state:     StateQueued,
 		createdNS: s.cfg.Clock.Now(),
-		jobs:      a.jobs, jobNames: a.names,
-		pending: make(map[string]bool, len(a.missing)),
+		jobs:      g.Jobs, jobNames: g.Names,
+		pending: make(map[string]bool, len(g.Missing)),
 		cached:  cached,
-		result:  a.body,
+		result:  body,
 	}
-	refs := make([]jobRef, len(a.missing))
-	for i, m := range a.missing {
-		sw.pending[a.names[m]] = true
-		refs[i] = jobRef{sw: sw, job: a.jobs[m], name: a.names[m]}
+	refs := make([]jobRef, len(g.Missing))
+	for i, m := range g.Missing {
+		sw.pending[g.Names[m]] = true
+		refs[i] = jobRef{sw: sw, job: g.Jobs[m], name: g.Names[m]}
 	}
 	s.sweeps[id] = sw
 	s.mJobsCached.Add(uint64(cached))
@@ -377,23 +377,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	body := sw.result
 	s.mu.Unlock()
 	if body == nil {
-		a, err := s.answerFor(sw.req)
+		g, answered, err := s.answerFor(sw.req)
+		if err == nil {
+			// A done sweep with a point missing means manifests were
+			// deleted out from under the cache; the grid must re-run.
+			err = g.Err()
+		}
 		if err != nil {
 			writeError(w, http.StatusConflict, err)
 			return
 		}
-		if len(a.missing) > 0 {
-			// A done sweep with a point missing means manifests were
-			// deleted out from under the cache; the grid must re-run.
-			m := a.missing[0]
-			j := a.jobs[m]
-			writeError(w, http.StatusConflict, &experiment.IncompleteGridError{
-				Bench: j.Bench, Factory: j.Factory.Name, Baseline: j.Baseline, Job: a.names[m]})
-			return
-		}
 		s.mu.Lock()
 		if sw.result == nil {
-			sw.result = a.body
+			sw.result = answered
 		}
 		body = sw.result
 		s.mu.Unlock()

@@ -1,6 +1,10 @@
 package sweepd
 
-import "tagprefetch/internal/experiment"
+import (
+	"slices"
+
+	"tagprefetch/internal/experiment"
+)
 
 // jobRef is one queued unit of work: a cache-miss grid point owed to one
 // sweep. The same underlying grid point queued by two sweeps yields two
@@ -18,40 +22,36 @@ type tenantQ struct {
 	refs []jobRef
 }
 
-// roundRobin schedules over per-tenant FIFOs: each pop serves the next
-// tenant with work, one ref per tenant per round. With two saturated
-// tenants every consecutive pair of pops serves both, so neither starves
-// no matter how many sweeps the other piles up. Tenants are visited in
-// first-seen order; an empty tenant is skipped but keeps its slot, so a
-// tenant that refills resumes at its old position rather than jumping the
-// queue.
+// roundRobin schedules over per-tenant FIFOs: each pop serves the tenant
+// at the front of the ring, one ref per tenant per round, and the tenant
+// served last rejoins the ring's back at the next pop, behind any tenant
+// that arrived meanwhile. With two saturated tenants every consecutive
+// pair of pops serves both, so neither starves no matter how many sweeps
+// the other piles up. The scheduler holds only tenants with queued refs:
+// a tenant that drains leaves it, so pop is O(1) and a drained tenant
+// costs nothing; one that refills joins at the back.
 //
 // roundRobin is not self-locking: the Server's mutex guards every method.
 type roundRobin struct {
-	order  []*tenantQ
+	order  []*tenantQ // the ring, next to serve first
+	served *tenantQ   // served last and still queued; rejoins order at the next pop
 	byName map[string]*tenantQ
-	cursor int // index of the tenant served last (-1 before the first pop)
 	queued int // total refs across all tenants
 }
 
 func newRoundRobin() *roundRobin {
-	return &roundRobin{byName: make(map[string]*tenantQ), cursor: -1}
+	return &roundRobin{byName: make(map[string]*tenantQ)}
 }
 
-// tenant returns (creating if needed) the named tenant's queue.
-func (q *roundRobin) tenant(name string) *tenantQ {
-	t := q.byName[name]
+// push appends refs, at least one, to the tenant's FIFO, adding the
+// tenant to the back of the ring when it had none queued.
+func (q *roundRobin) push(tenant string, refs ...jobRef) {
+	t := q.byName[tenant]
 	if t == nil {
-		t = &tenantQ{name: name}
-		q.byName[name] = t
+		t = &tenantQ{name: tenant}
+		q.byName[tenant] = t
 		q.order = append(q.order, t)
 	}
-	return t
-}
-
-// push appends refs to the tenant's FIFO.
-func (q *roundRobin) push(tenant string, refs ...jobRef) {
-	t := q.tenant(tenant)
 	t.refs = append(t.refs, refs...)
 	q.queued += len(refs)
 }
@@ -59,49 +59,50 @@ func (q *roundRobin) push(tenant string, refs ...jobRef) {
 // pop removes and returns the next ref under the round-robin policy; ok is
 // false when nothing is queued.
 func (q *roundRobin) pop() (jobRef, bool) {
-	if q.queued == 0 {
+	if q.served != nil {
+		q.order = append(q.order, q.served)
+		q.served = nil
+	}
+	if len(q.order) == 0 {
 		return jobRef{}, false
 	}
-	// Advance to the next tenant with work, starting after the cursor
-	// (from the front when nothing has been popped yet).
-	n := len(q.order)
-	start := q.cursor + 1
-	for i := 0; i < n; i++ {
-		idx := (start + i) % n
-		t := q.order[idx]
-		if len(t.refs) == 0 {
-			continue
-		}
-		q.cursor = idx
-		return q.take(t), true
-	}
-	return jobRef{}, false
-}
-
-func (q *roundRobin) take(t *tenantQ) jobRef {
+	t := q.order[0]
+	q.order[0] = nil
+	q.order = q.order[1:]
 	ref := t.refs[0]
+	t.refs[0] = jobRef{}
 	t.refs = t.refs[1:]
 	q.queued--
-	return ref
+	if len(t.refs) > 0 {
+		q.served = t
+	} else {
+		delete(q.byName, t.name)
+	}
+	return ref, true
 }
 
 // removeSweep drops every queued ref belonging to sw (a cancelled or
-// failed sweep), returning the number released. Eager removal — rather
-// than lazy skipping at pop — frees queue capacity immediately, so a
-// cancel actually relieves 429 backpressure.
+// failed sweep), and every tenant left with none, returning the number
+// released. Eager removal — rather than lazy skipping at pop — frees
+// queue capacity immediately, so a cancel actually relieves 429
+// backpressure.
 func (q *roundRobin) removeSweep(sw *sweepRec) int {
 	removed := 0
-	for _, t := range q.order {
-		kept := t.refs[:0]
-		for _, ref := range t.refs {
-			if ref.sw == sw {
-				removed++
-				continue
-			}
-			kept = append(kept, ref)
-		}
+	// drained drops sw's refs from t and reports whether t has none left.
+	drained := func(t *tenantQ) bool {
+		kept := slices.DeleteFunc(t.refs, func(ref jobRef) bool { return ref.sw == sw })
+		removed += len(t.refs) - len(kept)
 		t.refs = kept
+		if len(kept) > 0 {
+			return false
+		}
+		delete(q.byName, t.name)
+		return true
 	}
+	if q.served != nil && drained(q.served) {
+		q.served = nil
+	}
+	q.order = slices.DeleteFunc(q.order, drained)
 	q.queued -= removed
 	return removed
 }

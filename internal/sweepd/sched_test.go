@@ -2,7 +2,10 @@ package sweepd
 
 import (
 	"fmt"
+	"net/http"
 	"testing"
+
+	"tagprefetch/internal/experiment"
 )
 
 func mkRefs(sw *sweepRec, n int, prefix string) []jobRef {
@@ -106,5 +109,32 @@ func TestWRREmptyTenantSkipped(t *testing.T) {
 	q.push("a", mkRefs(swA, 1, "a2")...)
 	if ref, ok := q.pop(); !ok || ref.sw != swA {
 		t.Errorf("refilled tenant not served: %+v ok=%v", ref, ok)
+	}
+}
+
+// TestDrainedTenantsLeaveScheduler: uncached requests from many fresh
+// tenants queue work under each of them; once every sweep is done the
+// scheduler holds no tenant, so a long-lived daemon's pop stays O(1)
+// whatever its tenant count.
+func TestDrainedTenantsLeaveScheduler(t *testing.T) {
+	// The stub publishes nothing, so every request misses the cache.
+	s, ts := newTestServer(t, Config{Workers: 2}, func(experiment.Job) error { return nil })
+	req := Request{Sweep: "nbits", Benches: []string{"swim"}, Instructions: 10_000, Warmup: 10_000}
+	var ids []string
+	for i := 0; i < 50; i++ {
+		req.Tenant = fmt.Sprintf("tenant-%d", i)
+		code, st, body := postSweep(t, ts, req)
+		if code != http.StatusAccepted || st.Jobs.CachedAtSubmit != 0 {
+			t.Fatalf("POST %d = %d %s: want 202 with nothing cached", i, code, body)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitState(t, ts, id, StateDone)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n, m, q := len(s.sched.order), len(s.sched.byName), s.sched.queued; n != 0 || m != 0 || q != 0 {
+		t.Errorf("drained scheduler holds %d tenants in its ring, %d by name, %d refs; want none", n, m, q)
 	}
 }

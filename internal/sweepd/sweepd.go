@@ -32,7 +32,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -410,93 +409,32 @@ func options(req Request, r *experiment.Runner) experiment.Options {
 	}
 }
 
-// answer is what one pass over a request's sweep found: the deduplicated
-// jobs and their content addresses in submission order, the indexes of
-// the points the manifest store missed, and, when every point hit, the
-// rendered body.
-type answer struct {
-	jobs    []experiment.Job
-	names   []string
-	missing []int
-	body    []byte
-}
-
-// pass answers a normalized request in one run of its sweep definition.
-// The runner hands every batch the sweep submits to a hook that dedupes
-// on JobName, answers each new point through lookup once and gives the
-// sweep those results, so the experiment's own job-construction code
-// enumerates the grid and the plan can never drift from execution. When
-// every point hit, the body is the exact bytes `tcpsweep -sweep <name>
-// -gather` prints over the same manifests: the same results through the
-// same SweepResult.Print.
-//
-// A grid of more than budget jobs is a RequestError on "max_jobs". The
-// hook stops looking points up at the first batch that takes the grid
-// past the budget, so a sweep that submits its grid as one batch, as
-// every experiment.Sweeps row does, is rejected without a manifest read.
-func pass(lookup func(experiment.Job) (sim.Result, bool), req Request, budget int) (*answer, error) {
+// answer answers a normalized request in one run of its sweep
+// definition under an experiment.Gather over lookup, which plans the
+// grid, looks each point up once and records the misses. When every point
+// hit, body is the exact bytes `tcpsweep -sweep <name> -gather` prints
+// over the same manifests: the same pass and the same SweepResult.Print.
+// A grid of more than budget jobs is a RequestError on "max_jobs",
+// rejected without a manifest read (see experiment.NewGather).
+func answer(lookup func(experiment.Job) (sim.Result, bool), req Request, budget int) (g *experiment.Gather, body []byte, err error) {
 	def, err := experiment.LookupSweep(req.Sweep)
 	if err != nil {
-		return nil, &RequestError{Field: "sweep", Reason: err.Error()}
+		return nil, nil, &RequestError{Field: "sweep", Reason: err.Error()}
 	}
-	a := &answer{}
-	index := make(map[string]int)
-	var answered []*sim.Result // each point's result where Map first handed it out
+	g = experiment.NewGather(lookup, budget)
 	r := experiment.NewRunner(1)
-	r.SetAnswer(func(batch []experiment.Job) []sim.Result {
-		at := make([]int, len(batch))
-		a.jobs = slices.Grow(a.jobs, len(batch))
-		a.names = slices.Grow(a.names, len(batch))
-		for k, j := range batch {
-			name := experiment.JobName(j)
-			i, seen := index[name]
-			if !seen {
-				i = len(a.jobs)
-				index[name] = i
-				a.jobs = append(a.jobs, j)
-				a.names = append(a.names, name)
-			}
-			at[k] = i
-		}
-		out := make([]sim.Result, len(batch))
-		if len(a.jobs) > budget {
-			return out
-		}
-		// Points are numbered in first-seen order, so the first point not
-		// yet answered is the next new one: it is looked up where it first
-		// appears and copied to its repeats.
-		for k, i := range at {
-			if i < len(answered) {
-				out[k] = *answered[i]
-				continue
-			}
-			res, ok := lookup(a.jobs[i])
-			if !ok {
-				a.missing = append(a.missing, i)
-			}
-			out[k] = res
-			answered = append(answered, &out[k])
-		}
-		return out
-	})
+	r.SetAnswer(g.Answer)
 	out := def.Run(options(req, r))
-	if len(a.jobs) > budget {
-		return nil, &RequestError{Field: "max_jobs",
-			Reason: fmt.Sprintf("grid has %d jobs, budget is %d", len(a.jobs), budget)}
+	if len(g.Jobs) > budget {
+		return nil, nil, &RequestError{Field: "max_jobs",
+			Reason: fmt.Sprintf("grid has %d jobs, budget is %d", len(g.Jobs), budget)}
 	}
-	if len(a.missing) == 0 {
-		var buf bytes.Buffer
-		out.Print(&buf)
-		a.body = buf.Bytes()
+	if len(g.Missing) > 0 {
+		return g, nil, nil
 	}
-	return a, nil
-}
-
-// storeLookup answers a job from a manifest store.
-func storeLookup(store *experiment.ResultStore) func(experiment.Job) (sim.Result, bool) {
-	return func(j experiment.Job) (sim.Result, bool) {
-		return store.Lookup(j.Bench, j.Factory.Name, j.Baseline, j.Config)
-	}
+	var buf bytes.Buffer
+	out.Print(&buf)
+	return g, buf.Bytes(), nil
 }
 
 // budget is a normalized request's job budget: MaxJobsPerSweep, lowered
@@ -509,8 +447,8 @@ func (c Config) budget(req Request) int {
 }
 
 // answerFor answers a normalized request from the server's manifest store.
-func (s *Server) answerFor(req Request) (*answer, error) {
-	return pass(storeLookup(s.store), req, s.cfg.budget(req))
+func (s *Server) answerFor(req Request) (*experiment.Gather, []byte, error) {
+	return answer(s.store.LookupJob, req, s.cfg.budget(req))
 }
 
 // sweepID derives the daemon-level identity of a normalized request:

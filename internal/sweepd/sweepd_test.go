@@ -389,8 +389,10 @@ func TestInvalidRequests(t *testing.T) {
 // as plan mode (Runner.SetPlan, deduped on JobName). Nothing is
 // simulated: every point misses and no manifest is written. Over a store
 // holding a distinct synthetic result for every point, each row's body
-// is the bytes a strict gather prints, so every submitted job, repeats
-// included, was handed its own point's result.
+// is the bytes a resumed runner prints over the same store, which answers
+// every submission through Runner.resolve rather than the gather pass, so
+// every submitted job, repeats included, was handed its own point's
+// result.
 func TestEverySweepPlans(t *testing.T) {
 	dir := t.TempDir()
 	store, err := experiment.NewResultStore(dir, true)
@@ -405,14 +407,14 @@ func TestEverySweepPlans(t *testing.T) {
 			t.Errorf("%s: normalize: %v", sw.Name, err)
 			continue
 		}
-		a, err := pass(storeLookup(store), req, math.MaxInt)
+		g, _, err := answer(store.LookupJob, req, math.MaxInt)
 		if err != nil {
-			t.Errorf("%s: pass: %v", sw.Name, err)
+			t.Errorf("%s: answer: %v", sw.Name, err)
 			continue
 		}
-		if len(a.jobs) == 0 || len(a.jobs) != len(a.names) || len(a.missing) != len(a.jobs) {
-			t.Errorf("%s: pass = %d jobs, %d names, %d missed; want a non-empty grid, every point missed",
-				sw.Name, len(a.jobs), len(a.names), len(a.missing))
+		if len(g.Jobs) == 0 || len(g.Jobs) != len(g.Names) || len(g.Missing) != len(g.Jobs) {
+			t.Errorf("%s: answer = %d jobs, %d names, %d missed; want a non-empty grid, every point missed",
+				sw.Name, len(g.Jobs), len(g.Names), len(g.Missing))
 			continue
 		}
 		var names []string
@@ -427,12 +429,12 @@ func TestEverySweepPlans(t *testing.T) {
 			}
 		})
 		sw.Run(options(req, r))
-		if !slices.Equal(a.names, names) {
-			t.Errorf("%s: pass planned %d names, plan mode %d, or in another order", sw.Name, len(a.names), len(names))
+		if !slices.Equal(g.Names, names) {
+			t.Errorf("%s: answer planned %d names, plan mode %d, or in another order", sw.Name, len(g.Names), len(names))
 			continue
 		}
 		for i, j := range jobs {
-			p := a.jobs[i]
+			p := g.Jobs[i]
 			if p.Bench != j.Bench || p.Factory.Name != j.Factory.Name || p.Baseline != j.Baseline || p.Config != j.Config {
 				t.Errorf("%s: job %d = %s/%s, plan mode %s/%s", sw.Name, i, p.Bench, p.Factory.Name, j.Bench, j.Factory.Name)
 			}
@@ -443,17 +445,17 @@ func TestEverySweepPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, j := range a.jobs {
+		for i, j := range g.Jobs {
 			full.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config,
 				sim.Result{CPU: cpu.Result{IPC: 1 + float64(i)/64, Cycles: int64(1000 + i)}})
 		}
-		cached, err := pass(storeLookup(full), req, math.MaxInt)
-		if err != nil || len(cached.missing) != 0 {
-			t.Errorf("%s: pass over a full store = %v, want every point hit", sw.Name, err)
+		cached, body, err := answer(full.LookupJob, req, math.MaxInt)
+		if err != nil || len(cached.Missing) != 0 || body == nil {
+			t.Errorf("%s: answer over a full store = %v, want every point hit and a body", sw.Name, err)
 			continue
 		}
-		if want := gather(t, fullDir, req); !bytes.Equal(cached.body, want) {
-			t.Errorf("%s: cached body differs from a strict gather:\npass:   %q\ngather: %q", sw.Name, cached.body, want)
+		if want := resumed(t, fullDir, req); !bytes.Equal(body, want) {
+			t.Errorf("%s: cached body differs from a resumed run:\nanswer:  %q\nresumed: %q", sw.Name, body, want)
 		}
 	}
 	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
@@ -493,9 +495,11 @@ func syntheticStub(s *Server, ipc float64) func(experiment.Job) error {
 	}
 }
 
-// gather is what `tcpsweep -gather` prints for req over the manifests in
-// dir: a strict-gather serial runner on a fresh store.
-func gather(t *testing.T, dir string, req Request) []byte {
+// resumed is what `tcpsweep -resume` prints for req over the manifests
+// in dir: a serial runner on a fresh store in resume mode, which answers
+// each submission through Runner.resolve. It fails the test if any point
+// had to be simulated.
+func resumed(t *testing.T, dir string, req Request) []byte {
 	t.Helper()
 	store, err := experiment.NewResultStore(dir, true)
 	if err != nil {
@@ -507,10 +511,10 @@ func gather(t *testing.T, dir string, req Request) []byte {
 	}
 	r := experiment.NewRunner(1)
 	r.SetResultStore(store)
-	r.SetStrictGather(true)
 	var buf bytes.Buffer
-	if err := experiment.CatchIncomplete(func() { def.Run(options(req, r)).Print(&buf) }); err != nil {
-		t.Fatal(err)
+	def.Run(options(req, r)).Print(&buf)
+	if simulated, _ := r.MemoStats(); simulated != 0 {
+		t.Fatalf("resumed run simulated %d points, want every point from a manifest", simulated)
 	}
 	return buf.Bytes()
 }
@@ -519,7 +523,7 @@ func gather(t *testing.T, dir string, req Request) []byte {
 // renders the manifests as they are at that request. Alice's sweep runs
 // and bob's identical request is answered at admission. Then one manifest
 // is published again with another IPC: carol's body must differ from
-// bob's and equal a fresh strict gather. Deleting a manifest instead
+// bob's and equal a fresh resumed run. Deleting a manifest instead
 // leaves dave's request not done at admission, with every other point
 // cached and the missing one re-run.
 func TestCachedAnswerFollowsManifests(t *testing.T) {
@@ -560,8 +564,8 @@ func TestCachedAnswerFollowsManifests(t *testing.T) {
 	if err := normalize(&normalized, ""); err != nil {
 		t.Fatal(err)
 	}
-	if want := gather(t, s.cacheDir, normalized); !bytes.Equal(second, want) {
-		t.Errorf("body after a manifest changed differs from a strict gather:\ndaemon: %q\ngather: %q", second, want)
+	if want := resumed(t, s.cacheDir, normalized); !bytes.Equal(second, want) {
+		t.Errorf("body after a manifest changed differs from a resumed run:\ndaemon:  %q\nresumed: %q", second, want)
 	}
 
 	if err := os.Remove(filepath.Join(s.cacheDir, name)); err != nil {
@@ -588,33 +592,33 @@ func TestOverBudgetReadsNoManifest(t *testing.T) {
 	if err := normalize(&req, ""); err != nil {
 		t.Fatal(err)
 	}
-	a, err := s.answerFor(req)
+	g, _, err := s.answerFor(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range a.jobs {
+	for _, j := range g.Jobs {
 		s.store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config, sim.Result{CPU: cpu.Result{IPC: 1}})
 	}
 	lookups := 0
 	counted := func(j experiment.Job) (sim.Result, bool) {
 		lookups++
-		return storeLookup(s.store)(j)
+		return s.store.LookupJob(j)
 	}
-	total := len(a.jobs)
-	over, err := pass(counted, req, total-1)
+	total := len(g.Jobs)
+	over, body, err := answer(counted, req, total-1)
 	var re *RequestError
-	if !errors.As(err, &re) || re.Field != "max_jobs" || over != nil {
-		t.Fatalf("pass over budget = %v, %v: want a RequestError on max_jobs", over, err)
+	if !errors.As(err, &re) || re.Field != "max_jobs" || over != nil || body != nil {
+		t.Fatalf("answer over budget = %v, %v: want a RequestError on max_jobs", over, err)
 	}
 	if lookups != 0 {
-		t.Errorf("pass over budget looked %d points up, want 0", lookups)
+		t.Errorf("answer over budget looked %d points up, want 0", lookups)
 	}
-	within, err := pass(counted, req, total)
-	if err != nil || within.body == nil || len(within.missing) != 0 {
-		t.Fatalf("pass within budget = %v: want every point hit and a body", err)
+	within, body, err := answer(counted, req, total)
+	if err != nil || body == nil || len(within.Missing) != 0 {
+		t.Fatalf("answer within budget = %v: want every point hit and a body", err)
 	}
 	if lookups != total {
-		t.Errorf("pass within budget looked %d points up, want %d", lookups, total)
+		t.Errorf("answer within budget looked %d points up, want %d", lookups, total)
 	}
 
 	req.MaxJobs = total - 1
@@ -661,26 +665,26 @@ func TestPassRepeatsAndBatches(t *testing.T) {
 		return sim.Result{CPU: cpu.Result{IPC: ipc[experiment.JobName(j)]}}, true
 	}
 	req := Request{Sweep: "repeats", Instructions: cfg.Instructions, Warmup: cfg.Warmup, Seed: 1, WarmupFidelity: "full"}
-	ans, err := pass(lookup, req, 3)
+	g, _, err := answer(lookup, req, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []float64{1, 2, 1, 2, 3, 1}; !slices.Equal(got, want) {
 		t.Errorf("submissions were handed IPCs %v, want %v", got, want)
 	}
-	if lookups != 3 || len(ans.jobs) != 3 || len(ans.missing) != 0 {
-		t.Errorf("pass looked %d points up, planned %d jobs, missed %d; want 3, 3, 0",
-			lookups, len(ans.jobs), len(ans.missing))
+	if lookups != 3 || len(g.Jobs) != 3 || len(g.Missing) != 0 {
+		t.Errorf("answer looked %d points up, planned %d jobs, missed %d; want 3, 3, 0",
+			lookups, len(g.Jobs), len(g.Missing))
 	}
 
 	got, lookups = nil, 0
-	_, err = pass(lookup, req, 2)
+	_, _, err = answer(lookup, req, 2)
 	var re *RequestError
 	if !errors.As(err, &re) || re.Field != "max_jobs" {
-		t.Fatalf("pass over budget = %v, want a RequestError on max_jobs", err)
+		t.Fatalf("answer over budget = %v, want a RequestError on max_jobs", err)
 	}
 	if lookups != 2 {
-		t.Errorf("pass over budget looked %d points up, want the first batch's 2", lookups)
+		t.Errorf("answer over budget looked %d points up, want the first batch's 2", lookups)
 	}
 }
 
@@ -698,11 +702,11 @@ func TestBranchpredServedFromCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := pass(storeLookup(store), planned, math.MaxInt)
+	g, _, err := answer(store.LookupJob, planned, math.MaxInt)
 	if err != nil {
-		t.Fatalf("pass: %v", err)
+		t.Fatalf("answer: %v", err)
 	}
-	names := a.names
+	names := g.Names
 	if len(names) != len(branch.Predictors) {
 		t.Errorf("planned %d jobs, want one per predictor (%d)", len(names), len(branch.Predictors))
 	}
@@ -999,11 +1003,11 @@ func BenchmarkCachedRequest(b *testing.B) {
 	if err := normalize(&planned, ""); err != nil {
 		b.Fatal(err)
 	}
-	a, err := s.answerFor(planned)
+	g, _, err := s.answerFor(planned)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i, j := range a.jobs {
+	for i, j := range g.Jobs {
 		s.store.Save(j.Bench, j.Factory.Name, j.Baseline, j.Config,
 			sim.Result{CPU: cpu.Result{IPC: 1 + float64(i)/64}})
 	}
