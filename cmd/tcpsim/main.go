@@ -143,17 +143,19 @@ func run() int {
 	telemetryOn := *jsonOut != "" || *traceOut != "" || *progress > 0 || *statusAddr != ""
 	tracer := telemetry.Nop()
 	if *traceOut != "" {
+		// Parse the level first: a bad -trace-level must not truncate the
+		// -trace file.
+		lvl, err := telemetry.ParseLevel(*traceLevel)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcpsim:", err)
+			return 2
+		}
 		tf, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcpsim:", err)
 			return 1
 		}
 		defer tf.Close()
-		lvl, err := telemetry.ParseLevel(*traceLevel)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tcpsim:", err)
-			return 2
-		}
 		tracer = telemetry.NewTracer(tf, telemetry.TracerOptions{
 			MinLevel: lvl, MaxEvents: *traceMax})
 		defer tracer.Flush()

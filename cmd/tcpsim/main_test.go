@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -76,5 +77,25 @@ func TestDefaultFlagsReproduceFigure11(t *testing.T) {
 	}
 	if got := stats.Percent(sim.Improvement(tcp, base)); got != wantImp {
 		t.Errorf("gzip TCP-8K improvement = %s, want %s", got, wantImp)
+	}
+}
+
+// TestBadTraceLevelKeepsTraceFile: an unknown -trace-level exits 2 before
+// the -trace file is opened, so an existing trace is left as it was.
+func TestBadTraceLevelKeepsTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ev.jsonl")
+	const old = "{\"type\":\"run.start\"}\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
+	os.Args = []string{"tcpsim", "-bench", "gzip", "-trace", path, "-trace-level", "bogus"}
+	flag.CommandLine = flag.NewFlagSet("tcpsim", flag.ContinueOnError)
+	if code := run(); code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != old {
+		t.Errorf("-trace file now holds %q (err %v), want it unchanged: %q", data, err, old)
 	}
 }

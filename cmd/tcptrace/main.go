@@ -41,9 +41,14 @@ func run() int {
 		in    = flag.String("i", "", "analyse an existing trace file instead of simulating")
 
 		statusAddr = flag.String("status-addr", "", "serve the run's live metric registry as Prometheus text on this address (/metrics) while tracing")
-		seqLen     = flag.Int("k", 3, "tag-sequence length (paper: 3)")
+		seqLen     = flag.Int("k", 3, fmt.Sprintf("tag-sequence length, 2 to %d (paper: 3)", profiler.MaxSeqLen))
 	)
 	flag.Parse()
+
+	if *seqLen < 2 || *seqLen > profiler.MaxSeqLen {
+		fmt.Fprintf(os.Stderr, "tcptrace: -k %d outside [2, %d]\n", *seqLen, profiler.MaxSeqLen)
+		return 2
+	}
 
 	if *statusAddr != "" && *bench == "" {
 		fmt.Fprintln(os.Stderr, "tcptrace: -status-addr requires -bench (only a live simulation has metrics to serve)")

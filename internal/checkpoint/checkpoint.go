@@ -34,8 +34,10 @@ const (
 	// fidelity and the cpu section carries the functional fast-forward
 	// clock (docs/FASTFORWARD.md); 3 = the tcp section codes only the
 	// PHT's materialised sets, and the cpu LSQ ring and the dead-block
-	// predictor's counters are gone.
-	Version uint16 = 3
+	// predictor's counters are gone; 4 = the dbcp and prefetch.markov
+	// sections code their correlation tables as the tcp section codes its
+	// PHT (prefetch.Table), materialised sets only.
+	Version uint16 = 4
 
 	headerLen  = 8 // magic u32 + version u16 + flags u16
 	trailerLen = 4 // crc32 u32

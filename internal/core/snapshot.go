@@ -30,53 +30,8 @@ func (t *TCP) Snapshot(c *checkpoint.Codec) {
 			c.Fail(fmt.Errorf("%w: tcp: THT row %d fill %d outside [0, %d]", checkpoint.ErrCorrupt, i, f, t.cfg.HistoryDepth))
 		}
 	}
-	// The PHT codes only its materialised sets, in increasing set order:
-	// a count, then each set's index and its PHTWays records. Decoding
-	// materialises exactly the coded sets.
-	ways := t.cfg.PHTWays
-	c.Len(len(t.dir) * ways)
-	if c.Decoding() {
-		t.clearPHT()
-	}
-	set := -1
-	for range c.Count(len(t.pht)/ways, len(t.dir)) {
-		next := uint32(set + 1)
-		for !c.Decoding() && t.dir[next] == 0 {
-			next++
-		}
-		c.U32(&next)
-		if int(next) <= set || int(next) >= len(t.dir) {
-			c.Fail(fmt.Errorf("%w: tcp: PHT set %d after set %d of %d", checkpoint.ErrCorrupt, next, set, len(t.dir)))
-		}
-		if c.Err() != nil {
-			break
-		}
-		set = int(next)
-		base := t.frame(uint64(set)) * ways
-		for j := base; j < base+ways; j++ {
-			t.phtRecord(c, &t.pht[j], t.entryTargets(j))
-		}
-	}
+	t.pht.Snapshot(c)
 	for _, f := range t.st.fields() {
 		c.U64(f)
-	}
-}
-
-// phtRecord codes one PHT way: its tag, recency, valid bit and MRU target
-// list. Decoding fills targets' backing array, which must hold Targets
-// slots, and sets e.n from the list.
-func (t *TCP) phtRecord(c *checkpoint.Codec, e *phtEntry, targets []uint64) {
-	c.U32(&e.tag)
-	c.I64(&e.used)
-	c.Bool(&e.valid)
-	targets = targets[:c.Count(len(targets), t.cfg.Targets)]
-	for k := range targets {
-		c.U64(&targets[k])
-	}
-	if uint64(e.tag) > t.tagMask {
-		c.Fail(fmt.Errorf("%w: tcp: PHT tag %#x wider than %d bits", checkpoint.ErrCorrupt, e.tag, t.cfg.TagBits))
-	}
-	if c.Decoding() {
-		e.n = uint8(len(targets))
 	}
 }

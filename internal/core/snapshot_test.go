@@ -108,9 +108,9 @@ func TestRestoreRejectsCorruptTables(t *testing.T) {
 			return checkpoint.Encode(tcp)
 		}, TCP8K(g)},
 		{"tag wider than TagBits", func() []byte {
-			tcp := trained(TCP8K(g))
-			tcp.pht[5].tag = 1 << 16
-			return checkpoint.Encode(tcp)
+			d := newDense(TCP8K(g))
+			d.pht[5] = denseEntry{tag: 1 << 16, valid: true}
+			return d.image()
 		}, TCP8K(g)},
 		{"more targets than Targets", func() []byte {
 			return checkpoint.Encode(trained(Config{L1: g, Targets: 2}))

@@ -95,7 +95,7 @@ func (c Config) withDefaults() Config {
 	if c.Targets <= 0 {
 		c.Targets = 1
 	}
-	c.Targets = min(c.Targets, math.MaxUint8) // phtEntry.n is a uint8
+	c.Targets = min(c.Targets, math.MaxUint8) // the most a prefetch.Table way keeps
 	if c.IndexBits < 0 {
 		c.IndexBits = 0
 	}
@@ -135,16 +135,8 @@ type TCP struct {
 	tht     []uint64 // L1 sets x k tag history, row-major, oldest first
 	thtFill []int    // valid tags per row
 
-	// The PHT is stored in proportion to the sets a run trains: dir has
-	// one slot per PHT set, 0 for a set never allocated (all ways invalid)
-	// and otherwise 1 + the set's frame. Frame f holds the set's ways at
-	// pht[f*PHTWays:] and their targets at targets[f*PHTWays*Targets:],
-	// frames numbered in first-allocation order. Entry indices (phtProbe,
-	// phtAllocate, train) are indices into pht.
-	dir     []uint32
-	pht     []phtEntry // frames x PHTWays
-	targets []uint64   // frames x PHTWays x Targets; entry i's MRU list is targets[i*Targets:][:n]
-	clock   int64
+	pht   prefetch.Table[uint32] // keyed by the sequence's last tag under tagMask; targets are successor tags
+	clock int64
 
 	// reqs is the scratch buffer OnMiss returns; per the Prefetcher
 	// contract the slice is only valid until the next call, so reusing the
@@ -154,15 +146,6 @@ type TCP struct {
 	st  Stats             // predictor counters, single-writer
 	pub telemetry.Mirror  // host-side registry mirror of st, republished after a decode
 	tr  *telemetry.Tracer // host-side observability wiring, outside the simulated state
-}
-
-// phtEntry is pointer-free (16 bytes): its targets live in TCP.targets,
-// so the PHT is neither scanned by the GC nor allocated per entry.
-type phtEntry struct {
-	used  int64
-	tag   uint32 // partial tag of the last tag in the indexing sequence
-	n     uint8  // live targets
-	valid bool
 }
 
 // Stats holds the predictor counters.
@@ -184,11 +167,6 @@ func (s *Stats) fields() [8]*uint64 {
 		&s.Updates, &s.Allocs, &s.Evictions, &s.StridePredictions}
 }
 
-// initialFrames is the PHT pool capacity New reserves, in sets: every PHT
-// up to 128 KB (4096 8-way sets) fits without ever growing, so its OnMiss
-// never allocates.
-const initialFrames = 4096
-
 // New creates a TCP from cfg (zero fields take the paper's defaults).
 func New(cfg Config) *TCP {
 	cfg = cfg.withDefaults()
@@ -204,9 +182,7 @@ func New(cfg Config) *TCP {
 	t.hiBits = log2u(cfg.PHTSets) - uint(cfg.IndexBits)
 	t.tht = make([]uint64, cfg.L1.Sets()*cfg.HistoryDepth)
 	t.thtFill = make([]int, cfg.L1.Sets())
-	t.dir = make([]uint32, cfg.PHTSets)
-	t.pht = make([]phtEntry, 0, min(cfg.PHTSets, initialFrames)*cfg.PHTWays)
-	t.targets = make([]uint64, 0, cap(t.pht)*cfg.Targets)
+	t.pht = prefetch.NewTable(cfg.PHTSets, cfg.PHTWays, cfg.Targets, uint32(t.tagMask))
 	t.tr = telemetry.Nop()
 	return t
 }
@@ -279,94 +255,6 @@ func (t *TCP) phtIndex(seq []uint64, missIndex uint32) uint64 {
 	return ((hi << uint(t.cfg.IndexBits)) | lo) & t.setMask
 }
 
-// phtProbe returns the index of the matching entry in the set, or -1. A
-// set never allocated has no valid way.
-func (t *TCP) phtProbe(setIdx uint64, lastTag uint64) int {
-	f := t.dir[setIdx]
-	if f == 0 {
-		return -1
-	}
-	base := int(f-1) * t.cfg.PHTWays
-	set := t.pht[base : base+t.cfg.PHTWays]
-	key := uint32(lastTag & t.tagMask)
-	for i := range set {
-		if set[i].valid && set[i].tag == key {
-			return base + i
-		}
-	}
-	return -1
-}
-
-// entryTargets returns entry i's MRU target list.
-func (t *TCP) entryTargets(i int) []uint64 {
-	return t.targets[i*t.cfg.Targets:][:t.pht[i].n]
-}
-
-// phtAllocate returns the index of the matching entry, allocating (LRU
-// victim) if absent.
-func (t *TCP) phtAllocate(setIdx uint64, lastTag uint64) int {
-	if i := t.phtProbe(setIdx, lastTag); i >= 0 {
-		return i
-	}
-	base := t.frame(setIdx) * t.cfg.PHTWays
-	set := t.pht[base : base+t.cfg.PHTWays]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	t.st.Allocs++
-	if set[victim].valid {
-		// A live correlation is displaced: the central cost of sharing a
-		// small PHT across sets (Figures 11-13).
-		t.st.Evictions++
-		t.tr.Emit(telemetry.Event{Cycle: t.clock, Type: "pht.evict",
-			Level: telemetry.LevelDebug, Addr: uint64(set[victim].tag), Value: int64(setIdx)})
-	}
-	set[victim] = phtEntry{tag: uint32(lastTag & t.tagMask), valid: true}
-	return base + victim
-}
-
-// frame returns setIdx's frame, materialising the set (all ways invalid,
-// no targets) if it was never allocated.
-func (t *TCP) frame(setIdx uint64) int {
-	if f := t.dir[setIdx]; f != 0 {
-		return int(f - 1)
-	}
-	w, nt := t.cfg.PHTWays, t.cfg.PHTWays*t.cfg.Targets
-	f := len(t.pht) / w
-	if len(t.pht) == cap(t.pht) {
-		t.growPools(min(2*f, t.cfg.PHTSets))
-	}
-	// A frame reused after clearPHT holds stale entries. Its stale targets
-	// need no clearing: only the first n of an entry's slots are read.
-	t.pht = t.pht[:len(t.pht)+w]
-	clear(t.pht[f*w:])
-	t.targets = t.targets[:len(t.targets)+nt]
-	t.dir[setIdx] = uint32(f + 1)
-	return f
-}
-
-// growPools reallocates the PHT pools with room for frames sets. Doubling
-// (capped at PHTSets) bounds a run to O(log(sets/initialFrames)) growths
-// and its cumulative pool bytes to twice the final pools.
-//
-// A TCP grows at most log2(PHTSets/4096) times in its lifetime, and
-// never for PHTs up to 128 KB.
-func (t *TCP) growPools(frames int) {
-	pht := make([]phtEntry, len(t.pht), frames*t.cfg.PHTWays)
-	copy(pht, t.pht)
-	t.pht = pht
-	targets := make([]uint64, len(t.targets), cap(pht)*t.cfg.Targets)
-	copy(targets, t.targets)
-	t.targets = targets
-}
-
 // OnMiss implements prefetch.Prefetcher: the update and lookup operations
 // of Section 4, in that order, for one L1 demand miss.
 func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
@@ -377,9 +265,15 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 
 	// Update: train PHT[old sequence] with the observed successor.
 	if t.thtFill[m.Index] == k {
-		i := t.phtAllocate(t.phtIndex(row, m.Index), row[k-1])
-		t.pht[i].used = t.clock
-		t.train(i, m.Tag)
+		setIdx := t.phtIndex(row, m.Index)
+		i := t.pht.Find(setIdx, uint32(row[k-1]))
+		if i < 0 {
+			i = t.allocate(setIdx, uint32(row[k-1]))
+		}
+		t.pht.Touch(i, t.clock)
+		// Targets keep full tag width, so a prefetch address is rebuilt
+		// exactly; TagBits truncates only matching and storage accounting.
+		t.pht.Train(i, m.Tag)
 		t.st.Updates++
 	}
 
@@ -399,10 +293,10 @@ func (t *TCP) OnMiss(m trace.Miss) []prefetch.Request {
 	t.st.Lookups++
 	reqs := t.reqs[:0]
 	setIdx := t.phtIndex(row, m.Index)
-	if i := t.phtProbe(setIdx, m.Tag); i >= 0 && t.pht[i].n > 0 {
-		t.pht[i].used = t.clock
+	if i := t.pht.Find(setIdx, uint32(m.Tag)); i >= 0 && len(t.pht.Targets(i)) > 0 {
+		t.pht.Touch(i, t.clock)
 		t.st.Hits++
-		for _, tg := range t.entryTargets(i) {
+		for _, tg := range t.pht.Targets(i) {
 			a := t.cfg.L1.Compose(tg, m.Index)
 			if t.cfg.L1.Block(m.Addr) == a {
 				continue // predicting the line that just missed is useless
@@ -461,25 +355,19 @@ func hasTarget(reqs []prefetch.Request, a addr.Addr) bool {
 	return false
 }
 
-// train records successor as the MRU target of entry i.
-//
-// Stored targets keep full tag width so the prefetch address can be
-// reconstructed exactly; the TagBits truncation applies to matching and to
-// the storage accounting, mirroring how a real implementation would store
-// only the bits needed to rebuild an address within the reachable region.
-func (t *TCP) train(i int, successor uint64) {
-	// MRU-move in place: [successor] followed by the remaining targets in
-	// their previous order, capped at Targets.
-	list := t.targets[i*t.cfg.Targets:][:t.cfg.Targets]
-	n := int(t.pht[i].n)
-	j := 0
-	for j < n && list[j] != successor {
-		j++
+// allocate gives lastTag a fresh PHT entry in setIdx, counting the
+// allocation and any live correlation it displaces.
+func (t *TCP) allocate(setIdx uint64, lastTag uint32) int {
+	i, old, evicted := t.pht.Allocate(setIdx, lastTag)
+	t.st.Allocs++
+	if evicted {
+		// A live correlation is displaced: the central cost of sharing a
+		// small PHT across sets (Figures 11-13).
+		t.st.Evictions++
+		t.tr.Emit(telemetry.Event{Cycle: t.clock, Type: "pht.evict",
+			Level: telemetry.LevelDebug, Addr: uint64(old), Value: int64(setIdx)})
 	}
-	j = min(j, len(list)-1) // a new target drops the LRU one from a full list
-	copy(list[1:j+1], list[:j])
-	list[0] = successor
-	t.pht[i].n = uint8(max(n, j+1))
+	return i
 }
 
 // OnAccess implements prefetch.Prefetcher (TCP only observes misses).
@@ -498,10 +386,3 @@ func (t *TCP) StorageBits() uint64 {
 
 // Stats returns the predictor counters.
 func (t *TCP) Stats() Stats { return t.st }
-
-// clearPHT empties the PHT, keeping the pools' capacity for reuse.
-func (t *TCP) clearPHT() {
-	clear(t.dir)
-	t.pht = t.pht[:0]
-	t.targets = t.targets[:0]
-}

@@ -64,8 +64,8 @@ type DBCP struct {
 	sigMask uint64 // geometry derived from cfg at construction
 	setMask uint64 // geometry derived from cfg at construction
 
-	shadow []shadowEntry // one per L1 set (direct-mapped)
-	table  []corrEntry
+	shadow []shadowEntry          // one per L1 set (direct-mapped)
+	table  prefetch.Table[uint64] // keyed by (block, signature); one target, the block that followed the death
 	clock  int64
 
 	stats Stats
@@ -76,13 +76,6 @@ type shadowEntry struct {
 	block addr.Addr
 	sig   uint64
 	valid bool
-}
-
-type corrEntry struct {
-	key    uint64 // full (block, signature) key for exact matching
-	target addr.Addr
-	used   int64
-	valid  bool
 }
 
 // Stats counts predictor activity.
@@ -97,10 +90,7 @@ type Stats struct {
 // New creates a DBCP from cfg (zero fields take the paper's defaults).
 func New(cfg Config) *DBCP {
 	cfg = cfg.withDefaults()
-	sets := cfg.TableEntries / cfg.Ways
-	if sets == 0 {
-		sets = 1
-	}
+	sets := max(cfg.TableEntries/cfg.Ways, 1)
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("dbcp: table sets %d not a power of two", sets))
 	}
@@ -109,7 +99,7 @@ func New(cfg Config) *DBCP {
 		sigMask: (1 << uint(cfg.SigBits)) - 1,
 		setMask: uint64(sets - 1),
 		shadow:  make([]shadowEntry, cfg.L1.Sets()),
-		table:   make([]corrEntry, sets*cfg.Ways),
+		table:   prefetch.NewTable(sets, cfg.Ways, 1, ^uint64(0)),
 	}
 }
 
@@ -132,37 +122,6 @@ func (d *DBCP) index(key uint64) uint64 {
 	return h & d.setMask
 }
 
-func (d *DBCP) probe(key uint64) *corrEntry {
-	base := int(d.index(key)) * d.cfg.Ways
-	set := d.table[base : base+d.cfg.Ways]
-	for i := range set {
-		if set[i].valid && set[i].key == key {
-			return &set[i]
-		}
-	}
-	return nil
-}
-
-func (d *DBCP) allocate(key uint64) *corrEntry {
-	if e := d.probe(key); e != nil {
-		return e
-	}
-	base := int(d.index(key)) * d.cfg.Ways
-	set := d.table[base : base+d.cfg.Ways]
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
-	}
-	set[victim] = corrEntry{key: key, valid: true}
-	return &set[victim]
-}
-
 // OnMiss implements prefetch.Prefetcher: learn the displaced block's death
 // and start tracing the new block. Prediction happens in OnAccess (the
 // miss access itself also flows through OnAccess).
@@ -172,9 +131,14 @@ func (d *DBCP) OnMiss(m trace.Miss) []prefetch.Request {
 	sh := &d.shadow[m.Index]
 	if sh.valid {
 		d.stats.Deaths++
-		e := d.allocate(d.key(sh.block, sh.sig))
-		e.target = m.Addr
-		e.used = d.clock
+		key := d.key(sh.block, sh.sig)
+		set := d.index(key)
+		i := d.table.Find(set, key)
+		if i < 0 {
+			i, _, _ = d.table.Allocate(set, key)
+		}
+		d.table.Train(i, uint64(m.Addr))
+		d.table.Touch(i, d.clock)
 	}
 	*sh = shadowEntry{block: m.Addr, valid: true}
 	return nil
@@ -193,18 +157,20 @@ func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Reque
 		*sh = shadowEntry{block: block, valid: true}
 	}
 	sh.sig = (sh.sig + uint64(pc)>>2) & d.sigMask
-	e := d.probe(d.key(block, sh.sig))
-	if e == nil {
+	key := d.key(block, sh.sig)
+	i := d.table.Find(d.index(key), key)
+	if i < 0 {
 		return nil
 	}
 	d.clock++
-	e.used = d.clock
+	d.table.Touch(i, d.clock)
 	d.stats.Hits++
-	if e.target == block {
+	next := d.table.Targets(i)
+	if len(next) == 0 || addr.Addr(next[0]) == block {
 		return nil
 	}
 	d.stats.Predictions++
-	d.req[0] = prefetch.Request{Addr: e.target}
+	d.req[0] = prefetch.Request{Addr: addr.Addr(next[0])}
 	return d.req[:]
 }
 

@@ -1,6 +1,7 @@
 package dbcp
 
 import (
+	"runtime"
 	"testing"
 
 	"tagprefetch/internal/addr"
@@ -133,4 +134,18 @@ func TestResyncOnUnexpectedBlock(t *testing.T) {
 func TestOnEvictNoOp(t *testing.T) {
 	d := New(Config{L1: l1(), TableEntries: 1024, Ways: 8})
 	d.OnEvict(0x1000, 0, 0, 0) // must not panic
+}
+
+// TestDBCP2MHostFootprint pins the host cost of constructing the paper's
+// 2 MB configuration: a fresh correlation table takes pools for 4096 of
+// its 32768 sets. The full table took 8 MB.
+func TestDBCP2MHostFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d := New(DBCP2M(l1()))
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(d)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 2_000_000 {
+		t.Errorf("New(DBCP2M) allocates %d bytes, want less than 2 MB", b)
+	}
 }

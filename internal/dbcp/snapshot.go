@@ -14,14 +14,7 @@ func (d *DBCP) Snapshot(c *checkpoint.Codec) {
 		c.U64(&sh.sig)
 		c.Bool(&sh.valid)
 	}
-	c.Len(len(d.table))
-	for i := range d.table {
-		e := &d.table[i]
-		c.U64(&e.key)
-		c.U64((*uint64)(&e.target))
-		c.I64(&e.used)
-		c.Bool(&e.valid)
-	}
+	d.table.Snapshot(c)
 	c.U64(&d.stats.Accesses)
 	c.U64(&d.stats.Misses)
 	c.U64(&d.stats.Deaths)

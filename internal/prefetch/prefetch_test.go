@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"runtime"
 	"testing"
 
 	"tagprefetch/internal/addr"
@@ -203,5 +204,19 @@ func TestMarkovStorageAndReset(t *testing.T) {
 	p := NewMarkov(10, 4, 2)
 	if p.StorageBits() != 1024*4*3*40 {
 		t.Errorf("storage = %d", p.StorageBits())
+	}
+}
+
+// TestMarkovHostFootprint pins the host cost of constructing the Markov
+// baseline: a fresh table takes pools for 4096 of its 32768 sets. The
+// full table took about 5 MB.
+func TestMarkovHostFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewMarkov(15, 4, 2)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 2_000_000 {
+		t.Errorf("NewMarkov(15, 4, 2) allocates %d bytes, want less than 2 MB", b)
 	}
 }

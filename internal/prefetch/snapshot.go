@@ -58,21 +58,7 @@ func (p *Markov) Snapshot(c *checkpoint.Codec) {
 	c.I64(&p.clock)
 	c.U64((*uint64)(&p.last))
 	c.Bool(&p.hasLast)
-	c.Len(len(p.table) / p.ways)
-	for i := range p.table {
-		if i%p.ways == 0 {
-			c.Len(p.ways)
-		}
-		e := &p.table[i]
-		c.U64((*uint64)(&e.block))
-		c.I64(&e.used)
-		c.Bool(&e.valid)
-		e.n = int32(c.Count(int(e.n), p.targets))
-		succ := p.successors(i)
-		for j := range succ {
-			c.U64((*uint64)(&succ[j]))
-		}
-	}
+	p.table.Snapshot(c)
 }
 
 // Snapshot implements checkpoint.Snapshotter. The PC index map is coded in
@@ -121,4 +107,63 @@ func (f *CriticalFiltered) Snapshot(c *checkpoint.Codec) {
 	c.U64(&f.suppressed)
 	f.pred.Snapshot(c)
 	f.inner.Snapshot(c)
+}
+
+// Snapshot codes the table inside its owner's section: the table's size in
+// ways (a geometry check), then only its materialised sets, in increasing
+// set order, as a count and each set's U32 index and its ways' records. A
+// record is the key (a u32 when keyMask fits in 32 bits, else a u64), the
+// recency, the valid bit and the MRU target list. Decoding clears the
+// table and materialises exactly the coded sets; a set index out of order
+// or range, a key wider than keyMask or more than Targets targets is
+// corrupt.
+func (t *Table[K]) Snapshot(c *checkpoint.Codec) {
+	c.Len(t.sets * t.nways)
+	if c.Decoding() {
+		t.clear()
+	}
+	set := -1
+	for range c.Count(len(t.ways)/t.nways, t.sets) {
+		next := uint32(set + 1)
+		for !c.Decoding() && t.dir[next] == 0 {
+			next++
+		}
+		c.U32(&next)
+		if int(next) <= set || int(next) >= t.sets {
+			c.Fail(fmt.Errorf("%w: table set %d after set %d of %d", checkpoint.ErrCorrupt, next, set, t.sets))
+		}
+		if c.Err() != nil {
+			break
+		}
+		set = int(next)
+		base := t.frame(uint64(set)) * t.nways
+		for i := base; i < base+t.nways; i++ {
+			t.record(c, i)
+		}
+	}
+}
+
+// record codes way i. Decoding fills the way's target slots and sets its
+// live count from the list.
+func (t *Table[K]) record(c *checkpoint.Codec, i int) {
+	w := &t.ways[i]
+	if uint64(t.keyMask) <= math.MaxUint32 {
+		key := uint32(w.key)
+		c.U32(&key)
+		w.key = K(key)
+	} else {
+		key := uint64(w.key)
+		c.U64(&key)
+		w.key = K(key)
+	}
+	c.I64(&w.used)
+	c.Bool(&w.valid)
+	targets := t.targets[i*t.ntargets:][:c.Count(int(w.n), t.ntargets)]
+	for k := range targets {
+		c.U64(&targets[k])
+	}
+	if w.key > t.keyMask {
+		c.Fail(fmt.Errorf("%w: table key %#x outside mask %#x", checkpoint.ErrCorrupt, w.key, t.keyMask))
+	}
+	w.n = uint8(len(targets))
 }

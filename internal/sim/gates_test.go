@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -9,7 +10,6 @@ import (
 
 	"tagprefetch/internal/branch"
 	"tagprefetch/internal/checkpoint"
-	"tagprefetch/internal/core"
 	"tagprefetch/internal/telemetry"
 )
 
@@ -84,17 +84,24 @@ func memStats(fn func()) (before, after runtime.MemStats) {
 	return before, after
 }
 
-// poolGrowthAllowance is the number of allocations a TCP's PHT pool
-// doublings may make over a run: two (pht and targets) per doubling from
-// the 4096 frames core.New reserves up to PHTSets, as
-// internal/core's TestOnMissGrowthBounded bounds them. Other schemes get
-// none.
+// poolGrowthAllowance is the number of allocations the correlation
+// tables' pool doublings may make over a run: the sum of GrowthAllowance
+// over every prefetch.Table the machine reaches (TCP's PHT, DBCP's and
+// Markov's tables), two per doubling from the 4096 frames a table
+// reserves up to its sets, as internal/prefetch's TestTableGrowthBounded
+// bounds them. Machines without a table get none.
 func poolGrowthAllowance(m *Machine) uint64 {
-	tcp, ok := m.pf.(*core.TCP)
-	if !ok {
-		return 0
-	}
-	return 2 * uint64(bits.Len(uint((tcp.Config().PHTSets-1)/4096)))
+	var allow uint64
+	WalkGraph(reflect.ValueOf(m), func(v reflect.Value, _ string) bool {
+		if v.CanAddr() {
+			if t, ok := v.Addr().Interface().(interface{ GrowthAllowance() uint64 }); ok {
+				allow += t.GrowthAllowance()
+				return false
+			}
+		}
+		return true
+	})
+	return allow
 }
 
 // TestAdvanceGates: once warm, advancing the machine allocates nothing
@@ -103,8 +110,8 @@ func poolGrowthAllowance(m *Machine) uint64 {
 // sampler, so the counters and registry mirrors are wired in.
 //
 // Allocation: the per-instruction step, every cache access and fill, and
-// each prefetcher's OnMiss/OnAccess run inside the stretches; TCP's
-// bounded pool doublings are the one allowance.
+// each prefetcher's OnMiss/OnAccess run inside the stretches; the
+// correlation tables' bounded pool doublings are the one allowance.
 //
 // Publication: the machine counts into single-writer fields and publishes
 // them to the registry only at its publish points (sampler ticks, the
@@ -133,7 +140,7 @@ func TestAdvanceGates(t *testing.T) {
 			}
 		})
 		if allow := poolGrowthAllowance(m); allocs > allow {
-			t.Errorf("%s: warmup and measure stretches made %d heap allocations, want at most %d (PHT pool doublings)",
+			t.Errorf("%s: warmup and measure stretches made %d heap allocations, want at most %d (correlation-table pool doublings)",
 				r.label, allocs, allow)
 		}
 	}

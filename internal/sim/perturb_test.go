@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"tagprefetch/internal/addr"
@@ -51,8 +52,8 @@ var unsnapped = map[string]string{
 	"prefetch.StreamBuffers.geom":  "address geometry fixed at construction",
 	"prefetch.StreamBuffers.depth": "per-buffer depth configuration fixed at construction",
 	"prefetch.StreamBuffers.reqs":  "scratch batch, dead between OnMiss calls by the Prefetcher contract",
-	"prefetch.Markov.setMask":      "geometry derived from the set count at construction",
 	"prefetch.Markov.reqs":         "scratch batch, dead between OnMiss calls by the Prefetcher contract",
+	"prefetch.Table.keyMask":       "key width fixed at construction; bounds a decoded key",
 	"prefetch.GHB.degree":          "prefetch-degree configuration fixed at construction",
 	"prefetch.GHB.geom":            "address geometry fixed at construction",
 	"prefetch.GHB.hist":            "scratch, dead between OnMiss calls",
@@ -176,9 +177,17 @@ func snapshotters(m *Machine) map[reflect.Type]reflect.Value {
 	return out
 }
 
+// typeName is t's name without type arguments: every instantiation of a
+// generic Snapshotter (prefetch.Table[uint32], prefetch.Table[uint64])
+// is checked as the one type the source declares.
+func typeName(t reflect.Type) string {
+	name, _, _ := strings.Cut(t.Name(), "[")
+	return name
+}
+
 // fieldKey names a struct field as "pkg.Type.field".
 func fieldKey(t reflect.Type, i int) string {
-	return path.Base(t.PkgPath()) + "." + t.Name() + "." + t.Field(i).Name
+	return path.Base(t.PkgPath()) + "." + typeName(t) + "." + t.Field(i).Name
 }
 
 // encode returns s's image, or nil if encoding panicked (a perturbed
@@ -390,7 +399,7 @@ func TestPerturbationCoversEverySnapshotter(t *testing.T) {
 	reached := map[string]bool{}
 	for _, r := range perturbRows() {
 		for typ := range snapshotters(perturbMachine(t, r)) {
-			reached[typ.PkgPath()+"."+typ.Name()] = true
+			reached[typ.PkgPath()+"."+typeName(typ)] = true
 		}
 	}
 	pkgs, err := modulePackages()

@@ -16,10 +16,10 @@ import (
 // fresh machine of the same row must return nil or an error, never panic.
 //
 // The seeds are every row's mid-warmup and post-boundary images. The
-// rows' small caches keep most images near 40-90 KB, the 8 MB TCP's
-// included, since its image codes only the PHT sets the run trained;
-// DBCP's and Markov's fixed tables keep theirs at 6.6 and 2.9 MB, so pass
-// -fuzzminimizetime=1s for short runs, as CI does.
+// rows' small caches keep the images near 35-65 KB, TCP-8M's, DBCP-2M's
+// and Markov's included, since a correlation table codes only the sets
+// the run trained. Minimizing an input at the default 60 s still stalls a
+// short run: pass -fuzzminimizetime=1s, as CI does.
 func FuzzMachineRestore(f *testing.F) {
 	for i, lc := range fuzzRows() {
 		m := mustMachine(f, "swim", lc.f, lc.cfg)
