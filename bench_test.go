@@ -2,7 +2,7 @@ package tagprefetch
 
 // Micro-benchmarks of the telemetry layer on the hottest simulator path.
 // The paper's figures and ablations are regenerated by the commands, not
-// here: tcpfigs -exp <figure> and tcpsweep -sweep <name>.
+// here: tcpfigs -exp <row>.
 
 import (
 	"io"

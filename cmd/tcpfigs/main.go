@@ -1,15 +1,27 @@
-// Command tcpfigs regenerates the paper's tables and figures.
+// Command tcpfigs regenerates the paper's tables and figures and the
+// DESIGN.md ablations, one row of the experiment table each.
 //
-//	tcpfigs -exp all                # everything (minutes at full scale)
+//	tcpfigs -exp all                # the paper's evaluation (minutes at full scale)
 //	tcpfigs -exp fig11              # the TCP vs DBCP comparison
-//	tcpfigs -exp fig13a -n 200000   # PHT size sweep, quick scale
+//	tcpfigs -exp size -n 200000     # Figure 13's PHT size sweep, quick scale
+//	tcpfigs -exp k -benches swim    # ablation A1 (THT depth) on one benchmark
+//	tcpfigs -exp size -json out.json   # machine-readable curves and tables
+//	tcpfigs -exp size -warmfork -checkpoint-dir ckpt   # warm once, fork grid
+//	tcpfigs -exp size -checkpoint-dir ckpt -resume     # resume a killed run
 //
-// Experiment ids: table1, fig1, fig2 ... fig7, fig11, fig12, fig13a,
-// fig13b, fig14, fig15, coverage. The DESIGN.md ablations are tcpsweep
-// sweeps (tcpsweep -sweep k, assoc, ...), one results/aN_run.txt each.
+// Rows: table1, fig1 ... fig7, fig11, fig12, size and nbits (Figure 13
+// top and bottom), fig14, fig15, coverage, then the ablations k, assoc,
+// hash, targets, baselines, critfilter, strideassist, placement and
+// branchpred (A1-A9). "all" runs the paper's rows, table1 to coverage.
+//
+// Several hosts sharing storage can split one grid (docs/DISTRIBUTED.md):
+//
+//	tcpfigs -exp size -checkpoint-dir shared -workers 3 -worker-id a
+//	tcpfigs -exp size -checkpoint-dir shared -workers 3 -worker-id b
+//	tcpfigs -exp size -checkpoint-dir shared -gather   # assemble output
 //
 // With -report, tcpfigs instead renders a machine-readable telemetry
-// report produced by `tcpsim -json` or `tcpsweep -json`: per-run headline
+// report produced by `tcpsim -json` or `tcpfigs -json`: per-run headline
 // metrics, sampled time series with phase boundaries, sweep curves and
 // tables.
 package main
@@ -23,7 +35,6 @@ import (
 	"strings"
 
 	"tagprefetch/internal/experiment"
-	"tagprefetch/internal/profiler"
 	"tagprefetch/internal/runflags"
 	"tagprefetch/internal/stats"
 	"tagprefetch/internal/telemetry"
@@ -33,14 +44,11 @@ import (
 // skip the deferred profile flush and truncate -cpuprofile/-memprofile.
 func main() { os.Exit(run()) }
 
-// allIDs is every experiment id, in the order -exp all runs them.
-var allIDs = []string{"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-	"fig7", "fig11", "fig12", "fig13a", "fig13b", "fig14", "fig15", "coverage"}
-
 func run() int {
-	exp := flag.String("exp", "all", "experiment id (table1, fig1..fig7, fig11..fig15, coverage, all)")
-	asCSV := flag.Bool("csv", false, "emit table experiments as CSV instead of aligned text")
-	reportIn := flag.String("report", "", "render a telemetry report (from tcpsim/tcpsweep -json) instead of running experiments")
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiment.RowNames(), " | ")+" | all")
+	asCSV := flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
+	jsonOut := flag.String("json", "", "write the rows' curves and tables as a machine-readable report to this file")
+	reportIn := flag.String("report", "", "render a telemetry report (from tcpsim/tcpfigs -json) instead of running experiments")
 	rf := runflags.Register(flag.CommandLine, "tcpfigs")
 	flag.Parse()
 
@@ -52,98 +60,86 @@ func run() int {
 		return 0
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = allIDs
-	} else if !slices.Contains(allIDs, *exp) {
-		fmt.Fprintf(os.Stderr, "tcpfigs: unknown experiment %q\n", *exp)
-		return 2
+	all := *exp == "all"
+	rows := experiment.Rows[:experiment.PaperRows]
+	if !all {
+		row, err := experiment.Lookup(*exp)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+			return 2
+		}
+		rows = []experiment.Row{row}
 	}
-	// One runner for every figure, so each point is simulated once: fig1's
-	// baselines and fig11's TCP points are reused by fig12, fig13 and fig14
-	// through the runner's memo.
+	// One runner for every row, so each point is simulated once: fig1's
+	// baselines and fig11's TCP points are reused by fig12, size and fig14,
+	// and one miss-stream job per bench serves fig2-fig7, fig15 and
+	// coverage, through the runner's memo.
 	r, stopProf, err := rf.Bind(*exp)
 	if err != nil {
 		return rf.Exit(err)
 	}
 	defer stopProf()
-	o := r.Options
 
-	// Each figure renders into out and is printed only once the gather,
-	// if any, has found every point it submitted.
+	// Under -gather every row renders into out, which is printed only
+	// once the gather has found every point; otherwise each row prints
+	// as it completes.
 	var out bytes.Buffer
-	emit := func(t *stats.Table) {
-		if *asCSV {
-			t.WriteCSV(&out) //nolint:errcheck // a bytes.Buffer cannot fail
-			return
-		}
-		t.WriteTo(&out) //nolint:errcheck
-	}
-	// sweep prints a Figure 13 curve as tcpsweep does.
-	sweep := func(name string) {
-		sw, _ := experiment.LookupSweep(name) //nolint:errcheck // names from the table
-		sw.Run(o).Print(&out)
-	}
-
-	var prof map[string]profiler.Summary
-	needProfile := func() map[string]profiler.Summary {
-		if prof == nil {
-			fmt.Fprintln(os.Stderr, "tcpfigs: profiling miss streams (shared across fig2-7, fig15)...")
-			prof = experiment.ProfileAll(o)
-		}
-		return prof
-	}
-
-	for _, id := range ids {
-		switch id {
-		case "table1":
-			emit(experiment.Table1())
-		case "fig1":
-			emit(experiment.Fig01IdealL2(o))
-		case "fig2":
-			emit(experiment.Fig02TagStats(o, needProfile()))
-		case "fig3":
-			emit(experiment.Fig03AddrStats(o, needProfile()))
-		case "fig4":
-			emit(experiment.Fig04TagSpread(o, needProfile()))
-		case "fig5":
-			emit(experiment.Fig05SeqRatio(o, needProfile()))
-		case "fig6":
-			emit(experiment.Fig06SeqStats(o, needProfile()))
-		case "fig7":
-			emit(experiment.Fig07SeqSpread(o, needProfile()))
-		case "fig11":
-			emit(experiment.Fig11IPC(o))
-		case "fig12":
-			emit(experiment.Fig12Traffic(o))
-		case "fig13a":
-			fmt.Fprintln(&out, "== Figure 13 (top): mean IPC vs PHT size ==")
-			sweep("size")
-		case "fig13b":
-			fmt.Fprintln(&out, "== Figure 13 (bottom): mean IPC vs miss-index bits ==")
-			sweep("nbits")
-		case "fig14":
-			emit(experiment.Fig14Hybrid(o))
-		case "fig15":
-			emit(experiment.Fig15Strided(o, needProfile()))
-		case "coverage":
-			emit(experiment.CoverageComparison(o))
-		}
-		if err := r.Gather.Err(); err != nil {
-			return rf.Exit(err)
-		}
-		out.WriteByte('\n')
-		if _, err := out.WriteTo(os.Stdout); err != nil {
+	flush := func() bool {
+		_, err := out.WriteTo(os.Stdout)
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+		}
+		return err == nil
+	}
+	report := telemetry.NewReport("tcpfigs")
+	for _, row := range rows {
+		res := row.Run(r.Options)
+		// A single row prints exactly Result.Print; all prints a
+		// series-only row under its title and a blank line after each.
+		if all && res.Table == nil {
+			fmt.Fprintf(&out, "== %s ==\n", row.Title)
+		}
+		if *asCSV && res.Table != nil {
+			res.Table.WriteCSV(&out) //nolint:errcheck // a bytes.Buffer cannot fail
+		} else {
+			res.Print(&out)
+		}
+		if all {
+			out.WriteByte('\n')
+		}
+		for _, s := range res.Series {
+			report.Sweeps = append(report.Sweeps, telemetry.SweepSeries{
+				Name: s.Name, Labels: s.Labels, Values: s.Values})
+		}
+		if t := res.Table; t != nil {
+			report.Tables = append(report.Tables, telemetry.TableData{
+				Title: t.Title(), Headers: t.Headers(), Rows: t.Rows()})
+		}
+		if r.Gather == nil && !flush() {
 			return 1
 		}
 	}
-	r.PrintStats()
+	if err := r.Gather.Err(); err != nil {
+		return rf.Exit(err)
+	}
+	if !flush() {
+		return 1
+	}
+	report.Workers = append(report.Workers, r.PrintStats()...)
+
+	if *jsonOut != "" {
+		report.GeomeanClamped = stats.GeomeanClampCount()
+		if err := report.WriteFile(*jsonOut); err != nil {
+			fmt.Fprintln(os.Stderr, "tcpfigs:", err)
+			return 1
+		}
+		fmt.Fprintf(os.Stderr, "tcpfigs: report written to %s\n", *jsonOut)
+	}
 	return 0
 }
 
 // renderReport prints a telemetry report written by `tcpsim -json` or
-// `tcpsweep -json` as the same table/series text the experiments emit.
+// `tcpfigs -json` as the same table/series text the experiments emit.
 func renderReport(path string, asCSV bool) error {
 	rep, err := telemetry.ReadReportFile(path)
 	if err != nil {

@@ -2,13 +2,13 @@
 // grid requests to /v1/sweeps, the daemon answers every point it can from
 // its content-addressed result cache, schedules the misses onto its
 // in-process worker fleet with per-tenant fair queueing, and renders
-// completed results byte-identical to `tcpsweep -gather`.
+// completed results byte-identical to `tcpfigs -gather`.
 //
 //	tcpsweepd -root /var/lib/tcp                 # defaults: 2 workers, :8344
 //	tcpsweepd -root data -workers 8 -addr :9000  # bigger fleet
 //
 // The cache directory (<root>/ckpt-v<version>) is an ordinary checkpoint
-// directory: external `tcpsweep -workers` processes pointed at it join the
+// directory: external `tcpfigs -workers` processes pointed at it join the
 // daemon's fleet, and /status and /metrics expose it exactly as
 // `tcpstatus -status-addr` would.
 package main

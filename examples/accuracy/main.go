@@ -1,8 +1,8 @@
 // Accuracy: evaluate prefetchers on raw miss streams, without timing —
-// the predictor-quality view behind Figure 11. Captures each benchmark's
-// L1 miss trace once, then replays it through several prefetchers and
-// reports coverage (misses predicted ahead of time) and accuracy
-// (predictions that come true).
+// the predictor-quality view behind Figure 11. Simulates each benchmark
+// once without prefetching and replays its L1 miss stream, as it happens,
+// through several prefetchers, then reports coverage (misses predicted
+// ahead of time) and accuracy (predictions that come true).
 package main
 
 import (
@@ -10,13 +10,13 @@ import (
 	"os"
 
 	"tagprefetch/internal/coverage"
-	"tagprefetch/internal/experiment"
 	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/sim"
+	"tagprefetch/internal/trace"
 )
 
 func main() {
-	o := experiment.Options{Instructions: 400_000, Warmup: 1_200_000}
+	cfg := sim.Config{Instructions: 400_000, Warmup: 1_200_000}
 	geom := memsys.DefaultConfig().L1D
 	factories := []sim.Factory{
 		sim.NextLine(), sim.Stride(), sim.GHB(), sim.DBCP2M(), sim.TCP8K(), sim.TCP8M(),
@@ -30,15 +30,25 @@ func main() {
 	fmt.Println()
 
 	for _, bench := range []string{"swim", "art", "lucas", "gcc", "mcf", "twolf"} {
-		misses, err := experiment.CaptureMisses(bench, o, 0)
+		evs := make([]*coverage.Evaluator, len(factories))
+		for i, f := range factories {
+			pf, _ := f.Build(geom)
+			evs[i] = coverage.New(geom, pf, 512)
+		}
+		misses := 0
+		_, err := sim.ObserveMisses(bench, cfg, nil, func(m trace.Miss) {
+			misses++
+			for _, e := range evs {
+				e.Observe(m)
+			}
+		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-8s %8d", bench, len(misses))
-		for _, f := range factories {
-			pf, _ := f.Build(geom)
-			r := coverage.Replay(geom, pf, misses, 512)
+		fmt.Printf("%-8s %8d", bench, misses)
+		for _, e := range evs {
+			r := e.Result()
 			fmt.Printf("    %5.1f%%/%5.1f%%", r.Coverage()*100, r.Accuracy()*100)
 		}
 		fmt.Println()

@@ -7,7 +7,7 @@ import (
 )
 
 // FlagError reports an invalid distributed-sweep flag combination. Flag
-// names the offending command-line flag so tcpsweep/tcpfigs can surface
+// names the offending command-line flag so tcpfigs can surface
 // exactly what to fix (and exit 2, the usage-error status).
 type FlagError struct {
 	Flag   string
@@ -18,8 +18,8 @@ func (e *FlagError) Error() string {
 	return fmt.Sprintf("invalid flag %s: %s", e.Flag, e.Reason)
 }
 
-// ValidateWorkerFlags checks the distributed-mode flag triple shared by
-// tcpsweep and tcpfigs before any store or lease machinery is built:
+// ValidateWorkerFlags checks tcpfigs' distributed-mode flag triple before
+// any store or lease machinery is built:
 //
 //   - -lease-ttl must be positive: a zero or negative horizon would make
 //     every lease instantly stealable (NewStore rejects it too, but only

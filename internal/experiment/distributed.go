@@ -34,7 +34,7 @@ func (r *Runner) StoreStats() (manifestHits uint64) { return r.storeHits.Load() 
 
 // WorkerStats reports the attached lease store's claim-protocol counters
 // and this runner's manifest hits as one worker record: the -json report
-// entry of a tcpsweep/tcpfigs worker and a sweep daemon worker's status
+// entry of a tcpfigs worker and a sweep daemon worker's status
 // row. ok is false when no lease store is attached.
 func (r *Runner) WorkerStats() (ws telemetry.WorkerStats, ok bool) {
 	if r.claims == nil {
@@ -49,7 +49,7 @@ func (r *Runner) WorkerStats() (ws telemetry.WorkerStats, ok bool) {
 }
 
 // Gather answers a grid from result manifests in one pass and simulates
-// nothing: the -gather pass of tcpsweep and tcpfigs, and the sweep
+// nothing: the -gather pass of tcpfigs, and the sweep
 // daemon's answer to a request. As a Runner's answer hook
 // (SetAnswer(g.Answer)) it dedupes every submitted batch on JobName,
 // looks each new point up once and hands every submission, repeats
@@ -71,7 +71,7 @@ type Gather struct {
 
 // NewGather returns a pass answering each point through lookup. It looks
 // nothing up once the grid holds more than budget points, so a grid
-// submitted in one batch, as every Sweeps row is, and rejected for its
+// submitted in one batch, as every row of Rows is, and rejected for its
 // size costs no manifest read.
 func NewGather(lookup func(Job) (sim.Result, bool), budget int) *Gather {
 	return &Gather{lookup: lookup, budget: budget, index: make(map[string]int)}

@@ -6,8 +6,9 @@
 // and the hybrid L1-prefetching comparison (Figure 14) — plus the ablation
 // studies listed in DESIGN.md §4.
 //
-// Each experiment returns printable tables/series; EXPERIMENTS.md records a
-// reference run against the paper's numbers.
+// Each experiment returns printable tables/series and is a row of Rows,
+// the one experiment table; EXPERIMENTS.md records a reference run against
+// the paper's numbers.
 package experiment
 
 import (

@@ -1,10 +1,11 @@
 package experiment
 
 import (
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 
+	"tagprefetch/internal/sim"
 	"tagprefetch/internal/stats"
 )
 
@@ -93,44 +94,48 @@ func TestFig14Runs(t *testing.T) {
 
 func TestProfileFiguresShareOnePass(t *testing.T) {
 	o := tiny()
-	prof := ProfileAll(o)
+	o.Runner = NewRunner(1)
+	prof := profiles(o)
 	if len(prof) != 3 {
 		t.Fatalf("profiles = %d", len(prof))
 	}
+	art, mcf := prof[1].Locality, prof[2].Locality
 	// art (dense sweeps over ~3 MB) must show few unique tags; in a short
 	// test window the sweeps cover only part of the footprint, so just
 	// check the count is small and nonzero. mcf's random-order chase over a
 	// similar footprint touches far more tags in the same window.
-	artTags := prof["art"].UniqueTags
-	if artTags < 2 || artTags > 150 {
-		t.Errorf("art unique tags = %d, want small", artTags)
+	if art.UniqueTags < 2 || art.UniqueTags > 150 {
+		t.Errorf("art unique tags = %d, want small", art.UniqueTags)
 	}
-	if prof["mcf"].UniqueTags <= artTags {
-		t.Errorf("mcf tags %d <= art tags %d", prof["mcf"].UniqueTags, artTags)
+	if mcf.UniqueTags <= art.UniqueTags {
+		t.Errorf("mcf tags %d <= art tags %d", mcf.UniqueTags, art.UniqueTags)
 	}
 	// mcf (chase) must show far more unique sequences than art (sweeps).
-	if prof["mcf"].UniqueSeqs <= prof["art"].UniqueSeqs {
-		t.Errorf("mcf seqs %d <= art seqs %d", prof["mcf"].UniqueSeqs, prof["art"].UniqueSeqs)
+	if mcf.UniqueSeqs <= art.UniqueSeqs {
+		t.Errorf("mcf seqs %d <= art seqs %d", mcf.UniqueSeqs, art.UniqueSeqs)
 	}
 
 	tabs := []*stats.Table{
-		Fig02TagStats(o, prof), Fig03AddrStats(o, prof), Fig04TagSpread(o, prof),
-		Fig05SeqRatio(o, prof), Fig06SeqStats(o, prof), Fig07SeqSpread(o, prof),
-		Fig15Strided(o, prof),
+		Fig02TagStats(o), Fig03AddrStats(o), Fig04TagSpread(o),
+		Fig05SeqRatio(o), Fig06SeqStats(o), Fig07SeqSpread(o),
+		Fig15Strided(o), CoverageComparison(o),
 	}
 	for i, tab := range tabs {
 		if len(tab.Rows()) != 3 {
 			t.Errorf("figure table %d has %d rows, want 3", i, len(tab.Rows()))
 		}
 	}
+	// Every figure and the coverage table read the same three passes.
+	if simulated, _ := o.Runner.MemoStats(); simulated != 3 {
+		t.Errorf("the profile figures simulated %d passes, want one per bench (3)", simulated)
+	}
 }
 
 func TestFig15SwimMostStrided(t *testing.T) {
 	o := Options{Instructions: 150_000, Warmup: 150_000, Benches: []string{"swim", "gcc"}}
-	prof := ProfileAll(o)
-	if prof["swim"].StridedFrac <= prof["gcc"].StridedFrac {
-		t.Errorf("swim strided %.3f <= gcc strided %.3f",
-			prof["swim"].StridedFrac, prof["gcc"].StridedFrac)
+	prof := profiles(o.withDefaults())
+	if swim, gcc := prof[0].Locality, prof[1].Locality; swim.StridedFrac <= gcc.StridedFrac {
+		t.Errorf("swim strided %.3f <= gcc strided %.3f", swim.StridedFrac, gcc.StridedFrac)
 	}
 }
 
@@ -173,27 +178,46 @@ func TestNewAblationsRun(t *testing.T) {
 	}
 }
 
-func TestCaptureMisses(t *testing.T) {
-	misses, err := CaptureMisses("art", Options{Instructions: 60_000, Warmup: 120_000}, 0)
+// TestMissStreamJob: a miss-stream job's result carries the profile of
+// the measured window's miss stream, whose coverage replays each see every
+// miss the profiler does; its manifest round-trips the profile, and an
+// unknown benchmark panics as a grid point does.
+func TestMissStreamJob(t *testing.T) {
+	cfg := sim.Config{Instructions: 60_000, Warmup: 120_000, Seed: 1}
+	dir := t.TempDir()
+	store, err := NewResultStore(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(misses) == 0 {
-		t.Fatal("no misses captured")
+	r := NewRunner(1)
+	r.SetResultStore(store)
+	j := MissStreamJob("art", cfg)
+	res := r.Map([]Job{j})[0]
+	p := res.Profile
+	if p == nil || p.Locality.Misses == 0 {
+		t.Fatal("no misses profiled")
 	}
-	if _, err := CaptureMisses("bogus", Options{}, 0); err == nil {
-		t.Error("expected error")
+	for i, c := range p.Coverage {
+		if c.Misses != p.Locality.Misses {
+			t.Errorf("replay %d saw %d misses, the profiler %d", i, c.Misses, p.Locality.Misses)
+		}
 	}
-	capped, err := CaptureMisses("art", Options{Instructions: 60_000, Warmup: 120_000}, 10)
+	if res.Mem.PrefetchIssued != 0 {
+		t.Errorf("the miss-stream pass issued %d prefetches", res.Mem.PrefetchIssued)
+	}
+	back, err := NewResultStore(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(capped) != 10 {
-		t.Fatalf("capped capture = %d records", len(capped))
+	if got, ok := back.LookupJob(j); !ok || !reflect.DeepEqual(got, res) {
+		t.Errorf("manifest lookup = %v, want the result with its profile", ok)
 	}
-	if !slices.Equal(capped, misses[:10]) {
-		t.Error("capped capture is not a prefix of the full stream")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("an unknown benchmark's miss-stream job did not panic")
+		}
+	}()
+	NewRunner(1).Map([]Job{MissStreamJob("bogus", cfg)})
 }
 
 func TestCoverageComparison(t *testing.T) {

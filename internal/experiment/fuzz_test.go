@@ -37,6 +37,19 @@ func schemeManifests(tb testing.TB) [][]byte {
 	return out
 }
 
+// missStreamManifest returns the manifest Save writes for one small
+// miss-stream job: the one kind of result that carries a Profile.
+func missStreamManifest(tb testing.TB) []byte {
+	tb.Helper()
+	j := MissStreamJob("mcf", sim.Config{Instructions: 2_000, Warmup: 2_000, Seed: 1})
+	res := NewRunner(1).Map([]Job{j})[0]
+	data, err := json.MarshalIndent(storedResult{Bench: j.Bench, Factory: j.Factory.Name, Result: res}, "", "  ")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
 // TestFastPathAcceptsWrittenManifests: every manifest Save writes
 // matches the template itself, not the encoding/json fallback, and
 // decodes to what encoding/json reads from it.
@@ -139,6 +152,7 @@ func FuzzParseManifest(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	f.Add(missStreamManifest(f))               // carries a Profile, so it takes the fallback
 	f.Add(append(bytes.Clone(good), "xyz"...)) // trailing garbage
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"Bench":"swim"}`))
@@ -159,7 +173,9 @@ func FuzzParseManifest(f *testing.F) {
 		if (err == nil) != ok {
 			t.Fatalf("parseManifest error %v, encoding/json accepts: %v", err, ok)
 		}
-		if sr != ref {
+		// DeepEqual: a miss-stream manifest decodes to a Profile pointer
+		// on each side.
+		if !reflect.DeepEqual(sr, ref) {
 			t.Fatalf("parseManifest decoded\n%+v\nencoding/json decodes\n%+v", sr, ref)
 		}
 	})

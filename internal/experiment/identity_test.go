@@ -13,11 +13,10 @@ import (
 	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/prefetch"
 	"tagprefetch/internal/sim"
-	"tagprefetch/internal/stats"
 )
 
 // fig13Config is the canonical Figure 13 grid point the goldens pin: the
-// tcpsweep defaults (1M measured, 2M warmup, seed 1) under an 8 KB PHT
+// tcpfigs defaults (1M measured, 2M warmup, seed 1) under an 8 KB PHT
 // with 2 miss-index bits.
 func fig13Config() (bench, factory string, cfg sim.Config) {
 	return "swim", sim.TCPWithPHT(8<<10, 2, false).Name,
@@ -188,8 +187,29 @@ func TestJobNameMatchesStore(t *testing.T) {
 	}
 }
 
-// TestJobNamesNameOneMachine plans every sweep of the table plus Figures
-// 1, 11, 12 and 14 and requires each content address to name exactly one
+// TestMissStreamJobGolden pins the content address of the canonical
+// window's miss-stream job. Its preimage is the grid layout with the
+// reserved factory label, so no other address moved to make room for it.
+func TestMissStreamJobGolden(t *testing.T) {
+	bench, _, cfg := fig13Config()
+	const wantName = "job-f8a74554e74cbe81.json"
+	j := MissStreamJob(bench, cfg)
+	if name := JobName(j); name != wantName {
+		t.Errorf("JobName(miss-stream) = %q, want %q", name, wantName)
+	}
+	grid := pointPreimage(bench, "tcp-8K/n2", false, cfg)
+	if fp := pointPreimage(bench, missStreamLabel, false, cfg); fp != strings.Replace(grid, "|tcp-8K/n2|", "|miss-stream|", 1) {
+		t.Errorf("miss-stream preimage %q is not the grid layout with its label", fp)
+	}
+	for _, s := range sim.Schemes {
+		if s.Factory().Name == missStreamLabel {
+			t.Errorf("scheme %s uses the reserved label %q", s.Name, missStreamLabel)
+		}
+	}
+}
+
+// TestJobNamesNameOneMachine plans every row of the experiment table and
+// requires each content address to name exactly one
 // machine: two jobs sharing a JobName must agree on benchmark, baseline
 // flag and factory flags, and build prefetchers that are deeply equal. A
 // factory label reused for a different configuration would otherwise let
@@ -214,7 +234,13 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 		if f.AtL2 {
 			geom = mem.L2
 		}
-		pf, hybrid := f.Build(geom)
+		// A miss-stream job builds no prefetcher: its label names the
+		// pass.
+		var pf prefetch.Prefetcher
+		var hybrid bool
+		if f.Name != missStreamLabel {
+			pf, hybrid = f.Build(geom)
+		}
 		got := machine{j.Bench, j.Baseline, f.CriticalFilter, f.AtL2, hybrid, pf, plannedBy}
 		name := JobName(j)
 		prev, ok := seen[name]
@@ -230,18 +256,9 @@ func TestJobNamesNameOneMachine(t *testing.T) {
 		}
 	})
 	o := Options{Benches: []string{"swim", "mcf"}, Runner: r}
-	for _, sw := range Sweeps {
-		plannedBy = sw.Name
-		sw.Run(o)
-	}
-	for _, fig := range []struct {
-		name string
-		run  func(Options) *stats.Table
-	}{
-		{"fig1", Fig01IdealL2}, {"fig11", Fig11IPC}, {"fig12", Fig12Traffic}, {"fig14", Fig14Hybrid},
-	} {
-		plannedBy = fig.name
-		fig.run(o)
+	for _, row := range Rows {
+		plannedBy = row.Name
+		row.Run(o)
 	}
 }
 
@@ -297,7 +314,7 @@ func referenceWarmFileName(key warmKey) string {
 
 // TestFingerprintsMatchReference requires the strconv-built preimage, the
 // manifest name and the warm-image name to equal their fmt renderings for
-// every job every sweep plans, at both warmup fidelities, under every
+// every job every row plans, at both warmup fidelities, under every
 // branch predictor, a non-default memory system and other windows and
 // seeds. A field added to memsys.Config or addr.Geometry shows in
 // the %+v reference, so it fails here until the appender renders it.
@@ -306,12 +323,12 @@ func TestFingerprintsMatchReference(t *testing.T) {
 	r := NewRunner(1)
 	r.SetPlan(func(j Job) { jobs = append(jobs, j) })
 	for _, fid := range []sim.Fidelity{sim.FidelityFull, sim.FidelityFast} {
-		for _, sw := range Sweeps {
-			sw.Run(Options{WarmupFidelity: fid, Runner: r})
+		for _, row := range Rows {
+			row.Run(Options{WarmupFidelity: fid, Runner: r})
 		}
 	}
 	if len(jobs) == 0 {
-		t.Fatal("the sweeps planned no jobs")
+		t.Fatal("the rows planned no jobs")
 	}
 
 	variants := []func(*sim.Config){

@@ -42,8 +42,10 @@ type manifestTemplate struct {
 // sim.Result is matched without any list to update.
 var manifestLayout = templateOf(reflect.TypeOf(storedResult{}))
 
-// templateOf lays struct type t out as Save writes it. A field the
-// template does not decode — an embedded struct, a json tag, a kind
+// templateOf lays struct type t out as Save writes it. A pointer field
+// tagged omitempty is laid out absent, as Save writes it when nil: a
+// manifest that carries it goes to the fallback. Any other field the
+// template does not decode — an embedded struct, another json tag, a kind
 // sim.Result does not use — becomes a slot of kind Invalid that no input
 // matches, so every manifest goes to the fallback (and
 // TestFastPathAcceptsWrittenManifests fails until the template learns it).
@@ -56,7 +58,8 @@ func templateOf(t reflect.Type) manifestTemplate {
 		sep := "\n"
 		for i := 0; i < t.NumField(); i++ {
 			sf := t.Field(i)
-			if !sf.IsExported() && !sf.Anonymous {
+			if (!sf.IsExported() && !sf.Anonymous) ||
+				(sf.Type.Kind() == reflect.Pointer && sf.Tag.Get("json") == ",omitempty") {
 				continue
 			}
 			lit.WriteString(sep + indent + `  "` + sf.Name + `": `)

@@ -218,7 +218,7 @@ func (r *Runner) resolve(j Job) sim.Result {
 }
 
 // ForEach runs fn(i) for every i in [0, n) across the pool. It is the
-// generic seam for non-Job work (the profiling and coverage passes). With a
+// generic seam for non-Job work (tcpsim's per-benchmark runs). With a
 // single worker it degenerates to a plain loop on the calling goroutine.
 func (r *Runner) ForEach(n int, fn func(i int)) {
 	if n <= 0 {

@@ -83,9 +83,14 @@ func warmFileName(key warmKey) string {
 // simulate runs one grid point, forking from the benchmark's shared warm
 // checkpoint when the config is eligible. An image that fails to restore (a
 // stale or foreign one from the checkpoint directory) falls back to the
-// cold run, which produces the identical result by construction.
+// cold run, which produces the identical result by construction. A
+// miss-stream job runs its pass cold. It is the package's one way into the
+// simulator.
 func (r *Runner) simulate(bench string, f sim.Factory, cfg sim.Config) sim.Result {
 	r.simulated.Add(1)
+	if f.Name == missStreamLabel {
+		return missStream(bench, cfg)
+	}
 	key, ok := warmKeyFor(bench, cfg)
 	if !ok {
 		return sim.MustRun(bench, f, cfg)

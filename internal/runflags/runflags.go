@@ -1,15 +1,15 @@
 // Package runflags owns the flags that describe a run, in two sets. The
 // window set (-n, -warmup, -seed, -warmup-fidelity, -cpuprofile,
 // -memprofile) is every simulating command's, with package sim's defaults;
-// tcpsim and tcptrace bind it alone. The grid set embeds it and adds the
-// grid-run flags tcpfigs and tcpsweep share: benchmark subset, workers,
-// checkpoint directory, result store, distributed claims, flight recorder
-// and -gather; it wires the experiment Runner they describe. Under
+// tcpsim and tcptrace bind it alone. The grid set embeds it and adds
+// tcpfigs' grid-run flags: benchmark subset, workers, checkpoint
+// directory, result store, distributed claims, flight recorder and
+// -gather; it wires the experiment Runner they describe. Under
 // -gather the Runner answers every grid point through an
 // experiment.Gather over the directory's manifests, the pass the sweep
 // daemon answers requests with, and Run.Gather reports what it missed.
-// Tool-specific flags (-bench, -exp, -sweep, -csv, -json, -report) stay in
-// each command.
+// Tool-specific flags (-bench, -exp, -csv, -json, -report) stay in each
+// command.
 package runflags
 
 import (
@@ -117,7 +117,7 @@ func Register(fs *flag.FlagSet, tool string) *Flags {
 		workers:  fs.Int("workers", 0, "join a distributed run splitting this grid over -checkpoint-dir (the value is advisory: any number of workers may cooperate)"),
 		workerID: fs.String("worker-id", "", "unique id for this worker in a distributed run (default hostname-pid; requires -workers)"),
 		leaseTTL: fs.Duration("lease-ttl", 30*time.Second, "heartbeat staleness horizon before a crashed worker's job leases may be stolen"),
-		gather:   fs.Bool("gather", false, "assemble a completed distributed run from -checkpoint-dir manifests without simulating grid points; errors if any job is missing (tcpfigs' miss-stream passes for fig2-fig7, fig15 and coverage are not grid jobs and still simulate)"),
+		gather:   fs.Bool("gather", false, "assemble a completed run from -checkpoint-dir manifests without simulating; errors if any job is missing"),
 	}
 	fs.Lookup("warmup").Usage = "warmup instructions per run (at least 1)"
 	return f

@@ -13,12 +13,12 @@ import (
 	"tagprefetch/internal/sim"
 )
 
-// bind parses args into a fresh flag set and binds it, as tcpsweep would.
+// bind parses args into a fresh flag set and binds it, as tcpfigs would.
 func bind(t *testing.T, args ...string) (*Run, error) {
 	t.Helper()
-	fs := flag.NewFlagSet("tcpsweep", flag.ContinueOnError)
+	fs := flag.NewFlagSet("tcpfigs", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	f := Register(fs, "tcpsweep")
+	f := Register(fs, "tcpfigs")
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
 	}
@@ -141,7 +141,7 @@ func TestBindWiresGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Tool != "tcpsweep" || g.Experiment != "nbits" || g.WarmupFidelity != "fast" || len(g.Benches) != 2 {
+	if g.Tool != "tcpfigs" || g.Experiment != "nbits" || g.WarmupFidelity != "fast" || len(g.Benches) != 2 {
 		t.Errorf("grid.json = %+v", g)
 	}
 	_, err = bind(t, "-n", "5000", "-checkpoint-dir", dir, "-resume")

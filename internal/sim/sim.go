@@ -13,10 +13,12 @@ import (
 	"tagprefetch/internal/branch"
 	"tagprefetch/internal/cache"
 	"tagprefetch/internal/core"
+	"tagprefetch/internal/coverage"
 	"tagprefetch/internal/cpu"
 	"tagprefetch/internal/dbcp"
 	"tagprefetch/internal/memsys"
 	"tagprefetch/internal/prefetch"
+	"tagprefetch/internal/profiler"
 	"tagprefetch/internal/telemetry"
 	"tagprefetch/internal/trace"
 	"tagprefetch/internal/workload"
@@ -312,6 +314,19 @@ type Result struct {
 	L2  cache.Stats
 
 	PrefetcherStorageBits uint64
+
+	// Profile is set by a miss-stream pass only, and a manifest omits it
+	// when nil, so every other result keeps its bytes.
+	Profile *MissProfile `json:",omitempty"`
+}
+
+// MissProfile is what a miss-stream pass measures of its measured-window
+// L1 miss stream: the Section 3 locality summary, and the stream's
+// untimed replay through each of DBCP-2M, TCP-8K and TCP-8M, in that
+// order.
+type MissProfile struct {
+	Locality profiler.Summary
+	Coverage [3]coverage.Result
 }
 
 // IPC is shorthand for the achieved instructions per cycle.

@@ -21,7 +21,7 @@ var geomeanClamps atomic.Uint64
 //
 // Clamping silently distorts the mean, so it is never silent here: each
 // clamped input is added to the process-wide count reported by
-// GeomeanClampCount, which tcpsweep's JSON report carries. Callers that
+// GeomeanClampCount, which tcpfigs' JSON report carries. Callers that
 // want the count per call should use GeomeanClamped.
 func Geomean(xs []float64) float64 {
 	g, _ := GeomeanClamped(xs)

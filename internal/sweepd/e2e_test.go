@@ -3,6 +3,7 @@ package sweepd_test
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"tagprefetch/internal/experiment"
+	"tagprefetch/internal/runflags"
 	"tagprefetch/internal/sweepd"
 )
 
@@ -119,7 +121,7 @@ func awaitDone(t *testing.T, base, id string) sweepd.Status {
 	}
 }
 
-// serialBody is the exact bytes `tcpsweep -sweep nbits -benches swim -n
+// serialBody is the exact bytes `tcpfigs -exp nbits -benches swim -n
 // ...` prints for the e2eRequest grid (one Series.String() line per
 // series), from a fresh serial run.
 func serialBody() []byte {
@@ -137,7 +139,7 @@ func serialBody() []byte {
 // acceptance properties —
 //
 //  1. the result body is byte-identical to what a fresh serial
-//     `tcpsweep -sweep nbits` run prints for the same grid (the daemon's
+//     `tcpfigs -exp nbits` run prints for the same grid (the daemon's
 //     gather path shares the CLI's job-construction and rendering code);
 //  2. re-submitting the identical grid from another tenant performs zero
 //     new simulations: the manifest count is unchanged and the body is
@@ -164,7 +166,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Property 1: byte-identity with a fresh serial run of the same grid
-	// — the exact bytes `tcpsweep -sweep nbits -benches swim -n ... `
+	// — the exact bytes `tcpfigs -exp nbits -benches swim -n ... `
 	// prints (one Series.String() line per series).
 	if want := serialBody(); !bytes.Equal(daemonBody, want) {
 		t.Errorf("daemon result differs from a fresh serial run:\ndaemon: %q\nserial: %q",
@@ -347,5 +349,74 @@ func TestDeletedBaselineManifestRerun(t *testing.T) {
 	}
 	if rcode, body := getBody(t, ts.URL+"/v1/sweeps/"+st2.ID+"/result"); rcode != http.StatusOK || !bytes.Equal(body, first) {
 		t.Errorf("GET result after the re-run = %d, body differs from the first:\n%s\nvs\n%s", rcode, body, first)
+	}
+}
+
+// TestFigureRowsServed: the daemon serves the paper's figure rows, not
+// only Figure 13's sweeps. A fig11 and a fig14 request each complete; a
+// second tenant's re-POST of fig11 is done at admission, and its body is
+// the bytes `tcpfigs -exp fig11 -gather` prints over the daemon's
+// manifests. Table 1, which plans no job, is done at admission.
+func TestFigureRowsServed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulations; skipped in -short")
+	}
+	srv, ts := newE2EDaemon(t, 2)
+	bodies := map[string][]byte{}
+	for _, row := range []string{"fig11", "fig14"} {
+		req := e2eRequest("alice")
+		req.Sweep = row
+		code, st := postSweep(t, ts.URL, req)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: POST = %d", row, code)
+		}
+		st = awaitDone(t, ts.URL, st.ID)
+		rcode, body := getBody(t, ts.URL+"/v1/sweeps/"+st.ID+"/result")
+		if rcode != http.StatusOK || !bytes.Contains(body, []byte("geomean")) {
+			t.Fatalf("%s: GET result = %d: %s", row, rcode, body)
+		}
+		bodies[row] = body
+	}
+
+	req := e2eRequest("bob")
+	req.Sweep = "fig11"
+	code, st := postSweep(t, ts.URL, req)
+	if code != http.StatusAccepted || st.State != sweepd.StateDone || st.Jobs.Executed != 0 {
+		t.Fatalf("bob's fig11 POST = %d, %s, %+v: want done at admission", code, st.State, st.Jobs)
+	}
+	if _, body := getBody(t, ts.URL+"/v1/sweeps/"+st.ID+"/result"); !bytes.Equal(body, bodies["fig11"]) {
+		t.Errorf("bob's body differs from alice's:\n%s\n%s", body, bodies["fig11"])
+	}
+
+	// Table 1 plans no job: it is done at admission with its body.
+	req.Sweep = "table1"
+	if code, st := postSweep(t, ts.URL, req); code != http.StatusAccepted || st.State != sweepd.StateDone {
+		t.Errorf("table1 POST = %d, %s: want done at admission", code, st.State)
+	} else if _, body := getBody(t, ts.URL+"/v1/sweeps/"+st.ID+"/result"); string(body) != experiment.Table1().String() {
+		t.Errorf("table1 body = %q, want Table 1", body)
+	}
+
+	fs := flag.NewFlagSet("tcpfigs", flag.ContinueOnError)
+	rf := runflags.Register(fs, "tcpfigs")
+	if err := fs.Parse([]string{"-benches", e2eBench, "-n", fmt.Sprint(e2eInstr),
+		"-warmup", fmt.Sprint(e2eWarmup), "-checkpoint-dir", srv.CacheDir(), "-gather"}); err != nil {
+		t.Fatal(err)
+	}
+	r, stop, err := rf.Bind("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	row, err := experiment.Lookup("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gathered bytes.Buffer
+	row.Run(r.Options).Print(&gathered)
+	if err := r.Gather.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gathered.Bytes(), bodies["fig11"]) {
+		t.Errorf("daemon body differs from tcpfigs -exp fig11 -gather:\ndaemon: %q\ngather: %q", bodies["fig11"], gathered.Bytes())
 	}
 }

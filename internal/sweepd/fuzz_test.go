@@ -20,12 +20,15 @@ var requestFields = map[string]bool{
 // under the default job budget. Nothing may panic; every rejection is a
 // *RequestError on a known field; every admitted request fits its budget,
 // passes sim.Config.Validate on each planned job, yields unique job names
-// and, with nothing cached, misses every point and renders no body.
+// and, with nothing cached, misses every point and renders a body only
+// for a row that plans no job (Table 1).
 func FuzzSweepRequest(f *testing.F) {
 	f.Add([]byte(`{"sweep":"nbits","benches":["swim"],"instructions":100000,"warmup":200000,"tenant":"alice"}`))
 	f.Add([]byte(`{"sweep":"nbits","benches":["swim"],"instructions":1,"warmup":18446744073709551615}`))
 	f.Add([]byte(`{"sweep":"branchpred","benches":["mcf"]}`))
 	f.Add([]byte(`{"sweep":"size","benches":["swim",""],"warmup_fidelity":"fast"}`))
+	f.Add([]byte(`{"sweep":"table1"}`))
+	f.Add([]byte(`{"sweep":"coverage","benches":["mcf","swim"]}`))
 	for _, body := range trailingBodies {
 		f.Add([]byte(body))
 	}
@@ -58,7 +61,7 @@ func FuzzSweepRequest(f *testing.F) {
 		if len(g.Jobs) > admission.budget(req) {
 			t.Fatalf("admitted %d jobs over a budget of %d", len(g.Jobs), admission.budget(req))
 		}
-		if len(g.Missing) != len(g.Jobs) || body != nil {
+		if len(g.Missing) != len(g.Jobs) || (body != nil) != (len(g.Jobs) == 0) {
 			t.Fatalf("empty store: %d of %d points missed, body %q", len(g.Missing), len(g.Jobs), body)
 		}
 		seen := make(map[string]bool, len(g.Names))

@@ -16,11 +16,11 @@ import (
 )
 
 // Request is the POST /v1/sweeps body. Every omitted or zero numeric field
-// selects the tcpsweep default, so the JSON `{"sweep":"size"}` and the CLI
-// `tcpsweep -sweep size` describe the same grid.
+// selects the tcpfigs default, so the JSON `{"sweep":"size"}` and the CLI
+// `tcpfigs -exp size` describe the same grid.
 type Request struct {
-	// Sweep names the grid: a row of experiment.Sweeps, the table behind
-	// tcpsweep's -sweep.
+	// Sweep names the grid: a row of experiment.Rows, the table behind
+	// tcpfigs' -exp.
 	Sweep string `json:"sweep"`
 	// Benches restricts the benchmark set (default: all 26, paper order).
 	// Order matters: it shapes the rendered result body.
@@ -134,9 +134,9 @@ var configFields = map[string]string{
 
 // normalize validates a request and fills defaults in place. The returned
 // error is always a *RequestError. The window and benches are checked by
-// experiment.Options.Validate, the same check tcpsweep's flags pass.
+// experiment.Options.Validate, the same check tcpfigs' flags pass.
 func normalize(req *Request, headerTenant string) error {
-	if _, err := experiment.LookupSweep(req.Sweep); err != nil {
+	if _, err := experiment.Lookup(req.Sweep); err != nil {
 		return &RequestError{Field: "sweep", Reason: err.Error()}
 	}
 	if req.Instructions == 0 {
@@ -351,7 +351,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleResult serves a completed sweep's rendered output — byte-identical
-// to `tcpsweep -sweep <name> -gather` over the same manifests. A sweep
+// to `tcpfigs -exp <name> -gather` over the same manifests. A sweep
 // answered entirely from the cache holds its body from admission; any
 // other renders it once, through the same pass, at its first GET.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

@@ -55,7 +55,7 @@ type Config struct {
 	Root string
 	// Workers is the in-process simulation worker count (default 2). Each
 	// worker is a full fleet citizen — it claims jobs through the lease
-	// protocol — so external tcpsweep workers pointed at the same cache
+	// protocol — so external tcpfigs workers pointed at the same cache
 	// directory cooperate with the daemon's own.
 	Workers int
 	// LeaseTTL is the job-lease staleness horizon (default 30s).
@@ -412,12 +412,12 @@ func options(req Request, r *experiment.Runner) experiment.Options {
 // answer answers a normalized request in one run of its sweep
 // definition under an experiment.Gather over lookup, which plans the
 // grid, looks each point up once and records the misses. When every point
-// hit, body is the exact bytes `tcpsweep -sweep <name> -gather` prints
-// over the same manifests: the same pass and the same SweepResult.Print.
+// hit, body is the exact bytes `tcpfigs -exp <name> -gather` prints over
+// the same manifests: the same pass and the same Result.Print.
 // A grid of more than budget jobs is a RequestError on "max_jobs",
 // rejected without a manifest read (see experiment.NewGather).
 func answer(lookup func(experiment.Job) (sim.Result, bool), req Request, budget int) (g *experiment.Gather, body []byte, err error) {
-	def, err := experiment.LookupSweep(req.Sweep)
+	def, err := experiment.Lookup(req.Sweep)
 	if err != nil {
 		return nil, nil, &RequestError{Field: "sweep", Reason: err.Error()}
 	}

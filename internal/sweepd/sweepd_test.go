@@ -383,11 +383,12 @@ func TestInvalidRequests(t *testing.T) {
 	}
 }
 
-// TestEverySweepPlans runs every row of the sweep table through the
-// daemon's one-pass answer over an empty store: each plans a non-empty
-// grid of unique content addresses, and the same jobs in the same order
-// as plan mode (Runner.SetPlan, deduped on JobName). Nothing is
-// simulated: every point misses and no manifest is written. Over a store
+// TestEverySweepPlans runs every row of the experiment table through the
+// daemon's one-pass answer over an empty store: each plans a grid of
+// unique content addresses, and the same jobs in the same order as plan
+// mode (Runner.SetPlan, deduped on JobName). Table 1 alone plans none; a
+// profile row plans one miss-stream job per bench. Nothing is simulated:
+// every point misses and no manifest is written. Over a store
 // holding a distinct synthetic result for every point, each row's body
 // is the bytes a resumed runner prints over the same store, which answers
 // every submission through Runner.resolve rather than the gather pass, so
@@ -399,7 +400,7 @@ func TestEverySweepPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sw := range experiment.Sweeps {
+	for _, sw := range experiment.Rows {
 		// swim twice: a request may name a bench twice, so every row also
 		// submits repeated points.
 		req := Request{Sweep: sw.Name, Benches: []string{"swim", "mcf", "swim"}, Instructions: 20_000, Warmup: 20_000}
@@ -407,10 +408,26 @@ func TestEverySweepPlans(t *testing.T) {
 			t.Errorf("%s: normalize: %v", sw.Name, err)
 			continue
 		}
-		g, _, err := answer(store.LookupJob, req, math.MaxInt)
+		g, body, err := answer(store.LookupJob, req, math.MaxInt)
 		if err != nil {
 			t.Errorf("%s: answer: %v", sw.Name, err)
 			continue
+		}
+		if sw.Name == "table1" {
+			if len(g.Jobs) != 0 || !bytes.Equal(body, []byte(experiment.Table1().String())) {
+				t.Errorf("table1: answer = %d jobs, body %q; want none and the table", len(g.Jobs), body)
+			}
+			continue
+		}
+		if sw.Name == "fig2" {
+			var want []string
+			for _, b := range []string{"swim", "mcf"} {
+				want = append(want, experiment.JobName(experiment.MissStreamJob(b,
+					sim.Config{Instructions: 20_000, Warmup: 20_000, Seed: 1})))
+			}
+			if !slices.Equal(g.Names, want) {
+				t.Errorf("fig2: answer planned %v, want the miss-stream jobs %v", g.Names, want)
+			}
 		}
 		if len(g.Jobs) == 0 || len(g.Jobs) != len(g.Names) || len(g.Missing) != len(g.Jobs) {
 			t.Errorf("%s: answer = %d jobs, %d names, %d missed; want a non-empty grid, every point missed",
@@ -495,7 +512,7 @@ func syntheticStub(s *Server, ipc float64) func(experiment.Job) error {
 	}
 }
 
-// resumed is what `tcpsweep -resume` prints for req over the manifests
+// resumed is what `tcpfigs -resume` prints for req over the manifests
 // in dir: a serial runner on a fresh store in resume mode, which answers
 // each submission through Runner.resolve. It fails the test if any point
 // had to be simulated.
@@ -505,7 +522,7 @@ func resumed(t *testing.T, dir string, req Request) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := experiment.LookupSweep(req.Sweep)
+	def, err := experiment.Lookup(req.Sweep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +657,7 @@ func TestOverBudgetReadsNoManifest(t *testing.T) {
 // batches, with a point repeated inside a batch and across them, is handed
 // each point's own result at every submission and looks each point up
 // once. A budget that its second batch passes stops the lookups before
-// that batch. Every row of experiment.Sweeps submits its grid in one
+// that batch. Every row of experiment.Rows submits its grid in one
 // batch, so the row here is the test's own.
 func TestPassRepeatsAndBatches(t *testing.T) {
 	cfg := sim.Config{Instructions: 10_000, Warmup: 10_000, Seed: 1}
@@ -649,15 +666,15 @@ func TestPassRepeatsAndBatches(t *testing.T) {
 	base := experiment.Job{Bench: "swim", Factory: sim.NoPrefetch(), Config: cfg, Baseline: true}
 	ipc := map[string]float64{experiment.JobName(a): 1, experiment.JobName(b): 2, experiment.JobName(base): 3}
 	var got []float64
-	experiment.Sweeps = append(experiment.Sweeps, experiment.Sweep{Name: "repeats", Run: func(o experiment.Options) experiment.SweepResult {
+	experiment.Rows = append(experiment.Rows, experiment.Row{Name: "repeats", Run: func(o experiment.Options) experiment.Result {
 		for _, batch := range [][]experiment.Job{{a, b, a}, {b, base, a}} {
 			for _, res := range o.Runner.Map(batch) {
 				got = append(got, res.IPC())
 			}
 		}
-		return experiment.SweepResult{}
+		return experiment.Result{}
 	}})
-	t.Cleanup(func() { experiment.Sweeps = experiment.Sweeps[:len(experiment.Sweeps)-1] })
+	t.Cleanup(func() { experiment.Rows = experiment.Rows[:len(experiment.Rows)-1] })
 
 	lookups := 0
 	lookup := func(j experiment.Job) (sim.Result, bool) {

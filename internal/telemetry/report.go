@@ -78,7 +78,7 @@ func (r *Run) Report(bench, prefetcher string, instructions, warmup, seed uint64
 }
 
 // SweepSeries is one labelled design-space sweep curve (e.g. mean IPC vs
-// PHT size) exported by cmd/tcpsweep.
+// PHT size) exported by cmd/tcpfigs.
 type SweepSeries struct {
 	Name   string    `json:"name"`
 	Labels []string  `json:"labels"`
@@ -93,7 +93,7 @@ type TableData struct {
 }
 
 // WorkerStats reports one distributed-sweep worker's claim-protocol
-// counters (tcpsweep/tcpfigs worker mode over a shared checkpoint
+// counters (tcpfigs worker mode over a shared checkpoint
 // directory; see docs/DISTRIBUTED.md). Serial and gather runs have no
 // workers, so the section is absent from their reports and the gathered
 // JSON stays byte-identical to a serial run's.
@@ -114,7 +114,7 @@ type WorkerStats struct {
 // more run reports and/or sweep curves and tables.
 type Report struct {
 	Schema string `json:"schema"`
-	// Tool names the producing binary ("tcpsim", "tcpsweep").
+	// Tool names the producing binary ("tcpsim", "tcpfigs").
 	Tool string `json:"tool,omitempty"`
 
 	Runs    []RunReport   `json:"runs,omitempty"`

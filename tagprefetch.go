@@ -139,23 +139,3 @@ func Profile(bench string, cfg RunConfig) (Summary, error) {
 		Seed:         cfg.Seed,
 	})
 }
-
-// Experiments re-exported from the harness; each regenerates one paper
-// table or figure (see DESIGN.md §4 for the index).
-var (
-	Table1         = experiment.Table1
-	Fig01IdealL2   = experiment.Fig01IdealL2
-	Fig11IPC       = experiment.Fig11IPC
-	Fig12Traffic   = experiment.Fig12Traffic
-	Fig13PHTSize   = experiment.Fig13PHTSize
-	Fig13IndexBits = experiment.Fig13IndexBits
-	Fig14Hybrid    = experiment.Fig14Hybrid
-	ProfileAll     = experiment.ProfileAll
-	Fig02TagStats  = experiment.Fig02TagStats
-	Fig03AddrStats = experiment.Fig03AddrStats
-	Fig04TagSpread = experiment.Fig04TagSpread
-	Fig05SeqRatio  = experiment.Fig05SeqRatio
-	Fig06SeqStats  = experiment.Fig06SeqStats
-	Fig07SeqSpread = experiment.Fig07SeqSpread
-	Fig15Strided   = experiment.Fig15Strided
-)
