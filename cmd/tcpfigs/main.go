@@ -92,7 +92,10 @@ func run() int {
 		return err == nil
 	}
 	report := telemetry.NewReport("tcpfigs")
+	report.Instructions, report.Warmup, report.Seed = r.Options.Instructions, r.Options.Warmup, r.Options.Seed
+	report.WarmupFidelity = string(r.Options.WarmupFidelity)
 	for _, row := range rows {
+		report.Rows = append(report.Rows, row.Name)
 		res := row.Run(r.Options)
 		// A single row prints exactly Result.Print; all prints a
 		// series-only row under its title and a blank line after each.
@@ -154,8 +157,13 @@ func renderReport(path string, asCSV bool) error {
 		return nil
 	}
 
-	fmt.Printf("report: tool=%s schema=%s runs=%d sweeps=%d tables=%d\n\n",
+	fmt.Printf("report: tool=%s schema=%s runs=%d sweeps=%d tables=%d\n",
 		rep.Tool, rep.Schema, len(rep.Runs), len(rep.Sweeps), len(rep.Tables))
+	if rep.Instructions > 0 {
+		fmt.Printf("window: n=%d warmup=%d seed=%d fidelity=%s rows=%s\n",
+			rep.Instructions, rep.Warmup, rep.Seed, rep.WarmupFidelity, strings.Join(rep.Rows, ","))
+	}
+	fmt.Println()
 
 	for _, run := range rep.Runs {
 		head := stats.NewTable(

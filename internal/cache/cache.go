@@ -121,8 +121,6 @@ type AccessResult struct {
 	Hit        bool
 	ReadyAt    int64 // when the data is available (== access cycle for settled hits)
 	Prefetched bool  // the hit line was originally filled by a prefetch
-	Index      uint32
-	Tag        uint64
 }
 
 // Probe reports whether block a is present, without changing any state.
@@ -146,11 +144,10 @@ func (c *Cache) Probe(a addr.Addr) bool {
 //
 // Runs once per demand access at every cache level.
 func (c *Cache) Access(a addr.Addr, write bool, now int64) AccessResult {
-	idx := c.geom.Index(a)
 	tag := c.geom.Tag(a)
-	res := AccessResult{Index: idx, Tag: tag}
+	var res AccessResult
 	c.st.Accesses++
-	set := c.set(idx)
+	set := c.set(c.geom.Index(a))
 	for i := range set {
 		ln := &set[i]
 		if !ln.Valid || ln.Tag != tag {

@@ -135,8 +135,8 @@ func newDecoder(data []byte) (*Codec, error) {
 // Decoding reports whether c decodes. Snapshot methods branch on it only
 // where the image layout is rebuilt rather than copied: a table whose
 // decoded entries are re-inserted (MSHR entries, TCP's sparse PHT, a
-// map), or machine state a decode must re-derive (parked components,
-// published counters).
+// map), or state a decode must re-derive (parked components, published
+// counters, a chase stream's position).
 func (c *Codec) Decoding() bool { return c.decoding }
 
 // Fail records err as the decode error unless one is already recorded.

@@ -373,9 +373,6 @@ func (t *TCP) allocate(setIdx uint64, lastTag uint32) int {
 // OnAccess implements prefetch.Prefetcher (TCP only observes misses).
 func (t *TCP) OnAccess(addr.Addr, addr.Addr, int64, bool) []prefetch.Request { return nil }
 
-// OnEvict implements prefetch.Prefetcher (TCP does not track evictions).
-func (t *TCP) OnEvict(addr.Addr, int64, int64, int64) {}
-
 // StorageBits implements prefetch.Prefetcher: the PHT budget
 // (sets x ways x (tag + Targets x tag')); the paper quotes designs by PHT
 // size, with the ~4 KB THT (1024 x 2 x 16b) reported separately.

@@ -240,7 +240,6 @@ func TestPHTConflictEviction(t *testing.T) {
 func TestInterfaceNoOps(t *testing.T) {
 	tcp := New(TCP8K(l1()))
 	tcp.OnAccess(0, 0, 0, true)
-	tcp.OnEvict(0, 0, 0, 0)
 }
 
 func TestPHTIndexWithinRangeProperty(t *testing.T) {

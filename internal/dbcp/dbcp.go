@@ -174,10 +174,6 @@ func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Reque
 	return d.req[:]
 }
 
-// OnEvict implements prefetch.Prefetcher. The shadow directory already
-// learns deaths from the replacing miss, so nothing extra is needed.
-func (d *DBCP) OnEvict(addr.Addr, int64, int64, int64) {}
-
 // StorageBits implements prefetch.Prefetcher: the paper charges DBCP for
 // its correlation table; each entry holds a key tag and target address
 // (8 bytes, giving 2 MB at 262144 entries).

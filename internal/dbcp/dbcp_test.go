@@ -131,11 +131,6 @@ func TestResyncOnUnexpectedBlock(t *testing.T) {
 	}
 }
 
-func TestOnEvictNoOp(t *testing.T) {
-	d := New(Config{L1: l1(), TableEntries: 1024, Ways: 8})
-	d.OnEvict(0x1000, 0, 0, 0) // must not panic
-}
-
 // TestDBCP2MHostFootprint pins the host cost of constructing the paper's
 // 2 MB configuration: a fresh correlation table takes pools for 4096 of
 // its 32768 sets. The full table took 8 MB.

@@ -156,7 +156,7 @@ type MemSys struct {
 
 	// pfNoop elides the prefetcher plumbing when pf is the stateless
 	// prefetch.None baseline and no L2 prefetcher is attached: every
-	// OnMiss/OnAccess/OnEvict call then provably returns nil and mutates
+	// OnMiss/OnAccess call then provably returns nil and mutates
 	// nothing, so the trace.Miss construction and request-batch handling
 	// around them are dead work. setPrefetchers derives it whenever pf or
 	// l2pf changes.
@@ -438,14 +438,11 @@ func (m *MemSys) fillL2(a addr.Addr, now, readyAt int64, isPrefetch bool) {
 	}
 }
 
-// handleL1Eviction forwards eviction metadata to the learners and writes
-// dirty victims back to the L2.
+// handleL1Eviction forwards eviction metadata to the dead-block predictor
+// and writes dirty victims back to the L2.
 func (m *MemSys) handleL1Eviction(ev cache.Eviction, now int64) {
 	if !ev.Valid {
 		return
-	}
-	if !m.pfNoop {
-		m.pf.OnEvict(ev.Addr, ev.FilledAt, ev.LastTouch, now)
 	}
 	if m.dbp != nil {
 		m.dbp.OnEvict(ev.Addr, ev.FilledAt, ev.LastTouch)

@@ -47,11 +47,6 @@ func (f *CriticalFiltered) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []Re
 	return f.gate(pc, f.inner.OnAccess(a, pc, cycle, hit))
 }
 
-// OnEvict implements Prefetcher.
-func (f *CriticalFiltered) OnEvict(a addr.Addr, fillAt, lastTouch, cycle int64) {
-	f.inner.OnEvict(a, fillAt, lastTouch, cycle)
-}
-
 // Suppressed returns the number of prefetch requests gated off.
 func (f *CriticalFiltered) Suppressed() uint64 { return f.suppressed }
 

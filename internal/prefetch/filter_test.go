@@ -51,7 +51,6 @@ func TestCriticalFilteredPassthrough(t *testing.T) {
 	if f.StorageBits() != pred.StorageBits() {
 		t.Errorf("storage = %d (next-line has none; want predictor only)", f.StorageBits())
 	}
-	f.OnEvict(0x1000, 0, 0, 0) // must not panic
 	if reqs := f.OnAccess(0x1000, 0x400100, 0, true); reqs != nil {
 		t.Errorf("next-line OnAccess produced requests: %+v", reqs)
 	}

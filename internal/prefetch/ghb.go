@@ -147,9 +147,6 @@ func (p *GHB) OnMiss(m trace.Miss) []Request {
 // OnAccess implements Prefetcher.
 func (p *GHB) OnAccess(addr.Addr, addr.Addr, int64, bool) []Request { return nil }
 
-// OnEvict implements Prefetcher.
-func (p *GHB) OnEvict(addr.Addr, int64, int64, int64) {}
-
 // StorageBits implements Prefetcher: each buffer entry holds an address
 // (~40b) and a link (~log2(size)b); the index table holds one pointer per
 // tracked PC (accounted as buffer-sized).

@@ -111,7 +111,6 @@ func TestGHBStorageAndReset(t *testing.T) {
 		t.Errorf("name = %q", p.Name())
 	}
 	p.OnAccess(0, 0, 0, true)
-	p.OnEvict(0, 0, 0, 0)
 	if NewGHB(g, 1, 0).degree != 1 {
 		t.Error("degree clamp")
 	}

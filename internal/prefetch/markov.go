@@ -64,9 +64,6 @@ func (p *Markov) OnMiss(m trace.Miss) []Request {
 // OnAccess implements Prefetcher.
 func (p *Markov) OnAccess(addr.Addr, addr.Addr, int64, bool) []Request { return nil }
 
-// OnEvict implements Prefetcher.
-func (p *Markov) OnEvict(addr.Addr, int64, int64, int64) {}
-
 // StorageBits implements Prefetcher: per entry one block address tag plus
 // `targets` successor addresses, ~40 bits each.
 func (p *Markov) StorageBits() uint64 {

@@ -39,8 +39,6 @@ type Prefetcher interface {
 	// also return prefetch requests. Most schemes ignore it; dead-block
 	// correlating schemes trigger on accesses that complete a death trace.
 	OnAccess(a, pc addr.Addr, cycle int64, hit bool) []Request
-	// OnEvict is invoked when the L1 evicts a block (dead-block learners).
-	OnEvict(a addr.Addr, fillAt, lastTouch, cycle int64)
 	// StorageBits returns the hardware budget of the scheme's tables.
 	StorageBits() uint64
 }
@@ -56,9 +54,6 @@ func (None) OnMiss(trace.Miss) []Request { return nil }
 
 // OnAccess implements Prefetcher.
 func (None) OnAccess(addr.Addr, addr.Addr, int64, bool) []Request { return nil }
-
-// OnEvict implements Prefetcher.
-func (None) OnEvict(addr.Addr, int64, int64, int64) {}
 
 // StorageBits implements Prefetcher.
 func (None) StorageBits() uint64 { return 0 }
@@ -94,9 +89,6 @@ func (p *NextLine) OnMiss(m trace.Miss) []Request {
 
 // OnAccess implements Prefetcher.
 func (p *NextLine) OnAccess(addr.Addr, addr.Addr, int64, bool) []Request { return nil }
-
-// OnEvict implements Prefetcher.
-func (p *NextLine) OnEvict(addr.Addr, int64, int64, int64) {}
 
 // StorageBits implements Prefetcher.
 func (p *NextLine) StorageBits() uint64 { return 0 }

@@ -23,7 +23,6 @@ func TestNone(t *testing.T) {
 		t.Error("None issued prefetches")
 	}
 	p.OnAccess(0, 0, 0, true)
-	p.OnEvict(0, 0, 0, 0)
 }
 
 func TestNextLine(t *testing.T) {

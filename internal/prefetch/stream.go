@@ -76,9 +76,6 @@ func (p *StreamBuffers) OnMiss(m trace.Miss) []Request {
 // OnAccess implements Prefetcher.
 func (p *StreamBuffers) OnAccess(addr.Addr, addr.Addr, int64, bool) []Request { return nil }
 
-// OnEvict implements Prefetcher.
-func (p *StreamBuffers) OnEvict(addr.Addr, int64, int64, int64) {}
-
 // StorageBits implements Prefetcher: each buffer holds `depth` block
 // addresses (~40b each) plus a head pointer.
 func (p *StreamBuffers) StorageBits() uint64 {

@@ -83,9 +83,6 @@ func (p *Stride) OnMiss(m trace.Miss) []Request {
 // OnAccess implements Prefetcher.
 func (p *Stride) OnAccess(addr.Addr, addr.Addr, int64, bool) []Request { return nil }
 
-// OnEvict implements Prefetcher.
-func (p *Stride) OnEvict(addr.Addr, int64, int64, int64) {}
-
 // StorageBits implements Prefetcher. Each entry stores a PC tag (~32b), a
 // last address (~40b), a stride (~16b) and 2 state bits.
 func (p *Stride) StorageBits() uint64 {

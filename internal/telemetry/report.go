@@ -117,6 +117,17 @@ type Report struct {
 	// Tool names the producing binary ("tcpsim", "tcpfigs").
 	Tool string `json:"tool,omitempty"`
 
+	// The window a tcpfigs report's sweeps and tables were run at
+	// (measured instructions, warmup, workload seed and warmup engine) and
+	// its experiment rows in run order, so a consumer can tell which run a
+	// number came from. Reports of runs, whose RunReports carry their own
+	// window, leave them out.
+	Instructions   uint64   `json:"instructions,omitempty"`
+	Warmup         uint64   `json:"warmup,omitempty"`
+	Seed           uint64   `json:"seed,omitempty"`
+	WarmupFidelity string   `json:"warmup_fidelity,omitempty"`
+	Rows           []string `json:"rows,omitempty"`
+
 	Runs    []RunReport   `json:"runs,omitempty"`
 	Sweeps  []SweepSeries `json:"sweeps,omitempty"`
 	Tables  []TableData   `json:"tables,omitempty"`

@@ -11,8 +11,8 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenReport builds a fully deterministic report exercising every part
-// of the schema: counters, gauges, time series, phases, sweep curves and
-// tables.
+// of the schema: the report's window and rows, counters, gauges, time
+// series, phases, sweep curves and tables.
 func goldenReport() *Report {
 	run := NewRun(100)
 	reg := run.Registry
@@ -30,6 +30,8 @@ func goldenReport() *Report {
 	run.Sampler.Sample(200, 900)
 
 	rep := NewReport("tcpsim")
+	rep.Instructions, rep.Warmup, rep.Seed, rep.WarmupFidelity = 1000, 500, 1, "full"
+	rep.Rows = []string{"size", "fig11"}
 	rep.Runs = append(rep.Runs, run.Report("mcf", "tcp-8K", 1000, 500, 1, 1.6))
 	rep.Sweeps = append(rep.Sweeps, SweepSeries{
 		Name:   "mean IPC vs PHT size",

@@ -2,12 +2,13 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"tagprefetch/internal/checkpoint"
 )
 
 // The generator's static structure — loop body, slot-to-stream binding,
-// branch periods, chase permutations — is rebuilt deterministically by
+// branch periods, chase cycles — is rebuilt deterministically by
 // New(spec, seed), so a checkpoint stores only the dynamic cursors. Decoding
 // therefore requires a generator freshly constructed from the same Spec and
 // seed (which the sim machine guarantees); it validates the workload name
@@ -74,12 +75,35 @@ func (s *sweepStream) snapshot(c *checkpoint.Codec) {
 	}
 }
 
+// The chase section codes the block index at the cursor, order[pos], not
+// pos itself: the image names where the walk is, whatever the cycle's
+// storage, and version 4 images keep their bytes. Decoding scans the cycle
+// for that block (O(n), n ≤ 80 k blocks in the catalog); a block outside
+// the cycle fails with a *ChaseCursorError.
 func (c *chaseStream) snapshot(cd *checkpoint.Codec) {
 	streamTag(cd, streamTagChase, "chase")
-	cd.U32(&c.cur)
-	if int(c.cur) >= len(c.succ) {
-		cd.Fail(fmt.Errorf("workload: chase cursor %d beyond permutation of %d", c.cur, len(c.succ)))
+	blk := c.order[c.pos]
+	cd.U32(&blk)
+	if !cd.Decoding() || cd.Err() != nil {
+		return
 	}
+	pos := slices.Index(c.order, blk)
+	if pos < 0 {
+		cd.Fail(&ChaseCursorError{Block: blk, Blocks: len(c.order)})
+		return
+	}
+	c.pos = pos
+}
+
+// ChaseCursorError reports a checkpoint whose chase cursor names a block
+// beyond the restoring stream's cycle.
+type ChaseCursorError struct {
+	Block  uint32 // the decoded block index
+	Blocks int    // the blocks in the restoring stream's cycle
+}
+
+func (e *ChaseCursorError) Error() string {
+	return fmt.Sprintf("workload: chase cursor %d beyond permutation of %d", e.Block, e.Blocks)
 }
 
 func (s *randomStream) snapshot(c *checkpoint.Codec) {

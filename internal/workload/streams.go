@@ -8,7 +8,7 @@ import (
 // stream produces a deterministic address sequence. next returns the byte
 // address and whether the access is address-dependent on the stream's
 // previous access (true only for pointer chases). snapshot codes the
-// stream's dynamic cursor only — structure (footprints, permutations)
+// stream's dynamic cursor only — structure (footprints, chase cycles)
 // is rebuilt by New; see snapshot.go.
 type stream interface {
 	next() (addr uint64, chained bool)
@@ -104,30 +104,35 @@ func (s *sweepStream) next() (uint64, bool) {
 // the linked-data access pattern of mcf/ammp. The cycle repeats, so per-set
 // miss-tag sequences are repetitive, but each set sees its own private
 // sequence: sharing a PHT across sets causes contention (the regime in
-// which the paper finds TCP-8M beats TCP-8K).
+// which the paper finds TCP-8M beats TCP-8K). order holds the block
+// indices in visiting order (4 B per block) and the walk reads it
+// sequentially, wrapping from the last block to the first.
 type chaseStream struct {
 	base  uint64
 	block uint64
-	succ  []uint32
-	cur   uint32
+	order []uint32 // block indices in visiting order, built by New
+	pos   int      // index into order of the next block
 }
 
 func newChaseStream(ss StreamSpec, base uint64, r *xrand.Rand) *chaseStream {
 	n := int(maxU64(ss.Footprint/ss.Block, 2))
 	if n > 1<<22 {
-		n = 1 << 22 // cap the permutation at 4M blocks
+		n = 1 << 22 // cap the cycle at 4M blocks
 	}
-	perm := r.Perm(n)
-	succ := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		succ[perm[i]] = uint32(perm[(i+1)%n])
+	order := make([]uint32, n)
+	for i := range order {
+		order[i] = uint32(i)
 	}
-	return &chaseStream{base: base, block: ss.Block, succ: succ, cur: uint32(perm[0])}
+	xrand.Shuffle(r, order)
+	return &chaseStream{base: base, block: ss.Block, order: order}
 }
 
 func (c *chaseStream) next() (uint64, bool) {
-	a := c.base + uint64(c.cur)*c.block
-	c.cur = c.succ[c.cur]
+	a := c.base + uint64(c.order[c.pos])*c.block
+	c.pos++
+	if c.pos == len(c.order) {
+		c.pos = 0
+	}
 	return a, true
 }
 

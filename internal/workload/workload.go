@@ -271,12 +271,8 @@ func (s *synth) buildBody() {
 	}
 	// Deterministic shuffle so loads and compute interleave like a real
 	// loop body rather than clustering.
-	perm := s.rng.Perm(len(classes))
-	shuffled := make([]OpClass, len(classes))
-	for i, p := range perm {
-		shuffled[i] = classes[p]
-	}
-	shuffled = append(shuffled, Branch) // the loop-closing branch
+	xrand.Shuffle(s.rng, classes)
+	classes = append(classes, Branch) // the loop-closing branch
 
 	// Bind memory slots to streams proportional to weight using largest-
 	// remainder apportionment: every stream keeps at least one slot when
@@ -284,11 +280,11 @@ func (s *synth) buildBody() {
 	// one iteration (a[i], b[i], c[i]...), like a real loop body.
 	memAssign := apportion(nMem, s.spec.Streams)
 
-	s.body = make([]slot, len(shuffled))
+	s.body = make([]slot, len(classes))
 	s.branch = s.branch[:0]
 	pcBase := uint64(0x400000) + (hashName(s.spec.Name) & 0xFFFF << 8)
 	mi := 0
-	for i, c := range shuffled {
+	for i, c := range classes {
 		sl := slot{class: c, pc: pcBase + uint64(i)*4, streamIdx: -1, branchIdx: -1}
 		switch {
 		case c.IsMem():
@@ -296,7 +292,7 @@ func (s *synth) buildBody() {
 			mi++
 		case c == Branch:
 			bp := branchPattern{period: 4 + s.rng.Intn(29)}
-			if i == len(shuffled)-1 {
+			if i == len(classes)-1 {
 				bp.loop = true
 			}
 			sl.branchIdx = len(s.branch)

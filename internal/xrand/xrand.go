@@ -37,12 +37,21 @@ func (r *Rand) Uint64() uint64 {
 	if r.s == 0 {
 		r.Seed(0)
 	}
-	x := r.s
+	x := step(r.s)
+	r.s = x
+	return x * mult
+}
+
+// mult scrambles the xorshift state into the output (the "*" of
+// xorshift64*).
+const mult = 0x2545F4914F6CDD1D
+
+// step advances a non-zero xorshift64 state.
+func step(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.s = x
-	return x * 0x2545F4914F6CDD1D
+	return x
 }
 
 // Intn returns a value in [0, n). n must be positive.
@@ -107,15 +116,23 @@ func (r *Rand) Hit(q Prob) bool {
 	return r.Uint64()>>11 < uint64(q)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
+// Shuffle permutes s in place by Fisher–Yates: for i = len(s)-1 down to
+// 1 it swaps s[i] with s[Intn(i+1)]. Shuffling the identity [0, n) gives
+// the classic Perm(n) permutation, and r ends where n-1 Intn draws leave
+// it. The state lives in a local for the loop, so a shuffle of a large
+// cycle costs one division per element and no generator loads or stores.
+func Shuffle[E any](r *Rand, s []E) {
+	if len(s) < 2 {
+		return
 	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
+	if r.s == 0 {
+		r.Seed(0)
 	}
-	return p
+	x := r.s
+	for i := len(s) - 1; i > 0; i-- {
+		x = step(x)
+		j := x * mult % uint64(i+1)
+		s[i], s[j] = s[j], s[i]
+	}
+	r.s = x
 }

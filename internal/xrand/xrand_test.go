@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -104,13 +105,74 @@ func TestBoolEdges(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
+// refPerm is the permutation generator Shuffle replaced, kept as its
+// reference: the identity [0, n) swapped at Intn draws from the top down.
+func refPerm(r *Rand, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+func identity(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
+}
+
+// TestShuffleMatchesPerm: shuffling the identity gives the reference
+// permutation and leaves the generator where the reference's draws leave
+// it, from seeded and zero-valued generators alike.
+func TestShuffleMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 1000, 65536} {
+		for _, seed := range []uint64{1, 2, 3, 0xDEADBEEF} {
+			got, ref := New(seed), New(seed)
+			p := identity(n)
+			Shuffle(got, p)
+			if want := refPerm(ref, n); !slices.Equal(p, want) {
+				t.Fatalf("n=%d seed=%d: Shuffle differs from the reference permutation", n, seed)
+			}
+			if got.State() != ref.State() {
+				t.Fatalf("n=%d seed=%d: state %#x after Shuffle, reference %#x", n, seed, got.State(), ref.State())
+			}
+		}
+		var got, ref Rand // zero state: the first draw reseeds
+		p := identity(n)
+		Shuffle(&got, p)
+		if want := refPerm(&ref, n); !slices.Equal(p, want) || got.State() != ref.State() {
+			t.Fatalf("n=%d zero-valued generator: Shuffle differs from the reference", n)
+		}
+	}
+}
+
+// TestShuffleOfValues: shuffling values in place equals indexing them by
+// the permutation Shuffle gives the identity, for any element type.
+func TestShuffleOfValues(t *testing.T) {
+	words := []string{"a", "b", "c", "d", "e", "f", "g"}
+	p := identity(len(words))
+	Shuffle(New(9), p)
+	want := make([]string, len(words))
+	for i, k := range p {
+		want[i] = words[k]
+	}
+	Shuffle(New(9), words)
+	if !slices.Equal(words, want) {
+		t.Fatalf("shuffled values %v, want %v", words, want)
+	}
+}
+
+func TestShuffleIsPermutation(t *testing.T) {
 	f := func(seed uint64, rawN uint8) bool {
 		n := int(rawN%64) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
+		p := identity(n)
+		Shuffle(New(seed), p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -23,16 +24,13 @@ import (
 // between that margin and the same margin at seeds 2-5
 // (results/seeds/seed<S>.json, the same window), and its verdict is
 // "seed-sensitive" when the winner flips at any seed, else "reproduced"
-// when the margin is positive and "deviates" when it is not.
+// when the margin is positive and "deviates" when it is not. A claim's
+// window and row are checked against what each report records it ran.
 // TestClaimsFile recomputes every claim from the committed reports and
 // simulates nothing; TestExperimentsClaimTables holds EXPERIMENTS.md's
 // generated tables to the file.
 
-const (
-	claimsPath = "results/claims.json"
-	// claimWindow is the window every committed report was recorded at.
-	claimWindow = "1M measured after 2M warmup"
-)
+const claimsPath = "results/claims.json"
 
 var seedReports = []int{2, 3, 4, 5}
 
@@ -117,22 +115,67 @@ func (tm claimTerm) value(rep *telemetry.Report, title string) (float64, error) 
 
 func round4(x float64) float64 { return math.Round(x*1e4) / 1e4 }
 
-// recompute fills each claim's measured margin, tolerance and verdict from
-// the committed reports.
-func recompute(t *testing.T, cs []claim) []claim {
+// readReport reads a committed report and requires it to record the
+// workload seed it was run at.
+func readReport(t *testing.T, path string, seed uint64) *telemetry.Report {
 	t.Helper()
-	ref, err := telemetry.ReadReportFile("results/reference_run.json")
+	rep, err := telemetry.ReadReportFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seeds []*telemetry.Report
-	for _, s := range seedReports {
-		rep, err := telemetry.ReadReportFile(fmt.Sprintf("results/seeds/seed%d.json", s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seeds = append(seeds, rep)
+	if rep.Seed != seed {
+		t.Fatalf("%s records seed %d, want %d", path, rep.Seed, seed)
 	}
+	return rep
+}
+
+// reports reads the reference report (seed 1) and the seed reports.
+func reports(t *testing.T) (ref *telemetry.Report, seeds []*telemetry.Report) {
+	t.Helper()
+	ref = readReport(t, "results/reference_run.json", 1)
+	for _, s := range seedReports {
+		seeds = append(seeds, readReport(t, fmt.Sprintf("results/seeds/seed%d.json", s), uint64(s)))
+	}
+	return ref, seeds
+}
+
+// window renders the window a report records as claims name it, e.g.
+// "1M measured after 2M warmup", or "" when it records none.
+func window(rep *telemetry.Report) string {
+	if rep.Instructions == 0 {
+		return ""
+	}
+	count := func(n uint64) string {
+		switch {
+		case n%1_000_000 == 0:
+			return fmt.Sprintf("%dM", n/1_000_000)
+		case n%1_000 == 0:
+			return fmt.Sprintf("%dk", n/1_000)
+		}
+		return strconv.FormatUint(n, 10)
+	}
+	w := count(rep.Instructions) + " measured after " + count(rep.Warmup) + " warmup"
+	if rep.WarmupFidelity != "full" {
+		w += " (" + rep.WarmupFidelity + " engine)"
+	}
+	return w
+}
+
+// checkRun requires rep to have run c's row at c's window.
+func (c claim) checkRun(rep *telemetry.Report, name string) error {
+	if w := window(rep); w != c.Window {
+		return fmt.Errorf("%s: window %q, but %s records %q", c.ID, c.Window, name, w)
+	}
+	if !slices.Contains(rep.Rows, c.Row) {
+		return fmt.Errorf("%s: row %s is not among the rows %s records (%v)", c.ID, c.Row, name, rep.Rows)
+	}
+	return nil
+}
+
+// recompute fills each claim's measured margin, tolerance and verdict from
+// the reference and seed reports.
+func recompute(t *testing.T, cs []claim, ref *telemetry.Report, seeds []*telemetry.Report) []claim {
+	t.Helper()
 	out := make([]claim, len(cs))
 	for i, c := range cs {
 		m, err := c.margin(ref)
@@ -166,15 +209,21 @@ func recompute(t *testing.T, cs []claim) []claim {
 // reports give.
 func TestClaimsFile(t *testing.T) {
 	have := readClaims(t)
-	want := recompute(t, have)
+	ref, seeds := reports(t)
+	want := recompute(t, have, ref, seeds)
 	ids := map[string]bool{}
 	for i, c := range have {
 		if ids[c.ID] {
 			t.Errorf("claim id %q repeats", c.ID)
 		}
 		ids[c.ID] = true
-		if c.Window != claimWindow {
-			t.Errorf("%s: window %q, want the reports' %q", c.ID, c.Window, claimWindow)
+		if err := c.checkRun(ref, "the reference report"); err != nil {
+			t.Error(err)
+		}
+		for j, rep := range seeds {
+			if err := c.checkRun(rep, fmt.Sprintf("the seed %d report", seedReports[j])); err != nil {
+				t.Error(err)
+			}
 		}
 		w := want[i]
 		if c.Measured != w.Measured || c.Tolerance != w.Tolerance || c.Verdict != w.Verdict {
