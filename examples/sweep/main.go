@@ -12,7 +12,7 @@ import (
 
 func main() {
 	benches := []string{"swim", "art", "mcf"}
-	cfg := tagprefetch.RunConfig{Instructions: 400_000, Warmup: 800_000, CustomTCP: true}
+	cfg := tagprefetch.RunConfig{Instructions: 400_000, Warmup: 800_000}
 
 	fmt.Println("Figure 13 (top) on {swim, art, mcf}: IPC vs PHT size")
 	fmt.Printf("%-8s", "size")
@@ -21,11 +21,9 @@ func main() {
 	}
 	fmt.Println()
 	for _, size := range []int{2 << 10, 8 << 10, 32 << 10, 512 << 10, 8 << 20} {
-		cfg.PHTBytes = size
-		cfg.IndexBits = 0
 		fmt.Printf("%-8s", label(size))
 		for _, b := range benches {
-			r, err := tagprefetch.Run(b, tagprefetch.None, cfg)
+			r, err := tagprefetch.RunTCP(b, tcp(size, 0), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -35,12 +33,10 @@ func main() {
 	}
 
 	fmt.Println("\nFigure 13 (bottom): 8KB PHT, IPC vs miss-index bits n")
-	cfg.PHTBytes = 8 << 10
 	for _, n := range []int{0, 1, 2, 3} {
-		cfg.IndexBits = n
 		fmt.Printf("n=%d     ", n)
 		for _, b := range benches {
-			r, err := tagprefetch.Run(b, tagprefetch.None, cfg)
+			r, err := tagprefetch.RunTCP(b, tcp(8<<10, n), cfg)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -51,6 +47,12 @@ func main() {
 	fmt.Println("\nAs in the paper: growing a shared PHT past 8KB has diminishing")
 	fmt.Println("returns, and slicing a small PHT by miss-index bits only shrinks")
 	fmt.Println("the per-set pattern space.")
+}
+
+// tcp is the paper's TCP with a PHT of size bytes (4-byte entries,
+// 8-way) indexed with n miss-index bits.
+func tcp(size, n int) tagprefetch.TCPConfig {
+	return tagprefetch.TCPConfig{HistoryDepth: 2, PHTSets: size / 32, PHTWays: 8, IndexBits: n}
 }
 
 func label(b int) string {

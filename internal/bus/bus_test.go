@@ -30,19 +30,6 @@ func TestTransferQueues(t *testing.T) {
 	if second != 26 {
 		t.Errorf("second done = %d, want 26", second)
 	}
-	s := b.Stats(26)
-	if s.Transfers != 2 || s.Bytes != 128 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.WaitCycles != 6 { // second waited 18-12
-		t.Errorf("wait = %d, want 6", s.WaitCycles)
-	}
-	if s.BusyCycles != 16 {
-		t.Errorf("busy = %d, want 16", s.BusyCycles)
-	}
-	if s.Utilization <= 0.6 || s.Utilization > 1.0 {
-		t.Errorf("utilization = %v", s.Utilization)
-	}
 }
 
 func TestZeroByteTransferIsFree(t *testing.T) {
@@ -50,8 +37,9 @@ func TestZeroByteTransferIsFree(t *testing.T) {
 	if done := b.Transfer(5, 0); done != 5 {
 		t.Errorf("done = %d, want 5", done)
 	}
-	if b.Stats(10).Transfers != 0 {
-		t.Errorf("zero transfer counted")
+	// Nor does it occupy the bus: the next transfer starts at once.
+	if done := b.Transfer(5, 16); done != 6 {
+		t.Errorf("next done = %d, want 6", done)
 	}
 }
 
@@ -88,13 +76,5 @@ func TestCompletionMonotonicProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUtilizationZeroHorizon(t *testing.T) {
-	b := New("x", 8)
-	b.Transfer(0, 8)
-	if u := b.Stats(0).Utilization; u != 0 {
-		t.Errorf("utilization = %v, want 0", u)
 	}
 }

@@ -3,10 +3,10 @@ package cache
 import "tagprefetch/internal/addr"
 
 // MSHRFile models the miss status holding registers of the L1 data cache
-// (Table 1: 64 MSHRs). Each entry tracks one in-flight block fill; misses to
-// a block that is already in flight merge into the existing entry instead of
-// issuing a second request. When the file is full, further misses must stall
-// until an entry retires.
+// (Table 1: 64 MSHRs). Each entry tracks one in-flight demand fill. The
+// caller merges a miss to a block already in flight into the entry Lookup
+// finds, and stalls a miss on a full file until EarliestReady before it
+// allocates, so Allocate only ever inserts.
 //
 // Entries live in a fixed pool, found by a chained block→frame table: a
 // lookup hashes the block ID and walks a (sub-1 average length) chain
@@ -29,21 +29,14 @@ type MSHRFile struct {
 	next  []int32 // chain links indexed by pool frame, rebuilt with heads
 	shift uint    // table geometry fixed at construction
 
-	merges    uint64
-	allocs    uint64
-	fullStall uint64
-
 	sorted []MSHR // Snapshot's scratch: the live entries in block order
 }
 
 // MSHR is one in-flight miss. Entries live in the file's fixed pool, so
-// pointers returned by Lookup/Allocate are only valid while the entry is
-// in flight.
+// pointers returned by Lookup are only valid while the entry is in flight.
 type MSHR struct {
-	Block    uint64 // block ID
-	ReadyAt  int64  // cycle the fill completes
-	Demands  int    // number of demand accesses merged into this miss
-	Prefetch bool   // initiated by a prefetch (no demand yet)
+	Block   uint64 // block ID
+	ReadyAt int64  // cycle the fill completes
 
 	slot int32 // pool frame index
 }
@@ -191,35 +184,19 @@ func (f *MSHRFile) EarliestReady() int64 {
 }
 
 // Allocate records a new in-flight miss for block a completing at readyAt.
-// It returns the entry and true on success, or nil and false when the file
-// is full (the caller must stall until EarliestReady and retry). If the
-// block is already in flight the existing entry is returned with merged
-// demand accounting and ok = true.
-func (f *MSHRFile) Allocate(g addr.Geometry, a addr.Addr, readyAt int64, prefetch bool) (*MSHR, bool) {
-	id := g.BlockID(a)
-	if m := f.get(id); m != nil {
-		f.merges++
-		if !prefetch {
-			m.Demands++
-			m.Prefetch = false
-		}
-		return m, true
-	}
-	if f.count >= f.capacity {
-		f.fullStall++
-		return nil, false
-	}
-	slot := f.free[len(f.free)-1]
+// The block must not be in flight and the file must not be full: the
+// caller merges through Lookup and retires entries (ReleaseBefore) first.
+func (f *MSHRFile) Allocate(g addr.Geometry, a addr.Addr, readyAt int64) {
+	f.add(MSHR{Block: g.BlockID(a), ReadyAt: readyAt})
+}
+
+// add inserts e into a free pool frame, the index and the ready heap.
+func (f *MSHRFile) add(e MSHR) {
+	e.slot = f.free[len(f.free)-1]
 	f.free = f.free[:len(f.free)-1]
-	m := &f.pool[slot]
-	*m = MSHR{Block: id, ReadyAt: readyAt, Prefetch: prefetch, slot: slot}
-	if !prefetch {
-		m.Demands = 1
-	}
-	f.insert(m)
-	f.allocs++
-	f.pushReady(mshrReady{block: id, readyAt: readyAt})
-	return m, true
+	f.pool[e.slot] = e
+	f.insert(&f.pool[e.slot])
+	f.pushReady(mshrReady{block: e.Block, readyAt: e.ReadyAt})
 }
 
 // pushReady adds a ready pair, compacting tombstones first when they
@@ -311,16 +288,4 @@ func (f *MSHRFile) Quiesce(max int64) {
 	for i := len(f.ready)/2 - 1; i >= 0; i-- {
 		f.siftDown(i)
 	}
-}
-
-// MSHRStats summarises MSHR activity.
-type MSHRStats struct {
-	Allocations uint64
-	Merges      uint64
-	FullStalls  uint64
-}
-
-// Stats returns activity counters.
-func (f *MSHRFile) Stats() MSHRStats {
-	return MSHRStats{Allocations: f.allocs, Merges: f.merges, FullStalls: f.fullStall}
 }

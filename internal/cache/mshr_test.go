@@ -12,34 +12,24 @@ func TestMSHRAllocateAndMerge(t *testing.T) {
 	g := l1geom()
 	f := NewMSHRFile(4)
 	a := addr.Addr(0x1000)
-	m, ok := f.Allocate(g, a, 100, false)
-	if !ok || m == nil || m.Demands != 1 {
-		t.Fatalf("alloc = %+v ok=%v", m, ok)
-	}
-	// Same block, different offset: merges.
-	m2, ok := f.Allocate(g, a+8, 120, false)
-	if !ok || m2 != m || m2.Demands != 2 {
-		t.Fatalf("merge = %+v ok=%v", m2, ok)
+	f.Allocate(g, a, 100)
+	// Same block, different offset: a merging miss finds the entry.
+	m, ok := f.Lookup(g, a+8)
+	if !ok || m.Block != g.BlockID(a) || m.ReadyAt != 100 {
+		t.Fatalf("merge lookup = %+v ok=%v", m, ok)
 	}
 	if f.InFlight() != 1 {
 		t.Errorf("in flight = %d", f.InFlight())
-	}
-	s := f.Stats()
-	if s.Allocations != 1 || s.Merges != 1 {
-		t.Errorf("stats = %+v", s)
 	}
 }
 
 func TestMSHRFullStalls(t *testing.T) {
 	g := l1geom()
 	f := NewMSHRFile(2)
-	f.Allocate(g, 0x0000, 50, false)
-	f.Allocate(g, 0x2000, 80, false)
-	if _, ok := f.Allocate(g, 0x4000, 90, false); ok {
-		t.Fatal("allocation succeeded on full file")
-	}
-	if f.Stats().FullStalls != 1 {
-		t.Errorf("full stalls = %d", f.Stats().FullStalls)
+	f.Allocate(g, 0x0000, 50)
+	f.Allocate(g, 0x2000, 80)
+	if f.InFlight() != f.Capacity() {
+		t.Fatalf("in flight = %d, want a full file of %d", f.InFlight(), f.Capacity())
 	}
 	if f.EarliestReady() != 50 {
 		t.Errorf("earliest = %d, want 50", f.EarliestReady())
@@ -47,22 +37,9 @@ func TestMSHRFullStalls(t *testing.T) {
 	if n := f.ReleaseBefore(50); n != 1 {
 		t.Errorf("released %d, want 1", n)
 	}
-	if _, ok := f.Allocate(g, 0x4000, 90, false); !ok {
-		t.Error("allocation failed after release")
-	}
-}
-
-func TestMSHRPrefetchPromotion(t *testing.T) {
-	g := l1geom()
-	f := NewMSHRFile(4)
-	m, _ := f.Allocate(g, 0x1000, 100, true)
-	if !m.Prefetch || m.Demands != 0 {
-		t.Fatalf("prefetch entry = %+v", m)
-	}
-	// A demand miss to the same in-flight block demotes it to a demand miss.
-	m2, _ := f.Allocate(g, 0x1000, 100, false)
-	if m2.Prefetch || m2.Demands != 1 {
-		t.Errorf("promoted entry = %+v", m2)
+	f.Allocate(g, 0x4000, 90)
+	if _, ok := f.Lookup(g, 0x4000); !ok || f.InFlight() != 2 {
+		t.Errorf("allocation after release: found=%v, in flight %d", ok, f.InFlight())
 	}
 }
 
@@ -72,7 +49,7 @@ func TestMSHRLookup(t *testing.T) {
 	if _, ok := f.Lookup(g, 0x1000); ok {
 		t.Error("lookup hit on empty file")
 	}
-	f.Allocate(g, 0x1000, 10, false)
+	f.Allocate(g, 0x1000, 10)
 	if m, ok := f.Lookup(g, 0x1010); !ok || m.ReadyAt != 10 {
 		t.Errorf("lookup = %+v ok=%v", m, ok)
 	}
@@ -84,7 +61,7 @@ func TestMSHREmptyEarliestAndReset(t *testing.T) {
 	if f.EarliestReady() != 0 {
 		t.Errorf("earliest on empty = %d", f.EarliestReady())
 	}
-	f.Allocate(g, 0x1000, 10, false)
+	f.Allocate(g, 0x1000, 10)
 	if f.EarliestReady() != 10 {
 		t.Errorf("earliest with one entry = %d, want 10", f.EarliestReady())
 	}
@@ -103,9 +80,7 @@ func TestMSHRBadCapacityClamped(t *testing.T) {
 // mshrOracle is the naive model of an MSHR file the differential test
 // checks against: a slice of in-flight entries searched linearly.
 type mshrOracle struct {
-	capacity int
-	entries  []MSHR // slot unused
-	stats    MSHRStats
+	entries []MSHR // slot unused
 }
 
 func (o *mshrOracle) find(id uint64) int {
@@ -117,26 +92,8 @@ func (o *mshrOracle) find(id uint64) int {
 	return -1
 }
 
-func (o *mshrOracle) allocate(id uint64, readyAt int64, prefetch bool) (MSHR, bool) {
-	if i := o.find(id); i >= 0 {
-		o.stats.Merges++
-		if !prefetch {
-			o.entries[i].Demands++
-			o.entries[i].Prefetch = false
-		}
-		return o.entries[i], true
-	}
-	if len(o.entries) >= o.capacity {
-		o.stats.FullStalls++
-		return MSHR{}, false
-	}
-	m := MSHR{Block: id, ReadyAt: readyAt, Prefetch: prefetch}
-	if !prefetch {
-		m.Demands = 1
-	}
-	o.entries = append(o.entries, m)
-	o.stats.Allocations++
-	return m, true
+func (o *mshrOracle) allocate(id uint64, readyAt int64) {
+	o.entries = append(o.entries, MSHR{Block: id, ReadyAt: readyAt})
 }
 
 func (o *mshrOracle) remove(id uint64) {
@@ -179,15 +136,17 @@ func (o *mshrOracle) quiesce(max int64) {
 // ready heap against the naive oracle: both are driven through the same
 // pseudo-random operation sequence — Allocate, Lookup, Remove,
 // ReleaseBefore, EarliestReady, Quiesce, a restart on a fresh file and a
-// Save/Restore round trip into a fresh file — and must agree after every step on returned
-// entries, release counts, stall horizon, in-flight count, the full entry
-// set, and the activity counters. 64 blocks in a 16-entry
-// file keep the file full and the chains and heap tombstones busy.
+// Save/Restore round trip into a fresh file — and must agree after every
+// step on returned entries, release counts, stall horizon, in-flight count
+// and the full entry set. Allocate is driven as memsys drives it: a block
+// already in flight merges through Lookup, and a full file first retires
+// its earliest fills. 64 blocks in a 16-entry file keep the file full and
+// the chains and heap tombstones busy.
 func TestMSHRFastIndexEquivalence(t *testing.T) {
 	g := l1geom()
 	const blocks, cap = 64, 16
 	f := NewMSHRFile(cap)
-	o := &mshrOracle{capacity: cap}
+	o := &mshrOracle{}
 
 	rng := uint64(0x9E3779B97F4A7C15) // deterministic LCG state
 	next := func(n uint64) uint64 {
@@ -195,8 +154,7 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 		return (rng >> 33) % n
 	}
 	same := func(m *MSHR, want MSHR) bool {
-		return m.Block == want.Block && m.ReadyAt == want.ReadyAt &&
-			m.Demands == want.Demands && m.Prefetch == want.Prefetch
+		return m.Block == want.Block && m.ReadyAt == want.ReadyAt
 	}
 
 	now := int64(0)
@@ -205,14 +163,25 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 		a := addr.Addr(next(blocks) * 0x40)
 		id := g.BlockID(a)
 		switch op := next(100); {
-		case op < 40: // allocate/merge
-			ready := now + 1 + int64(next(200))
-			pf := next(4) == 0
-			m, ok := f.Allocate(g, a, ready, pf)
-			want, wantOK := o.allocate(id, ready, pf)
-			if ok != wantOK || ok && !same(m, want) {
-				t.Fatalf("step %d: Allocate = %+v/%v, want %+v/%v", step, m, ok, want, wantOK)
+		case op < 40: // merge, or stall on a full file and allocate
+			if i := o.find(id); i >= 0 {
+				if m, ok := f.Lookup(g, a); !ok || !same(m, o.entries[i]) {
+					t.Fatalf("step %d: merge Lookup = %+v/%v, want %+v", step, m, ok, o.entries[i])
+				}
+				break
 			}
+			if len(o.entries) == cap {
+				e := o.earliestReady()
+				if got := f.EarliestReady(); got != e {
+					t.Fatalf("step %d: stall EarliestReady = %d, want %d", step, got, e)
+				}
+				if n, want := f.ReleaseBefore(e), o.releaseBefore(e); n != want || n == 0 {
+					t.Fatalf("step %d: stall ReleaseBefore(%d) = %d, want %d > 0", step, e, n, want)
+				}
+			}
+			ready := now + 1 + int64(next(200))
+			f.Allocate(g, a, ready)
+			o.allocate(id, ready)
 		case op < 55: // lookup
 			m, ok := f.Lookup(g, a)
 			i := o.find(id)
@@ -237,7 +206,7 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 			o.quiesce(max)
 		case op < 95: // start over on a fresh file
 			f = NewMSHRFile(cap)
-			o.entries, o.stats = o.entries[:0], MSHRStats{}
+			o.entries = o.entries[:0]
 		default: // checkpoint round trip into a fresh file
 			img := checkpoint.Encode(f)
 			f = NewMSHRFile(cap)
@@ -255,9 +224,6 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 				t.Fatalf("step %d: block %d = %+v/%v, oracle index %d", step, b, m, ok, i)
 			}
 		}
-		if s := f.Stats(); s != o.stats {
-			t.Fatalf("step %d: Stats = %+v, want %+v", step, s, o.stats)
-		}
 	}
 }
 
@@ -265,18 +231,12 @@ func TestMSHRFastIndexEquivalence(t *testing.T) {
 type repeatedBlock struct{}
 
 func (repeatedBlock) Snapshot(c *checkpoint.Codec) {
-	var stats [3]uint64
 	c.Section("mshr")
-	for i := range stats {
-		c.U64(&stats[i])
-	}
 	c.Count(2, 2)
 	for i := 0; i < 2; i++ {
-		e := MSHR{Block: 0x40, ReadyAt: 100, Demands: 1}
+		e := MSHR{Block: 0x40, ReadyAt: 100}
 		c.U64(&e.Block)
 		c.I64(&e.ReadyAt)
-		c.Int(&e.Demands)
-		c.Bool(&e.Prefetch)
 	}
 }
 
@@ -302,9 +262,10 @@ func BenchmarkMSHRAllocateRetire(b *testing.B) {
 			k := int64(0)
 			op := func() {
 				f.ReleaseBefore(k)
-				if _, ok := f.Allocate(g, addr.Addr(k*32), k+int64(n), false); !ok {
-					b.Fatalf("allocate %d stalled with %d in flight", k, f.InFlight())
+				if f.InFlight() == n {
+					b.Fatalf("allocate %d would stall with %d in flight", k, n)
 				}
+				f.Allocate(g, addr.Addr(k*32), k+int64(n))
 				k++
 			}
 			for k < int64(n) {

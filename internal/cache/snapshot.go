@@ -86,9 +86,6 @@ func flag(v bool) byte {
 // cleared file.
 func (f *MSHRFile) Snapshot(c *checkpoint.Codec) {
 	c.Section("mshr")
-	c.U64(&f.merges)
-	c.U64(&f.allocs)
-	c.U64(&f.fullStall)
 	live := f.sorted[:0]
 	for i := range f.pool {
 		if m := &f.pool[i]; f.isLive(m) {
@@ -102,8 +99,6 @@ func (f *MSHRFile) Snapshot(c *checkpoint.Codec) {
 		e := &live[i]
 		c.U64(&e.Block)
 		c.I64(&e.ReadyAt)
-		c.Int(&e.Demands)
-		c.Bool(&e.Prefetch)
 	}
 	if c.Decoding() {
 		f.rebuild(c, live)
@@ -118,11 +113,6 @@ func (f *MSHRFile) rebuild(c *checkpoint.Codec, live []MSHR) {
 			c.Fail(fmt.Errorf("mshr: checkpoint holds block %#x twice", e.Block))
 			return
 		}
-		slot := f.free[len(f.free)-1]
-		f.free = f.free[:len(f.free)-1]
-		e.slot = slot
-		f.pool[slot] = e
-		f.insert(&f.pool[slot])
-		f.pushReady(mshrReady{block: e.Block, readyAt: e.ReadyAt})
+		f.add(e)
 	}
 }

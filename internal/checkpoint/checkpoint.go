@@ -36,8 +36,11 @@ const (
 	// PHT's materialised sets, and the cpu LSQ ring and the dead-block
 	// predictor's counters are gone; 4 = the dbcp and prefetch.markov
 	// sections code their correlation tables as the tcp section codes its
-	// PHT (prefetch.Table), materialised sets only.
-	Version uint16 = 4
+	// PHT (prefetch.Table), materialised sets only; 5 = the buses code
+	// only their next-free cycle, the MSHR entries only block and ready
+	// cycle, the dbcp and prefetch.critfilter sections lose their
+	// activity counters, and the dram section is gone.
+	Version uint16 = 5
 
 	headerLen  = 8 // magic u32 + version u16 + flags u16
 	trailerLen = 4 // crc32 u32

@@ -19,8 +19,7 @@ type Predictor struct {
 	counters []uint8
 	mask     uint64 // geometry derived from the table size at construction
 
-	trainings uint64
-	critical  uint64
+	trainings uint64 // gates the cold start
 }
 
 // New creates a predictor with 2^bits counters.
@@ -36,7 +35,6 @@ func (p *Predictor) Train(pc uint64, wasCritical bool) {
 	p.trainings++
 	c := &p.counters[p.idx(pc)]
 	if wasCritical {
-		p.critical++
 		if *c < 3 {
 			*c++
 		}
@@ -55,17 +53,6 @@ func (p *Predictor) Critical(pc uint64) bool {
 		return true
 	}
 	return p.counters[p.idx(pc)] >= 2
-}
-
-// Stats reports training activity.
-type Stats struct {
-	Trainings uint64
-	Critical  uint64
-}
-
-// Stats returns training counters.
-func (p *Predictor) Stats() Stats {
-	return Stats{Trainings: p.trainings, Critical: p.critical}
 }
 
 // StorageBits returns the table budget (2 bits per counter).

@@ -8,5 +8,4 @@ import "tagprefetch/internal/checkpoint"
 func (p *Predictor) Snapshot(c *checkpoint.Codec) {
 	c.Bytes(p.counters)
 	c.U64(&p.trainings)
-	c.U64(&p.critical)
 }

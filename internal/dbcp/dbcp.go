@@ -68,23 +68,13 @@ type DBCP struct {
 	table  prefetch.Table[uint64] // keyed by (block, signature); one target, the block that followed the death
 	clock  int64
 
-	stats Stats
-	req   [1]prefetch.Request // scratch batch OnAccess returns
+	req [1]prefetch.Request // scratch batch OnAccess returns
 }
 
 type shadowEntry struct {
 	block addr.Addr
 	sig   uint64
 	valid bool
-}
-
-// Stats counts predictor activity.
-type Stats struct {
-	Accesses    uint64
-	Misses      uint64
-	Deaths      uint64 // completed block lifetimes learned
-	Hits        uint64 // correlation-table hits (death predictions)
-	Predictions uint64
 }
 
 // New creates a DBCP from cfg (zero fields take the paper's defaults).
@@ -126,11 +116,9 @@ func (d *DBCP) index(key uint64) uint64 {
 // and start tracing the new block. Prediction happens in OnAccess (the
 // miss access itself also flows through OnAccess).
 func (d *DBCP) OnMiss(m trace.Miss) []prefetch.Request {
-	d.stats.Misses++
 	d.clock++
 	sh := &d.shadow[m.Index]
 	if sh.valid {
-		d.stats.Deaths++
 		key := d.key(sh.block, sh.sig)
 		set := d.index(key)
 		i := d.table.Find(set, key)
@@ -147,7 +135,6 @@ func (d *DBCP) OnMiss(m trace.Miss) []prefetch.Request {
 // OnAccess implements prefetch.Prefetcher: extend the resident block's PC
 // trace and predict death on a signature match.
 func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Request {
-	d.stats.Accesses++
 	idx := d.cfg.L1.Index(a)
 	sh := &d.shadow[idx]
 	block := d.cfg.L1.Block(a)
@@ -164,12 +151,10 @@ func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Reque
 	}
 	d.clock++
 	d.table.Touch(i, d.clock)
-	d.stats.Hits++
 	next := d.table.Targets(i)
 	if len(next) == 0 || addr.Addr(next[0]) == block {
 		return nil
 	}
-	d.stats.Predictions++
 	d.req[0] = prefetch.Request{Addr: addr.Addr(next[0])}
 	return d.req[:]
 }
@@ -180,6 +165,3 @@ func (d *DBCP) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []prefetch.Reque
 func (d *DBCP) StorageBits() uint64 {
 	return uint64(d.cfg.TableEntries) * 64
 }
-
-// Stats returns predictor counters.
-func (d *DBCP) Stats() Stats { return d.stats }

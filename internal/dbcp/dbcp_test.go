@@ -69,10 +69,6 @@ func TestLearnsDeathAndPredicts(t *testing.T) {
 	if len(got) != 1 || got[0].Addr != b {
 		t.Fatalf("prediction = %+v, want %#x", got, b)
 	}
-	s := d.Stats()
-	if s.Deaths == 0 || s.Predictions == 0 {
-		t.Errorf("stats = %+v", s)
-	}
 }
 
 func TestDifferentTraceNoPrediction(t *testing.T) {

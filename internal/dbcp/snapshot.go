@@ -3,7 +3,7 @@ package dbcp
 import "tagprefetch/internal/checkpoint"
 
 // Snapshot implements checkpoint.Snapshotter: the shadow directory,
-// correlation table, clock, and statistics.
+// correlation table and clock.
 func (d *DBCP) Snapshot(c *checkpoint.Codec) {
 	c.Section("dbcp")
 	c.I64(&d.clock)
@@ -15,9 +15,4 @@ func (d *DBCP) Snapshot(c *checkpoint.Codec) {
 		c.Bool(&sh.valid)
 	}
 	d.table.Snapshot(c)
-	c.U64(&d.stats.Accesses)
-	c.U64(&d.stats.Misses)
-	c.U64(&d.stats.Deaths)
-	c.U64(&d.stats.Hits)
-	c.U64(&d.stats.Predictions)
 }

@@ -4,12 +4,12 @@ package dram
 
 import "tagprefetch/internal/bus"
 
-// Memory is the main-memory model. The zero value is unusable; use New.
+// Memory is the main-memory model. It holds no dynamic state, so it is not
+// checkpointed: its bus is, through the memsys walk. The zero value is
+// unusable; use New.
 type Memory struct {
 	latency int64    // access-latency configuration fixed at construction
-	bus     *bus.Bus // wiring; the bus serialises its own state through the memsys walk
-	reads   uint64
-	writes  uint64
+	bus     *bus.Bus // wiring
 }
 
 // New creates a memory with the given access latency (core cycles) whose
@@ -25,7 +25,6 @@ func New(latency int64, b *bus.Bus) *Memory {
 // Read returns the cycle at which a block of n bytes requested at cycle now
 // is fully delivered: access latency plus the bus transfer of the block.
 func (m *Memory) Read(now int64, n int) int64 {
-	m.reads++
 	ready := now + m.latency
 	if m.bus != nil {
 		ready = m.bus.Transfer(ready, n)
@@ -38,18 +37,8 @@ func (m *Memory) Read(now int64, n int) int64 {
 // only the bus occupancy matters; the returned cycle is when the transfer
 // completes.
 func (m *Memory) Write(now int64, n int) int64 {
-	m.writes++
 	if m.bus != nil {
 		return m.bus.Transfer(now, n)
 	}
 	return now
 }
-
-// Stats reports access counts.
-type Stats struct {
-	Reads  uint64
-	Writes uint64
-}
-
-// Stats returns access counters.
-func (m *Memory) Stats() Stats { return Stats{Reads: m.reads, Writes: m.writes} }

@@ -45,14 +45,3 @@ func TestNegativeLatencyClamped(t *testing.T) {
 		t.Errorf("done = %d, want 100 (latency clamped to 0)", done)
 	}
 }
-
-func TestStatsAndReset(t *testing.T) {
-	m := New(1, nil)
-	m.Read(0, 64)
-	m.Read(0, 64)
-	m.Write(0, 64)
-	s := m.Stats()
-	if s.Reads != 2 || s.Writes != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-}

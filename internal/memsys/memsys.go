@@ -317,10 +317,6 @@ func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 	if e, ok := m.mshr.Lookup(m.cfg.L1D, a); ok {
 		if e.ReadyAt > now {
 			m.st.MSHRMerges++
-			if e.Prefetch {
-				e.Prefetch = false
-			}
-			e.Demands++
 			return e.ReadyAt
 		}
 		m.mshr.Remove(m.cfg.L1D, a)
@@ -346,7 +342,7 @@ func (m *MemSys) miss(a, pc addr.Addr, write bool, now int64) int64 {
 		m.l1d.SetDirty(a) // write-allocate: the store dirties the new line
 	}
 	m.handleL1Eviction(ev, start)
-	m.mshr.Allocate(m.cfg.L1D, a, readyAt, false)
+	m.mshr.Allocate(m.cfg.L1D, a, readyAt)
 
 	if !m.pfNoop {
 		miss := trace.MakeMiss(m.cfg.L1D, a, pc, start, write)
@@ -567,11 +563,6 @@ func (m *MemSys) L1Stats() cache.Stats { return m.l1d.Stats() }
 
 // L2Stats returns the L2 cache counters.
 func (m *MemSys) L2Stats() cache.Stats { return m.l2.Stats() }
-
-// BusStats returns (l1/l2 bus, memory bus) statistics over horizon cycles.
-func (m *MemSys) BusStats(horizon int64) (bus.Stats, bus.Stats) {
-	return m.l1Bus.Stats(horizon), m.memBus.Stats(horizon)
-}
 
 // Quiesce settles timing state left behind by a functional fast-forward
 // warmup, at boundary cycle now. The functional clock advances one cycle

@@ -25,7 +25,7 @@ func (m *MemSys) sections(pfBus, l2pf, dbp bool) []checkpoint.Snapshotter {
 	if pfBus {
 		s = append(s, m.pfBus)
 	}
-	s = append(s, m.memBus, m.mem, m.pf)
+	s = append(s, m.memBus, m.pf)
 	if l2pf {
 		s = append(s, m.l2pf)
 	}
@@ -37,7 +37,7 @@ func (m *MemSys) sections(pfBus, l2pf, dbp bool) []checkpoint.Snapshotter {
 
 // Snapshot implements checkpoint.Snapshotter: the hierarchy counters and
 // presence flags for the optional components, then one section per
-// subcomponent (caches, MSHRs, buses, DRAM, prefetchers, dead-block
+// subcomponent (caches, MSHRs, buses, prefetchers, dead-block
 // predictor). The flags let decoding check that the image and the
 // receiving machine were built with the same topology: the machine must
 // have the same cache geometries and at least the optional components the

@@ -16,8 +16,6 @@ import (
 type CriticalFiltered struct {
 	inner Prefetcher
 	pred  *critical.Predictor
-
-	suppressed uint64
 }
 
 // NewCriticalFiltered wraps inner with the given criticality predictor
@@ -33,7 +31,6 @@ func (f *CriticalFiltered) gate(pc addr.Addr, reqs []Request) []Request {
 	if len(reqs) == 0 || f.pred.Critical(uint64(pc)) {
 		return reqs
 	}
-	f.suppressed += uint64(len(reqs))
 	return nil
 }
 
@@ -46,9 +43,6 @@ func (f *CriticalFiltered) OnMiss(m trace.Miss) []Request {
 func (f *CriticalFiltered) OnAccess(a, pc addr.Addr, cycle int64, hit bool) []Request {
 	return f.gate(pc, f.inner.OnAccess(a, pc, cycle, hit))
 }
-
-// Suppressed returns the number of prefetch requests gated off.
-func (f *CriticalFiltered) Suppressed() uint64 { return f.suppressed }
 
 // StorageBits implements Prefetcher (inner tables + the criticality table).
 func (f *CriticalFiltered) StorageBits() uint64 {

@@ -100,11 +100,10 @@ func (p *GHB) Snapshot(c *checkpoint.Codec) {
 	}
 }
 
-// Snapshot implements checkpoint.Snapshotter: the gate statistics and the
-// criticality predictor, then the wrapped prefetcher's own section.
+// Snapshot implements checkpoint.Snapshotter: the criticality predictor,
+// then the wrapped prefetcher's own section.
 func (f *CriticalFiltered) Snapshot(c *checkpoint.Codec) {
 	c.Section("prefetch.critfilter")
-	c.U64(&f.suppressed)
 	f.pred.Snapshot(c)
 	f.inner.Snapshot(c)
 }

@@ -241,30 +241,40 @@ func TestTableMatchesDense(t *testing.T) {
 // TestTableGrowthBounded checks the pool growth rule on a 262144-set
 // table (TCP-8M's PHT) into which tens of thousands of sets allocate:
 // doubling keeps the allocation count logarithmic and the cumulative
-// bytes within twice the final pools.
+// bytes within twice the final pools. The counts are process-wide, so a
+// runtime-internal allocation inside the window adds to them: the same
+// ops run on three fresh tables, and the attempt with the fewest mallocs,
+// still an upper bound on what the table allocates, is checked.
 func TestTableGrowthBounded(t *testing.T) {
-	tab := NewTable(262144, 8, 1, uint32(0xFFFF))
 	ops := mixedOps(262144, 3, 60000)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, op := range ops {
-		tab.Allocate(op.set, uint32(op.key))
+	var tab Table[uint32]
+	var mallocs, allocated uint64
+	for attempt := 0; attempt < 3; attempt++ {
+		fresh := NewTable(262144, 8, 1, uint32(0xFFFF))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, op := range ops {
+			fresh.Allocate(op.set, uint32(op.key))
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; attempt == 0 || n < mallocs {
+			tab, mallocs, allocated = fresh, n, after.TotalAlloc-before.TotalAlloc
+		}
 	}
-	runtime.ReadMemStats(&after)
 
 	sets := len(tab.ways) / tab.nways
 	if sets < 20_000 {
 		t.Fatalf("ops materialised %d sets, want at least 20000", sets)
 	}
 	doublings := bits.Len(uint((sets - 1) / initialFrames)) // ceil(log2(sets/4096))
-	if n, limit := after.Mallocs-before.Mallocs, uint64(2*doublings+2); n > limit || n > tab.GrowthAllowance() {
+	if limit := uint64(2*doublings + 2); mallocs > limit || mallocs > tab.GrowthAllowance() {
 		t.Errorf("%d sets: allocating made %d heap allocations, want at most %d and within GrowthAllowance %d",
-			sets, n, limit, tab.GrowthAllowance())
+			sets, mallocs, limit, tab.GrowthAllowance())
 	}
 	pools := uint64(cap(tab.ways))*uint64(unsafe.Sizeof(way[uint32]{})) + uint64(cap(tab.targets))*8
-	if b := after.TotalAlloc - before.TotalAlloc; b > 2*pools {
-		t.Errorf("%d sets: allocating took %d bytes, want at most 2 x pools %d", sets, b, pools)
+	if allocated > 2*pools {
+		t.Errorf("%d sets: allocating took %d bytes, want at most 2 x pools %d", sets, allocated, pools)
 	}
 }
 

@@ -59,7 +59,6 @@ var unsnapped = map[string]string{
 	"prefetch.GHB.hist":            "scratch, dead between OnMiss calls",
 	"prefetch.GHB.deltas":          "scratch, dead between OnMiss calls",
 	"prefetch.GHB.reqs":            "scratch batch, dead between OnMiss calls by the Prefetcher contract",
-	"bus.Bus.name":                 "reaches the image through section, the section name built from it at construction",
 	"cache.Cache.name":             "reaches the image through section, the section name built from it at construction",
 	"cache.MSHRFile.sorted":        "Snapshot's sort scratch, dead between Snapshot calls",
 	"dbcp.DBCP.cfg":                "configuration supplied at construction; decoding requires a same-config instance",
@@ -80,8 +79,6 @@ var unsnapped = map[string]string{
 	"branch.PAg.histLen":           "geometry fixed at construction, not dynamic state",
 	"branch.Combining.mask":        "geometry derived from the chooser size at construction",
 	"branch.Static.Taken":          "the fixed direction is configuration chosen at construction, not dynamic state",
-	"dram.Memory.latency":          "access-latency configuration fixed at construction",
-	"dram.Memory.bus":              "wiring; the bus serialises its own state through the memsys walk",
 	"cpu.Core.mem":                 "wiring; the memory system serialises its own state through the machine walk",
 	"cpu.Core.instrCtr":            "host-side observability handle, outside the simulated state",
 	"cpu.Core.cycleCtr":            "host-side observability handle, outside the simulated state",

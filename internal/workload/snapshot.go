@@ -77,9 +77,10 @@ func (s *sweepStream) snapshot(c *checkpoint.Codec) {
 
 // The chase section codes the block index at the cursor, order[pos], not
 // pos itself: the image names where the walk is, whatever the cycle's
-// storage, and version 4 images keep their bytes. Decoding scans the cycle
-// for that block (O(n), n ≤ 80 k blocks in the catalog); a block outside
-// the cycle fails with a *ChaseCursorError.
+// storage, and the section keeps the bytes it had when the walk followed a
+// successor table. Decoding scans the cycle for that block (O(n), n ≤ 80 k
+// blocks in the catalog); a block outside the cycle fails with a
+// *ChaseCursorError.
 func (c *chaseStream) snapshot(cd *checkpoint.Codec) {
 	streamTag(cd, streamTagChase, "chase")
 	blk := c.order[c.pos]

@@ -71,11 +71,6 @@ type RunConfig struct {
 	Seed uint64
 	// IdealL2 makes every L2 access hit (the Figure 1 study).
 	IdealL2 bool
-	// PHTBytes and IndexBits build a custom TCP instead of a named
-	// Prefetcher when CustomTCP is true.
-	CustomTCP bool
-	PHTBytes  int
-	IndexBits int
 }
 
 // Result is the outcome of one simulation run; see sim.Result for fields.
@@ -103,11 +98,8 @@ func Benchmarks() []string { return workload.Names() }
 
 // Run simulates one benchmark with the named prefetcher.
 func Run(bench string, p Prefetcher, cfg RunConfig) (Result, error) {
-	var f sim.Factory
-	var err error
-	if cfg.CustomTCP {
-		f = sim.TCPWithPHT(cfg.PHTBytes, cfg.IndexBits, false)
-	} else if f, err = p.Factory(); err != nil {
+	f, err := p.Factory()
+	if err != nil {
 		return Result{}, err
 	}
 	return sim.Run(bench, f, cfg.simConfig())

@@ -76,20 +76,6 @@ func TestSchemeSpellings(t *testing.T) {
 	}
 }
 
-func TestCustomTCPViaRunConfig(t *testing.T) {
-	cfg := quick()
-	cfg.CustomTCP = true
-	cfg.PHTBytes = 32 * 1024
-	cfg.IndexBits = 1
-	r, err := Run("swim", TCP8K /* ignored */, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(r.Prefetcher, "32K") {
-		t.Errorf("prefetcher = %q", r.Prefetcher)
-	}
-}
-
 func TestRunTCP(t *testing.T) {
 	r, err := RunTCP("swim", TCPConfig{HistoryDepth: 3, PHTSets: 512, PHTWays: 4}, quick())
 	if err != nil {
@@ -97,6 +83,20 @@ func TestRunTCP(t *testing.T) {
 	}
 	if r.IPC() <= 0 {
 		t.Errorf("IPC = %v", r.IPC())
+	}
+	// Miss-index bits: an 8 KB PHT with n = 1 simulates exactly the
+	// Figure 13 point sim.TCPWithPHT names.
+	r, err = RunTCP("swim", TCPConfig{HistoryDepth: 2, PHTSets: 256, PHTWays: 8, IndexBits: 1}, quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run("swim", sim.TCPWithPHT(8<<10, 1, false), quick().simConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Prefetcher = want.Prefetcher
+	if r != want {
+		t.Errorf("RunTCP with IndexBits 1 = %+v, want %+v", r, want)
 	}
 }
 
